@@ -21,6 +21,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from math import gcd, isqrt
 from typing import Iterable, Iterator
 
 from .errors import MixedFieldError, ParseError
@@ -29,18 +31,40 @@ from .errors import MixedFieldError, ParseError
 # scalars
 # --------------------------------------------------------------------------
 
+# Largest accepted field tag D: deciding square-freeness of any D up to the
+# bound takes at most 10^5 trial divisions (see _is_square_free).
+D_MAX = 10**15
 
+
+@lru_cache(maxsize=256)
 def _is_square_free(d: int) -> bool:
-    if d <= 0:
+    """Exact test for 1 <= d <= D_MAX in O(d^(1/3)) trial divisions, made
+    once per distinct d.
+
+    Every prime p with p^3 <= (what is left of) d is stripped once; a second
+    factor p means a square.  What is left then has at most two prime
+    factors, each above its cube root, so it is square-free unless it is the
+    square of a prime.
+    """
+    if not 0 < d <= D_MAX:
         return False
     p = 2
-    while p * p <= d:
-        if d % (p * p) == 0:
-            return False
+    while p * p * p <= d:
         if d % p == 0:
             d //= p
+            if d % p == 0:
+                return False
         p += 1
-    return True
+    return d == 1 or isqrt(d) ** 2 != d
+
+
+def field_problem(d: int) -> str | None:
+    """Why the integer d cannot tag a field Q(sqrt d), or None when it can."""
+    if d > D_MAX:
+        return f"D={d} exceeds the bound D <= 10^15"
+    if not _is_square_free(d):
+        return f"D must be a square-free natural, got {d}"
+    return None
 
 
 _RAT = r"-?\d+(?:/\d+)?"
@@ -54,34 +78,51 @@ _SCALAR_RE = re.compile(
 )
 
 
-@dataclass(frozen=True, slots=True)
 class Scalar:
-    """Exact value rat + irr*sqrt(d), normalized so that rationals have d == 1.
+    """Exact value (a + b*sqrt(d)) / den, held as plain integers.
 
-    Normalization rules enforced on construction:
-      * d must be a square-free natural number;
-      * d == 1 folds the irrational part into the rational part;
-      * irr == 0 resets d to 1, so equal rationals compare and hash equal no
-        matter which field their document declared.
+    Normal form, established by the constructor and kept by every operation:
+      * den > 0 and gcd(a, b, den) == 1;
+      * d is a square-free natural no larger than D_MAX;
+      * b == 0 forces d == 1, and d == 1 folds the irrational part into the
+        rational part, so equal rationals compare and hash equal no matter
+        which field their document declared.
+
+    The public view is ``rat + irr*sqrt(d)`` with Fraction ``rat`` and
+    ``irr``; all of ``rat``, ``irr`` and ``d`` are read-only.
     """
 
-    rat: Fraction
-    irr: Fraction = Fraction(0)
-    d: int = 1
+    __slots__ = ("_a", "_b", "_den", "_d", "_hash")
 
-    def __post_init__(self) -> None:
-        rat = self.rat if isinstance(self.rat, Fraction) else Fraction(self.rat)
-        irr = self.irr if isinstance(self.irr, Fraction) else Fraction(self.irr)
-        d = self.d
+    def __init__(self, rat, irr=0, d=1) -> None:
+        rat = rat if isinstance(rat, Fraction) else Fraction(rat)
+        irr = irr if isinstance(irr, Fraction) else Fraction(irr)
         if not isinstance(d, int) or not _is_square_free(d):
-            raise ValueError(f"field tag must be a square-free natural, got {d!r}")
+            raise ValueError(f"field tag must be a square-free natural "
+                             f"at most 10^15, got {d!r}")
         if d == 1:
             rat, irr = rat + irr, Fraction(0)
-        if irr == 0:
-            d = 1
-        object.__setattr__(self, "rat", rat)
-        object.__setattr__(self, "irr", irr)
-        object.__setattr__(self, "d", d)
+        # den = lcm of the two denominators; then gcd(a, b, den) == 1 already
+        p, q = rat.denominator, irr.denominator
+        den = p // gcd(p, q) * q
+        self._a = rat.numerator * (den // p)
+        self._b = irr.numerator * (den // q)
+        self._den = den
+        self._d = d if self._b else 1
+
+    # -- read-only view ------------------------------------------------------
+
+    @property
+    def rat(self) -> Fraction:
+        return Fraction(self._a, self._den)
+
+    @property
+    def irr(self) -> Fraction:
+        return Fraction(self._b, self._den)
+
+    @property
+    def d(self) -> int:
+        return self._d
 
     # -- construction helpers ------------------------------------------------
 
@@ -92,9 +133,10 @@ class Scalar:
             return value
         if isinstance(value, str):
             return Scalar.parse(value)
-        if isinstance(value, (int, Fraction)):
-            return Scalar(Fraction(value))
-        raise TypeError(f"cannot make a Scalar from {type(value).__name__}")
+        out = _coerce(value)
+        if out is None:
+            raise TypeError(f"cannot make a Scalar from {type(value).__name__}")
+        return out
 
     @staticmethod
     def parse(text: str) -> "Scalar":
@@ -123,84 +165,80 @@ class Scalar:
             raise ParseError(f"bad scalar {text!r}: {exc}") from None
         if m.group("op") == "-" or m.group("lead") == "-":
             coef = -coef
-        d = int(m.group("d"))
+        digits = m.group("d").lstrip("0") or "0"
+        if len(digits) > 16 or int(digits) > D_MAX:
+            raise ParseError("sqrt argument exceeds the bound D <= 10^15")
+        d = int(digits)
         if not _is_square_free(d):
             raise ParseError(f"sqrt argument must be square-free, got {d}")
         return Scalar(rat, coef, d)
 
-    # -- field bookkeeping ---------------------------------------------------
-
-    def _join(self, other: "Scalar") -> int:
-        if self.d == other.d:
-            return self.d
-        if self.d == 1:
-            return other.d
-        if other.d == 1:
-            return self.d
-        raise MixedFieldError(
-            f"cannot mix sqrt{self.d} and sqrt{other.d} values in one computation"
-        )
-
-    @staticmethod
-    def _coerce(value) -> "Scalar | None":
-        if isinstance(value, Scalar):
-            return value
-        if isinstance(value, (int, Fraction)):
-            return Scalar(Fraction(value))
-        return None
-
     # -- arithmetic ------------------------------------------------------------
 
     def __add__(self, other) -> "Scalar":
-        o = self._coerce(other)
+        o = other if type(other) is Scalar else _coerce(other)
         if o is None:
             return NotImplemented
-        return Scalar(self.rat + o.rat, self.irr + o.irr, self._join(o))
+        d = self._d if self._d == o._d else _join(self._d, o._d)
+        den, oden = self._den, o._den
+        if den == oden:
+            return _make(self._a + o._a, self._b + o._b, den, d)
+        return _make(self._a * oden + o._a * den, self._b * oden + o._b * den,
+                     den * oden, d)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Scalar":
-        return Scalar(-self.rat, -self.irr, self.d)
+        return _build(-self._a, -self._b, self._den, self._d)
 
     def __sub__(self, other) -> "Scalar":
-        o = self._coerce(other)
+        o = other if type(other) is Scalar else _coerce(other)
         if o is None:
             return NotImplemented
-        return self + (-o)
+        d = self._d if self._d == o._d else _join(self._d, o._d)
+        den, oden = self._den, o._den
+        if den == oden:
+            return _make(self._a - o._a, self._b - o._b, den, d)
+        return _make(self._a * oden - o._a * den, self._b * oden - o._b * den,
+                     den * oden, d)
 
     def __rsub__(self, other) -> "Scalar":
-        o = self._coerce(other)
+        o = _coerce(other)
         if o is None:
             return NotImplemented
         return o - self
 
     def __mul__(self, other) -> "Scalar":
-        o = self._coerce(other)
+        o = other if type(other) is Scalar else _coerce(other)
         if o is None:
             return NotImplemented
-        d = self._join(o)
-        return Scalar(
-            self.rat * o.rat + self.irr * o.irr * d,
-            self.rat * o.irr + self.irr * o.rat,
-            d,
-        )
+        d = self._d if self._d == o._d else _join(self._d, o._d)
+        a1, b1, a2, b2 = self._a, self._b, o._a, o._b
+        return _make(a1 * a2 + b1 * b2 * d, a1 * b2 + b1 * a2,
+                     self._den * o._den, d)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "Scalar":
-        o = self._coerce(other)
+        o = other if type(other) is Scalar else _coerce(other)
         if o is None:
             return NotImplemented
-        if o.is_zero():
+        a2, b2 = o._a, o._b
+        if a2 == 0 and b2 == 0:
             raise ZeroDivisionError("scalar division by zero")
-        d = self._join(o)
-        # multiply by the conjugate: 1/(p+q√d) = (p−q√d)/(p²−q²d)
-        norm = o.rat * o.rat - o.irr * o.irr * d
-        conj = Scalar(o.rat / norm, -o.irr / norm, d)
-        return self * conj
+        d = self._d if self._d == o._d else _join(self._d, o._d)
+        # multiply by the conjugate: 1/(a2+b2√d) = (a2−b2√d)/(a2²−b2²d); the
+        # norm is nonzero because d is square-free
+        a1, b1 = self._a, self._b
+        den = self._den * (a2 * a2 - b2 * b2 * d)
+        a = (a1 * a2 - b1 * b2 * d) * o._den
+        b = (b1 * a2 - a1 * b2) * o._den
+        if den < 0:
+            a, b, den = -a, -b, -den
+        return _make(a, b, den, d)
 
     def __rtruediv__(self, other) -> "Scalar":
-        o = self._coerce(other)
+        o = _coerce(other)
         if o is None:
             return NotImplemented
         return o / self
@@ -212,29 +250,21 @@ class Scalar:
 
     def sign(self) -> int:
         """Exact sign in {-1, 0, 1}, decided by integer arithmetic only."""
-        p, q = self.rat, self.irr
-        if q == 0:
-            return (p > 0) - (p < 0)
-        if p == 0:
-            return 1 if q > 0 else -1
-        if p > 0 and q > 0:
-            return 1
-        if p < 0 and q < 0:
-            return -1
-        # opposite signs: compare p² with q²·d  (sign of p wins iff |p| > |q|√d)
-        lhs, rhs = p * p, q * q * self.d
-        if p > 0:  # q < 0
-            return (lhs > rhs) - (lhs < rhs)
-        return (rhs > lhs) - (rhs < lhs)  # p < 0 < q
+        return _sign(self._a, self._b, self._d)
 
     def is_zero(self) -> bool:
-        return self.rat == 0 and self.irr == 0
+        return self._a == 0 and self._b == 0
 
     def _cmp(self, other) -> int:
-        o = self._coerce(other)
+        """Sign of self - other, without building the difference."""
+        o = other if type(other) is Scalar else _coerce(other)
         if o is None:
             raise TypeError(f"cannot compare Scalar with {type(other).__name__}")
-        return (self - o).sign()
+        d = self._d if self._d == o._d else _join(self._d, o._d)
+        den, oden = self._den, o._den
+        if den == oden:
+            return _sign(self._a - o._a, self._b - o._b, d)
+        return _sign(self._a * oden - o._a * den, self._b * oden - o._b * den, d)
 
     def __lt__(self, other) -> bool:
         return self._cmp(other) < 0
@@ -248,46 +278,122 @@ class Scalar:
     def __ge__(self, other) -> bool:
         return self._cmp(other) >= 0
 
-    # dataclass __eq__/__hash__ on (rat, irr, d) are exactly right thanks to
-    # the normalization in __post_init__.
+    # The normal form is unique, so equality is equality of the integers.
+    def __eq__(self, other) -> bool:
+        if type(other) is not Scalar:
+            return NotImplemented
+        return (self._a == other._a and self._b == other._b
+                and self._den == other._den and self._d == other._d)
+
+    def __hash__(self) -> int:
+        # hash((rat, irr, d)), as for the Fraction-backed dataclass this class
+        # replaces, so set and dict iteration orders (and reports) are kept;
+        # an int hashes like the equal Fraction
+        try:
+            return self._hash
+        except AttributeError:
+            pass
+        if self._den == 1:
+            h = hash((self._a, self._b, self._d))
+        else:
+            h = hash((self.rat, self.irr, self._d))
+        self._hash = h
+        return h
 
     # -- rendering ---------------------------------------------------------------
 
     def __str__(self) -> str:
-        if self.irr == 0:
-            return str(self.rat)
-        if self.irr == 1:
-            tail = f"sqrt{self.d}"
-        elif self.irr == -1:
-            tail = f"-sqrt{self.d}"
-        elif self.irr < 0:
-            tail = f"-{-self.irr}*sqrt{self.d}"
+        rat, irr, d = self.rat, self.irr, self._d
+        if irr == 0:
+            return str(rat)
+        if irr == 1:
+            tail = f"sqrt{d}"
+        elif irr == -1:
+            tail = f"-sqrt{d}"
+        elif irr < 0:
+            tail = f"-{-irr}*sqrt{d}"
         else:
-            tail = f"{self.irr}*sqrt{self.d}"
-        if self.rat == 0:
+            tail = f"{irr}*sqrt{d}"
+        if rat == 0:
             return tail
         sep = "+" if not tail.startswith("-") else ""
-        return f"{self.rat}{sep}{tail}"
+        return f"{rat}{sep}{tail}"
 
     def __repr__(self) -> str:
         return f"Scalar({str(self)!r})"
 
     def to_float(self) -> float:
         """Approximation for report cosmetics only; never used in decisions."""
-        return float(self.rat) + float(self.irr) * (self.d ** 0.5)
+        # int / int is correctly rounded, so this equals float(rat) etc.
+        return self._a / self._den + self._b / self._den * (self._d ** 0.5)
+
+
+_new = object.__new__
+
+
+def _build(a: int, b: int, den: int, d: int) -> Scalar:
+    """A Scalar from integers already in normal form."""
+    s = _new(Scalar)
+    s._a = a
+    s._b = b
+    s._den = den
+    s._d = d
+    return s
+
+
+def _make(a: int, b: int, den: int, d: int) -> Scalar:
+    """Normalise (a + b*sqrt(d)) / den, for den > 0 and a validated d."""
+    if b:
+        g = gcd(a, b, den)
+    else:
+        g = gcd(a, den)
+        d = 1
+    if g != 1:
+        a //= g
+        b //= g
+        den //= g
+    return _build(a, b, den, d)
+
+
+def _coerce(value) -> Scalar | None:
+    """Ints and Fractions as Scalars; None for anything else."""
+    if isinstance(value, int):
+        return _build(int(value), 0, 1, 1)
+    if isinstance(value, Fraction):
+        return _build(value.numerator, 0, value.denominator, 1)
+    return None
+
+
+def _join(d1: int, d2: int) -> int:
+    """The common field of two tags, or MixedFieldError."""
+    if d1 == d2 or d2 == 1:
+        return d1
+    if d1 == 1:
+        return d2
+    raise MixedFieldError(
+        f"cannot mix sqrt{d1} and sqrt{d2} values in one computation")
+
+
+def _sign(a: int, b: int, d: int) -> int:
+    """Sign of a + b*sqrt(d) for square-free d."""
+    if b == 0:
+        return (a > 0) - (a < 0)
+    if a == 0:
+        return 1 if b > 0 else -1
+    if a > 0:
+        if b > 0:
+            return 1
+        # a > 0 > b: the sign of a wins iff a² > b²d
+        lhs, rhs = a * a, b * b * d
+        return (lhs > rhs) - (lhs < rhs)
+    if b < 0:
+        return -1
+    lhs, rhs = a * a, b * b * d  # a < 0 < b
+    return (rhs > lhs) - (rhs < lhs)
 
 
 ZERO = Scalar(Fraction(0))
 ONE = Scalar(Fraction(1))
-
-
-def scalar_min(values: Iterable[Scalar]) -> Scalar:
-    it = iter(values)
-    best = next(it)
-    for v in it:
-        if v < best:
-            best = v
-    return best
 
 
 # --------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 
-from .core import Scalar, Word, parse_word
+from .core import Scalar, Word, field_problem, parse_word
 from .errors import ParseError
 from .intervals import Interval, MultiInterval
 from .isometry_systems import PartialIsometry, SoISystem
@@ -184,6 +184,9 @@ def load_system(doc: dict) -> SoISystem:
     d = doc.get("D", 1)
     if isinstance(d, bool) or not isinstance(d, int) or d < 1:
         _fail("system: field 'D' must be a positive integer")
+    problem = field_problem(d)
+    if problem is not None:
+        _fail(f"system: field 'D': {problem}")
     raw_forest = doc.get("forest")
     if not isinstance(raw_forest, list) or not raw_forest:
         _fail("system: field 'forest' must be a non-empty list of intervals")

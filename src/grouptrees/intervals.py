@@ -25,7 +25,7 @@ class Interval:
 
     def __post_init__(self):
         lo, hi = Scalar.of(self.lo), Scalar.of(self.hi)
-        if (hi - lo).sign() < 0:
+        if hi < lo:
             raise InvalidSystemError(f"interval endpoints out of order: [{lo}, {hi}]")
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
@@ -43,23 +43,23 @@ class Interval:
         return (self.lo + self.hi) * HALF
 
     def contains(self, x: Scalar) -> bool:
-        return (x - self.lo).sign() >= 0 and (self.hi - x).sign() >= 0
+        return x >= self.lo and self.hi >= x
 
     def contains_interval(self, other: "Interval") -> bool:
         return self.contains(other.lo) and self.contains(other.hi)
 
     def intersect(self, other: "Interval") -> "Interval | None":
-        lo = self.lo if (self.lo - other.lo).sign() >= 0 else other.lo
-        hi = self.hi if (other.hi - self.hi).sign() >= 0 else other.hi
-        if (hi - lo).sign() < 0:
+        lo = self.lo if self.lo >= other.lo else other.lo
+        hi = self.hi if other.hi >= self.hi else other.hi
+        if hi < lo:
             return None
         return Interval(lo, hi)
 
     def shifted_image(self, orient: int, offset: Scalar) -> "Interval":
         """Image under x -> orient*x + offset."""
-        a = self.lo * Scalar.of(orient) + offset
-        b = self.hi * Scalar.of(orient) + offset
-        return Interval(a, b) if orient > 0 else Interval(b, a)
+        if orient > 0:
+            return Interval(self.lo + offset, self.hi + offset)
+        return Interval(-self.hi + offset, -self.lo + offset)
 
     def __str__(self):
         return f"[{self.lo}, {self.hi}]"
@@ -76,8 +76,8 @@ class MultiInterval:
             key=lambda iv: (iv.lo, iv.hi))
         merged: list[Interval] = []
         for iv in pieces:
-            if merged and (iv.lo - merged[-1].hi).sign() <= 0:
-                if (iv.hi - merged[-1].hi).sign() > 0:
+            if merged and iv.lo <= merged[-1].hi:
+                if iv.hi > merged[-1].hi:
                     merged[-1] = Interval(merged[-1].lo, iv.hi)
             else:
                 merged.append(iv)

@@ -56,18 +56,19 @@ class PartialIsometry:
 
     def inverse(self) -> "PartialIsometry":
         return PartialIsometry(self.ran, self.orient,
-                               self.offset * Scalar.of(-self.orient))
+                               -self.offset if self.orient > 0 else self.offset)
 
     def apply(self, x: Scalar) -> Scalar | None:
         if not self.dom.contains(x):
             return None
-        return x * Scalar.of(self.orient) + self.offset
+        return (x if self.orient > 0 else -x) + self.offset
 
 
 class SoISystem:
     """Support multi-interval plus generators, optionally labeled by letters."""
 
-    __slots__ = ("forest", "generators", "labels", "_letter_of_gen")
+    __slots__ = ("forest", "generators", "labels", "_letter_of_gen",
+                 "_inverses")
 
     def __init__(self, forest: MultiInterval, generators, labels=None):
         if not isinstance(forest, MultiInterval):
@@ -97,6 +98,8 @@ class SoISystem:
         object.__setattr__(self, "generators", generators)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "_letter_of_gen", letter_of_gen)
+        object.__setattr__(self, "_inverses",
+                           tuple(g.inverse() for g in generators))
 
     def __setattr__(self, *_):
         raise AttributeError("SoISystem is immutable")
@@ -104,8 +107,9 @@ class SoISystem:
     # letters: +i / -i refer to generators[i-1] and its inverse, i = 1..n.
 
     def letter_map(self, letter: int) -> PartialIsometry:
-        gen = self.generators[abs(letter) - 1]
-        return gen if letter > 0 else gen.inverse()
+        if letter > 0:
+            return self.generators[letter - 1]
+        return self._inverses[-letter - 1]
 
     def signed_letters(self):
         out = []
@@ -276,12 +280,13 @@ def independence_check(system: SoISystem, max_len: int) -> dict:
                 if word[0] == -l:
                     continue
                 # new = g o old: domain pulled back through the old map
-                pre = g.dom.shifted_image(orient, offset * Scalar.of(-orient))
+                pre = g.dom.shifted_image(orient,
+                                          -offset if orient > 0 else offset)
                 new_dom = dom.intersect(pre)
                 if new_dom is None or new_dom.is_point:
                     continue
                 new_orient = g.orient * orient
-                new_offset = offset * Scalar.of(g.orient) + g.offset
+                new_offset = (offset if g.orient > 0 else -offset) + g.offset
                 new_word = (l,) + word
                 if new_orient == 1 and new_offset.is_zero():
                     return {"status": "violation",

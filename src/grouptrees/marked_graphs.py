@@ -304,7 +304,9 @@ class CoverCore:
         for u, l, v in self.p_edges:
             gu, gv, _ = graph.edges[l - 1]
             for p, g in ((u, gu), (v, gv)):
-                assert image.setdefault(p, g) == g
+                if image.setdefault(p, g) != g:
+                    raise RuntimeError(
+                        f"cover vertex {p} maps to base vertices {image[p]} and {g}")
         assert image[p_base] == graph.base
         assert len(image) == p_nv
         self.vertex_image = image
@@ -475,7 +477,8 @@ def _translate_intersection_prepared(cover: CoverCore, g: Word, radius: int,
     states = dict(base_ball)
     for extra in (ball_g, ball_gi):
         for key, st in extra.items():
-            assert states.setdefault(key, st) == st
+            if states.setdefault(key, st) != st:
+                raise RuntimeError(f"the translate balls disagree at {key}")
     scan = sorted(set(base_ball) | set(ball_g),
                   key=lambda k: (Word(k[0], graph.rank).sort_key(), k[1]))
 

@@ -1,4 +1,4 @@
-"""Independent reference computations used by the acceptance tests.
+"""Independent reference computations used by the tests.
 
 These deliberately avoid the engine's algorithms: conjugacy classes are
 enumerated by brute rotation/inversion canonicalization, and translation
@@ -6,13 +6,229 @@ lengths are recovered by minimizing the displacement function over a net
 of vertices along the lifted basepoint path (the displacement of a tree
 isometry is linear on every edge and its minimum is attained on the axis,
 which the path from any point to its image must cross).
+
+:class:`FractionScalar` is the straightforward Fraction-backed quadratic
+scalar that the integer-backed ``grouptrees.core.Scalar`` must agree with.
 """
 
 from __future__ import annotations
 
+import re
+from dataclasses import dataclass
+from fractions import Fraction
+
 from grouptrees.core import Scalar, Word, letter_key
+from grouptrees.errors import MixedFieldError, ParseError
 
 ZERO = Scalar.of(0)
+
+
+# -- the Fraction-backed scalar ------------------------------------------------
+
+
+def _is_square_free(d: int) -> bool:
+    if d <= 0:
+        return False
+    p = 2
+    while p * p <= d:
+        if d % (p * p) == 0:
+            return False
+        if d % p == 0:
+            d //= p
+        p += 1
+    return True
+
+
+_RAT = r"-?\d+(?:/\d+)?"
+_SCALAR_RE = re.compile(
+    rf"(?P<rat>{_RAT})?"
+    rf"(?:(?<=\d)(?P<op>[+-])|(?P<lead>-)?)"
+    rf"(?:(?P<coef>{_RAT})\*)?sqrt(?P<d>\d+)"
+)
+
+
+@dataclass(frozen=True, slots=True)
+class FractionScalar:
+    """rat + irr*sqrt(d) with Fraction parts; d == 1 iff irr == 0.
+
+    Every operation builds Fractions and re-checks d by trial division up to
+    sqrt(d), so keep d small.
+    """
+
+    rat: Fraction
+    irr: Fraction = Fraction(0)
+    d: int = 1
+
+    def __post_init__(self) -> None:
+        rat = self.rat if isinstance(self.rat, Fraction) else Fraction(self.rat)
+        irr = self.irr if isinstance(self.irr, Fraction) else Fraction(self.irr)
+        d = self.d
+        if not isinstance(d, int) or not _is_square_free(d):
+            raise ValueError(f"field tag must be a square-free natural, got {d!r}")
+        if d == 1:
+            rat, irr = rat + irr, Fraction(0)
+        if irr == 0:
+            d = 1
+        object.__setattr__(self, "rat", rat)
+        object.__setattr__(self, "irr", irr)
+        object.__setattr__(self, "d", d)
+
+    @staticmethod
+    def parse(text: str) -> "FractionScalar":
+        compact = "".join(text.split())
+        if not compact:
+            raise ParseError("empty scalar string")
+        if "sqrt" not in compact:
+            if not re.fullmatch(_RAT, compact):
+                raise ParseError(f"bad rational {text!r}")
+            try:
+                return FractionScalar(Fraction(compact))
+            except ZeroDivisionError:
+                raise ParseError(f"bad rational {text!r}") from None
+        m = _SCALAR_RE.fullmatch(compact)
+        if m is None:
+            raise ParseError(f"bad scalar {text!r}")
+        try:
+            rat = Fraction(m.group("rat")) if m.group("rat") else Fraction(0)
+            coef = Fraction(m.group("coef")) if m.group("coef") else Fraction(1)
+        except (ValueError, ZeroDivisionError):
+            raise ParseError(f"bad scalar {text!r}") from None
+        if m.group("op") == "-" or m.group("lead") == "-":
+            coef = -coef
+        d = int(m.group("d"))
+        if not _is_square_free(d):
+            raise ParseError(f"sqrt argument must be square-free, got {d}")
+        return FractionScalar(rat, coef, d)
+
+    def _join(self, other: "FractionScalar") -> int:
+        if self.d == other.d:
+            return self.d
+        if self.d == 1:
+            return other.d
+        if other.d == 1:
+            return self.d
+        raise MixedFieldError(
+            f"cannot mix sqrt{self.d} and sqrt{other.d} values in one computation")
+
+    @staticmethod
+    def _coerce(value) -> "FractionScalar | None":
+        if isinstance(value, FractionScalar):
+            return value
+        if isinstance(value, (int, Fraction)):
+            return FractionScalar(Fraction(value))
+        return None
+
+    def __add__(self, other) -> "FractionScalar":
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return FractionScalar(self.rat + o.rat, self.irr + o.irr, self._join(o))
+
+    __radd__ = __add__
+
+    def __neg__(self) -> "FractionScalar":
+        return FractionScalar(-self.rat, -self.irr, self.d)
+
+    def __sub__(self, other) -> "FractionScalar":
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return self + (-o)
+
+    def __rsub__(self, other) -> "FractionScalar":
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return o - self
+
+    def __mul__(self, other) -> "FractionScalar":
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        d = self._join(o)
+        return FractionScalar(self.rat * o.rat + self.irr * o.irr * d,
+                              self.rat * o.irr + self.irr * o.rat, d)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other) -> "FractionScalar":
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        if o.is_zero():
+            raise ZeroDivisionError("scalar division by zero")
+        d = self._join(o)
+        # multiply by the conjugate: 1/(p+q√d) = (p−q√d)/(p²−q²d)
+        norm = o.rat * o.rat - o.irr * o.irr * d
+        return self * FractionScalar(o.rat / norm, -o.irr / norm, d)
+
+    def __rtruediv__(self, other) -> "FractionScalar":
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return o / self
+
+    def __abs__(self) -> "FractionScalar":
+        return -self if self.sign() < 0 else self
+
+    def sign(self) -> int:
+        p, q = self.rat, self.irr
+        if q == 0:
+            return (p > 0) - (p < 0)
+        if p == 0:
+            return 1 if q > 0 else -1
+        if p > 0 and q > 0:
+            return 1
+        if p < 0 and q < 0:
+            return -1
+        # opposite signs: compare p² with q²·d
+        lhs, rhs = p * p, q * q * self.d
+        if p > 0:
+            return (lhs > rhs) - (lhs < rhs)
+        return (rhs > lhs) - (rhs < lhs)
+
+    def is_zero(self) -> bool:
+        return self.rat == 0 and self.irr == 0
+
+    def _cmp(self, other) -> int:
+        o = self._coerce(other)
+        if o is None:
+            raise TypeError(f"cannot compare FractionScalar with {type(other).__name__}")
+        return (self - o).sign()
+
+    def __lt__(self, other) -> bool:
+        return self._cmp(other) < 0
+
+    def __le__(self, other) -> bool:
+        return self._cmp(other) <= 0
+
+    def __gt__(self, other) -> bool:
+        return self._cmp(other) > 0
+
+    def __ge__(self, other) -> bool:
+        return self._cmp(other) >= 0
+
+    def __str__(self) -> str:
+        if self.irr == 0:
+            return str(self.rat)
+        if self.irr == 1:
+            tail = f"sqrt{self.d}"
+        elif self.irr == -1:
+            tail = f"-sqrt{self.d}"
+        elif self.irr < 0:
+            tail = f"-{-self.irr}*sqrt{self.d}"
+        else:
+            tail = f"{self.irr}*sqrt{self.d}"
+        if self.rat == 0:
+            return tail
+        sep = "+" if not tail.startswith("-") else ""
+        return f"{self.rat}{sep}{tail}"
+
+    def to_float(self) -> float:
+        return float(self.rat) + float(self.irr) * (self.d ** 0.5)
+
+
+# -- translation lengths and conjugacy classes ------------------------------------
 
 
 def _reduce_darts(darts):

@@ -1,6 +1,7 @@
 """Document round-trips, canonical reports, the op registry, and the CLI."""
 
 import json
+import time
 
 import pytest
 
@@ -449,3 +450,20 @@ class TestCli:
         body = json.loads(out)
         assert body["result"]["status"] == "closed"
         assert body["result"]["points"] == ["0", "3/2-1/2*sqrt5", "3-sqrt5"]
+
+    @pytest.mark.parametrize("field,point", [
+        (18446744073709551557, "1/2"),      # 2^64 - 59, a 20-digit prime
+        (12, "1/2"),                        # not square-free
+        (5, "1/2+sqrt18446744073709551557"),
+    ])
+    def test_hostile_field_fails_fast(self, capsys, tmp_path, field, point):
+        path = tmp_path / "hostile.json"
+        path.write_text(json.dumps({
+            "D": field, "forest": [["0", "1"]],
+            "generators": [{"dom": ["0", "1/2"], "offset": "1/2"}]}))
+        start = time.perf_counter()
+        code, _, err = run_cli(capsys, "soi", "orbit", "--in", str(path),
+                               "--point", point)
+        assert time.perf_counter() - start < 1.0
+        assert code == 1
+        assert err.startswith("error:") and err.count("\n") == 1

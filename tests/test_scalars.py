@@ -1,11 +1,13 @@
 """Exact quadratic-field scalars: normalization, order, parsing, arithmetic."""
 
+import operator
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
-from grouptrees.core import Scalar, ZERO, ONE
+from _oracles import FractionScalar, _is_square_free as _trial_square_free
+from grouptrees.core import Scalar, ZERO, ONE, _is_square_free, field_problem
 from grouptrees.errors import MixedFieldError, ParseError
 
 
@@ -137,3 +139,99 @@ class TestArithmetic:
         if a < b:
             assert a + ONE < b + ONE
             assert -b < -a
+
+
+class TestFieldCheck:
+    def test_square_free_matches_trial_division(self):
+        for d in range(-3, 20000):
+            assert _is_square_free(d) == _trial_square_free(d), d
+
+    @pytest.mark.parametrize("d,expected", [
+        (999983 ** 2, False),            # square of a prime above the cube root
+        (2 * 999983 ** 2, False),
+        (999979 * 999983, True),         # two distinct large primes
+        (3 * 999979 * 999983, True),
+        (10 ** 15, False),
+        (999999999999989, True),         # the largest prime below 10^15
+        (10 ** 15 + 37, False),          # above the bound
+    ])
+    def test_large_tags(self, d, expected):
+        assert _is_square_free(d) is expected
+
+    def test_bound_rejected_promptly(self):
+        prime20 = 18446744073709551557   # 2^64 - 59, a 20-digit prime
+        with pytest.raises(ParseError, match="bound"):
+            Scalar.parse(f"1+sqrt{prime20}")
+        with pytest.raises(ParseError, match="bound"):
+            Scalar.parse("sqrt" + "7" * 5000)
+        with pytest.raises(ValueError):
+            Scalar(Fraction(0), Fraction(1), prime20)
+        assert field_problem(prime20) is not None
+        assert field_problem(999999999999989) is None
+
+    def test_immutable(self):
+        s = S("1+sqrt2")
+        for attr in ("rat", "irr", "d", "extra"):
+            with pytest.raises(AttributeError):
+                setattr(s, attr, 3)
+
+
+# -- agreement with the Fraction-backed oracle ---------------------------------
+
+oracle_parts = st.one_of(st.just(Fraction(0)),
+                         st.integers(-4, 4).map(Fraction), rationals)
+oracle_d = st.sampled_from([1, 2, 3, 5, 7])
+
+
+@st.composite
+def twins(draw):
+    """The same value as a Scalar and as a FractionScalar."""
+    rat, irr, d = draw(oracle_parts), draw(oracle_parts), draw(oracle_d)
+    return Scalar(rat, irr, d), FractionScalar(rat, irr, d)
+
+
+def outcome(fn, *args):
+    """A comparable summary of fn(*args): a value or the error it raised."""
+    try:
+        value = fn(*args)
+    except (MixedFieldError, ZeroDivisionError) as exc:
+        return type(exc).__name__, str(exc)
+    except TypeError:
+        return "TypeError"
+    if isinstance(value, (Scalar, FractionScalar)):
+        return ("scalar", value.rat, value.irr, value.d, str(value),
+                hash(value), value.to_float())
+    return value
+
+
+BINARY = [operator.add, operator.sub, operator.mul, operator.truediv,
+          operator.lt, operator.le, operator.gt, operator.ge]
+
+
+class TestAgainstFractionOracle:
+    @given(twins(), twins())
+    def test_binary_operations(self, x, y):
+        for op in BINARY:
+            assert outcome(op, x[0], y[0]) == outcome(op, x[1], y[1]), op
+        assert (x[0] == y[0]) == (x[1] == y[1])
+
+    @given(twins(), st.one_of(st.integers(-3, 3), oracle_parts))
+    def test_mixed_with_rationals(self, x, k):
+        for op in BINARY:
+            assert outcome(op, x[0], k) == outcome(op, x[1], k), op
+            assert outcome(op, k, x[0]) == outcome(op, k, x[1]), op
+        assert outcome(operator.lt, x[0], "1") == "TypeError"
+
+    @given(twins())
+    def test_unary_and_rendering(self, x):
+        new, old = x
+        assert outcome(operator.neg, new) == outcome(operator.neg, old)
+        assert outcome(abs, new) == outcome(abs, old)
+        assert new.sign() == old.sign()
+        assert new.is_zero() == old.is_zero()
+        assert (new.rat, new.irr, new.d) == (old.rat, old.irr, old.d)
+        assert str(new) == str(old)
+        assert hash(new) == hash(old)
+        assert new.to_float() == old.to_float()
+        assert outcome(Scalar.parse, str(new)) == outcome(FractionScalar.parse, str(old))
+        assert new != old.rat and new != str(new)
