@@ -4,46 +4,19 @@ Given words w_1..w_n claimed to form a basis of the rank-n free group, compute
 expressions d_1..d_n (words in symbols x_1..x_n) with d_i(w_1,..,w_n) = a_i,
 i.e. the inverse of the substitution endomorphism x_j -> w_j.
 
-Method: fold the wedge of the w_j-labeled petals while carrying a decoration
-on every edge — a word in the x-symbols recording "how this edge was reached
-in terms of the w_j's".  Folds that merge two vertices repair decorations by a
-gauge move at the vanishing vertex, which provably preserves the decoration
-product along every closed path at the basepoint.  A genuine basis folds to
-the rank-n rose with every vertex merged into the basepoint; the decoration of
-the loop labeled i is then d_i.  Anything else (rank drop, proper subgroup)
-raises NotABasisError.
+Method: fold the wedge of the w_j-labeled petals with :func:`folding.fold`,
+decorating the first edge of petal j with x_j, so that the decoration product
+along a closed path at the basepoint records that path in terms of the w_j's.
+Folding preserves those products.  A genuine basis folds to the rank-n rose;
+the decoration of the loop labeled i is then d_i.  Anything else (rank drop,
+proper subgroup) raises NotABasisError.
 """
 
 from __future__ import annotations
 
+from . import folding
 from .core import Word, reduce_letters
 from .errors import NotABasisError
-
-
-def _inv(t: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(-x for x in reversed(t))
-
-
-def _mul(*parts: tuple[int, ...]) -> tuple[int, ...]:
-    out: list[int] = []
-    for part in parts:
-        for l in part:
-            if out and out[-1] == -l:
-                out.pop()
-            else:
-                out.append(l)
-    return tuple(out)
-
-
-class _Edge:
-    __slots__ = ("src", "tgt", "label", "dec", "dead")
-
-    def __init__(self, src: int, tgt: int, label: int, dec: tuple[int, ...]):
-        self.src = src
-        self.tgt = tgt
-        self.label = label
-        self.dec = dec
-        self.dead = False
 
 
 def invert_basis(words: list[Word], rank: int) -> list[Word]:
@@ -57,7 +30,8 @@ def invert_basis(words: list[Word], rank: int) -> list[Word]:
     if any(w.rank != rank for w in words):
         raise ValueError("word rank mismatch")
 
-    edges: list[_Edge] = []
+    edges: list[tuple[int, int, int]] = []
+    decorations: list[tuple[int, ...]] = []
     nv = 1  # vertex 0 is the basepoint
     for j, w in enumerate(words, start=1):
         if not w.letters:
@@ -65,98 +39,23 @@ def invert_basis(words: list[Word], rank: int) -> list[Word]:
         chain = [0] + [nv + t for t in range(len(w.letters) - 1)] + [0]
         nv += len(w.letters) - 1
         for t, letter in enumerate(w.letters):
-            dec = () if t else ((j,) if letter > 0 else (-j,))
+            decorations.append(() if t else ((j,) if letter > 0 else (-j,)))
             if letter > 0:
-                edges.append(_Edge(chain[t], chain[t + 1], letter, dec))
+                edges.append((chain[t], letter, chain[t + 1]))
             else:
-                edges.append(_Edge(chain[t + 1], chain[t], -letter, dec))
+                edges.append((chain[t + 1], -letter, chain[t]))
 
-    def live():
-        return [e for e in edges if not e.dead]
-
-    def merge(gone: int, keep: int, gauge: tuple[int, ...]) -> None:
-        for e in edges:
-            if e.dead:
-                continue
-            at_src, at_tgt = e.src == gone, e.tgt == gone
-            if at_src and at_tgt:
-                e.dec = _mul(_inv(gauge), e.dec, gauge)
-            elif at_src:
-                e.dec = _mul(_inv(gauge), e.dec)
-            elif at_tgt:
-                e.dec = _mul(e.dec, gauge)
-            if at_src:
-                e.src = keep
-            if at_tgt:
-                e.tgt = keep
-
-    while True:
-        seen_out: dict[tuple[int, int], _Edge] = {}
-        seen_in: dict[tuple[int, int], _Edge] = {}
-        collision = None
-        for e in live():
-            key = (e.src, e.label)
-            if key in seen_out:
-                collision = (seen_out[key], e, "out")
-                break
-            seen_out[key] = e
-            key = (e.tgt, e.label)
-            if key in seen_in:
-                collision = (seen_in[key], e, "in")
-                break
-            seen_in[key] = e
-        if collision is None:
-            break
-        e1, e2, kind = collision
-        if kind == "out":
-            v1, v2 = e1.tgt, e2.tgt
-            d1, d2 = e1.dec, e2.dec
-        else:
-            v1, v2 = e1.src, e2.src
-            d1, d2 = e1.dec, e2.dec
-        if v1 == v2:
-            if d1 == d2:
-                e2.dead = True
-                continue
-            raise NotABasisError("relation detected while folding (parallel edges disagree)")
-        if v1 == 0:
-            gone, keep, d_gone, d_keep = v2, v1, d2, d1
-        else:
-            gone, keep, d_gone, d_keep = v1, v2, d1, d2
-        if kind == "out":
-            # arriving decorations must agree after the merge:  d_gone*c = d_keep
-            merge(gone, keep, _mul(_inv(d_gone), d_keep))
-        else:
-            # leaving decorations:  c**-1 * d_gone = d_keep
-            merge(gone, keep, _mul(d_gone, _inv(d_keep)))
-        # the colliding pair is now parallel with equal decorations; the next
-        # sweep's v1 == v2 branch deduplicates it.
-
-    final = live()
-    vertices = {0} | {e.src for e in final} | {e.tgt for e in final}
-    loops = {e.label: e for e in final}
-    if vertices != {0} or len(final) != rank or sorted(loops) != list(range(1, rank + 1)):
+    nv, edges, _, _, loops = folding.fold(nv, edges, 0, decorations)
+    if nv != 1 or edges != [(0, i, 0) for i in range(1, rank + 1)]:
         raise NotABasisError("words generate a proper subgroup, not the whole free group")
 
+    images = {}
+    for j, w in enumerate(words, start=1):
+        images[j], images[-j] = w.letters, tuple(-l for l in reversed(w.letters))
     result = []
-    for i in range(1, rank + 1):
-        expr = Word(loops[i].dec, rank)
-        check = _mul(*(words[abs(s) - 1].letters if s > 0 else _inv(words[abs(s) - 1].letters)
-                       for s in expr.letters))
+    for i, dec in enumerate(loops, start=1):
+        check = reduce_letters(l for s in dec for l in images[s])
         if check != (i,):
             raise AssertionError("basis inversion self-check failed")
-        result.append(expr)
+        result.append(Word(dec, rank))
     return result
-
-
-def substitute(expr: Word, values: list[Word]) -> Word:
-    """Apply the substitution x_j -> values[j-1] to a word in x-symbols."""
-    if not expr.letters:
-        if not values:
-            raise ValueError("cannot infer rank for empty substitution")
-        return Word.identity(values[0].rank)
-    letters: tuple[int, ...] = ()
-    for s in expr.letters:
-        v = values[abs(s) - 1]
-        letters = _mul(letters, v.letters if s > 0 else _inv(v.letters))
-    return Word(letters, values[0].rank)

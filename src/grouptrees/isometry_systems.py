@@ -219,11 +219,12 @@ def finite_orbit_families(system: SoISystem, budget: int) -> dict:
             if a != b:
                 gaps.append(Interval(a, b))
 
+    midpoints = [g.midpoint for g in gaps]
+    all_midpoints = set(midpoints)
     families = []
     assigned: set[Scalar] = set()
     complete = True
-    for gap in gaps:
-        mid = gap.midpoint
+    for gap, mid in zip(gaps, midpoints):
         if mid in assigned:
             continue
         status, pts = orbit(system, mid, budget)
@@ -233,10 +234,12 @@ def finite_orbit_families(system: SoISystem, budget: int) -> dict:
                              "observed": len(pts)})
             complete = False
             continue
-        members = [g for g in gaps if g.midpoint in set(pts)]
-        assert {g.midpoint for g in members} == set(pts), \
-            "a finite-orbit family escaped the singular decomposition"
-        assert all(g.length == gap.length for g in members)
+        orbit_points = set(pts)
+        if not orbit_points <= all_midpoints:
+            raise RuntimeError("a finite-orbit family escaped the singular decomposition")
+        members = [g for g, m in zip(gaps, midpoints) if m in orbit_points]
+        if any(g.length != gap.length for g in members):
+            raise RuntimeError("a finite-orbit family mixes gaps of different lengths")
         families.append({"interval": members[0], "measure": gap.length,
                          "cardinality": len(pts), "status": "complete"})
 
@@ -425,7 +428,7 @@ def grow_forest(system: SoISystem, start: MultiInterval, steps: int) -> list[dic
             image_back = clipped.shifted_image(g.orient, g.offset).intersect(support)
             d = d + image_back.measure
         residual = m - d
-        if prev is not None and (residual - prev).sign() > 0:
+        if prev is not None and residual > prev:
             raise RuntimeError(
                 "support-iteration residual increased; this contradicts the "
                 "new-point injection argument and indicates an arithmetic bug")
@@ -512,7 +515,7 @@ def ae_support_check(system: SoISystem, f_eps: MultiInterval, target: Interval,
     words = []
     while True:
         uncovered = target.length - covered.intersect(target_multi).measure
-        if (delta - uncovered).sign() > 0:
+        if delta > uncovered:
             return {"status": "covered", "words": [system.word_str(w) for w, _ in words],
                     "uncovered_measure": uncovered, "delta": delta,
                     "candidates": len(cands), "max_len": max_len}
@@ -521,7 +524,7 @@ def ae_support_check(system: SoISystem, f_eps: MultiInterval, target: Interval,
         base = covered.intersect(target_multi).measure
         for word, img in cands:
             gain = covered.union(img).intersect(target_multi).measure - base
-            if (gain - best_gain).sign() > 0:
+            if gain > best_gain:
                 best, best_gain = (word, img), gain
         if best is None:
             return {"status": "budget-exhausted",
@@ -555,22 +558,22 @@ def indecomposability_search(system: SoISystem, piece: Interval, target: Interva
     reach = None
     while len(chain) < r_max:
         if chain:
-            eligible = [(w, iv) for w, iv in cands if (iv.lo - reach).sign() < 0]
+            eligible = [(w, iv) for w, iv in cands if iv.lo < reach]
         else:
             eligible = [(w, iv) for w, iv in cands
-                        if (iv.lo - target.lo).sign() <= 0
-                        and (iv.hi - target.lo).sign() > 0]
+                        if iv.lo <= target.lo
+                        and iv.hi > target.lo]
         best = None
         for w, iv in eligible:
-            if best is None or (iv.hi - best[1].hi).sign() > 0:
+            if best is None or iv.hi > best[1].hi:
                 best = (w, iv)
-        if best is None or (chain and (best[1].hi - reach).sign() <= 0):
+        if best is None or (chain and best[1].hi <= reach):
             return {"status": "exhausted", "chained": len(chain),
                     "r_max": r_max, "max_len": max_len,
                     "candidates": len(cands)}
         chain.append(best)
         reach = best[1].hi
-        if (reach - target.hi).sign() >= 0:
+        if reach >= target.hi:
             _verify_chain(system, piece, target, chain)
             return {"status": "chain-found",
                     "chain": [{"word": system.word_str(w), "interval": iv}
@@ -582,17 +585,19 @@ def indecomposability_search(system: SoISystem, piece: Interval, target: Interva
 
 def _verify_chain(system: SoISystem, piece: Interval, target: Interval, chain):
     covered = MultiInterval([iv for _, iv in chain])
-    assert covered.contains_interval(target), "chain fails to cover the target"
+    if not covered.contains_interval(target):
+        raise RuntimeError("chain fails to cover the target")
     for (_, a), (_, b) in zip(chain, chain[1:]):
         overlap = a.intersect(b)
-        assert overlap is not None and not overlap.is_point, \
-            "consecutive chain images must overlap in an arc"
+        if overlap is None or overlap.is_point:
+            raise RuntimeError("consecutive chain images must overlap in an arc")
     for word, iv in chain:
         clipped = piece
         for l in reversed(word):
             g = system.letter_map(l)
             clipped = clipped.intersect(g.dom).shifted_image(g.orient, g.offset)
-        assert clipped == iv, "chain image failed exact re-verification"
+        if clipped != iv:
+            raise RuntimeError("chain image failed exact re-verification")
 
 
 # -- subgroup-constrained dynamics ------------------------------------------------
@@ -736,12 +741,12 @@ def discreteness_report(system: SoISystem, graph: StallingsGraph, samples,
             any_truncated = True
         for a, bpt in zip(points, points[1:]):
             gap = bpt - a
-            if gap.sign() > 0 and (min_gap is None or (gap - min_gap).sign() < 0):
+            if gap.sign() > 0 and (min_gap is None or gap < min_gap):
                 min_gap = gap
     threshold = total_measure(system) * _TWENTIETH
     if all_closed:
         verdict = "suggests-discrete"
-    elif any_truncated and min_gap is not None and (min_gap - threshold).sign() < 0:
+    elif any_truncated and min_gap is not None and min_gap < threshold:
         verdict = "suggests-dense"
     else:
         verdict = "inconclusive"

@@ -245,7 +245,7 @@ class MarkedMetricGraph:
         """Conjugacy classes up to max_len with translation length strictly below epsilon."""
         epsilon = Scalar.of(epsilon)
         return [w for w in enumerate_words(self.rank, max_len, "conjugacy")
-                if (self.translation_length(w) - epsilon).sign() < 0]
+                if self.translation_length(w) < epsilon]
 
 
 # -- minimal subtrees of subgroups --------------------------------------------
@@ -288,7 +288,7 @@ class CoverCore:
                     edges.append((chain[t], d, chain[t + 1]))
                 else:
                     edges.append((chain[t + 1], -d, chain[t]))
-        p_nv, p_edges, p_base, _ = folding.fold(nv, edges, 0)
+        p_nv, p_edges, p_base, _, _ = folding.fold(nv, edges, 0)
         self.p_nv = p_nv
         self.p_edges = tuple(p_edges)
         self.p_base = p_base
@@ -296,7 +296,8 @@ class CoverCore:
         self._out = {}
         self._in = {}
         for u, l, v in self.p_edges:
-            assert (u, l) not in self._out and (v, l) not in self._in
+            if (u, l) in self._out or (v, l) in self._in:
+                raise RuntimeError(f"fundamental-domain graph is not folded at edge {(u, l, v)}")
             self._out[(u, l)] = v
             self._in[(v, l)] = u
 
@@ -307,18 +308,22 @@ class CoverCore:
                 if image.setdefault(p, g) != g:
                     raise RuntimeError(
                         f"cover vertex {p} maps to base vertices {image[p]} and {g}")
-        assert image[p_base] == graph.base
-        assert len(image) == p_nv
+        if image[p_base] != graph.base:
+            raise RuntimeError("cover basepoint does not map to the graph's basepoint")
+        if len(image) != p_nv:
+            raise RuntimeError("some cover vertex has no image in the graph")
         self.vertex_image = image
 
         alive, core_edge_list = folding.trim(p_nv, list(self.p_edges), protect=None)
         core_edges = frozenset(core_edge_list)
-        assert core_edges, "a nontrivial subgroup always has a nonempty core"
+        if not core_edges:
+            raise RuntimeError("a nontrivial subgroup always has a nonempty core")
         core_vertices = frozenset(
             {u for u, _, _ in core_edges} | {v for _, _, v in core_edges})
         self.core_edges = core_edges
         self.core_vertices = core_vertices
-        assert len(core_edges) - len(core_vertices) + 1 == rank_of(subgroup)
+        if len(core_edges) - len(core_vertices) + 1 != rank_of(subgroup):
+            raise RuntimeError("core graph rank differs from the subgroup rank")
 
         covering = True
         for p in core_vertices:
@@ -333,7 +338,8 @@ class CoverCore:
                 break
         self.is_covering = covering
         if covering:
-            assert len(core_vertices) % graph.nv == 0
+            if len(core_vertices) % graph.nv:
+                raise RuntimeError("covering core has a vertex count not divisible by the graph's")
             self.degree = len(core_vertices) // graph.nv
         else:
             self.degree = None
@@ -438,8 +444,8 @@ def _grow_ball(cover: CoverCore, seed_letters, seed_state, radius: int) -> dict:
                 if old is None:
                     states[key] = new_state
                     nxt.append(key)
-                else:
-                    assert old == new_state
+                elif old != new_state:
+                    raise RuntimeError(f"walker reached tree vertex {key} in two states")
         frontier = nxt
     return states
 

@@ -39,7 +39,7 @@ class LengthMeasure:
         for piece, density in raw:
             if merged:
                 prev, pdens = merged[-1]
-                if (piece.lo - prev.hi).sign() < 0:
+                if piece.lo < prev.hi:
                     raise PreconditionError(
                         f"pieces {prev} and {piece} overlap in an arc")
                 if piece.lo == prev.hi and density == pdens:

@@ -219,12 +219,11 @@ def op_soi_grow(args: dict):
     steps = _int_arg(args, "steps", 8)
     stages = grow_forest(system, start, steps)
     non_increasing = all(
-        (stages[i + 1]["residual"] - stages[i]["residual"]).sign() <= 0
+        stages[i + 1]["residual"] <= stages[i]["residual"]
         for i in range(len(stages) - 1))
     drops = 0
     while (drops + 1 < len(stages)
-           and (stages[drops + 1]["residual"]
-                - stages[drops]["residual"]).sign() < 0):
+           and stages[drops + 1]["residual"] < stages[drops]["residual"]):
         drops += 1
     return {"stages": stages, "steps": steps,
             "non_increasing": non_increasing,

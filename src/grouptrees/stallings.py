@@ -52,7 +52,7 @@ class StallingsGraph:
     @staticmethod
     def _from_raw(nv: int, edges, base: int, rank: int) -> "StallingsGraph":
         """Fold, core-trim (keeping the basepoint), and canonicalize."""
-        nv, edges, base, _ = folding.fold(nv, edges, base)
+        nv, edges, base, _, _ = folding.fold(nv, edges, base)
         alive, edges = folding.trim(nv, edges, protect=base)
         # compact surviving vertices before canonical renumbering
         pack = {v: i for i, v in enumerate(sorted(alive))}

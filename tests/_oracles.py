@@ -9,6 +9,12 @@ which the path from any point to its image must cross).
 
 :class:`FractionScalar` is the straightforward Fraction-backed quadratic
 scalar that the integer-backed ``grouptrees.core.Scalar`` must agree with.
+
+:func:`sweep_fold` and :func:`sweep_invert_basis` are the two quadratic
+folders the worklist engine in ``grouptrees.folding`` replaced: the first
+re-sweeps every edge until nothing changes, the second rescans all edges per
+collision and rewrites all edges per merge.  :func:`substitute` applies a
+substitution x_j -> w_j by plain free reduction.
 """
 
 from __future__ import annotations
@@ -16,9 +22,10 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterable
 
 from grouptrees.core import Scalar, Word, letter_key
-from grouptrees.errors import MixedFieldError, ParseError
+from grouptrees.errors import MixedFieldError, NotABasisError, ParseError
 
 ZERO = Scalar.of(0)
 
@@ -313,3 +320,201 @@ def brute_omega(graph, epsilon, max_len: int) -> set[tuple[int, ...]]:
         if (net_translation_length(graph, w) - epsilon).sign() < 0:
             reps.add(rep)
     return reps
+
+
+# -- the sweep folders ---------------------------------------------------------
+
+
+class _UnionFind:
+    def __init__(self, n: int):
+        self.parent = list(range(n))
+
+    def find(self, x: int) -> int:
+        root = x
+        while self.parent[root] != root:
+            root = self.parent[root]
+        while self.parent[x] != root:
+            self.parent[x], x = root, self.parent[x]
+        return root
+
+    def union(self, a: int, b: int) -> bool:
+        ra, rb = self.find(a), self.find(b)
+        if ra == rb:
+            return False
+        if ra > rb:
+            ra, rb = rb, ra
+        self.parent[rb] = ra
+        return True
+
+
+def sweep_fold(nv: int, edges: Iterable[tuple[int, int, int]], base: int):
+    """Fold the graph; returns (new_nv, new_edges, new_base, vertex_map).
+
+    vertex_map sends old vertex ids to compact new ids.
+    """
+    uf = _UnionFind(nv)
+    edge_list = list(edges)
+    changed = True
+    while changed:
+        changed = False
+        out_rep: dict[tuple[int, int], int] = {}
+        in_rep: dict[tuple[int, int], int] = {}
+        for u, label, v in edge_list:
+            fu, fv = uf.find(u), uf.find(v)
+            prev = out_rep.get((fu, label))
+            if prev is None:
+                out_rep[(fu, label)] = v
+            elif uf.union(prev, v):
+                changed = True
+            prev = in_rep.get((fv, label))
+            if prev is None:
+                in_rep[(fv, label)] = u
+            elif uf.union(prev, u):
+                changed = True
+    roots = sorted({uf.find(v) for v in range(nv)})
+    compact = {root: i for i, root in enumerate(roots)}
+    vertex_map = {v: compact[uf.find(v)] for v in range(nv)}
+    new_edges = sorted({(vertex_map[u], l, vertex_map[v]) for u, l, v in edge_list})
+    return len(roots), new_edges, vertex_map[base], vertex_map
+
+
+def _inv(t: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(-x for x in reversed(t))
+
+
+def _mul(*parts: tuple[int, ...]) -> tuple[int, ...]:
+    out: list[int] = []
+    for part in parts:
+        for l in part:
+            if out and out[-1] == -l:
+                out.pop()
+            else:
+                out.append(l)
+    return tuple(out)
+
+
+class _Edge:
+    __slots__ = ("src", "tgt", "label", "dec", "dead")
+
+    def __init__(self, src: int, tgt: int, label: int, dec: tuple[int, ...]):
+        self.src = src
+        self.tgt = tgt
+        self.label = label
+        self.dec = dec
+        self.dead = False
+
+
+def sweep_invert_basis(words: list[Word], rank: int) -> list[Word]:
+    """Return d_1..d_rank over symbols 1..rank with d_i(words) = letter i.
+
+    Raises NotABasisError unless `words` is a free basis of the whole rank-n
+    free group.  The result is verified by substitution before returning.
+    """
+    if len(words) != rank:
+        raise NotABasisError(f"need exactly {rank} words, got {len(words)}")
+    if any(w.rank != rank for w in words):
+        raise ValueError("word rank mismatch")
+
+    edges: list[_Edge] = []
+    nv = 1  # vertex 0 is the basepoint
+    for j, w in enumerate(words, start=1):
+        if not w.letters:
+            raise NotABasisError("the identity word cannot belong to a basis")
+        chain = [0] + [nv + t for t in range(len(w.letters) - 1)] + [0]
+        nv += len(w.letters) - 1
+        for t, letter in enumerate(w.letters):
+            dec = () if t else ((j,) if letter > 0 else (-j,))
+            if letter > 0:
+                edges.append(_Edge(chain[t], chain[t + 1], letter, dec))
+            else:
+                edges.append(_Edge(chain[t + 1], chain[t], -letter, dec))
+
+    def live():
+        return [e for e in edges if not e.dead]
+
+    def merge(gone: int, keep: int, gauge: tuple[int, ...]) -> None:
+        for e in edges:
+            if e.dead:
+                continue
+            at_src, at_tgt = e.src == gone, e.tgt == gone
+            if at_src and at_tgt:
+                e.dec = _mul(_inv(gauge), e.dec, gauge)
+            elif at_src:
+                e.dec = _mul(_inv(gauge), e.dec)
+            elif at_tgt:
+                e.dec = _mul(e.dec, gauge)
+            if at_src:
+                e.src = keep
+            if at_tgt:
+                e.tgt = keep
+
+    while True:
+        seen_out: dict[tuple[int, int], _Edge] = {}
+        seen_in: dict[tuple[int, int], _Edge] = {}
+        collision = None
+        for e in live():
+            key = (e.src, e.label)
+            if key in seen_out:
+                collision = (seen_out[key], e, "out")
+                break
+            seen_out[key] = e
+            key = (e.tgt, e.label)
+            if key in seen_in:
+                collision = (seen_in[key], e, "in")
+                break
+            seen_in[key] = e
+        if collision is None:
+            break
+        e1, e2, kind = collision
+        if kind == "out":
+            v1, v2 = e1.tgt, e2.tgt
+            d1, d2 = e1.dec, e2.dec
+        else:
+            v1, v2 = e1.src, e2.src
+            d1, d2 = e1.dec, e2.dec
+        if v1 == v2:
+            if d1 == d2:
+                e2.dead = True
+                continue
+            raise NotABasisError("relation detected while folding (parallel edges disagree)")
+        if v1 == 0:
+            gone, keep, d_gone, d_keep = v2, v1, d2, d1
+        else:
+            gone, keep, d_gone, d_keep = v1, v2, d1, d2
+        if kind == "out":
+            # arriving decorations must agree after the merge:  d_gone*c = d_keep
+            merge(gone, keep, _mul(_inv(d_gone), d_keep))
+        else:
+            # leaving decorations:  c**-1 * d_gone = d_keep
+            merge(gone, keep, _mul(d_gone, _inv(d_keep)))
+        # the colliding pair is now parallel with equal decorations; the next
+        # sweep's v1 == v2 branch deduplicates it.
+
+    final = live()
+    vertices = {0} | {e.src for e in final} | {e.tgt for e in final}
+    loops = {e.label: e for e in final}
+    if vertices != {0} or len(final) != rank or sorted(loops) != list(range(1, rank + 1)):
+        raise NotABasisError("words generate a proper subgroup, not the whole free group")
+
+    result = []
+    for i in range(1, rank + 1):
+        expr = Word(loops[i].dec, rank)
+        check = _mul(*(words[abs(s) - 1].letters if s > 0 else _inv(words[abs(s) - 1].letters)
+                       for s in expr.letters))
+        if check != (i,):
+            raise AssertionError("basis inversion self-check failed")
+        result.append(expr)
+    return result
+
+
+def substitute(expr: Word, values: list[Word]) -> Word:
+    """Apply the substitution x_j -> values[j-1] to a word in x-symbols."""
+    if not expr.letters:
+        if not values:
+            raise ValueError("cannot infer rank for empty substitution")
+        return Word.identity(values[0].rank)
+    letters: tuple[int, ...] = ()
+    for s in expr.letters:
+        v = values[abs(s) - 1]
+        letters = _mul(letters, v.letters if s > 0 else _inv(v.letters))
+    return Word(letters, values[0].rank)

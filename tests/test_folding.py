@@ -1,0 +1,168 @@
+"""The worklist folder against the sweep folders it replaced."""
+
+import pytest
+from hypothesis import given, strategies as st
+
+from grouptrees import folding
+from grouptrees.basis_change import invert_basis
+from grouptrees.core import Word, parse_word
+from grouptrees.errors import NotABasisError
+
+from _oracles import substitute, sweep_fold, sweep_invert_basis
+
+
+def petal_wedge(words):
+    """The raw wedge of petals that build_core folds, as (nv, edges)."""
+    edges = []
+    nv = 1
+    for letters in words:
+        if not letters:
+            continue
+        prev = 0
+        for i, l in enumerate(letters):
+            nxt = 0 if i == len(letters) - 1 else nv + i
+            edges.append((prev, l, nxt) if l > 0 else (nxt, -l, prev))
+            prev = nxt
+        nv += len(letters) - 1
+    return nv, edges
+
+
+def word(letters, rank):
+    return Word.make(tuple(letters), rank)
+
+
+def letter(rank):
+    return st.integers(-rank, rank).filter(bool)
+
+
+@st.composite
+def generator_lists(draw):
+    rank = draw(st.integers(1, 3))
+    words = [word(draw(st.lists(letter(rank), max_size=10)), rank)
+             for _ in range(draw(st.integers(0, 5)))]
+    return rank, [w.letters for w in words]
+
+
+@st.composite
+def conjugate_families(draw):
+    """u w_i u^-1 for a long shared prefix u, plus a power of u."""
+    rank = draw(st.integers(2, 3))
+    u = word(draw(st.lists(letter(rank), min_size=5, max_size=40)), rank)
+    gens = [u * word(draw(st.lists(letter(rank), min_size=1, max_size=6)), rank)
+            * u.inverse() for _ in range(draw(st.integers(1, 4)))]
+    gens.append(u ** draw(st.integers(0, 3)))
+    return rank, [g.letters for g in gens]
+
+
+@st.composite
+def raw_graphs(draw):
+    """Arbitrary edge lists, not necessarily connected or from petals."""
+    nv = draw(st.integers(1, 12))
+    vertex = st.integers(0, nv - 1)
+    edges = draw(st.lists(st.tuples(vertex, st.integers(1, 3), vertex), max_size=24))
+    return nv, edges, draw(vertex)
+
+
+def assert_same_fold(nv, edges, base):
+    got = folding.fold(nv, edges, base)
+    assert got[:4] == sweep_fold(nv, list(edges), base)
+    assert got[4] == [()] * len(got[1])
+
+
+class TestFoldMatchesSweep:
+    @given(generator_lists())
+    def test_generator_lists(self, case):
+        _, words = case
+        assert_same_fold(*petal_wedge(words), 0)
+
+    @given(conjugate_families())
+    def test_conjugate_families(self, case):
+        _, words = case
+        assert_same_fold(*petal_wedge(words), 0)
+
+    @given(raw_graphs())
+    def test_raw_graphs(self, case):
+        assert_same_fold(*case)
+
+    def test_long_shared_prefix(self):
+        n = 300
+        words = [(1,) * n, (1,) * (n + 1), (2,) + (1,) * n]
+        assert_same_fold(*petal_wedge(words), 0)
+
+    def test_classes_numbered_by_least_vertex(self):
+        # 3 and 1 fold together, then 2 and 0: class of 0 first, then of 1
+        nv, edges, base, vertex_map, _ = folding.fold(
+            4, [(2, 1, 3), (2, 1, 1), (0, 2, 3), (2, 2, 1)], 3)
+        assert (nv, base) == (2, 1)
+        assert vertex_map == {0: 0, 1: 1, 2: 0, 3: 1}
+        assert edges == [(0, 1, 1), (0, 2, 1)]
+
+
+class TestDecoratedFold:
+    def test_gauge_preserves_loop_products(self):
+        # petals x1 = a*b and x2 = a: the folded rose reads a = x2, b = x2^-1 x1
+        nv, edges, base, _, decs = folding.fold(
+            2, [(0, 1, 1), (1, 2, 0), (0, 1, 0)], 0, [(1,), (), (2,)])
+        assert (nv, edges, base) == (1, [(0, 1, 0), (0, 2, 0)], 0)
+        assert decs == [(2,), (-2, 1)]
+
+    def test_parallel_edges_disagree(self):
+        with pytest.raises(NotABasisError, match="parallel edges disagree"):
+            folding.fold(1, [(0, 1, 0), (0, 1, 0)], 0, [(1,), (2,)])
+
+
+def nielsen_basis(rank, moves):
+    basis = [Word((i,), rank) for i in range(1, rank + 1)]
+    for move, i, j in moves:
+        i, j = i % rank, j % rank
+        if move == "swap":
+            basis[i], basis[j] = basis[j], basis[i]
+        elif move == "invert":
+            basis[i] = basis[i].inverse()
+        elif i != j and len(basis[i].letters) + len(basis[j].letters) <= 40:
+            basis[i] = basis[i] * (basis[j] if move == "right" else basis[j].inverse())
+    return basis
+
+
+class TestInvertBasisMatchesSweep:
+    @given(st.integers(1, 4),
+           st.lists(st.tuples(st.sampled_from(["swap", "invert", "right", "left"]),
+                              st.integers(0, 3), st.integers(0, 3)), max_size=20))
+    def test_nielsen_bases(self, rank, moves):
+        basis = nielsen_basis(rank, moves)
+        got = invert_basis(basis, rank)
+        assert got == sweep_invert_basis(basis, rank)
+        for i, expr in enumerate(got, start=1):
+            assert substitute(expr, basis).letters == (i,)
+
+    @pytest.mark.parametrize("texts", [
+        ["ab", "ab"],          # rank drop
+        ["ab", "abab"],        # rank drop through a power
+        ["a", "aa"],           # parallel loops at the basepoint disagree
+        ["abA", "aBA"],        # rank drop: a word and its inverse
+        ["aa", "b"],           # proper subgroup
+        ["ab", "ba"],          # proper subgroup
+        ["abA", "b"],          # proper subgroup
+        ["a", ""],             # identity word
+        ["a"],                 # wrong count
+    ])
+    def test_non_bases(self, texts):
+        self.assert_same_verdict([parse_word(t, 2) for t in texts], 2)
+
+    @given(st.integers(1, 3).flatmap(lambda rank: st.tuples(
+        st.just(rank),
+        st.lists(st.lists(letter(rank), max_size=6), min_size=rank, max_size=rank))))
+    def test_random_word_lists(self, case):
+        rank, raw = case
+        self.assert_same_verdict([word(r, rank) for r in raw], rank)
+
+    @staticmethod
+    def assert_same_verdict(words, rank):
+        try:
+            expected = sweep_invert_basis(words, rank)
+        except NotABasisError as exc:
+            with pytest.raises(NotABasisError) as got:
+                invert_basis(words, rank)
+            assert str(got.value) == str(exc)
+        else:
+            assert invert_basis(words, rank) == expected

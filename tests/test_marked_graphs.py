@@ -5,8 +5,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from grouptrees import folding
 from grouptrees.core import Scalar, Word, parse_word
-from grouptrees.basis_change import invert_basis, substitute
+from grouptrees.basis_change import invert_basis
 from grouptrees.errors import (
     DegenerateSubgroupError,
     InvalidSystemError,
@@ -21,6 +22,8 @@ from grouptrees.marked_graphs import (
     translate_intersection,
 )
 from grouptrees.stallings import build_core, index
+
+from _oracles import substitute
 
 
 def W(s, rank=2):
@@ -241,6 +244,17 @@ class TestMinimalSubtree:
         graph = rose(Fraction(1, 2), Fraction(1, 3))
         cov = minimal_subtree(graph, build_core([w], 2))
         assert cov.core_volume == graph.translation_length(w)
+
+    def test_unfolded_domain_graph_is_an_error(self, monkeypatch):
+        def unfolded(nv, edges, base, decorations=None):
+            edges = list(edges)
+            return (nv, edges + edges, base, {v: v for v in range(nv)},
+                    [()] * (2 * len(edges)))
+
+        graph, sub = rose(1, 1), core("a", "bab")
+        monkeypatch.setattr(folding, "fold", unfolded)
+        with pytest.raises(RuntimeError, match="not folded"):
+            minimal_subtree(graph, sub)
 
     def test_covering_tracks_finite_index(self):
         for gens in (("a", "b"), ("aa", "b", "abA"), ("a",), ("ab", "ba"),

@@ -1,0 +1,52 @@
+"""Byte-identity gate: the bundled scenario reports and the golden script.
+
+The digests are sha256 sums of ``render_json(run_scenario(s))`` for each
+bundled scenario and of the stdout of ``scripts/golden_dynamics.py`` with its
+default arguments.  A change that alters any report by one byte fails here;
+re-record a digest only for a deliberate change of report contents.
+"""
+
+import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from grouptrees.report import render_json
+from grouptrees.scenarios import bundled_scenarios, run_scenario
+
+ROOT = Path(__file__).resolve().parent.parent
+
+SCENARIO_DIGESTS = {
+    "hall": "1d518d177e8d1c738ea1e37bd87a0c1c7f94b94d1fa367ae1d0ed2646a1f88b2",
+    "glp": "5b75c97e9f3412deb78bb75eddfc0fa74e59dd4f1e8172019d289ab7dc4fa658",
+    "grow": "73af0da9d4289e86f99b6ebee473257dde742e0975b8fe33cacf55993216d05e",
+    "main-theorem": "e8d4c92782f35e7d3d482fbb9b73a9b23d39fe09415197309ab40a05c7334e51",
+    "carrier": "ff12f2125ab76d20a75048352d943c24522edd96ba4deb6bf537746a950a92cc",
+}
+GOLDEN_DYNAMICS_DIGEST = "3bc90b488ce506a6285db261e300547e1198c511544ba5f3ea44c22eef4a591a"
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def test_every_bundled_scenario_is_pinned():
+    assert sorted(bundled_scenarios()) == sorted(SCENARIO_DIGESTS)
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIO_DIGESTS))
+def test_scenario_report_bytes(name):
+    report = run_scenario(bundled_scenarios()[name])
+    assert _sha256(render_json(report).encode()) == SCENARIO_DIGESTS[name]
+
+
+def test_golden_dynamics_output_bytes():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    out = subprocess.run([sys.executable, str(ROOT / "scripts" / "golden_dynamics.py")],
+                         capture_output=True, check=True, env=env, cwd=ROOT).stdout
+    assert _sha256(out) == GOLDEN_DYNAMICS_DIGEST
