@@ -408,6 +408,12 @@ def letter_key(letter: int) -> tuple[int, int]:
     return (abs(letter), 1 if letter < 0 else 0)
 
 
+def word_sort_key(letters: tuple[int, ...]) -> tuple:
+    """The canonical word order (length, then letter keys) of a reduced
+    letter tuple; what Word.sort_key returns, without building a Word."""
+    return (len(letters), tuple(map(letter_key, letters)))
+
+
 def reduce_letters(letters: Iterable[int]) -> tuple[int, ...]:
     """Free reduction by stack: delete adjacent inverse pairs until none remain."""
     out: list[int] = []
@@ -484,7 +490,7 @@ class Word:
         return Word(tuple(conj), self.rank), Word(tuple(letters), self.rank)
 
     def sort_key(self) -> tuple:
-        return (len(self.letters), tuple(letter_key(l) for l in self.letters))
+        return word_sort_key(self.letters)
 
     # -- I/O ----------------------------------------------------------------------
 
@@ -530,46 +536,94 @@ def _extensions(letters: tuple[int, ...], alphabet: list[int]) -> Iterator[tuple
             yield letters + (l,)
 
 
-def _conjugacy_representative(letters: tuple[int, ...]) -> bool:
-    """True iff `letters` (cyclically reduced) is the canonical representative of
-    its conjugacy-and-inversion class: minimal among all rotations of itself and
-    of its inverse under the letter-key lexicographic order."""
-    n = len(letters)
-    key = tuple(letter_key(l) for l in letters)
-    inv = tuple(-l for l in reversed(letters))
-    for word in (letters, inv):
-        for shift in range(n):
-            rot = word[shift:] + word[:shift]
-            if word is letters and shift == 0:
+def _class_representatives(rank: int, n: int) -> Iterator[tuple[int, ...]]:
+    """Canonical representatives of the conjugacy-and-inversion classes of
+    cyclically reduced words of length n >= 1, in letter-key order.
+
+    Letters are indexed in letter-key order (a=0, A=1, b=2, ...), so the
+    inverse of index i is i ^ 1 and index tuples compare like key tuples.
+    The search runs over reduced prenecklaces (Cattell, Ruskey, Sawada,
+    Serra, Miers, J. Algorithms 37, 2000): p is the length of the longest
+    Lyndon prefix of w[:t], an extension c must satisfy c >= w[t - p], and
+    c > w[t - p] makes w[:t + 1] a Lyndon word.  Every prefix of a reduced
+    necklace is a reduced prenecklace, so nothing is pruned that could be
+    accepted.  A leaf of length n is accepted when it is a necklace
+    (n % p == 0), cyclically reduced, and no rotation of its inverse is
+    smaller.  The first letter is a basis letter: an inverse letter would
+    be least in the word, and its inverse, which is smaller, would start a
+    rotation of the inverse word.
+    """
+    k = 2 * rank
+    alphabet = [l for a in range(1, rank + 1) for l in (a, -a)]
+    w = [0] * n
+    last = n - 1
+
+    def inverse_is_smaller() -> bool:
+        # w[0] is the least letter of w and a basis letter, so every letter of
+        # the inverse is >= w[0], and only the inverse of w[0] turns into w[0]:
+        # only rotations of the inverse that start there can be smaller
+        w0 = w[0]
+        if w0 ^ 1 not in w:
+            return False
+        inv = [x ^ 1 for x in reversed(w)]
+        inv += inv
+        return any(inv[i] == w0 and inv[i:i + n] < w for i in range(n))
+
+    def extend(t: int, p: int) -> Iterator[tuple[int, ...]]:
+        # w[:t] is a reduced prenecklace whose longest Lyndon prefix is w[:p]
+        lo = w[t - p]
+        bar = w[t - 1] ^ 1
+        if t < last:
+            for c in range(lo, k):
+                if c != bar:
+                    w[t] = c
+                    yield from extend(t + 1, p if c == lo else t + 1)
+            return
+        first_bar = w[0] ^ 1
+        for c in range(lo, k):
+            if c == bar or c == first_bar or (c == lo and n % p):
                 continue
-            if tuple(letter_key(l) for l in rot) < key:
-                return False
-    return True
+            w[t] = c
+            if not inverse_is_smaller():
+                yield tuple([alphabet[x] for x in w])
+
+    for c in range(0, k, 2):
+        w[0] = c
+        if n == 1:
+            yield (alphabet[c],)
+        else:
+            yield from extend(1, 1)
 
 
 def enumerate_words(rank: int, max_len: int, mode: str = "reduced") -> Iterator[Word]:
     """Canonical deterministic stream of words of length ≤ max_len.
 
-    mode="reduced": all reduced words including the identity, ordered by length
-    then lexicographically (letter order a < a⁻¹ < b < b⁻¹ ...).
+    Order invariant, shared by both modes: by length, then lexicographically
+    in the letter order a < a⁻¹ < b < b⁻¹ ... (the order of Word.sort_key).
+
+    mode="reduced": all reduced words including the identity, by a
+    breadth-first extension of the previous length.
 
     mode="conjugacy": exactly one representative per conjugacy-and-inversion
-    class of nontrivial cyclically reduced words, in the same global order.
+    class of nontrivial cyclically reduced words, the least word of the class
+    under that order.  The representatives are generated directly, length by
+    length, as constrained necklaces by a pruned depth-first search over
+    prenecklaces (see _class_representatives); no other word is built.
     """
     if mode not in ("reduced", "conjugacy"):
         raise ValueError(f"unknown enumeration mode {mode!r}")
+    if mode == "conjugacy":
+        for n in range(1, max_len + 1):
+            for letters in _class_representatives(rank, n):
+                yield Word(letters, rank)
+        return
     alphabet = [l for a in range(1, rank + 1) for l in (a, -a)]
     layer: list[tuple[int, ...]] = [()]
-    if mode == "reduced":
-        yield Word((), rank)
+    yield Word((), rank)
     for _ in range(max_len):
         next_layer: list[tuple[int, ...]] = []
         for letters in layer:
             for ext in _extensions(letters, alphabet):
                 next_layer.append(ext)
-                if mode == "reduced":
-                    yield Word(ext, rank)
-                else:
-                    if (len(ext) < 2 or ext[0] != -ext[-1]) and _conjugacy_representative(ext):
-                        yield Word(ext, rank)
+                yield Word(ext, rank)
         layer = next_layer

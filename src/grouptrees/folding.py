@@ -142,20 +142,39 @@ def trim(nv: int, edges: list[tuple[int, int, int]], protect: int | None):
     """Repeatedly delete valence-<=1 vertices (never `protect`).
 
     Returns (kept_vertex_set, kept_edges).  With protect=None the result is the
-    maximal subgraph with all valences >= 2 (possibly empty).
+    maximal subgraph with all valences >= 2 (possibly empty).  Deleting a
+    vertex never raises another's valence, so the result does not depend on
+    the deletion order; a worklist of vertices whose valence has dropped to
+    <= 1 peels them in time linear in the graph.
     """
-    alive = set(range(nv))
-    live_edges = set(edges)
-    while True:
-        degree: dict[int, int] = {v: 0 for v in alive}
-        for u, _, v in live_edges:
-            degree[u] += 1
-            degree[v] += 1
-        doomed = {v for v in alive if degree[v] <= 1 and v != protect}
-        if not doomed:
-            return alive, sorted(live_edges)
-        alive -= doomed
-        live_edges = {(u, l, v) for u, l, v in live_edges if u in alive and v in alive}
+    edge_list = sorted(set(edges))
+    degree = [0] * nv
+    incident: list[list[int]] = [[] for _ in range(nv)]
+    for i, (u, _, v) in enumerate(edge_list):
+        degree[u] += 1
+        degree[v] += 1
+        incident[u].append(i)
+        incident[v].append(i)
+    alive = [True] * nv
+    live_edge = [True] * len(edge_list)
+    doomed = [v for v in range(nv) if degree[v] <= 1 and v != protect]
+    while doomed:
+        x = doomed.pop()
+        if not alive[x]:
+            continue
+        alive[x] = False
+        for i in incident[x]:
+            if not live_edge[i]:
+                continue
+            live_edge[i] = False
+            u, _, v = edge_list[i]
+            y = v if u == x else u
+            if alive[y]:
+                degree[y] -= 1
+                if degree[y] == 1 and y != protect:
+                    doomed.append(y)
+    return ({v for v in range(nv) if alive[v]},
+            [e for i, e in enumerate(edge_list) if live_edge[i]])
 
 
 def canonical_form(nv: int, edges: list[tuple[int, int, int]], base: int, rank: int):

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import Word
+from .core import Word, enumerate_words
 from .errors import DegenerateSubgroupError, PreconditionError
 from .intervals import Interval  # noqa: F401  (re-exported convenience)
 from .marked_graphs import MarkedMetricGraph
@@ -168,21 +168,6 @@ def carries(graph: StallingsGraph, leaf: RationalLeaf) -> bool:
 # -- leaf generation from a marked metric graph -----------------------------------
 
 
-def epsilon_leaves(graph: MarkedMetricGraph, epsilon, max_word: int,
-                   max_translate: int) -> list[RationalLeaf]:
-    """Translates (|w| <= max_translate) of the periodic leaves of the short
-    conjugacy classes (translation length < epsilon, |g| <= max_word),
-    deduplicated and canonically ordered."""
-    from .core import enumerate_words
-
-    leaves = set()
-    for g in graph.omega_epsilon(epsilon, max_word):
-        base = periodic_leaf(g)
-        for w in enumerate_words(graph.rank, max_translate):
-            leaves.add(translate_leaf(w, base))
-    return sorted(leaves, key=RationalLeaf.sort_key)
-
-
 _SIMPLICIAL_NOTE = (
     "the ambient tree is the universal cover of a metric graph, i.e. "
     "simplicial with discrete orbits; infinite-index subgroups can "
@@ -207,14 +192,11 @@ def carrier_scan(graph: MarkedMetricGraph, subgroup: StallingsGraph, epsilon,
         if carries(subgroup, leaf):
             carried.append({"generator": str(g), "leaf": str(leaf)})
     translate_hits = []
-    if max_translate > 0:
-        from .core import enumerate_words
-
+    if max_translate > 0 and short:
+        translates = [w for w in enumerate_words(graph.rank, max_translate) if w.letters]
         for g in short:
             base = periodic_leaf(g)
-            for w in enumerate_words(graph.rank, max_translate):
-                if not w.letters:
-                    continue
+            for w in translates:
                 moved = translate_leaf(w, base)
                 if carries(subgroup, moved):
                     translate_hits.append({"generator": str(g),

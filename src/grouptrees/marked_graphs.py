@@ -22,7 +22,7 @@ Conventions
 
 from __future__ import annotations
 
-from .core import Scalar, Word, ZERO, enumerate_words, reduce_letters
+from .core import Scalar, Word, ZERO, enumerate_words, reduce_letters, word_sort_key
 from .errors import (
     DegenerateSubgroupError,
     InvalidSystemError,
@@ -150,16 +150,17 @@ class MarkedMetricGraph:
         nt_loops = {}
         for eid in non_tree:
             u, v, _ = self.edges[eid]
-            nt_loops[eid] = tuple(reduce_letters(
-                self.tree_path(base, u) + (eid + 1,) + self.tree_path(v, base)))
-        loops = []
-        for expr in self._letter_exprs:
-            darts: tuple[int, ...] = ()
-            for s in expr.letters:
-                piece = nt_loops[non_tree[abs(s) - 1]]
-                darts = tuple(reduce_letters(darts + (piece if s > 0 else _inv_darts(piece))))
-            loops.append(darts)
-        self._letter_loops = tuple(loops)
+            nt_loops[eid] = reduce_letters(
+                self.tree_path(base, u) + (eid + 1,) + self.tree_path(v, base))
+
+        def piece(s: int) -> tuple[int, ...]:
+            loop = nt_loops[non_tree[abs(s) - 1]]
+            return loop if s > 0 else _inv_darts(loop)
+
+        # free reduction is confluent: one pass over the chained pieces
+        self._letter_loops = tuple(
+            reduce_letters(d for s in expr.letters for d in piece(s))
+            for expr in self._letter_exprs)
 
     # -- darts ---------------------------------------------------------------
 
@@ -216,10 +217,7 @@ class MarkedMetricGraph:
 
     def word_to_loop(self, w: Word) -> tuple[int, ...]:
         """Dart loop at the basepoint whose marking image is w."""
-        darts: tuple[int, ...] = ()
-        for letter in w.letters:
-            darts = tuple(reduce_letters(darts + self.letter_loop(letter)))
-        return darts
+        return reduce_letters(d for letter in w.letters for d in self.letter_loop(letter))
 
     def translation_length(self, w: Word) -> Scalar:
         """Exact translation length of w on the universal cover (0 if trivial)."""
@@ -486,7 +484,7 @@ def _translate_intersection_prepared(cover: CoverCore, g: Word, radius: int,
             if states.setdefault(key, st) != st:
                 raise RuntimeError(f"the translate balls disagree at {key}")
     scan = sorted(set(base_ball) | set(ball_g),
-                  key=lambda k: (Word(k[0], graph.rank).sort_key(), k[1]))
+                  key=lambda k: (word_sort_key(k[0]), k[1]))
 
     def shifted(u):
         return tuple(reduce_letters(g_inv.letters + u))
@@ -580,8 +578,8 @@ def transverse_family_report(graph: MarkedMetricGraph, subgroup: StallingsGraph,
         minimal = True
         for h1 in ball:
             for h2 in ball:
-                r = tuple(reduce_letters(h1 + w.letters + h2))
-                if not r or Word(r, graph.rank).sort_key() < key:
+                r = reduce_letters(h1 + w.letters + h2)
+                if not r or word_sort_key(r) < key:
                     minimal = False
                     break
             if not minimal:

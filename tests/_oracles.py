@@ -14,7 +14,14 @@ scalar that the integer-backed ``grouptrees.core.Scalar`` must agree with.
 folders the worklist engine in ``grouptrees.folding`` replaced: the first
 re-sweeps every edge until nothing changes, the second rescans all edges per
 collision and rewrites all edges per merge.  :func:`substitute` applies a
-substitution x_j -> w_j by plain free reduction.
+substitution x_j -> w_j by plain free reduction.  :func:`layered_trim` is the
+trimming loop ``grouptrees.folding.trim`` replaced: it recomputes every
+degree once per peeled layer.
+
+:func:`filter_conjugacy_classes` is the conjugacy enumerator the necklace
+search in ``grouptrees.core`` replaced: it builds every reduced word, layer
+by layer, and keeps a word when no rotation of it or of its inverse is
+smaller.
 """
 
 from __future__ import annotations
@@ -22,7 +29,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from grouptrees.core import Scalar, Word, letter_key
 from grouptrees.errors import MixedFieldError, NotABasisError, ParseError
@@ -518,3 +525,66 @@ def substitute(expr: Word, values: list[Word]) -> Word:
         v = values[abs(s) - 1]
         letters = _mul(letters, v.letters if s > 0 else _inv(v.letters))
     return Word(letters, values[0].rank)
+
+
+def layered_trim(nv: int, edges: list[tuple[int, int, int]], protect: int | None):
+    """Repeatedly delete valence-<=1 vertices (never `protect`).
+
+    Returns (kept_vertex_set, kept_edges).  With protect=None the result is the
+    maximal subgraph with all valences >= 2 (possibly empty).
+    """
+    alive = set(range(nv))
+    live_edges = set(edges)
+    while True:
+        degree: dict[int, int] = {v: 0 for v in alive}
+        for u, _, v in live_edges:
+            degree[u] += 1
+            degree[v] += 1
+        doomed = {v for v in alive if degree[v] <= 1 and v != protect}
+        if not doomed:
+            return alive, sorted(live_edges)
+        alive -= doomed
+        live_edges = {(u, l, v) for u, l, v in live_edges if u in alive and v in alive}
+
+
+# -- the filtering conjugacy enumerator ------------------------------------------
+
+
+def _extensions(letters: tuple[int, ...], alphabet: list[int]) -> Iterator[tuple[int, ...]]:
+    last = letters[-1] if letters else None
+    for l in alphabet:
+        if last is None or l != -last:
+            yield letters + (l,)
+
+
+def _conjugacy_representative(letters: tuple[int, ...]) -> bool:
+    """True iff `letters` (cyclically reduced) is the canonical representative of
+    its conjugacy-and-inversion class: minimal among all rotations of itself and
+    of its inverse under the letter-key lexicographic order."""
+    n = len(letters)
+    key = tuple(letter_key(l) for l in letters)
+    inv = tuple(-l for l in reversed(letters))
+    for word in (letters, inv):
+        for shift in range(n):
+            rot = word[shift:] + word[:shift]
+            if word is letters and shift == 0:
+                continue
+            if tuple(letter_key(l) for l in rot) < key:
+                return False
+    return True
+
+
+def filter_conjugacy_classes(rank: int, max_len: int) -> Iterator[Word]:
+    """One representative per conjugacy-and-inversion class of nontrivial
+    cyclically reduced words, by length then letter-key order: every reduced
+    word is built and filtered."""
+    alphabet = [l for a in range(1, rank + 1) for l in (a, -a)]
+    layer: list[tuple[int, ...]] = [()]
+    for _ in range(max_len):
+        next_layer: list[tuple[int, ...]] = []
+        for letters in layer:
+            for ext in _extensions(letters, alphabet):
+                next_layer.append(ext)
+                if (len(ext) < 2 or ext[0] != -ext[-1]) and _conjugacy_representative(ext):
+                    yield Word(ext, rank)
+        layer = next_layer

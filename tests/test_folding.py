@@ -8,7 +8,7 @@ from grouptrees.basis_change import invert_basis
 from grouptrees.core import Word, parse_word
 from grouptrees.errors import NotABasisError
 
-from _oracles import substitute, sweep_fold, sweep_invert_basis
+from _oracles import layered_trim, substitute, sweep_fold, sweep_invert_basis
 
 
 def petal_wedge(words):
@@ -166,3 +166,40 @@ class TestInvertBasisMatchesSweep:
             assert str(got.value) == str(exc)
         else:
             assert invert_basis(words, rank) == expected
+
+
+@st.composite
+def hairy_graphs(draw):
+    """A few cycles with long hairs (paths ending in a leaf) and stray edges."""
+    nv = draw(st.integers(1, 6))
+    vertex = st.integers(0, nv - 1)
+    edges = draw(st.lists(st.tuples(vertex, st.integers(1, 3), vertex), max_size=10))
+    for _ in range(draw(st.integers(0, 4))):
+        prev = draw(st.integers(0, nv - 1))
+        for _ in range(draw(st.integers(1, 30))):
+            edges.append((prev, draw(st.integers(1, 3)), nv) if draw(st.booleans())
+                         else (nv, draw(st.integers(1, 3)), prev))
+            prev = nv
+            nv += 1
+    protect = draw(st.none() | st.integers(0, nv - 1))
+    return nv, draw(st.permutations(edges)), protect
+
+
+class TestTrimMatchesLayeredTrim:
+    @given(hairy_graphs())
+    def test_hairy_graphs(self, case):
+        nv, edges, protect = case
+        assert folding.trim(nv, edges, protect) == layered_trim(nv, edges, protect)
+
+    @given(raw_graphs(), st.booleans())
+    def test_raw_graphs(self, case, protected):
+        nv, edges, base = case
+        protect = base if protected else None
+        assert folding.trim(nv, edges, protect) == layered_trim(nv, edges, protect)
+
+    def test_long_hair_to_a_loop(self):
+        nv = 2001
+        edges = [(i, 1, i + 1) for i in range(2000)] + [(2000, 2, 2000)]
+        assert folding.trim(nv, edges, None) == ({2000}, [(2000, 2, 2000)])
+        kept, kept_edges = folding.trim(nv, edges, 0)
+        assert kept == set(range(nv)) and kept_edges == sorted(edges)

@@ -12,7 +12,6 @@ from grouptrees.laminations import (
     boundary_membership,
     carrier_scan,
     carries,
-    epsilon_leaves,
     periodic_leaf,
     translate_leaf,
     translate_ray,
@@ -199,29 +198,6 @@ class TestCarries:
         Hb = build_core([W("baB")], 2)
         assert not carries(Hb, periodic_leaf(W("a")))
         assert carries(Hb, translate_leaf(W("b"), periodic_leaf(W("a"))))
-
-
-class TestEpsilonLeaves:
-    def test_below_min_length_is_empty(self):
-        assert epsilon_leaves(unit_rose(), S("1/2"), 3, 1) == []
-
-    def test_unit_rose_letter_leaves(self):
-        got = epsilon_leaves(unit_rose(), S("3/2"), 1, 0)
-        assert [str(l) for l in got] == ["((a)^∞, (A)^∞)", "((b)^∞, (B)^∞)"]
-
-    def test_lopsided_rose_translates_deduplicate(self):
-        got = epsilon_leaves(lopsided_rose(), S("1/2"), 2, 1)
-        assert [str(l) for l in got] == [
-            "((a)^∞, (A)^∞)",
-            "(b·(a)^∞, b·(A)^∞)",
-            "(B·(a)^∞, B·(A)^∞)",
-        ]
-
-    def test_canonical_forms_separate_leaves(self):
-        got = epsilon_leaves(lopsided_rose(), S("1/2"), 3, 2)
-        heads = {tuple(sorted((r.head(30).letters for r in l.rays)))
-                 for l in got}
-        assert len(heads) == len(got)
 
 
 class TestCarrierScan:

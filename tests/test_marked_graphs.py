@@ -23,7 +23,7 @@ from grouptrees.marked_graphs import (
 )
 from grouptrees.stallings import build_core, index
 
-from _oracles import substitute
+from _oracles import _lifted_path, substitute
 
 
 def W(s, rank=2):
@@ -184,6 +184,44 @@ class TestTranslationLength:
     def test_power_scaling(self, w, k):
         graph = theta()
         assert graph.translation_length(w ** k) == graph.translation_length(w) * Scalar.of(k)
+
+
+def marked_graphs():
+    """Roses and thetas whose markings are not the standard basis, so the
+    letter loops are products of several non-tree loops."""
+    return [
+        rose(1, 2),
+        rose(Fraction(1, 2), 3, marking=("ab", "b")),
+        rose(1, 1, marking=("aba", "ab")),
+        theta(),
+        MarkedMetricGraph(
+            2, 2, [(0, 1, 1), (0, 1, 2), (1, 0, Fraction(1, 3))],
+            (0,), {1: W("ab"), 2: W("aab")}),
+    ]
+
+
+class TestWordToLoop:
+    @given(st.integers(0, 4), raw_words)
+    def test_matches_letter_by_letter_reduction(self, which, raw):
+        graph = marked_graphs()[which]
+        w = mk_word(raw)
+        assert graph.word_to_loop(w) == tuple(_lifted_path(graph, w))
+
+    @pytest.mark.parametrize("which", range(5))
+    def test_letter_loops_read_their_letter(self, which):
+        graph = marked_graphs()[which]
+        for letter in (1, -1, 2, -2):
+            loop = graph.letter_loop(letter)
+            assert graph.dart_source(loop[0]) == graph.dart_target(loop[-1]) == graph.base
+            read = [l for d in loop for l in graph.dart_marking_letters(d)]
+            assert Word.make(read, 2).letters == (letter,)
+
+    def test_long_conjugator(self):
+        # a 4001-letter generator: its core is the single loop of a
+        u = Word((1, 2) * 1000, 2)
+        cover = minimal_subtree(rose(1, 1), build_core([u * W("a") * u.inverse()], 2))
+        assert len(cover.core_edges) == 1 and not cover.is_covering
+        assert cover.core_volume == Scalar.of(1)
 
 
 class TestOmegaEpsilon:

@@ -3,8 +3,17 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from grouptrees.core import Word, enumerate_words, parse_word, reduce_letters
+from grouptrees.core import (
+    Word,
+    enumerate_words,
+    letter_key,
+    parse_word,
+    reduce_letters,
+    word_sort_key,
+)
 from grouptrees.errors import ParseError
+
+from _oracles import filter_conjugacy_classes
 
 
 def W(text: str, rank: int = 2) -> Word:
@@ -133,6 +142,44 @@ class TestEnumeration:
         assert a == b
         lengths = [len(x) for x in a]
         assert lengths == sorted(lengths)
+
+
+# Longest max_len per rank at which the filtering oracle builds at most
+# 2r(2r-1)^(max_len-1) <= 20000 words of the top length.
+_ORACLE_MAX_LEN = {1: 7, 2: 7, 3: 6, 4: 5}
+
+
+class TestNecklaceEnumeration:
+    """The necklace search against the filter over every reduced word."""
+
+    @given(st.integers(1, 4).flatmap(lambda rank: st.tuples(
+        st.just(rank), st.integers(0, _ORACLE_MAX_LEN[rank]))))
+    def test_stream_matches_filter_oracle(self, case):
+        rank, max_len = case
+        got = [(w.letters, w.rank) for w in enumerate_words(rank, max_len, "conjugacy")]
+        want = [(w.letters, w.rank) for w in filter_conjugacy_classes(rank, max_len)]
+        assert got == want
+
+    def test_rank2_len10_count(self):
+        got = [w.letters for w in enumerate_words(2, 10, "conjugacy")]
+        assert len(got) == 4759
+        assert got == [w.letters for w in filter_conjugacy_classes(2, 10)]
+
+    def test_rank5_short_stream(self):
+        got = [w.letters for w in enumerate_words(5, 3, "conjugacy")]
+        assert got == [w.letters for w in filter_conjugacy_classes(5, 3)]
+
+    def test_unknown_mode(self):
+        with pytest.raises(ValueError):
+            list(enumerate_words(2, 2, "necklace"))
+
+
+class TestSortKey:
+    @given(raw_words)
+    def test_word_sort_key_matches_letter_keys(self, raw):
+        w = Word.make(raw, 2)
+        expected = (len(w.letters), tuple(letter_key(l) for l in w.letters))
+        assert word_sort_key(w.letters) == w.sort_key() == expected
 
 
 def _conjugacy_class_words(w: Word) -> list[Word]:
