@@ -1,0 +1,297 @@
+"""The command-line surface, pinned: parser structure, leaf outputs, errors.
+
+`PARSER_DIGESTS` holds, for each of the 33 parsers (the top parser, the six
+command groups and the 26 subcommands), the sha256 of a normalised dump of
+its actions: option strings, dest, default, required, help, metavar, type,
+subcommand names and helps, and mutually exclusive grouping.  The dump does
+not depend on the Python version, unlike the rendered ``--help`` text.
+
+`RUN_DIGESTS` pins one in-process ``main(argv)`` run of every registry
+subcommand (and a few variants) in ``--text`` and in ``--json`` mode: the
+exit code, and the sha256 of stdout and stderr together.  The cross-argument
+errors are pinned as exact text.
+
+Re-record a digest only for a deliberate change of the command line.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from grouptrees import documents as docs
+from grouptrees.cli import build_parser, main
+from grouptrees.corpus import (golden_system, lopsided_rose, theta_graph,
+                               worked_single_map)
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+# ------------------------------------------------------------------ parsers
+
+def _walk(parser, path=("grouptrees",)):
+    yield " ".join(path), parser
+    for action in parser._actions:
+        if action.choices and hasattr(action, "_choices_actions"):
+            for name, sub in action.choices.items():
+                yield from _walk(sub, path + (name,))
+
+
+def _dump_action(action) -> dict:
+    row = {
+        "kind": type(action).__name__,
+        "options": list(action.option_strings),
+        "dest": action.dest,
+        "default": action.default,
+        "required": action.required,
+        "help": action.help,
+        "metavar": action.metavar,
+        "type": "int" if action.type is int else "str",
+        "nargs": action.nargs,
+        "const": action.const,
+    }
+    if hasattr(action, "_choices_actions"):
+        row["commands"] = [[a.dest, a.help] for a in action._choices_actions]
+    return row
+
+
+def dump_parser(parser) -> str:
+    return json.dumps({
+        "prog": parser.prog,
+        "description": parser.description,
+        "defaults": parser._defaults,
+        "actions": [_dump_action(a) for a in parser._actions],
+        "exclusive": [{"required": g.required,
+                       "options": [a.option_strings for a in g._group_actions]}
+                      for g in parser._mutually_exclusive_groups],
+    }, sort_keys=True)
+
+
+PARSER_DIGESTS = {
+    "grouptrees": "7b63655f6a427c9895c0a599ac27ae480a287db28af3362af5f1a2c29bfca4a3",
+    "grouptrees stallings": "f308de454b45ee0473cbbb6acb73a43a596ef6afe1b4e03c8557e9900d58ad10",
+    "grouptrees stallings core": "bb83c57f70f9f366ce29ff79417007010295aedde4e7f643be4fc3706912c317",
+    "grouptrees stallings member": "eb261c5c710d62dee1598e5f712c8fb347812d67a86ce1a3d3ca9fa1ff6c6a20",
+    "grouptrees stallings index": "3e59632ecefc60352ed65423c3b0dfbefc115821ab1042d8cfa78bd5d7db07e4",
+    "grouptrees stallings meet": "0e472ccb19f5762578c1e3d49b811d0c24bd0a00db385ef32caf839ff74272da",
+    "grouptrees stallings conj": "80afbd3f7f571f411c7bf95618e2bca134a0220a7315573cec5b005cfb49915e",
+    "grouptrees stallings hall": "3415bd510b8a5575de739327a84357a1dce6c774821fdad9ca353fddec2d89b8",
+    "grouptrees cvn": "7ec58c9250f52b553cdf7281d994875c8291f076f6b13302532460b2e92b5db4",
+    "grouptrees cvn len": "3612b6cf1236b7ac33255b96d9698d75f225bc3ea3337489573a16930bfe7bbd",
+    "grouptrees cvn vol": "8a7763d21593f26a7743b3ef71173cbe033e3d38c738cd41d53f88b992fbffcd",
+    "grouptrees cvn minsub": "a06dedf04ad5287c887ef0b7da6c5c53cfa8403f70a72db4d2e1465a2f065a63",
+    "grouptrees cvn omega": "5104b6bf70b8630211b62ea8593c61567bdd480816c3b491d9e8ffeb531db27a",
+    "grouptrees cvn transverse": "a715f0e2885f3d20e8b212ab480fb88bbe639bdc9f102c3046c94ab07144f6ae",
+    "grouptrees soi": "5fbc72a9143ad2ba11c41a3875e622a88b92e819471799e0a10fe2782bfee4ed",
+    "grouptrees soi orbit": "1af4ca40f2c9d569a4fb5ec24566a1ae7fe0c7ae33dc622ed71e783bf25b6bf5",
+    "grouptrees soi families": "1b7f92c1acb0885452cf71e87935da90b2965ccebfe61dee012c07dbe07f7454",
+    "grouptrees soi glp": "87590afef47508a96f9bd5e96675e48059f4afef6966d476f942bf802c1e5841",
+    "grouptrees soi grow": "0f50248efd0a09183e2a04b44ce7d728d0133879d1406064086f1f6805cb6cbf",
+    "grouptrees soi cover": "76d495ab54f25ed8c42d07e26abe10128d184db0a16e1879ef8df1b80cefbba5",
+    "grouptrees soi indecomp": "b4da9791d2c45ff5978eb7ceb419a7a4e2384a01e14480f5a0eafb924d07c9c9",
+    "grouptrees soi sub-orbit": "a22a5f98980c879dee5c0fe6a66132f34bbf1e10dc882012cd8161a4fe4336fc",
+    "grouptrees soi saturate": "b0350b164a402abcea15c5654fff1d4a2eb830ee1f15f43ef2d19a7433633f7e",
+    "grouptrees soi discrete": "3373ce604afe335ec0d7a7454c5884d738f4aae843800fc784934b0364d7ea6b",
+    "grouptrees measure": "3291ab7dea8e9e5ed17eee4c5db19e9098e39bef78ca65a87cbe173e007bc8d0",
+    "grouptrees measure check": "f97c65caf9a25984c13f0ba8ca9bb446d03a231cb0ebcc7d5c5c291606e225e3",
+    "grouptrees measure combine": "d61604e1e1cc558619daf0772a11d37f4e880b8db3f6a0e4e4eff5eab5002dfd",
+    "grouptrees lam": "9f67445772619a2d10417e08049460db7eb4591b198ecce26a2bc34950a75ae8",
+    "grouptrees lam carries": "191f76cc230a87b50c9b026a9fe212b4e72f5f410e379f5a37a57b55d040bc8b",
+    "grouptrees lam scan": "442566f9f5285536f9b96587fac7d92a4fc9da16171386bc5fa8c447312b2115",
+    "grouptrees scenario": "225e36d708a100c3b9b570d6bcf797036d7ee5ad00ba5661a9e442e7c70707b7",
+    "grouptrees scenario run": "5c70f278bb82862ede5d189e264efa1980bdf19e19b8eb12994fd0a1008d5994",
+    "grouptrees scenario list": "90e02eca1cf9674b9ae951461add9f6044dcb11a179d60070318f561a0d1dc8e",
+}
+
+
+def test_every_parser_is_pinned():
+    assert sorted(dict(_walk(build_parser()))) == sorted(PARSER_DIGESTS)
+    assert len(PARSER_DIGESTS) == 33
+
+
+@pytest.mark.parametrize("path", sorted(PARSER_DIGESTS))
+def test_parser_structure(path):
+    parser = dict(_walk(build_parser()))[path]
+    assert _sha256(dump_parser(parser)) == PARSER_DIGESTS[path]
+
+
+# --------------------------------------------------------------------- runs
+
+DOCUMENTS = {
+    "H": {"rank": 2, "generators": ["aa", "b", "abA"]},
+    "H2": {"rank": 2, "generators": ["aa", "b"]},
+    "K": {"rank": 2, "generators": ["a", "bab"]},
+    "A": {"rank": 2, "generators": ["a"]},
+    "BAB": {"rank": 2, "generators": ["baB"]},
+    "ROSE": lambda: docs.dump_marked_graph(lopsided_rose()),
+    "THETA": lambda: docs.dump_marked_graph(theta_graph()),
+    "WORKED": lambda: docs.dump_system(worked_single_map()),
+    "GOLDEN": lambda: docs.dump_system(golden_system()),
+    "M1": {"pieces": [{"from": "0", "to": "1", "density": "1"}]},
+    "M2": {"pieces": [{"from": "0", "to": "1/2", "density": "2"},
+                      {"from": "1/2", "to": "1", "density": "4"}]},
+    "LEAF": {"rays": [{"prefix": "", "period": "a"},
+                      {"prefix": "", "period": "A"}]},
+}
+
+# One run per registry subcommand, then a few variants.  Upper-case words
+# name the documents above; they become file paths.
+CASES = {
+    "stallings core": "stallings core --in H",
+    "stallings member": "stallings member --in H --word ab",
+    "stallings index": "stallings index --in H",
+    "stallings meet": "stallings meet --in H --other K",
+    "stallings conj": "stallings conj --in H --word b",
+    "stallings hall": "stallings hall --in H2 --word a",
+    "cvn len": "cvn len --in THETA --word aB",
+    "cvn vol": "cvn vol --in THETA",
+    "cvn minsub": "cvn minsub --in ROSE --sub H",
+    "cvn omega": "cvn omega --in ROSE --epsilon 1/2",
+    "cvn transverse": "cvn transverse --in ROSE --sub A --max-word 3 --radius 4",
+    "soi orbit": "soi orbit --in GOLDEN --point 1/2 --budget 40",
+    "soi families": "soi families --in WORKED",
+    "soi glp": "soi glp --in WORKED",
+    "soi grow": 'soi grow --in WORKED --start [["0","1/8"]]',
+    "soi cover": 'soi cover --in GOLDEN --seed-set [["0","1/5"]] '
+                 '--target ["0","1"] --delta 1/100',
+    "soi indecomp": 'soi indecomp --in GOLDEN --piece ["0","1/10"] '
+                    '--target ["1/2","3/5"]',
+    "soi sub-orbit": "soi sub-orbit --in GOLDEN --sub A --point 0",
+    "soi saturate": 'soi saturate --in GOLDEN --sub A --piece ["0","1/10"]',
+    "soi discrete": "soi discrete --in GOLDEN --sub A",
+    "measure check": "measure check --in WORKED --measure M1",
+    "measure combine": "measure combine --measure M1 --other M2 "
+                       "--c1 1/2 --c2 1/4",
+    "lam carries": "lam carries --in H --word aa",
+    "lam scan": "lam scan --in ROSE --sub BAB --epsilon 1/2",
+    # variants
+    "stallings hall, no word": "stallings hall --in H2",
+    "soi families, budget-limited": "soi families --in GOLDEN --budget 60",
+    "soi discrete, sample list": 'soi discrete --in GOLDEN --sub A '
+                                 '--samples ["0","1/2"] --budget 100',
+    "lam carries, leaf file": "lam carries --in H --leaf LEAF",
+    "lam scan, explicit budgets": "lam scan --in ROSE --sub BAB --epsilon 1/2 "
+                                  "--max-word 4 --max-translate 1",
+    "soi glp, seed ignored": "soi glp --in WORKED --seed 3 --max-word 6",
+}
+
+RUN_DIGESTS = {
+    "stallings core --text": (0, "fe3414f2bab192125dbd215c45544f9d655d07551a03736a079973cab6114735"),
+    "stallings core --json": (0, "04dd98a89961bb2d51218aeb0fffb6843df56c788da64ea4f7b4677c97d72060"),
+    "stallings member --text": (0, "6bb9b415e40d4891c9479627b9bf146d1dadcf5dc9770ec22b60201cb211932a"),
+    "stallings member --json": (0, "6ff95d2c342c7748e0f872cf07471df47b24c49f952c4a451ff842fcf0a952f8"),
+    "stallings index --text": (0, "8d9e57dd786efff107ac3a5669f7ba295a53cd3e793a7c552486b1e33d73dc3e"),
+    "stallings index --json": (0, "32b967c9104d2e0fab651ca4232383acb7ed457110d9acb0696de2310ef7997f"),
+    "stallings meet --text": (0, "7cc04901a2610ddb48424bee0f1de15042c8ca479a810783b82f69fe67ce7e37"),
+    "stallings meet --json": (0, "4e2863ea3ff92191523fdd8827c6dbe42efd507d65f98b75f08a1013a89dc984"),
+    "stallings conj --text": (0, "95fb2b16538c5c6a83f49632ee55e3621781119c3be3a92bb7f933c810239609"),
+    "stallings conj --json": (0, "cc8ccf24b9cac89a2af4b595d944145b91b3001227449455ccceb786e2a35a5f"),
+    "stallings hall --text": (0, "08589180d91fc543359f5826bda09f638ab96c71650747351301d8e6f1c46c85"),
+    "stallings hall --json": (0, "904c2d22e44e23affd3774691b66e781f3589592415737ae2a93bb50cf78df03"),
+    "cvn len --text": (0, "969e6edf197256718ce288ab402c515e28554c95806788da8577685fc2e7f11c"),
+    "cvn len --json": (0, "f34fb1d9314d6ca682b0a385f7428d8c63346136bd0cadf03ccecef4a41c4093"),
+    "cvn vol --text": (0, "9be31bcb21a6b2e59efdc38c6e30f3f3ba014fc32529f0b0a1c7476a4cba8dc3"),
+    "cvn vol --json": (0, "1036457b38d5498a070dff9ddea067f17ba653716f6a4bd24b2d6101e68ec704"),
+    "cvn minsub --text": (0, "d2994e50fac17550535e0fccbce982ee758188efa1d5056853c043a8a47e0d43"),
+    "cvn minsub --json": (0, "23afe3cacb8eb55c84999f9ae23783f90564face741d30cd2e76abc545b544b0"),
+    "cvn omega --text": (0, "34c2b6dbbffb38977a83a75e24036fcc6c51f1a6c17705e32861bafdb2f73f8d"),
+    "cvn omega --json": (0, "7ea5f0f2bcb2f7f2ff8ea1b6e67bd1161356487a4039aa1bfcb4e2d84c58da2d"),
+    "cvn transverse --text": (2, "42b3d186402618ec5e472f3052e186c5d9e76dc42deee6574589aef738cc02d1"),
+    "cvn transverse --json": (2, "23fe714e9a7d9db0e67e384cda7f9ec7b5b1e6d52c3e2b97f732a88d09cca0e7"),
+    "soi orbit --text": (2, "abd4bd90ff28e6d26c94a5668f315b129faeba3731c87ec7043e7c10db2c941e"),
+    "soi orbit --json": (2, "e19756bbd1a19a430a290d74c8997769b8ca7af7d30a02241a774b9d82debd21"),
+    "soi families --text": (0, "7de6aae7c0626076df5bed13dbec6842ba92eda92123365d4b80f1ef65dc0ddd"),
+    "soi families --json": (0, "98e282e230e7df8ded69bd0a56262e2b4c4838a65168443cec9cfda124444ef7"),
+    "soi glp --text": (0, "d04a629bad3381cf4393cefdc89a85b3b6b905416f808d8ada5443d5713a2c4e"),
+    "soi glp --json": (0, "667cb3aced2750d2329ace2688321f2214c5f28f0e81be43e02de397c2636088"),
+    "soi grow --text": (0, "be78bb27545a8df7a6dcf2f06383d3f0176f09dfbea472058f76e884c46a4deb"),
+    "soi grow --json": (0, "9d5b47d44b34f259a054dfab567cacbf2c0f78e9f7ce4360f9c2ffc8bb8f4c59"),
+    "soi cover --text": (0, "24c1a6b0799fd52ae697bbd0a3a9c567917035c6cedd321277419039836082ca"),
+    "soi cover --json": (0, "47330a7fc8c0ce597168fbf791044c20486db3a3c643b1fbf5b0b9c759cd5351"),
+    "soi indecomp --text": (0, "091df102603b13c56585c917ef82416a8c585a45ffd9ac388ca31fdeccddd8f8"),
+    "soi indecomp --json": (0, "38bc1eebdf3ca2b2783d7a6c5beaa5814582a4014dd5988838b343d23b000de0"),
+    "soi sub-orbit --text": (0, "d016d158592363a276cc0c615b19382e051ab9acc216bde4190fba875ffb2d75"),
+    "soi sub-orbit --json": (0, "94f132473bbc7222f27a883403b159af39741177f51404dc3bd60827d97e1db3"),
+    "soi saturate --text": (0, "1b60c3e6cd0e33f2f81bb2b0337187f169fe11456b0674803c31752331add6a8"),
+    "soi saturate --json": (0, "70f0f73308beab5e22afe4054e8068edd92764eb8a3ef8f40e5e0513397e57b6"),
+    "soi discrete --text": (0, "7275fe02eff7744d862dcbe705b2331305ed5e712af56fb9200209533da90f45"),
+    "soi discrete --json": (0, "9883a8d907720f31b2cb767cea2239a864a0b66239f9b62ac3860176249fdb15"),
+    "measure check --text": (0, "78381321cccdeea960b07ffb3eee227b23d18f6cbb6fcedf2586497ba006f7a1"),
+    "measure check --json": (0, "49b5b177b9cc5c06e4be8bd43813731c0d5de13a679093e209d80dac5ad3b5c3"),
+    "measure combine --text": (0, "9e0e7035f2b817e2f93505c0d45d312b9018486bb5ae4be1c6649dfc15dacd5f"),
+    "measure combine --json": (0, "9dccf6b20bf391c3b3a98bc2bad38f7eed39ef96e3864c864028cfa018c890fe"),
+    "lam carries --text": (0, "f4aaa62a55b17f2f9561b7cc50ecc216f6c18875d4c51686244ae7878d775619"),
+    "lam carries --json": (0, "cfd368df5de9969c5dc8b7f3b2a7688af75430af24d6499e3b8af21b5b333c5a"),
+    "lam scan --text": (2, "2ab3fa17a056e1be7b8e4ff76a18c53c504d62ec7a8d121178e8d5e783926358"),
+    "lam scan --json": (2, "e4d76e959c1c2fb8e7b7397e02975c1d33bf4976ec3118c677cc4d29721a3340"),
+    "stallings hall, no word --text": (0, "6f2caf04279dd49aa6c321055746016891cb9c9288b609837fecbe9385f5a110"),
+    "stallings hall, no word --json": (0, "edcb73d68b1e3a4ed477ea2e9eee50a0c12d73aef8d045135ba30ba9c9be4ef4"),
+    "soi families, budget-limited --text": (2, "dd98c2bd3650952478176c175d58206bfee57deee1eccac1516c1576ad1d8cd4"),
+    "soi families, budget-limited --json": (2, "664fd0dd16be61a400201361bf6d017533f953e28b72ec21d12bfff63e618985"),
+    "soi discrete, sample list --text": (0, "f3d4cea235e6ce71834fc0f7aa1125ac3a62fdef72bca64c187a605da6c2bffa"),
+    "soi discrete, sample list --json": (0, "f569a5825a627ebed6a07927945cb99fad47b63d0bce6575ba5c39e52ade155f"),
+    "lam carries, leaf file --text": (0, "f4aaa62a55b17f2f9561b7cc50ecc216f6c18875d4c51686244ae7878d775619"),
+    "lam carries, leaf file --json": (0, "cfd368df5de9969c5dc8b7f3b2a7688af75430af24d6499e3b8af21b5b333c5a"),
+    "lam scan, explicit budgets --text": (2, "b6a8f8691fd2e35fc60a79a5c1b3e4e87c6597f26be6707328d5a2ea7dd8224d"),
+    "lam scan, explicit budgets --json": (2, "582328ba664591df4bdc8d2fad48bd1de89dbd4cdd00d215d82e6af62990c3c5"),
+    "soi glp, seed ignored --text": (0, "1757f644c9fbb9bcd74ff66af7e2d3fb1c085f4e64eb97b3061091b21ff44b41"),
+    "soi glp, seed ignored --json": (0, "587ab1ddafe05f9ccafba05158e2041cc173e18033066a9fb7dc7ce87be2f223"),
+}
+
+REGISTRY_LEAVES = 24
+
+
+@pytest.fixture(scope="module")
+def files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("cli-surface")
+    paths = {}
+    for name, doc in DOCUMENTS.items():
+        if callable(doc):
+            doc = doc()
+        path = root / f"{name.lower()}.json"
+        path.write_text(json.dumps(doc))
+        paths[name] = str(path)
+    return paths
+
+
+def _run(capsys, argv):
+    code = main(argv)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def _argv(case: str, files: dict) -> list[str]:
+    return [files.get(word, word) for word in CASES[case].split()]
+
+
+def test_every_registry_leaf_has_a_run():
+    leaves = {" ".join(path.split()[1:]) for path in PARSER_DIGESTS
+              if len(path.split()) == 3 and path.split()[1] != "scenario"}
+    assert len(leaves) == REGISTRY_LEAVES
+    assert leaves <= set(CASES)
+    assert sorted(RUN_DIGESTS) == sorted(
+        f"{case} --{mode}" for case in CASES for mode in ("text", "json"))
+
+
+@pytest.mark.parametrize("mode", ["text", "json"])
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_run_output(capsys, files, case, mode):
+    code, out, err = _run(capsys, _argv(case, files) + [f"--{mode}"])
+    assert (code, _sha256(out + "\0" + err)) == RUN_DIGESTS[f"{case} --{mode}"]
+
+
+# ------------------------------------------------------ cross-argument errors
+
+@pytest.mark.parametrize("argv,message", [
+    ("cvn omega --in ROSE", "cvn omega requires --epsilon"),
+    ("lam scan --in ROSE --sub BAB", "lam scan requires --epsilon"),
+    ("lam carries --in H",
+     "lam carries needs exactly one of --word or --leaf"),
+    ("lam carries --in H --word a --leaf LEAF",
+     "lam carries needs exactly one of --word or --leaf"),
+])
+def test_cross_argument_errors(capsys, files, argv, message):
+    code, out, err = _run(capsys, [files.get(w, w) for w in argv.split()])
+    assert (code, out, err) == (1, "", f"error: {message}\n")
