@@ -1,8 +1,11 @@
 """Command-line interface.
 
-Every subcommand delegates to the operation registry in `scenarios`, so the
-CLI and scripted scenarios share one code path.  Documents come in as JSON
-files (`-` reads stdin); small geometric arguments (points, intervals,
+Every subcommand but `scenario run` and `scenario list` is generated from
+its entry in the operation registry `scenarios.OPERATIONS`: the entry's help
+and argument spec give the subcommand's help and flags, and the subcommand
+runs the operation, so the CLI and scripted scenarios share one code path.
+Adding an operation means adding one registry entry.  Documents come in as
+JSON files (`-` reads stdin); small geometric arguments (points, intervals,
 interval sets) are inline JSON with exact values as strings.
 
 Exit codes: 0 = the reported outcome is definite, 2 = a budget-limited
@@ -17,13 +20,26 @@ import sys
 
 from .errors import GroupTreesError, ParseError
 from .report import (EXIT_BUDGET, EXIT_ERROR, EXIT_OK, render, wrap)
-from .scenarios import (BUDGET, FAILED, bundled_scenarios, run_op,
-                        run_scenario, scenario_from_doc)
+from .scenarios import (BUDGET, EPSILON, FAILED, MAX_TRANSLATE, MAX_WORD,
+                        OPERATIONS, POINT_BUDGET, RADIUS, REQUIRED,
+                        bundled_scenarios, run_op, run_scenario,
+                        scenario_from_doc)
 
 _KIND_EXIT = {"proven": EXIT_OK, BUDGET: EXIT_BUDGET, FAILED: EXIT_ERROR}
 
-_BUDGET_KEYS = ("budget", "max_word", "radius", "epsilon", "max_translate",
-                "steps", "chain_max", "delta", "count", "seed")
+_GROUPS = {
+    "stallings": "folded subgroup graphs of free groups",
+    "cvn": "marked metric graphs and their trees",
+    "soi": "systems of partial isometries on multi-intervals",
+    "measure": "piecewise-constant length measures",
+    "lam": "rational boundary leaves",
+    "scenario": "deterministic scripted runs",
+}
+
+# Flags of every subcommand, and of every subcommand of one group; a
+# subcommand passes on those its operation's spec lists.
+_SHARED = (POINT_BUDGET, MAX_WORD, RADIUS, EPSILON)
+_GROUP_SHARED = {"lam": (MAX_TRANSLATE,)}
 
 
 def _read_document(path: str, what: str) -> dict:
@@ -39,25 +55,32 @@ def _read_document(path: str, what: str) -> dict:
     return load_json(text)
 
 
-def _inline_json(text: str, what: str):
+def _inline_points(text: str):
+    """A point, or a JSON list of points if the text starts with '['."""
+    if not text.lstrip().startswith("["):
+        return text
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
-        raise ParseError(f"{what}: invalid JSON: {exc}")
+        raise ParseError(f"--samples: invalid JSON: {exc}")
 
 
-def _samples_arg(text: str):
-    value = _inline_json(text, "--samples") if text.lstrip().startswith("[") \
-        else text
-    if isinstance(value, (str, int)):
-        return [value]
-    if isinstance(value, list):
-        return value
-    raise ParseError("--samples: expected a point or a JSON list of points")
+def _flag(arg) -> str:
+    return arg.flag or "--" + arg.key.replace("_", "-")
 
 
-def _common_flags(parser: argparse.ArgumentParser,
-                  max_translate: bool = False) -> None:
+def _dest(arg) -> str:
+    return arg.dest or _flag(arg)[2:].replace("-", "_")
+
+
+def _add_flag(parser: argparse.ArgumentParser, arg, required: bool) -> None:
+    parser.add_argument(_flag(arg), dest=_dest(arg), required=required,
+                        default=None if arg.default is REQUIRED else arg.default,
+                        type=int if arg.integer else None,
+                        help=arg.help, metavar=arg.metavar)
+
+
+def _common_flags(parser: argparse.ArgumentParser, shared) -> None:
     mode = parser.add_mutually_exclusive_group()
     mode.add_argument("--json", action="store_true", dest="as_json",
                       help="emit the canonical JSON report")
@@ -66,18 +89,8 @@ def _common_flags(parser: argparse.ArgumentParser,
     parser.set_defaults(as_json=False)
     parser.add_argument("--seed", type=int, default=None,
                         help="seed for randomized batches")
-    parser.add_argument("--budget", type=int, default=500,
-                        help="orbit/search point budget (default 500)")
-    parser.add_argument("--max-word", type=int, default=8, dest="max_word",
-                        help="word-length budget (default 8)")
-    parser.add_argument("--radius", type=int, default=6,
-                        help="ball radius for tree comparisons (default 6)")
-    parser.add_argument("--epsilon", type=str, default=None,
-                        help="exact length threshold, e.g. \"1/2\"")
-    if max_translate:
-        parser.add_argument("--max-translate", type=int, default=2,
-                            dest="max_translate",
-                            help="translate word-length budget (default 2)")
+    for arg in shared:
+        _add_flag(parser, arg, required=False)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -87,242 +100,56 @@ def build_parser() -> argparse.ArgumentParser:
                     "graphs, interval isometry systems, length measures and "
                     "boundary leaves")
     top = parser.add_subparsers(dest="group", required=True)
+    groups = {}
 
-    def leaf(sub, name, help_text, max_translate=False):
-        p = sub.add_parser(name, help=help_text)
-        _common_flags(p, max_translate=max_translate)
+    def leaf(group: str, command: str, help_text: str, shared):
+        if group not in groups:
+            groups[group] = top.add_parser(
+                group, help=_GROUPS[group]).add_subparsers(dest="command",
+                                                           required=True)
+        p = groups[group].add_parser(command, help=help_text)
+        _common_flags(p, shared)
         return p
 
-    # ---- stallings -------------------------------------------------------
-    stall = parser_group(top, "stallings",
-                         "folded subgroup graphs of free groups")
-    p = leaf(stall, "core", "fold a generating set into its core graph")
-    p.add_argument("--in", dest="infile", required=True, metavar="FILE")
-    p = leaf(stall, "member", "test whether a word lies in the subgroup")
-    p.add_argument("--in", dest="infile", required=True, metavar="FILE")
-    p.add_argument("--word", required=True)
-    p = leaf(stall, "index", "index of the subgroup (null if infinite)")
-    p.add_argument("--in", dest="infile", required=True, metavar="FILE")
-    p = leaf(stall, "meet", "intersection of two subgroups")
-    p.add_argument("--in", dest="infile", required=True, metavar="FILE")
-    p.add_argument("--other", required=True, metavar="FILE")
-    p = leaf(stall, "conj", "conjugate the subgroup by a word")
-    p.add_argument("--in", dest="infile", required=True, metavar="FILE")
-    p.add_argument("--word", required=True)
-    p = leaf(stall, "hall", "finite-index extension with verified witness")
-    p.add_argument("--in", dest="infile", required=True, metavar="FILE")
-    p.add_argument("--word", default=None,
-                   help="word to keep outside the extension")
+    for name, spec in OPERATIONS.items():
+        if spec.help is None:
+            continue
+        group, command = name.split(".")
+        shared = _SHARED + _GROUP_SHARED.get(group, ())
+        p = leaf(group, command.replace("_", "-"), spec.help, shared)
+        shared_keys = {arg.key for arg in shared}
+        for arg in spec.args:
+            if arg.key not in shared_keys:
+                _add_flag(p, arg, required=arg.default is REQUIRED)
 
-    # ---- cvn -------------------------------------------------------------
-    cvn = parser_group(top, "cvn", "marked metric graphs and their trees")
-    p = leaf(cvn, "len", "translation length of a word")
-    p.add_argument("--in", dest="infile", required=True, metavar="FILE")
-    p.add_argument("--word", required=True)
-    p = leaf(cvn, "vol", "total edge volume")
-    p.add_argument("--in", dest="infile", required=True, metavar="FILE")
-    p = leaf(cvn, "minsub", "minimal subtree data for a subgroup")
-    p.add_argument("--in", dest="infile", required=True, metavar="FILE")
-    p.add_argument("--sub", required=True, metavar="FILE")
-    p = leaf(cvn, "omega", "conjugacy classes shorter than epsilon")
-    p.add_argument("--in", dest="infile", required=True, metavar="FILE")
-    p = leaf(cvn, "transverse", "transverse-family check for translates")
-    p.add_argument("--in", dest="infile", required=True, metavar="FILE")
-    p.add_argument("--sub", required=True, metavar="FILE")
-
-    # ---- soi -------------------------------------------------------------
-    soi = parser_group(top, "soi", "systems of partial isometries on "
-                                   "multi-intervals")
-    p = leaf(soi, "orbit", "orbit of a point under the system")
-    p.add_argument("--in", dest="infile", required=True, metavar="FILE")
-    p.add_argument("--point", required=True)
-    p = leaf(soi, "families", "finite-orbit families and their total length")
-    p.add_argument("--in", dest="infile", required=True, metavar="FILE")
-    p = leaf(soi, "glp", "balance identity m - d - e = 0 with verdict")
-    p.add_argument("--in", dest="infile", required=True, metavar="FILE")
-    p = leaf(soi, "grow", "support iteration with residual sequence")
-    p.add_argument("--in", dest="infile", required=True, metavar="FILE")
-    p.add_argument("--start", required=True,
-                   help="starting interval set, e.g. '[[\"0\",\"1/8\"]]'")
-    p.add_argument("--steps", type=int, default=8)
-    p = leaf(soi, "cover", "almost-everywhere support cover from a seed set")
-    p.add_argument("--in", dest="infile", required=True, metavar="FILE")
-    p.add_argument("--seed-set", dest="seed_set", required=True,
-                   help="seed interval set, e.g. '[[\"0\",\"1/5\"]]'")
-    p.add_argument("--target", required=True,
-                   help="target interval, e.g. '[\"0\",\"1\"]'")
-    p.add_argument("--delta", required=True,
-                   help="allowed uncovered length, e.g. \"1/100\"")
-    p = leaf(soi, "indecomp", "chain of overlapping images joining two pieces")
-    p.add_argument("--in", dest="infile", required=True, metavar="FILE")
-    p.add_argument("--piece", required=True,
-                   help="source interval, e.g. '[\"0\",\"1/10\"]'")
-    p.add_argument("--target", required=True,
-                   help="target interval, e.g. '[\"1/2\",\"3/5\"]'")
-    p.add_argument("--chain-max", dest="chain_max", type=int, default=8,
-                   help="longest chain to attempt (default 8)")
-    p = leaf(soi, "sub-orbit", "orbit restricted to subgroup-labelled words")
-    p.add_argument("--in", dest="infile", required=True, metavar="FILE")
-    p.add_argument("--sub", required=True, metavar="FILE")
-    p.add_argument("--point", required=True)
-    p = leaf(soi, "saturate", "saturate a piece under subgroup translates")
-    p.add_argument("--in", dest="infile", required=True, metavar="FILE")
-    p.add_argument("--sub", required=True, metavar="FILE")
-    p.add_argument("--piece", required=True)
-    p.add_argument("--steps", type=int, default=10)
-    p = leaf(soi, "discrete", "orbit-spacing heuristic for a subgroup action")
-    p.add_argument("--in", dest="infile", required=True, metavar="FILE")
-    p.add_argument("--sub", required=True, metavar="FILE")
-    p.add_argument("--samples", default="0",
-                   help="sample point or JSON list, e.g. '[\"0\",\"1/2\"]'")
-
-    # ---- measure ---------------------------------------------------------
-    measure = parser_group(top, "measure", "piecewise-constant length "
-                                           "measures")
-    p = leaf(measure, "check", "invariance of a measure under a system")
-    p.add_argument("--in", dest="infile", required=True, metavar="FILE",
-                   help="system document")
-    p.add_argument("--measure", required=True, metavar="FILE")
-    p = leaf(measure, "combine", "non-negative combination of two measures")
-    p.add_argument("--measure", required=True, metavar="FILE")
-    p.add_argument("--other", required=True, metavar="FILE")
-    p.add_argument("--c1", default="1", help="coefficient for the first "
-                                             "measure (default 1)")
-    p.add_argument("--c2", default="1", help="coefficient for the second "
-                                             "measure (default 1)")
-
-    # ---- lam -------------------------------------------------------------
-    lam = parser_group(top, "lam", "rational boundary leaves")
-    p = leaf(lam, "carries", "does the subgroup graph carry a leaf?",
-             max_translate=True)
-    p.add_argument("--in", dest="infile", required=True, metavar="FILE",
-                   help="subgroup document")
-    p.add_argument("--word", default=None,
-                   help="build the leaf of this word's axis")
-    p.add_argument("--leaf", default=None, metavar="FILE",
-                   help="leaf document with two rays")
-    p = leaf(lam, "scan", "scan short leaves for carriers up to translates",
-             max_translate=True)
-    p.add_argument("--in", dest="infile", required=True, metavar="FILE",
-                   help="marked graph document")
-    p.add_argument("--sub", required=True, metavar="FILE")
-
-    # ---- scenario --------------------------------------------------------
-    scen = parser_group(top, "scenario", "deterministic scripted runs")
-    p = leaf(scen, "run", "run a bundled scenario or a scenario file")
+    p = leaf("scenario", "run", "run a bundled scenario or a scenario file",
+             _SHARED)
     p.add_argument("name", help="bundled scenario name or path to a "
                                 "scenario JSON file")
-    p = leaf(scen, "list", "list bundled scenarios")
-
+    leaf("scenario", "list", "list bundled scenarios", _SHARED)
     return parser
 
 
-def parser_group(top, name: str, help_text: str):
-    group = top.add_parser(name, help=help_text)
-    sub = group.add_subparsers(dest="command", required=True)
-    return sub
-
-
-def _op_args(ns: argparse.Namespace) -> tuple[str, dict]:
-    group, command = ns.group, ns.command
+def _op_args(spec, ns: argparse.Namespace, command: str) -> dict:
+    """The operation's arguments given on the command line, files read."""
     args: dict = {}
-
-    def doc(attr, what):
-        return _read_document(getattr(ns, attr), what)
-
-    if group == "stallings":
-        args["subgroup"] = doc("infile", "subgroup")
-        if command in ("member", "conj"):
-            args["word"] = ns.word
-        if command == "hall" and ns.word is not None:
-            args["word"] = ns.word
-        if command == "meet":
-            args["other"] = doc("other", "subgroup")
-        op = f"stallings.{command}"
-    elif group == "cvn":
-        args["graph"] = doc("infile", "graph")
-        if command == "len":
-            args["word"] = ns.word
-        if command in ("minsub", "transverse"):
-            args["subgroup"] = doc("sub", "subgroup")
-        if command == "omega":
-            if ns.epsilon is None:
-                raise ParseError("cvn omega requires --epsilon")
-            args["epsilon"] = ns.epsilon
-            args["max_word"] = ns.max_word
-        if command == "transverse":
-            args["max_word"] = ns.max_word
-            args["radius"] = ns.radius
-        op = f"cvn.{command}"
-    elif group == "soi":
-        args["system"] = doc("infile", "system")
-        if command in ("orbit", "sub-orbit"):
-            args["point"] = ns.point
-            args["budget"] = ns.budget
-        if command in ("sub-orbit", "saturate", "discrete"):
-            args["subgroup"] = doc("sub", "subgroup")
-        if command == "families":
-            args["budget"] = ns.budget
-        if command == "glp":
-            args["max_word"] = ns.max_word
-            args["budget"] = ns.budget
-        if command == "grow":
-            args["start"] = ns.start
-            args["steps"] = ns.steps
-        if command == "cover":
-            args["seed_set"] = ns.seed_set
-            args["target"] = ns.target
-            args["delta"] = ns.delta
-            args["max_word"] = ns.max_word
-        if command == "indecomp":
-            args["piece"] = ns.piece
-            args["target"] = ns.target
-            args["chain_max"] = ns.chain_max
-            args["max_word"] = ns.max_word
-        if command == "saturate":
-            args["piece"] = ns.piece
-            args["max_word"] = ns.max_word
-            args["steps"] = ns.steps
-        if command == "discrete":
-            args["samples"] = _samples_arg(ns.samples)
-            args["budget"] = ns.budget
-        op = f"soi.{command.replace('-', '_')}"
-    elif group == "measure":
-        if command == "check":
-            args["system"] = doc("infile", "system")
-            args["measure"] = doc("measure", "measure")
-        else:
-            args["measure"] = doc("measure", "measure")
-            args["other"] = doc("other", "measure")
-            args["c1"] = ns.c1
-            args["c2"] = ns.c2
-        op = f"measure.{command}"
-    elif group == "lam":
-        if command == "carries":
-            args["subgroup"] = doc("infile", "subgroup")
-            if (ns.word is None) == (ns.leaf is None):
-                raise ParseError("lam carries needs exactly one of --word "
-                                 "or --leaf")
-            if ns.word is not None:
-                args["word"] = ns.word
-            else:
-                args["leaf"] = doc("leaf", "leaf")
-        else:
-            args["graph"] = doc("infile", "graph")
-            args["subgroup"] = doc("sub", "subgroup")
-            if ns.epsilon is None:
-                raise ParseError("lam scan requires --epsilon")
-            args["epsilon"] = ns.epsilon
-            args["max_word"] = ns.max_word
-            args["max_translate"] = ns.max_translate
-        op = f"lam.{command}"
-    else:  # pragma: no cover - argparse enforces the group names
-        raise ParseError(f"unknown command group {group!r}")
-    return op, args
-
-
-def _echoed_budgets(args: dict) -> dict:
-    return {k: args[k] for k in _BUDGET_KEYS if k in args}
+    for arg in spec.args:
+        value = getattr(ns, _dest(arg))
+        if arg.either is not None:
+            other = next(a for a in spec.args if a.key == arg.either)
+            if (value is None) == (getattr(ns, _dest(other)) is None):
+                raise ParseError(f"{command} needs exactly one of "
+                                 f"{_flag(arg)} or {_flag(other)}")
+        if value is None:
+            if arg.default is REQUIRED:
+                raise ParseError(f"{command} requires {_flag(arg)}")
+            continue
+        if arg.read == "samples":
+            value = _inline_points(value)
+        elif arg.read is not None:
+            value = _read_document(value, arg.read)
+        args[arg.key] = value
+    return args
 
 
 def main(argv=None) -> int:
@@ -332,7 +159,10 @@ def main(argv=None) -> int:
     try:
         if ns.group == "scenario":
             return _run_scenario_command(ns)
-        op, args = _op_args(ns)
+        command = f"{ns.group} {ns.command}"
+        op = f"{ns.group}.{ns.command.replace('-', '_')}"
+        spec = OPERATIONS[op]
+        args = _op_args(spec, ns, command)
         result, kind = run_op(op, args)
     except GroupTreesError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -341,8 +171,9 @@ def main(argv=None) -> int:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_ERROR
 
-    command = f"{ns.group} {ns.command}"
-    report = wrap(command, result, budgets=_echoed_budgets(args))
+    budgets = {arg.key: args[arg.key] for arg in spec.args
+               if arg.budget and arg.key in args}
+    report = wrap(command, result, budgets=budgets)
     report["status"] = kind
     sys.stdout.write(render(report, ns.as_json))
     return _KIND_EXIT[kind]

@@ -425,6 +425,18 @@ def reduce_letters(letters: Iterable[int]) -> tuple[int, ...]:
     return tuple(out)
 
 
+def conjugator_length(seq) -> int:
+    """How many end pairs of `seq` cancel cyclically: the largest k with
+    seq[i] == -seq[-1 - i] for all i < k, stopping while two or more middle
+    items remain.  seq[k:len(seq) - k] is then cyclically reduced.  Linear,
+    unlike stripping one pair at a time by slicing."""
+    n = len(seq)
+    k = 0
+    while n - 2 * k >= 2 and seq[k] == -seq[n - 1 - k]:
+        k += 1
+    return k
+
+
 @dataclass(frozen=True, slots=True)
 class Word:
     """A reduced word over {±1..±n}; the identity is the empty word.
@@ -482,12 +494,10 @@ class Word:
     def cyclic_reduce(self) -> tuple["Word", "Word"]:
         """Split as (conjugator, core): self = conjugator * core * conjugator⁻¹,
         with the core cyclically reduced (strip matching ends to a fixed point)."""
-        letters = list(self.letters)
-        conj: list[int] = []
-        while len(letters) >= 2 and letters[0] == -letters[-1]:
-            conj.append(letters[0])
-            letters = letters[1:-1]
-        return Word(tuple(conj), self.rank), Word(tuple(letters), self.rank)
+        letters = self.letters
+        k = conjugator_length(letters)
+        return (Word(letters[:k], self.rank),
+                Word(letters[k:len(letters) - k], self.rank))
 
     def sort_key(self) -> tuple:
         return word_sort_key(self.letters)

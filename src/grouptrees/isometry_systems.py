@@ -349,59 +349,6 @@ def balance_report(system: SoISystem, max_len: int, budget: int) -> dict:
     return report
 
 
-# -- suspension ------------------------------------------------------------------
-
-
-class SuspensionComplex:
-    """Band complex of a system: one band per generator, glued along its map."""
-
-    __slots__ = ("system", "bands", "singular_points", "euler_count")
-
-    def __init__(self, system: SoISystem):
-        object.__setattr__(self, "system", system)
-        bands = []
-        for i, g in enumerate(system.generators):
-            bands.append({
-                "index": i,
-                "label": system.labels[i] if system.labels else None,
-                "dom": g.dom, "ran": g.ran,
-                "orient": g.orient, "width": g.dom.length,
-            })
-        object.__setattr__(self, "bands", tuple(bands))
-        object.__setattr__(self, "singular_points", singular_points(system))
-        object.__setattr__(self, "euler_count",
-                           len(system.forest.components) - len(bands))
-
-    def __setattr__(self, *_):
-        raise AttributeError("SuspensionComplex is immutable")
-
-    def leaf_trace(self, x, budget: int):
-        """The leaf through x meets the support exactly in the orbit of x."""
-        return orbit(self.system, x, budget)
-
-    def singular_leaf_census(self, budget: int) -> dict:
-        """Count distinct leaves through singular points (budgeted)."""
-        seen: set[Scalar] = set()
-        closed = truncated = 0
-        leaves = []
-        for p in self.singular_points:
-            if p in seen:
-                continue
-            status, pts = orbit(self.system, p, budget)
-            seen.update(pts)
-            if status == "closed":
-                closed += 1
-            else:
-                truncated += 1
-            leaves.append({"point": p, "status": status, "size": len(pts)})
-        return {"closed_leaves": closed, "truncated_leaves": truncated,
-                "leaves": leaves}
-
-
-def suspension(system: SoISystem) -> SuspensionComplex:
-    return SuspensionComplex(system)
-
-
 # -- the support iteration -------------------------------------------------------
 
 
@@ -612,13 +559,19 @@ def _gen_letter_index(system: SoISystem, graph: StallingsGraph):
 
 
 def subgroup_constrained_orbit(system: SoISystem, graph: StallingsGraph, x,
-                               budget: int):
+                               budget: int, snapshots=None):
     """Orbit of x under subgroup words only, tracked through the subgroup graph.
 
     States are (point, graph vertex); a generator moves the point while its
     label letter moves along the graph.  Returns (status, points) where the
     points are those whose state sits at the graph basepoint — the orbit under
-    the subgroup's elements.
+    the subgroup's elements.  The search stops, truncated, before expanding a
+    layer once more than `budget` states are visited.
+
+    Given a list of `snapshots`, one breadth-first search answers several
+    budgets: the call returns a dict from `budget` and each budget in
+    `snapshots` to the (status, points) a call with that budget alone would
+    return.
     """
     letters = _gen_letter_index(system, graph)
     x = Scalar.of(x)
@@ -627,10 +580,16 @@ def subgroup_constrained_orbit(system: SoISystem, graph: StallingsGraph, x,
     start = (x, graph.base)
     visited = {start}
     frontier = [start]
-    status = "closed"
+    pending = sorted(set(snapshots or ()) | {budget})
+    results = {}
+
+    def at_base():
+        return tuple(sorted({p for p, v in visited if v == graph.base}))
+
     while frontier:
-        if len(visited) > budget:
-            status = "truncated"
+        while pending and len(visited) > pending[0]:
+            results[pending.pop(0)] = ("truncated", at_base())
+        if not pending:
             break
         nxt = []
         for point, vertex in sorted(frontier):
@@ -647,8 +606,10 @@ def subgroup_constrained_orbit(system: SoISystem, graph: StallingsGraph, x,
                         visited.add(state)
                         nxt.append(state)
         frontier = nxt
-    points = tuple(sorted({p for p, v in visited if v == graph.base}))
-    return status, points
+    if pending:
+        closed = ("closed", at_base())
+        results.update((b, closed) for b in pending)
+    return results[budget] if snapshots is None else results
 
 
 def subgroup_saturation(system: SoISystem, graph: StallingsGraph,
@@ -730,10 +691,11 @@ def discreteness_report(system: SoISystem, graph: StallingsGraph, samples,
     any_truncated = False
     min_gap = None
     for x in samples:
-        status, points = "closed", ()
+        runs = subgroup_constrained_orbit(system, graph, x, budgets[-1],
+                                          budgets[:-1])
         for b in budgets:
-            status, points = subgroup_constrained_orbit(system, graph, x, b)
-            growth[b].append(len(points))
+            growth[b].append(len(runs[b][1]))
+        status, points = runs[budgets[-1]]
         rows.append({"sample": Scalar.of(x), "status": status,
                      "orbit_size": len(points)})
         if status != "closed":

@@ -22,7 +22,8 @@ Conventions
 
 from __future__ import annotations
 
-from .core import Scalar, Word, ZERO, enumerate_words, reduce_letters, word_sort_key
+from .core import (Scalar, Word, ZERO, conjugator_length, enumerate_words,
+                   reduce_letters, word_sort_key)
 from .errors import (
     DegenerateSubgroupError,
     InvalidSystemError,
@@ -221,11 +222,10 @@ class MarkedMetricGraph:
 
     def translation_length(self, w: Word) -> Scalar:
         """Exact translation length of w on the universal cover (0 if trivial)."""
-        loop = list(self.word_to_loop(w))
-        while len(loop) >= 2 and loop[0] == -loop[-1]:
-            loop = loop[1:-1]
+        loop = self.word_to_loop(w)
+        k = conjugator_length(loop)
         total = ZERO
-        for d in loop:
+        for d in loop[k:len(loop) - k]:
             total = total + self.dart_length(d)
         return total
 
@@ -234,10 +234,6 @@ class MarkedMetricGraph:
         for _, _, length in self.edges:
             total = total + length
         return total
-
-    def bounded_backtracking_constant(self) -> Scalar:
-        """The volume; it bounds backtracking of broken geodesics in the cover."""
-        return self.volume()
 
     def omega_epsilon(self, epsilon, max_len: int) -> list[Word]:
         """Conjugacy classes up to max_len with translation length strictly below epsilon."""
@@ -401,20 +397,6 @@ class CoverCore:
 def minimal_subtree(graph: MarkedMetricGraph, subgroup: StallingsGraph) -> CoverCore:
     """Exact model of the subgroup's minimal subtree in the universal cover."""
     return CoverCore(graph, subgroup)
-
-
-def edge_in_minimal_subtree(graph: MarkedMetricGraph, subgroup: StallingsGraph,
-                            base_path: Word, dart: int) -> bool:
-    """Does the dart crossed after walking base_path's loop lie in the minimal subtree?
-
-    The walk starts at the basepoint lift, follows the loop representing
-    base_path, then crosses `dart`, which must start at the basepoint's image
-    (MalformedPathError otherwise).
-    """
-    cover = minimal_subtree(graph, subgroup)
-    state = cover.walk(cover.initial_state(), graph.word_to_loop(base_path))
-    _, flag = cover.step(state, dart)
-    return flag
 
 
 # -- overlaps of subtree translates --------------------------------------------

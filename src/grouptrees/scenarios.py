@@ -17,7 +17,9 @@ the whole run exit 1.  Runs are deterministic for a fixed seed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Callable
+from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import documents as docs
 from .core import Scalar, Word, parse_word
@@ -38,56 +40,129 @@ BUDGET = "budget"
 FAILED = "failed"
 
 
-def _require(args: dict, key: str):
-    if key not in args or args[key] is None:
-        raise ParseError(f"missing required argument '{key}'")
-    return args[key]
+# ------------------------------------------------------------ argument specs
+
+#: The default of an argument that has none: the caller must give it.
+REQUIRED = object()
 
 
-def _int_arg(args: dict, key: str, default: int | None = None) -> int:
-    value = args.get(key, default)
-    if value is None:
-        raise ParseError(f"missing required argument '{key}'")
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ParseError(f"argument '{key}' must be an integer")
-    return value
+class Arg(NamedTuple):
+    """One argument of an operation, and the command-line flag that gives it.
+
+    `run_op` fills in `default`, checks presence and `integer`, and hands the
+    operation a dict with exactly the keys of its spec.  A None value counts
+    as absent unless the default is None.  An argument with `either` may be
+    absent only when that other argument is given; on the command line
+    exactly one of the two must be.  `budget` arguments are echoed in the
+    envelope of a command-line report.
+
+    The rest is the command-line surface: `flag` (by default ``--`` and the
+    key with "-" for "_"), `dest`, `help`, `metavar`, and `read`: the kind
+    of JSON document read from the file the flag names, or "samples" for an
+    inline point or JSON list of points.
+    """
+
+    key: str
+    default: object = REQUIRED
+    integer: bool = False
+    budget: bool = False
+    either: str | None = None
+    flag: str | None = None
+    dest: str | None = None
+    help: str | None = None
+    metavar: str | None = None
+    read: str | None = None
+
+
+class Op(NamedTuple):
+    """A registry entry: its body, its subcommand help and its arguments.
+
+    An entry whose help is None is for scenarios only and has no subcommand.
+    """
+
+    fn: Callable[[dict], tuple]
+    help: str | None
+    args: tuple[Arg, ...] = ()
+
+
+def _document_in(kind: str, help: str | None = None) -> Arg:
+    """The `--in FILE` document of a subcommand."""
+    return Arg(kind, flag="--in", dest="infile", metavar="FILE", read=kind,
+               help=help)
+
+
+def _document(key: str, kind: str, flag: str | None = None) -> Arg:
+    return Arg(key, flag=flag, metavar="FILE", read=kind)
+
+
+# Budgets many operations share; every subcommand has their flags
+# (`--max-translate` only the `lam` ones), whether its operation uses them
+# or not.
+POINT_BUDGET = Arg("budget", 500, integer=True, budget=True,
+                   help="orbit/search point budget (default 500)")
+MAX_WORD = Arg("max_word", 8, integer=True, budget=True,
+               help="word-length budget (default 8)")
+RADIUS = Arg("radius", 6, integer=True, budget=True,
+             help="ball radius for tree comparisons (default 6)")
+EPSILON = Arg("epsilon", budget=True,
+              help="exact length threshold, e.g. \"1/2\"")
+MAX_TRANSLATE = Arg("max_translate", 2, integer=True, budget=True,
+                    help="translate word-length budget (default 2)")
+
+_WORD = Arg("word")
+_POINT = Arg("point")
+_SUBGROUP = _document("subgroup", "subgroup", "--sub")
 
 
 def _word_arg(args: dict, key: str, rank: int) -> Word:
-    text = _require(args, key)
+    text = args[key]
     if not isinstance(text, str):
         raise ParseError(f"argument '{key}' must be a word string")
     return parse_word(text, rank)
 
 
-def _scalar_arg(args: dict, key: str, default=None) -> Scalar:
-    value = args.get(key, default)
-    if value is None:
-        raise ParseError(f"missing required argument '{key}'")
-    return docs.scalar_field(value, f"argument '{key}'")
+def _scalar_arg(args: dict, key: str) -> Scalar:
+    return docs.scalar_field(args[key], f"argument '{key}'")
+
+
+def _bind(spec: Op, args: dict) -> dict:
+    """The spec's arguments from `args`, defaults filled in and checked."""
+    bound = {}
+    for arg in spec.args:
+        value = args.get(arg.key, arg.default)
+        if (value is None and arg.either is not None
+                and args.get(arg.either) is None):
+            value = REQUIRED
+        if value is REQUIRED or (value is None and arg.default is not None):
+            raise ParseError(f"missing required argument '{arg.key}'")
+        if arg.integer and (isinstance(value, bool)
+                            or not isinstance(value, int)):
+            raise ParseError(f"argument '{arg.key}' must be an integer")
+        bound[arg.key] = value
+    return bound
 
 
 # ------------------------------------------------------------- stallings ops
 
 def op_stallings_core(args: dict):
-    graph = docs.load_subgroup(_require(args, "subgroup"))
+    graph = docs.load_subgroup(args["subgroup"])
     return {"graph": graph, "subgroup_rank": rank_of(graph)}, PROVEN
 
 
 def op_stallings_member(args: dict):
-    graph = docs.load_subgroup(_require(args, "subgroup"))
+    graph = docs.load_subgroup(args["subgroup"])
     w = _word_arg(args, "word", graph.rank)
     return {"word": w, "member": membership(graph, w)}, PROVEN
 
 
 def op_stallings_index(args: dict):
-    graph = docs.load_subgroup(_require(args, "subgroup"))
+    graph = docs.load_subgroup(args["subgroup"])
     return {"index": index(graph), "vertices": graph.nv}, PROVEN
 
 
 def op_stallings_meet(args: dict):
-    g1 = docs.load_subgroup(_require(args, "subgroup"))
-    g2 = docs.load_subgroup(_require(args, "other"))
+    g1 = docs.load_subgroup(args["subgroup"])
+    g2 = docs.load_subgroup(args["other"])
     if g1.rank != g2.rank:
         raise ParseError("the two subgroups live in free groups of "
                          "different ranks")
@@ -96,7 +171,7 @@ def op_stallings_meet(args: dict):
 
 
 def op_stallings_conj(args: dict):
-    graph = docs.load_subgroup(_require(args, "subgroup"))
+    graph = docs.load_subgroup(args["subgroup"])
     g = _word_arg(args, "word", graph.rank)
     conj = conjugate(graph, g)
     return {"graph": conj, "conjugator": g}, PROVEN
@@ -115,9 +190,9 @@ def _witness_report(witness) -> dict:
 
 
 def op_stallings_hall(args: dict):
-    graph = docs.load_subgroup(_require(args, "subgroup"))
+    graph = docs.load_subgroup(args["subgroup"])
     g = None
-    if args.get("word") is not None:
+    if args["word"] is not None:
         g = _word_arg(args, "word", graph.rank)
     witness = hall_completion(graph, g)
     result = _witness_report(witness)
@@ -126,8 +201,7 @@ def op_stallings_hall(args: dict):
 
 def op_stallings_hall_random_batch(args: dict):
     from .corpus import random_hall_instances
-    count = _int_arg(args, "count", 200)
-    seed = _int_arg(args, "seed", 0)
+    count, seed = args["count"], args["seed"]
     failures = []
     for i, (graph, g, rank) in enumerate(random_hall_instances(seed, count)):
         witness = hall_completion(graph, g)
@@ -144,42 +218,42 @@ def op_stallings_hall_random_batch(args: dict):
 # ------------------------------------------------------------------- cvn ops
 
 def op_cvn_len(args: dict):
-    graph = docs.load_marked_graph(_require(args, "graph"))
+    graph = docs.load_marked_graph(args["graph"])
     w = _word_arg(args, "word", graph.rank)
     return {"word": w, "translation_length": graph.translation_length(w)}, PROVEN
 
 
 def op_cvn_vol(args: dict):
-    graph = docs.load_marked_graph(_require(args, "graph"))
-    return {"volume": graph.volume(),
-            "bounded_backtracking": graph.bounded_backtracking_constant()}, PROVEN
+    graph = docs.load_marked_graph(args["graph"])
+    volume = graph.volume()
+    # the volume bounds backtracking of broken geodesics in the cover
+    return {"volume": volume, "bounded_backtracking": volume}, PROVEN
 
 
 def op_cvn_minsub(args: dict):
-    graph = docs.load_marked_graph(_require(args, "graph"))
-    subgroup = docs.load_subgroup(_require(args, "subgroup"))
+    graph = docs.load_marked_graph(args["graph"])
+    subgroup = docs.load_subgroup(args["subgroup"])
     if subgroup.rank != graph.rank:
         raise ParseError("subgroup rank does not match the graph's rank")
     return minimal_subtree(graph, subgroup).core_summary(), PROVEN
 
 
 def op_cvn_omega(args: dict):
-    graph = docs.load_marked_graph(_require(args, "graph"))
+    graph = docs.load_marked_graph(args["graph"])
     epsilon = _scalar_arg(args, "epsilon")
-    max_word = _int_arg(args, "max_word", 8)
+    max_word = args["max_word"]
     classes = graph.omega_epsilon(epsilon, max_word)
     return {"epsilon": epsilon, "max_word": max_word,
             "classes": [str(w) for w in classes]}, PROVEN
 
 
 def op_cvn_transverse(args: dict):
-    graph = docs.load_marked_graph(_require(args, "graph"))
-    subgroup = docs.load_subgroup(_require(args, "subgroup"))
+    graph = docs.load_marked_graph(args["graph"])
+    subgroup = docs.load_subgroup(args["subgroup"])
     if subgroup.rank != graph.rank:
         raise ParseError("subgroup rank does not match the graph's rank")
-    max_word = _int_arg(args, "max_word", 8)
-    radius = _int_arg(args, "radius", 6)
-    rep = transverse_family_report(graph, subgroup, max_word, radius)
+    rep = transverse_family_report(graph, subgroup, args["max_word"],
+                                   args["radius"])
     kind = BUDGET if rep["verdict"] == "transverse-up-to-budget" else PROVEN
     return rep, kind
 
@@ -187,9 +261,9 @@ def op_cvn_transverse(args: dict):
 # ------------------------------------------------------------------- soi ops
 
 def op_soi_orbit(args: dict):
-    system = docs.load_system(_require(args, "system"))
+    system = docs.load_system(args["system"])
     x = _scalar_arg(args, "point")
-    budget = _int_arg(args, "budget", 500)
+    budget = args["budget"]
     status, points = orbit(system, x, budget)
     return {"status": status, "point": x, "count": len(points),
             "points": points, "budget": budget}, \
@@ -197,26 +271,23 @@ def op_soi_orbit(args: dict):
 
 
 def op_soi_families(args: dict):
-    system = docs.load_system(_require(args, "system"))
-    budget = _int_arg(args, "budget", 500)
-    rep = finite_orbit_families(system, budget)
+    system = docs.load_system(args["system"])
+    rep = finite_orbit_families(system, args["budget"])
     return rep, (PROVEN if rep["status"] == "complete" else BUDGET)
 
 
 def op_soi_glp(args: dict):
-    system = docs.load_system(_require(args, "system"))
-    max_word = _int_arg(args, "max_word", 8)
-    budget = _int_arg(args, "budget", 500)
-    rep = balance_report(system, max_word, budget)
+    system = docs.load_system(args["system"])
+    rep = balance_report(system, args["max_word"], args["budget"])
     kind = PROVEN if rep["verdict"] in ("identity-verified",
                                         "dependent-certified") else BUDGET
     return rep, kind
 
 
 def op_soi_grow(args: dict):
-    system = docs.load_system(_require(args, "system"))
-    start = docs.load_multi(_require(args, "start"), "start")
-    steps = _int_arg(args, "steps", 8)
+    system = docs.load_system(args["system"])
+    start = docs.load_multi(args["start"], "start")
+    steps = args["steps"]
     stages = grow_forest(system, start, steps)
     non_increasing = all(
         stages[i + 1]["residual"] <= stages[i]["residual"]
@@ -231,30 +302,28 @@ def op_soi_grow(args: dict):
 
 
 def op_soi_cover(args: dict):
-    system = docs.load_system(_require(args, "system"))
-    f_eps = docs.load_multi(_require(args, "seed_set"), "seed_set")
-    target = docs.load_interval(_require(args, "target"), "target")
+    system = docs.load_system(args["system"])
+    f_eps = docs.load_multi(args["seed_set"], "seed_set")
+    target = docs.load_interval(args["target"], "target")
     delta = _scalar_arg(args, "delta")
-    max_word = _int_arg(args, "max_word", 8)
-    rep = ae_support_check(system, f_eps, target, delta, max_word)
+    rep = ae_support_check(system, f_eps, target, delta, args["max_word"])
     return rep, (PROVEN if rep["status"] == "covered" else BUDGET)
 
 
 def op_soi_indecomp(args: dict):
-    system = docs.load_system(_require(args, "system"))
-    piece = docs.load_interval(_require(args, "piece"), "piece")
-    target = docs.load_interval(_require(args, "target"), "target")
-    r_max = _int_arg(args, "chain_max", 8)
-    max_word = _int_arg(args, "max_word", 8)
-    rep = indecomposability_search(system, piece, target, r_max, max_word)
+    system = docs.load_system(args["system"])
+    piece = docs.load_interval(args["piece"], "piece")
+    target = docs.load_interval(args["target"], "target")
+    rep = indecomposability_search(system, piece, target, args["chain_max"],
+                                   args["max_word"])
     return rep, (PROVEN if rep["status"] == "chain-found" else BUDGET)
 
 
 def op_soi_sub_orbit(args: dict):
-    system = docs.load_system(_require(args, "system"))
-    subgroup = docs.load_subgroup(_require(args, "subgroup"))
+    system = docs.load_system(args["system"])
+    subgroup = docs.load_subgroup(args["subgroup"])
     x = _scalar_arg(args, "point")
-    budget = _int_arg(args, "budget", 500)
+    budget = args["budget"]
     status, points = subgroup_constrained_orbit(system, subgroup, x, budget)
     return {"status": status, "point": x, "count": len(points),
             "points": points, "budget": budget}, \
@@ -262,22 +331,22 @@ def op_soi_sub_orbit(args: dict):
 
 
 def op_soi_saturate(args: dict):
-    system = docs.load_system(_require(args, "system"))
-    subgroup = docs.load_subgroup(_require(args, "subgroup"))
-    piece = docs.load_interval(_require(args, "piece"), "piece")
-    max_word = _int_arg(args, "max_word", 8)
-    steps = _int_arg(args, "steps", 10)
-    rep = subgroup_saturation(system, subgroup, piece, max_word, steps)
+    system = docs.load_system(args["system"])
+    subgroup = docs.load_subgroup(args["subgroup"])
+    piece = docs.load_interval(args["piece"], "piece")
+    rep = subgroup_saturation(system, subgroup, piece, args["max_word"],
+                              args["steps"])
     return rep, (PROVEN if rep["saturated"] else BUDGET)
 
 
 def op_soi_discrete(args: dict):
-    system = docs.load_system(_require(args, "system"))
-    subgroup = docs.load_subgroup(_require(args, "subgroup"))
-    samples = [docs.scalar_field(s, "sample point")
-               for s in _require(args, "samples")]
-    budget = _int_arg(args, "budget", 500)
-    rep = discreteness_report(system, subgroup, samples, budget)
+    system = docs.load_system(args["system"])
+    subgroup = docs.load_subgroup(args["subgroup"])
+    samples = args["samples"]
+    if isinstance(samples, (str, int)):
+        samples = [samples]
+    samples = [docs.scalar_field(s, "sample point") for s in samples]
+    rep = discreteness_report(system, subgroup, samples, args["budget"])
     all_closed = all(row["status"] == "closed" for row in rep["samples"])
     return rep, (PROVEN if all_closed else BUDGET)
 
@@ -285,83 +354,155 @@ def op_soi_discrete(args: dict):
 # --------------------------------------------------------------- measure ops
 
 def op_measure_check(args: dict):
-    system = docs.load_system(_require(args, "system"))
-    mu = docs.load_measure(_require(args, "measure"))
+    system = docs.load_system(args["system"])
+    mu = docs.load_measure(args["measure"])
     rep = invariance_check(system, mu)
     rep["total"] = mu.total
     return rep, PROVEN
 
 
 def op_measure_combine(args: dict):
-    mu1 = docs.load_measure(_require(args, "measure"))
-    mu2 = docs.load_measure(_require(args, "other"))
-    c1 = _scalar_arg(args, "c1", "1")
-    c2 = _scalar_arg(args, "c2", "1")
-    out = combine(c1, mu1, c2, mu2)
+    mu1 = docs.load_measure(args["measure"])
+    mu2 = docs.load_measure(args["other"])
+    out = combine(_scalar_arg(args, "c1"), mu1, _scalar_arg(args, "c2"), mu2)
     return {"measure": docs.dump_measure(out), "total": out.total}, PROVEN
 
 
 # ------------------------------------------------------------------- lam ops
 
 def op_lam_carries(args: dict):
-    subgroup = docs.load_subgroup(_require(args, "subgroup"))
-    if args.get("leaf") is not None:
+    subgroup = docs.load_subgroup(args["subgroup"])
+    if args["leaf"] is not None:
         leaf = docs.load_leaf(args["leaf"], subgroup.rank)
     else:
-        g = _word_arg(args, "word", subgroup.rank)
-        leaf = periodic_leaf(g)
+        leaf = periodic_leaf(_word_arg(args, "word", subgroup.rank))
     return {"leaf": str(leaf), "carries": carries(subgroup, leaf),
             "subgroup_index": index(subgroup)}, PROVEN
 
 
 def op_lam_scan(args: dict):
-    graph = docs.load_marked_graph(_require(args, "graph"))
-    subgroup = docs.load_subgroup(_require(args, "subgroup"))
+    graph = docs.load_marked_graph(args["graph"])
+    subgroup = docs.load_subgroup(args["subgroup"])
     if subgroup.rank != graph.rank:
         raise ParseError("subgroup rank does not match the graph's rank")
     epsilon = _scalar_arg(args, "epsilon")
-    max_word = _int_arg(args, "max_word", 4)
-    max_translate = _int_arg(args, "max_translate", 2)
-    rep = carrier_scan(graph, subgroup, epsilon, max_word, max_translate)
+    rep = carrier_scan(graph, subgroup, epsilon, args["max_word"],
+                       args["max_translate"])
     kind = PROVEN if rep["status"] == "carried-leaves-found" else BUDGET
     return rep, kind
 
 
+# The arguments of each entry are listed with the budgets in the order a
+# command-line report echoes them.
 OPERATIONS = {
-    "stallings.core": op_stallings_core,
-    "stallings.member": op_stallings_member,
-    "stallings.index": op_stallings_index,
-    "stallings.meet": op_stallings_meet,
-    "stallings.conj": op_stallings_conj,
-    "stallings.hall": op_stallings_hall,
-    "stallings.hall_random_batch": op_stallings_hall_random_batch,
-    "cvn.len": op_cvn_len,
-    "cvn.vol": op_cvn_vol,
-    "cvn.minsub": op_cvn_minsub,
-    "cvn.omega": op_cvn_omega,
-    "cvn.transverse": op_cvn_transverse,
-    "soi.orbit": op_soi_orbit,
-    "soi.families": op_soi_families,
-    "soi.glp": op_soi_glp,
-    "soi.grow": op_soi_grow,
-    "soi.cover": op_soi_cover,
-    "soi.indecomp": op_soi_indecomp,
-    "soi.sub_orbit": op_soi_sub_orbit,
-    "soi.saturate": op_soi_saturate,
-    "soi.discrete": op_soi_discrete,
-    "measure.check": op_measure_check,
-    "measure.combine": op_measure_combine,
-    "lam.carries": op_lam_carries,
-    "lam.scan": op_lam_scan,
+    "stallings.core": Op(op_stallings_core,
+                         "fold a generating set into its core graph",
+                         (_document_in("subgroup"),)),
+    "stallings.member": Op(op_stallings_member,
+                           "test whether a word lies in the subgroup",
+                           (_document_in("subgroup"), _WORD)),
+    "stallings.index": Op(op_stallings_index,
+                          "index of the subgroup (null if infinite)",
+                          (_document_in("subgroup"),)),
+    "stallings.meet": Op(op_stallings_meet, "intersection of two subgroups",
+                         (_document_in("subgroup"),
+                          _document("other", "subgroup"))),
+    "stallings.conj": Op(op_stallings_conj, "conjugate the subgroup by a word",
+                         (_document_in("subgroup"), _WORD)),
+    "stallings.hall": Op(op_stallings_hall,
+                         "finite-index extension with verified witness",
+                         (_document_in("subgroup"),
+                          Arg("word", None,
+                              help="word to keep outside the extension"))),
+    "stallings.hall_random_batch": Op(op_stallings_hall_random_batch, None,
+                                      (Arg("count", 200, integer=True),
+                                       Arg("seed", 0, integer=True))),
+    "cvn.len": Op(op_cvn_len, "translation length of a word",
+                  (_document_in("graph"), _WORD)),
+    "cvn.vol": Op(op_cvn_vol, "total edge volume", (_document_in("graph"),)),
+    "cvn.minsub": Op(op_cvn_minsub, "minimal subtree data for a subgroup",
+                     (_document_in("graph"), _SUBGROUP)),
+    "cvn.omega": Op(op_cvn_omega, "conjugacy classes shorter than epsilon",
+                    (_document_in("graph"), MAX_WORD, EPSILON)),
+    "cvn.transverse": Op(op_cvn_transverse,
+                         "transverse-family check for translates",
+                         (_document_in("graph"), _SUBGROUP, MAX_WORD, RADIUS)),
+    "soi.orbit": Op(op_soi_orbit, "orbit of a point under the system",
+                    (_document_in("system"), _POINT, POINT_BUDGET)),
+    "soi.families": Op(op_soi_families,
+                       "finite-orbit families and their total length",
+                       (_document_in("system"), POINT_BUDGET)),
+    "soi.glp": Op(op_soi_glp, "balance identity m - d - e = 0 with verdict",
+                  (_document_in("system"), POINT_BUDGET, MAX_WORD)),
+    "soi.grow": Op(op_soi_grow, "support iteration with residual sequence",
+                   (_document_in("system"),
+                    Arg("start", help="starting interval set, "
+                                      "e.g. '[[\"0\",\"1/8\"]]'"),
+                    Arg("steps", 8, integer=True, budget=True))),
+    "soi.cover": Op(op_soi_cover,
+                    "almost-everywhere support cover from a seed set",
+                    (_document_in("system"),
+                     Arg("seed_set",
+                         help="seed interval set, e.g. '[[\"0\",\"1/5\"]]'"),
+                     Arg("target", help="target interval, e.g. '[\"0\",\"1\"]'"),
+                     MAX_WORD,
+                     Arg("delta", budget=True,
+                         help="allowed uncovered length, e.g. \"1/100\""))),
+    "soi.indecomp": Op(op_soi_indecomp,
+                       "chain of overlapping images joining two pieces",
+                       (_document_in("system"),
+                        Arg("piece",
+                            help="source interval, e.g. '[\"0\",\"1/10\"]'"),
+                        Arg("target",
+                            help="target interval, e.g. '[\"1/2\",\"3/5\"]'"),
+                        MAX_WORD,
+                        Arg("chain_max", 8, integer=True, budget=True,
+                            help="longest chain to attempt (default 8)"))),
+    "soi.sub_orbit": Op(op_soi_sub_orbit,
+                        "orbit restricted to subgroup-labelled words",
+                        (_document_in("system"), _SUBGROUP, _POINT,
+                         POINT_BUDGET)),
+    "soi.saturate": Op(op_soi_saturate,
+                       "saturate a piece under subgroup translates",
+                       (_document_in("system"), _SUBGROUP, Arg("piece"),
+                        MAX_WORD, Arg("steps", 10, integer=True, budget=True))),
+    "soi.discrete": Op(op_soi_discrete,
+                       "orbit-spacing heuristic for a subgroup action",
+                       (_document_in("system"), _SUBGROUP,
+                        Arg("samples", "0", read="samples",
+                            help="sample point or JSON list, "
+                                 "e.g. '[\"0\",\"1/2\"]'"),
+                        POINT_BUDGET)),
+    "measure.check": Op(op_measure_check,
+                        "invariance of a measure under a system",
+                        (_document_in("system", "system document"),
+                         _document("measure", "measure"))),
+    "measure.combine": Op(op_measure_combine,
+                          "non-negative combination of two measures",
+                          (_document("measure", "measure"),
+                           _document("other", "measure"),
+                           Arg("c1", "1", help="coefficient for the first "
+                                               "measure (default 1)"),
+                           Arg("c2", "1", help="coefficient for the second "
+                                               "measure (default 1)"))),
+    "lam.carries": Op(op_lam_carries, "does the subgroup graph carry a leaf?",
+                      (_document_in("subgroup", "subgroup document"),
+                       Arg("word", None, either="leaf",
+                           help="build the leaf of this word's axis"),
+                       Arg("leaf", None, metavar="FILE", read="leaf",
+                           help="leaf document with two rays"))),
+    "lam.scan": Op(op_lam_scan,
+                   "scan short leaves for carriers up to translates",
+                   (_document_in("graph", "marked graph document"), _SUBGROUP,
+                    MAX_WORD, EPSILON, MAX_TRANSLATE)),
 }
-
-_SEEDED_OPS = {"stallings.hall_random_batch"}
 
 
 def run_op(op: str, args: dict):
-    if op not in OPERATIONS:
+    spec = OPERATIONS.get(op)
+    if spec is None:
         raise ParseError(f"unknown operation {op!r}")
-    return OPERATIONS[op](args)
+    return spec.fn(_bind(spec, args))
 
 
 # --------------------------------------------------------------- expectation
@@ -448,7 +589,9 @@ def run_scenario(scenario: Scenario, seed_override: int | None = None) -> dict:
     for i, step in enumerate(scenario.steps):
         op = step["op"]
         args = dict(step.get("args", {}))
-        if seed is not None and op in _SEEDED_OPS and "seed" not in args:
+        spec = OPERATIONS.get(op)
+        if (seed is not None and "seed" not in args and spec is not None
+                and any(arg.key == "seed" for arg in spec.args)):
             args["seed"] = seed
         expect = step.get("expect", {})
         row = {"index": i, "op": op}

@@ -22,6 +22,11 @@ degree once per peeled layer.
 search in ``grouptrees.core`` replaced: it builds every reduced word, layer
 by layer, and keeps a word when no rotation of it or of its inverse is
 smaller.
+
+:func:`single_budget_orbit` and :func:`three_run_discreteness_report` are
+the subgroup-constrained orbit and the discreteness report before one
+breadth-first search answered several budgets: the report ran the search
+from scratch at budgets b/4, b/2 and b.
 """
 
 from __future__ import annotations
@@ -588,3 +593,82 @@ def filter_conjugacy_classes(rank: int, max_len: int) -> Iterator[Word]:
                 if (len(ext) < 2 or ext[0] != -ext[-1]) and _conjugacy_representative(ext):
                     yield Word(ext, rank)
         layer = next_layer
+
+
+# -- the discreteness report, one search per budget ------------------------------
+
+
+def single_budget_orbit(system, graph, x, budget: int):
+    from grouptrees.errors import OutOfSupportError
+    from grouptrees.isometry_systems import _gen_letter_index
+
+    letters = _gen_letter_index(system, graph)
+    x = Scalar.of(x)
+    if not system.forest.contains(x):
+        raise OutOfSupportError(f"{x} lies outside the support")
+    start = (x, graph.base)
+    visited = {start}
+    frontier = [start]
+    status = "closed"
+    while frontier:
+        if len(visited) > budget:
+            status = "truncated"
+            break
+        nxt = []
+        for point, vertex in sorted(frontier):
+            for gi, letter in enumerate(letters):
+                for sign in (1, -1):
+                    y = system.apply_letter(sign * (gi + 1), point)
+                    if y is None:
+                        continue
+                    w = graph.step(vertex, sign * letter)
+                    if w is None:
+                        continue
+                    state = (y, w)
+                    if state not in visited:
+                        visited.add(state)
+                        nxt.append(state)
+        frontier = nxt
+    points = tuple(sorted({p for p, v in visited if v == graph.base}))
+    return status, points
+
+
+def three_run_discreteness_report(system, graph, samples, budget: int) -> dict:
+    from grouptrees.isometry_systems import total_measure
+
+    budgets = sorted({max(budget // 4, 1), max(budget // 2, 1), budget})
+    rows = []
+    growth = {b: [] for b in budgets}
+    all_closed = True
+    any_truncated = False
+    min_gap = None
+    for x in samples:
+        status, points = "closed", ()
+        for b in budgets:
+            status, points = single_budget_orbit(system, graph, x, b)
+            growth[b].append(len(points))
+        rows.append({"sample": Scalar.of(x), "status": status,
+                     "orbit_size": len(points)})
+        if status != "closed":
+            all_closed = False
+            any_truncated = True
+        for a, bpt in zip(points, points[1:]):
+            gap = bpt - a
+            if gap.sign() > 0 and (min_gap is None or gap < min_gap):
+                min_gap = gap
+    threshold = total_measure(system) * Scalar.of(Fraction(1, 20))
+    if all_closed:
+        verdict = "suggests-discrete"
+    elif any_truncated and min_gap is not None and min_gap < threshold:
+        verdict = "suggests-dense"
+    else:
+        verdict = "inconclusive"
+    return {
+        "verdict": verdict,
+        "heuristic": True,
+        "min_gap": min_gap,
+        "gap_threshold": threshold,
+        "samples": rows,
+        "growth": [{"budget": b, "orbit_sizes": growth[b]} for b in budgets],
+        "budget": budget,
+    }

@@ -14,7 +14,9 @@ from grouptrees.errors import ParseError
 from grouptrees.intervals import Interval, MultiInterval
 from grouptrees.measures import LengthMeasure, lebesgue
 from grouptrees.report import render_json, render_text, to_jsonable, wrap
-from grouptrees.scenarios import (bundled_scenarios, run_op, run_scenario,
+from grouptrees.scenarios import (EPSILON, MAX_TRANSLATE, MAX_WORD,
+                                  OPERATIONS, POINT_BUDGET, RADIUS,
+                                  bundled_scenarios, run_op, run_scenario,
                                   scenario_from_doc, subset_match)
 
 S = Scalar.of
@@ -192,6 +194,70 @@ class TestOps:
     def test_unknown_op(self):
         with pytest.raises(ParseError, match="unknown operation"):
             run_op("soi.unknown", {})
+
+    def test_missing_and_non_integer_arguments(self):
+        system = docs.dump_system(worked_single_map())
+        with pytest.raises(ParseError,
+                           match="^missing required argument 'point'$"):
+            run_op("soi.orbit", {"system": system})
+        with pytest.raises(ParseError,
+                           match="^missing required argument 'budget'$"):
+            run_op("soi.orbit", {"system": system, "point": "0",
+                                 "budget": None})
+        for budget in ("40", True, 4.0):
+            with pytest.raises(ParseError,
+                               match="^argument 'budget' must be an integer$"):
+                run_op("soi.orbit", {"system": system, "point": "0",
+                                     "budget": budget})
+
+    def test_defaults_filled_from_the_spec(self):
+        result, _ = run_op("soi.orbit", {
+            "system": docs.dump_system(worked_single_map()), "point": "1/8"})
+        assert result["budget"] == 500
+        result, _ = run_op("lam.scan", {
+            "graph": docs.dump_marked_graph(lopsided_rose()),
+            "subgroup": {"rank": 2, "generators": ["baB"]},
+            "epsilon": "1/2"})
+        assert result["max_word"] == 8 and result["max_translate"] == 2
+
+    def test_carries_needs_word_or_leaf(self):
+        with pytest.raises(ParseError,
+                           match="^missing required argument 'word'$"):
+            run_op("lam.carries",
+                   {"subgroup": {"rank": 2, "generators": ["a"]}})
+        result, _ = run_op("lam.carries", {
+            "subgroup": {"rank": 2, "generators": ["a"]},
+            "leaf": {"rays": [{"prefix": "", "period": "a"},
+                              {"prefix": "", "period": "A"}]}})
+        assert result["carries"] is True
+
+    def test_discrete_takes_one_sample_or_a_list(self):
+        args = {"system": docs.dump_system(golden_system()),
+                "subgroup": {"rank": 2, "generators": ["a"]}, "budget": 50}
+        one, _ = run_op("soi.discrete", args)
+        two, _ = run_op("soi.discrete", {**args, "samples": "0"})
+        three, _ = run_op("soi.discrete", {**args, "samples": ["0"]})
+        assert to_jsonable(one) == to_jsonable(two) == to_jsonable(three)
+
+    def test_shared_arguments_have_one_spec(self):
+        # a subcommand's shared flag supplies every argument of that key, so
+        # an operation must use the shared spec, default included
+        shared = {arg.key: arg for arg in (POINT_BUDGET, MAX_WORD, RADIUS,
+                                           EPSILON, MAX_TRANSLATE)}
+        for name, spec in OPERATIONS.items():
+            for arg in spec.args:
+                if spec.help is not None and arg.key in shared:
+                    assert arg is shared[arg.key], (name, arg.key)
+
+    def test_scenario_seed_reaches_seeded_ops_only(self):
+        scenario = scenario_from_doc({
+            "name": "seeded", "seed": 9,
+            "steps": [{"op": "stallings.hall_random_batch",
+                       "args": {"count": 3}, "expect": {"seed": 9}},
+                      {"op": "stallings.index",
+                       "args": {"subgroup": {"rank": 2, "generators": ["a"]}},
+                       "expect": {"index": None}}]})
+        assert run_scenario(scenario)["failed"] == 0
 
     def test_meet_rank_mismatch(self):
         with pytest.raises(ParseError, match="rank"):

@@ -38,10 +38,11 @@ from grouptrees.isometry_systems import (
     singular_points,
     subgroup_constrained_orbit,
     subgroup_saturation,
-    suspension,
     total_measure,
 )
 from grouptrees.stallings import build_core
+
+from _oracles import single_budget_orbit, three_run_discreteness_report
 
 S = Scalar.of
 
@@ -248,31 +249,6 @@ class TestBalanceReport:
         assert rep["independence"]["status"] == "violation"
 
 
-class TestSuspension:
-    def test_band_complex_shape(self):
-        sus = suspension(golden_system())
-        assert len(sus.bands) == 2
-        assert sus.euler_count == -1
-        assert sus.bands[0]["label"] == "a"
-        assert sus.bands[0]["width"] == S(1) - ALPHA
-        assert sus.singular_points == singular_points(golden_system())
-
-    def test_leaf_trace_is_orbit(self):
-        sus = suspension(worked_single_map())
-        assert sus.leaf_trace(S("1/8"), 50) == orbit(worked_single_map(),
-                                                     S("1/8"), 50)
-
-    def test_census_counts_distinct_leaves(self):
-        sus = suspension(worked_single_map())
-        census = sus.singular_leaf_census(100)
-        assert census["closed_leaves"] == 1  # 0,1/4,1/2,3/4,1 share one leaf
-        assert census["truncated_leaves"] == 0
-
-    def test_census_golden_truncates(self):
-        census = suspension(golden_system()).singular_leaf_census(120)
-        assert census["truncated_leaves"] >= 1
-
-
 class TestGrowForest:
     def test_frozen_first_stage(self):
         stages = grow_forest(worked_single_map(),
@@ -407,6 +383,37 @@ class TestSubgroupConstrainedDynamics:
         assert res["support"].measure.sign() > 0
         assert (res["support"].measure - S("1/2")).sign() > 0
         assert res["translates_added"]
+
+
+class TestOneSearchManyBudgets:
+    """One search with snapshots against one search per budget."""
+
+    SUBGROUPS = (("a", "b"), ("a",), ("aa", "b", "abA"), ("ab", "ba"))
+    SAMPLES = ("0", "1/2", "1/3", "3/4")
+    BUDGETS = (-3, 0, 1, 2, 3, 5, 9, 40, 77, 120, 400)
+
+    def test_report_matches_three_runs(self):
+        system = golden_system()
+        for gens in self.SUBGROUPS:
+            graph = build_core([W(g) for g in gens], 2)
+            for budget in self.BUDGETS:
+                samples = [S(x) for x in self.SAMPLES]
+                assert discreteness_report(system, graph, samples, budget) \
+                    == three_run_discreteness_report(system, graph, samples,
+                                                     budget), (gens, budget)
+
+    def test_snapshots_match_single_budget_runs(self):
+        system = golden_system()
+        for gens in self.SUBGROUPS:
+            graph = build_core([W(g) for g in gens], 2)
+            for x in self.SAMPLES:
+                runs = subgroup_constrained_orbit(system, graph, S(x), 120,
+                                                  self.BUDGETS)
+                assert sorted(runs) == sorted(set(self.BUDGETS) | {120})
+                for b, run in runs.items():
+                    assert run == single_budget_orbit(system, graph, S(x), b)
+                assert subgroup_constrained_orbit(system, graph, S(x), 120) \
+                    == runs[120]
 
 
 class TestDiscretenessReport:

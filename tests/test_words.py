@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 
 from grouptrees.core import (
     Word,
+    conjugator_length,
     enumerate_words,
     letter_key,
     parse_word,
@@ -80,6 +81,43 @@ class TestCyclicReduce:
         conj, core = w.cyclic_reduce()
         assert core.is_cyclically_reduced()
         assert conj * core * conj.inverse() == w
+
+
+def strip_by_slicing(seq) -> int:
+    """The slicing loop `conjugator_length` replaced, kept as its oracle."""
+    seq = list(seq)
+    k = 0
+    while len(seq) >= 2 and seq[0] == -seq[-1]:
+        seq = seq[1:-1]
+        k += 1
+    return k
+
+
+# raw letter lists, reduced or not, and conjugates u·c·u⁻¹ of them
+raw_letters = st.lists(st.sampled_from([1, -1, 2, -2, 3, -3]), max_size=12)
+conjugated = st.tuples(raw_letters, raw_letters).map(
+    lambda uc: uc[0] + uc[1] + [-x for x in reversed(uc[0])])
+
+
+class TestConjugatorLength:
+    @given(st.one_of(raw_letters, conjugated))
+    def test_matches_slicing(self, seq):
+        assert conjugator_length(seq) == strip_by_slicing(seq)
+        assert conjugator_length(tuple(seq)) == strip_by_slicing(seq)
+
+    def test_edges(self):
+        assert conjugator_length(()) == 0
+        assert conjugator_length((1,)) == 0
+        assert conjugator_length((1, -1)) == 1      # stops with nothing left
+        assert conjugator_length((1, 2, -1)) == 1   # stops at one letter
+        assert conjugator_length((1, 2, -2, -1)) == 2
+
+    def test_long_conjugator(self):
+        u = [1, 2] * 5000
+        seq = u + [1] + [-x for x in reversed(u)]
+        assert conjugator_length(seq) == len(u)
+        conj, core = Word(tuple(seq), 2).cyclic_reduce()
+        assert conj.letters == tuple(u) and core.letters == (1,)
 
 
 class TestWordIO:
