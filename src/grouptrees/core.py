@@ -5,8 +5,7 @@ Two foundations live here:
 * :class:`Scalar` — exact numbers of the form p + q*sqrt(D) with rational p, q
   and a square-free natural D, with decidable sign and total order.  Every
   length, measure, and translation length in the library is a Scalar; floats
-  never enter any computation (they appear only in cosmetic ``approx`` report
-  fields).
+  never enter any computation or any report.
 
 * :class:`Word` — reduced words over the letters {±1, .., ±n} representing
   elements of a free group of rank n, plus the canonical word enumeration that
@@ -322,11 +321,6 @@ class Scalar:
     def __repr__(self) -> str:
         return f"Scalar({str(self)!r})"
 
-    def to_float(self) -> float:
-        """Approximation for report cosmetics only; never used in decisions."""
-        # int / int is correctly rounded, so this equals float(rat) etc.
-        return self._a / self._den + self._b / self._den * (self._d ** 0.5)
-
 
 _new = object.__new__
 
@@ -393,7 +387,6 @@ def _sign(a: int, b: int, d: int) -> int:
 
 
 ZERO = Scalar(Fraction(0))
-ONE = Scalar(Fraction(1))
 
 
 # --------------------------------------------------------------------------

@@ -11,7 +11,6 @@ balanced (m = d, no finite-orbit families) yet with every orbit infinite.
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 
 from .core import Scalar, Word, parse_word
 from .intervals import Interval, MultiInterval
@@ -121,29 +120,6 @@ def balanced_corpus() -> list[tuple[str, SoISystem, Scalar]]:
     return entries
 
 
-def dependent_corpus() -> list[tuple[str, SoISystem]]:
-    """Systems whose generators provably satisfy a relation (d > m throughout)."""
-    return [
-        ("flip-and-half",
-         _system([(0, 1)], [(0, 1, -1, 1), (0, "1/2", 1, "1/2")])),
-        ("double-flip",
-         _system([(0, 1)], [(0, 1, -1, 1), (0, 1, -1, 1)])),
-        ("rotation-pair-plus-flip",
-         _system([(0, 1)], [(0, "1/2", 1, "1/2"), ("1/2", 1, 1, "-1/2"),
-                            (0, 1, -1, 1)])),
-        ("golden-with-doubled-generator",
-         SoISystem(MultiInterval([_interval(0, 1)]),
-                   [PartialIsometry(Interval(_S(0), _S(1) - ALPHA), 1, ALPHA),
-                    PartialIsometry(Interval(_S(0), ALPHA), 1, _S(1) - ALPHA),
-                    PartialIsometry(Interval(_S(0), _S(1) - ALPHA), 1, ALPHA)])),
-        ("sweep-plus-flip",
-         _system([(0, 1)], [(0, "3/4", 1, "1/4"), (0, 1, -1, 1)])),
-        ("overfull-thirds",
-         _system([(0, 1)], [(0, "2/3", 1, "1/3"), ("1/3", 1, 1, "-1/3"),
-                            (0, "1/2", 1, "1/2")])),
-    ]
-
-
 def grow_corpus() -> list[tuple[str, SoISystem, MultiInterval]]:
     """(name, system, starting multi-interval) pairs for the support iteration."""
     def mi(*pairs):
@@ -197,10 +173,6 @@ def rose_graph(*lengths, marking=None) -> MarkedMetricGraph:
     )
 
 
-def unit_rose(rank: int = 2) -> MarkedMetricGraph:
-    return rose_graph(*([1] * rank))
-
-
 def lopsided_rose() -> MarkedMetricGraph:
     """Rose with lengths 1/10 and 1: the short a-loop dominates small-volume scans."""
     return rose_graph("1/10", 1)
@@ -214,16 +186,6 @@ def theta_graph() -> MarkedMetricGraph:
         tree=frozenset({0}),
         marking={1: parse_word("a", 2), 2: parse_word("b", 2)},
     )
-
-
-def graph_corpus() -> list[tuple[str, MarkedMetricGraph]]:
-    return [
-        ("unit-rose", unit_rose()),
-        ("lopsided-rose", lopsided_rose()),
-        ("theta", theta_graph()),
-        ("stretched-rose", rose_graph(1, 2)),
-        ("unit-rose-3", unit_rose(3)),
-    ]
 
 
 # -- deterministic random sampling ---------------------------------------------------
@@ -242,19 +204,6 @@ def random_words(rng: random.Random, rank: int, count: int, max_len: int) -> lis
             letters.append(l)
         out.append(Word.make(tuple(letters), rank))
     return out
-
-
-def random_subgroups(seed: int, count: int, rank: int = 2,
-                     max_gens: int = 3, max_len: int = 6) -> list[StallingsGraph]:
-    """Deterministic stream of nontrivial core graphs."""
-    rng = random.Random(seed)
-    graphs = []
-    while len(graphs) < count:
-        gens = random_words(rng, rank, rng.randint(1, max_gens), max_len)
-        graph = build_core(gens, rank)
-        if graph.edges:
-            graphs.append(graph)
-    return graphs
 
 
 def random_hall_instances(seed: int, count: int):

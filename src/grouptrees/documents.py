@@ -1,4 +1,5 @@
-"""JSON document schemas for every CLI object, in both directions.
+"""JSON document schemas for every CLI object: loaders for all of them, dumpers
+for systems and marked graphs (reports render the rest via `report.to_jsonable`).
 
 All exact values travel as strings ("1/2", "3/2-1/2*sqrt5"); JSON floats
 are rejected so nothing irrational or rounded sneaks in through the text
@@ -11,7 +12,7 @@ from __future__ import annotations
 
 import json
 
-from .core import Scalar, Word, field_problem, parse_word
+from .core import Scalar, field_problem, parse_word
 from .errors import ParseError
 from .intervals import Interval, MultiInterval
 from .isometry_systems import PartialIsometry, SoISystem
@@ -80,12 +81,6 @@ def load_subgroup(doc: dict) -> StallingsGraph:
         except Exception as exc:
             _fail(f"subgroup generator {g!r}: {exc}")
     return build_core(words, rank)
-
-
-def dump_subgroup(rank: int, generators) -> dict:
-    return {"rank": rank, "generators": [str(Word.make(tuple(w.letters), rank))
-                                         if isinstance(w, Word) else str(w)
-                                         for w in generators]}
 
 
 # ------------------------------------------------------------ marked graphs
@@ -323,12 +318,6 @@ def load_measure(doc: dict) -> LengthMeasure:
         _fail(f"measure: {exc}")
 
 
-def dump_measure(measure: LengthMeasure) -> dict:
-    return {"pieces": [{"from": str(piece.lo), "to": str(piece.hi),
-                        "density": str(density)}
-                       for piece, density in measure.pieces]}
-
-
 # -------------------------------------------------------------- laminations
 
 def load_ray(doc: dict, rank: int) -> BoundaryRay:
@@ -359,11 +348,3 @@ def load_leaf(doc: dict, rank: int) -> RationalLeaf:
         raise
     except Exception as exc:
         _fail(f"leaf: {exc}")
-
-
-def dump_ray(ray: BoundaryRay) -> dict:
-    return {"prefix": str(ray.prefix), "period": str(ray.period)}
-
-
-def dump_leaf(leaf: RationalLeaf) -> dict:
-    return {"rays": [dump_ray(r) for r in leaf.rays]}

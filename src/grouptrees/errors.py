@@ -38,10 +38,6 @@ class PreconditionError(GroupTreesError):
     """An operation's stated precondition was violated by the caller's data."""
 
 
-class BudgetExceededError(GroupTreesError):
-    """Raised only where the contract demands a hard failure instead of a truncated result."""
-
-
 class OutOfSupportError(GroupTreesError):
     """A point or sub-interval lies outside the system's supporting multi-interval."""
 

@@ -1,4 +1,4 @@
-"""Shared machinery for labeled directed graphs: folding, trimming, canonical form.
+"""Labeled directed graphs: wedges of loops, folding, trimming, canonical form.
 
 A graph here is a plain triple (nv, edges, base): vertices are 0..nv-1, edges
 are (src, label, tgt) with labels in 1..rank, and every traversal may read an
@@ -36,6 +36,26 @@ from typing import Iterable
 
 from .core import reduce_letters
 from .errors import NotABasisError
+
+
+def wedge(loops: Iterable[tuple[int, ...]]) -> tuple[int, list[tuple[int, int, int]]]:
+    """The wedge of one petal per nonempty loop of signed labels; returns (nv, edges).
+
+    Vertex 0 is the basepoint.  A petal of length L after nv vertices runs
+    through 0, nv, .., nv+L-2, 0; letter +l is an edge read forward, -l an
+    edge (target, l, source) read backward.  Empty loops add no petal.
+    """
+    edges: list[tuple[int, int, int]] = []
+    nv = 1
+    for letters in loops:
+        last = len(letters) - 1
+        prev = 0
+        for i, l in enumerate(letters):
+            nxt = nv + i if i < last else 0
+            edges.append((prev, l, nxt) if l > 0 else (nxt, -l, prev))
+            prev = nxt
+        nv += max(last, 0)
+    return nv, edges
 
 
 def fold(nv: int, edges: Iterable[tuple[int, int, int]], base: int,

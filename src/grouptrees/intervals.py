@@ -87,10 +87,6 @@ class MultiInterval:
         raise AttributeError("MultiInterval is immutable")
 
     @property
-    def is_empty(self) -> bool:
-        return not self.components
-
-    @property
     def measure(self) -> Scalar:
         total = ZERO
         for iv in self.components:

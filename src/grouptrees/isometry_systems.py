@@ -120,14 +120,6 @@ class SoISystem:
     def apply_letter(self, letter: int, x: Scalar) -> Scalar | None:
         return self.letter_map(letter).apply(x)
 
-    def act(self, letters, x: Scalar) -> Scalar | None:
-        """Apply the word to x, rightmost letter first; None when undefined."""
-        for l in reversed(tuple(letters)):
-            x = self.apply_letter(l, x)
-            if x is None:
-                return None
-        return x
-
     def word_str(self, letters) -> str:
         return str(Word(tuple(letters), max(1, len(self.generators))))
 

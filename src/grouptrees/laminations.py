@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 from .core import Word, enumerate_words
 from .errors import DegenerateSubgroupError, PreconditionError
-from .intervals import Interval  # noqa: F401  (re-exported convenience)
 from .marked_graphs import MarkedMetricGraph
 from .stallings import StallingsGraph, index
 
@@ -78,13 +77,6 @@ class BoundaryRay:
     @property
     def rank(self) -> int:
         return self.period.rank
-
-    def head(self, count: int) -> Word:
-        """The first `count` letters of the infinite word."""
-        letters = list(self.prefix.letters)
-        while len(letters) < count:
-            letters.extend(self.period.letters)
-        return Word(tuple(letters[:count]), self.rank)
 
     def sort_key(self):
         return (self.prefix.sort_key(), self.period.sort_key())

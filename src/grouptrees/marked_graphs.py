@@ -44,7 +44,6 @@ class MarkedMetricGraph:
     __slots__ = (
         "rank", "nv", "edges", "tree", "marking", "base",
         "_non_tree", "_letter_exprs", "_letter_loops", "_darts_at", "_out_eids",
-        "_tree_adj",
     )
 
     def __init__(self, rank, nv, edges, tree, marking, base=0):
@@ -133,11 +132,11 @@ class MarkedMetricGraph:
         # NotABasisError propagates if the marking words do not form a basis.
         self._letter_exprs = invert_basis(words, rank)
 
-        self._tree_adj = {v: [] for v in range(nv)}
+        tree_adj = {v: [] for v in range(nv)}
         for eid in sorted(tree):
             u, v, _ = self.edges[eid]
-            self._tree_adj[u].append((v, eid + 1))
-            self._tree_adj[v].append((u, -(eid + 1)))
+            tree_adj[u].append((v, eid + 1))
+            tree_adj[v].append((u, -(eid + 1)))
 
         self._darts_at = {v: [] for v in range(nv)}
         self._out_eids = {v: [] for v in range(nv)}
@@ -148,11 +147,20 @@ class MarkedMetricGraph:
         for v in range(nv):
             self._darts_at[v].sort(key=lambda d: (abs(d), d < 0))
 
+        # darts of the (unique) tree path from the basepoint to each vertex
+        path_to = {base: ()}
+        stack = [base]
+        while stack:
+            x = stack.pop()
+            for y, dart in tree_adj[x]:
+                if y not in path_to:
+                    path_to[y] = path_to[x] + (dart,)
+                    stack.append(y)
         nt_loops = {}
         for eid in non_tree:
             u, v, _ = self.edges[eid]
             nt_loops[eid] = reduce_letters(
-                self.tree_path(base, u) + (eid + 1,) + self.tree_path(v, base))
+                path_to[u] + (eid + 1,) + _inv_darts(path_to[v]))
 
         def piece(s: int) -> tuple[int, ...]:
             loop = nt_loops[non_tree[abs(s) - 1]]
@@ -186,29 +194,6 @@ class MarkedMetricGraph:
         if w is None:
             return ()
         return w.letters if d > 0 else tuple(-x for x in reversed(w.letters))
-
-    def tree_path(self, u: int, v: int) -> tuple[int, ...]:
-        """Darts of the unique reduced path from u to v inside the spanning tree."""
-        if u == v:
-            return ()
-        prev = {u: None}
-        queue = [u]
-        while queue:
-            nxt = []
-            for x in queue:
-                for y, dart in self._tree_adj[x]:
-                    if y not in prev:
-                        prev[y] = (x, dart)
-                        nxt.append(y)
-            if v in prev:
-                break
-            queue = nxt
-        path = []
-        x = v
-        while prev[x] is not None:
-            x, dart = prev[x]
-            path.append(dart)
-        return tuple(reversed(path))
 
     # -- loops and lengths ----------------------------------------------------
 
@@ -271,17 +256,7 @@ class CoverCore:
         self.graph = graph
         self.subgroup = subgroup
 
-        petals = [graph.word_to_loop(b) for b in basis_of(subgroup)]
-        edges = []
-        nv = 1
-        for darts in petals:
-            chain = [0] + [nv + t for t in range(len(darts) - 1)] + [0]
-            nv += len(darts) - 1
-            for t, d in enumerate(darts):
-                if d > 0:
-                    edges.append((chain[t], d, chain[t + 1]))
-                else:
-                    edges.append((chain[t + 1], -d, chain[t]))
+        nv, edges = folding.wedge(graph.word_to_loop(b) for b in basis_of(subgroup))
         p_nv, p_edges, p_base, _, _ = folding.fold(nv, edges, 0)
         self.p_nv = p_nv
         self.p_edges = tuple(p_edges)
@@ -441,6 +416,12 @@ def _edge_report(graph: MarkedMetricGraph, u, v, eid) -> dict:
 
 def _translate_intersection_prepared(cover: CoverCore, g: Word, radius: int,
                                      base_ball: dict) -> dict:
+    """Compare the minimal subtree with its g-translate within `radius` of the basepoint.
+
+    `base_ball` is the radius ball grown from the basepoint.  Outcomes
+    "whole-tree-coincidence" and "nondegenerate-intersection" are exact
+    certificates; the "-within-radius" outcomes only describe the ball.
+    """
     graph = cover.graph
     subgroup = cover.subgroup
     report = {"translate": str(g), "radius": radius}
@@ -507,19 +488,6 @@ def _translate_intersection_prepared(cover: CoverCore, g: Word, radius: int,
     else:
         report["outcome"] = "disjoint-within-radius"
     return report
-
-
-def translate_intersection(graph: MarkedMetricGraph, subgroup: StallingsGraph,
-                           g: Word, radius: int) -> dict:
-    """Compare the subgroup's minimal subtree with its g-translate near the basepoint.
-
-    Outcomes: "whole-tree-coincidence" and "nondegenerate-intersection" are
-    exact certificates; the "-within-radius" outcomes only describe the ball
-    that was examined.
-    """
-    cover = minimal_subtree(graph, subgroup)
-    base_ball = _grow_ball(cover, (), cover.initial_state(), radius)
-    return _translate_intersection_prepared(cover, g, radius, base_ball)
 
 
 def transverse_family_report(graph: MarkedMetricGraph, subgroup: StallingsGraph,

@@ -87,25 +87,6 @@ class LengthMeasure:
         return f"LengthMeasure({inner})"
 
 
-def lebesgue(support: MultiInterval) -> LengthMeasure:
-    """Density 1 on every component."""
-    if not isinstance(support, MultiInterval):
-        support = MultiInterval(support)
-    return LengthMeasure([(iv, Scalar.of(1)) for iv in support.components])
-
-
-def measure_of(mu: LengthMeasure, interval: Interval) -> Scalar:
-    """Exact measure of a sub-interval of the support."""
-    if not mu.support.contains_interval(interval):
-        raise OutOfSupportError(f"{interval} escapes the measure's support")
-    out = ZERO
-    for piece, density in mu.pieces:
-        overlap = piece.intersect(interval)
-        if overlap is not None:
-            out = out + overlap.length * density
-    return out
-
-
 def invariance_check(system, mu: LengthMeasure) -> dict:
     """Verify each generator transports the density exactly.
 

@@ -365,7 +365,7 @@ def op_measure_combine(args: dict):
     mu1 = docs.load_measure(args["measure"])
     mu2 = docs.load_measure(args["other"])
     out = combine(_scalar_arg(args, "c1"), mu1, _scalar_arg(args, "c2"), mu2)
-    return {"measure": docs.dump_measure(out), "total": out.total}, PROVEN
+    return {"measure": out, "total": out.total}, PROVEN
 
 
 # ------------------------------------------------------------------- lam ops

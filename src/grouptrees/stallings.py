@@ -100,21 +100,8 @@ class StallingsGraph:
 
 def build_core(generators, rank: int) -> StallingsGraph:
     """Fold the wedge of generator loops into the core graph of <generators>."""
-    edges: list[tuple[int, int, int]] = []
-    nv = 1
-    for gen in generators:
-        letters = gen.letters if isinstance(gen, Word) else reduce_letters(gen)
-        if not letters:
-            continue
-        prev = 0
-        for i, l in enumerate(letters):
-            nxt = 0 if i == len(letters) - 1 else nv + i
-            if l > 0:
-                edges.append((prev, l, nxt))
-            else:
-                edges.append((nxt, -l, prev))
-            prev = nxt
-        nv += max(0, len(letters) - 1)
+    nv, edges = folding.wedge(gen.letters if isinstance(gen, Word) else reduce_letters(gen)
+                              for gen in generators)
     return StallingsGraph._from_raw(nv, edges, 0, rank)
 
 
@@ -164,43 +151,49 @@ def fiber_product(g1: StallingsGraph, g2: StallingsGraph) -> StallingsGraph:
     return StallingsGraph._from_raw(len(ids), sorted(set(edges)), 0, g1.rank)
 
 
-def spanning_tree_paths(graph: StallingsGraph) -> tuple[dict[int, tuple[int, ...]], list]:
-    """BFS spanning tree from the basepoint.
+def spanning_tree_paths(graph: StallingsGraph, inside=frozenset()) -> tuple[dict, list]:
+    """BFS spanning tree from the basepoint, grown through `inside` edges first.
 
-    Returns (path_to, non_tree_edges): path_to[v] is the letter sequence of the
-    tree path basepoint -> v; non_tree_edges lists the (u, label, v) edges
-    outside the tree in canonical (sorted) order.
+    A first pass reaches what it can through edges of `inside` only; a
+    second continues from those vertices, in the order reached, through all
+    edges.  The tree restricted to a connected `inside` subgraph at the
+    basepoint is then a spanning tree of that subgraph.  Returns (path_to,
+    non_tree_edges): path_to[v] is the letter sequence of the tree path
+    basepoint -> v; non_tree_edges lists the (u, label, v) edges outside the
+    tree in canonical (sorted) order.
     """
     path_to = {graph.base: ()}
-    tree_edges: set[tuple[int, int, int]] = set()
-    queue = deque([graph.base])
-    while queue:
-        v = queue.popleft()
-        for letter in graph.darts_at(v):
-            w = graph.step(v, letter)
-            if w not in path_to:
+    tree: set[tuple[int, int, int]] = set()
+    order = [graph.base]
+    for only_inside in (True, False) if inside else (False,):
+        queue = deque(order)
+        while queue:
+            v = queue.popleft()
+            for letter in graph.darts_at(v):
+                w = graph.step(v, letter)
+                if w in path_to:
+                    continue
+                edge = (v, letter, w) if letter > 0 else (w, -letter, v)
+                if only_inside and edge not in inside:
+                    continue
                 path_to[w] = path_to[v] + (letter,)
-                tree_edges.add((v, letter, w) if letter > 0 else (w, -letter, v))
+                tree.add(edge)
+                order.append(w)
                 queue.append(w)
-    non_tree = [e for e in graph.edges if e not in tree_edges]
+    non_tree = [e for e in graph.edges if e not in tree]
     return path_to, non_tree
+
+
+def _loop_word(path_to: dict, edge: tuple[int, int, int], rank: int) -> Word:
+    """The basepoint loop that crosses `edge` and otherwise follows tree paths."""
+    u, l, v = edge
+    return Word.make(path_to[u] + (l,) + tuple(-x for x in reversed(path_to[v])), rank)
 
 
 def basis_of(graph: StallingsGraph) -> list[Word]:
     """Free basis of the subgroup, one word per non-tree edge (deterministic)."""
     path_to, non_tree = spanning_tree_paths(graph)
-    basis = []
-    for u, l, v in non_tree:
-        letters = path_to[u] + (l,) + tuple(-x for x in reversed(path_to[v]))
-        basis.append(Word.make(letters, graph.rank))
-    return basis
-
-
-def is_basis(words, rank: int) -> bool:
-    """True iff `words` is a free basis of the whole rank-n free group."""
-    if len(words) != rank:
-        return False
-    return index(build_core(words, rank)) == 1
+    return [_loop_word(path_to, e, graph.rank) for e in non_tree]
 
 
 def conjugate(graph: StallingsGraph, g: Word) -> StallingsGraph:
@@ -309,7 +302,7 @@ def hall_completion(graph: StallingsGraph, g: Word | None = None) -> HallWitness
                 extra_edges.append(edge)
             v = nxt
         if v == graph.base:
-            raise AssertionError("g traced back to the basepoint despite g not in H")
+            raise RuntimeError("g traced back to the basepoint despite g not in H")
 
     for l in range(1, n + 1):
         missing_out = sorted(v for v in range(nv) if l not in out[v])
@@ -326,43 +319,13 @@ def hall_completion(graph: StallingsGraph, g: Word | None = None) -> HallWitness
     original = {(perm[u], l, perm[v]) for u, l, v in graph.edges}
     embedding = {v: perm[v] for v in range(graph.nv)}
 
-    # two-phase BFS spanning tree: phase 1 inside the image of H's core graph,
-    # so the tree restricted to it is a spanning tree of that image and the
-    # non-tree edges split cleanly into an H-basis and a complement basis.
-    path_to: dict[int, tuple[int, ...]] = {cover.base: ()}
-    tree: set[tuple[int, int, int]] = set()
-    order: list[int] = [cover.base]
-    queue = deque([cover.base])
-    while queue:
-        v = queue.popleft()
-        for letter in cover.darts_at(v):
-            edge = (v, letter, cover.step(v, letter)) if letter > 0 else (
-                cover.step(v, letter), -letter, v)
-            if edge not in original:
-                continue
-            w = cover.step(v, letter)
-            if w not in path_to:
-                path_to[w] = path_to[v] + (letter,)
-                tree.add(edge)
-                order.append(w)
-                queue.append(w)
-    queue = deque(order)
-    while queue:
-        v = queue.popleft()
-        for letter in cover.darts_at(v):
-            w = cover.step(v, letter)
-            if w not in path_to:
-                path_to[w] = path_to[v] + (letter,)
-                tree.add((v, letter, w) if letter > 0 else (w, -letter, v))
-                queue.append(w)
-
+    # the tree grows inside the image of H's core graph first, so the
+    # non-tree edges split cleanly into an H-basis and a complement basis
+    path_to, non_tree = spanning_tree_paths(cover, original)
     h_basis: list[Word] = []
     complement: list[Word] = []
-    for u, l, v in cover.edges:
-        if (u, l, v) in tree:
-            continue
-        word = Word.make(path_to[u] + (l,) + tuple(-x for x in reversed(path_to[v])), n)
-        (h_basis if (u, l, v) in original else complement).append(word)
+    for edge in non_tree:
+        (h_basis if edge in original else complement).append(_loop_word(path_to, edge, n))
 
     return HallWitness(
         subgroup=graph,

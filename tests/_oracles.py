@@ -27,11 +27,16 @@ smaller.
 the subgroup-constrained orbit and the discreteness report before one
 breadth-first search answered several budgets: the report ran the search
 from scratch at budgets b/4, b/2 and b.
+
+:func:`two_phase_hall_bases` is the private two-phase spanning-tree search
+``grouptrees.stallings.hall_completion`` ran before it shared
+``spanning_tree_paths`` with ``basis_of``.
 """
 
 from __future__ import annotations
 
 import re
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator
@@ -242,9 +247,6 @@ class FractionScalar:
             return tail
         sep = "+" if not tail.startswith("-") else ""
         return f"{self.rat}{sep}{tail}"
-
-    def to_float(self) -> float:
-        return float(self.rat) + float(self.irr) * (self.d ** 0.5)
 
 
 # -- translation lengths and conjugacy classes ------------------------------------
@@ -672,3 +674,52 @@ def three_run_discreteness_report(system, graph, samples, budget: int) -> dict:
         "growth": [{"budget": b, "orbit_sizes": growth[b]} for b in budgets],
         "budget": budget,
     }
+
+
+# -- the two-phase spanning tree of the Hall completion ------------------------
+
+
+def two_phase_hall_bases(witness) -> tuple[tuple[Word, ...], tuple[Word, ...]]:
+    """(h_basis, complement_basis) of a Hall witness, recomputed from its cover."""
+    cover, graph, perm = witness.cover, witness.subgroup, witness.embedding
+    n = cover.rank
+    original = {(perm[u], l, perm[v]) for u, l, v in graph.edges}
+
+    # two-phase BFS spanning tree: phase 1 inside the image of H's core graph,
+    # so the tree restricted to it is a spanning tree of that image and the
+    # non-tree edges split cleanly into an H-basis and a complement basis.
+    path_to: dict[int, tuple[int, ...]] = {cover.base: ()}
+    tree: set[tuple[int, int, int]] = set()
+    order: list[int] = [cover.base]
+    queue = deque([cover.base])
+    while queue:
+        v = queue.popleft()
+        for letter in cover.darts_at(v):
+            edge = (v, letter, cover.step(v, letter)) if letter > 0 else (
+                cover.step(v, letter), -letter, v)
+            if edge not in original:
+                continue
+            w = cover.step(v, letter)
+            if w not in path_to:
+                path_to[w] = path_to[v] + (letter,)
+                tree.add(edge)
+                order.append(w)
+                queue.append(w)
+    queue = deque(order)
+    while queue:
+        v = queue.popleft()
+        for letter in cover.darts_at(v):
+            w = cover.step(v, letter)
+            if w not in path_to:
+                path_to[w] = path_to[v] + (letter,)
+                tree.add((v, letter, w) if letter > 0 else (w, -letter, v))
+                queue.append(w)
+
+    h_basis: list[Word] = []
+    complement: list[Word] = []
+    for u, l, v in cover.edges:
+        if (u, l, v) in tree:
+            continue
+        word = Word.make(path_to[u] + (l,) + tuple(-x for x in reversed(path_to[v])), n)
+        (h_basis if (u, l, v) in original else complement).append(word)
+    return tuple(h_basis), tuple(complement)

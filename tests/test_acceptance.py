@@ -11,14 +11,13 @@ from __future__ import annotations
 import random
 import time
 
+from _fixtures import dependent_corpus, graph_corpus, random_subgroups, unit_rose
 from _oracles import brute_omega, class_rep, net_translation_length
 from grouptrees.core import Scalar, Word, parse_word
-from grouptrees.corpus import (balanced_corpus, dependent_corpus,
-                               golden_grow_seed, golden_system, graph_corpus,
+from grouptrees.corpus import (balanced_corpus, golden_grow_seed, golden_system,
                                grow_corpus, index_two_cover_graph,
                                lopsided_rose, random_hall_instances,
-                               random_subgroups, random_words, rotation_pair,
-                               theta_graph, unit_rose, worked_single_map)
+                               random_words, rotation_pair, theta_graph)
 from grouptrees.intervals import Interval, MultiInterval
 from grouptrees.isometry_systems import (PartialIsometry, SoISystem,
                                          balance_report, domain_sum,
@@ -28,7 +27,6 @@ from grouptrees.isometry_systems import (PartialIsometry, SoISystem,
                                          total_measure)
 from grouptrees.laminations import carrier_scan
 from grouptrees.marked_graphs import minimal_subtree
-from grouptrees.measures import lebesgue
 from grouptrees.report import to_jsonable
 from grouptrees.stallings import (build_core, fiber_product, hall_completion,
                                   index, membership)

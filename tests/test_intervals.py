@@ -83,7 +83,7 @@ class TestMultiInterval:
         assert mi((0, "3/4"), ("1/4", 1)).measure == S(1)
         assert mi((0, 1), (2, 3)).measure == S(2)
         assert MultiInterval().measure == S(0)
-        assert MultiInterval().is_empty
+        assert not MultiInterval().components
 
     def test_contains_multi(self):
         big = mi((0, 1), (2, 3))
@@ -93,7 +93,7 @@ class TestMultiInterval:
     def test_intersect(self):
         assert mi((0, 1), (2, 3)).intersect(mi(("1/2", "5/2"))) == \
             mi(("1/2", 1), (2, "5/2"))
-        assert mi((0, 1)).intersect(iv(2, 3)).is_empty
+        assert not mi((0, 1)).intersect(iv(2, 3)).components
 
     def test_union_coerces_interval(self):
         assert mi((0, 1)).union(iv(1, 2)) == mi((0, 2))

@@ -9,7 +9,6 @@ from grouptrees.core import Scalar, parse_word
 from grouptrees.corpus import (
     ALPHA,
     balanced_corpus,
-    dependent_corpus,
     golden_grow_seed,
     golden_system,
     grow_corpus,
@@ -42,6 +41,7 @@ from grouptrees.isometry_systems import (
 )
 from grouptrees.stallings import build_core
 
+from _fixtures import dependent_corpus
 from _oracles import single_budget_orbit, three_run_discreteness_report
 
 S = Scalar.of

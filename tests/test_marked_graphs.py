@@ -16,9 +16,10 @@ from grouptrees.errors import (
 )
 from grouptrees.marked_graphs import (
     MarkedMetricGraph,
+    _grow_ball,
+    _translate_intersection_prepared,
     minimal_subtree,
     transverse_family_report,
-    translate_intersection,
 )
 from grouptrees.stallings import build_core, index
 
@@ -38,6 +39,13 @@ def rose(*lengths, marking=("a", "b")):
     return MarkedMetricGraph(
         rank, 1, [(0, 0, l) for l in lengths], (),
         {i: parse_word(m, rank) for i, m in enumerate(marking)})
+
+
+def translate_intersection(graph, subgroup, g, radius):
+    """Compare the minimal subtree with its g-translate in the radius ball."""
+    cover = minimal_subtree(graph, subgroup)
+    base_ball = _grow_ball(cover, (), cover.initial_state(), radius)
+    return _translate_intersection_prepared(cover, g, radius, base_ball)
 
 
 def theta():
@@ -93,6 +101,17 @@ class TestInvertBasis:
             invert_basis([W("ab"), W("ba")], 2)
         with pytest.raises(NotABasisError):
             invert_basis([W("ab"), W("aB")], 2)
+
+    def test_failed_self_check_is_an_error(self, monkeypatch):
+        real_fold = folding.fold
+
+        def misdecorated(nv, edges, base, decorations=None):
+            out = real_fold(nv, edges, base, decorations)
+            return out[:4] + (out[4][::-1],)
+
+        monkeypatch.setattr(folding, "fold", misdecorated)
+        with pytest.raises(RuntimeError, match="self-check failed"):
+            invert_basis([W("a"), W("b")], 2)
 
     @given(st.lists(st.tuples(st.sampled_from(["swap", "invert", "multiply"]),
                               st.integers(0, 1)), max_size=12))

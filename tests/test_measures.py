@@ -1,20 +1,14 @@
 """Piecewise-constant length measures: exact measures, invariance, convexity."""
 
 import pytest
-from hypothesis import given, strategies as st
 
+from _fixtures import lebesgue
 from grouptrees.core import Scalar
 from grouptrees.corpus import balanced_corpus, golden_system
-from grouptrees.errors import OutOfSupportError, PreconditionError
+from grouptrees.errors import PreconditionError
 from grouptrees.intervals import Interval, MultiInterval
 from grouptrees.isometry_systems import PartialIsometry, SoISystem
-from grouptrees.measures import (
-    LengthMeasure,
-    combine,
-    invariance_check,
-    lebesgue,
-    measure_of,
-)
+from grouptrees.measures import LengthMeasure, combine, invariance_check
 
 S = Scalar.of
 
@@ -50,40 +44,6 @@ class TestLengthMeasure:
         mu = step_measure()
         assert mu.support == MultiInterval([iv(0, 1)])
         assert mu.total == S("3/2")
-
-
-class TestMeasureOf:
-    def test_lebesgue_middle(self):
-        leb = lebesgue(MultiInterval([iv(0, 1)]))
-        assert measure_of(leb, iv("1/4", "3/4")) == S("1/2")
-
-    def test_step_total(self):
-        mu = LengthMeasure([(iv(0, "1/2"), 2), (iv("1/2", 1), 0)])
-        assert measure_of(mu, iv(0, 1)) == S(1)
-
-    def test_degenerate_interval_is_null(self):
-        assert measure_of(step_measure(), iv("1/3", "1/3")).is_zero()
-
-    def test_two_component_lebesgue(self):
-        leb = lebesgue(MultiInterval([iv(0, 1), iv(2, 3)]))
-        assert leb.total == S(2)
-        assert measure_of(leb, iv(2, "5/2")) == S("1/2")
-
-    def test_escaping_interval_rejected(self):
-        with pytest.raises(OutOfSupportError):
-            measure_of(step_measure(), iv("1/2", 2))
-
-    @given(st.fractions(min_value=0, max_value=1).map(
-        lambda f: f.limit_denominator(20)),
-        st.fractions(min_value=0, max_value=1).map(
-            lambda f: f.limit_denominator(20)))
-    def test_additive_on_disjoint_pieces(self, a, b):
-        lo, hi = sorted((a, b))
-        mu = step_measure()
-        mid = (S(lo) + S(hi)) * S("1/2")
-        left = measure_of(mu, Interval(S(lo), mid))
-        right = measure_of(mu, Interval(mid, S(hi)))
-        assert left + right == measure_of(mu, Interval(S(lo), S(hi)))
 
 
 class TestInvarianceCheck:

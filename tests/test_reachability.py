@@ -1,0 +1,91 @@
+"""Guard against unreached code in the package.
+
+Every module-level function, class and assignment of `src/grouptrees`, and
+every non-dunder method of a module-level class, must be named somewhere in
+`src/`, `scripts/` or `perfbench/` outside its own definition.  A name only the
+tests use belongs in the tests.  "Named" means an identifier, an attribute,
+an imported name or an `__all__` entry in the syntax tree; docstrings and
+comments do not count.
+"""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "grouptrees"
+SEARCHED = [ROOT / "src", ROOT / "scripts", ROOT / "perfbench"]
+
+#: name -> reason it may stay although nothing in the searched trees names it.
+EXEMPT = {
+    "__all__": "read by `from grouptrees import *`, never named in code",
+}
+
+
+def _is_dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
+def _span(node: ast.AST) -> tuple[int, int]:
+    first = min([node.lineno] + [d.lineno for d in getattr(node, "decorator_list", [])])
+    return first, node.end_lineno
+
+
+def _definitions(path: Path, tree: ast.Module):
+    """(qualified name, bare name, line span) of every checked definition."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield f"{path.stem}.{node.name}", node.name, _span(node)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                if isinstance(target, ast.Name):
+                    yield f"{path.stem}.{target.id}", target.id, _span(node)
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if (isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        and not _is_dunder(item.name)):
+                    yield (f"{path.stem}.{node.name}.{item.name}", item.name,
+                           _span(item))
+
+
+def _uses(tree: ast.Module):
+    """(name, line) for every identifier, attribute, imported name and `__all__` entry."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.lineno
+        elif isinstance(node, ast.ImportFrom):
+            for alias in node.names:
+                yield alias.name, node.lineno
+        elif (isinstance(node, ast.Assign)
+              and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+            for item in node.value.elts:
+                yield item.value, item.lineno
+
+
+def unreached_names() -> list[str]:
+    trees = {}
+    for top in SEARCHED:
+        for path in sorted(top.rglob("*.py")):
+            trees[path] = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    uses: dict[str, list[tuple[Path, int]]] = {}
+    for path, tree in trees.items():
+        for name, line in _uses(tree):
+            uses.setdefault(name, []).append((path, line))
+    unreached = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for qualified, name, (first, last) in _definitions(path, trees[path]):
+            if name in EXEMPT:
+                continue
+            outside = [(p, line) for p, line in uses.get(name, ())
+                       if p != path or not first <= line <= last]
+            if not outside:
+                unreached.append(qualified)
+    return unreached
+
+
+def test_every_package_name_is_reached():
+    assert unreached_names() == []

@@ -5,7 +5,10 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from _oracles import two_phase_hall_bases
+from grouptrees import stallings
 from grouptrees.core import Word, enumerate_words, parse_word
+from grouptrees.corpus import random_hall_instances
 from grouptrees.errors import PreconditionError
 from grouptrees.stallings import (
     HallWitness,
@@ -16,7 +19,6 @@ from grouptrees.stallings import (
     fiber_product,
     hall_completion,
     index,
-    is_basis,
     membership,
     rank_of,
     subgroup_elements,
@@ -164,12 +166,6 @@ class TestBasis:
         assert build_core(basis_of(g), 2) == g
         assert len(basis_of(g)) == rank_of(g)
 
-    def test_is_basis(self):
-        assert is_basis([W("a"), W("b")], 2)
-        assert not is_basis([W("aa"), W("b")], 2)
-        assert is_basis([W("ab"), W("b")], 2)
-        assert not is_basis([W("a")], 2)
-        assert not is_basis([W("a"), W("b"), W("ab")], 2)
 
 
 class TestSubgroupElements:
@@ -207,6 +203,17 @@ class TestHall:
     def test_precondition_rejected(self):
         with pytest.raises(PreconditionError):
             hall_completion(core(["a"]), W("aa"))
+
+    def test_member_traced_to_basepoint_is_an_error(self, monkeypatch):
+        monkeypatch.setattr(stallings, "membership", lambda graph, word: False)
+        with pytest.raises(RuntimeError, match="traced back to the basepoint"):
+            hall_completion(core(["a"]), W("aa"))
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4])
+    def test_bases_match_two_phase_oracle(self, seed):
+        for graph, g, _ in random_hall_instances(seed, 300):
+            wit = hall_completion(graph, g)
+            assert (wit.h_basis, wit.complement_basis) == two_phase_hall_bases(wit)
 
     def test_index_two_from_even_a_data(self):
         wit = hall_completion(core(["aa", "b"]))
