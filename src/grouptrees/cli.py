@@ -63,6 +63,8 @@ def _inline_points(text: str):
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"--samples: invalid JSON: {exc}")
+    except RecursionError:
+        raise ParseError("--samples: invalid JSON: nesting too deep")
 
 
 def _flag(arg) -> str:

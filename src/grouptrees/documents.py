@@ -31,6 +31,8 @@ def load_json(text: str) -> dict:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         _fail(f"invalid JSON: {exc}")
+    except RecursionError:
+        _fail("invalid JSON: nesting too deep")
     if not isinstance(doc, dict):
         _fail("top-level JSON value must be an object")
     return doc

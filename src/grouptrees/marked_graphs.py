@@ -22,6 +22,8 @@ Conventions
 
 from __future__ import annotations
 
+from itertools import chain
+
 from .core import (Scalar, Word, ZERO, conjugator_length, enumerate_words,
                    reduce_letters, word_sort_key)
 from .errors import (
@@ -43,7 +45,7 @@ class MarkedMetricGraph:
 
     __slots__ = (
         "rank", "nv", "edges", "tree", "marking", "base",
-        "_non_tree", "_letter_exprs", "_letter_loops", "_darts_at", "_out_eids",
+        "_non_tree", "_letter_exprs", "_letter_loops", "_darts_at",
     )
 
     def __init__(self, rank, nv, edges, tree, marking, base=0):
@@ -139,11 +141,9 @@ class MarkedMetricGraph:
             tree_adj[v].append((u, -(eid + 1)))
 
         self._darts_at = {v: [] for v in range(nv)}
-        self._out_eids = {v: [] for v in range(nv)}
         for eid, (u, v, _) in enumerate(self.edges):
             self._darts_at[u].append(eid + 1)
             self._darts_at[v].append(-(eid + 1))
-            self._out_eids[u].append(eid)
         for v in range(nv):
             self._darts_at[v].sort(key=lambda d: (abs(d), d < 0))
 
@@ -244,7 +244,7 @@ class CoverCore:
     __slots__ = (
         "graph", "subgroup", "p_nv", "p_edges", "p_base", "_out", "_in",
         "core_edges", "core_vertices", "vertex_image", "is_covering", "degree",
-        "core_volume",
+        "core_volume", "core_darts", "toward_core",
     )
 
     def __init__(self, graph: MarkedMetricGraph, subgroup: StallingsGraph):
@@ -318,6 +318,29 @@ class CoverCore:
             total = total + graph.edges[l - 1][2]
         self.core_volume = total
 
+        # T_H in the walker's terms: per core vertex, the core darts leaving
+        # it as (dart, marking letters, target vertex, target core vertex)
+        self.core_darts = {p: [] for p in core_vertices}
+        arrivals = {p: [] for p in range(p_nv)}
+        for u, l, v in sorted(self.p_edges):
+            arrivals[v].append((u, l))
+            arrivals[u].append((v, -l))
+            if (u, l, v) in core_edges:
+                for p, d, q in ((u, l, v), (v, -l, u)):
+                    self.core_darts[p].append(
+                        (d, graph.dart_marking_letters(d), graph.dart_target(d), q))
+        # P's hair: from each P-vertex off the core, one dart toward the core
+        self.toward_core = {}
+        frontier = list(core_vertices)
+        while frontier:
+            nxt = []
+            for q in frontier:
+                for p, dart in arrivals[q]:
+                    if p not in core_vertices and p not in self.toward_core:
+                        self.toward_core[p] = (dart, q)
+                        nxt.append(p)
+            frontier = nxt
+
     # -- walking the full cover ------------------------------------------------
 
     def initial_state(self):
@@ -355,10 +378,6 @@ class CoverCore:
             state, _ = self.step(state, d)
         return state
 
-    def vertex_on_subtree(self, state) -> bool:
-        p, stack = state
-        return not stack and p in self.core_vertices
-
     def core_summary(self) -> dict:
         return {
             "vertices": len(self.core_vertices),
@@ -382,27 +401,40 @@ def minimal_subtree(graph: MarkedMetricGraph, subgroup: StallingsGraph) -> Cover
 # The deck transformation of a group element g sends (u, v) to (g*u, v).
 
 
-def _grow_ball(cover: CoverCore, seed_letters, seed_state, radius: int) -> dict:
-    """Walker states for every tree vertex within `radius` edges of the seed."""
+def _subtree_ball(cover: CoverCore, h: Word, radius: int) -> dict:
+    """T_H within `radius` edges of h*x0, as label -> P-vertex.
+
+    The gate, the projection of h*x0 onto T_H, is reached by undoing the
+    walker's hanging stack and then following P's hair to the core.  T_H is
+    convex, so every vertex of it lies beyond the gate: the rest is a
+    breadth-first search through core edges, to the radius left over.
+    """
     graph = cover.graph
-    states = {(seed_letters, cover.state_vertex(seed_state)): seed_state}
-    frontier = list(states)
-    for _ in range(radius):
+    p, stack = cover.walk(cover.initial_state(), graph.word_to_loop(h))
+    path = list(_inv_darts(stack))
+    while p not in cover.core_vertices and len(path) <= radius:
+        dart, p = cover.toward_core[p]
+        path.append(dart)
+    if len(path) > radius:
+        return {}
+    u = h.letters
+    for d in path:
+        u = reduce_letters(u + graph.dart_marking_letters(d))
+    ball = {(u, cover.vertex_image[p]): p}
+    frontier = [(u, p)]
+    for _ in range(radius - len(path)):
         nxt = []
-        for u, v in frontier:
-            state = states[(u, v)]
-            for d in graph.darts_at(v):
-                key = (tuple(reduce_letters(u + graph.dart_marking_letters(d))),
-                       graph.dart_target(d))
-                new_state, _ = cover.step(state, d)
-                old = states.get(key)
+        for u, p in frontier:
+            for d, letters, v, q in cover.core_darts[p]:
+                key = (reduce_letters(u + letters) if letters else u, v)
+                old = ball.get(key)
                 if old is None:
-                    states[key] = new_state
-                    nxt.append(key)
-                elif old != new_state:
+                    ball[key] = q
+                    nxt.append((key[0], q))
+                elif old != q:
                     raise RuntimeError(f"walker reached tree vertex {key} in two states")
         frontier = nxt
-    return states
+    return ball
 
 
 def _edge_report(graph: MarkedMetricGraph, u, v, eid) -> dict:
@@ -415,12 +447,14 @@ def _edge_report(graph: MarkedMetricGraph, u, v, eid) -> dict:
 
 
 def _translate_intersection_prepared(cover: CoverCore, g: Word, radius: int,
-                                     base_ball: dict) -> dict:
+                                     base: dict) -> dict:
     """Compare the minimal subtree with its g-translate within `radius` of the basepoint.
 
-    `base_ball` is the radius ball grown from the basepoint.  Outcomes
+    `base` is `_subtree_ball` about the basepoint.  The edges compared are
+    those whose source lies within `radius` of x0 or of g*x0.  Outcomes
     "whole-tree-coincidence" and "nondegenerate-intersection" are exact
     certificates; the "-within-radius" outcomes only describe the ball.
+    Each witness is the least of its kind in the order (sheet, vertex, edge).
     """
     graph = cover.graph
     subgroup = cover.subgroup
@@ -434,59 +468,48 @@ def _translate_intersection_prepared(cover: CoverCore, g: Word, radius: int,
         report["reason"] = "finite-index subgroup: the minimal subtree is the whole tree"
         return report
 
-    init = cover.initial_state()
-    g_inv = g.inverse()
-    state_g = cover.walk(init, graph.word_to_loop(g))
-    state_gi = cover.walk(init, graph.word_to_loop(g_inv))
-
-    ball_g = _grow_ball(cover, g.letters, state_g, radius)
-    ball_gi = _grow_ball(cover, g_inv.letters, state_gi, radius)
-    states = dict(base_ball)
+    ball_g = _subtree_ball(cover, g, radius)
+    ball_gi = _subtree_ball(cover, g.inverse(), radius)
+    merged = dict(base)
     for extra in (ball_g, ball_gi):
-        for key, st in extra.items():
-            if states.setdefault(key, st) != st:
+        for key, p in extra.items():
+            if merged.setdefault(key, p) != p:
                 raise RuntimeError(f"the translate balls disagree at {key}")
-    scan = sorted(set(base_ball) | set(ball_g),
-                  key=lambda k: (word_sort_key(k[0]), k[1]))
 
-    def shifted(u):
-        return tuple(reduce_letters(g_inv.letters + u))
+    def edges(ball, shift=()):
+        """(sheet, vertex, edge id) of the core edges whose source is in the ball."""
+        return {(reduce_letters(shift + u) if shift else u, v, d - 1)
+                for (u, v), p in ball.items() for d, *_ in cover.core_darts[p] if d > 0}
 
-    common, only_sub, only_translate = [], [], []
-    common_vertex = None
-    for u, v in scan:
-        state = states[(u, v)]
-        # the g-shift of any scanned vertex lies in one of the three balls
-        shifted_state = states[(shifted(u), v)]
-        if common_vertex is None:
-            if cover.vertex_on_subtree(state) and cover.vertex_on_subtree(shifted_state):
-                common_vertex = {"sheet": str(Word(u, graph.rank)), "vertex": v}
-        for eid in graph._out_eids[v]:
-            in_sub = cover.step(state, eid + 1)[1]
-            in_translate = cover.step(shifted_state, eid + 1)[1]
-            if in_sub and in_translate:
-                common.append((u, v, eid))
-            elif in_sub:
-                only_sub.append((u, v, eid))
-            elif in_translate:
-                only_translate.append((u, v, eid))
+    # T_H's edges from B(x0) u B(g*x0), and g times T_H's from B(1/g*x0) u B(x0)
+    sub = edges(base) | edges(ball_g)
+    translate = edges(ball_gi, g.letters) | edges(base, g.letters)
+    common = sub & translate
+
+    def first(items):
+        return min(items, key=lambda k: (word_sort_key(k[0]),) + k[1:])
 
     report["common_edge_count"] = len(common)
-    if common and (only_sub or only_translate):
+    if common and sub != translate:
         report["outcome"] = "nondegenerate-intersection"
-        report["witness_common"] = _edge_report(graph, *common[0])
-        diff = only_sub[0] if only_sub else only_translate[0]
+        report["witness_common"] = _edge_report(graph, *first(common))
+        only_sub = sub - common
+        diff = first(only_sub or translate - common)
         report["witness_difference"] = dict(
             _edge_report(graph, *diff),
             side="subtree" if only_sub else "translate")
     elif common:
         report["outcome"] = "coincide-within-radius"
-        report["witness_common"] = _edge_report(graph, *common[0])
-    elif common_vertex is not None:
-        report["outcome"] = "single-point-within-radius"
-        report["witness_vertex"] = common_vertex
+        report["witness_common"] = _edge_report(graph, *first(common))
     else:
-        report["outcome"] = "disjoint-within-radius"
+        shared = (base.keys() | ball_g.keys()) & {
+            (reduce_letters(g.letters + u), v) for u, v in base.keys() | ball_gi.keys()}
+        if shared:
+            u, v = first(shared)
+            report["outcome"] = "single-point-within-radius"
+            report["witness_vertex"] = {"sheet": str(Word(u, graph.rank)), "vertex": v}
+        else:
+            report["outcome"] = "disjoint-within-radius"
     return report
 
 
@@ -517,26 +540,35 @@ def transverse_family_report(graph: MarkedMetricGraph, subgroup: StallingsGraph,
     if () not in ball:
         ball.append(())
     ball = ball[:64]
+    # A product h1*w*h2 can come out below w (shortlex) only if h1 cancels
+    # into w or h2 does.  If just one side cancels and does not swallow all
+    # of w, the product is that side's product with w, extended by the other
+    # side: checking the unextended one suffices.  So the pairs to check are
+    # those in which both sides cancel, and those in which one side starts
+    # (h2) or ends (h1) with the whole of w^-1.
+    ending, starting = {}, {}
+    for h in ball:
+        if h:
+            ending.setdefault(h[-1], []).append(h)
+            starting.setdefault(h[0], []).append(h)
 
-    base_ball = _grow_ball(cover, (), cover.initial_state(), radius)
+    base = _subtree_ball(cover, Word.identity(graph.rank), radius)
     rows = []
     violations = []
     for w in enumerate_words(graph.rank, max_len):
         if membership(subgroup, w):
             continue
-        key = w.sort_key()
-        minimal = True
-        for h1 in ball:
-            for h2 in ball:
-                r = reduce_letters(h1 + w.letters + h2)
-                if not r or word_sort_key(r) < key:
-                    minimal = False
-                    break
-            if not minimal:
-                break
-        if not minimal:
+        letters, inverse, key = w.letters, w.inverse().letters, w.sort_key()
+        n = len(letters)
+        lefts = [()] + ending.get(-letters[0], [])
+        rights = [()] + starting.get(-letters[-1], [])
+        pairs = chain(((h1, h2) for h1 in lefts for h2 in rights),
+                      ((h1, h2) for h1 in lefts if h1[-n:] == inverse for h2 in ball),
+                      ((h1, h2) for h1 in ball for h2 in rights if h2[:n] == inverse))
+        if any(len(r) < n or len(r) == n and word_sort_key(r) < key
+               for r in (reduce_letters(h1 + letters + h2) for h1, h2 in pairs)):
             continue
-        result = _translate_intersection_prepared(cover, w, radius, base_ball)
+        result = _translate_intersection_prepared(cover, w, radius, base)
         rows.append({"word": str(w), "outcome": result["outcome"]})
         if result["outcome"] == "nondegenerate-intersection":
             violations.append(result)

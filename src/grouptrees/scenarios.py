@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 from . import documents as docs
 from .core import Scalar, Word, parse_word
-from .errors import ParseError
+from .errors import ParseError, PreconditionError
 from .isometry_systems import (ae_support_check, balance_report,
                                discreteness_report, finite_orbit_families,
                                grow_forest, indecomposability_search, orbit,
@@ -252,6 +252,9 @@ def op_cvn_transverse(args: dict):
     subgroup = docs.load_subgroup(args["subgroup"])
     if subgroup.rank != graph.rank:
         raise ParseError("subgroup rank does not match the graph's rank")
+    for key in ("max_word", "radius"):
+        if args[key] < 0:
+            raise PreconditionError(f"{key} must be nonnegative, not {args[key]}")
     rep = transverse_family_report(graph, subgroup, args["max_word"],
                                    args["radius"])
     kind = BUDGET if rep["verdict"] == "transverse-up-to-budget" else PROVEN

@@ -158,11 +158,13 @@ def spanning_tree_paths(graph: StallingsGraph, inside=frozenset()) -> tuple[dict
     second continues from those vertices, in the order reached, through all
     edges.  The tree restricted to a connected `inside` subgraph at the
     basepoint is then a spanning tree of that subgraph.  Returns (path_to,
-    non_tree_edges): path_to[v] is the letter sequence of the tree path
-    basepoint -> v; non_tree_edges lists the (u, label, v) edges outside the
-    tree in canonical (sorted) order.
+    non_tree_edges): non_tree_edges lists the (u, label, v) edges outside the
+    tree in canonical (sorted) order, and path_to[v] is the letter sequence
+    of the tree path basepoint -> v for each endpoint v of those edges.  The
+    search keeps one parent dart per vertex, so it is linear in the graph
+    plus the length of the paths returned.
     """
-    path_to = {graph.base: ()}
+    parent = {graph.base: None}
     tree: set[tuple[int, int, int]] = set()
     order = [graph.base]
     for only_inside in (True, False) if inside else (False,):
@@ -171,16 +173,25 @@ def spanning_tree_paths(graph: StallingsGraph, inside=frozenset()) -> tuple[dict
             v = queue.popleft()
             for letter in graph.darts_at(v):
                 w = graph.step(v, letter)
-                if w in path_to:
+                if w in parent:
                     continue
                 edge = (v, letter, w) if letter > 0 else (w, -letter, v)
                 if only_inside and edge not in inside:
                     continue
-                path_to[w] = path_to[v] + (letter,)
+                parent[w] = (v, letter)
                 tree.add(edge)
                 order.append(w)
                 queue.append(w)
     non_tree = [e for e in graph.edges if e not in tree]
+    path_to = {}
+    for end in (x for u, _, v in non_tree for x in (u, v)):
+        if end not in path_to:
+            letters = []
+            x = end
+            while parent[x] is not None:
+                x, letter = parent[x]
+                letters.append(letter)
+            path_to[end] = tuple(reversed(letters))
     return path_to, non_tree
 
 

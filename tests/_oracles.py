@@ -30,7 +30,18 @@ from scratch at budgets b/4, b/2 and b.
 
 :func:`two_phase_hall_bases` is the private two-phase spanning-tree search
 ``grouptrees.stallings.hall_completion`` ran before it shared
-``spanning_tree_paths`` with ``basis_of``.
+``spanning_tree_paths`` with ``basis_of``.  :func:`full_spanning_tree_paths`
+is that shared search before it kept parent darts: it stores the letter path
+of every vertex, so it is quadratic on deep graphs.
+
+:func:`grow_ball`, :func:`ball_translate_intersection` and
+:func:`ball_transverse_family_report` compare translates of a minimal subtree
+the way ``grouptrees.marked_graphs`` did before it walked the subtree only:
+they grow whole radius balls of the universal cover, step the walker over
+every edge of them, and filter double cosets with all 64 x 64 pairs.  They
+are the engine's code of that time, except that the engine's walker no
+longer has ``vertex_on_subtree`` and its graph no longer keeps out-edge
+lists, so both are computed here.
 """
 
 from __future__ import annotations
@@ -41,8 +52,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator
 
-from grouptrees.core import Scalar, Word, letter_key
+from grouptrees.core import (Scalar, Word, enumerate_words, letter_key,
+                             reduce_letters, word_sort_key)
 from grouptrees.errors import MixedFieldError, NotABasisError, ParseError
+from grouptrees.marked_graphs import minimal_subtree
+from grouptrees.stallings import index, membership, subgroup_elements
 
 ZERO = Scalar.of(0)
 
@@ -723,3 +737,220 @@ def two_phase_hall_bases(witness) -> tuple[tuple[Word, ...], tuple[Word, ...]]:
         word = Word.make(path_to[u] + (l,) + tuple(-x for x in reversed(path_to[v])), n)
         (h_basis if (u, l, v) in original else complement).append(word)
     return tuple(h_basis), tuple(complement)
+
+
+def full_spanning_tree_paths(graph, inside=frozenset()) -> tuple[dict, list]:
+    """BFS spanning tree from the basepoint, grown through `inside` edges first.
+
+    A first pass reaches what it can through edges of `inside` only; a
+    second continues from those vertices, in the order reached, through all
+    edges.  The tree restricted to a connected `inside` subgraph at the
+    basepoint is then a spanning tree of that subgraph.  Returns (path_to,
+    non_tree_edges): path_to[v] is the letter sequence of the tree path
+    basepoint -> v; non_tree_edges lists the (u, label, v) edges outside the
+    tree in canonical (sorted) order.
+    """
+    path_to = {graph.base: ()}
+    tree: set[tuple[int, int, int]] = set()
+    order = [graph.base]
+    for only_inside in (True, False) if inside else (False,):
+        queue = deque(order)
+        while queue:
+            v = queue.popleft()
+            for letter in graph.darts_at(v):
+                w = graph.step(v, letter)
+                if w in path_to:
+                    continue
+                edge = (v, letter, w) if letter > 0 else (w, -letter, v)
+                if only_inside and edge not in inside:
+                    continue
+                path_to[w] = path_to[v] + (letter,)
+                tree.add(edge)
+                order.append(w)
+                queue.append(w)
+    non_tree = [e for e in graph.edges if e not in tree]
+    return path_to, non_tree
+
+
+# -- translate overlaps from whole radius balls --------------------------------
+
+
+def vertex_on_subtree(cover, state) -> bool:
+    p, stack = state
+    return not stack and p in cover.core_vertices
+
+
+def grow_ball(cover, seed_letters, seed_state, radius: int) -> dict:
+    """Walker states for every tree vertex within `radius` edges of the seed."""
+    graph = cover.graph
+    states = {(seed_letters, cover.state_vertex(seed_state)): seed_state}
+    frontier = list(states)
+    for _ in range(radius):
+        nxt = []
+        for u, v in frontier:
+            state = states[(u, v)]
+            for d in graph.darts_at(v):
+                key = (tuple(reduce_letters(u + graph.dart_marking_letters(d))),
+                       graph.dart_target(d))
+                new_state, _ = cover.step(state, d)
+                old = states.get(key)
+                if old is None:
+                    states[key] = new_state
+                    nxt.append(key)
+                elif old != new_state:
+                    raise RuntimeError(f"walker reached tree vertex {key} in two states")
+        frontier = nxt
+    return states
+
+
+def _edge_report(graph, u, v, eid) -> dict:
+    return {
+        "sheet": str(Word(u, graph.rank)),
+        "vertex": v,
+        "edge": eid,
+        "length": str(graph.edges[eid][2]),
+    }
+
+
+def ball_translate_intersection(cover, g: Word, radius: int,
+                                base_ball: dict) -> dict:
+    """Compare the minimal subtree with its g-translate within `radius` of the basepoint.
+
+    `base_ball` is the radius ball grown from the basepoint.  Outcomes
+    "whole-tree-coincidence" and "nondegenerate-intersection" are exact
+    certificates; the "-within-radius" outcomes only describe the ball.
+    """
+    graph = cover.graph
+    subgroup = cover.subgroup
+    report = {"translate": str(g), "radius": radius}
+    if membership(subgroup, g):
+        report["outcome"] = "whole-tree-coincidence"
+        report["reason"] = "the translating element lies in the subgroup"
+        return report
+    if cover.is_covering:
+        report["outcome"] = "whole-tree-coincidence"
+        report["reason"] = "finite-index subgroup: the minimal subtree is the whole tree"
+        return report
+
+    init = cover.initial_state()
+    g_inv = g.inverse()
+    state_g = cover.walk(init, graph.word_to_loop(g))
+    state_gi = cover.walk(init, graph.word_to_loop(g_inv))
+
+    ball_g = grow_ball(cover, g.letters, state_g, radius)
+    ball_gi = grow_ball(cover, g_inv.letters, state_gi, radius)
+    states = dict(base_ball)
+    for extra in (ball_g, ball_gi):
+        for key, st in extra.items():
+            if states.setdefault(key, st) != st:
+                raise RuntimeError(f"the translate balls disagree at {key}")
+    scan = sorted(set(base_ball) | set(ball_g),
+                  key=lambda k: (word_sort_key(k[0]), k[1]))
+
+    def shifted(u):
+        return tuple(reduce_letters(g_inv.letters + u))
+
+    # the engine's graph no longer keeps its out-edge lists
+    out_eids = {v: [eid for eid, (a, _, _) in enumerate(graph.edges) if a == v]
+                for v in range(graph.nv)}
+
+    common, only_sub, only_translate = [], [], []
+    common_vertex = None
+    for u, v in scan:
+        state = states[(u, v)]
+        # the g-shift of any scanned vertex lies in one of the three balls
+        shifted_state = states[(shifted(u), v)]
+        if common_vertex is None:
+            if vertex_on_subtree(cover, state) and vertex_on_subtree(cover, shifted_state):
+                common_vertex = {"sheet": str(Word(u, graph.rank)), "vertex": v}
+        for eid in out_eids[v]:
+            in_sub = cover.step(state, eid + 1)[1]
+            in_translate = cover.step(shifted_state, eid + 1)[1]
+            if in_sub and in_translate:
+                common.append((u, v, eid))
+            elif in_sub:
+                only_sub.append((u, v, eid))
+            elif in_translate:
+                only_translate.append((u, v, eid))
+
+    report["common_edge_count"] = len(common)
+    if common and (only_sub or only_translate):
+        report["outcome"] = "nondegenerate-intersection"
+        report["witness_common"] = _edge_report(graph, *common[0])
+        diff = only_sub[0] if only_sub else only_translate[0]
+        report["witness_difference"] = dict(
+            _edge_report(graph, *diff),
+            side="subtree" if only_sub else "translate")
+    elif common:
+        report["outcome"] = "coincide-within-radius"
+        report["witness_common"] = _edge_report(graph, *common[0])
+    elif common_vertex is not None:
+        report["outcome"] = "single-point-within-radius"
+        report["witness_vertex"] = common_vertex
+    else:
+        report["outcome"] = "disjoint-within-radius"
+    return report
+
+
+def ball_transverse_family_report(graph, subgroup, max_len: int, radius: int) -> dict:
+    """Search translates gT_H (|g| <= max_len, g outside H) for nondegenerate overlaps.
+
+    Distinct translates of the minimal subtree form a transverse family when
+    no two share an edge; each nondegenerate overlap found is a certified
+    violation.  Translates are deduplicated up to the double cosets HgH seen
+    within the word budget.
+    """
+    cover = minimal_subtree(graph, subgroup)
+    report = {"max_len": max_len, "radius": radius}
+    if cover.is_covering:
+        report["verdict"] = "degenerate-family-whole-tree"
+        if index(subgroup) == 1:
+            report["message"] = ("the subgroup is the whole group, so the family "
+                                 "is the single tree itself")
+        else:
+            report["message"] = ("finite-index subgroup: every translate is the "
+                                 "whole tree, so the family is degenerate")
+        report["rows"] = []
+        report["violations"] = []
+        return report
+
+    ball = [w.letters for w in subgroup_elements(subgroup, max_len)]
+    if () not in ball:
+        ball.append(())
+    ball = ball[:64]
+
+    base_ball = grow_ball(cover, (), cover.initial_state(), radius)
+    rows = []
+    violations = []
+    for w in enumerate_words(graph.rank, max_len):
+        if membership(subgroup, w):
+            continue
+        key = w.sort_key()
+        minimal = True
+        for h1 in ball:
+            for h2 in ball:
+                r = reduce_letters(h1 + w.letters + h2)
+                if not r or word_sort_key(r) < key:
+                    minimal = False
+                    break
+            if not minimal:
+                break
+        if not minimal:
+            continue
+        result = ball_translate_intersection(cover, w, radius, base_ball)
+        rows.append({"word": str(w), "outcome": result["outcome"]})
+        if result["outcome"] == "nondegenerate-intersection":
+            violations.append(result)
+
+    report["translates_tested"] = len(rows)
+    report["rows"] = rows
+    report["violations"] = violations
+    if violations:
+        report["verdict"] = "violations-found"
+        report["message"] = (f"{len(violations)} translate(s) share an edge with the "
+                             "minimal subtree: the translate family is not transverse")
+    else:
+        report["verdict"] = "transverse-up-to-budget"
+        report["message"] = ("no translate within the word and radius budget shares "
+                             "an edge with the minimal subtree")
+    return report

@@ -9,13 +9,16 @@ not depend on the Python version, unlike the rendered ``--help`` text.
 `RUN_DIGESTS` pins one in-process ``main(argv)`` run of every registry
 subcommand (and a few variants) in ``--text`` and in ``--json`` mode: the
 exit code, and the sha256 of stdout and stderr together.  The cross-argument
-errors are pinned as exact text.
+errors and the rejections of negative budgets and over-deep JSON are pinned
+as exact text.  `test_transverse_defaults_end` pins the report of a
+`cvn transverse` call at its default budgets, and its wall time.
 
 Re-record a digest only for a deliberate change of the command line.
 """
 
 import hashlib
 import json
+import time
 
 import pytest
 
@@ -295,3 +298,46 @@ def test_run_output(capsys, files, case, mode):
 def test_cross_argument_errors(capsys, files, argv, message):
     code, out, err = _run(capsys, [files.get(w, w) for w in argv.split()])
     assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("argv,message", [
+    ("cvn transverse --in ROSE --sub A --radius -1",
+     "radius must be nonnegative, not -1"),
+    ("cvn transverse --in ROSE --sub A --max-word -1",
+     "max_word must be nonnegative, not -1"),
+])
+def test_negative_budgets_rejected(capsys, files, argv, message):
+    code, out, err = _run(capsys, [files.get(w, w) for w in argv.split()])
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
+DEEP = "[" * 100_000 + "]" * 100_000
+
+
+def test_deeply_nested_document(capsys, tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text(DEEP)
+    code, out, err = _run(capsys, ["stallings", "core", "--in", str(path)])
+    assert (code, out, err) == (1, "", "error: invalid JSON: nesting too deep\n")
+
+
+def test_deeply_nested_samples(capsys, files):
+    code, out, err = _run(capsys, ["soi", "discrete", "--in", files["GOLDEN"],
+                                   "--sub", files["A"], "--samples", DEEP])
+    assert (code, out, err) == (
+        1, "", "error: --samples: invalid JSON: nesting too deep\n")
+
+
+# The whole-ball search took about five minutes on this call; its report is
+# the one pinned here.
+DEFAULTS_DIGEST = "aee5faa9fccbebedf671bc427ca27d13c86c08513a3f0fbbbe11238fea4d9cff"
+
+
+def test_transverse_defaults_end(capsys, files):
+    start = time.perf_counter()
+    code, out, err = _run(capsys, ["cvn", "transverse", "--in", files["ROSE"],
+                                   "--sub", files["A"], "--json"])
+    elapsed = time.perf_counter() - start
+    assert out.startswith('{"budgets":{"max_word":8,"radius":6},')
+    assert (code, _sha256(out + "\0" + err)) == (2, DEFAULTS_DIGEST)
+    assert elapsed < 10

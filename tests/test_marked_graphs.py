@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from grouptrees import folding
 from grouptrees.core import Scalar, Word, parse_word
@@ -16,14 +16,17 @@ from grouptrees.errors import (
 )
 from grouptrees.marked_graphs import (
     MarkedMetricGraph,
-    _grow_ball,
+    _subtree_ball,
     _translate_intersection_prepared,
     minimal_subtree,
     transverse_family_report,
 )
-from grouptrees.stallings import build_core, index
+from grouptrees.corpus import lopsided_rose
+from grouptrees.stallings import build_core, hall_completion, index, rank_of
 
-from _oracles import _lifted_path, substitute
+from _oracles import (_lifted_path, ball_translate_intersection,
+                      ball_transverse_family_report, grow_ball, substitute,
+                      vertex_on_subtree)
 
 
 def W(s, rank=2):
@@ -44,8 +47,8 @@ def rose(*lengths, marking=("a", "b")):
 def translate_intersection(graph, subgroup, g, radius):
     """Compare the minimal subtree with its g-translate in the radius ball."""
     cover = minimal_subtree(graph, subgroup)
-    base_ball = _grow_ball(cover, (), cover.initial_state(), radius)
-    return _translate_intersection_prepared(cover, g, radius, base_ball)
+    base = _subtree_ball(cover, Word.identity(graph.rank), radius)
+    return _translate_intersection_prepared(cover, g, radius, base)
 
 
 def theta():
@@ -414,3 +417,86 @@ class TestTransverseFamily:
         rep = transverse_family_report(rose(1, 1), core("aa", "b", "abA"), 2, 3)
         assert rep["verdict"] == "degenerate-family-whole-tree"
         assert "finite-index" in rep["message"]
+
+
+# -- the subtree walk against the whole-ball oracle ----------------------------
+
+
+def oracle_graphs():
+    # the last graph lists an edge leaving vertex 1 before those leaving
+    # vertex 0, so ordering witnesses by edge id before vertex shows
+    return [rose(1, 1), theta()] + marked_graphs() + [MarkedMetricGraph(
+        2, 2, [(1, 0, 1), (0, 1, 2), (0, 1, Fraction(1, 3))],
+        (0,), {1: W("a"), 2: W("b")})]
+
+
+nonempty = st.lists(letters, min_size=1, max_size=5).map(mk_word)
+
+
+@st.composite
+def oracle_cases(draw, max_radius):
+    """(graph, subgroup, g, radius).  The subgroups are random ones,
+    finite-index ones, conjugates u*w*u^-1 whose core misses the basepoint
+    (so the walk to the subtree crosses the hair), and <w^k> with g a power
+    of w, whose translates coincide along the axis of w."""
+    graph = oracle_graphs()[draw(st.integers(0, 7))]
+    kind = draw(st.sampled_from(["random", "finite-index", "conjugated", "power"]))
+    g = draw(nonempty)
+    if kind == "power":
+        w = draw(nonempty.filter(lambda w: 0 < len(w.letters) <= 2))
+        k = draw(st.integers(2, 3))
+        subgroup = build_core([w ** k], 2)
+        g = w ** draw(st.integers(1, k - 1))
+    else:
+        gens = draw(st.lists(nonempty, min_size=1, max_size=2))
+        if kind == "conjugated":
+            u = draw(nonempty)
+            gens = [u * w * u.inverse() for w in gens]
+        subgroup = build_core(gens, 2)
+        if rank_of(subgroup) == 0:
+            subgroup = build_core([W("a")], 2)
+        if kind == "finite-index":
+            subgroup = hall_completion(subgroup).cover
+    return graph, subgroup, g, draw(st.integers(0, max_radius))
+
+
+class TestSubtreeWalkMatchesBallOracle:
+    @given(oracle_cases(5))
+    @settings(max_examples=300)
+    def test_translate_intersection(self, case):
+        graph, subgroup, g, radius = case
+        cover = minimal_subtree(graph, subgroup)
+        base = _subtree_ball(cover, Word.identity(2), radius)
+        base_ball = grow_ball(cover, (), cover.initial_state(), radius)
+        assert _translate_intersection_prepared(cover, g, radius, base) == \
+            ball_translate_intersection(cover, g, radius, base_ball)
+
+    @given(oracle_cases(5))
+    def test_subtree_ball_is_the_ball_restricted_to_the_subtree(self, case):
+        graph, subgroup, g, radius = case
+        cover = minimal_subtree(graph, subgroup)
+        state = cover.walk(cover.initial_state(), graph.word_to_loop(g))
+        whole = grow_ball(cover, g.letters, state, radius)
+        assert _subtree_ball(cover, g, radius) == {
+            key: st[0] for key, st in whole.items() if vertex_on_subtree(cover, st)}
+
+    @given(oracle_cases(4), st.integers(0, 3))
+    @settings(max_examples=60)
+    def test_transverse_family_report(self, case, max_len):
+        graph, subgroup, _, radius = case
+        assert transverse_family_report(graph, subgroup, max_len, radius) == \
+            ball_transverse_family_report(graph, subgroup, max_len, radius)
+
+    @pytest.mark.parametrize("gens,max_len,radius", [
+        (("a",), 3, 6), (("a",), 4, 4), (("a", "bab"), 3, 4),
+        (("a", "bab"), 2, 6), (("baB",), 3, 5), (("ab", "ba"), 3, 4),
+        # 87 subgroup elements of length <= 5: the filter sees the first 64
+        (("a", "bab", "bAb"), 5, 1), (("a", "bab"), 5, 2),
+        # bb*A*AB = B: only a pair whose h2 swallows w = A shows that A is
+        # not the least word of its double coset
+        (("bb", "AB"), 2, 3), (("Ba", "BB"), 3, 3),
+    ])
+    def test_lopsided_rose(self, gens, max_len, radius):
+        graph, subgroup = lopsided_rose(), core(*gens)
+        assert transverse_family_report(graph, subgroup, max_len, radius) == \
+            ball_transverse_family_report(graph, subgroup, max_len, radius)

@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from _oracles import two_phase_hall_bases
+from _oracles import full_spanning_tree_paths, two_phase_hall_bases
 from grouptrees import stallings
 from grouptrees.core import Word, enumerate_words, parse_word
 from grouptrees.corpus import random_hall_instances
@@ -21,6 +21,7 @@ from grouptrees.stallings import (
     index,
     membership,
     rank_of,
+    spanning_tree_paths,
     subgroup_elements,
 )
 
@@ -166,6 +167,42 @@ class TestBasis:
         assert build_core(basis_of(g), 2) == g
         assert len(basis_of(g)) == rank_of(g)
 
+
+
+def assert_tree_matches_full_paths(graph, inside=frozenset()):
+    """spanning_tree_paths gives the parent search's tree: the same non-tree
+    edges in the same order, and the same path to each of their endpoints."""
+    path_to, non_tree = spanning_tree_paths(graph, inside)
+    full_path_to, full_non_tree = full_spanning_tree_paths(graph, inside)
+    assert non_tree == full_non_tree
+    ends = {x for u, _, v in non_tree for x in (u, v)}
+    assert path_to == {x: full_path_to[x] for x in ends}
+
+
+class TestSpanningTree:
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4])
+    def test_hall_trees_match_full_path_oracle(self, seed):
+        for graph, g, _ in random_hall_instances(seed, 300):
+            wit = hall_completion(graph, g)
+            perm = wit.embedding
+            original = {(perm[u], l, perm[v]) for u, l, v in graph.edges}
+            assert_tree_matches_full_paths(wit.cover, original)
+            assert_tree_matches_full_paths(graph)
+
+    @given(st.integers(2, 3),
+           st.lists(st.lists(st.integers(1, 3).flatmap(
+               lambda a: st.sampled_from([a, -a])), min_size=1, max_size=9),
+               min_size=1, max_size=4))
+    @settings(max_examples=50)
+    def test_random_cores_match_full_path_oracle(self, rank, raws):
+        gens = [Word.make([l for l in r if abs(l) <= rank], rank) for r in raws]
+        assert_tree_matches_full_paths(build_core(gens, rank))
+
+    def test_deep_cycle(self):
+        # the core of a^k b is one cycle of length k + 1 through the basepoint
+        g = core(["a" * 3000 + "b"])
+        assert_tree_matches_full_paths(g)
+        assert [str(w) for w in basis_of(g)] == ["a" * 3000 + "b"]
 
 
 class TestSubgroupElements:
