@@ -4,24 +4,25 @@ Every subcommand but `scenario run` and `scenario list` is generated from
 its entry in the operation registry `scenarios.OPERATIONS`: the entry's help
 and argument spec give the subcommand's help and flags, and the subcommand
 runs the operation, so the CLI and scripted scenarios share one code path.
-Adding an operation means adding one registry entry.  Documents come in as
-JSON files (`-` reads stdin); small geometric arguments (points, intervals,
-interval sets) are inline JSON with exact values as strings.
+A subcommand takes `--json`/`--text` and exactly the flags of its spec;
+`scenario run` takes `--seed`.  Adding an operation means adding one
+registry entry.  Documents come in as JSON files (`-` reads stdin); small
+geometric arguments (points, intervals, interval sets) are inline JSON with
+exact values as strings.
 
 Exit codes: 0 = the reported outcome is definite, 2 = a budget-limited
-outcome is being reported (not a failure), 1 = error or assertion failure.
+outcome is being reported (not a failure), 1 = error or assertion failure,
+usage errors included.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from .errors import GroupTreesError, ParseError
 from .report import (EXIT_BUDGET, EXIT_ERROR, EXIT_OK, render, wrap)
-from .scenarios import (BUDGET, EPSILON, FAILED, MAX_TRANSLATE, MAX_WORD,
-                        OPERATIONS, POINT_BUDGET, RADIUS, REQUIRED,
+from .scenarios import (BUDGET, FAILED, OPERATIONS, REQUIRED,
                         bundled_scenarios, run_op, run_scenario,
                         scenario_from_doc)
 
@@ -36,10 +37,12 @@ _GROUPS = {
     "scenario": "deterministic scripted runs",
 }
 
-# Flags of every subcommand, and of every subcommand of one group; a
-# subcommand passes on those its operation's spec lists.
-_SHARED = (POINT_BUDGET, MAX_WORD, RADIUS, EPSILON)
-_GROUP_SHARED = {"lam": (MAX_TRANSLATE,)}
+
+class _Parser(argparse.ArgumentParser):
+    """A usage error is a ParseError, reported and exited like any other."""
+
+    def error(self, message):
+        raise ParseError(message)
 
 
 def _read_document(path: str, what: str) -> dict:
@@ -59,44 +62,16 @@ def _inline_points(text: str):
     """A point, or a JSON list of points if the text starts with '['."""
     if not text.lstrip().startswith("["):
         return text
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"--samples: invalid JSON: {exc}")
-    except RecursionError:
-        raise ParseError("--samples: invalid JSON: nesting too deep")
+    from .documents import parse_json
+    return parse_json(text, "--samples")
 
 
 def _flag(arg) -> str:
     return arg.flag or "--" + arg.key.replace("_", "-")
 
 
-def _dest(arg) -> str:
-    return arg.dest or _flag(arg)[2:].replace("-", "_")
-
-
-def _add_flag(parser: argparse.ArgumentParser, arg, required: bool) -> None:
-    parser.add_argument(_flag(arg), dest=_dest(arg), required=required,
-                        default=None if arg.default is REQUIRED else arg.default,
-                        type=int if arg.integer else None,
-                        help=arg.help, metavar=arg.metavar)
-
-
-def _common_flags(parser: argparse.ArgumentParser, shared) -> None:
-    mode = parser.add_mutually_exclusive_group()
-    mode.add_argument("--json", action="store_true", dest="as_json",
-                      help="emit the canonical JSON report")
-    mode.add_argument("--text", action="store_false", dest="as_json",
-                      help="emit the plain-text report (default)")
-    parser.set_defaults(as_json=False)
-    parser.add_argument("--seed", type=int, default=None,
-                        help="seed for randomized batches")
-    for arg in shared:
-        _add_flag(parser, arg, required=False)
-
-
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="grouptrees",
         description="exact computations on subgroup graphs, marked metric "
                     "graphs, interval isometry systems, length measures and "
@@ -104,31 +79,38 @@ def build_parser() -> argparse.ArgumentParser:
     top = parser.add_subparsers(dest="group", required=True)
     groups = {}
 
-    def leaf(group: str, command: str, help_text: str, shared):
+    def leaf(group: str, command: str, help_text: str):
         if group not in groups:
             groups[group] = top.add_parser(
                 group, help=_GROUPS[group]).add_subparsers(dest="command",
                                                            required=True)
         p = groups[group].add_parser(command, help=help_text)
-        _common_flags(p, shared)
+        mode = p.add_mutually_exclusive_group()
+        mode.add_argument("--json", action="store_true", dest="as_json",
+                          help="emit the canonical JSON report")
+        mode.add_argument("--text", action="store_false", dest="as_json",
+                          help="emit the plain-text report (default)")
+        p.set_defaults(as_json=False)
         return p
 
     for name, spec in OPERATIONS.items():
         if spec.help is None:
             continue
         group, command = name.split(".")
-        shared = _SHARED + _GROUP_SHARED.get(group, ())
-        p = leaf(group, command.replace("_", "-"), spec.help, shared)
-        shared_keys = {arg.key for arg in shared}
+        p = leaf(group, command.replace("_", "-"), spec.help)
         for arg in spec.args:
-            if arg.key not in shared_keys:
-                _add_flag(p, arg, required=arg.default is REQUIRED)
+            required = arg.default is REQUIRED
+            p.add_argument(_flag(arg), dest=arg.key, required=required,
+                           default=None if required else arg.default,
+                           type=int if arg.integer else None,
+                           help=arg.help, metavar=arg.metavar)
 
-    p = leaf("scenario", "run", "run a bundled scenario or a scenario file",
-             _SHARED)
+    p = leaf("scenario", "run", "run a bundled scenario or a scenario file")
+    p.add_argument("--seed", type=int, default=None,
+                   help="seed for randomized batches")
     p.add_argument("name", help="bundled scenario name or path to a "
                                 "scenario JSON file")
-    leaf("scenario", "list", "list bundled scenarios", _SHARED)
+    leaf("scenario", "list", "list bundled scenarios")
     return parser
 
 
@@ -136,29 +118,22 @@ def _op_args(spec, ns: argparse.Namespace, command: str) -> dict:
     """The operation's arguments given on the command line, files read."""
     args: dict = {}
     for arg in spec.args:
-        value = getattr(ns, _dest(arg))
+        value = getattr(ns, arg.key)
         if arg.either is not None:
             other = next(a for a in spec.args if a.key == arg.either)
-            if (value is None) == (getattr(ns, _dest(other)) is None):
+            if (value is None) == (getattr(ns, other.key) is None):
                 raise ParseError(f"{command} needs exactly one of "
                                  f"{_flag(arg)} or {_flag(other)}")
-        if value is None:
-            if arg.default is REQUIRED:
-                raise ParseError(f"{command} requires {_flag(arg)}")
-            continue
-        if arg.read == "samples":
-            value = _inline_points(value)
-        elif arg.read is not None:
-            value = _read_document(value, arg.read)
+        if value is not None and arg.read is not None:
+            value = (_inline_points(value) if arg.read == "samples"
+                     else _read_document(value, arg.read))
         args[arg.key] = value
     return args
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    ns = parser.parse_args(argv)
-
     try:
+        ns = build_parser().parse_args(argv)
         if ns.group == "scenario":
             return _run_scenario_command(ns)
         command = f"{ns.group} {ns.command}"
@@ -173,8 +148,7 @@ def main(argv=None) -> int:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_ERROR
 
-    budgets = {arg.key: args[arg.key] for arg in spec.args
-               if arg.budget and arg.key in args}
+    budgets = {arg.key: args[arg.key] for arg in spec.args if arg.budget}
     report = wrap(command, result, budgets=budgets)
     report["status"] = kind
     sys.stdout.write(render(report, ns.as_json))

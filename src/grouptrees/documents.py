@@ -26,13 +26,19 @@ def _fail(msg: str) -> None:
     raise ParseError(msg)
 
 
-def load_json(text: str) -> dict:
+def parse_json(text: str, where: str | None = None):
+    """The JSON value of `text`; malformed or over-deep text is a ParseError."""
+    prefix = "" if where is None else f"{where}: "
     try:
-        doc = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
-        _fail(f"invalid JSON: {exc}")
+        _fail(f"{prefix}invalid JSON: {exc}")
     except RecursionError:
-        _fail("invalid JSON: nesting too deep")
+        _fail(f"{prefix}invalid JSON: nesting too deep")
+
+
+def load_json(text: str) -> dict:
+    doc = parse_json(text)
     if not isinstance(doc, dict):
         _fail("top-level JSON value must be an object")
     return doc
@@ -266,7 +272,7 @@ def dump_system(system: SoISystem) -> dict:
 def load_multi(value, where: str = "interval set") -> MultiInterval:
     """[["0","1/8"], ...] -> MultiInterval (also accepts a bare pair)."""
     if isinstance(value, str):
-        value = json.loads(value)
+        value = parse_json(value, where)
     if (isinstance(value, list) and len(value) == 2
             and all(isinstance(v, (str, int)) for v in value)):
         value = [value]
@@ -289,7 +295,7 @@ def _any_d(pair) -> int:
 
 def load_interval(value, where: str = "interval") -> Interval:
     if isinstance(value, str):
-        value = json.loads(value)
+        value = parse_json(value, where)
     if not isinstance(value, list) or len(value) != 2:
         _fail(f"{where}: expected [lo, hi]")
     return _interval_pair(value, _any_d(value), where)

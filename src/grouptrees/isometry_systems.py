@@ -676,7 +676,7 @@ def discreteness_report(system: SoISystem, graph: StallingsGraph, samples,
     support measure.  Anything else: inconclusive.  The verdict is explicitly
     heuristic: finite budgets cannot prove density.
     """
-    budgets = sorted({max(budget // 4, 1), max(budget // 2, 1), budget})
+    budgets = sorted({min(max(budget // k, 1), budget) for k in (4, 2, 1)})
     rows = []
     growth = {b: [] for b in budgets}
     all_closed = True

@@ -54,12 +54,13 @@ class Arg(NamedTuple):
     as absent unless the default is None.  An argument with `either` may be
     absent only when that other argument is given; on the command line
     exactly one of the two must be.  `budget` arguments are echoed in the
-    envelope of a command-line report.
+    envelope of a command-line report; an `integer` budget must be
+    nonnegative.
 
-    The rest is the command-line surface: `flag` (by default ``--`` and the
-    key with "-" for "_"), `dest`, `help`, `metavar`, and `read`: the kind
-    of JSON document read from the file the flag names, or "samples" for an
-    inline point or JSON list of points.
+    The rest is the command-line surface, whose parsed value is stored under
+    `key`: `flag` (by default ``--`` and the key with "-" for "_"), `help`,
+    `metavar`, and `read`: the kind of JSON document read from the file the
+    flag names, or "samples" for an inline point or JSON list of points.
     """
 
     key: str
@@ -68,7 +69,6 @@ class Arg(NamedTuple):
     budget: bool = False
     either: str | None = None
     flag: str | None = None
-    dest: str | None = None
     help: str | None = None
     metavar: str | None = None
     read: str | None = None
@@ -87,17 +87,15 @@ class Op(NamedTuple):
 
 def _document_in(kind: str, help: str | None = None) -> Arg:
     """The `--in FILE` document of a subcommand."""
-    return Arg(kind, flag="--in", dest="infile", metavar="FILE", read=kind,
-               help=help)
+    return Arg(kind, flag="--in", metavar="FILE", read=kind, help=help)
 
 
 def _document(key: str, kind: str, flag: str | None = None) -> Arg:
     return Arg(key, flag=flag, metavar="FILE", read=kind)
 
 
-# Budgets many operations share; every subcommand has their flags
-# (`--max-translate` only the `lam` ones), whether its operation uses them
-# or not.
+# Budgets several operations declare: one spec each, so a flag has the same
+# help and default on every subcommand that takes it.
 POINT_BUDGET = Arg("budget", 500, integer=True, budget=True,
                    help="orbit/search point budget (default 500)")
 MAX_WORD = Arg("max_word", 8, integer=True, budget=True,
@@ -138,6 +136,9 @@ def _bind(spec: Op, args: dict) -> dict:
         if arg.integer and (isinstance(value, bool)
                             or not isinstance(value, int)):
             raise ParseError(f"argument '{arg.key}' must be an integer")
+        if arg.integer and arg.budget and value < 0:
+            raise PreconditionError(
+                f"{arg.key} must be nonnegative, not {value}")
         bound[arg.key] = value
     return bound
 
@@ -252,9 +253,6 @@ def op_cvn_transverse(args: dict):
     subgroup = docs.load_subgroup(args["subgroup"])
     if subgroup.rank != graph.rank:
         raise ParseError("subgroup rank does not match the graph's rank")
-    for key in ("max_word", "radius"):
-        if args[key] < 0:
-            raise PreconditionError(f"{key} must be nonnegative, not {args[key]}")
     rep = transverse_family_report(graph, subgroup, args["max_word"],
                                    args["radius"])
     kind = BUDGET if rep["verdict"] == "transverse-up-to-budget" else PROVEN

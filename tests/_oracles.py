@@ -652,7 +652,7 @@ def single_budget_orbit(system, graph, x, budget: int):
 def three_run_discreteness_report(system, graph, samples, budget: int) -> dict:
     from grouptrees.isometry_systems import total_measure
 
-    budgets = sorted({max(budget // 4, 1), max(budget // 2, 1), budget})
+    budgets = sorted({min(max(budget // k, 1), budget) for k in (4, 2, 1)})
     rows = []
     growth = {b: [] for b in budgets}
     all_closed = True

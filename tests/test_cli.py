@@ -11,7 +11,7 @@ from grouptrees.cli import main
 from grouptrees.core import Scalar, Word, parse_word
 from grouptrees.corpus import (golden_system, lopsided_rose, theta_graph,
                                worked_single_map)
-from grouptrees.errors import ParseError
+from grouptrees.errors import ParseError, PreconditionError
 from grouptrees.intervals import Interval, MultiInterval
 from grouptrees.report import render_json, render_text, to_jsonable, wrap
 from grouptrees.scenarios import (EPSILON, MAX_TRANSLATE, MAX_WORD,
@@ -237,9 +237,37 @@ class TestOps:
         three, _ = run_op("soi.discrete", {**args, "samples": ["0"]})
         assert to_jsonable(one) == to_jsonable(two) == to_jsonable(three)
 
+    @pytest.mark.parametrize("op,args,message", [
+        ("cvn.omega", {"graph": lopsided_rose, "epsilon": "1/2",
+                       "max_word": -1},
+         "max_word must be nonnegative, not -1"),
+        ("soi.grow", {"system": worked_single_map, "start": [["0", "1/8"]],
+                      "steps": -1},
+         "steps must be nonnegative, not -1"),
+        ("soi.orbit", {"system": golden_system, "point": "1/2",
+                       "budget": -5},
+         "budget must be nonnegative, not -5"),
+        ("soi.glp", {"system": worked_single_map, "max_word": -2},
+         "max_word must be nonnegative, not -2"),
+    ])
+    def test_negative_budgets_rejected(self, op, args, message):
+        dump = {"graph": docs.dump_marked_graph, "system": docs.dump_system}
+        args = {key: dump[key](value()) if key in dump else value
+                for key, value in args.items()}
+        with pytest.raises(PreconditionError, match=f"^{message}$"):
+            run_op(op, args)
+
+    def test_discrete_budget_zero_searches_at_zero(self):
+        result, kind = run_op("soi.discrete", {
+            "system": docs.dump_system(golden_system()),
+            "subgroup": {"rank": 2, "generators": ["a"]}, "budget": 0})
+        assert kind == "budget" and result["budget"] == 0
+        assert result["growth"] == [{"budget": 0, "orbit_sizes": [1]}]
+        assert [row["orbit_size"] for row in result["samples"]] == [1]
+
     def test_shared_arguments_have_one_spec(self):
-        # a subcommand's shared flag supplies every argument of that key, so
-        # an operation must use the shared spec, default included
+        # a budget several operations declare has one spec, so its flag has
+        # the same help and default on every subcommand that takes it
         shared = {arg.key: arg for arg in (POINT_BUDGET, MAX_WORD, RADIUS,
                                            EPSILON, MAX_TRANSLATE)}
         for name, spec in OPERATIONS.items():

@@ -10,8 +10,11 @@ not depend on the Python version, unlike the rendered ``--help`` text.
 subcommand (and a few variants) in ``--text`` and in ``--json`` mode: the
 exit code, and the sha256 of stdout and stderr together.  The cross-argument
 errors and the rejections of negative budgets and over-deep JSON are pinned
-as exact text.  `test_transverse_defaults_end` pins the report of a
-`cvn transverse` call at its default budgets, and its wall time.
+as exact text; usage errors (undeclared flags, bad integers, unknown
+subcommands) by exit code, one line and the flag they name, since
+argparse's wording varies across Python versions.
+`test_transverse_defaults_end` pins the report of a `cvn transverse` call at
+its default budgets, and its wall time.
 
 Re-record a digest only for a deliberate change of the command line.
 """
@@ -26,6 +29,7 @@ from grouptrees import documents as docs
 from grouptrees.cli import build_parser, main
 from grouptrees.corpus import (golden_system, lopsided_rose, theta_graph,
                                worked_single_map)
+from grouptrees.scenarios import OPERATIONS
 
 
 def _sha256(text: str) -> str:
@@ -75,37 +79,37 @@ def dump_parser(parser) -> str:
 PARSER_DIGESTS = {
     "grouptrees": "7b63655f6a427c9895c0a599ac27ae480a287db28af3362af5f1a2c29bfca4a3",
     "grouptrees stallings": "f308de454b45ee0473cbbb6acb73a43a596ef6afe1b4e03c8557e9900d58ad10",
-    "grouptrees stallings core": "bb83c57f70f9f366ce29ff79417007010295aedde4e7f643be4fc3706912c317",
-    "grouptrees stallings member": "eb261c5c710d62dee1598e5f712c8fb347812d67a86ce1a3d3ca9fa1ff6c6a20",
-    "grouptrees stallings index": "3e59632ecefc60352ed65423c3b0dfbefc115821ab1042d8cfa78bd5d7db07e4",
-    "grouptrees stallings meet": "0e472ccb19f5762578c1e3d49b811d0c24bd0a00db385ef32caf839ff74272da",
-    "grouptrees stallings conj": "80afbd3f7f571f411c7bf95618e2bca134a0220a7315573cec5b005cfb49915e",
-    "grouptrees stallings hall": "3415bd510b8a5575de739327a84357a1dce6c774821fdad9ca353fddec2d89b8",
+    "grouptrees stallings core": "14831e2f2f78f84c61eb795eba7416b2e220a9f70c6bc2e55a2e35cf5e3f70ce",
+    "grouptrees stallings member": "7c2976876ff3eb41b2c1f7c3ae965bb4890984e97bb055a4d48f73cedc199a69",
+    "grouptrees stallings index": "9327ca4dfb453034c8154d2335384caa1a23906271944694bf0034807126d572",
+    "grouptrees stallings meet": "42c295ce3df52ce46e7ce2b7477d2ce65b1b3fdf7977959d7fb13177ee616f44",
+    "grouptrees stallings conj": "2aee0f98993e808e0749f77bfeb23351aa7db07b464eefc2c40aeab2aca43dfa",
+    "grouptrees stallings hall": "85045f48978d9d0759786597893c7fa896bb30f699dba56e933675d90fc8a0dd",
     "grouptrees cvn": "7ec58c9250f52b553cdf7281d994875c8291f076f6b13302532460b2e92b5db4",
-    "grouptrees cvn len": "3612b6cf1236b7ac33255b96d9698d75f225bc3ea3337489573a16930bfe7bbd",
-    "grouptrees cvn vol": "8a7763d21593f26a7743b3ef71173cbe033e3d38c738cd41d53f88b992fbffcd",
-    "grouptrees cvn minsub": "a06dedf04ad5287c887ef0b7da6c5c53cfa8403f70a72db4d2e1465a2f065a63",
-    "grouptrees cvn omega": "5104b6bf70b8630211b62ea8593c61567bdd480816c3b491d9e8ffeb531db27a",
-    "grouptrees cvn transverse": "a715f0e2885f3d20e8b212ab480fb88bbe639bdc9f102c3046c94ab07144f6ae",
+    "grouptrees cvn len": "72e8025eb6ed307b55d46786894ee39829c9d298ce565dfed1d040b5b0c9344c",
+    "grouptrees cvn vol": "4f1ec44d60cd0f9269a3df9c63dc6b69da24c2f8fb3b094e02a1d200c79a4ffe",
+    "grouptrees cvn minsub": "c940cf95cd04d815007ed5af84b48742f0e28f6cbff8871f4bd073709dee09dc",
+    "grouptrees cvn omega": "13031d0b6403fc222d8a296ec5b9457199c5a83839658b5a1e6f8be88b999822",
+    "grouptrees cvn transverse": "29fa8da968c748be452b44908e1668786b4ca5fa44811370849c258cfb11087e",
     "grouptrees soi": "5fbc72a9143ad2ba11c41a3875e622a88b92e819471799e0a10fe2782bfee4ed",
-    "grouptrees soi orbit": "1af4ca40f2c9d569a4fb5ec24566a1ae7fe0c7ae33dc622ed71e783bf25b6bf5",
-    "grouptrees soi families": "1b7f92c1acb0885452cf71e87935da90b2965ccebfe61dee012c07dbe07f7454",
-    "grouptrees soi glp": "87590afef47508a96f9bd5e96675e48059f4afef6966d476f942bf802c1e5841",
-    "grouptrees soi grow": "0f50248efd0a09183e2a04b44ce7d728d0133879d1406064086f1f6805cb6cbf",
-    "grouptrees soi cover": "76d495ab54f25ed8c42d07e26abe10128d184db0a16e1879ef8df1b80cefbba5",
-    "grouptrees soi indecomp": "b4da9791d2c45ff5978eb7ceb419a7a4e2384a01e14480f5a0eafb924d07c9c9",
-    "grouptrees soi sub-orbit": "a22a5f98980c879dee5c0fe6a66132f34bbf1e10dc882012cd8161a4fe4336fc",
-    "grouptrees soi saturate": "b0350b164a402abcea15c5654fff1d4a2eb830ee1f15f43ef2d19a7433633f7e",
-    "grouptrees soi discrete": "3373ce604afe335ec0d7a7454c5884d738f4aae843800fc784934b0364d7ea6b",
+    "grouptrees soi orbit": "d0e5469fb13968022fdae4aa345d52624eddcaa4ccfc8ae686fde22d01b39395",
+    "grouptrees soi families": "4bd7e9aa57a2e2007038b4480719684d72ebdf1125e74a04adf50ddb09545f7c",
+    "grouptrees soi glp": "afd292e386a839d1a332e894f6962e6f0e531c8bc19535cfe3fb7124aa97f89f",
+    "grouptrees soi grow": "84af1835b1a1e81b151b55ec6fcbbb11ebf920d0e289f6997a2755974bb69a11",
+    "grouptrees soi cover": "32649344bd10d9820a223f0b37c1f79a41cf2abc8cb5b4e9c64c340dd0a24a4c",
+    "grouptrees soi indecomp": "7ccd36bacf7397fe662f5820bde2e9d1328d3383d6230035af225fb4a317ae2f",
+    "grouptrees soi sub-orbit": "2273489d5ab5bfedc8592968197c362cc706e7ac98f53aad1324bd45cd23feef",
+    "grouptrees soi saturate": "8e3123259cedac21fc7a2e6ed362f2b344e27a85339fa131e22ef9d9f98f9a87",
+    "grouptrees soi discrete": "da83da532b44027bf7b1c6c3b66464235d27b53c79cdca8764bc46407b43ce86",
     "grouptrees measure": "3291ab7dea8e9e5ed17eee4c5db19e9098e39bef78ca65a87cbe173e007bc8d0",
-    "grouptrees measure check": "f97c65caf9a25984c13f0ba8ca9bb446d03a231cb0ebcc7d5c5c291606e225e3",
-    "grouptrees measure combine": "d61604e1e1cc558619daf0772a11d37f4e880b8db3f6a0e4e4eff5eab5002dfd",
+    "grouptrees measure check": "31442b15855f331c12f4c2a50fa1da56793a257d0e8dc39e8763eb1a459812c1",
+    "grouptrees measure combine": "e88a8cb12e1f3f8accbf2ea2c6eacafda7d7d1299eeae5e29b64be2cdfc0bfa8",
     "grouptrees lam": "9f67445772619a2d10417e08049460db7eb4591b198ecce26a2bc34950a75ae8",
-    "grouptrees lam carries": "191f76cc230a87b50c9b026a9fe212b4e72f5f410e379f5a37a57b55d040bc8b",
-    "grouptrees lam scan": "442566f9f5285536f9b96587fac7d92a4fc9da16171386bc5fa8c447312b2115",
+    "grouptrees lam carries": "3cb5701af3a1909ecae630c722f40a6d7973053427966fc4195577aba2bfebaf",
+    "grouptrees lam scan": "22dafa9c6e06c54b01e31267b702468f72e502d95d71c445f262849dbf150e15",
     "grouptrees scenario": "225e36d708a100c3b9b570d6bcf797036d7ee5ad00ba5661a9e442e7c70707b7",
-    "grouptrees scenario run": "5c70f278bb82862ede5d189e264efa1980bdf19e19b8eb12994fd0a1008d5994",
-    "grouptrees scenario list": "90e02eca1cf9674b9ae951461add9f6044dcb11a179d60070318f561a0d1dc8e",
+    "grouptrees scenario run": "e7099cff606821a93ac40154a03cad511b6b6a1ec93cc602daea3342f09e49c8",
+    "grouptrees scenario list": "475d2ce290f7dbfdcbc7157494fb0e7d41d2ba67d019016cfc878268b987a7e7",
 }
 
 
@@ -118,6 +122,51 @@ def test_every_parser_is_pinned():
 def test_parser_structure(path):
     parser = dict(_walk(build_parser()))[path]
     assert _sha256(dump_parser(parser)) == PARSER_DIGESTS[path]
+
+
+LEAVES = sorted(path for path in PARSER_DIGESTS if len(path.split()) == 3)
+
+
+@pytest.mark.parametrize("path", LEAVES)
+def test_leaf_flags_are_its_spec(path):
+    # a leaf takes --json/--text and the flags its operation declares, each
+    # stored under the argument's key; `scenario run` takes --seed
+    parser = dict(_walk(build_parser()))[path]
+    _, group, command = path.split()
+    if group == "scenario":
+        declared = {"run": {"--seed": "seed"}, "list": {}}[command]
+    else:
+        spec = OPERATIONS[f"{group}.{command.replace('-', '_')}"]
+        declared = {arg.flag or "--" + arg.key.replace("_", "-"): arg.key
+                    for arg in spec.args}
+    options = {option: action.dest for action in parser._actions
+               for option in action.option_strings}
+    assert options == {"-h": "help", "--help": "help", "--json": "as_json",
+                       "--text": "as_json", **declared}
+
+
+@pytest.mark.parametrize("argv,flag", [
+    ("stallings index --in H --budget 3", "--budget"),
+    ("soi glp --in WORKED --seed 3", "--seed"),
+    ("cvn omega --in ROSE --epsilon 1/2 --radius 2", "--radius"),
+    ("lam carries --in H --word a --max-translate 1", "--max-translate"),
+    ("scenario list --max-word 2", "--max-word"),
+    ("soi orbit --in GOLDEN --point 0 --budget many", "--budget"),
+    ("stallings fold --in H", "fold"),
+])
+def test_usage_errors_exit_one(capsys, files, argv, flag):
+    code, out, err = _run(capsys, [files.get(w, w) for w in argv.split()])
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert err.endswith("\n") and flag in err
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["stallings", "index", "--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert "--in FILE" in out and "--budget" not in out
 
 
 # --------------------------------------------------------------------- runs
@@ -177,7 +226,7 @@ CASES = {
     "lam carries, leaf file": "lam carries --in H --leaf LEAF",
     "lam scan, explicit budgets": "lam scan --in ROSE --sub BAB --epsilon 1/2 "
                                   "--max-word 4 --max-translate 1",
-    "soi glp, seed ignored": "soi glp --in WORKED --seed 3 --max-word 6",
+    "soi glp, max-word 6": "soi glp --in WORKED --max-word 6",
 }
 
 RUN_DIGESTS = {
@@ -239,8 +288,8 @@ RUN_DIGESTS = {
     "lam carries, leaf file --json": (0, "cfd368df5de9969c5dc8b7f3b2a7688af75430af24d6499e3b8af21b5b333c5a"),
     "lam scan, explicit budgets --text": (2, "b6a8f8691fd2e35fc60a79a5c1b3e4e87c6597f26be6707328d5a2ea7dd8224d"),
     "lam scan, explicit budgets --json": (2, "582328ba664591df4bdc8d2fad48bd1de89dbd4cdd00d215d82e6af62990c3c5"),
-    "soi glp, seed ignored --text": (0, "1757f644c9fbb9bcd74ff66af7e2d3fb1c085f4e64eb97b3061091b21ff44b41"),
-    "soi glp, seed ignored --json": (0, "587ab1ddafe05f9ccafba05158e2041cc173e18033066a9fb7dc7ce87be2f223"),
+    "soi glp, max-word 6 --text": (0, "1757f644c9fbb9bcd74ff66af7e2d3fb1c085f4e64eb97b3061091b21ff44b41"),
+    "soi glp, max-word 6 --json": (0, "587ab1ddafe05f9ccafba05158e2041cc173e18033066a9fb7dc7ce87be2f223"),
 }
 
 REGISTRY_LEAVES = 24
@@ -288,8 +337,10 @@ def test_run_output(capsys, files, case, mode):
 # ------------------------------------------------------ cross-argument errors
 
 @pytest.mark.parametrize("argv,message", [
-    ("cvn omega --in ROSE", "cvn omega requires --epsilon"),
-    ("lam scan --in ROSE --sub BAB", "lam scan requires --epsilon"),
+    ("cvn omega --in ROSE",
+     "the following arguments are required: --epsilon"),
+    ("lam scan --in ROSE --sub BAB",
+     "the following arguments are required: --epsilon"),
     ("lam carries --in H",
      "lam carries needs exactly one of --word or --leaf"),
     ("lam carries --in H --word a --leaf LEAF",
@@ -305,6 +356,14 @@ def test_cross_argument_errors(capsys, files, argv, message):
      "radius must be nonnegative, not -1"),
     ("cvn transverse --in ROSE --sub A --max-word -1",
      "max_word must be nonnegative, not -1"),
+    ("cvn omega --in ROSE --epsilon 1/2 --max-word -1",
+     "max_word must be nonnegative, not -1"),
+    ('soi grow --in WORKED --start [["0","1/8"]] --steps -1',
+     "steps must be nonnegative, not -1"),
+    ("soi orbit --in GOLDEN --point 1/2 --budget -5",
+     "budget must be nonnegative, not -5"),
+    ("soi glp --in WORKED --max-word -2",
+     "max_word must be nonnegative, not -2"),
 ])
 def test_negative_budgets_rejected(capsys, files, argv, message):
     code, out, err = _run(capsys, [files.get(w, w) for w in argv.split()])
@@ -326,6 +385,25 @@ def test_deeply_nested_samples(capsys, files):
                                    "--sub", files["A"], "--samples", DEEP])
     assert (code, out, err) == (
         1, "", "error: --samples: invalid JSON: nesting too deep\n")
+
+
+@pytest.mark.parametrize("argv,key", [
+    ("soi grow --in WORKED --start", "start"),
+    ('soi cover --in GOLDEN --target ["0","1"] --delta 1/100 --seed-set',
+     "seed_set"),
+    ('soi cover --in GOLDEN --seed-set [["0","1/5"]] --delta 1/100 --target',
+     "target"),
+    ('soi indecomp --in GOLDEN --target ["1/2","3/5"] --piece', "piece"),
+])
+@pytest.mark.parametrize("text", ["[[", '["0"', DEEP])
+def test_malformed_inline_json(capsys, files, argv, key, text):
+    code, out, err = _run(capsys, [files.get(w, w) for w in argv.split()]
+                          + [text])
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: {key}: invalid JSON: ")
+    assert err.count("\n") == 1 and "Error" not in err
+    if text is DEEP:
+        assert err == f"error: {key}: invalid JSON: nesting too deep\n"
 
 
 # The whole-ball search took about five minutes on this call; its report is
