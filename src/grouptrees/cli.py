@@ -4,11 +4,12 @@ Every subcommand but `scenario run` and `scenario list` is generated from
 its entry in the operation registry `scenarios.OPERATIONS`: the entry's help
 and argument spec give the subcommand's help and flags, and the subcommand
 runs the operation, so the CLI and scripted scenarios share one code path.
-A subcommand takes `--json`/`--text` and exactly the flags of its spec;
-`scenario run` takes `--seed`.  Adding an operation means adding one
-registry entry.  Documents come in as JSON files (`-` reads stdin); small
-geometric arguments (points, intervals, interval sets) are inline JSON with
-exact values as strings.
+A subcommand takes `--json`/`--text` and exactly the flags of its spec,
+never abbreviated; `scenario run` takes `--seed`.  Adding an operation
+means adding one registry entry.  Documents come in as JSON files (`-`
+reads stdin); small geometric arguments (points, intervals, interval sets)
+are inline JSON with exact values as strings.  `run_op` loads both by the
+kind its spec declares.
 
 Exit codes: 0 = the reported outcome is definite, 2 = a budget-limited
 outcome is being reported (not a failure), 1 = error or assertion failure,
@@ -72,7 +73,7 @@ def _flag(arg) -> str:
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
-        prog="grouptrees",
+        prog="grouptrees", allow_abbrev=False,
         description="exact computations on subgroup graphs, marked metric "
                     "graphs, interval isometry systems, length measures and "
                     "boundary leaves")
@@ -82,9 +83,11 @@ def build_parser() -> argparse.ArgumentParser:
     def leaf(group: str, command: str, help_text: str):
         if group not in groups:
             groups[group] = top.add_parser(
-                group, help=_GROUPS[group]).add_subparsers(dest="command",
-                                                           required=True)
-        p = groups[group].add_parser(command, help=help_text)
+                group, help=_GROUPS[group],
+                allow_abbrev=False).add_subparsers(dest="command",
+                                                   required=True)
+        p = groups[group].add_parser(command, help=help_text,
+                                     allow_abbrev=False)
         mode = p.add_mutually_exclusive_group()
         mode.add_argument("--json", action="store_true", dest="as_json",
                           help="emit the canonical JSON report")
@@ -111,6 +114,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("name", help="bundled scenario name or path to a "
                                 "scenario JSON file")
     leaf("scenario", "list", "list bundled scenarios")
+    # a missing subcommand is named by its choices, not by its dest
+    for action in (top, *groups.values()):
+        action.metavar = "{" + ",".join(action.choices) + "}"
     return parser
 
 
@@ -124,9 +130,10 @@ def _op_args(spec, ns: argparse.Namespace, command: str) -> dict:
             if (value is None) == (getattr(ns, other.key) is None):
                 raise ParseError(f"{command} needs exactly one of "
                                  f"{_flag(arg)} or {_flag(other)}")
-        if value is not None and arg.read is not None:
-            value = (_inline_points(value) if arg.read == "samples"
-                     else _read_document(value, arg.read))
+        if value is not None and arg.metavar == "FILE":
+            value = _read_document(value, arg.kind)
+        elif value is not None and arg.kind == "samples":
+            value = _inline_points(value)
         args[arg.key] = value
     return args
 

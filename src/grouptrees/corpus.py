@@ -125,33 +125,20 @@ def grow_corpus() -> list[tuple[str, SoISystem, MultiInterval]]:
     def mi(*pairs):
         return MultiInterval([_interval(a, b) for a, b in pairs])
 
+    system = {name: sy for name, sy, _ in balanced_corpus()}
     entries = [
         ("golden-strict", golden_system(labels=None), golden_grow_seed()),
         ("golden-sixth", golden_system(labels=None), mi((0, "1/6"))),
-        ("sweep-quarter-eighth", worked_single_map(), mi((0, "1/8"))),
-        ("sweep-quarter-half", worked_single_map(), mi((0, "1/2"))),
-        ("sweep-two-fifths-tenth",
-         _system([(0, 1)], [(0, "3/5", 1, "2/5")]), mi((0, "1/10"))),
-        ("sweep-half-of-two-quarter",
-         _system([(0, 2)], [(0, "3/2", 1, "1/2")]), mi((0, "1/4"))),
-        ("disjoint-pair-splinter",
-         _system([(0, 1)], [(0, "1/4", 1, "1/4"), ("1/2", "3/4", 1, "1/4")]),
-         mi(("1/8", "1/4"))),
-        ("reversing-half-tenth", _system([(0, 1)], [(0, "1/2", -1, 1)]),
-         mi((0, "1/10"))),
-        ("two-components-half",
-         SoISystem(MultiInterval([_interval(0, 1), _interval(2, 3)]),
-                   [PartialIsometry(_interval(0, 1), 1, _S(2))]),
-         mi((0, "1/2"))),
-        ("chain-of-three-eighth",
-         _system([(0, 1)], [(0, "1/4", 1, "1/4"), ("1/4", "1/2", 1, "1/4"),
-                            ("1/2", "3/4", 1, "1/4")]),
-         mi((0, "1/8"))),
-        ("sweep-sqrt2-tenth",
-         SoISystem(MultiInterval([_interval(0, 1)]),
-                   [PartialIsometry(Interval(_S(0), _S(2) - _S("sqrt2")), 1,
-                                    _S("sqrt2") - _S(1))]),
-         mi((0, "1/10"))),
+        ("sweep-quarter-eighth", system["sweep-quarter"], mi((0, "1/8"))),
+        ("sweep-quarter-half", system["sweep-quarter"], mi((0, "1/2"))),
+        ("sweep-two-fifths-tenth", system["sweep-two-fifths"], mi((0, "1/10"))),
+        ("sweep-half-of-two-quarter", system["sweep-half-of-two"],
+         mi((0, "1/4"))),
+        ("disjoint-pair-splinter", system["disjoint-pair"], mi(("1/8", "1/4"))),
+        ("reversing-half-tenth", system["reversing-half"], mi((0, "1/10"))),
+        ("two-components-half", system["two-components"], mi((0, "1/2"))),
+        ("chain-of-three-eighth", system["chain-of-three"], mi((0, "1/8"))),
+        ("sweep-sqrt2-tenth", system["sweep-sqrt2"], mi((0, "1/10"))),
         ("rotation-pair-sliver", rotation_pair(), mi((0, "1/16"))),
     ]
     return entries

@@ -1,11 +1,11 @@
 """Named operation registry and the deterministic scenario runner.
 
 Every CLI subcommand maps to one operation here, so scripted scenarios and
-the command line exercise the same code path.  An operation takes a plain
-JSON-style argument dict (documents inline, exact values as strings) and
-returns ``(result, kind)`` where kind is "proven" (exit 0), "budget"
-(exit 2: a budget-limited outcome is being reported) or "failed" (exit 1:
-an internal consistency check did not hold).
+the command line exercise the same code path.  `run_op` takes a plain
+JSON-style argument dict (documents inline, exact values as strings), loads
+it by the operation's spec, and returns ``(result, kind)`` where kind is
+"proven" (exit 0), "budget" (exit 2: a budget-limited outcome is being
+reported) or "failed" (exit 1: an internal consistency check did not hold).
 
 A scenario is a named list of steps; each step names an operation, its
 arguments, and an expected substructure of the result.  Expectations match
@@ -49,18 +49,19 @@ REQUIRED = object()
 class Arg(NamedTuple):
     """One argument of an operation, and the command-line flag that gives it.
 
-    `run_op` fills in `default`, checks presence and `integer`, and hands the
-    operation a dict with exactly the keys of its spec.  A None value counts
-    as absent unless the default is None.  An argument with `either` may be
+    `run_op` fills in `default`, checks presence and `integer`, converts the
+    value by its `kind` (see `KINDS`) and hands the operation a dict with
+    exactly the keys of its spec.  A None value counts as absent unless the
+    default is None, and is not converted.  An argument with `either` may be
     absent only when that other argument is given; on the command line
     exactly one of the two must be.  `budget` arguments are echoed in the
     envelope of a command-line report; an `integer` budget must be
     nonnegative.
 
     The rest is the command-line surface, whose parsed value is stored under
-    `key`: `flag` (by default ``--`` and the key with "-" for "_"), `help`,
-    `metavar`, and `read`: the kind of JSON document read from the file the
-    flag names, or "samples" for an inline point or JSON list of points.
+    `key`: `flag` (by default ``--`` and the key with "-" for "_"), `help`
+    and `metavar`; the flag of a ``FILE`` argument names a JSON file holding
+    the document.
     """
 
     key: str
@@ -71,7 +72,7 @@ class Arg(NamedTuple):
     flag: str | None = None
     help: str | None = None
     metavar: str | None = None
-    read: str | None = None
+    kind: str | None = None
 
 
 class Op(NamedTuple):
@@ -87,11 +88,11 @@ class Op(NamedTuple):
 
 def _document_in(kind: str, help: str | None = None) -> Arg:
     """The `--in FILE` document of a subcommand."""
-    return Arg(kind, flag="--in", metavar="FILE", read=kind, help=help)
+    return Arg(kind, flag="--in", metavar="FILE", kind=kind, help=help)
 
 
 def _document(key: str, kind: str, flag: str | None = None) -> Arg:
-    return Arg(key, flag=flag, metavar="FILE", read=kind)
+    return Arg(key, flag=flag, metavar="FILE", kind=kind)
 
 
 # Budgets several operations declare: one spec each, so a flag has the same
@@ -102,29 +103,53 @@ MAX_WORD = Arg("max_word", 8, integer=True, budget=True,
                help="word-length budget (default 8)")
 RADIUS = Arg("radius", 6, integer=True, budget=True,
              help="ball radius for tree comparisons (default 6)")
-EPSILON = Arg("epsilon", budget=True,
+EPSILON = Arg("epsilon", budget=True, kind="scalar",
               help="exact length threshold, e.g. \"1/2\"")
 MAX_TRANSLATE = Arg("max_translate", 2, integer=True, budget=True,
                     help="translate word-length budget (default 2)")
 
-_WORD = Arg("word")
-_POINT = Arg("point")
+_WORD = Arg("word", kind="word")
+_POINT = Arg("point", kind="scalar")
 _SUBGROUP = _document("subgroup", "subgroup", "--sub")
 
 
-def _word_arg(args: dict, key: str, rank: int) -> Word:
-    text = args[key]
-    if not isinstance(text, str):
+def _word(value, key: str, rank: int) -> Word:
+    if not isinstance(value, str):
         raise ParseError(f"argument '{key}' must be a word string")
-    return parse_word(text, rank)
+    return parse_word(value, rank)
 
 
-def _scalar_arg(args: dict, key: str) -> Scalar:
-    return docs.scalar_field(args[key], f"argument '{key}'")
+def _samples(value, key: str, rank: int) -> list[Scalar]:
+    if not isinstance(value, list):
+        value = [value]
+    return [docs.scalar_field(s, "sample point") for s in value]
+
+
+#: How an argument of each kind becomes an engine value:
+#: ``loader(value, key, rank)``, where rank is that of the first subgroup
+#: or graph document of the spec.  Each call looks its loader up in `documents`, so a wrapper
+#: installed there (as `perfbench/tracer.py` does) sees it.
+KINDS = {
+    "subgroup": lambda v, key, rank: docs.load_subgroup(v),
+    "graph": lambda v, key, rank: docs.load_marked_graph(v),
+    "system": lambda v, key, rank: docs.load_system(v),
+    "measure": lambda v, key, rank: docs.load_measure(v),
+    "leaf": lambda v, key, rank: docs.load_leaf(v, rank),
+    "word": _word,
+    "scalar": lambda v, key, rank: docs.scalar_field(v, f"argument '{key}'"),
+    "intervals": lambda v, key, rank: docs.load_multi(v, key),
+    "interval": lambda v, key, rank: docs.load_interval(v, key),
+    "samples": _samples,
+}
+
+# The kinds given as JSON objects, and those of them that carry a rank.
+_DOCUMENTS = ("subgroup", "graph", "system", "measure", "leaf")
+_RANKED = ("subgroup", "graph")
 
 
 def _bind(spec: Op, args: dict) -> dict:
-    """The spec's arguments from `args`, defaults filled in and checked."""
+    """The spec's arguments from `args`: defaults filled in, checked, and
+    converted by kind in spec order."""
     bound = {}
     for arg in spec.args:
         value = args.get(arg.key, arg.default)
@@ -140,45 +165,51 @@ def _bind(spec: Op, args: dict) -> dict:
             raise PreconditionError(
                 f"{arg.key} must be nonnegative, not {value}")
         bound[arg.key] = value
+    first = rank = None  # the first document with a rank, and its rank
+    for arg in spec.args:
+        value = bound[arg.key]
+        if arg.kind is None or value is None:
+            continue
+        if arg.kind in _DOCUMENTS and not isinstance(value, dict):
+            raise ParseError(f"argument '{arg.key}' must be a JSON object")
+        value = bound[arg.key] = KINDS[arg.kind](value, arg.key, rank)
+        if arg.kind in _RANKED and rank is None:
+            first, rank = arg.key, value.rank
+        elif arg.kind in _RANKED and value.rank != rank:
+            raise ParseError(f"argument '{arg.key}' has rank {value.rank}, "
+                             f"but argument '{first}' has rank {rank}")
     return bound
 
 
 # ------------------------------------------------------------- stallings ops
 
 def op_stallings_core(args: dict):
-    graph = docs.load_subgroup(args["subgroup"])
+    graph = args["subgroup"]
     return {"graph": graph, "subgroup_rank": rank_of(graph)}, PROVEN
 
 
 def op_stallings_member(args: dict):
-    graph = docs.load_subgroup(args["subgroup"])
-    w = _word_arg(args, "word", graph.rank)
-    return {"word": w, "member": membership(graph, w)}, PROVEN
+    w = args["word"]
+    return {"word": w, "member": membership(args["subgroup"], w)}, PROVEN
 
 
 def op_stallings_index(args: dict):
-    graph = docs.load_subgroup(args["subgroup"])
+    graph = args["subgroup"]
     return {"index": index(graph), "vertices": graph.nv}, PROVEN
 
 
 def op_stallings_meet(args: dict):
-    g1 = docs.load_subgroup(args["subgroup"])
-    g2 = docs.load_subgroup(args["other"])
-    if g1.rank != g2.rank:
-        raise ParseError("the two subgroups live in free groups of "
-                         "different ranks")
-    meet = fiber_product(g1, g2)
+    meet = fiber_product(args["subgroup"], args["other"])
     return {"graph": meet, "subgroup_rank": rank_of(meet)}, PROVEN
 
 
 def op_stallings_conj(args: dict):
-    graph = docs.load_subgroup(args["subgroup"])
-    g = _word_arg(args, "word", graph.rank)
-    conj = conjugate(graph, g)
-    return {"graph": conj, "conjugator": g}, PROVEN
+    g = args["word"]
+    return {"graph": conjugate(args["subgroup"], g), "conjugator": g}, PROVEN
 
 
-def _witness_report(witness) -> dict:
+def op_stallings_hall(args: dict):
+    witness = hall_completion(args["subgroup"], args["word"])
     checks = witness.verify()
     return {
         "cover": witness.cover,
@@ -187,17 +218,7 @@ def _witness_report(witness) -> dict:
         "complement_basis": [str(w) for w in witness.complement_basis],
         "excluded": None if witness.excluded is None else str(witness.excluded),
         "checks": checks,
-    }
-
-
-def op_stallings_hall(args: dict):
-    graph = docs.load_subgroup(args["subgroup"])
-    g = None
-    if args["word"] is not None:
-        g = _word_arg(args, "word", graph.rank)
-    witness = hall_completion(graph, g)
-    result = _witness_report(witness)
-    return result, (PROVEN if result["checks"]["ok"] else FAILED)
+    }, (PROVEN if checks["ok"] else FAILED)
 
 
 def op_stallings_hall_random_batch(args: dict):
@@ -219,80 +240,67 @@ def op_stallings_hall_random_batch(args: dict):
 # ------------------------------------------------------------------- cvn ops
 
 def op_cvn_len(args: dict):
-    graph = docs.load_marked_graph(args["graph"])
-    w = _word_arg(args, "word", graph.rank)
-    return {"word": w, "translation_length": graph.translation_length(w)}, PROVEN
+    w = args["word"]
+    return {"word": w,
+            "translation_length": args["graph"].translation_length(w)}, PROVEN
 
 
 def op_cvn_vol(args: dict):
-    graph = docs.load_marked_graph(args["graph"])
-    volume = graph.volume()
+    volume = args["graph"].volume()
     # the volume bounds backtracking of broken geodesics in the cover
     return {"volume": volume, "bounded_backtracking": volume}, PROVEN
 
 
 def op_cvn_minsub(args: dict):
-    graph = docs.load_marked_graph(args["graph"])
-    subgroup = docs.load_subgroup(args["subgroup"])
-    if subgroup.rank != graph.rank:
-        raise ParseError("subgroup rank does not match the graph's rank")
-    return minimal_subtree(graph, subgroup).core_summary(), PROVEN
+    return minimal_subtree(args["graph"], args["subgroup"]).core_summary(), \
+        PROVEN
 
 
 def op_cvn_omega(args: dict):
-    graph = docs.load_marked_graph(args["graph"])
-    epsilon = _scalar_arg(args, "epsilon")
-    max_word = args["max_word"]
-    classes = graph.omega_epsilon(epsilon, max_word)
+    epsilon, max_word = args["epsilon"], args["max_word"]
+    classes = args["graph"].omega_epsilon(epsilon, max_word)
     return {"epsilon": epsilon, "max_word": max_word,
             "classes": [str(w) for w in classes]}, PROVEN
 
 
 def op_cvn_transverse(args: dict):
-    graph = docs.load_marked_graph(args["graph"])
-    subgroup = docs.load_subgroup(args["subgroup"])
-    if subgroup.rank != graph.rank:
-        raise ParseError("subgroup rank does not match the graph's rank")
-    rep = transverse_family_report(graph, subgroup, args["max_word"],
-                                   args["radius"])
+    rep = transverse_family_report(args["graph"], args["subgroup"],
+                                   args["max_word"], args["radius"])
     kind = BUDGET if rep["verdict"] == "transverse-up-to-budget" else PROVEN
     return rep, kind
 
 
 # ------------------------------------------------------------------- soi ops
 
-def op_soi_orbit(args: dict):
-    system = docs.load_system(args["system"])
-    x = _scalar_arg(args, "point")
-    budget = args["budget"]
-    status, points = orbit(system, x, budget)
-    return {"status": status, "point": x, "count": len(points),
-            "points": points, "budget": budget}, \
+def _orbit_result(args: dict, found: tuple):
+    status, points = found
+    return {"status": status, "point": args["point"], "count": len(points),
+            "points": points, "budget": args["budget"]}, \
         (PROVEN if status == "closed" else BUDGET)
 
 
+def op_soi_orbit(args: dict):
+    return _orbit_result(args, orbit(args["system"], args["point"],
+                                     args["budget"]))
+
+
 def op_soi_families(args: dict):
-    system = docs.load_system(args["system"])
-    rep = finite_orbit_families(system, args["budget"])
+    rep = finite_orbit_families(args["system"], args["budget"])
     return rep, (PROVEN if rep["status"] == "complete" else BUDGET)
 
 
 def op_soi_glp(args: dict):
-    system = docs.load_system(args["system"])
-    rep = balance_report(system, args["max_word"], args["budget"])
+    rep = balance_report(args["system"], args["max_word"], args["budget"])
     kind = PROVEN if rep["verdict"] in ("identity-verified",
                                         "dependent-certified") else BUDGET
     return rep, kind
 
 
 def op_soi_grow(args: dict):
-    system = docs.load_system(args["system"])
-    start = docs.load_multi(args["start"], "start")
     steps = args["steps"]
-    stages = grow_forest(system, start, steps)
-    non_increasing = all(
-        stages[i + 1]["residual"] <= stages[i]["residual"]
-        for i in range(len(stages) - 1))
+    stages = grow_forest(args["system"], args["start"], steps)
+    non_increasing = all(b["residual"] <= a["residual"]
+                         for a, b in zip(stages, stages[1:]))
     drops = 0
     while (drops + 1 < len(stages)
            and stages[drops + 1]["residual"] < stages[drops]["residual"]):
@@ -303,51 +311,32 @@ def op_soi_grow(args: dict):
 
 
 def op_soi_cover(args: dict):
-    system = docs.load_system(args["system"])
-    f_eps = docs.load_multi(args["seed_set"], "seed_set")
-    target = docs.load_interval(args["target"], "target")
-    delta = _scalar_arg(args, "delta")
-    rep = ae_support_check(system, f_eps, target, delta, args["max_word"])
+    rep = ae_support_check(args["system"], args["seed_set"], args["target"],
+                           args["delta"], args["max_word"])
     return rep, (PROVEN if rep["status"] == "covered" else BUDGET)
 
 
 def op_soi_indecomp(args: dict):
-    system = docs.load_system(args["system"])
-    piece = docs.load_interval(args["piece"], "piece")
-    target = docs.load_interval(args["target"], "target")
-    rep = indecomposability_search(system, piece, target, args["chain_max"],
+    rep = indecomposability_search(args["system"], args["piece"],
+                                   args["target"], args["chain_max"],
                                    args["max_word"])
     return rep, (PROVEN if rep["status"] == "chain-found" else BUDGET)
 
 
 def op_soi_sub_orbit(args: dict):
-    system = docs.load_system(args["system"])
-    subgroup = docs.load_subgroup(args["subgroup"])
-    x = _scalar_arg(args, "point")
-    budget = args["budget"]
-    status, points = subgroup_constrained_orbit(system, subgroup, x, budget)
-    return {"status": status, "point": x, "count": len(points),
-            "points": points, "budget": budget}, \
-        (PROVEN if status == "closed" else BUDGET)
+    return _orbit_result(args, subgroup_constrained_orbit(
+        args["system"], args["subgroup"], args["point"], args["budget"]))
 
 
 def op_soi_saturate(args: dict):
-    system = docs.load_system(args["system"])
-    subgroup = docs.load_subgroup(args["subgroup"])
-    piece = docs.load_interval(args["piece"], "piece")
-    rep = subgroup_saturation(system, subgroup, piece, args["max_word"],
-                              args["steps"])
+    rep = subgroup_saturation(args["system"], args["subgroup"], args["piece"],
+                              args["max_word"], args["steps"])
     return rep, (PROVEN if rep["saturated"] else BUDGET)
 
 
 def op_soi_discrete(args: dict):
-    system = docs.load_system(args["system"])
-    subgroup = docs.load_subgroup(args["subgroup"])
-    samples = args["samples"]
-    if isinstance(samples, (str, int)):
-        samples = [samples]
-    samples = [docs.scalar_field(s, "sample point") for s in samples]
-    rep = discreteness_report(system, subgroup, samples, args["budget"])
+    rep = discreteness_report(args["system"], args["subgroup"],
+                              args["samples"], args["budget"])
     all_closed = all(row["status"] == "closed" for row in rep["samples"])
     return rep, (PROVEN if all_closed else BUDGET)
 
@@ -355,40 +344,30 @@ def op_soi_discrete(args: dict):
 # --------------------------------------------------------------- measure ops
 
 def op_measure_check(args: dict):
-    system = docs.load_system(args["system"])
-    mu = docs.load_measure(args["measure"])
-    rep = invariance_check(system, mu)
+    mu = args["measure"]
+    rep = invariance_check(args["system"], mu)
     rep["total"] = mu.total
     return rep, PROVEN
 
 
 def op_measure_combine(args: dict):
-    mu1 = docs.load_measure(args["measure"])
-    mu2 = docs.load_measure(args["other"])
-    out = combine(_scalar_arg(args, "c1"), mu1, _scalar_arg(args, "c2"), mu2)
+    out = combine(args["c1"], args["measure"], args["c2"], args["other"])
     return {"measure": out, "total": out.total}, PROVEN
 
 
 # ------------------------------------------------------------------- lam ops
 
 def op_lam_carries(args: dict):
-    subgroup = docs.load_subgroup(args["subgroup"])
-    if args["leaf"] is not None:
-        leaf = docs.load_leaf(args["leaf"], subgroup.rank)
-    else:
-        leaf = periodic_leaf(_word_arg(args, "word", subgroup.rank))
+    subgroup, leaf = args["subgroup"], args["leaf"]
+    if leaf is None:
+        leaf = periodic_leaf(args["word"])
     return {"leaf": str(leaf), "carries": carries(subgroup, leaf),
             "subgroup_index": index(subgroup)}, PROVEN
 
 
 def op_lam_scan(args: dict):
-    graph = docs.load_marked_graph(args["graph"])
-    subgroup = docs.load_subgroup(args["subgroup"])
-    if subgroup.rank != graph.rank:
-        raise ParseError("subgroup rank does not match the graph's rank")
-    epsilon = _scalar_arg(args, "epsilon")
-    rep = carrier_scan(graph, subgroup, epsilon, args["max_word"],
-                       args["max_translate"])
+    rep = carrier_scan(args["graph"], args["subgroup"], args["epsilon"],
+                       args["max_word"], args["max_translate"])
     kind = PROVEN if rep["status"] == "carried-leaves-found" else BUDGET
     return rep, kind
 
@@ -413,7 +392,7 @@ OPERATIONS = {
     "stallings.hall": Op(op_stallings_hall,
                          "finite-index extension with verified witness",
                          (_document_in("subgroup"),
-                          Arg("word", None,
+                          Arg("word", None, kind="word",
                               help="word to keep outside the extension"))),
     "stallings.hall_random_batch": Op(op_stallings_hall_random_batch, None,
                                       (Arg("count", 200, integer=True),
@@ -437,24 +416,26 @@ OPERATIONS = {
                   (_document_in("system"), POINT_BUDGET, MAX_WORD)),
     "soi.grow": Op(op_soi_grow, "support iteration with residual sequence",
                    (_document_in("system"),
-                    Arg("start", help="starting interval set, "
-                                      "e.g. '[[\"0\",\"1/8\"]]'"),
+                    Arg("start", kind="intervals",
+                        help="starting interval set, "
+                             "e.g. '[[\"0\",\"1/8\"]]'"),
                     Arg("steps", 8, integer=True, budget=True))),
     "soi.cover": Op(op_soi_cover,
                     "almost-everywhere support cover from a seed set",
                     (_document_in("system"),
-                     Arg("seed_set",
+                     Arg("seed_set", kind="intervals",
                          help="seed interval set, e.g. '[[\"0\",\"1/5\"]]'"),
-                     Arg("target", help="target interval, e.g. '[\"0\",\"1\"]'"),
+                     Arg("target", kind="interval",
+                         help="target interval, e.g. '[\"0\",\"1\"]'"),
                      MAX_WORD,
-                     Arg("delta", budget=True,
+                     Arg("delta", budget=True, kind="scalar",
                          help="allowed uncovered length, e.g. \"1/100\""))),
     "soi.indecomp": Op(op_soi_indecomp,
                        "chain of overlapping images joining two pieces",
                        (_document_in("system"),
-                        Arg("piece",
+                        Arg("piece", kind="interval",
                             help="source interval, e.g. '[\"0\",\"1/10\"]'"),
-                        Arg("target",
+                        Arg("target", kind="interval",
                             help="target interval, e.g. '[\"1/2\",\"3/5\"]'"),
                         MAX_WORD,
                         Arg("chain_max", 8, integer=True, budget=True,
@@ -465,12 +446,13 @@ OPERATIONS = {
                          POINT_BUDGET)),
     "soi.saturate": Op(op_soi_saturate,
                        "saturate a piece under subgroup translates",
-                       (_document_in("system"), _SUBGROUP, Arg("piece"),
+                       (_document_in("system"), _SUBGROUP,
+                        Arg("piece", kind="interval"),
                         MAX_WORD, Arg("steps", 10, integer=True, budget=True))),
     "soi.discrete": Op(op_soi_discrete,
                        "orbit-spacing heuristic for a subgroup action",
                        (_document_in("system"), _SUBGROUP,
-                        Arg("samples", "0", read="samples",
+                        Arg("samples", "0", kind="samples",
                             help="sample point or JSON list, "
                                  "e.g. '[\"0\",\"1/2\"]'"),
                         POINT_BUDGET)),
@@ -482,15 +464,17 @@ OPERATIONS = {
                           "non-negative combination of two measures",
                           (_document("measure", "measure"),
                            _document("other", "measure"),
-                           Arg("c1", "1", help="coefficient for the first "
-                                               "measure (default 1)"),
-                           Arg("c2", "1", help="coefficient for the second "
-                                               "measure (default 1)"))),
+                           Arg("c1", "1", kind="scalar",
+                               help="coefficient for the first "
+                                    "measure (default 1)"),
+                           Arg("c2", "1", kind="scalar",
+                               help="coefficient for the second "
+                                    "measure (default 1)"))),
     "lam.carries": Op(op_lam_carries, "does the subgroup graph carry a leaf?",
                       (_document_in("subgroup", "subgroup document"),
-                       Arg("word", None, either="leaf",
+                       Arg("word", None, either="leaf", kind="word",
                            help="build the leaf of this word's axis"),
-                       Arg("leaf", None, metavar="FILE", read="leaf",
+                       Arg("leaf", None, metavar="FILE", kind="leaf",
                            help="leaf document with two rays"))),
     "lam.scan": Op(op_lam_scan,
                    "scan short leaves for carriers up to translates",

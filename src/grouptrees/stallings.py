@@ -16,7 +16,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .core import Word, enumerate_words, reduce_letters
+from .core import Word, reduce_letters
 from .errors import PreconditionError
 from . import folding
 
@@ -213,9 +213,22 @@ def conjugate(graph: StallingsGraph, g: Word) -> StallingsGraph:
     return build_core([g * h * ginv for h in basis_of(graph)], graph.rank)
 
 
-def subgroup_elements(graph: StallingsGraph, max_len: int):
-    """All subgroup elements of word length <= max_len, in canonical order."""
-    return [w for w in enumerate_words(graph.rank, max_len) if membership(graph, w)]
+def subgroup_elements(graph: StallingsGraph, max_len: int) -> list[Word]:
+    """All subgroup elements of word length <= max_len, in canonical order.
+
+    The reduced paths from the basepoint grow one letter at a time, in the
+    letter order of `enumerate_words`.  A folded graph reads a reduced word
+    along at most one path, so the paths that close at the basepoint are the
+    elements, in that order.
+    """
+    elements = [Word((), graph.rank)]
+    layer = [((), graph.base)]
+    for _ in range(max_len):
+        layer = [(letters + (l,), graph.step(v, l)) for letters, v in layer
+                 for l in graph.darts_at(v) if not letters or l != -letters[-1]]
+        elements.extend(Word(letters, graph.rank)
+                        for letters, v in layer if v == graph.base)
+    return elements
 
 
 # --------------------------------------------------------------------------

@@ -41,7 +41,9 @@ they grow whole radius balls of the universal cover, step the walker over
 every edge of them, and filter double cosets with all 64 x 64 pairs.  They
 are the engine's code of that time, except that the engine's walker no
 longer has ``vertex_on_subtree`` and its graph no longer keeps out-edge
-lists, so both are computed here.
+lists, so both are computed here.  :func:`filter_subgroup_elements` is
+``grouptrees.stallings.subgroup_elements`` before it walked the core graph:
+it tests every reduced word for membership.
 """
 
 from __future__ import annotations
@@ -56,7 +58,7 @@ from grouptrees.core import (Scalar, Word, enumerate_words, letter_key,
                              reduce_letters, word_sort_key)
 from grouptrees.errors import MixedFieldError, NotABasisError, ParseError
 from grouptrees.marked_graphs import minimal_subtree
-from grouptrees.stallings import index, membership, subgroup_elements
+from grouptrees.stallings import index, membership
 
 ZERO = Scalar.of(0)
 
@@ -780,6 +782,12 @@ def vertex_on_subtree(cover, state) -> bool:
     return not stack and p in cover.core_vertices
 
 
+def filter_subgroup_elements(graph, max_len: int) -> list[Word]:
+    """The subgroup elements of length <= max_len: every reduced word, kept
+    when it is a member."""
+    return [w for w in enumerate_words(graph.rank, max_len) if membership(graph, w)]
+
+
 def grow_ball(cover, seed_letters, seed_state, radius: int) -> dict:
     """Walker states for every tree vertex within `radius` edges of the seed."""
     graph = cover.graph
@@ -914,7 +922,7 @@ def ball_transverse_family_report(graph, subgroup, max_len: int, radius: int) ->
         report["violations"] = []
         return report
 
-    ball = [w.letters for w in subgroup_elements(subgroup, max_len)]
+    ball = [w.letters for w in filter_subgroup_elements(subgroup, max_len)]
     if () not in ball:
         ball.append(())
     ball = ball[:64]

@@ -168,6 +168,9 @@ class TestSubsetMatch:
 
 # ------------------------------------------------------------ op registry
 
+RANK_THREE = {"rank": 3, "generators": ["c"]}
+
+
 class TestOps:
     def test_glp_kinds(self):
         result, kind = run_op("soi.glp", {
@@ -236,6 +239,9 @@ class TestOps:
         two, _ = run_op("soi.discrete", {**args, "samples": "0"})
         three, _ = run_op("soi.discrete", {**args, "samples": ["0"]})
         assert to_jsonable(one) == to_jsonable(two) == to_jsonable(three)
+        for bad in (4.0, ["0", 0.5]):
+            with pytest.raises(ParseError, match="^sample point: floats"):
+                run_op("soi.discrete", {**args, "samples": bad})
 
     @pytest.mark.parametrize("op,args,message", [
         ("cvn.omega", {"graph": lopsided_rose, "epsilon": "1/2",
@@ -290,6 +296,35 @@ class TestOps:
             run_op("stallings.meet", {
                 "subgroup": {"rank": 2, "generators": ["a"]},
                 "other": {"rank": 3, "generators": ["c"]}})
+
+    @pytest.mark.parametrize("op,key", [
+        ("stallings.core", "subgroup"), ("cvn.vol", "graph"),
+        ("soi.families", "system"), ("measure.check", "measure"),
+        ("lam.carries", "leaf")])
+    def test_documents_must_be_objects(self, op, key):
+        valid = {"subgroup": {"rank": 2, "generators": ["a"]},
+                 "system": docs.dump_system(worked_single_map())}
+        for bad in ("abc", ["a"], 3):
+            with pytest.raises(
+                    ParseError,
+                    match=f"^argument '{key}' must be a JSON object$"):
+                run_op(op, {**valid, key: bad})
+
+    @pytest.mark.parametrize("op,args,message", [
+        ("stallings.meet", {"other": RANK_THREE},
+         "argument 'other' has rank 3, but argument 'subgroup' has rank 2"),
+        ("cvn.minsub", {"subgroup": RANK_THREE},
+         "argument 'subgroup' has rank 3, but argument 'graph' has rank 2"),
+        ("cvn.transverse", {"subgroup": RANK_THREE},
+         "argument 'subgroup' has rank 3, but argument 'graph' has rank 2"),
+        ("lam.scan", {"subgroup": RANK_THREE, "epsilon": "1/2"},
+         "argument 'subgroup' has rank 3, but argument 'graph' has rank 2"),
+    ])
+    def test_rank_mismatch_has_one_message(self, op, args, message):
+        rank_two = {"subgroup": {"rank": 2, "generators": ["a"]},
+                    "graph": docs.dump_marked_graph(lopsided_rose())}
+        with pytest.raises(ParseError, match=f"^{message}$"):
+            run_op(op, {**rank_two, **args})
 
 
 # -------------------------------------------------------------- scenarios
@@ -517,6 +552,19 @@ class TestCli:
         code, out, _ = run_cli(capsys, "scenario", "run", str(path))
         assert code == 1
         assert "expected 3, got 2" in out
+
+    def test_scenario_step_document_not_an_object(self, capsys, tmp_path):
+        path = tmp_path / "string-subgroup.json"
+        path.write_text(json.dumps({
+            "name": "string-subgroup",
+            "steps": [{"op": "stallings.index",
+                       "args": {"subgroup": "abc"}}]}))
+        code, out, _ = run_cli(capsys, "scenario", "run", str(path), "--json")
+        assert code == 1
+        step = json.loads(out)["result"]["steps"][0]
+        assert step["error"] == (
+            "ParseError: argument 'subgroup' must be a JSON object")
+        assert "AttributeError" not in out
 
     def test_scenario_unknown_name(self, capsys):
         code, _, err = run_cli(capsys, "scenario", "run", "no-such-scenario")

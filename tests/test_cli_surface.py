@@ -10,9 +10,9 @@ not depend on the Python version, unlike the rendered ``--help`` text.
 subcommand (and a few variants) in ``--text`` and in ``--json`` mode: the
 exit code, and the sha256 of stdout and stderr together.  The cross-argument
 errors and the rejections of negative budgets and over-deep JSON are pinned
-as exact text; usage errors (undeclared flags, bad integers, unknown
-subcommands) by exit code, one line and the flag they name, since
-argparse's wording varies across Python versions.
+as exact text; usage errors (undeclared or abbreviated flags, bad integers,
+unknown or missing subcommands) by exit code, one line and the flag or
+choices they name, since argparse's wording varies across Python versions.
 `test_transverse_defaults_end` pins the report of a `cvn transverse` call at
 its default budgets, and its wall time.
 
@@ -77,21 +77,21 @@ def dump_parser(parser) -> str:
 
 
 PARSER_DIGESTS = {
-    "grouptrees": "7b63655f6a427c9895c0a599ac27ae480a287db28af3362af5f1a2c29bfca4a3",
-    "grouptrees stallings": "f308de454b45ee0473cbbb6acb73a43a596ef6afe1b4e03c8557e9900d58ad10",
+    "grouptrees": "74f5afb0cd1cb7c0c4453c8691c6c5bed8ece41d8031eb093c945a74fee77a70",
+    "grouptrees stallings": "8de81441cb27688adfd1c64eca18fa03b56448fc8cdd0329176a8100b07df50b",
     "grouptrees stallings core": "14831e2f2f78f84c61eb795eba7416b2e220a9f70c6bc2e55a2e35cf5e3f70ce",
     "grouptrees stallings member": "7c2976876ff3eb41b2c1f7c3ae965bb4890984e97bb055a4d48f73cedc199a69",
     "grouptrees stallings index": "9327ca4dfb453034c8154d2335384caa1a23906271944694bf0034807126d572",
     "grouptrees stallings meet": "42c295ce3df52ce46e7ce2b7477d2ce65b1b3fdf7977959d7fb13177ee616f44",
     "grouptrees stallings conj": "2aee0f98993e808e0749f77bfeb23351aa7db07b464eefc2c40aeab2aca43dfa",
     "grouptrees stallings hall": "85045f48978d9d0759786597893c7fa896bb30f699dba56e933675d90fc8a0dd",
-    "grouptrees cvn": "7ec58c9250f52b553cdf7281d994875c8291f076f6b13302532460b2e92b5db4",
+    "grouptrees cvn": "cabf6307e98d0e397d122cfd2f17ed1a7c7692e06a7bf41c0446ea1b33ff8ab6",
     "grouptrees cvn len": "72e8025eb6ed307b55d46786894ee39829c9d298ce565dfed1d040b5b0c9344c",
     "grouptrees cvn vol": "4f1ec44d60cd0f9269a3df9c63dc6b69da24c2f8fb3b094e02a1d200c79a4ffe",
     "grouptrees cvn minsub": "c940cf95cd04d815007ed5af84b48742f0e28f6cbff8871f4bd073709dee09dc",
     "grouptrees cvn omega": "13031d0b6403fc222d8a296ec5b9457199c5a83839658b5a1e6f8be88b999822",
     "grouptrees cvn transverse": "29fa8da968c748be452b44908e1668786b4ca5fa44811370849c258cfb11087e",
-    "grouptrees soi": "5fbc72a9143ad2ba11c41a3875e622a88b92e819471799e0a10fe2782bfee4ed",
+    "grouptrees soi": "878c708889479953b316cd2b4ee9253f7664bfcb7c1aafd11c0990ef08d38a64",
     "grouptrees soi orbit": "d0e5469fb13968022fdae4aa345d52624eddcaa4ccfc8ae686fde22d01b39395",
     "grouptrees soi families": "4bd7e9aa57a2e2007038b4480719684d72ebdf1125e74a04adf50ddb09545f7c",
     "grouptrees soi glp": "afd292e386a839d1a332e894f6962e6f0e531c8bc19535cfe3fb7124aa97f89f",
@@ -101,13 +101,13 @@ PARSER_DIGESTS = {
     "grouptrees soi sub-orbit": "2273489d5ab5bfedc8592968197c362cc706e7ac98f53aad1324bd45cd23feef",
     "grouptrees soi saturate": "8e3123259cedac21fc7a2e6ed362f2b344e27a85339fa131e22ef9d9f98f9a87",
     "grouptrees soi discrete": "da83da532b44027bf7b1c6c3b66464235d27b53c79cdca8764bc46407b43ce86",
-    "grouptrees measure": "3291ab7dea8e9e5ed17eee4c5db19e9098e39bef78ca65a87cbe173e007bc8d0",
+    "grouptrees measure": "535855b4e9cbc3104208450bac22f21018cb49009cf3360a2c4d1f44100d7aff",
     "grouptrees measure check": "31442b15855f331c12f4c2a50fa1da56793a257d0e8dc39e8763eb1a459812c1",
     "grouptrees measure combine": "e88a8cb12e1f3f8accbf2ea2c6eacafda7d7d1299eeae5e29b64be2cdfc0bfa8",
-    "grouptrees lam": "9f67445772619a2d10417e08049460db7eb4591b198ecce26a2bc34950a75ae8",
+    "grouptrees lam": "bb660d9c4e7619dab73e4e53986ca66bf84f9d71782a69486cf9a3572d9ceeac",
     "grouptrees lam carries": "3cb5701af3a1909ecae630c722f40a6d7973053427966fc4195577aba2bfebaf",
     "grouptrees lam scan": "22dafa9c6e06c54b01e31267b702468f72e502d95d71c445f262849dbf150e15",
-    "grouptrees scenario": "225e36d708a100c3b9b570d6bcf797036d7ee5ad00ba5661a9e442e7c70707b7",
+    "grouptrees scenario": "562068b7caf54b4e002d4cbdbec165e3b67c3069859ced1376a347008dbd80b5",
     "grouptrees scenario run": "e7099cff606821a93ac40154a03cad511b6b6a1ec93cc602daea3342f09e49c8",
     "grouptrees scenario list": "475d2ce290f7dbfdcbc7157494fb0e7d41d2ba67d019016cfc878268b987a7e7",
 }
@@ -153,6 +153,11 @@ def test_leaf_flags_are_its_spec(path):
     ("scenario list --max-word 2", "--max-word"),
     ("soi orbit --in GOLDEN --point 0 --budget many", "--budget"),
     ("stallings fold --in H", "fold"),
+    # flags are never abbreviated, so --wo is not --word nor --js --json
+    ("stallings member --in H --wo ab --js", "--word"),
+    ("stallings member --in H --word ab --js", "--js"),
+    # a missing subcommand is named by its choices
+    ("stallings", "{core,member,index,meet,conj,hall}"),
 ])
 def test_usage_errors_exit_one(capsys, files, argv, flag):
     code, out, err = _run(capsys, [files.get(w, w) for w in argv.split()])

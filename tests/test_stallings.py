@@ -5,7 +5,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from _oracles import full_spanning_tree_paths, two_phase_hall_bases
+from _oracles import (filter_subgroup_elements, full_spanning_tree_paths,
+                      two_phase_hall_bases)
 from grouptrees import stallings
 from grouptrees.core import Word, enumerate_words, parse_word
 from grouptrees.corpus import random_hall_instances
@@ -209,6 +210,17 @@ class TestSubgroupElements:
     def test_elements_of_cyclic(self):
         got = [str(w) for w in subgroup_elements(core(["a"]), 3)]
         assert got == ["", "a", "A", "aa", "AA", "aaa", "AAA"]
+
+    @given(st.integers(1, 3),
+           st.lists(st.lists(st.integers(1, 3).flatmap(
+               lambda a: st.sampled_from([a, -a])), min_size=1, max_size=6),
+               max_size=3),
+           st.integers(0, 6))
+    def test_matches_membership_filter(self, rank, raws, max_len):
+        gens = [Word.make([l for l in r if abs(l) <= rank], rank) for r in raws]
+        graph = build_core(gens, rank)
+        assert (subgroup_elements(graph, max_len)
+                == filter_subgroup_elements(graph, max_len))
 
 
 class TestHall:
