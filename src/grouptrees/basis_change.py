@@ -38,7 +38,7 @@ def invert_basis(words: list[Word], rank: int) -> list[Word]:
         decorations += [(j if w.letters[0] > 0 else -j,)] + [()] * (len(w.letters) - 1)
         images[j], images[-j] = w.letters, tuple(-l for l in reversed(w.letters))
     nv, edges = folding.wedge(w.letters for w in words)
-    nv, edges, _, _, loops = folding.fold(nv, edges, 0, decorations)
+    nv, edges, loops = folding.fold(nv, edges, decorations)
     if nv != 1 or edges != [(0, i, 0) for i in range(1, rank + 1)]:
         raise NotABasisError("words generate a proper subgroup, not the whole free group")
 

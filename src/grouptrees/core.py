@@ -394,6 +394,8 @@ ZERO = Scalar(Fraction(0))
 # --------------------------------------------------------------------------
 
 _LOWER = "abcdefghijklmnopqrstuvwxyz"
+#: Each basis letter is written as one of a-z, so no word has a higher rank.
+MAX_RANK = len(_LOWER)
 
 
 def letter_key(letter: int) -> tuple[int, int]:
@@ -442,6 +444,8 @@ class Word:
     rank: int
 
     def __post_init__(self) -> None:
+        if self.rank > MAX_RANK:
+            raise ValueError(f"rank {self.rank} is above {MAX_RANK}: words are written in a-z")
         object.__setattr__(self, "letters", tuple(self.letters))
         for l in self.letters:
             if not isinstance(l, int) or l == 0 or abs(l) > self.rank:
@@ -500,8 +504,6 @@ class Word:
     def __str__(self) -> str:
         if not self.letters:
             return ""
-        if self.rank > 26:
-            return "<" + ",".join(str(l) for l in self.letters) + ">"
         out = []
         for l in self.letters:
             ch = _LOWER[abs(l) - 1]

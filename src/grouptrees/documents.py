@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 
-from .core import Scalar, field_problem, parse_word
+from .core import MAX_RANK, Scalar, field_problem, parse_word
 from .errors import ParseError
 from .intervals import Interval, MultiInterval
 from .isometry_systems import PartialIsometry, SoISystem
@@ -75,8 +75,8 @@ def _check_field(system_d: int, scalar: Scalar, where: str) -> Scalar:
 def load_subgroup(doc: dict) -> StallingsGraph:
     """{"rank": 2, "generators": ["aa", "b", "abA"]} -> core graph."""
     rank = _int_field(doc, "rank", "subgroup")
-    if not 1 <= rank <= 26:
-        _fail("subgroup: rank must be between 1 and 26")
+    if not 1 <= rank <= MAX_RANK:
+        _fail(f"subgroup: rank must be between 1 and {MAX_RANK}")
     gens = doc.get("generators")
     if not isinstance(gens, list) or not gens:
         _fail("subgroup: field 'generators' must be a non-empty list")
@@ -96,6 +96,8 @@ def load_subgroup(doc: dict) -> StallingsGraph:
 def load_marked_graph(doc: dict) -> MarkedMetricGraph:
     """Edges carry explicit ids; the spanning tree and marking refer to them."""
     rank = _int_field(doc, "rank", "graph")
+    if not 1 <= rank <= MAX_RANK:
+        _fail(f"graph: rank must be between 1 and {MAX_RANK}")
     nv = _int_field(doc, "vertices", "graph")
     raw_edges = doc.get("edges")
     if not isinstance(raw_edges, list) or not raw_edges:
@@ -198,6 +200,8 @@ def load_system(doc: dict) -> SoISystem:
     raw_gens = doc.get("generators")
     if not isinstance(raw_gens, list) or not raw_gens:
         _fail("system: field 'generators' must be a non-empty list")
+    if len(raw_gens) > MAX_RANK:
+        _fail(f"system: at most {MAX_RANK} generators, one letter each")
     gens, labels = [], []
     for i, row in enumerate(raw_gens):
         where = f"system generator[{i}]"

@@ -1,8 +1,9 @@
-"""Labeled directed graphs: wedges of loops, folding, trimming, canonical form.
+"""Labeled directed graphs: wedges of loops, folding, trimming.
 
-A graph here is a plain triple (nv, edges, base): vertices are 0..nv-1, edges
-are (src, label, tgt) with labels in 1..rank, and every traversal may read an
-edge forward (letter +label) or backward (letter -label).
+A graph here is a plain pair (nv, edges): vertices are 0..nv-1, vertex 0 is
+the basepoint, edges are (src, label, tgt) with labels in 1..rank, and every
+traversal may read an edge forward (letter +label) or backward (letter
+-label).  Canonical renumbering is `StallingsGraph.canonical`.
 
 Folding identifies vertices until no vertex has two equally-labeled outgoing
 or two equally-labeled incoming edges; the result is the unique folded
@@ -58,16 +59,16 @@ def wedge(loops: Iterable[tuple[int, ...]]) -> tuple[int, list[tuple[int, int, i
     return nv, edges
 
 
-def fold(nv: int, edges: Iterable[tuple[int, int, int]], base: int,
+def fold(nv: int, edges: Iterable[tuple[int, int, int]],
          decorations: Iterable[tuple[int, ...]] | None = None):
-    """Fold the graph; returns (new_nv, new_edges, new_base, vertex_map, new_decorations).
+    """Fold the graph; returns (new_nv, new_edges, new_decorations).
 
-    vertex_map sends old vertex ids to compact new ids; new_edges is sorted
-    and duplicate-free.  `decorations`, if given, holds one reduced letter
-    tuple per edge; new_decorations holds the folded decoration of each of
-    new_edges (all empty without decorations).  Raises NotABasisError when
-    two edges become parallel with different decorations: the decorations
-    then satisfy a relation.
+    New vertex ids are compact and keep vertex 0, the basepoint, at 0;
+    new_edges is sorted and duplicate-free.  `decorations`, if given, holds
+    one reduced letter tuple per edge; new_decorations holds the folded
+    decoration of each of new_edges (all empty without decorations).  Raises
+    NotABasisError when two edges become parallel with different
+    decorations: the decorations then satisfy a relation.
     """
     edge_list = list(edges)
     decs = [()] * len(edge_list) if decorations is None else list(decorations)
@@ -126,7 +127,7 @@ def fold(nv: int, edges: Iterable[tuple[int, int, int]], base: int,
                     raise NotABasisError(
                         "relation detected while folding (parallel edges disagree)")
             else:
-                if x == base or (y != base and size[x] >= size[y]):
+                if x == 0 or (y != 0 and size[x] >= size[y]):
                     keep, gone, dk, dg = x, y, dj, di
                 else:
                     keep, gone, dk, dg = y, x, di, dj
@@ -150,12 +151,11 @@ def fold(nv: int, edges: Iterable[tuple[int, int, int]], base: int,
             break
 
     compact: dict[int, int] = {}
-    vertex_map = {v: compact.setdefault(find(v), len(compact)) for v in range(nv)}
+    vertex_map = [compact.setdefault(find(v), len(compact)) for v in range(nv)]
     folded = {(vertex_map[u], l, vertex_map[v]): decoration(i)
               for i, (u, l, v) in enumerate(edge_list) if not dead[i]}
     new_edges = sorted(folded)
-    return (len(compact), new_edges, vertex_map[base], vertex_map,
-            [folded[e] for e in new_edges])
+    return len(compact), new_edges, [folded[e] for e in new_edges]
 
 
 def trim(nv: int, edges: list[tuple[int, int, int]], protect: int | None):
@@ -195,33 +195,3 @@ def trim(nv: int, edges: list[tuple[int, int, int]], protect: int | None):
                     doomed.append(y)
     return ({v for v in range(nv) if alive[v]},
             [e for i, e in enumerate(edge_list) if live_edge[i]])
-
-
-def canonical_form(nv: int, edges: list[tuple[int, int, int]], base: int, rank: int):
-    """Canonical renumbering by BFS from the basepoint.
-
-    Requires a folded, connected graph.  At each vertex, neighbors are visited
-    along outgoing labels 1..rank then incoming labels 1..rank, which makes the
-    numbering — and hence structural equality — canonical.
-    Returns (nv, sorted_edge_tuple, perm) with the new basepoint always 0.
-    """
-    out: dict[int, dict[int, int]] = {}
-    inc: dict[int, dict[int, int]] = {}
-    for u, l, v in edges:
-        if l in out.setdefault(u, {}) or l in inc.setdefault(v, {}):
-            raise ValueError("canonical_form requires a folded graph")
-        out[u][l] = v
-        inc[v][l] = u
-    perm = {base: 0}
-    queue = deque([base])
-    while queue:
-        v = queue.popleft()
-        for l in range(1, rank + 1):
-            for nbr in (out.get(v, {}).get(l), inc.get(v, {}).get(l)):
-                if nbr is not None and nbr not in perm:
-                    perm[nbr] = len(perm)
-                    queue.append(nbr)
-    if len(perm) != nv:
-        raise ValueError("canonical_form requires a connected graph")
-    new_edges = tuple(sorted((perm[u], l, perm[v]) for u, l, v in edges))
-    return nv, new_edges, perm

@@ -388,18 +388,16 @@ def grow_forest(system: SoISystem, start: MultiInterval, steps: int) -> list[dic
 # -- support covers and chain covers ---------------------------------------------
 
 
-def _image_candidates(system: SoISystem, start, max_len: int, interval_only: bool):
+def _image_candidates(system: SoISystem, seed, max_len: int):
     """(word, image) pairs for reduced words up to max_len, deduplicated by image.
 
-    Images are grown by composing on the left (new = g o old), pruning empty
-    or measure-zero images; a repeated image keeps only its first (shortest,
-    earliest) word.
+    The seed is an Interval or a MultiInterval, and its images are of the
+    same type.  Images are grown by composing on the left (new = g o old),
+    pruning empty or measure-zero images; a repeated image keeps only its
+    first (shortest, earliest) word.
     """
     letters = system.signed_letters()
-    if interval_only:
-        seed = start
-    else:
-        seed = start if isinstance(start, MultiInterval) else MultiInterval([start])
+    interval_only = isinstance(seed, Interval)
     cands = [((), seed)]
     seen = {seed}
     layer = [((), seed)]
@@ -448,7 +446,7 @@ def ae_support_check(system: SoISystem, f_eps: MultiInterval, target: Interval,
     if not system.forest.contains_multi(f_eps):
         raise OutOfSupportError("the covering seed leaves the support")
 
-    cands = _image_candidates(system, f_eps, max_len, interval_only=False)
+    cands = _image_candidates(system, f_eps, max_len)
     target_multi = MultiInterval([target])
     covered = MultiInterval()
     words = []
@@ -492,7 +490,7 @@ def indecomposability_search(system: SoISystem, piece: Interval, target: Interva
         return {"status": "chain-found", "chain": chain, "r": 1,
                 "r_max": r_max, "max_len": max_len}
 
-    cands = _image_candidates(system, piece, max_len, interval_only=True)
+    cands = _image_candidates(system, piece, max_len)
     chain = []
     reach = None
     while len(chain) < r_max:

@@ -233,18 +233,19 @@ class MarkedMetricGraph:
 class CoverCore:
     """The subgroup's cover of a marked graph, split into core and hanging trees.
 
-    `p_*` fields describe the folded fundamental-domain graph P (a compact
-    subgraph of the subgroup's cover containing its core); `core_*` fields the
-    core itself, which is the quotient of the subgroup's minimal subtree.  The
-    walker (`initial_state` / `step`) tracks a vertex of the full cover as a
-    P-vertex plus a stack of darts hanging off it, and reports for every edge
-    crossed whether that edge lies in the minimal subtree.
+    `p` is the folded fundamental-domain graph P, a compact subgraph of the
+    subgroup's cover containing its core, with basepoint 0; its edge labels
+    are the graph's darts, so P's letter d crosses edge |d|-1.  `core_*`
+    fields describe the core itself, which is the quotient of the subgroup's
+    minimal subtree.  The walker (`initial_state` / `step`) tracks a vertex of
+    the full cover as a P-vertex plus a stack of darts hanging off it, and
+    reports for every edge crossed whether that edge lies in the minimal
+    subtree.
     """
 
     __slots__ = (
-        "graph", "subgroup", "p_nv", "p_edges", "p_base", "_out", "_in",
-        "core_edges", "core_vertices", "vertex_image", "is_covering", "degree",
-        "core_volume", "core_darts", "toward_core",
+        "graph", "subgroup", "p", "core_edges", "core_vertices", "vertex_image",
+        "is_covering", "degree", "core_volume", "core_darts", "toward_core",
     )
 
     def __init__(self, graph: MarkedMetricGraph, subgroup: StallingsGraph):
@@ -257,33 +258,23 @@ class CoverCore:
         self.subgroup = subgroup
 
         nv, edges = folding.wedge(graph.word_to_loop(b) for b in basis_of(subgroup))
-        p_nv, p_edges, p_base, _, _ = folding.fold(nv, edges, 0)
-        self.p_nv = p_nv
-        self.p_edges = tuple(p_edges)
-        self.p_base = p_base
-
-        self._out = {}
-        self._in = {}
-        for u, l, v in self.p_edges:
-            if (u, l) in self._out or (v, l) in self._in:
-                raise RuntimeError(f"fundamental-domain graph is not folded at edge {(u, l, v)}")
-            self._out[(u, l)] = v
-            self._in[(v, l)] = u
+        p_vertices, p_edges, _ = folding.fold(nv, edges)
+        self.p = p = StallingsGraph(len(graph.edges), p_vertices, p_edges)
 
         image: dict[int, int] = {}
-        for u, l, v in self.p_edges:
+        for u, l, v in p.edges:
             gu, gv, _ = graph.edges[l - 1]
-            for p, g in ((u, gu), (v, gv)):
-                if image.setdefault(p, g) != g:
+            for x, g in ((u, gu), (v, gv)):
+                if image.setdefault(x, g) != g:
                     raise RuntimeError(
-                        f"cover vertex {p} maps to base vertices {image[p]} and {g}")
-        if image[p_base] != graph.base:
+                        f"cover vertex {x} maps to base vertices {image[x]} and {g}")
+        if image[p.base] != graph.base:
             raise RuntimeError("cover basepoint does not map to the graph's basepoint")
-        if len(image) != p_nv:
+        if len(image) != p.nv:
             raise RuntimeError("some cover vertex has no image in the graph")
         self.vertex_image = image
 
-        alive, core_edge_list = folding.trim(p_nv, list(self.p_edges), protect=None)
+        alive, core_edge_list = folding.trim(p.nv, p.edges, protect=None)
         core_edges = frozenset(core_edge_list)
         if not core_edges:
             raise RuntimeError("a nontrivial subgroup always has a nonempty core")
@@ -294,19 +285,20 @@ class CoverCore:
         if len(core_edges) - len(core_vertices) + 1 != rank_of(subgroup):
             raise RuntimeError("core graph rank differs from the subgroup rank")
 
-        covering = True
-        for p in core_vertices:
-            have = set()
-            for u, l, v in core_edges:
-                if u == p:
-                    have.add(l)
-                if v == p:
-                    have.add(-l)
-            if have != set(graph.darts_at(image[p])):
-                covering = False
-                break
-        self.is_covering = covering
-        if covering:
+        # T_H in the walker's terms: per core vertex, the core darts leaving
+        # it as (dart, marking letters, target vertex, target core vertex).
+        # Trimming deletes only edges at deleted vertices, so a P-edge lies
+        # in the core iff both its ends do.
+        self.core_darts = {x: [] for x in core_vertices}
+        for x, darts in self.core_darts.items():
+            for d in p.darts_at(x):
+                y = p.step(x, d)
+                if y in core_vertices:
+                    darts.append((d, graph.dart_marking_letters(d), graph.dart_target(d), y))
+        self.is_covering = all(
+            {d for d, *_ in darts} == set(graph.darts_at(image[x]))
+            for x, darts in self.core_darts.items())
+        if self.is_covering:
             if len(core_vertices) % graph.nv:
                 raise RuntimeError("covering core has a vertex count not divisible by the graph's")
             self.degree = len(core_vertices) // graph.nv
@@ -318,33 +310,23 @@ class CoverCore:
             total = total + graph.edges[l - 1][2]
         self.core_volume = total
 
-        # T_H in the walker's terms: per core vertex, the core darts leaving
-        # it as (dart, marking letters, target vertex, target core vertex)
-        self.core_darts = {p: [] for p in core_vertices}
-        arrivals = {p: [] for p in range(p_nv)}
-        for u, l, v in sorted(self.p_edges):
-            arrivals[v].append((u, l))
-            arrivals[u].append((v, -l))
-            if (u, l, v) in core_edges:
-                for p, d, q in ((u, l, v), (v, -l, u)):
-                    self.core_darts[p].append(
-                        (d, graph.dart_marking_letters(d), graph.dart_target(d), q))
         # P's hair: from each P-vertex off the core, one dart toward the core
         self.toward_core = {}
         frontier = list(core_vertices)
         while frontier:
             nxt = []
-            for q in frontier:
-                for p, dart in arrivals[q]:
-                    if p not in core_vertices and p not in self.toward_core:
-                        self.toward_core[p] = (dart, q)
-                        nxt.append(p)
+            for y in frontier:
+                for d in p.darts_at(y):
+                    x = p.step(y, d)
+                    if x not in core_vertices and x not in self.toward_core:
+                        self.toward_core[x] = (-d, y)
+                        nxt.append(x)
             frontier = nxt
 
     # -- walking the full cover ------------------------------------------------
 
     def initial_state(self):
-        return (self.p_base, ())
+        return (self.p.base, ())
 
     def state_vertex(self, state) -> int:
         p, stack = state
@@ -360,18 +342,10 @@ class CoverCore:
             if stack[-1] == -dart:
                 return (p, stack[:-1]), False
             return (p, stack + (dart,)), False
-        label = abs(dart)
-        if dart > 0:
-            target = self._out.get((p, label))
-        else:
-            target = self._in.get((p, label))
+        target = self.p.step(p, dart)
         if target is None:
             return (p, (dart,)), False
-        if dart > 0:
-            edge = (p, label, target)
-        else:
-            edge = (target, label, p)
-        return (target, ()), edge in self.core_edges
+        return (target, ()), p in self.core_vertices and target in self.core_vertices
 
     def walk(self, state, darts):
         for d in darts:

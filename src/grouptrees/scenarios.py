@@ -52,11 +52,10 @@ class Arg(NamedTuple):
     `run_op` fills in `default`, checks presence and `integer`, converts the
     value by its `kind` (see `KINDS`) and hands the operation a dict with
     exactly the keys of its spec.  A None value counts as absent unless the
-    default is None, and is not converted.  An argument with `either` may be
-    absent only when that other argument is given; on the command line
-    exactly one of the two must be.  `budget` arguments are echoed in the
-    envelope of a command-line report; an `integer` budget must be
-    nonnegative.
+    default is None, and is not converted.  Of an argument with `either` and
+    that other argument, exactly one must be given.  `budget` arguments are
+    echoed in the envelope of a command-line report; an `integer` budget
+    must be nonnegative.
 
     The rest is the command-line surface, whose parsed value is stored under
     `key`: `flag` (by default ``--`` and the key with "-" for "_"), `help`
@@ -153,8 +152,10 @@ def _bind(spec: Op, args: dict) -> dict:
     bound = {}
     for arg in spec.args:
         value = args.get(arg.key, arg.default)
-        if (value is None and arg.either is not None
-                and args.get(arg.either) is None):
+        if (arg.either is not None
+                and (value is None) == (args.get(arg.either) is None)):
+            if value is not None:
+                raise ParseError(f"give exactly one of '{arg.key}' or '{arg.either}'")
             value = REQUIRED
         if value is REQUIRED or (value is None and arg.default is not None):
             raise ParseError(f"missing required argument '{arg.key}'")

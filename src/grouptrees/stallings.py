@@ -22,16 +22,16 @@ from . import folding
 
 
 class StallingsGraph:
-    """Folded core graph with basepoint 0, in canonical (BFS-renumbered) form.
+    """Folded labeled graph with basepoint 0.
 
-    Equality and hashing are structural: two graphs are equal iff they are the
-    same labeled basepointed graph, which (for core graphs) happens iff they
+    A subgroup's core graph (from `build_core`) is kept in canonical form, so
+    equality and hashing, which are structural, hold iff two core graphs
     represent the same subgroup.
     """
 
     __slots__ = ("rank", "nv", "edges", "_out", "_inc")
 
-    def __init__(self, rank: int, nv: int, edges: tuple[tuple[int, int, int], ...]):
+    def __init__(self, rank: int, nv: int, edges):
         self.rank = rank
         self.nv = nv
         self.edges = tuple(sorted(edges))
@@ -39,26 +39,47 @@ class StallingsGraph:
         inc: list[dict[int, int]] = [dict() for _ in range(nv)]
         for u, l, v in self.edges:
             if l in out[u] or l in inc[v]:
-                raise ValueError("not folded")
+                raise RuntimeError(f"not folded at edge {(u, l, v)}")
             out[u][l] = v
             inc[v][l] = u
         self._out = out
         self._inc = inc
 
-    base = 0  # canonical form always renumbers the basepoint to 0
+    base = 0  # the basepoint of every graph
 
     # -- construction ---------------------------------------------------------
 
     @staticmethod
-    def _from_raw(nv: int, edges, base: int, rank: int) -> "StallingsGraph":
+    def _from_raw(nv: int, edges, rank: int) -> "StallingsGraph":
         """Fold, core-trim (keeping the basepoint), and canonicalize."""
-        nv, edges, base, _, _ = folding.fold(nv, edges, base)
-        alive, edges = folding.trim(nv, edges, protect=base)
-        # compact surviving vertices before canonical renumbering
+        nv, edges, _ = folding.fold(nv, edges)
+        alive, edges = folding.trim(nv, edges, protect=0)
+        # compact surviving vertices (the basepoint stays 0) before renumbering
         pack = {v: i for i, v in enumerate(sorted(alive))}
         edges = [(pack[u], l, pack[v]) for u, l, v in edges]
-        nv, edges, _ = folding.canonical_form(len(alive), edges, pack[base], rank)
-        return StallingsGraph(rank, nv, edges)
+        return StallingsGraph(rank, len(alive), edges).canonical()[0]
+
+    def canonical(self) -> tuple["StallingsGraph", dict[int, int]]:
+        """Renumber by BFS from the basepoint; returns (graph, vertex_map).
+
+        Requires a connected graph.  Each vertex's neighbours are numbered in
+        `darts_at` order, which makes the numbering, and hence structural
+        equality, canonical; vertex_map sends old vertex ids to new ones.
+        """
+        perm = {0: 0}
+        queue = deque([0])
+        while queue:
+            v = queue.popleft()
+            for letter in self.darts_at(v):
+                w = self.step(v, letter)
+                if w not in perm:
+                    perm[w] = len(perm)
+                    queue.append(w)
+        if len(perm) != self.nv:
+            raise RuntimeError("canonical form requires a connected graph")
+        return (StallingsGraph(self.rank, self.nv,
+                               [(perm[u], l, perm[v]) for u, l, v in self.edges]),
+                perm)
 
     def __eq__(self, other) -> bool:
         return (
@@ -102,7 +123,7 @@ def build_core(generators, rank: int) -> StallingsGraph:
     """Fold the wedge of generator loops into the core graph of <generators>."""
     nv, edges = folding.wedge(gen.letters if isinstance(gen, Word) else reduce_letters(gen)
                               for gen in generators)
-    return StallingsGraph._from_raw(nv, edges, 0, rank)
+    return StallingsGraph._from_raw(nv, edges, rank)
 
 
 def membership(graph: StallingsGraph, word: Word) -> bool:
@@ -148,7 +169,7 @@ def fiber_product(g1: StallingsGraph, g2: StallingsGraph) -> StallingsGraph:
                     edges.append((ids[state], l, ids[nxt]))
                 else:
                     edges.append((ids[nxt], l, ids[state]))
-    return StallingsGraph._from_raw(len(ids), sorted(set(edges)), 0, g1.rank)
+    return StallingsGraph._from_raw(len(ids), sorted(set(edges)), g1.rank)
 
 
 def spanning_tree_paths(graph: StallingsGraph, inside=frozenset()) -> tuple[dict, list]:
@@ -311,7 +332,6 @@ def hall_completion(graph: StallingsGraph, g: Word | None = None) -> HallWitness
         out[u][l] = v
         inc[v][l] = u
 
-    extra_edges: list[tuple[int, int, int]] = []
     if g is not None:
         v = graph.base
         for letter in g.letters:
@@ -321,9 +341,7 @@ def hall_completion(graph: StallingsGraph, g: Word | None = None) -> HallWitness
                 nv += 1
                 out.append({})
                 inc.append({})
-                edge = (v, letter, nxt) if letter > 0 else (nxt, -letter, v)
-                add_edge(*edge)
-                extra_edges.append(edge)
+                add_edge(*((v, letter, nxt) if letter > 0 else (nxt, -letter, v)))
             v = nxt
         if v == graph.base:
             raise RuntimeError("g traced back to the basepoint despite g not in H")
@@ -333,13 +351,9 @@ def hall_completion(graph: StallingsGraph, g: Word | None = None) -> HallWitness
         missing_in = sorted(v for v in range(nv) if l not in inc[v])
         for u, w in zip(missing_out, missing_in):
             add_edge(u, l, w)
-            extra_edges.append((u, l, w))
 
-    all_edges = sorted(
-        {(u, l, v) for u in range(nv) for l, v in out[u].items()}
-    )
-    _, canon_edges, perm = folding.canonical_form(nv, all_edges, graph.base, n)
-    cover = StallingsGraph(n, nv, canon_edges)
+    cover, perm = StallingsGraph(
+        n, nv, [(u, l, v) for u in range(nv) for l, v in out[u].items()]).canonical()
     original = {(perm[u], l, perm[v]) for u, l, v in graph.edges}
     embedding = {v: perm[v] for v in range(graph.nv)}
 

@@ -377,11 +377,8 @@ class _UnionFind:
         return True
 
 
-def sweep_fold(nv: int, edges: Iterable[tuple[int, int, int]], base: int):
-    """Fold the graph; returns (new_nv, new_edges, new_base, vertex_map).
-
-    vertex_map sends old vertex ids to compact new ids.
-    """
+def sweep_fold(nv: int, edges: Iterable[tuple[int, int, int]]):
+    """Fold the graph; returns (new_nv, new_edges), classes numbered by least vertex."""
     uf = _UnionFind(nv)
     edge_list = list(edges)
     changed = True
@@ -405,7 +402,7 @@ def sweep_fold(nv: int, edges: Iterable[tuple[int, int, int]], base: int):
     compact = {root: i for i, root in enumerate(roots)}
     vertex_map = {v: compact[uf.find(v)] for v in range(nv)}
     new_edges = sorted({(vertex_map[u], l, vertex_map[v]) for u, l, v in edge_list})
-    return len(roots), new_edges, vertex_map[base], vertex_map
+    return len(roots), new_edges
 
 
 def _inv(t: tuple[int, ...]) -> tuple[int, ...]:

@@ -37,6 +37,21 @@ class TestDocuments:
         with pytest.raises(ParseError, match="generator"):
             docs.load_subgroup({"rank": 2, "generators": ["ax!"]})
 
+    def test_rank_above_the_alphabet_rejected(self):
+        with pytest.raises(ParseError,
+                           match="^subgroup: rank must be between 1 and 26$"):
+            docs.load_subgroup({"rank": 27, "generators": ["a"]})
+        graph = {"rank": 27, "vertices": 1, "marking": {"0": "a"},
+                 "edges": [{"id": 0, "ends": [0, 0], "len": "1"}]}
+        with pytest.raises(ParseError,
+                           match="^graph: rank must be between 1 and 26$"):
+            docs.load_marked_graph(graph)
+        system = {"forest": [["0", "1"]],
+                  "generators": [{"dom": ["0", "1"], "offset": "0"}] * 27}
+        with pytest.raises(ParseError,
+                           match="^system: at most 26 generators, one letter each$"):
+            docs.load_system(system)
+
     def test_system_roundtrip_preserves_semantics(self):
         doc = docs.dump_system(golden_system())
         assert doc["D"] == 5
@@ -226,11 +241,14 @@ class TestOps:
                            match="^missing required argument 'word'$"):
             run_op("lam.carries",
                    {"subgroup": {"rank": 2, "generators": ["a"]}})
-        result, _ = run_op("lam.carries", {
-            "subgroup": {"rank": 2, "generators": ["a"]},
-            "leaf": {"rays": [{"prefix": "", "period": "a"},
-                              {"prefix": "", "period": "A"}]}})
+        args = {"subgroup": {"rank": 2, "generators": ["a"]},
+                "leaf": {"rays": [{"prefix": "", "period": "a"},
+                                  {"prefix": "", "period": "A"}]}}
+        result, _ = run_op("lam.carries", args)
         assert result["carries"] is True
+        with pytest.raises(ParseError,
+                           match="^give exactly one of 'word' or 'leaf'$"):
+            run_op("lam.carries", {**args, "word": "b"})
 
     def test_discrete_takes_one_sample_or_a_list(self):
         args = {"system": docs.dump_system(golden_system()),

@@ -60,25 +60,25 @@ def raw_graphs(draw):
     nv = draw(st.integers(1, 12))
     vertex = st.integers(0, nv - 1)
     edges = draw(st.lists(st.tuples(vertex, st.integers(1, 3), vertex), max_size=24))
-    return nv, edges, draw(vertex)
+    return nv, edges
 
 
-def assert_same_fold(nv, edges, base):
-    got = folding.fold(nv, edges, base)
-    assert got[:4] == sweep_fold(nv, list(edges), base)
-    assert got[4] == [()] * len(got[1])
+def assert_same_fold(nv, edges):
+    got = folding.fold(nv, edges)
+    assert got[:2] == sweep_fold(nv, list(edges))
+    assert got[2] == [()] * len(got[1])
 
 
 class TestFoldMatchesSweep:
     @given(generator_lists())
     def test_generator_lists(self, case):
         _, words = case
-        assert_same_fold(*petal_wedge(words), 0)
+        assert_same_fold(*petal_wedge(words))
 
     @given(conjugate_families())
     def test_conjugate_families(self, case):
         _, words = case
-        assert_same_fold(*petal_wedge(words), 0)
+        assert_same_fold(*petal_wedge(words))
 
     @given(raw_graphs())
     def test_raw_graphs(self, case):
@@ -87,28 +87,27 @@ class TestFoldMatchesSweep:
     def test_long_shared_prefix(self):
         n = 300
         words = [(1,) * n, (1,) * (n + 1), (2,) + (1,) * n]
-        assert_same_fold(*petal_wedge(words), 0)
+        assert_same_fold(*petal_wedge(words))
 
     def test_classes_numbered_by_least_vertex(self):
         # 3 and 1 fold together, then 2 and 0: class of 0 first, then of 1
-        nv, edges, base, vertex_map, _ = folding.fold(
-            4, [(2, 1, 3), (2, 1, 1), (0, 2, 3), (2, 2, 1)], 3)
-        assert (nv, base) == (2, 1)
-        assert vertex_map == {0: 0, 1: 1, 2: 0, 3: 1}
+        nv, edges, _ = folding.fold(
+            4, [(2, 1, 3), (2, 1, 1), (0, 2, 3), (2, 2, 1)])
+        assert nv == 2
         assert edges == [(0, 1, 1), (0, 2, 1)]
 
 
 class TestDecoratedFold:
     def test_gauge_preserves_loop_products(self):
         # petals x1 = a*b and x2 = a: the folded rose reads a = x2, b = x2^-1 x1
-        nv, edges, base, _, decs = folding.fold(
-            2, [(0, 1, 1), (1, 2, 0), (0, 1, 0)], 0, [(1,), (), (2,)])
-        assert (nv, edges, base) == (1, [(0, 1, 0), (0, 2, 0)], 0)
+        nv, edges, decs = folding.fold(
+            2, [(0, 1, 1), (1, 2, 0), (0, 1, 0)], [(1,), (), (2,)])
+        assert (nv, edges) == (1, [(0, 1, 0), (0, 2, 0)])
         assert decs == [(2,), (-2, 1)]
 
     def test_parallel_edges_disagree(self):
         with pytest.raises(NotABasisError, match="parallel edges disagree"):
-            folding.fold(1, [(0, 1, 0), (0, 1, 0)], 0, [(1,), (2,)])
+            folding.fold(1, [(0, 1, 0), (0, 1, 0)], [(1,), (2,)])
 
 
 def nielsen_basis(rank, moves):
@@ -193,8 +192,8 @@ class TestTrimMatchesLayeredTrim:
 
     @given(raw_graphs(), st.booleans())
     def test_raw_graphs(self, case, protected):
-        nv, edges, base = case
-        protect = base if protected else None
+        nv, edges = case
+        protect = 0 if protected else None
         assert folding.trim(nv, edges, protect) == layered_trim(nv, edges, protect)
 
     def test_long_hair_to_a_loop(self):

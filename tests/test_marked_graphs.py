@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from grouptrees import folding
 from grouptrees.core import Scalar, Word, parse_word
@@ -108,9 +108,9 @@ class TestInvertBasis:
     def test_failed_self_check_is_an_error(self, monkeypatch):
         real_fold = folding.fold
 
-        def misdecorated(nv, edges, base, decorations=None):
-            out = real_fold(nv, edges, base, decorations)
-            return out[:4] + (out[4][::-1],)
+        def misdecorated(nv, edges, decorations=None):
+            nv, edges, decorations = real_fold(nv, edges, decorations)
+            return nv, edges, decorations[::-1]
 
         monkeypatch.setattr(folding, "fold", misdecorated)
         with pytest.raises(RuntimeError, match="self-check failed"):
@@ -270,7 +270,7 @@ class TestMinimalSubtree:
 
     def test_conjugate_cyclic_misses_basepoint(self):
         cov = minimal_subtree(rose(1, 1), core("baB"))
-        assert cov.p_base not in cov.core_vertices
+        assert 0 not in cov.core_vertices
         assert len(cov.core_vertices) == 1
         assert cov.core_volume == Scalar.of(1)
 
@@ -304,24 +304,33 @@ class TestMinimalSubtree:
         assert cov.core_volume == graph.translation_length(w)
 
     def test_unfolded_domain_graph_is_an_error(self, monkeypatch):
-        def unfolded(nv, edges, base, decorations=None):
+        def unfolded(nv, edges, decorations=None):
             edges = list(edges)
-            return (nv, edges + edges, base, {v: v for v in range(nv)},
-                    [()] * (2 * len(edges)))
+            return nv, edges + edges, [()] * (2 * len(edges))
 
         graph, sub = rose(1, 1), core("a", "bab")
         monkeypatch.setattr(folding, "fold", unfolded)
         with pytest.raises(RuntimeError, match="not folded"):
             minimal_subtree(graph, sub)
 
-    def test_covering_tracks_finite_index(self):
-        for gens in (("a", "b"), ("aa", "b", "abA"), ("a",), ("ab", "ba"),
-                     ("aa", "ab"), ("a", "bb", "bab")):
-            sub = core(*gens)
-            cov = minimal_subtree(rose(1, 1), sub)
+    @given(st.lists(words, min_size=1, max_size=3), st.booleans())
+    @example([W("a"), W("b")], False)
+    @example([W("aa"), W("b"), W("abA")], False)
+    @example([W("a")], False)
+    @example([W("ab"), W("ba")], False)
+    @example([W("aa"), W("ab")], False)
+    @example([W("a"), W("bb"), W("bab")], False)
+    @settings(max_examples=40)
+    def test_covering_tracks_finite_index(self, gens, complete):
+        # `complete` swaps H for a finite-index subgroup containing it
+        sub = build_core(gens, 2)
+        assume(rank_of(sub) > 0)
+        if complete:
+            sub = hall_completion(sub).cover
+        for graph in (rose(1, 1), theta()):
+            cov = minimal_subtree(graph, sub)
             assert cov.is_covering == (index(sub) is not None)
-            if cov.is_covering:
-                assert cov.degree == index(sub)
+            assert cov.degree == index(sub)
 
 
 def crosses_subtree(graph, subgroup, base_path, dart) -> bool:

@@ -295,6 +295,37 @@ class TestHall:
             done += 1
 
 
+@st.composite
+def relabelled_cores(draw):
+    """A core graph, and a permutation of its vertices that fixes 0."""
+    rank = draw(st.integers(1, 3))
+    letter = st.integers(1, rank).flatmap(lambda a: st.sampled_from([a, -a]))
+    raws = draw(st.lists(st.lists(letter, min_size=1, max_size=6), max_size=4))
+    graph = build_core([Word.make(r, rank) for r in raws], rank)
+    others = draw(st.permutations(range(1, graph.nv)))
+    return graph, [0, *others]
+
+
+class TestCanonical:
+    @given(relabelled_cores())
+    def test_relabelling_is_undone(self, case):
+        graph, relabel = case
+        shuffled = StallingsGraph(graph.rank, graph.nv,
+                                  [(relabel[u], l, relabel[v]) for u, l, v in graph.edges])
+        again, vertex_map = shuffled.canonical()
+        assert again == graph
+        assert [vertex_map[relabel[v]] for v in range(graph.nv)] == list(range(graph.nv))
+
+    @given(relabelled_cores())
+    def test_canonical_graph_is_a_fixed_point(self, case):
+        graph, _ = case
+        assert graph.canonical() == (graph, {v: v for v in range(graph.nv)})
+
+    def test_disconnected_graph_is_an_error(self):
+        with pytest.raises(RuntimeError, match="connected"):
+            StallingsGraph(1, 2, [(0, 1, 0), (1, 1, 1)]).canonical()
+
+
 class TestGraphInvariants:
     @given(st.lists(st.lists(st.sampled_from([1, -1, 2, -2]), min_size=1, max_size=6),
                     min_size=1, max_size=4))

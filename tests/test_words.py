@@ -43,6 +43,11 @@ class TestReduction:
         with pytest.raises(ValueError):
             Word((0,), 2)
 
+    def test_rank_is_bounded_by_the_alphabet(self):
+        assert str(Word((26, -1), 26)) == "zA"
+        with pytest.raises(ValueError, match="above 26"):
+            Word((27, 1), 27)
+
     @given(raw_words)
     def test_reduce_idempotent(self, raw):
         once = reduce_letters(raw)
