@@ -117,9 +117,6 @@ class SoISystem:
             out.extend((i, -i))
         return sorted(out, key=letter_key)
 
-    def apply_letter(self, letter: int, x: Scalar) -> Scalar | None:
-        return self.letter_map(letter).apply(x)
-
     def word_str(self, letters) -> str:
         return str(Word(tuple(letters), max(1, len(self.generators))))
 
@@ -144,6 +141,41 @@ def domain_sum(system: SoISystem) -> Scalar:
 # -- orbits --------------------------------------------------------------------
 
 
+def _in_support(system: SoISystem, x) -> Scalar:
+    x = Scalar.of(x)
+    if not system.forest.contains(x):
+        raise OutOfSupportError(f"{x} lies outside the support")
+    return x
+
+
+def _layered_search(start, expand, points, budgets) -> dict:
+    """Breadth-first search from `start`: {budget: (status, points(visited))}.
+
+    `expand(state)` yields a state's neighbours.  A budget is "truncated" once
+    more than that many states are visited before a layer is expanded, and
+    "closed" if the frontier empties first.  Budgets are checked between
+    layers only, so no answer depends on the order a layer was visited in.
+    """
+    visited = {start}
+    frontier = [start]
+    pending = sorted(set(budgets))
+    results = {}
+    while frontier:
+        while pending and len(visited) > pending[0]:
+            results[pending.pop(0)] = ("truncated", points(visited))
+        if not pending:
+            return results
+        nxt = []
+        for state in frontier:
+            for new in expand(state):
+                if new not in visited:
+                    visited.add(new)
+                    nxt.append(new)
+        frontier = nxt
+    results.update(dict.fromkeys(pending, ("closed", points(visited))))
+    return results
+
+
 def orbit(system: SoISystem, x, budget: int):
     """BFS closure of {x} under all generators and inverses.
 
@@ -151,24 +183,16 @@ def orbit(system: SoISystem, x, budget: int):
     the sorted tuple of distinct points collected (at most budget+ a layer's
     worth when truncated, deterministically).
     """
-    x = Scalar.of(x)
-    if not system.forest.contains(x):
-        raise OutOfSupportError(f"{x} lies outside the support")
-    letters = system.signed_letters()
-    visited = {x}
-    frontier = [x]
-    while frontier:
-        if len(visited) > budget:
-            return "truncated", tuple(sorted(visited))
-        nxt = []
-        for p in sorted(frontier):
-            for l in letters:
-                y = system.apply_letter(l, p)
-                if y is not None and y not in visited:
-                    visited.add(y)
-                    nxt.append(y)
-        frontier = nxt
-    return "closed", tuple(sorted(visited))
+    x = _in_support(system, x)
+    maps = [system.letter_map(l) for l in system.signed_letters()]
+
+    def expand(p):
+        for g in maps:
+            y = g.apply(p)
+            if y is not None:
+                yield y
+
+    return _layered_search(x, expand, lambda v: tuple(sorted(v)), (budget,))[budget]
 
 
 def singular_points(system: SoISystem) -> tuple[Scalar, ...]:
@@ -529,12 +553,19 @@ def _verify_chain(system: SoISystem, piece: Interval, target: Interval, chain):
         if overlap is None or overlap.is_point:
             raise RuntimeError("consecutive chain images must overlap in an arc")
     for word, iv in chain:
-        clipped = piece
-        for l in reversed(word):
-            g = system.letter_map(l)
-            clipped = clipped.intersect(g.dom).shifted_image(g.orient, g.offset)
-        if clipped != iv:
+        if _word_image(system, word, piece) != iv:
             raise RuntimeError("chain image failed exact re-verification")
+
+
+def _word_image(system: SoISystem, letters, piece: Interval) -> Interval | None:
+    """The image of `piece` under the word, rightmost letter first; None if empty."""
+    for l in reversed(letters):
+        g = system.letter_map(l)
+        piece = piece.intersect(g.dom)
+        if piece is None:
+            return None
+        piece = piece.shifted_image(g.orient, g.offset)
+    return piece
 
 
 # -- subgroup-constrained dynamics ------------------------------------------------
@@ -564,41 +595,24 @@ def subgroup_constrained_orbit(system: SoISystem, graph: StallingsGraph, x,
     return.
     """
     letters = _gen_letter_index(system, graph)
-    x = Scalar.of(x)
-    if not system.forest.contains(x):
-        raise OutOfSupportError(f"{x} lies outside the support")
-    start = (x, graph.base)
-    visited = {start}
-    frontier = [start]
-    pending = sorted(set(snapshots or ()) | {budget})
-    results = {}
+    x = _in_support(system, x)
+    moves = [(system.letter_map(sign * (gi + 1)), sign * letter)
+             for gi, letter in enumerate(letters) for sign in (1, -1)]
 
-    def at_base():
+    def expand(state):
+        point, vertex = state
+        for g, letter in moves:
+            y = g.apply(point)
+            if y is not None:
+                w = graph.step(vertex, letter)
+                if w is not None:
+                    yield y, w
+
+    def at_base(visited):
         return tuple(sorted({p for p, v in visited if v == graph.base}))
 
-    while frontier:
-        while pending and len(visited) > pending[0]:
-            results[pending.pop(0)] = ("truncated", at_base())
-        if not pending:
-            break
-        nxt = []
-        for point, vertex in sorted(frontier):
-            for gi, letter in enumerate(letters):
-                for sign in (1, -1):
-                    y = system.apply_letter(sign * (gi + 1), point)
-                    if y is None:
-                        continue
-                    w = graph.step(vertex, sign * letter)
-                    if w is None:
-                        continue
-                    state = (y, w)
-                    if state not in visited:
-                        visited.add(state)
-                        nxt.append(state)
-        frontier = nxt
-    if pending:
-        closed = ("closed", at_base())
-        results.update((b, closed) for b in pending)
+    results = _layered_search((x, graph.base), expand, at_base,
+                              (budget, *(snapshots or ())))
     return results[budget] if snapshots is None else results
 
 
@@ -619,24 +633,11 @@ def subgroup_saturation(system: SoISystem, graph: StallingsGraph,
     translates = []
     rejected = 0
     for h in subgroup_elements(graph, max_len):
-        gen_word = []
-        ok = True
-        for l in h.letters:
-            gen = letter_to_gen.get(abs(l))
-            if gen is None:
-                ok = False
-                break
-            gen_word.append(gen if l > 0 else -gen)
-        if not ok:
+        if any(abs(l) not in letter_to_gen for l in h.letters):
             rejected += 1
             continue
-        img = piece
-        for l in reversed(gen_word):
-            g = system.letter_map(l)
-            img = img.intersect(g.dom)
-            if img is None:
-                break
-            img = img.shifted_image(g.orient, g.offset)
+        gen_word = [letter_to_gen[l] if l > 0 else -letter_to_gen[-l] for l in h.letters]
+        img = _word_image(system, gen_word, piece)
         if img is None or img.is_point:
             continue
         translates.append((h, img))

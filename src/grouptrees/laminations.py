@@ -178,16 +178,15 @@ def carrier_scan(graph: MarkedMetricGraph, subgroup: StallingsGraph, epsilon,
     without carrying leaf(g) itself.
     """
     short = graph.omega_epsilon(epsilon, max_word)
+    leaves = [periodic_leaf(g) for g in short]
     carried = []
-    for g in short:
-        leaf = periodic_leaf(g)
+    for g, leaf in zip(short, leaves):
         if carries(subgroup, leaf):
             carried.append({"generator": str(g), "leaf": str(leaf)})
     translate_hits = []
     if max_translate > 0 and short:
         translates = [w for w in enumerate_words(graph.rank, max_translate) if w.letters]
-        for g in short:
-            base = periodic_leaf(g)
+        for g, base in zip(short, leaves):
             for w in translates:
                 moved = translate_leaf(w, base)
                 if carries(subgroup, moved):

@@ -45,7 +45,7 @@ class MarkedMetricGraph:
 
     __slots__ = (
         "rank", "nv", "edges", "tree", "marking", "base",
-        "_non_tree", "_letter_exprs", "_letter_loops", "_darts_at",
+        "_letter_exprs", "_letter_loops", "_darts_at",
     )
 
     def __init__(self, rank, nv, edges, tree, marking, base=0):
@@ -130,7 +130,6 @@ class MarkedMetricGraph:
         self.tree = tree
         self.marking = marking
         self.base = base
-        self._non_tree = non_tree
         # NotABasisError propagates if the marking words do not form a basis.
         self._letter_exprs = invert_basis(words, rank)
 

@@ -23,6 +23,10 @@ search in ``grouptrees.core`` replaced: it builds every reduced word, layer
 by layer, and keeps a word when no rotation of it or of its inverse is
 smaller.
 
+:func:`sorted_frontier_orbit` is the plain orbit before it shared one
+breadth-first search with the subgroup-constrained orbit: it expands each
+layer in sorted order.
+
 :func:`single_budget_orbit` and :func:`three_run_discreteness_report` are
 the subgroup-constrained orbit and the discreteness report before one
 breadth-first search answered several budgets: the report ran the search
@@ -610,6 +614,32 @@ def filter_conjugacy_classes(rank: int, max_len: int) -> Iterator[Word]:
         layer = next_layer
 
 
+# -- orbits, one search per budget -------------------------------------------------
+
+
+def sorted_frontier_orbit(system, x, budget: int):
+    from grouptrees.errors import OutOfSupportError
+
+    x = Scalar.of(x)
+    if not system.forest.contains(x):
+        raise OutOfSupportError(f"{x} lies outside the support")
+    letters = system.signed_letters()
+    visited = {x}
+    frontier = [x]
+    while frontier:
+        if len(visited) > budget:
+            return "truncated", tuple(sorted(visited))
+        nxt = []
+        for p in sorted(frontier):
+            for l in letters:
+                y = system.letter_map(l).apply(p)
+                if y is not None and y not in visited:
+                    visited.add(y)
+                    nxt.append(y)
+        frontier = nxt
+    return "closed", tuple(sorted(visited))
+
+
 # -- the discreteness report, one search per budget ------------------------------
 
 
@@ -633,7 +663,7 @@ def single_budget_orbit(system, graph, x, budget: int):
         for point, vertex in sorted(frontier):
             for gi, letter in enumerate(letters):
                 for sign in (1, -1):
-                    y = system.apply_letter(sign * (gi + 1), point)
+                    y = system.letter_map(sign * (gi + 1)).apply(point)
                     if y is None:
                         continue
                     w = graph.step(vertex, sign * letter)

@@ -24,6 +24,7 @@ from grouptrees.errors import (
 from grouptrees.intervals import Interval, MultiInterval
 from grouptrees.isometry_systems import (
     PartialIsometry,
+    _verify_chain,
     SoISystem,
     ae_support_check,
     balance_report,
@@ -42,7 +43,8 @@ from grouptrees.isometry_systems import (
 from grouptrees.stallings import build_core
 
 from _fixtures import dependent_corpus
-from _oracles import single_budget_orbit, three_run_discreteness_report
+from _oracles import (single_budget_orbit, sorted_frontier_orbit,
+                      three_run_discreteness_report)
 
 S = Scalar.of
 
@@ -146,7 +148,7 @@ class TestOrbit:
         seen = set(pts)
         for p in pts:
             for l in sy.signed_letters():
-                q = sy.apply_letter(l, p)
+                q = sy.letter_map(l).apply(p)
                 assert q is None or q in seen
 
     @given(st.fractions(min_value=0, max_value=1).map(
@@ -344,12 +346,22 @@ class TestIndecomposabilityChains:
             indecomposability_search(golden_system(), iv(0, 0),
                                      iv("1/2", "3/5"), 4, 4)
 
+    def test_chain_word_that_empties_the_piece_fails_verification(self):
+        with pytest.raises(RuntimeError, match="exact re-verification"):
+            _verify_chain(golden_system(), iv(0, "1/10"), iv(0, "1/10"),
+                          [((1, 1, 1, 1, 1, 1), iv(0, "1/10"))])
+
 
 class TestSubgroupConstrainedDynamics:
     def test_needs_labels(self):
         sy = worked_single_map()  # built without labels
         with pytest.raises(MissingLabelsError):
             subgroup_constrained_orbit(sy, build_core([W("a")], 2), S(0), 50)
+
+    def test_missing_labels_reported_before_the_support(self):
+        sy = worked_single_map()  # built without labels; 2 is outside [0, 1]
+        with pytest.raises(MissingLabelsError):
+            subgroup_constrained_orbit(sy, build_core([W("a")], 2), S(2), 50)
 
     def test_golden_cyclic_a_orbit_frozen(self):
         graph = build_core([W("a")], 2)
@@ -414,6 +426,38 @@ class TestOneSearchManyBudgets:
                     assert run == single_budget_orbit(system, graph, S(x), b)
                 assert subgroup_constrained_orbit(system, graph, S(x), 120) \
                     == runs[120]
+
+
+ORBIT_SYSTEMS = ([golden_system(), rotation_pair(), worked_single_map()]
+                 + [sy for _, sy, _ in balanced_corpus()])
+
+
+class TestOneSearchTwoFaces:
+    """The plain orbit against its layer-sorted oracle and against the
+    subgroup-constrained orbit for H = F_n, whose core graph is a rose."""
+
+    @staticmethod
+    def check(sy, x, budget):
+        run = orbit(sy, x, budget)
+        assert run == sorted_frontier_orbit(sy, x, budget)
+        rank = len(sy.generators)
+        labels = [chr(ord("a") + i) for i in range(rank)]
+        labelled = sy if sy.labels else SoISystem(sy.forest, sy.generators, labels)
+        whole = build_core([W(lab, rank) for lab in labelled.labels], rank)
+        assert subgroup_constrained_orbit(labelled, whole, x, budget) == run
+        return run
+
+    @given(st.sampled_from(ORBIT_SYSTEMS), st.data(), st.integers(0, 300))
+    def test_orbit_matches_oracle_and_whole_group_orbit(self, sy, data, budget):
+        comp = data.draw(st.sampled_from(sy.forest.components))
+        t = data.draw(st.fractions(min_value=0, max_value=1, max_denominator=60))
+        self.check(sy, comp.lo + S(t) * comp.length, budget)
+
+    def test_infinite_orbits_truncate_at_whole_layers(self):
+        # most drawn orbits close; rational points have infinite golden orbits
+        for x in ("1/2", "1/3"):
+            for budget in range(0, 301, 11):
+                assert self.check(golden_system(), S(x), budget)[0] == "truncated"
 
 
 class TestDiscretenessReport:
