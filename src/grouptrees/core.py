@@ -21,7 +21,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 from typing import Iterable, Iterator
 
 from .errors import MixedFieldError, ParseError
@@ -347,6 +347,16 @@ def _make(a: int, b: int, den: int, d: int) -> Scalar:
         b //= g
         den //= g
     return _build(a, b, den, d)
+
+
+def _integer_view(values) -> tuple[int, int, list[tuple[int, int]]]:
+    """(den, d, pairs) with values[i] == (a + b*sqrt(d))/den for (a, b) ==
+    pairs[i]: one common denominator, and the fields joined in list order."""
+    den, d = 1, 1
+    for s in values:
+        den = lcm(den, s._den)
+        d = d if s._d == d else _join(d, s._d)
+    return den, d, [(s._a * (k := den // s._den), s._b * k) for s in values]
 
 
 def _coerce(value) -> Scalar | None:

@@ -22,8 +22,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cmp_to_key
+from math import isqrt
 
-from .core import Scalar, Word, ZERO, letter_key
+from .core import Scalar, Word, ZERO, _integer_view, _make, _sign, letter_key
 from .errors import (
     InvalidSystemError,
     MissingLabelsError,
@@ -176,6 +178,29 @@ def _layered_search(start, expand, points, budgets) -> dict:
     return results
 
 
+def _compile(system: SoISystem, letters, x):
+    """(den, d, maps, x) over int pairs (a, b) standing for (a + b*sqrt(d))/den;
+    each letter's map becomes (orient, oa, ob, lo_a, lo_b, hi_a, hi_b).  The
+    maps' values are joined first, so a point of another field is what fails."""
+    maps = [system.letter_map(l) for l in letters]
+    den, d, pairs = _integer_view(
+        [v for g in maps for v in (g.offset, g.dom.lo, g.dom.hi)] + [x])
+    return den, d, [(g.orient, *off, *lo, *hi) for g, off, lo, hi in
+                    zip(maps, pairs[0::3], pairs[1::3], pairs[2::3])], pairs[-1]
+
+
+def _scalars(pairs, den: int, d: int) -> tuple[Scalar, ...]:
+    """Int `pairs` as Scalars sorted exactly: irrational ones by the monotone
+    floor(2^64 * (a + b*sqrt(d))) first, so the sign test after is near-linear."""
+    if d > 1:
+        root = lambda b: isqrt(b * b * d << 128)
+        pairs = sorted(pairs, key=lambda p: (p[0] << 64) + (
+            root(p[1]) if p[1] >= 0 else ~root(p[1])))
+    pairs = sorted(pairs, key=None if d == 1 else cmp_to_key(
+        lambda p, q: _sign(p[0] - q[0], p[1] - q[1], d)))
+    return tuple(_make(a, b, den, d) for a, b in pairs)
+
+
 def orbit(system: SoISystem, x, budget: int):
     """BFS closure of {x} under all generators and inverses.
 
@@ -184,15 +209,16 @@ def orbit(system: SoISystem, x, budget: int):
     worth when truncated, deterministically).
     """
     x = _in_support(system, x)
-    maps = [system.letter_map(l) for l in system.signed_letters()]
+    den, d, maps, start = _compile(system, system.signed_letters(), x)
 
     def expand(p):
-        for g in maps:
-            y = g.apply(p)
-            if y is not None:
-                yield y
+        a, b = p
+        for orient, oa, ob, la, lb, ha, hb in maps:
+            if _sign(a - la, b - lb, d) >= 0 and _sign(ha - a, hb - b, d) >= 0:
+                yield (a + oa, b + ob) if orient > 0 else (oa - a, ob - b)
 
-    return _layered_search(x, expand, lambda v: tuple(sorted(v)), (budget,))[budget]
+    return _layered_search(start, expand, lambda v: _scalars(v, den, d),
+                           (budget,))[budget]
 
 
 def singular_points(system: SoISystem) -> tuple[Scalar, ...]:
@@ -596,22 +622,24 @@ def subgroup_constrained_orbit(system: SoISystem, graph: StallingsGraph, x,
     """
     letters = _gen_letter_index(system, graph)
     x = _in_support(system, x)
-    moves = [(system.letter_map(sign * (gi + 1)), sign * letter)
-             for gi, letter in enumerate(letters) for sign in (1, -1)]
+    signed = [(s * (i + 1), s * l) for i, l in enumerate(letters) for s in (1, -1)]
+    den, d, maps, (xa, xb) = _compile(system, [g for g, _ in signed], x)
+    moves = [(m, letter) for m, (_, letter) in zip(maps, signed)]
 
     def expand(state):
-        point, vertex = state
-        for g, letter in moves:
-            y = g.apply(point)
-            if y is not None:
+        a, b, vertex = state
+        for (orient, oa, ob, la, lb, ha, hb), letter in moves:
+            if _sign(a - la, b - lb, d) >= 0 and _sign(ha - a, hb - b, d) >= 0:
                 w = graph.step(vertex, letter)
                 if w is not None:
-                    yield y, w
+                    yield ((a + oa, b + ob, w) if orient > 0
+                           else (oa - a, ob - b, w))
 
     def at_base(visited):
-        return tuple(sorted({p for p, v in visited if v == graph.base}))
+        return _scalars({(a, b) for a, b, v in visited if v == graph.base},
+                        den, d)
 
-    results = _layered_search((x, graph.base), expand, at_base,
+    results = _layered_search((xa, xb, graph.base), expand, at_base,
                               (budget, *(snapshots or ())))
     return results[budget] if snapshots is None else results
 

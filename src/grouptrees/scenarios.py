@@ -121,6 +121,8 @@ def _word(value, key: str, rank: int) -> Word:
 def _samples(value, key: str, rank: int) -> list[Scalar]:
     if not isinstance(value, list):
         value = [value]
+    if not value:
+        raise ParseError(f"argument '{key}' must list at least one point")
     return [docs.scalar_field(s, "sample point") for s in value]
 
 

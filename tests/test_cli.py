@@ -261,6 +261,14 @@ class TestOps:
             with pytest.raises(ParseError, match="^sample point: floats"):
                 run_op("soi.discrete", {**args, "samples": bad})
 
+    def test_discrete_needs_a_sample(self):
+        # all() over no rows is true, so no samples would claim a verdict
+        args = {"system": docs.dump_system(golden_system()),
+                "subgroup": {"rank": 2, "generators": ["a"]}, "samples": []}
+        with pytest.raises(ParseError, match="^argument 'samples' must list "
+                                             "at least one point$"):
+            run_op("soi.discrete", args)
+
     @pytest.mark.parametrize("op,args,message", [
         ("cvn.omega", {"graph": lopsided_rose, "epsilon": "1/2",
                        "max_word": -1},
@@ -474,6 +482,27 @@ class TestCli:
                                "--point", "1/2", "--budget", "40")
         assert code == 2
         assert "truncated" in out
+
+    def test_orbit_foreign_field_point_exits_one(self, capsys, tmp_path):
+        path = tmp_path / "golden.json"
+        path.write_text(json.dumps(docs.dump_system(golden_system())))
+        code, out, err = run_cli(capsys, "soi", "orbit", "--in", str(path),
+                                 "--point", "1/2*sqrt3")
+        assert code == 1 and out == ""
+        assert err == ("error: cannot mix sqrt5 and sqrt3 values in one "
+                       "computation\n")
+
+    def test_discrete_empty_samples_exits_one(self, capsys, tmp_path):
+        path = tmp_path / "golden.json"
+        path.write_text(json.dumps(docs.dump_system(golden_system())))
+        sub = tmp_path / "sub.json"
+        sub.write_text(json.dumps({"rank": 2, "generators": ["a"]}))
+        code, out, err = run_cli(capsys, "soi", "discrete", "--in", str(path),
+                                 "--sub", str(sub), "--samples", "[]",
+                                 "--json")
+        assert code == 1 and out == ""
+        assert err == ("error: argument 'samples' must list at least one "
+                       "point\n")
 
     def test_grow_cli(self, capsys, system_file):
         code, out, _ = run_cli(capsys, "soi", "grow", "--in", system_file,

@@ -1,11 +1,12 @@
 """Systems of partial isometries: orbits, families, balance, covers, dynamics."""
 
+import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
-from grouptrees.core import Scalar, parse_word
+from grouptrees.core import Scalar, _integer_view, parse_word
 from grouptrees.corpus import (
     ALPHA,
     balanced_corpus,
@@ -19,11 +20,13 @@ from grouptrees.corpus import (
 from grouptrees.errors import (
     InvalidSystemError,
     MissingLabelsError,
+    MixedFieldError,
     OutOfSupportError,
 )
 from grouptrees.intervals import Interval, MultiInterval
 from grouptrees.isometry_systems import (
     PartialIsometry,
+    _scalars,
     _verify_chain,
     SoISystem,
     ae_support_check,
@@ -160,6 +163,16 @@ class TestOrbit:
         # orbits partition: the orbit of any member is the same set
         again = orbit(sy, pts[0], 200)[1]
         assert again == pts
+
+    def test_presort_ties_are_ordered_exactly(self):
+        # e = (sqrt2 - 1)^52 < 2^-64: e and 0, and 1/3 + e and 1/3, share
+        # their presort floors, so only the exact pass puts them in order
+        e = S(1)
+        for _ in range(52):
+            e = e * (S("sqrt2") - 1)
+        values = [e, S(0), -e, S("1/3") + e, S("1/3")]
+        den, d, pairs = _integer_view(values)
+        assert _scalars(pairs, den, d) == tuple(sorted(values))
 
 
 class TestSingularPointsAndFamilies:
@@ -401,7 +414,7 @@ class TestOneSearchManyBudgets:
     """One search with snapshots against one search per budget."""
 
     SUBGROUPS = (("a", "b"), ("a",), ("aa", "b", "abA"), ("ab", "ba"))
-    SAMPLES = ("0", "1/2", "1/3", "3/4")
+    SAMPLES = ("0", "1/2", "1/3", "3/4", "-1/2+1/3*sqrt5", "3/2-3/5*sqrt5")
     BUDGETS = (-3, 0, 1, 2, 3, 5, 9, 40, 77, 120, 400)
 
     def test_report_matches_three_runs(self):
@@ -428,8 +441,25 @@ class TestOneSearchManyBudgets:
                     == runs[120]
 
 
-ORBIT_SYSTEMS = ([golden_system(), rotation_pair(), worked_single_map()]
-                 + [sy for _, sy, _ in balanced_corpus()])
+# Flips, irrational offsets and endpoints, and two components, with
+# denominators (2, 4, 5, 7) other than a drawn point's, so every compiled
+# value is rescaled to a common denominator.  The last two maps rotate
+# [0, 1] by sqrt3/4, so most orbits are infinite.
+FLIP_SQRT3 = system([(0, 1), (2, 3)],
+                    [(0, "1/7", -1, "1/2*sqrt3"),
+                     ("1/5", "3/5", 1, "3/2+1/4*sqrt3"),
+                     (2, "2+1/4*sqrt3", -1, "9/2"),
+                     (0, "1-1/4*sqrt3", 1, "1/4*sqrt3"),
+                     (0, "1/4*sqrt3", 1, "1-1/4*sqrt3")])
+SWEEP_SQRT2 = next(sy for name, sy, _ in balanced_corpus()
+                   if name == "sweep-sqrt2")
+
+ORBIT_SYSTEMS = ([golden_system(), rotation_pair(), worked_single_map(),
+                  FLIP_SQRT3] + [sy for _, sy, _ in balanced_corpus()])
+#: (system, field tag) for each system whose values leave Q.
+IRRATIONAL_SYSTEMS = [(golden_system(), 5), (FLIP_SQRT3, 3), (SWEEP_SQRT2, 2)]
+RATIONAL_SYSTEMS = [sy for sy in ORBIT_SYSTEMS
+                    if all(g.offset.d == 1 for g in sy.generators)]
 
 
 class TestOneSearchTwoFaces:
@@ -453,11 +483,64 @@ class TestOneSearchTwoFaces:
         t = data.draw(st.fractions(min_value=0, max_value=1, max_denominator=60))
         self.check(sy, comp.lo + S(t) * comp.length, budget)
 
+    @staticmethod
+    def irrational_point(data, sy, d):
+        """p + q*sqrt(d) with q != 0, moved into a component by whole lengths."""
+        comp = data.draw(st.sampled_from(sy.forest.components))
+        assume(not comp.is_point)
+        q = data.draw(st.fractions(-2, 2, max_denominator=60).filter(bool))
+        t = S(q) * S(f"sqrt{d}") + S(data.draw(
+            st.fractions(0, 1, max_denominator=60))) * comp.length
+        while t > comp.length:
+            t = t - comp.length
+        while t.sign() < 0:
+            t = t + comp.length
+        x = comp.lo + t
+        assume(x.d == d)
+        return x
+
+    @given(st.sampled_from(IRRATIONAL_SYSTEMS), st.data(), st.integers(0, 300))
+    def test_irrational_points_on_irrational_systems(self, case, data, budget):
+        sy, d = case
+        self.check(sy, self.irrational_point(data, sy, d), budget)
+
+    @given(st.sampled_from(RATIONAL_SYSTEMS), st.data(), st.integers(0, 300))
+    def test_sqrt2_points_on_rational_systems(self, sy, data, budget):
+        # the field comes from the point alone
+        self.check(sy, self.irrational_point(data, sy, 2), budget)
+
     def test_infinite_orbits_truncate_at_whole_layers(self):
         # most drawn orbits close; rational points have infinite golden orbits
         for x in ("1/2", "1/3"):
             for budget in range(0, 301, 11):
                 assert self.check(golden_system(), S(x), budget)[0] == "truncated"
+
+
+class TestForeignFieldPoints:
+    """A point from another field than the system's fails with one message,
+    which names the system's field first."""
+
+    @staticmethod
+    def raises(message):
+        return pytest.raises(MixedFieldError, match=f"^{re.escape(message)}$")
+
+    @pytest.mark.parametrize("point,other", [("1/7*sqrt3", 3), ("1/9*sqrt2", 2)])
+    def test_golden_system(self, point, other):
+        message = f"cannot mix sqrt5 and sqrt{other} values in one computation"
+        whole = build_core([W("a"), W("b")], 2)
+        with self.raises(message):
+            orbit(golden_system(), S(point), 50)
+        with self.raises(message):
+            subgroup_constrained_orbit(golden_system(), whole, S(point), 50)
+
+    def test_sweep_sqrt2(self):
+        labelled = SoISystem(SWEEP_SQRT2.forest, SWEEP_SQRT2.generators, ["a"])
+        message = "cannot mix sqrt2 and sqrt3 values in one computation"
+        with self.raises(message):
+            orbit(SWEEP_SQRT2, S("1/7*sqrt3"), 50)
+        with self.raises(message):
+            subgroup_constrained_orbit(labelled, build_core([W("a", 1)], 1),
+                                       S("1/7*sqrt3"), 50)
 
 
 class TestDiscretenessReport:
