@@ -26,10 +26,6 @@ class DegenerateSubgroupError(GroupTreesError):
     """An operation that needs a nontrivial subgroup received the trivial one."""
 
 
-class MalformedPathError(GroupTreesError):
-    """A combinatorial path/dart sequence does not match the ambient graph."""
-
-
 class InvalidSystemError(GroupTreesError):
     """An interval-isometry system or marked graph violates its well-formedness rules."""
 

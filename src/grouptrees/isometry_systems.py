@@ -497,20 +497,21 @@ def ae_support_check(system: SoISystem, f_eps: MultiInterval, target: Interval,
         raise OutOfSupportError("the covering seed leaves the support")
 
     cands = _image_candidates(system, f_eps, max_len)
-    target_multi = MultiInterval([target])
+    # (A u B) n T = (A n T) u (B n T): clip every image to the target once
+    clipped = [(word, img.intersect(target)) for word, img in cands]
     covered = MultiInterval()
     words = []
     while True:
-        uncovered = target.length - covered.intersect(target_multi).measure
+        base = covered.measure
+        uncovered = target.length - base
         if delta > uncovered:
             return {"status": "covered", "words": [system.word_str(w) for w, _ in words],
                     "uncovered_measure": uncovered, "delta": delta,
                     "candidates": len(cands), "max_len": max_len}
         best = None
         best_gain = ZERO
-        base = covered.intersect(target_multi).measure
-        for word, img in cands:
-            gain = covered.union(img).intersect(target_multi).measure - base
+        for word, img in clipped:
+            gain = covered.union(img).measure - base
             if gain > best_gain:
                 best, best_gain = (word, img), gain
         if best is None:
@@ -679,14 +680,14 @@ def subgroup_saturation(system: SoISystem, graph: StallingsGraph,
         for h, img in translates:
             if support.contains_interval(img):
                 continue
-            if support.intersect(MultiInterval([img])).measure.sign() > 0:
+            if support.intersect(img).measure.sign() > 0:
                 additions.append((h, img))
         if not additions:
             saturated = True
             break
         used += 1
         for h, img in additions:
-            support = support.union(MultiInterval([img]))
+            support = support.union(img)
             added_words.append(str(h))
     return {"support": support, "saturated": saturated, "steps_used": used,
             "translates_added": added_words, "rejected_words": rejected,

@@ -54,8 +54,6 @@ class BoundaryRay:
         if -vl[0] == vl[-1] and len(vl) > 1:
             raise PreconditionError(f"period {v} is not cyclically reduced")
         ul = list(u.letters)
-        if list(Word.make(tuple(ul), u.rank).letters) != ul:
-            raise PreconditionError(f"prefix {u} is not reduced")
         changed = True
         while ul and changed:
             changed = False

@@ -17,7 +17,10 @@ Conventions
   whose marking image is that word, so tree coordinates can be labeled by
   (reduced word, vertex) pairs.
 * Subtrees of the universal cover are handled through the fundamental-domain
-  graph of the subgroup's cover plus an exact walker into its hanging trees.
+  graph P of the subgroup's cover.  P is folded, so a reduced loop reads in P
+  up to its first missing edge and never re-enters it: the rest of the loop
+  hangs off P at the vertex reached, and P's hair leads from that vertex to
+  the core.
 """
 
 from __future__ import annotations
@@ -26,11 +29,7 @@ from itertools import chain
 
 from .core import (Scalar, Word, ZERO, conjugator_length, enumerate_words,
                    reduce_letters, word_sort_key)
-from .errors import (
-    DegenerateSubgroupError,
-    InvalidSystemError,
-    MalformedPathError,
-)
+from .errors import DegenerateSubgroupError, InvalidSystemError
 from .basis_change import invert_basis
 from . import folding
 from .stallings import StallingsGraph, basis_of, index, membership, rank_of, subgroup_elements
@@ -96,20 +95,23 @@ class MarkedMetricGraph:
             raise InvalidSystemError("spanning tree refers to unknown edges")
         if len(tree) != nv - 1:
             raise InvalidSystemError("spanning tree must have nv-1 edges")
-        parent = list(range(nv))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for t in sorted(tree):
-            u, v, _ = self.edges[t]
-            ru, rv = find(u), find(v)
-            if ru == rv:
-                raise InvalidSystemError("spanning tree contains a cycle")
-            parent[ru] = rv
+        tree_adj = {v: [] for v in range(nv)}
+        for eid in sorted(tree):
+            u, v, _ = self.edges[eid]
+            tree_adj[u].append((v, eid + 1))
+            tree_adj[v].append((u, -(eid + 1)))
+        # darts of the tree path from the basepoint to each vertex; nv-1
+        # edges are acyclic iff they reach every vertex
+        path_to = {base: ()}
+        stack = [base]
+        while stack:
+            x = stack.pop()
+            for y, dart in tree_adj[x]:
+                if y not in path_to:
+                    path_to[y] = path_to[x] + (dart,)
+                    stack.append(y)
+        if len(path_to) != nv:
+            raise InvalidSystemError("spanning tree contains a cycle")
 
         non_tree = tuple(sorted(set(range(ne)) - tree))
         marking = dict(marking)
@@ -133,12 +135,6 @@ class MarkedMetricGraph:
         # NotABasisError propagates if the marking words do not form a basis.
         self._letter_exprs = invert_basis(words, rank)
 
-        tree_adj = {v: [] for v in range(nv)}
-        for eid in sorted(tree):
-            u, v, _ = self.edges[eid]
-            tree_adj[u].append((v, eid + 1))
-            tree_adj[v].append((u, -(eid + 1)))
-
         self._darts_at = {v: [] for v in range(nv)}
         for eid, (u, v, _) in enumerate(self.edges):
             self._darts_at[u].append(eid + 1)
@@ -146,15 +142,6 @@ class MarkedMetricGraph:
         for v in range(nv):
             self._darts_at[v].sort(key=lambda d: (abs(d), d < 0))
 
-        # darts of the (unique) tree path from the basepoint to each vertex
-        path_to = {base: ()}
-        stack = [base]
-        while stack:
-            x = stack.pop()
-            for y, dart in tree_adj[x]:
-                if y not in path_to:
-                    path_to[y] = path_to[x] + (dart,)
-                    stack.append(y)
         nt_loops = {}
         for eid in non_tree:
             u, v, _ = self.edges[eid]
@@ -171,10 +158,6 @@ class MarkedMetricGraph:
             for expr in self._letter_exprs)
 
     # -- darts ---------------------------------------------------------------
-
-    def dart_source(self, d: int) -> int:
-        u, v, _ = self.edges[abs(d) - 1]
-        return u if d > 0 else v
 
     def dart_target(self, d: int) -> int:
         u, v, _ = self.edges[abs(d) - 1]
@@ -236,10 +219,8 @@ class CoverCore:
     subgroup's cover containing its core, with basepoint 0; its edge labels
     are the graph's darts, so P's letter d crosses edge |d|-1.  `core_*`
     fields describe the core itself, which is the quotient of the subgroup's
-    minimal subtree.  The walker (`initial_state` / `step`) tracks a vertex of
-    the full cover as a P-vertex plus a stack of darts hanging off it, and
-    reports for every edge crossed whether that edge lies in the minimal
-    subtree.
+    minimal subtree.  `toward_core` is P's hair, and `core_darts` the core's
+    edges as seen from each core vertex.
     """
 
     __slots__ = (
@@ -284,7 +265,7 @@ class CoverCore:
         if len(core_edges) - len(core_vertices) + 1 != rank_of(subgroup):
             raise RuntimeError("core graph rank differs from the subgroup rank")
 
-        # T_H in the walker's terms: per core vertex, the core darts leaving
+        # T_H as P sees it: per core vertex, the core darts leaving
         # it as (dart, marking letters, target vertex, target core vertex).
         # Trimming deletes only edges at deleted vertices, so a P-edge lies
         # in the core iff both its ends do.
@@ -322,35 +303,6 @@ class CoverCore:
                         nxt.append(x)
             frontier = nxt
 
-    # -- walking the full cover ------------------------------------------------
-
-    def initial_state(self):
-        return (self.p.base, ())
-
-    def state_vertex(self, state) -> int:
-        p, stack = state
-        return self.graph.dart_target(stack[-1]) if stack else self.vertex_image[p]
-
-    def step(self, state, dart: int):
-        """Cross one dart; returns (new_state, crossed_edge_in_minimal_subtree)."""
-        if self.graph.dart_source(dart) != self.state_vertex(state):
-            raise MalformedPathError(
-                f"dart {dart} does not start at the current vertex")
-        p, stack = state
-        if stack:
-            if stack[-1] == -dart:
-                return (p, stack[:-1]), False
-            return (p, stack + (dart,)), False
-        target = self.p.step(p, dart)
-        if target is None:
-            return (p, (dart,)), False
-        return (target, ()), p in self.core_vertices and target in self.core_vertices
-
-    def walk(self, state, darts):
-        for d in darts:
-            state, _ = self.step(state, d)
-        return state
-
     def core_summary(self) -> dict:
         return {
             "vertices": len(self.core_vertices),
@@ -359,11 +311,6 @@ class CoverCore:
             "is_covering": self.is_covering,
             "degree": self.degree,
         }
-
-
-def minimal_subtree(graph: MarkedMetricGraph, subgroup: StallingsGraph) -> CoverCore:
-    """Exact model of the subgroup's minimal subtree in the universal cover."""
-    return CoverCore(graph, subgroup)
 
 
 # -- overlaps of subtree translates --------------------------------------------
@@ -377,14 +324,22 @@ def minimal_subtree(graph: MarkedMetricGraph, subgroup: StallingsGraph) -> Cover
 def _subtree_ball(cover: CoverCore, h: Word, radius: int) -> dict:
     """T_H within `radius` edges of h*x0, as label -> P-vertex.
 
-    The gate, the projection of h*x0 onto T_H, is reached by undoing the
-    walker's hanging stack and then following P's hair to the core.  T_H is
-    convex, so every vertex of it lies beyond the gate: the rest is a
-    breadth-first search through core edges, to the radius left over.
+    h's loop is read in P up to its first missing edge; a reduced loop that
+    leaves the folded graph P never comes back.  The gate, the projection of
+    h*x0 onto T_H, is reached by undoing the rest of the loop and then
+    following P's hair to the core.  T_H is convex, so every vertex of it
+    lies beyond the gate: the rest is a breadth-first search through core
+    edges, to the radius left over.
     """
     graph = cover.graph
-    p, stack = cover.walk(cover.initial_state(), graph.word_to_loop(h))
-    path = list(_inv_darts(stack))
+    loop = graph.word_to_loop(h)
+    p, k = cover.p.base, 0
+    for d in loop:
+        q = cover.p.step(p, d)
+        if q is None:
+            break
+        p, k = q, k + 1
+    path = list(_inv_darts(loop[k:]))
     while p not in cover.core_vertices and len(path) <= radius:
         dart, p = cover.toward_core[p]
         path.append(dart)
@@ -405,7 +360,7 @@ def _subtree_ball(cover: CoverCore, h: Word, radius: int) -> dict:
                     ball[key] = q
                     nxt.append((key[0], q))
                 elif old != q:
-                    raise RuntimeError(f"walker reached tree vertex {key} in two states")
+                    raise RuntimeError(f"tree vertex {key} reached at two P-vertices")
         frontier = nxt
     return ball
 
@@ -495,7 +450,7 @@ def transverse_family_report(graph: MarkedMetricGraph, subgroup: StallingsGraph,
     violation.  Translates are deduplicated up to the double cosets HgH seen
     within the word budget.
     """
-    cover = minimal_subtree(graph, subgroup)
+    cover = CoverCore(graph, subgroup)
     report = {"max_len": max_len, "radius": radius}
     if cover.is_covering:
         report["verdict"] = "degenerate-family-whole-tree"

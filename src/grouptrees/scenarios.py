@@ -29,7 +29,7 @@ from .isometry_systems import (ae_support_check, balance_report,
                                grow_forest, indecomposability_search, orbit,
                                subgroup_constrained_orbit, subgroup_saturation)
 from .laminations import carries, carrier_scan, periodic_leaf
-from .marked_graphs import minimal_subtree, transverse_family_report
+from .marked_graphs import CoverCore, transverse_family_report
 from .measures import combine, invariance_check
 from .report import to_jsonable
 from .stallings import (basis_of, conjugate, fiber_product, hall_completion,
@@ -255,8 +255,7 @@ def op_cvn_vol(args: dict):
 
 
 def op_cvn_minsub(args: dict):
-    return minimal_subtree(args["graph"], args["subgroup"]).core_summary(), \
-        PROVEN
+    return CoverCore(args["graph"], args["subgroup"]).core_summary(), PROVEN
 
 
 def op_cvn_omega(args: dict):

@@ -32,6 +32,10 @@ the subgroup-constrained orbit and the discreteness report before one
 breadth-first search answered several budgets: the report ran the search
 from scratch at budgets b/4, b/2 and b.
 
+:func:`rebuilding_ae_support_check` is ``soi cover``'s greedy before it
+clipped every candidate image to the target once: each round rebuilds every
+candidate's union with the covered set and intersects it with the target.
+
 :func:`two_phase_hall_bases` is the private two-phase spanning-tree search
 ``grouptrees.stallings.hall_completion`` ran before it shared
 ``spanning_tree_paths`` with ``basis_of``.  :func:`full_spanning_tree_paths`
@@ -43,9 +47,13 @@ of every vertex, so it is quadratic on deep graphs.
 the way ``grouptrees.marked_graphs`` did before it walked the subtree only:
 they grow whole radius balls of the universal cover, step the walker over
 every edge of them, and filter double cosets with all 64 x 64 pairs.  They
-are the engine's code of that time, except that the engine's walker no
-longer has ``vertex_on_subtree`` and its graph no longer keeps out-edge
-lists, so both are computed here.  :func:`filter_subgroup_elements` is
+are the engine's code of that time, except that ``vertex_on_subtree`` and
+the graph's out-edge lists are computed here.  The walker itself
+(:func:`initial_state`, :func:`state_vertex`, :func:`step`, :func:`walk`) is
+``grouptrees.marked_graphs.CoverCore``'s before the engine read reduced
+loops in P instead: it tracks a vertex of the full cover as a P-vertex plus
+a stack of darts hanging off it, and reports for every edge crossed whether
+that edge lies in the minimal subtree.  :func:`filter_subgroup_elements` is
 ``grouptrees.stallings.subgroup_elements`` before it walked the core graph:
 it tests every reduced word for membership.
 """
@@ -61,7 +69,7 @@ from typing import Iterable, Iterator
 from grouptrees.core import (Scalar, Word, enumerate_words, letter_key,
                              reduce_letters, word_sort_key)
 from grouptrees.errors import MixedFieldError, NotABasisError, ParseError
-from grouptrees.marked_graphs import minimal_subtree
+from grouptrees.marked_graphs import CoverCore
 from grouptrees.stallings import index, membership
 
 ZERO = Scalar.of(0)
@@ -719,6 +727,55 @@ def three_run_discreteness_report(system, graph, samples, budget: int) -> dict:
     }
 
 
+# -- the greedy a.e. cover, rebuilt against the target ----------------------------
+
+
+def rebuilding_ae_support_check(system, f_eps, target, delta, max_len: int) -> dict:
+    """Greedily cover the target interval by word-images of f_eps, up to measure delta.
+
+    Returns the witness words when the uncovered measure drops below delta,
+    or budget-exhausted when no candidate image adds coverage.
+    """
+    from grouptrees.errors import InvalidSystemError, OutOfSupportError
+    from grouptrees.intervals import MultiInterval
+    from grouptrees.isometry_systems import _image_candidates
+
+    delta = Scalar.of(delta)
+    if delta.sign() <= 0:
+        raise InvalidSystemError("delta must be positive")
+    if not isinstance(f_eps, MultiInterval):
+        f_eps = MultiInterval(f_eps)
+    if not system.forest.contains_interval(target):
+        raise OutOfSupportError("target interval leaves the support")
+    if not system.forest.contains_multi(f_eps):
+        raise OutOfSupportError("the covering seed leaves the support")
+
+    cands = _image_candidates(system, f_eps, max_len)
+    target_multi = MultiInterval([target])
+    covered = MultiInterval()
+    words = []
+    while True:
+        uncovered = target.length - covered.intersect(target_multi).measure
+        if delta > uncovered:
+            return {"status": "covered", "words": [system.word_str(w) for w, _ in words],
+                    "uncovered_measure": uncovered, "delta": delta,
+                    "candidates": len(cands), "max_len": max_len}
+        best = None
+        best_gain = ZERO
+        base = covered.intersect(target_multi).measure
+        for word, img in cands:
+            gain = covered.union(img).intersect(target_multi).measure - base
+            if gain > best_gain:
+                best, best_gain = (word, img), gain
+        if best is None:
+            return {"status": "budget-exhausted",
+                    "uncovered_measure": uncovered, "delta": delta,
+                    "words": [system.word_str(w) for w, _ in words],
+                    "candidates": len(cands), "max_len": max_len}
+        words.append(best)
+        covered = covered.union(best[1])
+
+
 # -- the two-phase spanning tree of the Hall completion ------------------------
 
 
@@ -804,6 +861,37 @@ def full_spanning_tree_paths(graph, inside=frozenset()) -> tuple[dict, list]:
 # -- translate overlaps from whole radius balls --------------------------------
 
 
+def initial_state(cover):
+    return (cover.p.base, ())
+
+
+def state_vertex(cover, state) -> int:
+    p, stack = state
+    return cover.graph.dart_target(stack[-1]) if stack else cover.vertex_image[p]
+
+
+def step(cover, state, dart: int):
+    """Cross one dart; returns (new_state, crossed_edge_in_minimal_subtree)."""
+    u, v, _ = cover.graph.edges[abs(dart) - 1]
+    if (u if dart > 0 else v) != state_vertex(cover, state):
+        raise ValueError(f"dart {dart} does not start at the current vertex")
+    p, stack = state
+    if stack:
+        if stack[-1] == -dart:
+            return (p, stack[:-1]), False
+        return (p, stack + (dart,)), False
+    target = cover.p.step(p, dart)
+    if target is None:
+        return (p, (dart,)), False
+    return (target, ()), p in cover.core_vertices and target in cover.core_vertices
+
+
+def walk(cover, state, darts):
+    for d in darts:
+        state, _ = step(cover, state, d)
+    return state
+
+
 def vertex_on_subtree(cover, state) -> bool:
     p, stack = state
     return not stack and p in cover.core_vertices
@@ -818,7 +906,7 @@ def filter_subgroup_elements(graph, max_len: int) -> list[Word]:
 def grow_ball(cover, seed_letters, seed_state, radius: int) -> dict:
     """Walker states for every tree vertex within `radius` edges of the seed."""
     graph = cover.graph
-    states = {(seed_letters, cover.state_vertex(seed_state)): seed_state}
+    states = {(seed_letters, state_vertex(cover, seed_state)): seed_state}
     frontier = list(states)
     for _ in range(radius):
         nxt = []
@@ -827,7 +915,7 @@ def grow_ball(cover, seed_letters, seed_state, radius: int) -> dict:
             for d in graph.darts_at(v):
                 key = (tuple(reduce_letters(u + graph.dart_marking_letters(d))),
                        graph.dart_target(d))
-                new_state, _ = cover.step(state, d)
+                new_state, _ = step(cover, state, d)
                 old = states.get(key)
                 if old is None:
                     states[key] = new_state
@@ -867,10 +955,10 @@ def ball_translate_intersection(cover, g: Word, radius: int,
         report["reason"] = "finite-index subgroup: the minimal subtree is the whole tree"
         return report
 
-    init = cover.initial_state()
+    init = initial_state(cover)
     g_inv = g.inverse()
-    state_g = cover.walk(init, graph.word_to_loop(g))
-    state_gi = cover.walk(init, graph.word_to_loop(g_inv))
+    state_g = walk(cover, init, graph.word_to_loop(g))
+    state_gi = walk(cover, init, graph.word_to_loop(g_inv))
 
     ball_g = grow_ball(cover, g.letters, state_g, radius)
     ball_gi = grow_ball(cover, g_inv.letters, state_gi, radius)
@@ -899,8 +987,8 @@ def ball_translate_intersection(cover, g: Word, radius: int,
             if vertex_on_subtree(cover, state) and vertex_on_subtree(cover, shifted_state):
                 common_vertex = {"sheet": str(Word(u, graph.rank)), "vertex": v}
         for eid in out_eids[v]:
-            in_sub = cover.step(state, eid + 1)[1]
-            in_translate = cover.step(shifted_state, eid + 1)[1]
+            in_sub = step(cover, state, eid + 1)[1]
+            in_translate = step(cover, shifted_state, eid + 1)[1]
             if in_sub and in_translate:
                 common.append((u, v, eid))
             elif in_sub:
@@ -935,7 +1023,7 @@ def ball_transverse_family_report(graph, subgroup, max_len: int, radius: int) ->
     violation.  Translates are deduplicated up to the double cosets HgH seen
     within the word budget.
     """
-    cover = minimal_subtree(graph, subgroup)
+    cover = CoverCore(graph, subgroup)
     report = {"max_len": max_len, "radius": radius}
     if cover.is_covering:
         report["verdict"] = "degenerate-family-whole-tree"
@@ -954,7 +1042,7 @@ def ball_transverse_family_report(graph, subgroup, max_len: int, radius: int) ->
         ball.append(())
     ball = ball[:64]
 
-    base_ball = grow_ball(cover, (), cover.initial_state(), radius)
+    base_ball = grow_ball(cover, (), initial_state(cover), radius)
     rows = []
     violations = []
     for w in enumerate_words(graph.rank, max_len):

@@ -26,7 +26,7 @@ from grouptrees.isometry_systems import (PartialIsometry, SoISystem,
                                          indecomposability_search,
                                          total_measure)
 from grouptrees.laminations import carrier_scan
-from grouptrees.marked_graphs import minimal_subtree
+from grouptrees.marked_graphs import CoverCore
 from grouptrees.report import to_jsonable
 from grouptrees.stallings import (build_core, fiber_product, hall_completion,
                                   index, membership)
@@ -108,7 +108,7 @@ def test_criterion_04_covering_iff_finite_index():
         if idx is not None:
             finite_cases += 1
         for graph in graphs:
-            cover = minimal_subtree(graph, subgroup)
+            cover = CoverCore(graph, subgroup)
             if cover.is_covering != (idx is not None):
                 mismatches.append((idx, cover.is_covering))
             elif cover.is_covering and cover.degree != idx:

@@ -4,7 +4,7 @@ import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from grouptrees.core import Scalar, _integer_view, parse_word
 from grouptrees.corpus import (
@@ -46,8 +46,8 @@ from grouptrees.isometry_systems import (
 from grouptrees.stallings import build_core
 
 from _fixtures import dependent_corpus
-from _oracles import (single_budget_orbit, sorted_frontier_orbit,
-                      three_run_discreteness_report)
+from _oracles import (rebuilding_ae_support_check, single_budget_orbit,
+                      sorted_frontier_orbit, three_run_discreteness_report)
 
 S = Scalar.of
 
@@ -325,6 +325,24 @@ class TestAeSupportCover:
         with pytest.raises(OutOfSupportError):
             ae_support_check(golden_system(), MultiInterval([iv(0, "1/5")]),
                              iv(0, 2), Fraction(1, 10), 3)
+
+    @given(st.data(), st.integers(0, 5))
+    @settings(max_examples=60)
+    def test_report_matches_rebuilding_greedy(self, data, max_len):
+        # the rotation of [0, 1] by theta, theta rational or in Q(sqrt2)
+        q = data.draw(st.fractions(0, 1, max_denominator=12))
+        theta = S(q) + S(data.draw(st.sampled_from(["0", "1/3*sqrt2", "-1/5*sqrt2"])))
+        assume(theta.sign() > 0 and theta < S(1))
+        sy = system([(0, 1)], [(0, S(1) - theta, 1, theta), (0, theta, 1, S(1) - theta)])
+        # short seed arcs, so that covering takes several images
+        seed = data.draw(st.lists(st.tuples(
+            st.fractions(0, Fraction(7, 8), max_denominator=20),
+            st.fractions(0, Fraction(1, 8), max_denominator=40)), min_size=1, max_size=3))
+        lo = data.draw(st.fractions(0, Fraction(1, 2), max_denominator=20))
+        hi = lo + data.draw(st.fractions(Fraction(1, 4), Fraction(1, 2), max_denominator=20))
+        delta = data.draw(st.fractions(0, Fraction(1, 20), max_denominator=400).filter(bool))
+        args = (sy, MultiInterval([iv(c, c + w) for c, w in seed]), iv(lo, hi), delta, max_len)
+        assert ae_support_check(*args) == rebuilding_ae_support_check(*args)
 
 
 class TestIndecomposabilityChains:

@@ -1,6 +1,7 @@
 """Marked metric graphs: lengths, minimal subtrees, translate overlaps."""
 
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -11,22 +12,21 @@ from grouptrees.basis_change import invert_basis
 from grouptrees.errors import (
     DegenerateSubgroupError,
     InvalidSystemError,
-    MalformedPathError,
     NotABasisError,
 )
 from grouptrees.marked_graphs import (
+    CoverCore,
     MarkedMetricGraph,
     _subtree_ball,
     _translate_intersection_prepared,
-    minimal_subtree,
     transverse_family_report,
 )
 from grouptrees.corpus import lopsided_rose
 from grouptrees.stallings import build_core, hall_completion, index, rank_of
 
-from _oracles import (_lifted_path, ball_translate_intersection,
-                      ball_transverse_family_report, grow_ball, substitute,
-                      vertex_on_subtree)
+from _oracles import (_UnionFind, _lifted_path, ball_translate_intersection,
+                      ball_transverse_family_report, grow_ball, initial_state,
+                      substitute, vertex_on_subtree, walk)
 
 
 def W(s, rank=2):
@@ -46,7 +46,7 @@ def rose(*lengths, marking=("a", "b")):
 
 def translate_intersection(graph, subgroup, g, radius):
     """Compare the minimal subtree with its g-translate in the radius ball."""
-    cover = minimal_subtree(graph, subgroup)
+    cover = CoverCore(graph, subgroup)
     base = _subtree_ball(cover, Word.identity(graph.rank), radius)
     return _translate_intersection_prepared(cover, g, radius, base)
 
@@ -154,6 +154,29 @@ class TestValidation:
                 (0, 1),
                 {2: W("a", 3), 3: W("b", 3), 4: W("c", 3)})
 
+    @pytest.mark.parametrize("nv,edges", [
+        (2, [(0, 1), (0, 1), (1, 1), (0, 0)]),
+        (3, [(0, 1), (0, 1), (1, 2), (2, 0), (2, 2)]),
+        (4, [(0, 1), (1, 0), (1, 2), (2, 3), (3, 3), (3, 0), (0, 2)]),
+    ])
+    def test_cycle_exactly_when_the_tree_has_one(self, nv, edges):
+        # every (nv-1)-edge subset, from every basepoint; the other edges
+        # are marked by distinct letters, which is a basis when the subset
+        # is a spanning tree
+        rank = len(edges) - nv + 1
+        for tree in combinations(range(len(edges)), nv - 1):
+            forest = _UnionFind(nv)
+            cyclic = not all(forest.union(edges[t][0], edges[t][1]) for t in tree)
+            marking = {eid: Word((i,), rank) for i, eid in enumerate(
+                (e for e in range(len(edges)) if e not in tree), start=1)}
+            for base in range(nv):
+                args = (rank, nv, [(u, v, 1) for u, v in edges], tree, marking, base)
+                if cyclic:
+                    with pytest.raises(InvalidSystemError, match="cycle"):
+                        MarkedMetricGraph(*args)
+                else:
+                    assert MarkedMetricGraph(*args).tree == frozenset(tree)
+
     def test_marking_must_be_basis(self):
         with pytest.raises(NotABasisError):
             rose(1, 1, marking=("aa", "b"))
@@ -232,14 +255,15 @@ class TestWordToLoop:
         graph = marked_graphs()[which]
         for letter in (1, -1, 2, -2):
             loop = graph.letter_loop(letter)
-            assert graph.dart_source(loop[0]) == graph.dart_target(loop[-1]) == graph.base
+            # a dart starts where its reverse ends
+            assert graph.dart_target(-loop[0]) == graph.dart_target(loop[-1]) == graph.base
             read = [l for d in loop for l in graph.dart_marking_letters(d)]
             assert Word.make(read, 2).letters == (letter,)
 
     def test_long_conjugator(self):
         # a 4001-letter generator: its core is the single loop of a
         u = Word((1, 2) * 1000, 2)
-        cover = minimal_subtree(rose(1, 1), build_core([u * W("a") * u.inverse()], 2))
+        cover = CoverCore(rose(1, 1), build_core([u * W("a") * u.inverse()], 2))
         assert len(cover.core_edges) == 1 and not cover.is_covering
         assert cover.core_volume == Scalar.of(1)
 
@@ -262,45 +286,45 @@ class TestOmegaEpsilon:
 
 class TestMinimalSubtree:
     def test_cyclic_in_rose(self):
-        cov = minimal_subtree(rose(1, 1), core("a"))
+        cov = CoverCore(rose(1, 1), core("a"))
         summary = cov.core_summary()
         assert summary["vertices"] == 1
         assert summary["volume"] == "1"
         assert not cov.is_covering
 
     def test_conjugate_cyclic_misses_basepoint(self):
-        cov = minimal_subtree(rose(1, 1), core("baB"))
+        cov = CoverCore(rose(1, 1), core("baB"))
         assert 0 not in cov.core_vertices
         assert len(cov.core_vertices) == 1
         assert cov.core_volume == Scalar.of(1)
 
     def test_whole_group_covers(self):
-        cov = minimal_subtree(rose(1, 1), core("a", "b"))
+        cov = CoverCore(rose(1, 1), core("a", "b"))
         assert cov.is_covering and cov.degree == 1
 
     def test_index_two_covers(self):
-        cov = minimal_subtree(rose(1, 1), core("aa", "b", "abA"))
+        cov = CoverCore(rose(1, 1), core("aa", "b", "abA"))
         assert cov.is_covering and cov.degree == 2
         assert cov.core_volume == Scalar.of(4)
 
     def test_infinite_index_does_not_cover(self):
-        cov = minimal_subtree(rose(1, 1), core("a", "bab"))
+        cov = CoverCore(rose(1, 1), core("a", "bab"))
         assert not cov.is_covering and cov.degree is None
 
     def test_trivial_subgroup_degenerate(self):
         with pytest.raises(DegenerateSubgroupError):
-            minimal_subtree(rose(1, 1), core("aA"))
+            CoverCore(rose(1, 1), core("aA"))
 
     def test_circle_volume_is_translation_length(self):
         graph = theta()
         for word in ("a", "b", "aB", "ab", "abAB"):
-            cov = minimal_subtree(graph, core(word))
+            cov = CoverCore(graph, core(word))
             assert cov.core_volume == graph.translation_length(W(word))
 
     @given(words.filter(lambda w: len(w.letters) > 0))
     def test_cyclic_core_volume_matches_axis(self, w):
         graph = rose(Fraction(1, 2), Fraction(1, 3))
-        cov = minimal_subtree(graph, build_core([w], 2))
+        cov = CoverCore(graph, build_core([w], 2))
         assert cov.core_volume == graph.translation_length(w)
 
     def test_unfolded_domain_graph_is_an_error(self, monkeypatch):
@@ -311,7 +335,7 @@ class TestMinimalSubtree:
         graph, sub = rose(1, 1), core("a", "bab")
         monkeypatch.setattr(folding, "fold", unfolded)
         with pytest.raises(RuntimeError, match="not folded"):
-            minimal_subtree(graph, sub)
+            CoverCore(graph, sub)
 
     @given(st.lists(words, min_size=1, max_size=3), st.booleans())
     @example([W("a"), W("b")], False)
@@ -328,18 +352,18 @@ class TestMinimalSubtree:
         if complete:
             sub = hall_completion(sub).cover
         for graph in (rose(1, 1), theta()):
-            cov = minimal_subtree(graph, sub)
+            cov = CoverCore(graph, sub)
             assert cov.is_covering == (index(sub) is not None)
             assert cov.degree == index(sub)
 
 
 def crosses_subtree(graph, subgroup, base_path, dart) -> bool:
-    """Does `dart`, crossed after walking base_path's loop from the basepoint
-    lift, lie in the minimal subtree?"""
-    cover = minimal_subtree(graph, subgroup)
-    state = cover.walk(cover.initial_state(), graph.word_to_loop(base_path))
-    _, crossed = cover.step(state, dart)
-    return crossed
+    """Does the edge `dart` crosses from base_path*x0 lie in the minimal
+    subtree?  It does iff base_path*x0 lies on it (its radius-0 subtree ball
+    is not empty) and `dart` is a core dart at that vertex's P-vertex."""
+    cover = CoverCore(graph, subgroup)
+    return any(dart == d for p in _subtree_ball(cover, base_path, 0).values()
+               for d, *_ in cover.core_darts[p])
 
 
 class TestEdgeMembership:
@@ -354,13 +378,6 @@ class TestEdgeMembership:
     def test_conjugate_sheet(self):
         assert crosses_subtree(rose(1, 1), core("baB"), W("b"), 1)
         assert not crosses_subtree(rose(1, 1), core("baB"), W(""), 1)
-
-    def test_malformed_dart(self):
-        cover = minimal_subtree(theta(), core("a"))
-        with pytest.raises(MalformedPathError):
-            cover.step(cover.initial_state(), -1)
-        with pytest.raises(MalformedPathError):
-            cover.walk(cover.initial_state(), (1, 2))
 
     def test_theta_tree_edge(self):
         # the axis of a crosses the tree edge (id 0) and non-tree edge a (id 1)
@@ -474,17 +491,17 @@ class TestSubtreeWalkMatchesBallOracle:
     @settings(max_examples=300)
     def test_translate_intersection(self, case):
         graph, subgroup, g, radius = case
-        cover = minimal_subtree(graph, subgroup)
+        cover = CoverCore(graph, subgroup)
         base = _subtree_ball(cover, Word.identity(2), radius)
-        base_ball = grow_ball(cover, (), cover.initial_state(), radius)
+        base_ball = grow_ball(cover, (), initial_state(cover), radius)
         assert _translate_intersection_prepared(cover, g, radius, base) == \
             ball_translate_intersection(cover, g, radius, base_ball)
 
     @given(oracle_cases(5))
     def test_subtree_ball_is_the_ball_restricted_to_the_subtree(self, case):
         graph, subgroup, g, radius = case
-        cover = minimal_subtree(graph, subgroup)
-        state = cover.walk(cover.initial_state(), graph.word_to_loop(g))
+        cover = CoverCore(graph, subgroup)
+        state = walk(cover, initial_state(cover), graph.word_to_loop(g))
         whole = grow_ball(cover, g.letters, state, radius)
         assert _subtree_ball(cover, g, radius) == {
             key: st[0] for key, st in whole.items() if vertex_on_subtree(cover, st)}
