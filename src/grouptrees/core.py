@@ -408,6 +408,16 @@ _LOWER = "abcdefghijklmnopqrstuvwxyz"
 MAX_RANK = len(_LOWER)
 
 
+_CHAR = {sign * (i + 1): ch if sign > 0 else ch.upper()
+         for i, ch in enumerate(_LOWER) for sign in (1, -1)}
+
+
+def _letters_text(letters: tuple[int, ...]) -> str:
+    """A letter tuple in letter notation: a-z for basis letters, A-Z for
+    their inverses; what str(Word) returns, without building a Word."""
+    return "".join(map(_CHAR.__getitem__, letters))
+
+
 def letter_key(letter: int) -> tuple[int, int]:
     """Canonical letter order: a < a⁻¹ < b < b⁻¹ < ...  (1, -1, 2, -2, ...)."""
     return (abs(letter), 1 if letter < 0 else 0)
@@ -512,13 +522,7 @@ class Word:
     # -- I/O ----------------------------------------------------------------------
 
     def __str__(self) -> str:
-        if not self.letters:
-            return ""
-        out = []
-        for l in self.letters:
-            ch = _LOWER[abs(l) - 1]
-            out.append(ch if l > 0 else ch.upper())
-        return "".join(out)
+        return _letters_text(self.letters)
 
     def __repr__(self) -> str:
         return f"Word({str(self)!r}, rank={self.rank})"

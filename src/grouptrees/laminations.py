@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import Word, enumerate_words
+from .core import Word, _letters_text, enumerate_words, word_sort_key
 from .errors import DegenerateSubgroupError, PreconditionError
 from .marked_graphs import MarkedMetricGraph
 from .stallings import StallingsGraph, index
@@ -25,6 +25,33 @@ def _primitive_root(letters: tuple[int, ...]) -> tuple[int, ...]:
         if n % d == 0 and letters[:d] * (n // d) == letters:
             return letters[:d]
     return letters
+
+
+def _canonical_ray(prefix: tuple[int, ...], period: tuple[int, ...]) -> tuple:
+    """The canonical (prefix, period) of the ray prefix * period^infinity,
+    for a reduced prefix and a primitive cyclically reduced period (see
+    BoundaryRay).  A last prefix letter that cancels into the period head
+    rotates the period left; one equal to the period's last letter rolls
+    into it, rotating it right.  Rotations keep the period primitive."""
+    n = len(prefix)
+    while n:
+        if prefix[n - 1] == -period[0]:
+            period = period[1:] + period[:1]
+        elif prefix[n - 1] == period[-1]:
+            period = period[-1:] + period[:-1]
+        else:
+            break
+        n -= 1
+    return prefix[:n], period
+
+
+def _ray_key(ray: tuple) -> tuple:
+    return (word_sort_key(ray[0]), word_sort_key(ray[1]))
+
+
+def _ray_text(prefix: tuple[int, ...], period: tuple[int, ...]) -> str:
+    u = _letters_text(prefix)
+    return f"{u + '·' if u else ''}({_letters_text(period)})^∞"
 
 
 @dataclass(frozen=True)
@@ -50,44 +77,21 @@ class BoundaryRay:
             raise PreconditionError("a boundary ray needs a nonempty period")
         if u.rank != v.rank:
             raise PreconditionError("prefix and period rank mismatch")
-        vl = _primitive_root(v.letters)
-        if -vl[0] == vl[-1] and len(vl) > 1:
+        if not v.is_cyclically_reduced():
             raise PreconditionError(f"period {v} is not cyclically reduced")
-        ul = list(u.letters)
-        changed = True
-        while ul and changed:
-            changed = False
-            if ul[-1] == -vl[0]:
-                # u ends with the inverse of the period head: it cancels into
-                # the tail; rotate the period left
-                ul.pop()
-                vl = vl[1:] + vl[:1]
-                changed = True
-            elif ul[-1] == vl[-1]:
-                # u ends with the period's last letter: absorb it by rotating
-                # the period right
-                ul.pop()
-                vl = vl[-1:] + vl[:-1]
-                changed = True
-        object.__setattr__(self, "prefix", Word(tuple(ul), u.rank))
-        object.__setattr__(self, "period", Word(vl, v.rank))
+        prefix, period = _canonical_ray(u.letters, _primitive_root(v.letters))
+        object.__setattr__(self, "prefix", Word(prefix, u.rank))
+        object.__setattr__(self, "period", Word(period, v.rank))
 
     @property
     def rank(self) -> int:
         return self.period.rank
 
     def sort_key(self):
-        return (self.prefix.sort_key(), self.period.sort_key())
+        return _ray_key((self.prefix.letters, self.period.letters))
 
     def __str__(self):
-        u = str(self.prefix)
-        return f"{u + '·' if u else ''}({self.period})^∞"
-
-
-def translate_ray(w: Word, ray: BoundaryRay) -> BoundaryRay:
-    """The ray w * prefix * period^infinity (left action of the group)."""
-    merged = w * ray.prefix  # Word multiplication reduces the seam
-    return BoundaryRay(merged, ray.period)
+        return _ray_text(self.prefix.letters, self.period.letters)
 
 
 @dataclass(frozen=True)
@@ -106,9 +110,6 @@ class RationalLeaf:
             a, b = b, a
         object.__setattr__(self, "rays", (a, b))
 
-    def sort_key(self):
-        return (self.rays[0].sort_key(), self.rays[1].sort_key())
-
     def __str__(self):
         return f"({self.rays[0]}, {self.rays[1]})"
 
@@ -122,11 +123,6 @@ def periodic_leaf(g: Word) -> RationalLeaf:
                          BoundaryRay(conj, core)))
 
 
-def translate_leaf(w: Word, leaf: RationalLeaf) -> RationalLeaf:
-    return RationalLeaf((translate_ray(w, leaf.rays[0]),
-                         translate_ray(w, leaf.rays[1])))
-
-
 # -- membership -----------------------------------------------------------------
 
 
@@ -137,13 +133,18 @@ def boundary_membership(graph: StallingsGraph, ray: BoundaryRay) -> bool:
     is a single vertex, so a repeat proves an infinite readable tail, and a
     stuck read refutes it.  Terminates within (number of vertices) periods.
     """
-    v = graph.trace(graph.base, ray.prefix.letters)
+    return _reads_forever(graph, ray.prefix.letters, ray.period.letters)
+
+
+def _reads_forever(graph: StallingsGraph, prefix: tuple[int, ...],
+                   period: tuple[int, ...]) -> bool:
+    v = graph.trace(graph.base, prefix)
     if v is None:
         return False
     seen = set()
     while v not in seen:
         seen.add(v)
-        v = graph.trace(v, ray.period.letters)
+        v = graph.trace(v, period)
         if v is None:
             return False
     return True
@@ -177,21 +178,26 @@ def carrier_scan(graph: MarkedMetricGraph, subgroup: StallingsGraph, epsilon,
     """
     short = graph.omega_epsilon(epsilon, max_word)
     leaves = [periodic_leaf(g) for g in short]
-    carried = []
-    for g, leaf in zip(short, leaves):
-        if carries(subgroup, leaf):
-            carried.append({"generator": str(g), "leaf": str(leaf)})
+    carried = [{"generator": str(g), "leaf": str(leaf)}
+               for g, leaf in zip(short, leaves) if carries(subgroup, leaf)]
     translate_hits = []
     if max_translate > 0 and short:
-        translates = [w for w in enumerate_words(graph.rank, max_translate) if w.letters]
+        # w * leaf(g) on letter tuples, in BoundaryRay's and RationalLeaf's
+        # forms; g is cyclically reduced, so leaf(g)'s rays have no prefix
+        translates = [w.letters for w in enumerate_words(graph.rank, max_translate)
+                      if w.letters]
         for g, base in zip(short, leaves):
+            generator = str(g)
+            v1, v2 = (r.period.letters for r in base.rays)
             for w in translates:
-                moved = translate_leaf(w, base)
-                if carries(subgroup, moved):
-                    translate_hits.append({"generator": str(g),
-                                           "word": str(w),
-                                           "leaf": str(moved)})
-    sub_index = index(subgroup)
+                first, second = _canonical_ray(w, v1), _canonical_ray(w, v2)
+                if _reads_forever(subgroup, *first) and _reads_forever(subgroup, *second):
+                    if _ray_key(second) < _ray_key(first):
+                        first, second = second, first
+                    translate_hits.append({
+                        "generator": generator,
+                        "word": _letters_text(w),
+                        "leaf": f"({_ray_text(*first)}, {_ray_text(*second)})"})
     return {
         "status": "carried-leaves-found" if carried else "none-up-to-budget",
         "carried": carried,
@@ -200,6 +206,6 @@ def carrier_scan(graph: MarkedMetricGraph, subgroup: StallingsGraph, epsilon,
         "epsilon": epsilon if isinstance(epsilon, str) else str(epsilon),
         "max_word": max_word,
         "max_translate": max_translate,
-        "subgroup_index": sub_index,
+        "subgroup_index": index(subgroup),
         "note": _SIMPLICIAL_NOTE,
     }

@@ -27,8 +27,9 @@ from __future__ import annotations
 
 from itertools import chain
 
-from .core import (Scalar, Word, ZERO, conjugator_length, enumerate_words,
-                   reduce_letters, word_sort_key)
+from .core import (Scalar, Word, ZERO, _integer_view, _make, _sign,
+                   conjugator_length, enumerate_words, reduce_letters,
+                   word_sort_key)
 from .errors import DegenerateSubgroupError, InvalidSystemError
 from .basis_change import invert_basis
 from . import folding
@@ -60,6 +61,10 @@ class MarkedMetricGraph:
             if length.sign() <= 0:
                 raise InvalidSystemError("edge lengths must be positive")
             edge_list.append((u, v, length))
+        fields = [f"sqrt{d}" for d in dict.fromkeys(l.d for *_, l in edge_list) if d != 1]
+        if len(fields) > 1:
+            raise InvalidSystemError(f"edge lengths mix {fields[0]} and {fields[1]}; "
+                                     "a marked graph's lengths lie in one field")
         self.edges = tuple(edge_list)
         ne = len(self.edges)
         if ne - nv + 1 != rank:
@@ -153,9 +158,10 @@ class MarkedMetricGraph:
             return loop if s > 0 else _inv_darts(loop)
 
         # free reduction is confluent: one pass over the chained pieces
-        self._letter_loops = tuple(
-            reduce_letters(d for s in expr.letters for d in piece(s))
-            for expr in self._letter_exprs)
+        self._letter_loops = {}
+        for a, expr in enumerate(self._letter_exprs, 1):
+            loop = reduce_letters(d for s in expr.letters for d in piece(s))
+            self._letter_loops[a], self._letter_loops[-a] = loop, _inv_darts(loop)
 
     # -- darts ---------------------------------------------------------------
 
@@ -165,9 +171,6 @@ class MarkedMetricGraph:
 
     def darts_at(self, v: int) -> list[int]:
         return self._darts_at[v]
-
-    def dart_length(self, d: int) -> Scalar:
-        return self.edges[abs(d) - 1][2]
 
     def dart_marking_letters(self, d: int) -> tuple[int, ...]:
         """Marking letters contributed by crossing a dart (empty for tree darts)."""
@@ -179,34 +182,54 @@ class MarkedMetricGraph:
 
     # -- loops and lengths ----------------------------------------------------
 
-    def letter_loop(self, letter: int) -> tuple[int, ...]:
-        loop = self._letter_loops[abs(letter) - 1]
-        return loop if letter > 0 else _inv_darts(loop)
-
     def word_to_loop(self, w: Word) -> tuple[int, ...]:
         """Dart loop at the basepoint whose marking image is w."""
-        return reduce_letters(d for letter in w.letters for d in self.letter_loop(letter))
+        loops = self._letter_loops
+        return reduce_letters([d for letter in w.letters for d in loops[letter]])
+
+    def _length_view(self, *extra: Scalar):
+        """(den, d, a_of, b_of, pairs): dart x is (a_of[x] + b_of[x]*sqrt(d))/den
+        long and extra[i] is (a + b*sqrt(d))/den for (a, b) == pairs[i]; b_of
+        is None over Q.  See core._integer_view."""
+        ne = len(self.edges)
+        den, d, pairs = _integer_view([l for *_, l in self.edges] + list(extra))
+        darts = [x for x in range(-ne, ne + 1) if x]
+        a_of = {x: pairs[abs(x) - 1][0] for x in darts}
+        b_of = {x: pairs[abs(x) - 1][1] for x in darts} if d != 1 else None
+        return den, d, a_of, b_of, pairs[ne:]
+
+    def _loop_length(self, letters: tuple[int, ...], a_of: dict, b_of) -> tuple[int, int]:
+        """(a, b) for the length (a + b*sqrt(d))/den, in a `_length_view`, of
+        the word's reduced dart loop with its cyclically cancelling ends cut."""
+        loops = self._letter_loops
+        loop = reduce_letters([x for letter in letters for x in loops[letter]])
+        k = conjugator_length(loop)
+        loop = loop[k:len(loop) - k]
+        a = sum(map(a_of.__getitem__, loop))
+        return a, sum(map(b_of.__getitem__, loop)) if b_of else 0
 
     def translation_length(self, w: Word) -> Scalar:
         """Exact translation length of w on the universal cover (0 if trivial)."""
-        loop = self.word_to_loop(w)
-        k = conjugator_length(loop)
-        total = ZERO
-        for d in loop[k:len(loop) - k]:
-            total = total + self.dart_length(d)
-        return total
+        den, d, a_of, b_of, _ = self._length_view()
+        return _make(*self._loop_length(w.letters, a_of, b_of), den, d)
 
     def volume(self) -> Scalar:
-        total = ZERO
-        for _, _, length in self.edges:
-            total = total + length
-        return total
+        return sum((length for *_, length in self.edges), ZERO)
 
     def omega_epsilon(self, epsilon, max_len: int) -> list[Word]:
-        """Conjugacy classes up to max_len with translation length strictly below epsilon."""
-        epsilon = Scalar.of(epsilon)
-        return [w for w in enumerate_words(self.rank, max_len, "conjugacy")
-                if self.translation_length(w) < epsilon]
+        """Conjugacy classes up to max_len with translation length strictly below epsilon.
+
+        Each class is decided on integers: its length and epsilon share one
+        denominator, so the test is one exact sign of a + b*sqrt(d).
+        """
+        _, d, a_of, b_of, ((ea, eb),) = self._length_view(Scalar.of(epsilon))
+        loop_length = self._loop_length
+        out = []
+        for w in enumerate_words(self.rank, max_len, "conjugacy"):
+            a, b = loop_length(w.letters, a_of, b_of)
+            if _sign(a - ea, b - eb, d) < 0:
+                out.append(w)
+        return out
 
 
 # -- minimal subtrees of subgroups --------------------------------------------
@@ -285,10 +308,7 @@ class CoverCore:
         else:
             self.degree = None
 
-        total = ZERO
-        for _, l, _ in core_edges:
-            total = total + graph.edges[l - 1][2]
-        self.core_volume = total
+        self.core_volume = sum((graph.edges[l - 1][2] for _, l, _ in core_edges), ZERO)
 
         # P's hair: from each P-vertex off the core, one dart toward the core
         self.toward_core = {}

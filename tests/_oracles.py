@@ -56,6 +56,14 @@ a stack of darts hanging off it, and reports for every edge crossed whether
 that edge lies in the minimal subtree.  :func:`filter_subgroup_elements` is
 ``grouptrees.stallings.subgroup_elements`` before it walked the core graph:
 it tests every reduced word for membership.
+
+:func:`object_carrier_scan` is ``grouptrees.laminations.carrier_scan`` before
+its translate loop worked on letter tuples: it builds a ``Word``, two
+``BoundaryRay``s and a ``RationalLeaf`` per translate, through
+:func:`translate_ray` and :func:`translate_leaf`, and tests them with
+``carries``.  :func:`popping_canonical_ray` is the list-popping loop
+``BoundaryRay`` canonicalised with before that loop became a function on
+letter tuples.
 """
 
 from __future__ import annotations
@@ -69,6 +77,8 @@ from typing import Iterable, Iterator
 from grouptrees.core import (Scalar, Word, enumerate_words, letter_key,
                              reduce_letters, word_sort_key)
 from grouptrees.errors import MixedFieldError, NotABasisError, ParseError
+from grouptrees.laminations import (_SIMPLICIAL_NOTE, BoundaryRay, RationalLeaf,
+                                    carries, periodic_leaf)
 from grouptrees.marked_graphs import CoverCore
 from grouptrees.stallings import index, membership
 
@@ -294,7 +304,7 @@ def _lifted_path(graph, w: Word):
     """Dart path of the tightened basepoint loop reading w, built locally."""
     darts: list[int] = []
     for letter in w.letters:
-        darts = _reduce_darts(darts + list(graph.letter_loop(letter)))
+        darts = _reduce_darts(darts + list(graph.word_to_loop(Word((letter,), w.rank))))
     return darts
 
 
@@ -308,7 +318,7 @@ def net_translation_length(graph, w: Word) -> Scalar:
         route = _reduce_darts(path[i:] + path[:i])
         disp = ZERO
         for d in route:
-            disp = disp + graph.dart_length(d)
+            disp = disp + graph.edges[abs(d) - 1][2]
         if best is None or (disp - best).sign() < 0:
             best = disp
     return best
@@ -1077,3 +1087,80 @@ def ball_transverse_family_report(graph, subgroup, max_len: int, radius: int) ->
         report["message"] = ("no translate within the word and radius budget shares "
                              "an edge with the minimal subtree")
     return report
+
+
+# -- the object-based carrier scan ---------------------------------------------
+
+
+def popping_canonical_ray(prefix: tuple[int, ...], period: tuple[int, ...]):
+    """``BoundaryRay``'s canonical (prefix, period) as its constructor
+    computed it on a list, before the tuple canonicaliser: the period is
+    made primitive, then the prefix's last letter is popped while it cancels
+    into or rolls into the period."""
+    n = len(period)
+    vl = next(period[:d] for d in range(1, n + 1)
+              if n % d == 0 and period[:d] * (n // d) == period)
+    ul = list(prefix)
+    changed = True
+    while ul and changed:
+        changed = False
+        if ul[-1] == -vl[0]:
+            ul.pop()
+            vl = vl[1:] + vl[:1]
+            changed = True
+        elif ul[-1] == vl[-1]:
+            ul.pop()
+            vl = vl[-1:] + vl[:-1]
+            changed = True
+    return tuple(ul), vl
+
+
+def translate_ray(w: Word, ray: BoundaryRay) -> BoundaryRay:
+    """The ray w * prefix * period^infinity (left action of the group)."""
+    merged = w * ray.prefix  # Word multiplication reduces the seam
+    return BoundaryRay(merged, ray.period)
+
+
+def translate_leaf(w: Word, leaf: RationalLeaf) -> RationalLeaf:
+    return RationalLeaf((translate_ray(w, leaf.rays[0]),
+                         translate_ray(w, leaf.rays[1])))
+
+
+def object_carrier_scan(graph, subgroup, epsilon, max_word: int,
+                        max_translate: int) -> dict:
+    """Scan the short-leaf stock for leaves the subgroup carries.
+
+    The headline list applies the literal carrying test to the untranslated
+    periodic leaves of the short conjugacy classes; hits among their
+    translates are reported separately (the orbit question), since any
+    subgroup containing some w*g*w^-1 carries the translated leaf w*leaf(g)
+    without carrying leaf(g) itself.
+    """
+    short = graph.omega_epsilon(epsilon, max_word)
+    leaves = [periodic_leaf(g) for g in short]
+    carried = []
+    for g, leaf in zip(short, leaves):
+        if carries(subgroup, leaf):
+            carried.append({"generator": str(g), "leaf": str(leaf)})
+    translate_hits = []
+    if max_translate > 0 and short:
+        translates = [w for w in enumerate_words(graph.rank, max_translate) if w.letters]
+        for g, base in zip(short, leaves):
+            for w in translates:
+                moved = translate_leaf(w, base)
+                if carries(subgroup, moved):
+                    translate_hits.append({"generator": str(g),
+                                           "word": str(w),
+                                           "leaf": str(moved)})
+    sub_index = index(subgroup)
+    return {
+        "status": "carried-leaves-found" if carried else "none-up-to-budget",
+        "carried": carried,
+        "translate_hits": translate_hits,
+        "short_classes": [str(g) for g in short],
+        "epsilon": epsilon if isinstance(epsilon, str) else str(epsilon),
+        "max_word": max_word,
+        "max_translate": max_translate,
+        "subgroup_index": sub_index,
+        "note": _SIMPLICIAL_NOTE,
+    }

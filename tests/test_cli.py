@@ -512,6 +512,20 @@ class TestCli:
         body = json.loads(out)
         assert body["result"]["non_increasing"] is True
 
+    def test_mixed_field_graph_exits_one(self, capsys, tmp_path):
+        path = tmp_path / "mixed.json"
+        path.write_text(json.dumps({
+            "rank": 2, "vertices": 1, "marking": {"0": "a", "1": "b"},
+            "edges": [{"id": 0, "ends": [0, 0], "len": "sqrt2"},
+                      {"id": 1, "ends": [0, 0], "len": "1+sqrt3"}]}))
+        # one message, whatever the operation and whatever field epsilon is in
+        for argv in (("len", "--word", "a"), ("omega", "--epsilon", "sqrt2"),
+                     ("omega", "--epsilon", "2")):
+            code, out, err = run_cli(capsys, "cvn", *argv, "--in", str(path))
+            assert code == 1 and out == ""
+            assert err == ("error: graph: edge lengths mix sqrt2 and sqrt3; "
+                           "a marked graph's lengths lie in one field\n")
+
     def test_omega_requires_epsilon(self, capsys, graph_file):
         code, _, err = run_cli(capsys, "cvn", "omega", "--in", graph_file)
         assert code == 1 and "epsilon" in err

@@ -1,7 +1,7 @@
 """Boundary rays, rational leaves, membership, and carrier scans."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from grouptrees.core import Scalar, Word, parse_word
 from _fixtures import unit_rose
@@ -10,14 +10,18 @@ from grouptrees.errors import DegenerateSubgroupError, PreconditionError
 from grouptrees.laminations import (
     BoundaryRay,
     RationalLeaf,
+    _canonical_ray,
+    _primitive_root,
     boundary_membership,
     carrier_scan,
     carries,
     periodic_leaf,
-    translate_leaf,
-    translate_ray,
 )
+from grouptrees.marked_graphs import MarkedMetricGraph
 from grouptrees.stallings import build_core, hall_completion, index
+
+from _oracles import (object_carrier_scan, popping_canonical_ray,
+                      translate_leaf, translate_ray)
 
 S = Scalar.of
 
@@ -89,6 +93,26 @@ class TestBoundaryRay:
         r = BoundaryRay(conj, core)
         for k in range(1, 8):
             assert ray_head(r, k + 1).letters[:k] == ray_head(r, k).letters
+
+    @given(words(max_size=5), words(min_size=1, max_size=4),
+           st.integers(1, 3), st.integers(0, 11))
+    def test_canonical_form_on_tuples(self, u, v, power, shift):
+        """The tuple canonicaliser, the constructor and the list-popping
+        loop agree, and give one form for every way of writing the ray:
+        u * p^infinity is also (u * p[:j]) * (p[j:] + p[:j])^infinity and
+        u * (p^k)^infinity."""
+        period = v.cyclic_reduce()[1].letters * power
+        if not period:
+            return
+        j = shift % len(period)
+        want = popping_canonical_ray(u.letters, period)
+        for prefix, rotated in ((u.letters, period),
+                                ((u * Word(period[:j], 2)).letters,
+                                 period[j:] + period[:j])):
+            assert popping_canonical_ray(prefix, rotated) == want
+            assert _canonical_ray(prefix, _primitive_root(rotated)) == want
+            r = BoundaryRay(Word(prefix, 2), Word(rotated, 2))
+            assert (r.prefix.letters, r.period.letters) == want
 
 
 class TestRationalLeaf:
@@ -237,3 +261,40 @@ class TestCarrierScan:
                             S("3/2"), 1, 0)
         assert scan["status"] == "carried-leaves-found"
         assert scan["translate_hits"] == []
+
+
+lengths = st.sampled_from(["1", "1/2", "3/7", "2", "sqrt2", "1/3*sqrt2",
+                           "3/2-1/2*sqrt2"]).map(S)
+
+
+@st.composite
+def scan_cases(draw):
+    """(graph, subgroup, epsilon, max_word, max_translate): a rose or a
+    theta graph, some lengths in Q(sqrt2), a random nontrivial subgroup or
+    a finite-index one containing it."""
+    if draw(st.booleans()):
+        graph = MarkedMetricGraph(2, 1, [(0, 0, draw(lengths)) for _ in range(2)],
+                                  (), {0: W("a"), 1: W("b")})
+    else:
+        graph = MarkedMetricGraph(2, 2, [(0, 1, draw(lengths)) for _ in range(3)],
+                                  (0,), {1: W("a"), 2: W("b")})
+    subgroup = build_core(draw(st.lists(words(min_size=1, max_size=4),
+                                        min_size=1, max_size=2)), 2)
+    if draw(st.booleans()):
+        subgroup = hall_completion(subgroup).cover
+    # from half the volume, where few classes are short, to twice it
+    epsilon = graph.volume() * S(f"{draw(st.integers(2, 8))}/4")
+    return (graph, subgroup, epsilon, draw(st.integers(0, 4)),
+            draw(st.integers(0, 3)))
+
+
+class TestCarrierScanMatchesObjectScan:
+    @given(scan_cases())
+    @settings(max_examples=80)
+    def test_whole_report(self, case):
+        assert carrier_scan(*case) == object_carrier_scan(*case)
+
+    @pytest.mark.parametrize("gens", [["a"], ["baB"], ["aa", "b"], ["ab", "bA"]])
+    def test_lopsided_rose(self, gens):
+        case = (lopsided_rose(), build_core([W(g) for g in gens], 2), S("3/2"), 4, 3)
+        assert carrier_scan(*case) == object_carrier_scan(*case)

@@ -7,11 +7,12 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from grouptrees import folding
-from grouptrees.core import Scalar, Word, parse_word
+from grouptrees.core import Scalar, Word, enumerate_words, parse_word
 from grouptrees.basis_change import invert_basis
 from grouptrees.errors import (
     DegenerateSubgroupError,
     InvalidSystemError,
+    MixedFieldError,
     NotABasisError,
 )
 from grouptrees.marked_graphs import (
@@ -25,7 +26,8 @@ from grouptrees.corpus import lopsided_rose
 from grouptrees.stallings import build_core, hall_completion, index, rank_of
 
 from _oracles import (_UnionFind, _lifted_path, ball_translate_intersection,
-                      ball_transverse_family_report, grow_ball, initial_state,
+                      ball_transverse_family_report, brute_omega, class_rep,
+                      grow_ball, initial_state, net_translation_length,
                       substitute, vertex_on_subtree, walk)
 
 
@@ -177,6 +179,14 @@ class TestValidation:
                 else:
                     assert MarkedMetricGraph(*args).tree == frozenset(tree)
 
+    @pytest.mark.parametrize("lengths", [
+        ("sqrt2", "sqrt3"), ("1+sqrt2", "1", "2-1/2*sqrt3")])
+    def test_mixed_fields_rejected(self, lengths):
+        with pytest.raises(InvalidSystemError,
+                           match=r"^edge lengths mix sqrt2 and sqrt3; "
+                                 r"a marked graph's lengths lie in one field$"):
+            rose(*map(Scalar.of, lengths), marking="abc"[:len(lengths)])
+
     def test_marking_must_be_basis(self):
         with pytest.raises(NotABasisError):
             rose(1, 1, marking=("aa", "b"))
@@ -254,7 +264,7 @@ class TestWordToLoop:
     def test_letter_loops_read_their_letter(self, which):
         graph = marked_graphs()[which]
         for letter in (1, -1, 2, -2):
-            loop = graph.letter_loop(letter)
+            loop = graph.word_to_loop(Word((letter,), 2))
             # a dart starts where its reverse ends
             assert graph.dart_target(-loop[0]) == graph.dart_target(loop[-1]) == graph.base
             read = [l for d in loop for l in graph.dart_marking_letters(d)]
@@ -280,8 +290,64 @@ class TestOmegaEpsilon:
 
     def test_everything_short(self):
         g = rose(Fraction(1, 10), Fraction(1, 10))
-        from grouptrees.core import enumerate_words
         assert g.omega_epsilon(Fraction(1, 2), 3) == list(enumerate_words(2, 3, "conjugacy"))
+
+
+# -- irrational lengths against the exhaustive oracles --------------------------
+
+SQRT2, SQRT5 = Scalar.of("sqrt2"), Scalar.of("sqrt5")
+
+
+def irrational_graphs():
+    """Roses and thetas with lengths in Q(sqrt2) or Q(sqrt5), some of them
+    mixed with rational lengths, some with nonstandard markings."""
+    return {
+        "rose-sqrt2-and-1": rose(SQRT2, 1),
+        "rose-sqrt2-both": rose(SQRT2, Scalar.of("3/2-1/2*sqrt2")),
+        "rose-golden-marked": rose((1 + SQRT5) / 2, Fraction(1, 3), marking=("ab", "b")),
+        "theta-sqrt2": MarkedMetricGraph(
+            2, 2, [(0, 1, SQRT2 - 1), (0, 1, Fraction(1, 2)), (0, 1, SQRT2 / 3)],
+            (0,), {1: W("a"), 2: W("b")}),
+        "theta-sqrt5-marked": MarkedMetricGraph(
+            2, 2, [(0, 1, SQRT5 - 2), (0, 1, 3 - SQRT5), (0, 1, 1)],
+            (0,), {1: W("ab"), 2: W("b")}),
+    }
+
+
+class TestIrrationalLengths:
+    @pytest.mark.parametrize("name", sorted(irrational_graphs()))
+    @pytest.mark.parametrize("eps_word,scale", [
+        # epsilon equal to the length of a class: that class is not short
+        ("a", 1), ("b", 1), ("aB", 1), ("abb", 1),
+        # epsilon a rational multiple of a length, or sqrt(d) times one
+        ("ab", Fraction(5, 4)), ("a", "sqrt"), ("abAB", "sqrt"),
+    ])
+    def test_omega_matches_exhaustion(self, name, eps_word, scale):
+        graph = irrational_graphs()[name]
+        if scale == "sqrt":
+            scale = Scalar(0, 1, max(length.d for _, _, length in graph.edges))
+        epsilon = net_translation_length(graph, W(eps_word)) * scale
+        engine = graph.omega_epsilon(epsilon, 5)
+        reps = {class_rep(w.letters) for w in engine}
+        assert len(reps) == len(engine)
+        assert reps == brute_omega(graph, epsilon, 5)
+        if scale == 1:
+            assert class_rep(W(eps_word).cyclic_reduce()[1].letters) not in reps
+
+    @pytest.mark.parametrize("name", sorted(irrational_graphs()))
+    def test_translation_length_matches_net_minimum(self, name):
+        graph = irrational_graphs()[name]
+        for w in enumerate_words(2, 3):
+            assert graph.translation_length(w) == net_translation_length(graph, w), str(w)
+
+    def test_foreign_epsilon_field(self):
+        graph = irrational_graphs()["rose-sqrt2-and-1"]
+        for max_len in (0, 3):
+            with pytest.raises(MixedFieldError,
+                               match="^cannot mix sqrt2 and sqrt5 values in one computation$"):
+                graph.omega_epsilon(SQRT5, max_len)
+        # a rational graph takes an epsilon from any field
+        assert [str(w) for w in rose(1, 2).omega_epsilon(SQRT5, 3)] == ["a", "b", "aa"]
 
 
 class TestMinimalSubtree:
