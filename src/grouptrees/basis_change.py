@@ -15,7 +15,7 @@ proper subgroup) raises NotABasisError.
 from __future__ import annotations
 
 from . import folding
-from .core import Word, reduce_letters
+from .core import Word, inverse, product
 from .errors import NotABasisError
 
 
@@ -36,16 +36,13 @@ def invert_basis(words: list[Word], rank: int) -> list[Word]:
         if not w.letters:
             raise NotABasisError("the identity word cannot belong to a basis")
         decorations += [(j if w.letters[0] > 0 else -j,)] + [()] * (len(w.letters) - 1)
-        images[j], images[-j] = w.letters, tuple(-l for l in reversed(w.letters))
+        images[j], images[-j] = w.letters, inverse(w.letters)
     nv, edges = folding.wedge(w.letters for w in words)
     nv, edges, loops = folding.fold(nv, edges, decorations)
     if nv != 1 or edges != [(0, i, 0) for i in range(1, rank + 1)]:
         raise NotABasisError("words generate a proper subgroup, not the whole free group")
 
-    result = []
     for i, dec in enumerate(loops, start=1):
-        check = reduce_letters(l for s in dec for l in images[s])
-        if check != (i,):
+        if product(*(images[s] for s in dec)) != (i,):
             raise RuntimeError("basis inversion self-check failed")
-        result.append(Word(dec, rank))
-    return result
+    return [Word(dec, rank) for dec in loops]

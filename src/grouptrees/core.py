@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt, lcm
+from operator import neg
 from typing import Iterable, Iterator
 
 from .errors import MixedFieldError, ParseError
@@ -410,6 +411,7 @@ MAX_RANK = len(_LOWER)
 
 _CHAR = {sign * (i + 1): ch if sign > 0 else ch.upper()
          for i, ch in enumerate(_LOWER) for sign in (1, -1)}
+_LETTER = {ch: l for l, ch in _CHAR.items()}
 
 
 def _letters_text(letters: tuple[int, ...]) -> str:
@@ -429,14 +431,38 @@ def word_sort_key(letters: tuple[int, ...]) -> tuple:
     return (len(letters), tuple(map(letter_key, letters)))
 
 
-def reduce_letters(letters: Iterable[int]) -> tuple[int, ...]:
-    """Free reduction by stack: delete adjacent inverse pairs until none remain."""
+def inverse(letters: tuple[int, ...]) -> tuple[int, ...]:
+    """The inverse of a reduced letter tuple: reversed, every letter negated."""
+    return tuple(map(neg, reversed(letters)))
+
+
+def product(*pieces: tuple[int, ...]) -> tuple[int, ...]:
+    """The free reduction of a product of reduced letter tuples.
+
+    Letters cancel only at the seams.  A seam where the product so far does
+    not end in the inverse of the piece's first letter is passed at once.
+    Past two cancelling letters, the longest k with out[-k:] ==
+    inverse(piece[:k]) is found by bisection over slice comparisons, whole
+    overlap first: both sides are reduced, so every smaller k cancels too.
+    """
     out: list[int] = []
-    for l in letters:
-        if out and out[-1] == -l:
-            out.pop()
-        else:
-            out.append(l)
+    for piece in pieces:
+        if not (out and piece and out[-1] == -piece[0]):
+            out += piece
+            continue
+        n, m = len(out), min(len(out), len(piece))
+        k = 1
+        if m > 1 and out[n - 2] == -piece[1]:
+            inv = list(inverse(piece[:m]))
+            k, hi, mid = 2, m + 1, m   # k letters cancel, hi do not
+            while hi - k > 1:
+                if out[n - mid:] == inv[m - mid:]:
+                    k = mid
+                else:
+                    hi = mid
+                mid = (k + hi) // 2
+        del out[n - k:]
+        out += piece[k:]
     return tuple(out)
 
 
@@ -476,7 +502,8 @@ class Word:
 
     @staticmethod
     def make(letters: Iterable[int], rank: int) -> "Word":
-        return Word(reduce_letters(letters), rank)
+        # raw letters are the product of their one-letter pieces, zip's 1-tuples
+        return Word(product(*zip(letters)), rank)
 
     @staticmethod
     def identity(rank: int) -> "Word":
@@ -487,17 +514,14 @@ class Word:
     def __mul__(self, other: "Word") -> "Word":
         if self.rank != other.rank:
             raise ValueError("rank mismatch in word multiplication")
-        return Word.make(self.letters + other.letters, self.rank)
+        return Word(product(self.letters, other.letters), self.rank)
 
     def inverse(self) -> "Word":
-        return Word(tuple(-l for l in reversed(self.letters)), self.rank)
+        return Word(inverse(self.letters), self.rank)
 
     def __pow__(self, k: int) -> "Word":
-        base = self if k >= 0 else self.inverse()
-        out = Word.identity(self.rank)
-        for _ in range(abs(k)):
-            out = out * base
-        return out
+        base = self.letters if k >= 0 else inverse(self.letters)
+        return Word(product(*[base] * abs(k)), self.rank)
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -536,10 +560,10 @@ def parse_word(text: str, rank: int) -> Word:
     """
     letters = []
     for ch in text.strip():
-        idx = _LOWER.find(ch.lower())
-        if idx < 0 or idx + 1 > rank:
+        l = _LETTER.get(ch, 0)
+        if not 0 < abs(l) <= rank:
             raise ParseError(f"bad letter {ch!r} in word {text!r} (rank {rank})")
-        letters.append(-(idx + 1) if ch.isupper() else idx + 1)
+        letters.append(l)
     return Word.make(letters, rank)
 
 

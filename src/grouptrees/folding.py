@@ -35,7 +35,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Iterable
 
-from .core import reduce_letters
+from .core import inverse, product
 from .errors import NotABasisError
 
 
@@ -89,11 +89,8 @@ def fold(nv: int, edges: Iterable[tuple[int, int, int]],
             root = parent[root]
         above = gauge[path.pop()]
         for y in reversed(path):
-            if above:
-                above = reduce_letters(gauge[y] + above)
-                gauge[y] = above
-            else:
-                above = gauge[y]
+            above = product(gauge[y], above) if above else gauge[y]
+            gauge[y] = above
             parent[y] = root
         return root
 
@@ -103,7 +100,7 @@ def fold(nv: int, edges: Iterable[tuple[int, int, int]],
         gu, gv = gauge[u], gauge[v]
         if not gu and not gv:
             return decs[i]
-        return reduce_letters(tuple(-a for a in reversed(gu)) + decs[i] + gv)
+        return product(inverse(gu), decs[i], gv)
 
     queue = deque(range(len(edge_list)))
     while queue:
@@ -133,10 +130,7 @@ def fold(nv: int, edges: Iterable[tuple[int, int, int]],
                     keep, gone, dk, dg = y, x, di, dj
                 # gauge c on the vanishing class makes the two decorations
                 # agree: dg*c = dk for arriving edges, c^-1*dg = dk for leaving
-                if key > 0:
-                    c = reduce_letters(tuple(-a for a in reversed(dg)) + dk)
-                else:
-                    c = reduce_letters(dg + tuple(-a for a in reversed(dk)))
+                c = product(inverse(dg), dk) if key > 0 else product(dg, inverse(dk))
                 parent[gone], gauge[gone] = keep, c
                 size[keep] += size[gone]
                 queue.extend(slots[gone].values())

@@ -28,16 +28,12 @@ from __future__ import annotations
 from itertools import chain
 
 from .core import (Scalar, Word, ZERO, _integer_view, _make, _sign,
-                   conjugator_length, enumerate_words, reduce_letters,
+                   conjugator_length, enumerate_words, inverse, product,
                    word_sort_key)
 from .errors import DegenerateSubgroupError, InvalidSystemError
 from .basis_change import invert_basis
 from . import folding
 from .stallings import StallingsGraph, basis_of, index, membership, rank_of, subgroup_elements
-
-
-def _inv_darts(darts: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(-d for d in reversed(darts))
 
 
 class MarkedMetricGraph:
@@ -147,21 +143,17 @@ class MarkedMetricGraph:
         for v in range(nv):
             self._darts_at[v].sort(key=lambda d: (abs(d), d < 0))
 
+        # the dart loop of marking symbol ±j, the j-th non-tree edge's loop
         nt_loops = {}
-        for eid in non_tree:
+        for j, eid in enumerate(non_tree, 1):
             u, v, _ = self.edges[eid]
-            nt_loops[eid] = reduce_letters(
-                path_to[u] + (eid + 1,) + _inv_darts(path_to[v]))
+            nt_loops[j] = product(path_to[u], (eid + 1,), inverse(path_to[v]))
+            nt_loops[-j] = inverse(nt_loops[j])
 
-        def piece(s: int) -> tuple[int, ...]:
-            loop = nt_loops[non_tree[abs(s) - 1]]
-            return loop if s > 0 else _inv_darts(loop)
-
-        # free reduction is confluent: one pass over the chained pieces
         self._letter_loops = {}
         for a, expr in enumerate(self._letter_exprs, 1):
-            loop = reduce_letters(d for s in expr.letters for d in piece(s))
-            self._letter_loops[a], self._letter_loops[-a] = loop, _inv_darts(loop)
+            loop = product(*map(nt_loops.__getitem__, expr.letters))
+            self._letter_loops[a], self._letter_loops[-a] = loop, inverse(loop)
 
     # -- darts ---------------------------------------------------------------
 
@@ -178,14 +170,13 @@ class MarkedMetricGraph:
         w = self.marking.get(eid)
         if w is None:
             return ()
-        return w.letters if d > 0 else tuple(-x for x in reversed(w.letters))
+        return w.letters if d > 0 else inverse(w.letters)
 
     # -- loops and lengths ----------------------------------------------------
 
     def word_to_loop(self, w: Word) -> tuple[int, ...]:
         """Dart loop at the basepoint whose marking image is w."""
-        loops = self._letter_loops
-        return reduce_letters([d for letter in w.letters for d in loops[letter]])
+        return product(*map(self._letter_loops.__getitem__, w.letters))
 
     def _length_view(self, *extra: Scalar):
         """(den, d, a_of, b_of, pairs): dart x is (a_of[x] + b_of[x]*sqrt(d))/den
@@ -201,8 +192,7 @@ class MarkedMetricGraph:
     def _loop_length(self, letters: tuple[int, ...], a_of: dict, b_of) -> tuple[int, int]:
         """(a, b) for the length (a + b*sqrt(d))/den, in a `_length_view`, of
         the word's reduced dart loop with its cyclically cancelling ends cut."""
-        loops = self._letter_loops
-        loop = reduce_letters([x for letter in letters for x in loops[letter]])
+        loop = product(*map(self._letter_loops.__getitem__, letters))
         k = conjugator_length(loop)
         loop = loop[k:len(loop) - k]
         a = sum(map(a_of.__getitem__, loop))
@@ -359,22 +349,20 @@ def _subtree_ball(cover: CoverCore, h: Word, radius: int) -> dict:
         if q is None:
             break
         p, k = q, k + 1
-    path = list(_inv_darts(loop[k:]))
+    path = list(inverse(loop[k:]))
     while p not in cover.core_vertices and len(path) <= radius:
         dart, p = cover.toward_core[p]
         path.append(dart)
     if len(path) > radius:
         return {}
-    u = h.letters
-    for d in path:
-        u = reduce_letters(u + graph.dart_marking_letters(d))
+    u = product(h.letters, *map(graph.dart_marking_letters, path))
     ball = {(u, cover.vertex_image[p]): p}
     frontier = [(u, p)]
     for _ in range(radius - len(path)):
         nxt = []
         for u, p in frontier:
             for d, letters, v, q in cover.core_darts[p]:
-                key = (reduce_letters(u + letters) if letters else u, v)
+                key = (product(u, letters) if letters else u, v)
                 old = ball.get(key)
                 if old is None:
                     ball[key] = q
@@ -426,7 +414,7 @@ def _translate_intersection_prepared(cover: CoverCore, g: Word, radius: int,
 
     def edges(ball, shift=()):
         """(sheet, vertex, edge id) of the core edges whose source is in the ball."""
-        return {(reduce_letters(shift + u) if shift else u, v, d - 1)
+        return {(product(shift, u) if shift else u, v, d - 1)
                 for (u, v), p in ball.items() for d, *_ in cover.core_darts[p] if d > 0}
 
     # T_H's edges from B(x0) u B(g*x0), and g times T_H's from B(1/g*x0) u B(x0)
@@ -451,7 +439,7 @@ def _translate_intersection_prepared(cover: CoverCore, g: Word, radius: int,
         report["witness_common"] = _edge_report(graph, *first(common))
     else:
         shared = (base.keys() | ball_g.keys()) & {
-            (reduce_letters(g.letters + u), v) for u, v in base.keys() | ball_gi.keys()}
+            (product(g.letters, u), v) for u, v in base.keys() | ball_gi.keys()}
         if shared:
             u, v = first(shared)
             report["outcome"] = "single-point-within-radius"
@@ -503,15 +491,15 @@ def transverse_family_report(graph: MarkedMetricGraph, subgroup: StallingsGraph,
     for w in enumerate_words(graph.rank, max_len):
         if membership(subgroup, w):
             continue
-        letters, inverse, key = w.letters, w.inverse().letters, w.sort_key()
+        letters, w_inv, key = w.letters, inverse(w.letters), w.sort_key()
         n = len(letters)
         lefts = [()] + ending.get(-letters[0], [])
         rights = [()] + starting.get(-letters[-1], [])
         pairs = chain(((h1, h2) for h1 in lefts for h2 in rights),
-                      ((h1, h2) for h1 in lefts if h1[-n:] == inverse for h2 in ball),
-                      ((h1, h2) for h1 in ball for h2 in rights if h2[:n] == inverse))
+                      ((h1, h2) for h1 in lefts if h1[-n:] == w_inv for h2 in ball),
+                      ((h1, h2) for h1 in ball for h2 in rights if h2[:n] == w_inv))
         if any(len(r) < n or len(r) == n and word_sort_key(r) < key
-               for r in (reduce_letters(h1 + letters + h2) for h1, h2 in pairs)):
+               for r in (product(h1, letters, h2) for h1, h2 in pairs)):
             continue
         result = _translate_intersection_prepared(cover, w, radius, base)
         rows.append({"word": str(w), "outcome": result["outcome"]})

@@ -16,7 +16,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .core import Word, reduce_letters
+from .core import Word, inverse, product
 from .errors import PreconditionError
 from . import folding
 
@@ -120,9 +120,8 @@ class StallingsGraph:
 
 
 def build_core(generators, rank: int) -> StallingsGraph:
-    """Fold the wedge of generator loops into the core graph of <generators>."""
-    nv, edges = folding.wedge(gen.letters if isinstance(gen, Word) else reduce_letters(gen)
-                              for gen in generators)
+    """Fold the wedge of generator loops into the core graph of <generators>, a list of Words."""
+    nv, edges = folding.wedge(gen.letters for gen in generators)
     return StallingsGraph._from_raw(nv, edges, rank)
 
 
@@ -219,7 +218,7 @@ def spanning_tree_paths(graph: StallingsGraph, inside=frozenset()) -> tuple[dict
 def _loop_word(path_to: dict, edge: tuple[int, int, int], rank: int) -> Word:
     """The basepoint loop that crosses `edge` and otherwise follows tree paths."""
     u, l, v = edge
-    return Word.make(path_to[u] + (l,) + tuple(-x for x in reversed(path_to[v])), rank)
+    return Word(product(path_to[u], (l,), inverse(path_to[v])), rank)
 
 
 def basis_of(graph: StallingsGraph) -> list[Word]:

@@ -10,6 +10,10 @@ which the path from any point to its image must cross).
 :class:`FractionScalar` is the straightforward Fraction-backed quadratic
 scalar that the integer-backed ``grouptrees.core.Scalar`` must agree with.
 
+:func:`reduce_letters` is the free reduction by stack that
+``grouptrees.core.product`` replaced: it pushes every letter of the
+concatenation, where ``product`` cancels only at the seams of reduced pieces.
+
 :func:`sweep_fold` and :func:`sweep_invert_basis` are the two quadratic
 folders the worklist engine in ``grouptrees.folding`` replaced: the first
 re-sweeps every edge until nothing changes, the second rescans all edges per
@@ -72,10 +76,10 @@ import re
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Iterable, Iterator
 
-from grouptrees.core import (Scalar, Word, enumerate_words, letter_key,
-                             reduce_letters, word_sort_key)
+from grouptrees.core import Scalar, Word, enumerate_words, letter_key, word_sort_key
 from grouptrees.errors import MixedFieldError, NotABasisError, ParseError
 from grouptrees.laminations import (_SIMPLICIAL_NOTE, BoundaryRay, RationalLeaf,
                                     carries, periodic_leaf)
@@ -287,24 +291,28 @@ class FractionScalar:
         return f"{self.rat}{sep}{tail}"
 
 
-# -- translation lengths and conjugacy classes ------------------------------------
+# -- free reduction by stack ---------------------------------------------------
 
 
-def _reduce_darts(darts):
-    out = []
-    for d in darts:
-        if out and out[-1] == -d:
+def reduce_letters(letters: Iterable[int]) -> tuple[int, ...]:
+    """Free reduction by stack: delete adjacent inverse pairs until none remain."""
+    out: list[int] = []
+    for l in letters:
+        if out and out[-1] == -l:
             out.pop()
         else:
-            out.append(d)
-    return out
+            out.append(l)
+    return tuple(out)
+
+
+# -- translation lengths and conjugacy classes ------------------------------------
 
 
 def _lifted_path(graph, w: Word):
     """Dart path of the tightened basepoint loop reading w, built locally."""
-    darts: list[int] = []
+    darts: tuple[int, ...] = ()
     for letter in w.letters:
-        darts = _reduce_darts(darts + list(graph.word_to_loop(Word((letter,), w.rank))))
+        darts = reduce_letters(darts + graph.word_to_loop(Word((letter,), w.rank)))
     return darts
 
 
@@ -315,7 +323,7 @@ def net_translation_length(graph, w: Word) -> Scalar:
         return ZERO
     best = None
     for i in range(len(path) + 1):
-        route = _reduce_darts(path[i:] + path[:i])
+        route = reduce_letters(path[i:] + path[:i])
         disp = ZERO
         for d in route:
             disp = disp + graph.edges[abs(d) - 1][2]
@@ -432,14 +440,7 @@ def _inv(t: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def _mul(*parts: tuple[int, ...]) -> tuple[int, ...]:
-    out: list[int] = []
-    for part in parts:
-        for l in part:
-            if out and out[-1] == -l:
-                out.pop()
-            else:
-                out.append(l)
-    return tuple(out)
+    return reduce_letters(chain.from_iterable(parts))
 
 
 class _Edge:

@@ -453,6 +453,15 @@ class TestCli:
         assert code == 1
         assert "error:" in err
 
+    def test_non_ascii_letter_exits_one(self, capsys, tmp_path):
+        # U+212A KELVIN SIGN lowercases to k, a letter of rank 11
+        path = tmp_path / "H11.json"
+        path.write_text(json.dumps({"rank": 11, "generators": ["k"]}))
+        code, out, err = run_cli(capsys, "stallings", "member",
+                                 "--in", str(path), "--word", "\u212a")
+        assert (code, out) == (1, "")
+        assert err == "error: bad letter '\u212a' in word '\u212a' (rank 11)\n"
+
     def test_missing_file_exits_one(self, capsys):
         code, _, err = run_cli(capsys, "stallings", "index",
                                "--in", "/nonexistent.json")

@@ -134,6 +134,18 @@ class TestInvertBasisMatchesSweep:
         for i, expr in enumerate(got, start=1):
             assert substitute(expr, basis).letters == (i,)
 
+    def test_fibonacci_basis(self):
+        # x_i <- x_i x_j alternately up to lengths 233 + 377; the inverse is
+        # as long, so the fold's decorations cancel across long seams
+        basis = [Word((1,), 2), Word((2,), 2)]
+        i = 0
+        while sorted(map(len, basis)) != [233, 377]:
+            basis[i] = basis[i] * basis[1 - i]
+            i = 1 - i
+        got = invert_basis(basis, 2)
+        assert got == sweep_invert_basis(basis, 2)
+        assert [substitute(expr, basis).letters for expr in got] == [(1,), (2,)]
+
     @pytest.mark.parametrize("texts", [
         ["ab", "ab"],          # rank drop
         ["ab", "abab"],        # rank drop through a power

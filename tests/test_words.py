@@ -7,14 +7,15 @@ from grouptrees.core import (
     Word,
     conjugator_length,
     enumerate_words,
+    inverse,
     letter_key,
     parse_word,
-    reduce_letters,
+    product,
     word_sort_key,
 )
 from grouptrees.errors import ParseError
 
-from _oracles import filter_conjugacy_classes
+from _oracles import filter_conjugacy_classes, reduce_letters
 
 
 def W(text: str, rank: int = 2) -> Word:
@@ -27,13 +28,13 @@ raw_words = st.lists(letters2, max_size=14)
 
 class TestReduction:
     def test_cancellation_to_identity(self):
-        assert reduce_letters([1, -1]) == ()
+        assert Word.make([1, -1], 2).letters == ()
 
     def test_inner_cancellation(self):
-        assert reduce_letters([1, 2, -2, 1]) == (1, 1)
+        assert Word.make([1, 2, -2, 1], 2).letters == (1, 1)
 
     def test_fixed_point(self):
-        assert reduce_letters([1, -2, 1]) == (1, -2, 1)
+        assert Word.make([1, -2, 1], 2).letters == (1, -2, 1)
 
     def test_constructor_rejects_unreduced(self):
         with pytest.raises(ValueError):
@@ -50,19 +51,76 @@ class TestReduction:
 
     @given(raw_words)
     def test_reduce_idempotent(self, raw):
-        once = reduce_letters(raw)
-        assert reduce_letters(once) == once
+        once = Word.make(raw, 2)
+        assert once.letters == reduce_letters(raw)
+        assert Word.make(once.letters, 2) == once
 
     @given(raw_words, raw_words)
     def test_reduce_is_homomorphic(self, u, v):
-        assert reduce_letters(list(reduce_letters(u)) + list(reduce_letters(v))) == reduce_letters(
-            u + v
-        )
+        assert Word.make(u, 2) * Word.make(v, 2) == Word.make(u + v, 2)
 
     @given(raw_words)
     def test_inverse_is_inverse(self, raw):
         w = Word.make(raw, 2)
         assert (w * w.inverse()).letters == ()
+
+    @given(raw_words, st.integers(0, 6))
+    def test_power_matches_repeated_multiplication(self, raw, k):
+        w = Word.make(raw, 2)
+        repeated = Word.identity(2)
+        for _ in range(k):
+            repeated = repeated * w
+        assert w ** k == repeated
+        assert w ** -k == (w ** k).inverse()
+
+
+def _inverse(letters):
+    return tuple(-x for x in reversed(letters))
+
+
+reduced3 = st.lists(st.sampled_from([1, -1, 2, -2, 3, -3]), max_size=10).map(reduce_letters)
+
+
+@st.composite
+def seam_pieces(draw):
+    """Reduced pieces, each starting with the inverse of a random suffix of
+    the product so far: a seam may swallow whole pieces, the product so far
+    or both, and cancel across several earlier pieces."""
+    pieces, so_far = [], ()
+    for _ in range(draw(st.integers(0, 6))):
+        k = draw(st.integers(0, len(so_far)))
+        piece = reduce_letters(_inverse(so_far[len(so_far) - k:]) + draw(reduced3))
+        pieces.append(piece)
+        so_far = reduce_letters(so_far + piece)
+    return pieces
+
+
+class TestProduct:
+    """`product` against the stack reduction of the concatenation."""
+
+    @given(seam_pieces())
+    def test_matches_stack_oracle(self, pieces):
+        assert product(*pieces) == reduce_letters(sum(pieces, ()))
+
+    def test_seams(self):
+        assert product() == ()
+        assert product((1, 2), (-2, -1)) == ()
+        assert product((1, 2, 3), (-3, -2, 1)) == (1, 1)
+        assert product((1,), (2, -1), (1, -2), (3,)) == (1, 3)
+        assert product((1, 2), (-2, -1, 3)) == (3,)
+        assert product([1, 2], (), [3]) == (1, 2, 3)
+
+    def test_long_overlap(self):
+        u = (1, 2) * 5000
+        assert product(u + (3,), _inverse(u + (3,))[:-1]) == (1,)
+        assert product(u, _inverse(u[2:]), (3,)) == (1, 2, 3)
+        assert product(u, (3,), _inverse(u)) == u + (3,) + _inverse(u)
+
+    @given(reduced3)
+    def test_inverse_is_an_involution(self, letters):
+        assert inverse(inverse(letters)) == letters
+        assert inverse(letters) == _inverse(letters)
+        assert product(letters, inverse(letters)) == ()
 
 
 class TestCyclicReduce:
@@ -138,6 +196,17 @@ class TestWordIO:
             parse_word("ax!", 2)
         with pytest.raises(ParseError):
             parse_word("c", 2)
+
+    def test_every_ascii_letter_parses(self):
+        lower = "abcdefghijklmnopqrstuvwxyz"
+        assert parse_word(lower, 26).letters == tuple(range(1, 27))
+        assert parse_word(lower.upper(), 26).letters == tuple(range(-1, -27, -1))
+
+    @pytest.mark.parametrize("ch", ["\u212a", "\u0130", "\u017f", "\u00e0", "1"])
+    def test_parse_rejects_non_ascii_letters(self, ch):
+        # U+212A KELVIN SIGN lowercases to an ASCII k
+        with pytest.raises(ParseError, match="bad letter"):
+            parse_word(ch, 26)
 
 
 class TestEnumeration:
