@@ -442,21 +442,22 @@ def product(*pieces: tuple[int, ...]) -> tuple[int, ...]:
     Letters cancel only at the seams.  A seam where the product so far does
     not end in the inverse of the piece's first letter is passed at once.
     Past two cancelling letters, the longest k with out[-k:] ==
-    inverse(piece[:k]) is found by bisection over slice comparisons, whole
-    overlap first: both sides are reduced, so every smaller k cancels too.
+    inverse(piece[:k]) is found by bisection over slices of the piece's
+    inverse, whole overlap first (both are reduced: smaller k cancel too).
     """
     out: list[int] = []
+    inverses = None   # id(piece): list(inverse(piece)), made once per call
     for piece in pieces:
         if not (out and piece and out[-1] == -piece[0]):
             out += piece
             continue
-        n, m = len(out), min(len(out), len(piece))
-        k = 1
+        n, m, k = len(out), min(len(out), len(piece)), 1
         if m > 1 and out[n - 2] == -piece[1]:
-            inv = list(inverse(piece[:m]))
-            k, hi, mid = 2, m + 1, m   # k letters cancel, hi do not
+            inverses = inverses or {}
+            inv = inverses.get(id(piece)) or inverses.setdefault(id(piece), list(inverse(piece)))
+            k, hi, mid, top = 2, m + 1, m, len(piece)   # k letters cancel, hi do not
             while hi - k > 1:
-                if out[n - mid:] == inv[m - mid:]:
+                if out[n - mid:] == inv[top - mid:]:
                     k = mid
                 else:
                     hi = mid

@@ -7,32 +7,35 @@ traversal may read an edge forward (letter +label) or backward (letter
 
 Folding identifies vertices until no vertex has two equally-labeled outgoing
 or two equally-labeled incoming edges; the result is the unique folded
-quotient, independent of merge order.  Its vertices are numbered in the order
-of their least original vertex, so the output does not depend on the order in
-which folds happen either.
+quotient, independent of merge order, and its vertices are numbered in the
+order of their least original vertex, so the numbering is too.
 
-:func:`fold` is a single worklist folder over a union-find of vertex classes
-(Touikan, "A fast algorithm for Stallings' folding process", IJAC 2006; in
-the framework of Kapovich-Myasnikov, J. Algebra 2002).  Every class root keeps
-one slot per signed label (+l outgoing, -l incoming) holding an edge; an edge
-arriving at an occupied slot folds with the edge already there.  A merge
-re-queues only the slots of the class that disappears, at most two per label.
+:func:`fold` folds online (Stallings, "Topology of finite graphs", Invent.
+Math. 1983; Kapovich-Myasnikov, J. Algebra 2002, section 3): the graph is
+kept folded after every edge.  Each live vertex has one dart map {+l: target
+of its outgoing l-edge, -l: source of its incoming l-edge}.  An edge is
+attached only if neither end already has a dart with its label; otherwise
+the vertex that dart leads to and the edge's other end go on a stack of
+pairs to merge.  A merge keeps the smaller id and moves the darts of the
+vertex that goes into the one that stays, where each collision pushes a new
+pair; a folded vertex has at most two darts per label, so a merge costs
+O(rank).  Dead ids point to their survivor, the least vertex of their class,
+for stale pairs and later edges; vertex 0 is never merged away.
 
 Edges may carry decorations: reduced letter tuples over another alphabet,
-multiplied along paths (an edge read backward contributes the inverse).  Each
-vertex carries a gauge word relative to its union-find parent; the
-decoration of an edge (u, l, v) with stored word d is read as
-G(u)^-1 * d * G(v), where G(x) is the product of gauges from x up to its
-root.  A merge gauges the vanishing root so that the colliding edges agree,
-which costs a few finds instead of a rewrite of every edge.  The decoration
-product along every closed path at the basepoint is preserved: the
-basepoint's class is never gauged.  Plain folding is the same loop with every
-decoration empty.
+multiplied along paths (an edge read backward contributes the inverse),
+which ride on the darts.  A pair (y, z, c) says that a path reaching y with
+product p reaches z with product p*c; merging y into z regauges y's darts
+by c, and a dead id keeps c as its gauge, so an edge (u, l, v) decorated d
+reads G(u)^-1 * d * G(v), with G(x) the product of gauges from x up to its
+survivor.  Closed paths at the basepoint keep their decoration products; a
+pair with one survivor and c nonempty is a relation between decorations.
+Plain folding runs the same loop but stores and multiplies no decorations.
 """
 
 from __future__ import annotations
 
-from collections import deque
+from itertools import repeat
 from typing import Iterable
 
 from .core import inverse, product
@@ -70,86 +73,82 @@ def fold(nv: int, edges: Iterable[tuple[int, int, int]],
     NotABasisError when two edges become parallel with different
     decorations: the decorations then satisfy a relation.
     """
-    edge_list = list(edges)
-    decs = [()] * len(edge_list) if decorations is None else list(decorations)
-    parent = list(range(nv))
+    decorated = decorations is not None
+    darts: list[dict[int, int] | None] = [{} for _ in range(nv)]
+    dart_decs: dict[tuple[int, int], tuple[int, ...]] = {}  # (x, ±l): decoration
+    alias = list(range(nv))
     gauge: list[tuple[int, ...]] = [()] * nv
-    size = [1] * nv
-    slots: list[dict[int, int]] = [{} for _ in range(nv)]
-    dead = [False] * len(edge_list)
+    pairs: list[tuple[int, int, tuple[int, ...]]] = []  # (y, z, c): y is z, gauged by c
 
     def find(x: int) -> int:
-        """Root of x's class; compresses the path, so gauge[x] becomes G(x)."""
-        root = parent[x]
-        if parent[root] == root:
+        """Survivor of x; compresses the path, so gauge[x] becomes G(x)."""
+        root = alias[x]
+        if alias[root] == root:
             return root
         path = [x]
-        while parent[root] != root:
+        while alias[root] != root:
             path.append(root)
-            root = parent[root]
+            root = alias[root]
         above = gauge[path.pop()]
         for y in reversed(path):
             above = product(gauge[y], above) if above else gauge[y]
             gauge[y] = above
-            parent[y] = root
+            alias[y] = root
         return root
 
-    def decoration(i: int) -> tuple[int, ...]:
-        """G(u)^-1 * d * G(v); both ends must have been found since the last merge."""
-        u, _, v = edge_list[i]
-        gu, gv = gauge[u], gauge[v]
-        if not gu and not gv:
-            return decs[i]
-        return product(inverse(gu), decs[i], gv)
+    def attach(u: int, l: int, v: int, d: tuple[int, ...]) -> None:
+        """Add u -l-> v (live ends, decoration d), or push the pair it folds."""
+        here, there = darts[u], darts[v]
+        if l in here:
+            pairs.append((v, here[l], product(inverse(d), dart_decs[u, l])
+                          if decorated else ()))
+        elif -l in there:
+            pairs.append((u, there[-l], product(d, dart_decs[v, -l])
+                          if decorated else ()))
+        else:
+            here[l], there[-l] = v, u
+            if decorated:
+                dart_decs[u, l], dart_decs[v, -l] = d, inverse(d)
 
-    queue = deque(range(len(edge_list)))
-    while queue:
-        i = queue.popleft()
-        if dead[i]:
-            continue
-        u, l, v = edge_list[i]
-        for key, here, there in ((l, u, v), (-l, v, u)):
-            j = slots[find(here)].setdefault(key, i)
-            if j == i:
-                continue
-            # j already holds this slot: fold i onto j.
-            ju, _, jv = edge_list[j]
-            find(ju)
-            find(jv)
-            x = parent[jv if key > 0 else ju]
-            y = find(there)
-            dj, di = decoration(j), decoration(i)
-            if x == y:
-                if dj != di:
+    for (u, l, v), d in zip(edges, decorations if decorated else repeat(()), strict=decorated):
+        x = u if alias[u] == u else find(u)
+        y = v if alias[v] == v else find(v)
+        if gauge[u] or gauge[v]:
+            d = product(inverse(gauge[u]), d, gauge[v])
+        attach(x, l, y, d)
+        while pairs:
+            y0, z0, c = pairs.pop()
+            y = y0 if alias[y0] == y0 else find(y0)
+            z = z0 if alias[z0] == z0 else find(z0)
+            if gauge[y0] or gauge[z0]:
+                c = product(inverse(gauge[y0]), c, gauge[z0])
+            if y == z:
+                if c:
                     raise NotABasisError(
                         "relation detected while folding (parallel edges disagree)")
-            else:
-                if x == 0 or (y != 0 and size[x] >= size[y]):
-                    keep, gone, dk, dg = x, y, dj, di
+                continue
+            if y < z:
+                y, z, c = z, y, inverse(c)
+            # y goes into z: a dart y -k-> t reads c^-1 * d from z
+            alias[y], gauge[y] = z, c
+            moved, darts[y] = darts[y], None
+            for k, t in moved.items():
+                d = dart_decs[y, k] if decorated else ()
+                if t == y:
+                    if k < 0:
+                        continue  # the same loop as its +k dart
+                    t = z
+                    d = product(inverse(c), d, c) if c else d
                 else:
-                    keep, gone, dk, dg = y, x, di, dj
-                # gauge c on the vanishing class makes the two decorations
-                # agree: dg*c = dk for arriving edges, c^-1*dg = dk for leaving
-                c = product(inverse(dg), dk) if key > 0 else product(dg, inverse(dk))
-                parent[gone], gauge[gone] = keep, c
-                size[keep] += size[gone]
-                queue.extend(slots[gone].values())
-                slots[gone] = {}
-            # i and j are now parallel with equal decorations: drop i.
-            dead[i] = True
-            for key2, here2 in ((l, u), (-l, v)):
-                held = slots[find(here2)]
-                if held.get(key2) == i:
-                    del held[key2]
-            queue.append(j)
-            break
+                    del darts[t][-k]
+                    d = product(inverse(c), d) if c else d
+                attach(z, k, t, d)
 
-    compact: dict[int, int] = {}
-    vertex_map = [compact.setdefault(find(v), len(compact)) for v in range(nv)]
-    folded = {(vertex_map[u], l, vertex_map[v]): decoration(i)
-              for i, (u, l, v) in enumerate(edge_list) if not dead[i]}
+    number = {x: i for i, x in enumerate(x for x in range(nv) if alias[x] == x)}
+    folded = {(number[x], k, number[t]): dart_decs[x, k] if decorated else ()
+              for x in number for k, t in darts[x].items() if k > 0}
     new_edges = sorted(folded)
-    return len(compact), new_edges, [folded[e] for e in new_edges]
+    return len(number), new_edges, [folded[e] for e in new_edges]
 
 
 def trim(nv: int, edges: list[tuple[int, int, int]], protect: int | None):

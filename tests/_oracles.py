@@ -15,9 +15,13 @@ scalar that the integer-backed ``grouptrees.core.Scalar`` must agree with.
 concatenation, where ``product`` cancels only at the seams of reduced pieces.
 
 :func:`sweep_fold` and :func:`sweep_invert_basis` are the two quadratic
-folders the worklist engine in ``grouptrees.folding`` replaced: the first
-re-sweeps every edge until nothing changes, the second rescans all edges per
-collision and rewrites all edges per merge.  :func:`substitute` applies a
+folders the worklist engine replaced: the first re-sweeps every edge until
+nothing changes, the second rescans all edges per collision and rewrites all
+edges per merge.  :func:`unionfind_fold` is that worklist engine, which the
+online folder in ``grouptrees.folding`` replaced: a queue of edges over a
+union-find of vertex classes with one slot per signed label, carrying
+decorations as gauge words relative to union-find parents, and keeping the
+larger class (the basepoint's class always).  :func:`substitute` applies a
 substitution x_j -> w_j by plain free reduction.  :func:`layered_trim` is the
 trimming loop ``grouptrees.folding.trim`` replaced: it recomputes every
 degree once per peeled layer.
@@ -79,7 +83,8 @@ from fractions import Fraction
 from itertools import chain
 from typing import Iterable, Iterator
 
-from grouptrees.core import Scalar, Word, enumerate_words, letter_key, word_sort_key
+from grouptrees.core import (Scalar, Word, enumerate_words, inverse, letter_key, product,
+                             word_sort_key)
 from grouptrees.errors import MixedFieldError, NotABasisError, ParseError
 from grouptrees.laminations import (_SIMPLICIAL_NOTE, BoundaryRay, RationalLeaf,
                                     carries, periodic_leaf)
@@ -433,6 +438,95 @@ def sweep_fold(nv: int, edges: Iterable[tuple[int, int, int]]):
     vertex_map = {v: compact[uf.find(v)] for v in range(nv)}
     new_edges = sorted({(vertex_map[u], l, vertex_map[v]) for u, l, v in edge_list})
     return len(roots), new_edges
+
+
+def unionfind_fold(nv: int, edges: Iterable[tuple[int, int, int]],
+                   decorations: Iterable[tuple[int, ...]] | None = None):
+    """Fold the graph; returns (new_nv, new_edges, new_decorations), as ``folding.fold``.
+
+    A worklist of edges over a union-find of vertex classes (Touikan, "A fast
+    algorithm for Stallings' folding process", IJAC 2006).  Every class root
+    keeps one slot per signed label (+l outgoing, -l incoming) holding an
+    edge; an edge arriving at an occupied slot folds with the edge already
+    there, and a merge re-queues the slots of the class that disappears.  The
+    decoration of an edge (u, l, v) with stored word d is read as
+    G(u)^-1 * d * G(v), where G(x) is the product of gauges from x up to its
+    root; the basepoint's class is never gauged.
+    """
+    edge_list = list(edges)
+    decs = [()] * len(edge_list) if decorations is None else list(decorations)
+    parent = list(range(nv))
+    gauge: list[tuple[int, ...]] = [()] * nv
+    size = [1] * nv
+    slots: list[dict[int, int]] = [{} for _ in range(nv)]
+    dead = [False] * len(edge_list)
+
+    def find(x: int) -> int:
+        root = parent[x]
+        if parent[root] == root:
+            return root
+        path = [x]
+        while parent[root] != root:
+            path.append(root)
+            root = parent[root]
+        above = gauge[path.pop()]
+        for y in reversed(path):
+            above = product(gauge[y], above) if above else gauge[y]
+            gauge[y] = above
+            parent[y] = root
+        return root
+
+    def decoration(i: int) -> tuple[int, ...]:
+        u, _, v = edge_list[i]
+        gu, gv = gauge[u], gauge[v]
+        if not gu and not gv:
+            return decs[i]
+        return product(inverse(gu), decs[i], gv)
+
+    queue = deque(range(len(edge_list)))
+    while queue:
+        i = queue.popleft()
+        if dead[i]:
+            continue
+        u, l, v = edge_list[i]
+        for key, here, there in ((l, u, v), (-l, v, u)):
+            j = slots[find(here)].setdefault(key, i)
+            if j == i:
+                continue
+            ju, _, jv = edge_list[j]
+            find(ju)
+            find(jv)
+            x = parent[jv if key > 0 else ju]
+            y = find(there)
+            dj, di = decoration(j), decoration(i)
+            if x == y:
+                if dj != di:
+                    raise NotABasisError(
+                        "relation detected while folding (parallel edges disagree)")
+            else:
+                if x == 0 or (y != 0 and size[x] >= size[y]):
+                    keep, gone, dk, dg = x, y, dj, di
+                else:
+                    keep, gone, dk, dg = y, x, di, dj
+                c = product(inverse(dg), dk) if key > 0 else product(dg, inverse(dk))
+                parent[gone], gauge[gone] = keep, c
+                size[keep] += size[gone]
+                queue.extend(slots[gone].values())
+                slots[gone] = {}
+            dead[i] = True
+            for key2, here2 in ((l, u), (-l, v)):
+                held = slots[find(here2)]
+                if held.get(key2) == i:
+                    del held[key2]
+            queue.append(j)
+            break
+
+    compact: dict[int, int] = {}
+    vertex_map = [compact.setdefault(find(v), len(compact)) for v in range(nv)]
+    folded = {(vertex_map[u], l, vertex_map[v]): decoration(i)
+              for i, (u, l, v) in enumerate(edge_list) if not dead[i]}
+    new_edges = sorted(folded)
+    return len(compact), new_edges, [folded[e] for e in new_edges]
 
 
 def _inv(t: tuple[int, ...]) -> tuple[int, ...]:

@@ -1,4 +1,4 @@
-"""The worklist folder against the sweep folders it replaced."""
+"""The online folder against the union-find and sweep folders it replaced."""
 
 import pytest
 from hypothesis import given, strategies as st
@@ -8,7 +8,8 @@ from grouptrees.basis_change import invert_basis
 from grouptrees.core import Word, parse_word
 from grouptrees.errors import NotABasisError
 
-from _oracles import layered_trim, substitute, sweep_fold, sweep_invert_basis
+from _oracles import (layered_trim, reduce_letters, substitute, sweep_fold, sweep_invert_basis,
+                      unionfind_fold)
 
 
 def petal_wedge(words):
@@ -63,10 +64,82 @@ def raw_graphs(draw):
     return nv, edges
 
 
+@st.composite
+def multigraphs(draw):
+    """Several components, self-loops, repeated edges and isolated vertices."""
+    edges, nv = [], 0
+    for _ in range(draw(st.integers(1, 4))):
+        size = draw(st.integers(1, 6))
+        vertex = st.integers(nv, nv + size - 1)
+        block = draw(st.lists(st.tuples(vertex, st.integers(1, 3), vertex), max_size=10))
+        block += [(x, l, x) for x, l in draw(st.lists(st.tuples(vertex, st.integers(1, 3)),
+                                                      max_size=3))]
+        if block:
+            block += draw(st.lists(st.sampled_from(block), max_size=3))
+        edges += block
+        nv += size
+    return nv, draw(st.permutations(edges))
+
+
+@st.composite
+def shared_end_wedges(draw):
+    """Petals p*m_i*s with a long shared prefix p and suffix s, as a raw wedge."""
+    rank = draw(st.integers(1, 3))
+    prefix = word(draw(st.lists(letter(rank), max_size=30)), rank)
+    suffix = word(draw(st.lists(letter(rank), max_size=30)), rank)
+    petals = [prefix * word(draw(st.lists(letter(rank), max_size=4)), rank) * suffix
+              for _ in range(draw(st.integers(1, 4)))]
+    petals += [p.inverse() for p in draw(st.lists(st.sampled_from(petals), max_size=2))]
+    return folding.wedge(p.letters for p in petals)
+
+
+def decorations_for(n):
+    """n short reduced decorations over x_1..x_3, most of them empty."""
+    piece = st.lists(letter(3), max_size=2).map(reduce_letters)
+    return st.lists(st.one_of(st.just(()), st.just(()), piece), min_size=n, max_size=n)
+
+
 def assert_same_fold(nv, edges):
     got = folding.fold(nv, edges)
     assert got[:2] == sweep_fold(nv, list(edges))
+    assert got == unionfind_fold(nv, edges)
     assert got[2] == [()] * len(got[1])
+
+
+def inverted(letters):
+    return tuple(-x for x in reversed(letters))
+
+
+def tree_loop_products(nv, edges, decs):
+    """Decoration products of the loops at 0 that a BFS spanning tree leaves."""
+    reach, tree, queue = {0: ()}, set(), [0]
+    for x in queue:
+        for i, ((u, _, v), d) in enumerate(zip(edges, decs)):
+            for a, b, dab in ((u, v, d), (v, u, inverted(d))):
+                if a == x and b not in reach:
+                    reach[b] = reduce_letters(reach[x] + dab)
+                    tree.add(i)
+                    queue.append(b)
+    return [reduce_letters(reach[u] + d + inverted(reach[v]))
+            for i, ((u, _, v), d) in enumerate(zip(edges, decs))
+            if i not in tree and u in reach]
+
+
+def assert_same_decorated_fold(nv, edges, decs):
+    """Same verdict and graph as the union-find folder; decorations agree up to gauge."""
+    try:
+        expected = unionfind_fold(nv, edges, decs)
+    except NotABasisError as exc:
+        with pytest.raises(NotABasisError) as got:
+            folding.fold(nv, edges, decs)
+        assert str(got.value) == str(exc)
+        return
+    got = folding.fold(nv, edges, decs)
+    assert got[:2] == expected[:2]
+    if got[0] == 1:
+        assert got[2] == expected[2]
+    else:
+        assert tree_loop_products(*got) == tree_loop_products(*expected)
 
 
 class TestFoldMatchesSweep:
@@ -97,6 +170,47 @@ class TestFoldMatchesSweep:
         assert edges == [(0, 1, 1), (0, 2, 1)]
 
 
+class TestFoldMatchesUnionFind:
+    @given(multigraphs())
+    def test_multigraphs(self, case):
+        assert_same_fold(*case)
+
+    @given(shared_end_wedges())
+    def test_shared_end_wedges(self, case):
+        assert_same_fold(*case)
+
+    @given(multigraphs().flatmap(lambda g: st.tuples(st.just(g), decorations_for(len(g[1])))))
+    def test_decorated_multigraphs(self, case):
+        (nv, edges), decs = case
+        assert_same_decorated_fold(nv, edges, decs)
+
+    @given(shared_end_wedges().flatmap(
+        lambda g: st.tuples(st.just(g), decorations_for(len(g[1])))))
+    def test_decorated_wedges(self, case):
+        (nv, edges), decs = case
+        assert_same_decorated_fold(nv, edges, decs)
+
+    @given(generator_lists())
+    def test_petal_decorations(self, case):
+        # invert_basis's decorations: x_j on the first edge of petal j, so
+        # the fold raises exactly when the petals are dependent
+        _, words = case
+        words = [w for w in words if w]
+        decs = [(j if w[0] > 0 else -j,) if t == 0 else ()
+                for j, w in enumerate(words, start=1) for t in range(len(w))]
+        assert_same_decorated_fold(*folding.wedge(words), decs)
+
+    def test_smaller_id_survives(self):
+        # 2 folds into 1 and 3 into 0; kept largest ids, {1, 2} would come first
+        assert folding.fold(4, [(0, 1, 2), (0, 1, 1), (3, 2, 1), (0, 2, 1)])[:2] \
+            == (2, [(0, 1, 1), (0, 2, 1)])
+
+    def test_reverse_dart_folds(self):
+        # two edges into 1 with one label fold their sources, 2 into 0
+        assert folding.fold(3, [(0, 1, 1), (2, 1, 1), (2, 2, 2)])[:2] \
+            == (2, [(0, 1, 1), (0, 2, 0)])
+
+
 class TestDecoratedFold:
     def test_gauge_preserves_loop_products(self):
         # petals x1 = a*b and x2 = a: the folded rose reads a = x2, b = x2^-1 x1
@@ -108,6 +222,11 @@ class TestDecoratedFold:
     def test_parallel_edges_disagree(self):
         with pytest.raises(NotABasisError, match="parallel edges disagree"):
             folding.fold(1, [(0, 1, 0), (0, 1, 0)], [(1,), (2,)])
+
+    def test_decorations_must_match_edges(self):
+        for decs in ([(1,)], [(1,), (2,), (3,)]):
+            with pytest.raises(ValueError):
+                folding.fold(1, [(0, 1, 0), (0, 2, 0)], decs)
 
 
 def nielsen_basis(rank, moves):
