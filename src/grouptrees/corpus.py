@@ -147,16 +147,14 @@ def grow_corpus() -> list[tuple[str, SoISystem, MultiInterval]]:
 # -- marked metric graphs -----------------------------------------------------------
 
 
-def rose_graph(*lengths, marking=None) -> MarkedMetricGraph:
+def rose_graph(*lengths) -> MarkedMetricGraph:
     """A one-vertex rose with the given exact edge lengths, identity marking."""
     rank = len(lengths)
-    if marking is None:
-        marking = [chr(ord("a") + i) for i in range(rank)]
     return MarkedMetricGraph(
         rank=rank, nv=1,
         edges=tuple((0, 0, _S(l)) for l in lengths),
         tree=frozenset(),
-        marking={i: parse_word(m, rank) for i, m in enumerate(marking)},
+        marking={i: Word((i + 1,), rank) for i in range(rank)},
     )
 
 

@@ -125,8 +125,12 @@ def load_marked_graph(doc: dict) -> MarkedMetricGraph:
         _fail("graph: field 'spanning_tree' must be a list of edge ids")
     tree = set()
     for eid in tree_ids:
+        if isinstance(eid, bool) or not isinstance(eid, int):
+            _fail("graph: field 'spanning_tree' must be a list of edge ids")
         if eid not in id_to_index:
             _fail(f"graph: spanning_tree refers to unknown edge id {eid}")
+        if id_to_index[eid] in tree:
+            _fail(f"graph: spanning_tree lists edge id {eid} twice")
         tree.add(id_to_index[eid])
 
     raw_marking = doc.get("marking", {})
@@ -137,6 +141,8 @@ def load_marked_graph(doc: dict) -> MarkedMetricGraph:
         try:
             eid = int(key)
         except (TypeError, ValueError):
+            eid = None
+        if eid is None or str(eid) != key:
             _fail(f"graph: marking key {key!r} is not an edge id")
         if eid not in id_to_index:
             _fail(f"graph: marking refers to unknown edge id {eid}")
@@ -209,7 +215,7 @@ def load_system(doc: dict) -> SoISystem:
             _fail(f"{where}: expected an object")
         dom = _interval_pair(row.get("dom"), d, f"{where} dom")
         orient = row.get("orient", 1)
-        if orient not in (1, -1):
+        if type(orient) is not int or orient not in (1, -1):
             _fail(f"{where}: field 'orient' must be 1 or -1")
         offset = row.get("offset")
         to = row.get("to")

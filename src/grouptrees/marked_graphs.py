@@ -69,26 +69,25 @@ class MarkedMetricGraph:
         if not (0 <= base < nv):
             raise InvalidSystemError("basepoint out of range")
 
-        adjacency = {v: [] for v in range(nv)}
-        valence = [0] * nv
+        # one dart map {±(eid+1): target} per vertex, in dart order
+        # (1, -1, 2, -2, ...); a vertex's valence is its dart count
+        darts: list[dict[int, int]] = [{} for _ in range(nv)]
         for eid, (u, v, _) in enumerate(self.edges):
-            adjacency[u].append(v)
-            adjacency[v].append(u)
-            valence[u] += 1
-            valence[v] += 1
+            darts[u][eid + 1] = v
+            darts[v][-(eid + 1)] = u
         seen = {0}
         stack = [0]
         while stack:
-            for w in adjacency[stack.pop()]:
+            for w in darts[stack.pop()].values():
                 if w not in seen:
                     seen.add(w)
                     stack.append(w)
         if len(seen) != nv:
             raise InvalidSystemError("graph must be connected")
-        bad = [v for v in range(nv) if valence[v] <= 1]
+        bad = [v for v in range(nv) if len(darts[v]) <= 1]
         if bad:
             raise InvalidSystemError(
-                f"vertex {bad[0]} has valence {valence[bad[0]]}; "
+                f"vertex {bad[0]} has valence {len(darts[bad[0]])}; "
                 "a minimal graph has no valence-one vertices")
 
         tree = frozenset(tree)
@@ -96,19 +95,14 @@ class MarkedMetricGraph:
             raise InvalidSystemError("spanning tree refers to unknown edges")
         if len(tree) != nv - 1:
             raise InvalidSystemError("spanning tree must have nv-1 edges")
-        tree_adj = {v: [] for v in range(nv)}
-        for eid in sorted(tree):
-            u, v, _ = self.edges[eid]
-            tree_adj[u].append((v, eid + 1))
-            tree_adj[v].append((u, -(eid + 1)))
         # darts of the tree path from the basepoint to each vertex; nv-1
         # edges are acyclic iff they reach every vertex
         path_to = {base: ()}
         stack = [base]
         while stack:
             x = stack.pop()
-            for y, dart in tree_adj[x]:
-                if y not in path_to:
+            for dart, y in darts[x].items():
+                if y not in path_to and abs(dart) - 1 in tree:
                     path_to[y] = path_to[x] + (dart,)
                     stack.append(y)
         if len(path_to) != nv:
@@ -136,12 +130,7 @@ class MarkedMetricGraph:
         # NotABasisError propagates if the marking words do not form a basis.
         self._letter_exprs = invert_basis(words, rank)
 
-        self._darts_at = {v: [] for v in range(nv)}
-        for eid, (u, v, _) in enumerate(self.edges):
-            self._darts_at[u].append(eid + 1)
-            self._darts_at[v].append(-(eid + 1))
-        for v in range(nv):
-            self._darts_at[v].sort(key=lambda d: (abs(d), d < 0))
+        self._darts_at = darts
 
         # the dart loop of marking symbol ±j, the j-th non-tree edge's loop
         nt_loops = {}
@@ -161,7 +150,9 @@ class MarkedMetricGraph:
         u, v, _ = self.edges[abs(d) - 1]
         return v if d > 0 else u
 
-    def darts_at(self, v: int) -> list[int]:
+    def darts_at(self, v: int) -> dict[int, int]:
+        """The dart map {dart: target} at v, in dart order (1, -1, 2, -2, ...);
+        shared with the graph, so read it only."""
         return self._darts_at[v]
 
     def dart_marking_letters(self, d: int) -> tuple[int, ...]:
@@ -284,8 +275,7 @@ class CoverCore:
         # in the core iff both its ends do.
         self.core_darts = {x: [] for x in core_vertices}
         for x, darts in self.core_darts.items():
-            for d in p.darts_at(x):
-                y = p.step(x, d)
+            for d, y in p.darts_at(x).items():
                 if y in core_vertices:
                     darts.append((d, graph.dart_marking_letters(d), graph.dart_target(d), y))
         self.is_covering = all(
@@ -306,8 +296,7 @@ class CoverCore:
         while frontier:
             nxt = []
             for y in frontier:
-                for d in p.darts_at(y):
-                    x = p.step(y, d)
+                for d, x in p.darts_at(y).items():
                     if x not in core_vertices and x not in self.toward_core:
                         self.toward_core[x] = (-d, y)
                         nxt.append(x)
@@ -455,8 +444,10 @@ def transverse_family_report(graph: MarkedMetricGraph, subgroup: StallingsGraph,
 
     Distinct translates of the minimal subtree form a transverse family when
     no two share an edge; each nondegenerate overlap found is a certified
-    violation.  Translates are deduplicated up to the double cosets HgH seen
-    within the word budget.
+    violation.  A translate w is skipped when h1*w*h2 is shorter or
+    shortlex-smaller for some h1, h2 among the first 64 subgroup elements
+    (of length <= max_len), so double cosets HgH are merged only as far as
+    those elements show.
     """
     cover = CoverCore(graph, subgroup)
     report = {"max_len": max_len, "radius": radius}

@@ -29,21 +29,26 @@ class StallingsGraph:
     represent the same subgroup.
     """
 
-    __slots__ = ("rank", "nv", "edges", "_out", "_inc")
+    __slots__ = ("rank", "nv", "edges", "_darts")
 
     def __init__(self, rank: int, nv: int, edges):
         self.rank = rank
         self.nv = nv
         self.edges = tuple(sorted(edges))
-        out: list[dict[int, int]] = [dict() for _ in range(nv)]
-        inc: list[dict[int, int]] = [dict() for _ in range(nv)]
-        for u, l, v in self.edges:
-            if l in out[u] or l in inc[v]:
-                raise RuntimeError(f"not folded at edge {(u, l, v)}")
-            out[u][l] = v
-            inc[v][l] = u
-        self._out = out
-        self._inc = inc
+        # one dart map {±label: target} per vertex, in canonical letter order
+        # (1, -1, 2, -2, ...): one sort of (vertex, letter key, letter, target)
+        ends = [(u, 2 * l, l, v) for u, l, v in self.edges]
+        ends += [(v, 2 * l + 1, -l, u) for u, l, v in self.edges]
+        ends.sort()
+        darts: list[dict[int, int]] = [{} for _ in range(nv)]
+        clashes = []
+        for v, _, d, w in ends:
+            if d in darts[v]:
+                clashes.append((v, d, w) if d > 0 else (w, -d, v))
+            darts[v][d] = w
+        if clashes:  # the least one is the first to clash in edge order
+            raise RuntimeError(f"not folded at edge {min(clashes)}")
+        self._darts = darts
 
     base = 0  # the basepoint of every graph
 
@@ -70,8 +75,7 @@ class StallingsGraph:
         queue = deque([0])
         while queue:
             v = queue.popleft()
-            for letter in self.darts_at(v):
-                w = self.step(v, letter)
+            for w in self._darts[v].values():
                 if w not in perm:
                     perm[w] = len(perm)
                     queue.append(w)
@@ -99,9 +103,7 @@ class StallingsGraph:
 
     def step(self, v: int, letter: int) -> int | None:
         """Follow one letter from vertex v; None when the edge is absent."""
-        if letter > 0:
-            return self._out[v].get(letter)
-        return self._inc[v].get(-letter)
+        return self._darts[v].get(letter)
 
     def trace(self, v: int, letters) -> int | None:
         for l in letters:
@@ -110,13 +112,10 @@ class StallingsGraph:
                 return None
         return v
 
-    def darts_at(self, v: int):
-        """All letters readable at v, in canonical order (1, -1, 2, -2, ...)."""
-        for l in range(1, self.rank + 1):
-            if l in self._out[v]:
-                yield l
-            if l in self._inc[v]:
-                yield -l
+    def darts_at(self, v: int) -> dict[int, int]:
+        """The dart map {letter: target} at v, in canonical letter order
+        (1, -1, 2, -2, ...); shared with the graph, so read it only."""
+        return self._darts[v]
 
 
 def build_core(generators, rank: int) -> StallingsGraph:
@@ -132,10 +131,8 @@ def membership(graph: StallingsGraph, word: Word) -> bool:
 
 def index(graph: StallingsGraph) -> int | None:
     """Finite index (= vertex count) iff every vertex carries all 2n labels."""
-    for v in range(graph.nv):
-        if len(graph._out[v]) < graph.rank or len(graph._inc[v]) < graph.rank:
-            return None
-    return graph.nv
+    full = 2 * graph.rank
+    return graph.nv if all(len(darts) == full for darts in graph._darts) else None
 
 
 def rank_of(graph: StallingsGraph) -> int:
@@ -154,20 +151,18 @@ def fiber_product(g1: StallingsGraph, g2: StallingsGraph) -> StallingsGraph:
     while queue:
         state = queue.popleft()
         v1, v2 = state
-        for l in range(1, g1.rank + 1):
-            for sgn in (1, -1):
-                w1 = g1.step(v1, sgn * l)
-                w2 = g2.step(v2, sgn * l)
-                if w1 is None or w2 is None:
-                    continue
-                nxt = (w1, w2)
-                if nxt not in ids:
-                    ids[nxt] = len(ids)
-                    queue.append(nxt)
-                if sgn > 0:
-                    edges.append((ids[state], l, ids[nxt]))
-                else:
-                    edges.append((ids[nxt], l, ids[state]))
+        for l, w1 in g1.darts_at(v1).items():
+            w2 = g2.step(v2, l)
+            if w2 is None:
+                continue
+            nxt = (w1, w2)
+            if nxt not in ids:
+                ids[nxt] = len(ids)
+                queue.append(nxt)
+            if l > 0:
+                edges.append((ids[state], l, ids[nxt]))
+            else:
+                edges.append((ids[nxt], -l, ids[state]))
     return StallingsGraph._from_raw(len(ids), sorted(set(edges)), g1.rank)
 
 
@@ -191,8 +186,7 @@ def spanning_tree_paths(graph: StallingsGraph, inside=frozenset()) -> tuple[dict
         queue = deque(order)
         while queue:
             v = queue.popleft()
-            for letter in graph.darts_at(v):
-                w = graph.step(v, letter)
+            for letter, w in graph.darts_at(v).items():
                 if w in parent:
                     continue
                 edge = (v, letter, w) if letter > 0 else (w, -letter, v)
@@ -244,8 +238,9 @@ def subgroup_elements(graph: StallingsGraph, max_len: int) -> list[Word]:
     elements = [Word((), graph.rank)]
     layer = [((), graph.base)]
     for _ in range(max_len):
-        layer = [(letters + (l,), graph.step(v, l)) for letters, v in layer
-                 for l in graph.darts_at(v) if not letters or l != -letters[-1]]
+        layer = [(letters + (l,), w) for letters, v in layer
+                 for l, w in graph.darts_at(v).items()
+                 if not letters or l != -letters[-1]]
         elements.extend(Word(letters, graph.rank)
                         for letters, v in layer if v == graph.base)
     return elements
@@ -323,36 +318,28 @@ def hall_completion(graph: StallingsGraph, g: Word | None = None) -> HallWitness
     if g is not None and membership(graph, g):
         raise PreconditionError("excluded element already belongs to the subgroup")
 
-    out = [dict(d) for d in graph._out]
-    inc = [dict(d) for d in graph._inc]
-    nv = graph.nv
-
-    def add_edge(u: int, l: int, v: int) -> None:
-        out[u][l] = v
-        inc[v][l] = u
-
+    darts = [dict(graph.darts_at(v)) for v in range(graph.nv)]
     if g is not None:
         v = graph.base
         for letter in g.letters:
-            nxt = out[v].get(letter) if letter > 0 else inc[v].get(-letter)
+            nxt = darts[v].get(letter)
             if nxt is None:
-                nxt = nv
-                nv += 1
-                out.append({})
-                inc.append({})
-                add_edge(*((v, letter, nxt) if letter > 0 else (nxt, -letter, v)))
+                nxt = len(darts)
+                darts[v][letter] = nxt
+                darts.append({-letter: v})
             v = nxt
         if v == graph.base:
             raise RuntimeError("g traced back to the basepoint despite g not in H")
 
+    nv = len(darts)
     for l in range(1, n + 1):
-        missing_out = sorted(v for v in range(nv) if l not in out[v])
-        missing_in = sorted(v for v in range(nv) if l not in inc[v])
+        missing_out = [v for v in range(nv) if l not in darts[v]]
+        missing_in = [v for v in range(nv) if -l not in darts[v]]
         for u, w in zip(missing_out, missing_in):
-            add_edge(u, l, w)
+            darts[u][l], darts[w][-l] = w, u
 
     cover, perm = StallingsGraph(
-        n, nv, [(u, l, v) for u in range(nv) for l, v in out[u].items()]).canonical()
+        n, nv, [(u, l, v) for u in range(nv) for l, v in darts[u].items() if l > 0]).canonical()
     original = {(perm[u], l, perm[v]) for u, l, v in graph.edges}
     embedding = {v: perm[v] for v in range(graph.nv)}
 

@@ -72,6 +72,15 @@ its translate loop worked on letter tuples: it builds a ``Word``, two
 ``carries``.  :func:`popping_canonical_ray` is the list-popping loop
 ``BoundaryRay`` canonicalised with before that loop became a function on
 letter tuples.
+
+:func:`out_inc_darts`, :func:`pair_hall_completion`,
+:func:`probe_fiber_product` and :func:`adjacency_letter_loops` read graphs
+the way the engine did before ``StallingsGraph`` and ``MarkedMetricGraph``
+kept one dart map per vertex: a ``StallingsGraph`` as an out/inc pair of
+dicts per vertex, walked label by label; the Hall completion on private
+copies of that pair; the fiber product probing all 2n letters at each
+vertex; and ``MarkedMetricGraph``'s checks on adjacency lists, a valence
+array and a tree adjacency.
 """
 
 from __future__ import annotations
@@ -83,13 +92,14 @@ from fractions import Fraction
 from itertools import chain
 from typing import Iterable, Iterator
 
+from grouptrees.basis_change import invert_basis
 from grouptrees.core import (Scalar, Word, enumerate_words, inverse, letter_key, product,
                              word_sort_key)
-from grouptrees.errors import MixedFieldError, NotABasisError, ParseError
+from grouptrees.errors import InvalidSystemError, MixedFieldError, NotABasisError, ParseError
 from grouptrees.laminations import (_SIMPLICIAL_NOTE, BoundaryRay, RationalLeaf,
                                     carries, periodic_leaf)
 from grouptrees.marked_graphs import CoverCore
-from grouptrees.stallings import index, membership
+from grouptrees.stallings import StallingsGraph, index, membership
 
 ZERO = Scalar.of(0)
 
@@ -1259,3 +1269,228 @@ def object_carrier_scan(graph, subgroup, epsilon, max_word: int,
         "subgroup_index": sub_index,
         "note": _SIMPLICIAL_NOTE,
     }
+
+
+# -- adjacency as out/inc dict pairs -------------------------------------------
+
+
+def _out_inc(nv: int, edges) -> tuple[list[dict[int, int]], list[dict[int, int]]]:
+    """Per vertex, {label: target} of its outgoing and {label: source} of its
+    incoming edges, as ``StallingsGraph`` stored them."""
+    out: list[dict[int, int]] = [{} for _ in range(nv)]
+    inc: list[dict[int, int]] = [{} for _ in range(nv)]
+    for u, l, v in edges:
+        out[u][l] = v
+        inc[v][l] = u
+    return out, inc
+
+
+def _pair_darts(out, inc, v: int, rank: int) -> list[tuple[int, int]]:
+    """(letter, target) at v in the order the ``darts_at`` generator walked
+    the pair: 1, -1, 2, -2, ..."""
+    darts = []
+    for l in range(1, rank + 1):
+        if l in out[v]:
+            darts.append((l, out[v][l]))
+        if l in inc[v]:
+            darts.append((-l, inc[v][l]))
+    return darts
+
+
+def out_inc_darts(graph) -> list[list[tuple[int, int]]]:
+    """Every vertex's (letter, target) list, read from ``graph.edges``."""
+    out, inc = _out_inc(graph.nv, graph.edges)
+    return [_pair_darts(out, inc, v, graph.rank) for v in range(graph.nv)]
+
+
+def pair_hall_completion(graph, g: Word | None):
+    """(cover_edges, embedding, h_basis, complement_basis) of the Hall
+    completion as it ran on out/inc copies, with its own ``add_edge`` and
+    trace, its own breadth-first renumbering and a two-phase spanning tree
+    that stores the letter path of every vertex."""
+    n = graph.rank
+    out, inc = _out_inc(graph.nv, graph.edges)
+    nv = graph.nv
+
+    def add_edge(u: int, l: int, v: int) -> None:
+        out[u][l] = v
+        inc[v][l] = u
+
+    if g is not None:
+        v = graph.base
+        for letter in g.letters:
+            nxt = out[v].get(letter) if letter > 0 else inc[v].get(-letter)
+            if nxt is None:
+                nxt = nv
+                nv += 1
+                out.append({})
+                inc.append({})
+                add_edge(*((v, letter, nxt) if letter > 0 else (nxt, -letter, v)))
+            v = nxt
+    for l in range(1, n + 1):
+        missing_out = sorted(v for v in range(nv) if l not in out[v])
+        missing_in = sorted(v for v in range(nv) if l not in inc[v])
+        for u, w in zip(missing_out, missing_in):
+            add_edge(u, l, w)
+
+    perm = {0: 0}
+    queue = deque([0])
+    while queue:
+        v = queue.popleft()
+        for _, w in _pair_darts(out, inc, v, n):
+            if w not in perm:
+                perm[w] = len(perm)
+                queue.append(w)
+    out, inc = _out_inc(nv, [(perm[u], l, perm[v])
+                             for u in range(nv) for l, v in out[u].items()])
+    cover_edges = tuple(sorted((u, l, v) for u in range(nv) for l, v in out[u].items()))
+    original = {(perm[u], l, perm[v]) for u, l, v in graph.edges}
+
+    path_to: dict[int, tuple[int, ...]] = {0: ()}
+    tree: set[tuple[int, int, int]] = set()
+    order = [0]
+    for only_original in (True, False):
+        queue = deque(order)
+        while queue:
+            v = queue.popleft()
+            for letter, w in _pair_darts(out, inc, v, n):
+                edge = (v, letter, w) if letter > 0 else (w, -letter, v)
+                if w in path_to or (only_original and edge not in original):
+                    continue
+                path_to[w] = path_to[v] + (letter,)
+                tree.add(edge)
+                order.append(w)
+                queue.append(w)
+    h_basis: list[Word] = []
+    complement: list[Word] = []
+    for u, l, v in cover_edges:
+        if (u, l, v) not in tree:
+            word = Word.make(path_to[u] + (l,) + _inv(path_to[v]), n)
+            (h_basis if (u, l, v) in original else complement).append(word)
+    embedding = {v: perm[v] for v in range(graph.nv)}
+    return cover_edges, embedding, tuple(h_basis), tuple(complement)
+
+
+def probe_fiber_product(g1, g2):
+    """``fiber_product`` as it probed all 2n letters at each product vertex
+    through both graphs' out/inc pairs."""
+    out1, inc1 = _out_inc(g1.nv, g1.edges)
+    out2, inc2 = _out_inc(g2.nv, g2.edges)
+    start = (0, 0)
+    ids = {start: 0}
+    queue = deque([start])
+    edges = []
+    while queue:
+        state = queue.popleft()
+        v1, v2 = state
+        for l in range(1, g1.rank + 1):
+            for sgn, (a, b) in ((1, (out1, out2)), (-1, (inc1, inc2))):
+                w1, w2 = a[v1].get(l), b[v2].get(l)
+                if w1 is None or w2 is None:
+                    continue
+                nxt = (w1, w2)
+                if nxt not in ids:
+                    ids[nxt] = len(ids)
+                    queue.append(nxt)
+                if sgn > 0:
+                    edges.append((ids[state], l, ids[nxt]))
+                else:
+                    edges.append((ids[nxt], l, ids[state]))
+    return StallingsGraph._from_raw(len(ids), sorted(set(edges)), g1.rank)
+
+
+def adjacency_letter_loops(rank, nv, edges, tree, marking, base=0) -> dict:
+    """The letter loops ``MarkedMetricGraph`` builds, or the error it raises,
+    checked the way its constructor did with adjacency lists, a valence
+    array and a tree adjacency built from the sorted tree edges."""
+    if not isinstance(rank, int) or rank < 1:
+        raise InvalidSystemError("rank must be a positive integer")
+    if not isinstance(nv, int) or nv < 1:
+        raise InvalidSystemError("need at least one vertex")
+    edge_list = []
+    for u, v, length in edges:
+        if not (0 <= u < nv and 0 <= v < nv):
+            raise InvalidSystemError("edge endpoint out of range")
+        length = Scalar.of(length)
+        if length.sign() <= 0:
+            raise InvalidSystemError("edge lengths must be positive")
+        edge_list.append((u, v, length))
+    fields = [f"sqrt{d}" for d in dict.fromkeys(l.d for *_, l in edge_list) if d != 1]
+    if len(fields) > 1:
+        raise InvalidSystemError(f"edge lengths mix {fields[0]} and {fields[1]}; "
+                                 "a marked graph's lengths lie in one field")
+    ne = len(edge_list)
+    if ne - nv + 1 != rank:
+        raise InvalidSystemError(
+            f"graph has first Betti number {ne - nv + 1}, marking needs {rank}")
+    if not (0 <= base < nv):
+        raise InvalidSystemError("basepoint out of range")
+
+    adjacency = {v: [] for v in range(nv)}
+    valence = [0] * nv
+    for u, v, _ in edge_list:
+        adjacency[u].append(v)
+        adjacency[v].append(u)
+        valence[u] += 1
+        valence[v] += 1
+    seen = {0}
+    stack = [0]
+    while stack:
+        for w in adjacency[stack.pop()]:
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    if len(seen) != nv:
+        raise InvalidSystemError("graph must be connected")
+    bad = [v for v in range(nv) if valence[v] <= 1]
+    if bad:
+        raise InvalidSystemError(
+            f"vertex {bad[0]} has valence {valence[bad[0]]}; "
+            "a minimal graph has no valence-one vertices")
+
+    tree = frozenset(tree)
+    if not all(isinstance(t, int) and 0 <= t < ne for t in tree):
+        raise InvalidSystemError("spanning tree refers to unknown edges")
+    if len(tree) != nv - 1:
+        raise InvalidSystemError("spanning tree must have nv-1 edges")
+    tree_adj = {v: [] for v in range(nv)}
+    for eid in sorted(tree):
+        u, v, _ = edge_list[eid]
+        tree_adj[u].append((v, eid + 1))
+        tree_adj[v].append((u, -(eid + 1)))
+    path_to = {base: ()}
+    stack = [base]
+    while stack:
+        x = stack.pop()
+        for y, dart in tree_adj[x]:
+            if y not in path_to:
+                path_to[y] = path_to[x] + (dart,)
+                stack.append(y)
+    if len(path_to) != nv:
+        raise InvalidSystemError("spanning tree contains a cycle")
+
+    non_tree = tuple(sorted(set(range(ne)) - tree))
+    marking = dict(marking)
+    if set(marking) != set(non_tree):
+        raise InvalidSystemError(
+            "marking must assign a word to each non-tree edge, and only those")
+    words = []
+    for eid in non_tree:
+        w = marking[eid]
+        if not isinstance(w, Word):
+            raise InvalidSystemError("marking values must be Word instances")
+        if w.rank != rank:
+            raise InvalidSystemError("marking word has wrong rank")
+        words.append(w)
+    exprs = invert_basis(words, rank)
+
+    nt_loops = {}
+    for j, eid in enumerate(non_tree, 1):
+        u, v, _ = edge_list[eid]
+        nt_loops[j] = _mul(path_to[u], (eid + 1,), _inv(path_to[v]))
+        nt_loops[-j] = _inv(nt_loops[j])
+    loops = {}
+    for a, expr in enumerate(exprs, 1):
+        loop = _mul(*(nt_loops[x] for x in expr.letters))
+        loops[a], loops[-a] = loop, _inv(loop)
+    return loops

@@ -677,3 +677,43 @@ class TestCli:
         assert time.perf_counter() - start < 1.0
         assert code == 1
         assert err.startswith("error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("orient", [-1.0, 1.0, True, False, "1"])
+    def test_orient_must_be_the_integer_one_or_minus_one(self, capsys, tmp_path,
+                                                         orient):
+        doc = docs.dump_system(golden_system())
+        doc["generators"][0]["orient"] = orient
+        path = tmp_path / "orient.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "soi", "families", "--in", str(path))
+        assert code == 1 and out == ""
+        assert err == ("error: system generator[0]: field 'orient' must be "
+                       "1 or -1\n")
+
+    @pytest.mark.parametrize("tree,message", [
+        ([0.0], "field 'spanning_tree' must be a list of edge ids"),
+        ([False], "field 'spanning_tree' must be a list of edge ids"),
+        ([0, 0], "spanning_tree lists edge id 0 twice"),
+    ])
+    def test_spanning_tree_entries_are_distinct_integers(self, capsys, tmp_path,
+                                                         tree, message):
+        doc = docs.dump_marked_graph(theta_graph())
+        doc["spanning_tree"] = tree
+        path = tmp_path / "tree.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "cvn", "len", "--in", str(path),
+                                 "--word", "a")
+        assert code == 1 and out == ""
+        assert err == f"error: graph: {message}\n"
+
+    @pytest.mark.parametrize("key", [" 1", "+1", "1_0", "01", "-0"])
+    def test_marking_keys_are_decimal_edge_ids(self, capsys, tmp_path, key):
+        doc = docs.dump_marked_graph(theta_graph())
+        doc["edges"][2]["id"] = 10
+        doc["marking"] = {key: "a", "10": "b"}
+        path = tmp_path / "marking.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "cvn", "len", "--in", str(path),
+                                 "--word", "a")
+        assert code == 1 and out == ""
+        assert err == f"error: graph: marking key {key!r} is not an edge id\n"

@@ -11,6 +11,7 @@ from grouptrees.core import Scalar, Word, enumerate_words, parse_word
 from grouptrees.basis_change import invert_basis
 from grouptrees.errors import (
     DegenerateSubgroupError,
+    GroupTreesError,
     InvalidSystemError,
     MixedFieldError,
     NotABasisError,
@@ -25,10 +26,11 @@ from grouptrees.marked_graphs import (
 from grouptrees.corpus import lopsided_rose
 from grouptrees.stallings import build_core, hall_completion, index, rank_of
 
-from _oracles import (_UnionFind, _lifted_path, ball_translate_intersection,
-                      ball_transverse_family_report, brute_omega, class_rep,
-                      grow_ball, initial_state, net_translation_length,
-                      substitute, vertex_on_subtree, walk)
+from _oracles import (_UnionFind, _lifted_path, adjacency_letter_loops,
+                      ball_translate_intersection, ball_transverse_family_report,
+                      brute_omega, class_rep, grow_ball, initial_state,
+                      net_translation_length, out_inc_darts, substitute,
+                      vertex_on_subtree, walk)
 
 
 def W(s, rank=2):
@@ -195,6 +197,68 @@ class TestValidation:
         with pytest.raises(InvalidSystemError, match="connected"):
             MarkedMetricGraph(2, 2, [(0, 0, 1), (1, 1, 1), (1, 1, 1)], (),
                               {0: W("a"), 1: W("b")})
+
+
+@st.composite
+def multigraph_cases(draw):
+    """Arguments for MarkedMetricGraph: a random multigraph with loops, a
+    random (nv-1)-edge subset as tree and distinct letters on the other
+    edges, so that some are accepted and some fail each adjacency check."""
+    nv = draw(st.integers(1, 4))
+    ne = draw(st.integers(nv - 1, nv + 3))
+    end = st.integers(0, nv - 1)
+    edges = [(draw(end), draw(end), draw(st.sampled_from([1, Fraction(1, 2), 3])))
+             for _ in range(ne)]
+    rank = max(ne - nv + 1, 1)
+    tree = draw(st.lists(st.integers(0, ne - 1), min_size=min(nv - 1, ne),
+                         max_size=min(nv - 1, ne), unique=True)) if ne else []
+    others = [e for e in range(ne) if e not in tree]
+    letters_ = draw(st.permutations(range(1, rank + 1)))
+    marking = {eid: Word((l,), rank) for eid, l in zip(others, letters_)}
+    return rank, nv, edges, tree, marking, draw(st.integers(0, nv - 1))
+
+
+def outcome(build):
+    try:
+        return build()
+    except GroupTreesError as exc:
+        return type(exc), str(exc)
+
+
+class TestDartMaps:
+    @given(multigraph_cases())
+    @settings(max_examples=300)
+    @example((2, 2, [(0, 1, 1), (0, 1, 2), (1, 0, 3)], [0], {1: W("a"), 2: W("b")}, 1))
+    @example((2, 3, [(0, 1, 1), (1, 2, 1), (2, 0, 1), (1, 1, 3)], [2, 0],
+              {1: W("b"), 3: W("a")}, 0))
+    def test_checks_and_loops_match_adjacency_lists(self, case):
+        expected = outcome(lambda: adjacency_letter_loops(*case))
+        graph = outcome(lambda: MarkedMetricGraph(*case))
+        if isinstance(graph, tuple):
+            assert graph == expected
+            return
+        assert graph._letter_loops == expected
+        for v in range(graph.nv):
+            darts = sorted((d for eid, (x, y, _) in enumerate(graph.edges)
+                            for d, end in ((eid + 1, x), (-(eid + 1), y)) if end == v),
+                           key=lambda d: (abs(d), d < 0))
+            assert list(graph.darts_at(v).items()) == [
+                (d, graph.dart_target(d)) for d in darts]
+
+    @given(st.sampled_from(["rose2", "rose3", "theta"]),
+           st.lists(st.lists(st.integers(1, 3).flatmap(
+               lambda a: st.sampled_from([a, -a])), min_size=1, max_size=6),
+               min_size=1, max_size=3))
+    @example("theta", [[1], [2, 1, -2]])
+    def test_cover_darts_match_out_inc_order(self, which, raws):
+        graph = {"rose2": rose(1, 2), "rose3": rose(1, 2, 3, marking="abc"),
+                 "theta": theta()}[which]
+        gens = [Word.make([l for l in r if abs(l) <= graph.rank], graph.rank)
+                for r in raws]
+        subgroup = build_core(gens, graph.rank)
+        assume(rank_of(subgroup) > 0)
+        p = CoverCore(graph, subgroup).p
+        assert [list(p.darts_at(v).items()) for v in range(p.nv)] == out_inc_darts(p)
 
 
 class TestTranslationLength:

@@ -1,11 +1,13 @@
 """Subgroup graphs: folding, membership, index, meet, conjugation, covers."""
 
 import random
+import re
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from _oracles import (filter_subgroup_elements, full_spanning_tree_paths,
+                      out_inc_darts, pair_hall_completion, probe_fiber_product,
                       two_phase_hall_bases)
 from grouptrees import stallings
 from grouptrees.core import Word, enumerate_words, parse_word
@@ -293,6 +295,60 @@ class TestHall:
             wit = hall_completion(h, g)
             assert wit.verify()["ok"], (gens, str(g))
             done += 1
+
+
+def assert_darts_match_pairs(graph):
+    """Each vertex's dart map holds the out/inc pair's darts, in its order."""
+    pairs = out_inc_darts(graph)
+    assert [list(graph.darts_at(v).items()) for v in range(graph.nv)] == pairs
+    for v, darts in enumerate(pairs):
+        found = dict(darts)
+        assert [graph.step(v, l) for l in range(-graph.rank, graph.rank + 1) if l] == [
+            found.get(l) for l in range(-graph.rank, graph.rank + 1) if l]
+
+
+raw_generators = st.lists(st.lists(st.integers(1, 4).flatmap(
+    lambda a: st.sampled_from([a, -a])), min_size=1, max_size=8), max_size=5)
+
+
+class TestDartMaps:
+    @given(st.integers(1, 4), raw_generators)
+    @example(1, [[1]])
+    @example(3, [[1], [2, 3, -2], [3, 3, 1]])
+    @example(4, [[4, 1, -4], [2, -3, 2], [-1]])
+    def test_core_darts_match_out_inc_order(self, rank, raws):
+        gens = [Word.make([l for l in r if abs(l) <= rank], rank) for r in raws]
+        graph = build_core(gens, rank)
+        assert_darts_match_pairs(graph)
+        pairs = out_inc_darts(graph)
+        assert index(graph) == (graph.nv if all(len(d) == 2 * rank for d in pairs)
+                                else None)
+
+    @pytest.mark.parametrize("edges,named", [
+        ([(2, 1, 0), (0, 1, 1), (1, 1, 1), (0, 1, 2)], (0, 1, 2)),
+        # vertex 0 clashes first, but (1, 2, 4) comes first in edge order
+        ([(1, 1, 0), (2, 1, 0), (1, 2, 3), (1, 2, 4)], (1, 2, 4)),
+        ([(0, 1, 1), (0, 1, 1)], (0, 1, 1)),
+    ])
+    def test_unfolded_graph_names_first_clashing_edge(self, edges, named):
+        with pytest.raises(RuntimeError, match=rf"^not folded at edge {re.escape(str(named))}$"):
+            StallingsGraph(2, 5, edges)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_hall_matches_out_inc_completion(self, seed):
+        for graph, g, _ in random_hall_instances(seed, 150):
+            for excluded in (g, None):
+                wit = hall_completion(graph, excluded)
+                assert (wit.cover.edges, wit.embedding, wit.h_basis,
+                        wit.complement_basis) == pair_hall_completion(graph, excluded)
+                assert_darts_match_pairs(wit.cover)
+
+    @given(st.integers(1, 3), raw_generators, raw_generators)
+    @example(2, [[1, 1], [2]], [[1, 1, 1], [2, 1, -2]])
+    def test_fiber_product_matches_letter_probe(self, rank, raws1, raws2):
+        g1, g2 = (build_core([Word.make([l for l in r if abs(l) <= rank], rank)
+                              for r in raws], rank) for raws in (raws1, raws2))
+        assert fiber_product(g1, g2) == probe_fiber_product(g1, g2)
 
 
 @st.composite
