@@ -23,7 +23,7 @@ import sys
 
 from .errors import GroupTreesError, ParseError
 from .report import (EXIT_BUDGET, EXIT_ERROR, EXIT_OK, render, wrap)
-from .scenarios import (BUDGET, FAILED, OPERATIONS, REQUIRED,
+from .scenarios import (BUDGET, DOCUMENTS, FAILED, OPERATIONS, REQUIRED,
                         bundled_scenarios, run_op, run_scenario,
                         scenario_from_doc)
 
@@ -106,7 +106,8 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument(_flag(arg), dest=arg.key, required=required,
                            default=None if required else arg.default,
                            type=int if arg.integer else None,
-                           help=arg.help, metavar=arg.metavar)
+                           help=arg.help,
+                           metavar="FILE" if arg.kind in DOCUMENTS else None)
 
     p = leaf("scenario", "run", "run a bundled scenario or a scenario file")
     p.add_argument("--seed", type=int, default=None,
@@ -130,7 +131,7 @@ def _op_args(spec, ns: argparse.Namespace, command: str) -> dict:
             if (value is None) == (getattr(ns, other.key) is None):
                 raise ParseError(f"{command} needs exactly one of "
                                  f"{_flag(arg)} or {_flag(other)}")
-        if value is not None and arg.metavar == "FILE":
+        if value is not None and arg.kind in DOCUMENTS:
             value = _read_document(value, arg.kind)
         elif value is not None and arg.kind == "samples":
             value = _inline_points(value)

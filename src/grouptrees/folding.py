@@ -1,9 +1,11 @@
 """Labeled directed graphs: wedges of loops, folding, trimming.
 
-A graph here is a plain pair (nv, edges): vertices are 0..nv-1, vertex 0 is
+A raw graph is a plain pair (nv, edges): vertices are 0..nv-1, vertex 0 is
 the basepoint, edges are (src, label, tgt) with labels in 1..rank, and every
 traversal may read an edge forward (letter +label) or backward (letter
--label).  Canonical renumbering is `StallingsGraph.canonical`.
+-label).  A folded graph is a list of dart maps, one {±label: target} dict
+per vertex, the form `StallingsGraph` is built from.  Canonical renumbering
+is `stallings._canonical`.
 
 Folding identifies vertices until no vertex has two equally-labeled outgoing
 or two equally-labeled incoming edges; the result is the unique folded
@@ -64,14 +66,16 @@ def wedge(loops: Iterable[tuple[int, ...]]) -> tuple[int, list[tuple[int, int, i
 
 def fold(nv: int, edges: Iterable[tuple[int, int, int]],
          decorations: Iterable[tuple[int, ...]] | None = None):
-    """Fold the graph; returns (new_nv, new_edges, new_decorations).
+    """Fold the graph; returns (new_nv, darts, dart_decorations).
 
     New vertex ids are compact and keep vertex 0, the basepoint, at 0;
-    new_edges is sorted and duplicate-free.  `decorations`, if given, holds
-    one reduced letter tuple per edge; new_decorations holds the folded
-    decoration of each of new_edges (all empty without decorations).  Raises
-    NotABasisError when two edges become parallel with different
-    decorations: the decorations then satisfy a relation.
+    darts[x] is the dart map {±label: target} of new vertex x, in the order
+    its darts were attached.  `decorations`, if given, holds one reduced
+    letter tuple per edge; dart_decorations[x] then maps each of x's darts to
+    its folded decoration (a dart read backward has the inverse one), and is
+    None without decorations.  Raises NotABasisError when two edges become
+    parallel with different decorations: the decorations then satisfy a
+    relation.
     """
     decorated = decorations is not None
     darts: list[dict[int, int] | None] = [{} for _ in range(nv)]
@@ -145,46 +149,28 @@ def fold(nv: int, edges: Iterable[tuple[int, int, int]],
                 attach(z, k, t, d)
 
     number = {x: i for i, x in enumerate(x for x in range(nv) if alias[x] == x)}
-    folded = {(number[x], k, number[t]): dart_decs[x, k] if decorated else ()
-              for x in number for k, t in darts[x].items() if k > 0}
-    new_edges = sorted(folded)
-    return len(number), new_edges, [folded[e] for e in new_edges]
+    folded = [{k: number[t] for k, t in darts[x].items()} for x in number]
+    return len(number), folded, ([{k: dart_decs[x, k] for k in darts[x]} for x in number]
+                                 if decorated else None)
 
 
-def trim(nv: int, edges: list[tuple[int, int, int]], protect: int | None):
-    """Repeatedly delete valence-<=1 vertices (never `protect`).
+def trim(darts: list[dict[int, int] | None], protect: int | None) -> None:
+    """Repeatedly delete valence-<=1 vertices (never `protect`), in place.
 
-    Returns (kept_vertex_set, kept_edges).  With protect=None the result is the
-    maximal subgraph with all valences >= 2 (possibly empty).  Deleting a
-    vertex never raises another's valence, so the result does not depend on
-    the deletion order; a worklist of vertices whose valence has dropped to
-    <= 1 peels them in time linear in the graph.
+    `darts` holds one dart map per vertex, as `fold` returns them, so a
+    vertex's valence is the size of its map (a loop counts twice).  A deleted
+    vertex's map becomes None and its darts leave its neighbours' maps.  With
+    protect=None what is left is the maximal subgraph with all valences >= 2
+    (possibly empty).  Deleting a vertex never raises another's valence, so
+    the result does not depend on the deletion order; a worklist of vertices
+    whose valence has dropped to <= 1 peels them in time linear in the graph.
     """
-    edge_list = sorted(set(edges))
-    degree = [0] * nv
-    incident: list[list[int]] = [[] for _ in range(nv)]
-    for i, (u, _, v) in enumerate(edge_list):
-        degree[u] += 1
-        degree[v] += 1
-        incident[u].append(i)
-        incident[v].append(i)
-    alive = [True] * nv
-    live_edge = [True] * len(edge_list)
-    doomed = [v for v in range(nv) if degree[v] <= 1 and v != protect]
+    doomed = [v for v, here in enumerate(darts) if len(here) <= 1 and v != protect]
     while doomed:
         x = doomed.pop()
-        if not alive[x]:
-            continue
-        alive[x] = False
-        for i in incident[x]:
-            if not live_edge[i]:
-                continue
-            live_edge[i] = False
-            u, _, v = edge_list[i]
-            y = v if u == x else u
-            if alive[y]:
-                degree[y] -= 1
-                if degree[y] == 1 and y != protect:
-                    doomed.append(y)
-    return ({v for v in range(nv) if alive[v]},
-            [e for i, e in enumerate(edge_list) if live_edge[i]])
+        gone, darts[x] = darts[x], None
+        for k, y in gone.items():
+            there = darts[y]
+            del there[-k]
+            if len(there) == 1 and y != protect:
+                doomed.append(y)

@@ -427,8 +427,8 @@ def grow_forest(system: SoISystem, start: MultiInterval, steps: int) -> list[dic
         if step == steps:
             break
         grown = support
-        for g in system.generators:
-            for iso in (g, g.inverse()):
+        for i in range(1, len(system.generators) + 1):
+            for iso in (system.letter_map(i), system.letter_map(-i)):
                 grown = grown.union(
                     support.intersect(iso.dom).shifted_image(iso.orient, iso.offset))
         support = grown

@@ -242,8 +242,9 @@ class CoverCore:
         self.subgroup = subgroup
 
         nv, edges = folding.wedge(graph.word_to_loop(b) for b in basis_of(subgroup))
-        p_vertices, p_edges, _ = folding.fold(nv, edges)
-        self.p = p = StallingsGraph(len(graph.edges), p_vertices, p_edges)
+        _, darts, _ = folding.fold(nv, edges)
+        self.p = p = StallingsGraph(len(graph.edges), [
+            {d: here[d] for d in sorted(here, key=lambda d: (abs(d), d < 0))} for here in darts])
 
         image: dict[int, int] = {}
         for u, l, v in p.edges:
@@ -258,12 +259,12 @@ class CoverCore:
             raise RuntimeError("some cover vertex has no image in the graph")
         self.vertex_image = image
 
-        alive, core_edge_list = folding.trim(p.nv, p.edges, protect=None)
-        core_edges = frozenset(core_edge_list)
-        if not core_edges:
+        folding.trim(darts, protect=None)
+        core_vertices = frozenset(x for x, here in enumerate(darts) if here is not None)
+        if not core_vertices:
             raise RuntimeError("a nontrivial subgroup always has a nonempty core")
-        core_vertices = frozenset(
-            {u for u, _, _ in core_edges} | {v for _, _, v in core_edges})
+        core_edges = frozenset((x, d, y) for x in core_vertices
+                               for d, y in darts[x].items() if d > 0)
         self.core_edges = core_edges
         self.core_vertices = core_vertices
         if len(core_edges) - len(core_vertices) + 1 != rank_of(subgroup):
@@ -271,16 +272,14 @@ class CoverCore:
 
         # T_H as P sees it: per core vertex, the core darts leaving
         # it as (dart, marking letters, target vertex, target core vertex).
-        # Trimming deletes only edges at deleted vertices, so a P-edge lies
+        # Trimming deletes only darts into deleted vertices, so a P-dart lies
         # in the core iff both its ends do.
-        self.core_darts = {x: [] for x in core_vertices}
-        for x, darts in self.core_darts.items():
-            for d, y in p.darts_at(x).items():
-                if y in core_vertices:
-                    darts.append((d, graph.dart_marking_letters(d), graph.dart_target(d), y))
+        self.core_darts = {
+            x: [(d, graph.dart_marking_letters(d), graph.dart_target(d), y)
+                for d, y in p.darts_at(x).items() if y in core_vertices]
+            for x in core_vertices}
         self.is_covering = all(
-            {d for d, *_ in darts} == set(graph.darts_at(image[x]))
-            for x, darts in self.core_darts.items())
+            darts[x].keys() == graph.darts_at(image[x]).keys() for x in core_vertices)
         if self.is_covering:
             if len(core_vertices) % graph.nv:
                 raise RuntimeError("covering core has a vertex count not divisible by the graph's")

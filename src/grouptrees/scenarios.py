@@ -58,9 +58,9 @@ class Arg(NamedTuple):
     must be nonnegative.
 
     The rest is the command-line surface, whose parsed value is stored under
-    `key`: `flag` (by default ``--`` and the key with "-" for "_"), `help`
-    and `metavar`; the flag of a ``FILE`` argument names a JSON file holding
-    the document.
+    `key`: `flag` (by default ``--`` and the key with "-" for "_") and
+    `help`.  The flag of an argument whose kind is one of `DOCUMENTS` takes a
+    ``FILE``, which names a JSON file holding the document.
     """
 
     key: str
@@ -70,7 +70,6 @@ class Arg(NamedTuple):
     either: str | None = None
     flag: str | None = None
     help: str | None = None
-    metavar: str | None = None
     kind: str | None = None
 
 
@@ -87,11 +86,7 @@ class Op(NamedTuple):
 
 def _document_in(kind: str, help: str | None = None) -> Arg:
     """The `--in FILE` document of a subcommand."""
-    return Arg(kind, flag="--in", metavar="FILE", kind=kind, help=help)
-
-
-def _document(key: str, kind: str, flag: str | None = None) -> Arg:
-    return Arg(key, flag=flag, metavar="FILE", kind=kind)
+    return Arg(kind, flag="--in", kind=kind, help=help)
 
 
 # Budgets several operations declare: one spec each, so a flag has the same
@@ -109,7 +104,7 @@ MAX_TRANSLATE = Arg("max_translate", 2, integer=True, budget=True,
 
 _WORD = Arg("word", kind="word")
 _POINT = Arg("point", kind="scalar")
-_SUBGROUP = _document("subgroup", "subgroup", "--sub")
+_SUBGROUP = Arg("subgroup", flag="--sub", kind="subgroup")
 
 
 def _word(value, key: str, rank: int) -> Word:
@@ -144,7 +139,7 @@ KINDS = {
 }
 
 # The kinds given as JSON objects, and those of them that carry a rank.
-_DOCUMENTS = ("subgroup", "graph", "system", "measure", "leaf")
+DOCUMENTS = ("subgroup", "graph", "system", "measure", "leaf")
 _RANKED = ("subgroup", "graph")
 
 
@@ -173,7 +168,7 @@ def _bind(spec: Op, args: dict) -> dict:
         value = bound[arg.key]
         if arg.kind is None or value is None:
             continue
-        if arg.kind in _DOCUMENTS and not isinstance(value, dict):
+        if arg.kind in DOCUMENTS and not isinstance(value, dict):
             raise ParseError(f"argument '{arg.key}' must be a JSON object")
         value = bound[arg.key] = KINDS[arg.kind](value, arg.key, rank)
         if arg.kind in _RANKED and rank is None:
@@ -388,7 +383,7 @@ OPERATIONS = {
                           (_document_in("subgroup"),)),
     "stallings.meet": Op(op_stallings_meet, "intersection of two subgroups",
                          (_document_in("subgroup"),
-                          _document("other", "subgroup"))),
+                          Arg("other", kind="subgroup"))),
     "stallings.conj": Op(op_stallings_conj, "conjugate the subgroup by a word",
                          (_document_in("subgroup"), _WORD)),
     "stallings.hall": Op(op_stallings_hall,
@@ -461,11 +456,11 @@ OPERATIONS = {
     "measure.check": Op(op_measure_check,
                         "invariance of a measure under a system",
                         (_document_in("system", "system document"),
-                         _document("measure", "measure"))),
+                         Arg("measure", kind="measure"))),
     "measure.combine": Op(op_measure_combine,
                           "non-negative combination of two measures",
-                          (_document("measure", "measure"),
-                           _document("other", "measure"),
+                          (Arg("measure", kind="measure"),
+                           Arg("other", kind="measure"),
                            Arg("c1", "1", kind="scalar",
                                help="coefficient for the first "
                                     "measure (default 1)"),
@@ -476,7 +471,7 @@ OPERATIONS = {
                       (_document_in("subgroup", "subgroup document"),
                        Arg("word", None, either="leaf", kind="word",
                            help="build the leaf of this word's axis"),
-                       Arg("leaf", None, metavar="FILE", kind="leaf",
+                       Arg("leaf", None, kind="leaf",
                            help="leaf document with two rays"))),
     "lam.scan": Op(op_lam_scan,
                    "scan short leaves for carriers up to translates",

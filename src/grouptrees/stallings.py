@@ -22,32 +22,26 @@ from . import folding
 
 
 class StallingsGraph:
-    """Folded labeled graph with basepoint 0.
+    """Folded labeled graph with basepoint 0, built from one dart map per vertex.
 
-    A subgroup's core graph (from `build_core`) is kept in canonical form, so
-    equality and hashing, which are structural, hold iff two core graphs
-    represent the same subgroup.
+    darts[v] is {±label: target}: +l follows v's outgoing l-edge and -l its
+    incoming one backward; `edges` lists the (u, l, v) edges, sorted.  A
+    subgroup's core graph (from `build_core`) is kept in canonical form, its
+    maps in letter order (1, -1, 2, -2, ...), so equality and hashing, which
+    are structural, hold iff two core graphs represent the same subgroup.
     """
 
     __slots__ = ("rank", "nv", "edges", "_darts")
 
-    def __init__(self, rank: int, nv: int, edges):
+    def __init__(self, rank: int, darts: list[dict[int, int]]):
+        for u, here in enumerate(darts):
+            for l, v in here.items():
+                if darts[v].get(-l) != u:
+                    raise RuntimeError(f"dart {l} from {u} to {v} has no reverse")
         self.rank = rank
-        self.nv = nv
-        self.edges = tuple(sorted(edges))
-        # one dart map {±label: target} per vertex, in canonical letter order
-        # (1, -1, 2, -2, ...): one sort of (vertex, letter key, letter, target)
-        ends = [(u, 2 * l, l, v) for u, l, v in self.edges]
-        ends += [(v, 2 * l + 1, -l, u) for u, l, v in self.edges]
-        ends.sort()
-        darts: list[dict[int, int]] = [{} for _ in range(nv)]
-        clashes = []
-        for v, _, d, w in ends:
-            if d in darts[v]:
-                clashes.append((v, d, w) if d > 0 else (w, -d, v))
-            darts[v][d] = w
-        if clashes:  # the least one is the first to clash in edge order
-            raise RuntimeError(f"not folded at edge {min(clashes)}")
+        self.nv = len(darts)
+        self.edges = tuple(sorted((u, l, v) for u, here in enumerate(darts)
+                                  for l, v in here.items() if l > 0))
         self._darts = darts
 
     base = 0  # the basepoint of every graph
@@ -57,33 +51,9 @@ class StallingsGraph:
     @staticmethod
     def _from_raw(nv: int, edges, rank: int) -> "StallingsGraph":
         """Fold, core-trim (keeping the basepoint), and canonicalize."""
-        nv, edges, _ = folding.fold(nv, edges)
-        alive, edges = folding.trim(nv, edges, protect=0)
-        # compact surviving vertices (the basepoint stays 0) before renumbering
-        pack = {v: i for i, v in enumerate(sorted(alive))}
-        edges = [(pack[u], l, pack[v]) for u, l, v in edges]
-        return StallingsGraph(rank, len(alive), edges).canonical()[0]
-
-    def canonical(self) -> tuple["StallingsGraph", dict[int, int]]:
-        """Renumber by BFS from the basepoint; returns (graph, vertex_map).
-
-        Requires a connected graph.  Each vertex's neighbours are numbered in
-        `darts_at` order, which makes the numbering, and hence structural
-        equality, canonical; vertex_map sends old vertex ids to new ones.
-        """
-        perm = {0: 0}
-        queue = deque([0])
-        while queue:
-            v = queue.popleft()
-            for w in self._darts[v].values():
-                if w not in perm:
-                    perm[w] = len(perm)
-                    queue.append(w)
-        if len(perm) != self.nv:
-            raise RuntimeError("canonical form requires a connected graph")
-        return (StallingsGraph(self.rank, self.nv,
-                               [(perm[u], l, perm[v]) for u, l, v in self.edges]),
-                perm)
+        _, darts, _ = folding.fold(nv, edges)
+        folding.trim(darts, protect=0)
+        return _canonical(rank, darts)[0]
 
     def __eq__(self, other) -> bool:
         return (
@@ -113,9 +83,31 @@ class StallingsGraph:
         return v
 
     def darts_at(self, v: int) -> dict[int, int]:
-        """The dart map {letter: target} at v, in canonical letter order
-        (1, -1, 2, -2, ...); shared with the graph, so read it only."""
+        """The dart map {letter: target} at v; shared with the graph, so read it only."""
         return self._darts[v]
+
+
+def _canonical(rank: int, darts) -> tuple[StallingsGraph, dict[int, int]]:
+    """Renumber dart maps by BFS from the basepoint; returns (graph, vertex_map).
+
+    Maps that are None are deleted vertices; all others must be reachable.
+    Neighbours are numbered in letter order (1, -1, 2, -2, ...), the order of
+    the new maps, which makes structural equality canonical.
+    """
+    letters = [s * l for l in range(1, rank + 1) for s in (1, -1)]
+    perm = {0: 0}
+    order = [0]
+    renumbered = []
+    for v in order:
+        here = darts[v]
+        for l in letters:
+            if l in here and here[l] not in perm:
+                perm[here[l]] = len(order)
+                order.append(here[l])
+        renumbered.append({l: perm[here[l]] for l in letters if l in here})
+    if len(order) != sum(here is not None for here in darts):
+        raise RuntimeError("canonical form requires a connected graph")
+    return StallingsGraph(rank, renumbered), perm
 
 
 def build_core(generators, rank: int) -> StallingsGraph:
@@ -141,29 +133,25 @@ def rank_of(graph: StallingsGraph) -> int:
 
 
 def fiber_product(g1: StallingsGraph, g2: StallingsGraph) -> StallingsGraph:
-    """Core graph of the intersection of the two subgroups."""
+    """Core graph of the intersection; a product of folded graphs is folded, so only trimmed."""
     if g1.rank != g2.rank:
         raise ValueError("rank mismatch in fiber product")
-    start = (g1.base, g2.base)
-    ids = {start: 0}
-    queue = deque([start])
-    edges = []
-    while queue:
-        state = queue.popleft()
-        v1, v2 = state
+    states = [(g1.base, g2.base)]
+    ids = {states[0]: 0}
+    darts: list[dict[int, int]] = []
+    for v1, v2 in states:
+        here = {}
         for l, w1 in g1.darts_at(v1).items():
             w2 = g2.step(v2, l)
             if w2 is None:
                 continue
-            nxt = (w1, w2)
-            if nxt not in ids:
-                ids[nxt] = len(ids)
-                queue.append(nxt)
-            if l > 0:
-                edges.append((ids[state], l, ids[nxt]))
-            else:
-                edges.append((ids[nxt], -l, ids[state]))
-    return StallingsGraph._from_raw(len(ids), sorted(set(edges)), g1.rank)
+            if (w1, w2) not in ids:
+                ids[w1, w2] = len(states)
+                states.append((w1, w2))
+            here[l] = ids[w1, w2]
+        darts.append(here)
+    folding.trim(darts, protect=0)
+    return _canonical(g1.rank, darts)[0]
 
 
 def spanning_tree_paths(graph: StallingsGraph, inside=frozenset()) -> tuple[dict, list]:
@@ -338,8 +326,7 @@ def hall_completion(graph: StallingsGraph, g: Word | None = None) -> HallWitness
         for u, w in zip(missing_out, missing_in):
             darts[u][l], darts[w][-l] = w, u
 
-    cover, perm = StallingsGraph(
-        n, nv, [(u, l, v) for u in range(nv) for l, v in darts[u].items() if l > 0]).canonical()
+    cover, perm = _canonical(n, darts)
     original = {(perm[u], l, perm[v]) for u, l, v in graph.edges}
     embedding = {v: perm[v] for v in range(graph.nv)}
 

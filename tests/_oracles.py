@@ -23,8 +23,10 @@ union-find of vertex classes with one slot per signed label, carrying
 decorations as gauge words relative to union-find parents, and keeping the
 larger class (the basepoint's class always).  :func:`substitute` applies a
 substitution x_j -> w_j by plain free reduction.  :func:`layered_trim` is the
-trimming loop ``grouptrees.folding.trim`` replaced: it recomputes every
-degree once per peeled layer.
+trimming loop that :func:`edge_list_trim` replaced: it recomputes every
+degree once per peeled layer.  :func:`edge_list_trim` is the worklist trim
+on a sorted edge list that ``grouptrees.folding.trim``, which deletes from
+dart maps in place, replaced.
 
 :func:`filter_conjugacy_classes` is the conjugacy enumerator the necklace
 search in ``grouptrees.core`` replaced: it builds every reduced word, layer
@@ -672,6 +674,42 @@ def substitute(expr: Word, values: list[Word]) -> Word:
         v = values[abs(s) - 1]
         letters = _mul(letters, v.letters if s > 0 else _inv(v.letters))
     return Word(letters, values[0].rank)
+
+
+def edge_list_trim(nv: int, edges: list[tuple[int, int, int]], protect: int | None):
+    """Repeatedly delete valence-<=1 vertices (never `protect`).
+
+    Returns (kept_vertex_set, kept_edges).  A worklist of vertices whose
+    valence has dropped to <= 1 peels them in time linear in the graph.
+    """
+    edge_list = sorted(set(edges))
+    degree = [0] * nv
+    incident: list[list[int]] = [[] for _ in range(nv)]
+    for i, (u, _, v) in enumerate(edge_list):
+        degree[u] += 1
+        degree[v] += 1
+        incident[u].append(i)
+        incident[v].append(i)
+    alive = [True] * nv
+    live_edge = [True] * len(edge_list)
+    doomed = [v for v in range(nv) if degree[v] <= 1 and v != protect]
+    while doomed:
+        x = doomed.pop()
+        if not alive[x]:
+            continue
+        alive[x] = False
+        for i in incident[x]:
+            if not live_edge[i]:
+                continue
+            live_edge[i] = False
+            u, _, v = edge_list[i]
+            y = v if u == x else u
+            if alive[y]:
+                degree[y] -= 1
+                if degree[y] == 1 and y != protect:
+                    doomed.append(y)
+    return ({v for v in range(nv) if alive[v]},
+            [e for i, e in enumerate(edge_list) if live_edge[i]])
 
 
 def layered_trim(nv: int, edges: list[tuple[int, int, int]], protect: int | None):

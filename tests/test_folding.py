@@ -8,8 +8,8 @@ from grouptrees.basis_change import invert_basis
 from grouptrees.core import Word, parse_word
 from grouptrees.errors import NotABasisError
 
-from _oracles import (layered_trim, reduce_letters, substitute, sweep_fold, sweep_invert_basis,
-                      unionfind_fold)
+from _oracles import (edge_list_trim, layered_trim, reduce_letters, substitute, sweep_fold,
+                      sweep_invert_basis, unionfind_fold)
 
 
 def petal_wedge(words):
@@ -99,11 +99,29 @@ def decorations_for(n):
     return st.lists(st.one_of(st.just(()), st.just(()), piece), min_size=n, max_size=n)
 
 
+def edge_form(folded):
+    """(nv, sorted edges, per-edge decorations) of fold's dart maps, the form
+    of ``unionfind_fold``; every dart must come with its reverse, decorated
+    by the inverse."""
+    nv, darts, decs = folded
+    assert len(darts) == nv
+    edges = sorted((u, l, v) for u, here in enumerate(darts) for l, v in here.items() if l > 0)
+    for u, here in enumerate(darts):
+        for l, v in here.items():
+            assert darts[v][-l] == u
+            if decs is not None:
+                assert decs[v][-l] == inverted(decs[u][l])
+    if decs is not None:
+        assert [d.keys() for d in decs] == [here.keys() for here in darts]
+    return nv, edges, [decs[u][l] if decs is not None else () for u, l, _ in edges]
+
+
 def assert_same_fold(nv, edges):
     got = folding.fold(nv, edges)
+    assert got[2] is None
+    got = edge_form(got)
     assert got[:2] == sweep_fold(nv, list(edges))
     assert got == unionfind_fold(nv, edges)
-    assert got[2] == [()] * len(got[1])
 
 
 def inverted(letters):
@@ -134,7 +152,7 @@ def assert_same_decorated_fold(nv, edges, decs):
             folding.fold(nv, edges, decs)
         assert str(got.value) == str(exc)
         return
-    got = folding.fold(nv, edges, decs)
+    got = edge_form(folding.fold(nv, edges, decs))
     assert got[:2] == expected[:2]
     if got[0] == 1:
         assert got[2] == expected[2]
@@ -164,8 +182,8 @@ class TestFoldMatchesSweep:
 
     def test_classes_numbered_by_least_vertex(self):
         # 3 and 1 fold together, then 2 and 0: class of 0 first, then of 1
-        nv, edges, _ = folding.fold(
-            4, [(2, 1, 3), (2, 1, 1), (0, 2, 3), (2, 2, 1)])
+        nv, edges, _ = edge_form(folding.fold(
+            4, [(2, 1, 3), (2, 1, 1), (0, 2, 3), (2, 2, 1)]))
         assert nv == 2
         assert edges == [(0, 1, 1), (0, 2, 1)]
 
@@ -202,22 +220,22 @@ class TestFoldMatchesUnionFind:
 
     def test_smaller_id_survives(self):
         # 2 folds into 1 and 3 into 0; kept largest ids, {1, 2} would come first
-        assert folding.fold(4, [(0, 1, 2), (0, 1, 1), (3, 2, 1), (0, 2, 1)])[:2] \
+        assert edge_form(folding.fold(4, [(0, 1, 2), (0, 1, 1), (3, 2, 1), (0, 2, 1)]))[:2] \
             == (2, [(0, 1, 1), (0, 2, 1)])
 
     def test_reverse_dart_folds(self):
         # two edges into 1 with one label fold their sources, 2 into 0
-        assert folding.fold(3, [(0, 1, 1), (2, 1, 1), (2, 2, 2)])[:2] \
+        assert edge_form(folding.fold(3, [(0, 1, 1), (2, 1, 1), (2, 2, 2)]))[:2] \
             == (2, [(0, 1, 1), (0, 2, 0)])
 
 
 class TestDecoratedFold:
     def test_gauge_preserves_loop_products(self):
         # petals x1 = a*b and x2 = a: the folded rose reads a = x2, b = x2^-1 x1
-        nv, edges, decs = folding.fold(
+        nv, darts, decs = folding.fold(
             2, [(0, 1, 1), (1, 2, 0), (0, 1, 0)], [(1,), (), (2,)])
-        assert (nv, edges) == (1, [(0, 1, 0), (0, 2, 0)])
-        assert decs == [(2,), (-2, 1)]
+        assert (nv, darts) == (1, [{1: 0, -1: 0, 2: 0, -2: 0}])
+        assert decs == [{1: (2,), -1: (-2,), 2: (-2, 1), -2: (-1, 2)}]
 
     def test_parallel_edges_disagree(self):
         with pytest.raises(NotABasisError, match="parallel edges disagree"):
@@ -315,21 +333,36 @@ def hairy_graphs(draw):
     return nv, draw(st.permutations(edges)), protect
 
 
+def assert_same_trim(nv, edges, protect, oracles=(edge_list_trim, layered_trim)):
+    """Trim the folded graph's dart maps in place; the kept vertices and
+    edges are those of the edge-list trims."""
+    nv, darts, _ = folding.fold(nv, edges)
+    _, edges, _ = edge_form((nv, darts, None))
+    if protect is not None:
+        protect %= nv
+    folding.trim(darts, protect)
+    kept = {v for v, here in enumerate(darts) if here is not None}
+    kept_edges = sorted((u, l, v) for u in kept for l, v in darts[u].items() if l > 0)
+    assert all(v in kept for u in kept for v in darts[u].values())
+    for oracle in oracles:
+        assert (kept, kept_edges) == oracle(nv, edges, protect)
+    return kept, kept_edges
+
+
 class TestTrimMatchesLayeredTrim:
     @given(hairy_graphs())
     def test_hairy_graphs(self, case):
-        nv, edges, protect = case
-        assert folding.trim(nv, edges, protect) == layered_trim(nv, edges, protect)
+        assert_same_trim(*case)
 
     @given(raw_graphs(), st.booleans())
     def test_raw_graphs(self, case, protected):
         nv, edges = case
-        protect = 0 if protected else None
-        assert folding.trim(nv, edges, protect) == layered_trim(nv, edges, protect)
+        assert_same_trim(nv, edges, 0 if protected else None)
 
     def test_long_hair_to_a_loop(self):
         nv = 2001
         edges = [(i, 1, i + 1) for i in range(2000)] + [(2000, 2, 2000)]
-        assert folding.trim(nv, edges, None) == ({2000}, [(2000, 2, 2000)])
-        kept, kept_edges = folding.trim(nv, edges, 0)
+        # the layered trim is quadratic in the hair's length
+        assert assert_same_trim(nv, edges, None, [edge_list_trim]) == ({2000}, [(2000, 2, 2000)])
+        kept, kept_edges = assert_same_trim(nv, edges, 0, [edge_list_trim])
         assert kept == set(range(nv)) and kept_edges == sorted(edges)

@@ -113,8 +113,10 @@ class TestInvertBasis:
         real_fold = folding.fold
 
         def misdecorated(nv, edges, decorations=None):
-            nv, edges, decorations = real_fold(nv, edges, decorations)
-            return nv, edges, decorations[::-1]
+            nv, darts, decorations = real_fold(nv, edges, decorations)
+            loops = decorations[0]
+            loops[1], loops[2] = loops[2], loops[1]
+            return nv, darts, decorations
 
         monkeypatch.setattr(folding, "fold", misdecorated)
         with pytest.raises(RuntimeError, match="self-check failed"):
@@ -457,14 +459,17 @@ class TestMinimalSubtree:
         cov = CoverCore(graph, build_core([w], 2))
         assert cov.core_volume == graph.translation_length(w)
 
-    def test_unfolded_domain_graph_is_an_error(self, monkeypatch):
-        def unfolded(nv, edges, decorations=None):
-            edges = list(edges)
-            return nv, edges + edges, [()] * (2 * len(edges))
+    def test_domain_dart_without_reverse_is_an_error(self, monkeypatch):
+        real_fold = folding.fold
+
+        def one_way(nv, edges, decorations=None):
+            nv, darts, decorations = real_fold(nv, edges, decorations)
+            del darts[0][-1]
+            return nv, darts, decorations
 
         graph, sub = rose(1, 1), core("a", "bab")
-        monkeypatch.setattr(folding, "fold", unfolded)
-        with pytest.raises(RuntimeError, match="not folded"):
+        monkeypatch.setattr(folding, "fold", one_way)
+        with pytest.raises(RuntimeError, match="^dart 1 from 0 to 0 has no reverse$"):
             CoverCore(graph, sub)
 
     @given(st.lists(words, min_size=1, max_size=3), st.booleans())

@@ -1,7 +1,6 @@
 """Subgroup graphs: folding, membership, index, meet, conjugation, covers."""
 
 import random
-import re
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -324,15 +323,17 @@ class TestDartMaps:
         assert index(graph) == (graph.nv if all(len(d) == 2 * rank for d in pairs)
                                 else None)
 
-    @pytest.mark.parametrize("edges,named", [
-        ([(2, 1, 0), (0, 1, 1), (1, 1, 1), (0, 1, 2)], (0, 1, 2)),
-        # vertex 0 clashes first, but (1, 2, 4) comes first in edge order
-        ([(1, 1, 0), (2, 1, 0), (1, 2, 3), (1, 2, 4)], (1, 2, 4)),
-        ([(0, 1, 1), (0, 1, 1)], (0, 1, 1)),
-    ])
-    def test_unfolded_graph_names_first_clashing_edge(self, edges, named):
-        with pytest.raises(RuntimeError, match=rf"^not folded at edge {re.escape(str(named))}$"):
-            StallingsGraph(2, 5, edges)
+    @pytest.mark.parametrize("darts,named", [
+        # vertex 1 reads a back to 0, but 0 has no outgoing a
+        ([{}, {-1: 0}], "dart -1 from 1 to 0"),
+        # a second a-edge into 1 would have to share 1's one -1 dart
+        ([{1: 1}, {-1: 0}, {1: 1}], "dart 1 from 2 to 1"),
+        # the reverse dart leads elsewhere
+        ([{2: 1, -2: 2}, {-2: 0, 2: 2}, {2: 0, -2: 0}], "dart 2 from 1 to 2"),
+    ], ids=["missing", "taken", "elsewhere"])
+    def test_dart_without_reverse_is_named(self, darts, named):
+        with pytest.raises(RuntimeError, match=rf"^{named} has no reverse$"):
+            StallingsGraph(2, darts)
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_hall_matches_out_inc_completion(self, seed):
@@ -366,20 +367,26 @@ class TestCanonical:
     @given(relabelled_cores())
     def test_relabelling_is_undone(self, case):
         graph, relabel = case
-        shuffled = StallingsGraph(graph.rank, graph.nv,
-                                  [(relabel[u], l, relabel[v]) for u, l, v in graph.edges])
-        again, vertex_map = shuffled.canonical()
+        shuffled = [None] * graph.nv
+        for v in range(graph.nv):
+            # each map in reverse letter order, which _canonical must undo too
+            shuffled[relabel[v]] = {l: relabel[w]
+                                    for l, w in reversed(graph.darts_at(v).items())}
+        again, vertex_map = stallings._canonical(graph.rank, shuffled)
         assert again == graph
         assert [vertex_map[relabel[v]] for v in range(graph.nv)] == list(range(graph.nv))
+        assert_darts_match_pairs(again)
 
     @given(relabelled_cores())
     def test_canonical_graph_is_a_fixed_point(self, case):
         graph, _ = case
-        assert graph.canonical() == (graph, {v: v for v in range(graph.nv)})
+        darts = [graph.darts_at(v) for v in range(graph.nv)]
+        assert stallings._canonical(graph.rank, darts) == (
+            graph, {v: v for v in range(graph.nv)})
 
     def test_disconnected_graph_is_an_error(self):
         with pytest.raises(RuntimeError, match="connected"):
-            StallingsGraph(1, 2, [(0, 1, 0), (1, 1, 1)]).canonical()
+            stallings._canonical(1, [{1: 0, -1: 0}, {1: 1, -1: 1}])
 
 
 class TestGraphInvariants:
