@@ -47,14 +47,14 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _read_document(path: str, what: str) -> dict:
-    if path == "-":
-        text = sys.stdin.read()
-    else:
-        try:
+    try:
+        if path == "-":   # UTF-8, as a file is, whatever the locale
+            text = sys.stdin.buffer.read().decode("utf-8")
+        else:
             with open(path, "r", encoding="utf-8") as fh:
                 text = fh.read()
-        except OSError as exc:
-            raise ParseError(f"cannot read {what} file {path!r}: {exc}")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError(f"cannot read {what} file {path!r}: {exc}")
     from .documents import load_json
     return load_json(text)
 

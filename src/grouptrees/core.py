@@ -18,11 +18,10 @@ order, enumeration order) are defined in this module and nowhere else.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt, lcm
-from operator import neg
+from operator import attrgetter, neg
 from typing import Iterable, Iterator
 
 from .errors import MixedFieldError, ParseError
@@ -479,27 +478,62 @@ def conjugator_length(seq) -> int:
     return k
 
 
-@dataclass(frozen=True, slots=True)
-class Word:
+class _Frozen:
+    """Base of the immutable value classes, which name their fields in
+    `__slots__` and set them in `__init__` with `object.__setattr__`.
+
+    `==`, `hash` and `repr` are those of a frozen dataclass with these
+    fields: by the tuple of field values, equal only within one class.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        names = cls.__slots__
+        cls._values = staticmethod(attrgetter(*names) if len(names) > 1
+                                   else lambda self: (getattr(self, names[0]),))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values(self) == other._values(other)
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value
+                           in zip(self.__slots__, self._values(self)))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Word(_Frozen):
     """A reduced word over {±1..±n}; the identity is the empty word.
 
     Construction validates reducedness and letter range; use :meth:`make` to
     build from a raw (possibly unreduced) letter sequence.
     """
 
-    letters: tuple[int, ...]
-    rank: int
+    __slots__ = ("letters", "rank")
 
-    def __post_init__(self) -> None:
-        if self.rank > MAX_RANK:
-            raise ValueError(f"rank {self.rank} is above {MAX_RANK}: words are written in a-z")
-        object.__setattr__(self, "letters", tuple(self.letters))
-        for l in self.letters:
-            if not isinstance(l, int) or l == 0 or abs(l) > self.rank:
-                raise ValueError(f"letter {l!r} out of range for rank {self.rank}")
-        for a, b in zip(self.letters, self.letters[1:]):
+    def __init__(self, letters: tuple[int, ...], rank: int) -> None:
+        if rank > MAX_RANK:
+            raise ValueError(f"rank {rank} is above {MAX_RANK}: words are written in a-z")
+        letters = tuple(letters)
+        for l in letters:
+            if not isinstance(l, int) or l == 0 or abs(l) > rank:
+                raise ValueError(f"letter {l!r} out of range for rank {rank}")
+        for a, b in zip(letters, letters[1:]):
             if a == -b:
-                raise ValueError(f"word {self.letters} is not reduced")
+                raise ValueError(f"word {letters} is not reduced")
+        object.__setattr__(self, "letters", letters)
+        object.__setattr__(self, "rank", rank)
 
     @staticmethod
     def make(letters: Iterable[int], rank: int) -> "Word":

@@ -1,5 +1,7 @@
 """JSON document schemas for every CLI object: loaders for all of them, dumpers
 for systems and marked graphs (reports render the rest via `report.to_jsonable`).
+Each loader imports the engine class it builds when it is called, so a
+command loads only the engines of its own documents.
 
 All exact values travel as strings ("1/2", "3/2-1/2*sqrt5"); JSON floats
 are rejected so nothing irrational or rounded sneaks in through the text
@@ -14,12 +16,6 @@ import json
 
 from .core import MAX_RANK, Scalar, field_problem, parse_word
 from .errors import ParseError
-from .intervals import Interval, MultiInterval
-from .isometry_systems import PartialIsometry, SoISystem
-from .laminations import BoundaryRay, RationalLeaf
-from .marked_graphs import MarkedMetricGraph
-from .measures import LengthMeasure
-from .stallings import StallingsGraph, build_core
 
 
 def _fail(msg: str) -> None:
@@ -74,6 +70,7 @@ def _check_field(system_d: int, scalar: Scalar, where: str) -> Scalar:
 
 def load_subgroup(doc: dict) -> StallingsGraph:
     """{"rank": 2, "generators": ["aa", "b", "abA"]} -> core graph."""
+    from .stallings import build_core
     rank = _int_field(doc, "rank", "subgroup")
     if not 1 <= rank <= MAX_RANK:
         _fail(f"subgroup: rank must be between 1 and {MAX_RANK}")
@@ -95,6 +92,7 @@ def load_subgroup(doc: dict) -> StallingsGraph:
 
 def load_marked_graph(doc: dict) -> MarkedMetricGraph:
     """Edges carry explicit ids; the spanning tree and marking refer to them."""
+    from .marked_graphs import MarkedMetricGraph
     rank = _int_field(doc, "rank", "graph")
     if not 1 <= rank <= MAX_RANK:
         _fail(f"graph: rank must be between 1 and {MAX_RANK}")
@@ -180,6 +178,7 @@ def dump_marked_graph(graph: MarkedMetricGraph) -> dict:
 # -------------------------------------------------------- isometry systems
 
 def _interval_pair(value, d: int, where: str) -> Interval:
+    from .intervals import Interval
     if not isinstance(value, list) or len(value) != 2:
         _fail(f"{where}: expected [lo, hi]")
     lo = _check_field(d, scalar_field(value[0], f"{where} lo"), where)
@@ -192,6 +191,8 @@ def _interval_pair(value, d: int, where: str) -> Interval:
 
 def load_system(doc: dict) -> SoISystem:
     """{"D": 5, "forest": [["0","1"]], "generators": [{...}]}."""
+    from .intervals import MultiInterval
+    from .isometry_systems import PartialIsometry, SoISystem
     d = doc.get("D", 1)
     if isinstance(d, bool) or not isinstance(d, int) or d < 1:
         _fail("system: field 'D' must be a positive integer")
@@ -281,6 +282,7 @@ def dump_system(system: SoISystem) -> dict:
 
 def load_multi(value, where: str = "interval set") -> MultiInterval:
     """[["0","1/8"], ...] -> MultiInterval (also accepts a bare pair)."""
+    from .intervals import MultiInterval
     if isinstance(value, str):
         value = parse_json(value, where)
     if (isinstance(value, list) and len(value) == 2
@@ -315,6 +317,8 @@ def load_interval(value, where: str = "interval") -> Interval:
 
 def load_measure(doc: dict) -> LengthMeasure:
     """{"pieces": [{"from": "0", "to": "1/2", "density": "2"}, ...]}."""
+    from .intervals import Interval
+    from .measures import LengthMeasure
     raw = doc.get("pieces")
     if not isinstance(raw, list) or not raw:
         _fail("measure: field 'pieces' must be a non-empty list")
@@ -340,6 +344,7 @@ def load_measure(doc: dict) -> LengthMeasure:
 
 def load_ray(doc: dict, rank: int) -> BoundaryRay:
     """{"prefix": "ba", "period": "a"} -> eventually periodic ray."""
+    from .laminations import BoundaryRay
     if not isinstance(doc, dict):
         _fail("ray: expected an object with 'prefix' and 'period'")
     prefix_text = doc.get("prefix", "")
@@ -357,6 +362,7 @@ def load_ray(doc: dict, rank: int) -> BoundaryRay:
 
 
 def load_leaf(doc: dict, rank: int) -> RationalLeaf:
+    from .laminations import RationalLeaf
     rays = doc.get("rays")
     if not isinstance(rays, list) or len(rays) != 2:
         _fail("leaf: field 'rays' must be a list of two rays")

@@ -8,23 +8,19 @@ components are permitted; measure counts them as zero.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .core import Scalar, ZERO
+from .core import Scalar, ZERO, _Frozen
 from .errors import InvalidSystemError
 
 HALF = Scalar.of("1/2")
 
 
-@dataclass(frozen=True)
-class Interval:
+class Interval(_Frozen):
     """A closed interval [lo, hi], possibly a single point."""
 
-    lo: Scalar
-    hi: Scalar
+    __slots__ = ("lo", "hi")
 
-    def __post_init__(self):
-        lo, hi = Scalar.of(self.lo), Scalar.of(self.hi)
+    def __init__(self, lo: Scalar, hi: Scalar):
+        lo, hi = Scalar.of(lo), Scalar.of(hi)
         if hi < lo:
             raise InvalidSystemError(f"interval endpoints out of order: [{lo}, {hi}]")
         object.__setattr__(self, "lo", lo)
@@ -60,6 +56,9 @@ class Interval:
         if orient > 0:
             return Interval(self.lo + offset, self.hi + offset)
         return Interval(-self.hi + offset, -self.lo + offset)
+
+    def jsonable(self) -> list[str]:
+        return [str(self.lo), str(self.hi)]
 
     def __str__(self):
         return f"[{self.lo}, {self.hi}]"
@@ -132,6 +131,9 @@ class MultiInterval:
 
     def __hash__(self):
         return hash(self.components)
+
+    def jsonable(self) -> list[list[str]]:
+        return [[str(iv.lo), str(iv.hi)] for iv in self.components]
 
     def __str__(self):
         if not self.components:

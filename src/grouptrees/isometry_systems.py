@@ -20,37 +20,33 @@ relation, as does d > m on its own.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
 from math import isqrt
 
-from .core import Scalar, Word, ZERO, _integer_view, _make, _sign, letter_key
+from .core import Scalar, Word, ZERO, _Frozen, _integer_view, _make, _sign, letter_key
 from .errors import (
     InvalidSystemError,
     MissingLabelsError,
     OutOfSupportError,
 )
 from .intervals import Interval, MultiInterval
-from .stallings import StallingsGraph, subgroup_elements
 
 _TWENTIETH = Scalar.of(Fraction(1, 20))
 
 
-@dataclass(frozen=True)
-class PartialIsometry:
+class PartialIsometry(_Frozen):
     """x -> orient*x + offset, defined on the closed interval dom."""
 
-    dom: Interval
-    orient: int
-    offset: Scalar
+    __slots__ = ("dom", "orient", "offset")
 
-    def __post_init__(self):
-        if self.orient not in (1, -1):
+    def __init__(self, dom: Interval, orient: int, offset: Scalar):
+        if orient not in (1, -1):
             raise InvalidSystemError("orientation must be +1 or -1")
-        object.__setattr__(self, "offset", Scalar.of(self.offset))
-        if not isinstance(self.dom, Interval):
-            object.__setattr__(self, "dom", Interval(*self.dom))
+        object.__setattr__(self, "orient", orient)
+        object.__setattr__(self, "offset", Scalar.of(offset))
+        object.__setattr__(self, "dom", dom if isinstance(dom, Interval)
+                           else Interval(*dom))
 
     @property
     def ran(self) -> Interval:
@@ -654,6 +650,7 @@ def subgroup_saturation(system: SoISystem, graph: StallingsGraph,
     current set has positive measure; saturated means a full pass added
     nothing new.
     """
+    from .stallings import subgroup_elements
     letters = _gen_letter_index(system, graph)
     if not system.forest.contains_interval(piece):
         raise OutOfSupportError("the starting interval leaves the support")

@@ -11,11 +11,8 @@ rays by cycle detection.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .core import Word, _letters_text, enumerate_words, word_sort_key
+from .core import Word, _Frozen, _letters_text, enumerate_words, word_sort_key
 from .errors import DegenerateSubgroupError, PreconditionError
-from .marked_graphs import MarkedMetricGraph
 from .stallings import StallingsGraph, index
 
 
@@ -54,8 +51,7 @@ def _ray_text(prefix: tuple[int, ...], period: tuple[int, ...]) -> str:
     return f"{u + '·' if u else ''}({_letters_text(period)})^∞"
 
 
-@dataclass(frozen=True)
-class BoundaryRay:
+class BoundaryRay(_Frozen):
     """The infinite reduced word prefix * period * period * ...
 
     Canonical invariants (enforced on construction):
@@ -68,11 +64,10 @@ class BoundaryRay:
     canonical forms coincide.
     """
 
-    prefix: Word
-    period: Word
+    __slots__ = ("prefix", "period")
 
-    def __post_init__(self):
-        u, v = self.prefix, self.period
+    def __init__(self, prefix: Word, period: Word):
+        u, v = prefix, period
         if not v.letters:
             raise PreconditionError("a boundary ray needs a nonempty period")
         if u.rank != v.rank:
@@ -94,14 +89,13 @@ class BoundaryRay:
         return _ray_text(self.prefix.letters, self.period.letters)
 
 
-@dataclass(frozen=True)
-class RationalLeaf:
+class RationalLeaf(_Frozen):
     """Unordered pair of distinct boundary rays (stored sorted)."""
 
-    rays: tuple[BoundaryRay, BoundaryRay]
+    __slots__ = ("rays",)
 
-    def __post_init__(self):
-        a, b = self.rays
+    def __init__(self, rays: tuple[BoundaryRay, BoundaryRay]):
+        a, b = rays
         if a.rank != b.rank:
             raise PreconditionError("leaf rays must share a rank")
         if a == b:

@@ -76,6 +76,11 @@ class LengthMeasure:
             pts.add(piece.hi)
         return sorted(pts)
 
+    def jsonable(self) -> dict:
+        return {"pieces": [{"from": str(piece.lo), "to": str(piece.hi),
+                            "density": str(density)}
+                           for piece, density in self.pieces]}
+
     def __eq__(self, other):
         return isinstance(other, LengthMeasure) and self.pieces == other.pieces
 

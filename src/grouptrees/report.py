@@ -12,9 +12,6 @@ import json
 from fractions import Fraction
 
 from .core import Scalar, Word
-from .intervals import Interval, MultiInterval
-from .measures import LengthMeasure
-from .stallings import StallingsGraph, basis_of, index
 
 SCHEMA_VERSION = 1
 
@@ -24,7 +21,8 @@ EXIT_BUDGET = 2
 
 
 def to_jsonable(value):
-    """Recursively convert engine values to JSON-serializable structures."""
+    """Recursively convert engine values to JSON-serializable structures; an
+    engine value with a report form of its own gives it by `jsonable()`."""
     if value is None or isinstance(value, (bool, int, str)):
         return value
     if isinstance(value, Scalar):
@@ -33,22 +31,6 @@ def to_jsonable(value):
         return str(Scalar.of(value))
     if isinstance(value, Word):
         return str(value)
-    if isinstance(value, Interval):
-        return [str(value.lo), str(value.hi)]
-    if isinstance(value, MultiInterval):
-        return [[str(iv.lo), str(iv.hi)] for iv in value.components]
-    if isinstance(value, LengthMeasure):
-        return {"pieces": [{"from": str(piece.lo), "to": str(piece.hi),
-                            "density": str(density)}
-                           for piece, density in value.pieces]}
-    if isinstance(value, StallingsGraph):
-        return {
-            "rank": value.rank,
-            "vertices": value.nv,
-            "edges": [[u, l, v] for u, l, v in value.edges],
-            "basis": [str(w) for w in basis_of(value)],
-            "index": index(value),
-        }
     if isinstance(value, dict):
         return {str(k): to_jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple, set, frozenset)):
@@ -56,6 +38,9 @@ def to_jsonable(value):
         if isinstance(value, (set, frozenset)):
             items = sorted(items, key=repr)
         return [to_jsonable(v) for v in items]
+    jsonable = getattr(value, "jsonable", None)
+    if jsonable is not None:
+        return jsonable()
     if hasattr(value, "__dict__") or hasattr(value, "__slots__"):
         raise TypeError(f"no JSON form for {type(value).__name__}")
     return value

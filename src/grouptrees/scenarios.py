@@ -6,6 +6,8 @@ JSON-style argument dict (documents inline, exact values as strings), loads
 it by the operation's spec, and returns ``(result, kind)`` where kind is
 "proven" (exit 0), "budget" (exit 2: a budget-limited outcome is being
 reported) or "failed" (exit 1: an internal consistency check did not hold).
+An operation imports its engine when it runs, so a command loads only the
+engines it uses.
 
 A scenario is a named list of steps; each step names an operation, its
 arguments, and an expected substructure of the result.  Expectations match
@@ -18,22 +20,12 @@ the whole run exit 1.  Runs are deterministic for a fixed seed.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from . import documents as docs
-from .core import Scalar, Word, parse_word
+from .core import Scalar, Word, _Frozen, parse_word
 from .errors import ParseError, PreconditionError
-from .isometry_systems import (ae_support_check, balance_report,
-                               discreteness_report, finite_orbit_families,
-                               grow_forest, indecomposability_search, orbit,
-                               subgroup_constrained_orbit, subgroup_saturation)
-from .laminations import carries, carrier_scan, periodic_leaf
-from .marked_graphs import CoverCore, transverse_family_report
-from .measures import combine, invariance_check
 from .report import to_jsonable
-from .stallings import (basis_of, conjugate, fiber_product, hall_completion,
-                        index, membership, rank_of)
 
 PROVEN = "proven"
 BUDGET = "budget"
@@ -182,31 +174,37 @@ def _bind(spec: Op, args: dict) -> dict:
 # ------------------------------------------------------------- stallings ops
 
 def op_stallings_core(args: dict):
+    from .stallings import rank_of
     graph = args["subgroup"]
     return {"graph": graph, "subgroup_rank": rank_of(graph)}, PROVEN
 
 
 def op_stallings_member(args: dict):
+    from .stallings import membership
     w = args["word"]
     return {"word": w, "member": membership(args["subgroup"], w)}, PROVEN
 
 
 def op_stallings_index(args: dict):
+    from .stallings import index
     graph = args["subgroup"]
     return {"index": index(graph), "vertices": graph.nv}, PROVEN
 
 
 def op_stallings_meet(args: dict):
+    from .stallings import fiber_product, rank_of
     meet = fiber_product(args["subgroup"], args["other"])
     return {"graph": meet, "subgroup_rank": rank_of(meet)}, PROVEN
 
 
 def op_stallings_conj(args: dict):
+    from .stallings import conjugate
     g = args["word"]
     return {"graph": conjugate(args["subgroup"], g), "conjugator": g}, PROVEN
 
 
 def op_stallings_hall(args: dict):
+    from .stallings import hall_completion
     witness = hall_completion(args["subgroup"], args["word"])
     checks = witness.verify()
     return {
@@ -221,6 +219,7 @@ def op_stallings_hall(args: dict):
 
 def op_stallings_hall_random_batch(args: dict):
     from .corpus import random_hall_instances
+    from .stallings import basis_of, hall_completion
     count, seed = args["count"], args["seed"]
     failures = []
     for i, (graph, g, rank) in enumerate(random_hall_instances(seed, count)):
@@ -250,6 +249,7 @@ def op_cvn_vol(args: dict):
 
 
 def op_cvn_minsub(args: dict):
+    from .marked_graphs import CoverCore
     return CoverCore(args["graph"], args["subgroup"]).core_summary(), PROVEN
 
 
@@ -261,6 +261,7 @@ def op_cvn_omega(args: dict):
 
 
 def op_cvn_transverse(args: dict):
+    from .marked_graphs import transverse_family_report
     rep = transverse_family_report(args["graph"], args["subgroup"],
                                    args["max_word"], args["radius"])
     kind = BUDGET if rep["verdict"] == "transverse-up-to-budget" else PROVEN
@@ -277,16 +278,19 @@ def _orbit_result(args: dict, found: tuple):
 
 
 def op_soi_orbit(args: dict):
+    from .isometry_systems import orbit
     return _orbit_result(args, orbit(args["system"], args["point"],
                                      args["budget"]))
 
 
 def op_soi_families(args: dict):
+    from .isometry_systems import finite_orbit_families
     rep = finite_orbit_families(args["system"], args["budget"])
     return rep, (PROVEN if rep["status"] == "complete" else BUDGET)
 
 
 def op_soi_glp(args: dict):
+    from .isometry_systems import balance_report
     rep = balance_report(args["system"], args["max_word"], args["budget"])
     kind = PROVEN if rep["verdict"] in ("identity-verified",
                                         "dependent-certified") else BUDGET
@@ -294,6 +298,7 @@ def op_soi_glp(args: dict):
 
 
 def op_soi_grow(args: dict):
+    from .isometry_systems import grow_forest
     steps = args["steps"]
     stages = grow_forest(args["system"], args["start"], steps)
     non_increasing = all(b["residual"] <= a["residual"]
@@ -308,12 +313,14 @@ def op_soi_grow(args: dict):
 
 
 def op_soi_cover(args: dict):
+    from .isometry_systems import ae_support_check
     rep = ae_support_check(args["system"], args["seed_set"], args["target"],
                            args["delta"], args["max_word"])
     return rep, (PROVEN if rep["status"] == "covered" else BUDGET)
 
 
 def op_soi_indecomp(args: dict):
+    from .isometry_systems import indecomposability_search
     rep = indecomposability_search(args["system"], args["piece"],
                                    args["target"], args["chain_max"],
                                    args["max_word"])
@@ -321,17 +328,20 @@ def op_soi_indecomp(args: dict):
 
 
 def op_soi_sub_orbit(args: dict):
+    from .isometry_systems import subgroup_constrained_orbit
     return _orbit_result(args, subgroup_constrained_orbit(
         args["system"], args["subgroup"], args["point"], args["budget"]))
 
 
 def op_soi_saturate(args: dict):
+    from .isometry_systems import subgroup_saturation
     rep = subgroup_saturation(args["system"], args["subgroup"], args["piece"],
                               args["max_word"], args["steps"])
     return rep, (PROVEN if rep["saturated"] else BUDGET)
 
 
 def op_soi_discrete(args: dict):
+    from .isometry_systems import discreteness_report
     rep = discreteness_report(args["system"], args["subgroup"],
                               args["samples"], args["budget"])
     all_closed = all(row["status"] == "closed" for row in rep["samples"])
@@ -341,6 +351,7 @@ def op_soi_discrete(args: dict):
 # --------------------------------------------------------------- measure ops
 
 def op_measure_check(args: dict):
+    from .measures import invariance_check
     mu = args["measure"]
     rep = invariance_check(args["system"], mu)
     rep["total"] = mu.total
@@ -348,6 +359,7 @@ def op_measure_check(args: dict):
 
 
 def op_measure_combine(args: dict):
+    from .measures import combine
     out = combine(args["c1"], args["measure"], args["c2"], args["other"])
     return {"measure": out, "total": out.total}, PROVEN
 
@@ -355,6 +367,8 @@ def op_measure_combine(args: dict):
 # ------------------------------------------------------------------- lam ops
 
 def op_lam_carries(args: dict):
+    from .laminations import carries, periodic_leaf
+    from .stallings import index
     subgroup, leaf = args["subgroup"], args["leaf"]
     if leaf is None:
         leaf = periodic_leaf(args["word"])
@@ -363,6 +377,7 @@ def op_lam_carries(args: dict):
 
 
 def op_lam_scan(args: dict):
+    from .laminations import carrier_scan
     rep = carrier_scan(args["graph"], args["subgroup"], args["epsilon"],
                        args["max_word"], args["max_translate"])
     kind = PROVEN if rep["status"] == "carried-leaves-found" else BUDGET
@@ -532,12 +547,13 @@ def _show(value) -> str:
 
 # ------------------------------------------------------------------ scenarios
 
-@dataclass(frozen=True)
-class Scenario:
-    name: str
-    description: str
-    steps: tuple = ()
-    seed: int | None = None
+class Scenario(_Frozen):
+    __slots__ = ("name", "description", "steps", "seed")
+
+    def __init__(self, name: str, description: str, steps: tuple = (),
+                 seed: int | None = None):
+        for key, value in zip(self.__slots__, (name, description, steps, seed)):
+            object.__setattr__(self, key, value)
 
 
 def scenario_from_doc(doc: dict) -> Scenario:
@@ -648,6 +664,7 @@ def _grow_steps() -> list[dict]:
 
 def _main_theorem_steps() -> list[dict]:
     from .corpus import golden_system, index_two_cover_graph
+    from .stallings import basis_of
     system_doc = docs.dump_system(golden_system())
     cover_basis = [str(w) for w in basis_of(index_two_cover_graph())]
     rows = [
@@ -673,6 +690,7 @@ def _main_theorem_steps() -> list[dict]:
 
 def _carrier_steps() -> list[dict]:
     from .corpus import index_two_cover_graph, lopsided_rose
+    from .stallings import basis_of
     graph_doc = docs.dump_marked_graph(lopsided_rose())
     cover_basis = [str(w) for w in basis_of(index_two_cover_graph())]
     common = {"graph": graph_doc, "epsilon": "1/2",

@@ -14,9 +14,8 @@ subgroup avoiding any designated outside element.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 
-from .core import Word, inverse, product
+from .core import Word, _Frozen, inverse, product
 from .errors import PreconditionError
 from . import folding
 
@@ -68,6 +67,11 @@ class StallingsGraph:
 
     def __repr__(self) -> str:
         return f"StallingsGraph(rank={self.rank}, vertices={self.nv}, edges={len(self.edges)})"
+
+    def jsonable(self) -> dict:
+        return {"rank": self.rank, "vertices": self.nv,
+                "edges": [[u, l, v] for u, l, v in self.edges],
+                "basis": [str(w) for w in basis_of(self)], "index": index(self)}
 
     # -- path tracing -----------------------------------------------------------
 
@@ -239,8 +243,7 @@ def subgroup_elements(graph: StallingsGraph, max_len: int) -> list[Word]:
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class HallWitness:
+class HallWitness(_Frozen):
     """A finite cover certifying that H is a free factor of a finite-index
     subgroup F' = <h_basis> * <complement_basis> with the designated element
     excluded from F'.
@@ -254,12 +257,15 @@ class HallWitness:
       excluded: the word kept outside F', or None.
     """
 
-    subgroup: StallingsGraph
-    cover: StallingsGraph
-    embedding: dict[int, int]
-    h_basis: tuple[Word, ...]
-    complement_basis: tuple[Word, ...]
-    excluded: Word | None = None
+    __slots__ = ("subgroup", "cover", "embedding", "h_basis",
+                 "complement_basis", "excluded")
+
+    def __init__(self, subgroup: StallingsGraph, cover: StallingsGraph,
+                 embedding: dict[int, int], h_basis: tuple[Word, ...],
+                 complement_basis: tuple[Word, ...], excluded: Word | None = None):
+        for name, value in zip(self.__slots__, (subgroup, cover, embedding, h_basis,
+                                                complement_basis, excluded)):
+            object.__setattr__(self, name, value)
 
     @property
     def cover_index(self) -> int:
