@@ -75,6 +75,16 @@ its translate loop worked on letter tuples: it builds a ``Word``, two
 ``BoundaryRay`` canonicalised with before that loop became a function on
 letter tuples.
 
+:class:`DataclassWord`, :class:`DataclassInterval`,
+:class:`DataclassPartialIsometry`, :class:`DataclassBoundaryRay`,
+:class:`DataclassRationalLeaf`, :class:`DataclassScenario` and
+:class:`DataclassHallWitness` are the frozen dataclasses that the engine's
+value classes were before they became plain ``__slots__`` classes: the
+same fields, defaults and ``__post_init__`` validation, with the dataclass
+machinery's ``==``, ``hash`` and ``repr``.  Their fields hold the engine's
+own values (a ``Scalar``, a ``Word``, an ``Interval``), so old and new can
+be compared directly.
+
 :func:`out_inc_darts`, :func:`pair_hall_completion`,
 :func:`probe_fiber_product` and :func:`adjacency_letter_loops` read graphs
 the way the engine did before ``StallingsGraph`` and ``MarkedMetricGraph``
@@ -97,9 +107,12 @@ from typing import Iterable, Iterator
 from grouptrees.basis_change import invert_basis
 from grouptrees.core import (Scalar, Word, enumerate_words, inverse, letter_key, product,
                              word_sort_key)
-from grouptrees.errors import InvalidSystemError, MixedFieldError, NotABasisError, ParseError
+from grouptrees.core import MAX_RANK, _letters_text
+from grouptrees.errors import (InvalidSystemError, MixedFieldError, NotABasisError, ParseError,
+                               PreconditionError)
+from grouptrees.intervals import Interval
 from grouptrees.laminations import (_SIMPLICIAL_NOTE, BoundaryRay, RationalLeaf,
-                                    carries, periodic_leaf)
+                                    _canonical_ray, _primitive_root, carries, periodic_leaf)
 from grouptrees.marked_graphs import CoverCore
 from grouptrees.stallings import StallingsGraph, index, membership
 
@@ -1532,3 +1545,104 @@ def adjacency_letter_loops(rank, nv, edges, tree, marking, base=0) -> dict:
         loop = _mul(*(nt_loops[x] for x in expr.letters))
         loops[a], loops[-a] = loop, _inv(loop)
     return loops
+
+
+# -- the frozen dataclasses of the value classes --------------------------------
+
+
+@dataclass(frozen=True, slots=True)
+class DataclassWord:
+    letters: tuple[int, ...]
+    rank: int
+
+    def __post_init__(self) -> None:
+        if self.rank > MAX_RANK:
+            raise ValueError(f"rank {self.rank} is above {MAX_RANK}: words are written in a-z")
+        object.__setattr__(self, "letters", tuple(self.letters))
+        for l in self.letters:
+            if not isinstance(l, int) or l == 0 or abs(l) > self.rank:
+                raise ValueError(f"letter {l!r} out of range for rank {self.rank}")
+        for a, b in zip(self.letters, self.letters[1:]):
+            if a == -b:
+                raise ValueError(f"word {self.letters} is not reduced")
+
+    def __repr__(self) -> str:
+        return f"Word({_letters_text(self.letters)!r}, rank={self.rank})"
+
+
+@dataclass(frozen=True)
+class DataclassInterval:
+    lo: Scalar
+    hi: Scalar
+
+    def __post_init__(self):
+        lo, hi = Scalar.of(self.lo), Scalar.of(self.hi)
+        if hi < lo:
+            raise InvalidSystemError(f"interval endpoints out of order: [{lo}, {hi}]")
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
+
+
+@dataclass(frozen=True)
+class DataclassPartialIsometry:
+    dom: Interval
+    orient: int
+    offset: Scalar
+
+    def __post_init__(self):
+        if self.orient not in (1, -1):
+            raise InvalidSystemError("orientation must be +1 or -1")
+        object.__setattr__(self, "offset", Scalar.of(self.offset))
+        if not isinstance(self.dom, Interval):
+            object.__setattr__(self, "dom", Interval(*self.dom))
+
+
+@dataclass(frozen=True)
+class DataclassBoundaryRay:
+    prefix: Word
+    period: Word
+
+    def __post_init__(self):
+        u, v = self.prefix, self.period
+        if not v.letters:
+            raise PreconditionError("a boundary ray needs a nonempty period")
+        if u.rank != v.rank:
+            raise PreconditionError("prefix and period rank mismatch")
+        if not v.is_cyclically_reduced():
+            raise PreconditionError(f"period {v} is not cyclically reduced")
+        prefix, period = _canonical_ray(u.letters, _primitive_root(v.letters))
+        object.__setattr__(self, "prefix", Word(prefix, u.rank))
+        object.__setattr__(self, "period", Word(period, v.rank))
+
+
+@dataclass(frozen=True)
+class DataclassRationalLeaf:
+    rays: tuple[BoundaryRay, BoundaryRay]
+
+    def __post_init__(self):
+        a, b = self.rays
+        if a.rank != b.rank:
+            raise PreconditionError("leaf rays must share a rank")
+        if a == b:
+            raise PreconditionError("a leaf needs two distinct boundary points")
+        if b.sort_key() < a.sort_key():
+            a, b = b, a
+        object.__setattr__(self, "rays", (a, b))
+
+
+@dataclass(frozen=True)
+class DataclassScenario:
+    name: str
+    description: str
+    steps: tuple = ()
+    seed: int | None = None
+
+
+@dataclass(frozen=True)
+class DataclassHallWitness:
+    subgroup: StallingsGraph
+    cover: StallingsGraph
+    embedding: dict[int, int]
+    h_basis: tuple[Word, ...]
+    complement_basis: tuple[Word, ...]
+    excluded: Word | None = None

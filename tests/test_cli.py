@@ -1,6 +1,8 @@
 """Document round-trips, canonical reports, the op registry, and the CLI."""
 
+import io
 import json
+import sys
 import time
 
 import pytest
@@ -466,6 +468,24 @@ class TestCli:
         code, _, err = run_cli(capsys, "stallings", "index",
                                "--in", "/nonexistent.json")
         assert code == 1 and "cannot read" in err
+
+    @pytest.mark.parametrize("argv, what", [
+        (["stallings", "index", "--in", "FILE"], "subgroup"),
+        (["stallings", "index", "--in", "-"], "subgroup"),
+        (["scenario", "run", "FILE"], "scenario")])
+    def test_non_utf8_document_exits_one(self, capsys, monkeypatch, tmp_path,
+                                         argv, what):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b"\xff{}")
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(
+            io.BytesIO(b"\xff{}"), encoding="latin-1"))
+        argv = [str(path) if a == "FILE" else a for a in argv]
+        name = "-" if "-" in argv else str(path)
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err == (f"error: cannot read {what} file {name!r}: 'utf-8' "
+                       f"codec can't decode byte 0xff in position 0: "
+                       f"invalid start byte\n")
 
     def test_json_mode_byte_stable(self, capsys, subgroup_file):
         _, one, _ = run_cli(capsys, "stallings", "index",

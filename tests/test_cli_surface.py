@@ -16,15 +16,24 @@ choices they name, since argparse's wording varies across Python versions.
 `test_transverse_defaults_end` pins the report of a `cvn transverse` call at
 its default budgets, and its wall time.
 
+`test_startup_imports` runs commands in fresh interpreters and pins which
+grouptrees modules each one loads: a command imports only the engines it
+runs, and none imports `dataclasses`.
+
 Re-record a digest only for a deliberate change of the command line.
 """
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import grouptrees
 from grouptrees import documents as docs
 from grouptrees.cli import build_parser, main
 from grouptrees.corpus import (golden_system, lopsided_rose, theta_graph,
@@ -424,3 +433,57 @@ def test_transverse_defaults_end(capsys, files):
     assert out.startswith('{"budgets":{"max_word":8,"radius":6},')
     assert (code, _sha256(out + "\0" + err)) == (2, DEFAULTS_DIGEST)
     assert elapsed < 10
+
+
+# ----------------------------------------------------------------- start-up
+
+_PROBE = """
+import json, sys
+from grouptrees import cli
+try:
+    cli.main(sys.argv[1:])
+finally:
+    print(json.dumps(sorted(sys.modules)))
+"""
+
+# The engines each command must not load.  A `scenario` command builds the
+# bundled corpus, so it loads every engine.
+_NOT_LOADED = {
+    "stallings index": ("intervals", "isometry_systems", "measures",
+                        "marked_graphs", "laminations", "basis_change",
+                        "corpus"),
+    "soi orbit": ("marked_graphs", "laminations", "basis_change", "corpus"),
+    "cvn len": ("isometry_systems", "intervals", "measures", "laminations",
+                "corpus"),
+    "lam carries": ("intervals", "isometry_systems", "measures",
+                    "marked_graphs", "basis_change", "corpus"),
+    "measure check": ("marked_graphs", "laminations", "basis_change",
+                      "folding", "stallings", "corpus"),
+    "scenario list": (),
+    "--help": ("intervals", "isometry_systems", "measures", "marked_graphs",
+               "laminations", "basis_change", "folding", "stallings",
+               "corpus"),
+}
+
+
+def _loaded_modules(argv: list[str]) -> set[str]:
+    src = str(Path(grouptrees.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", _PROBE, *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    return set(json.loads(proc.stdout.splitlines()[-1]))
+
+
+@pytest.mark.parametrize("command", sorted(_NOT_LOADED))
+def test_startup_imports(files, command):
+    argv = _argv(command, files) if command in CASES else command.split()
+    loaded = _loaded_modules(argv)
+    assert "grouptrees.cli" in loaded and "grouptrees.scenarios" in loaded
+    assert "dataclasses" not in loaded
+    unwanted = {f"grouptrees.{name}" for name in _NOT_LOADED[command]}
+    assert not loaded & unwanted
+    if command == "scenario list":
+        assert {"grouptrees.corpus", "grouptrees.isometry_systems",
+                "grouptrees.marked_graphs"} <= loaded
