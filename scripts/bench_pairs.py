@@ -19,8 +19,13 @@ The output holds, per workload and metric, the values of both sides in pair
 order, their medians and quartiles (`statistics.quantiles`, inclusive), the
 direction that counts as better (from BENCHMARK.json) and the number of
 pairs the change side won; also the host, the Python version, both
-revisions with their commits and `src/` trees, the seeds, the seconds and
-whether every run was correct.  Only the standard library is used.
+revisions with their commits and `src/` trees, the seeds, the seconds, the
+number of completed pairs and whether every run was correct.  The file is
+rewritten after every completed pair from the second on, so an interrupted
+run keeps the pairs it measured.  A run that exits nonzero ends the script with
+exit 1, after it is written to the file as `failed_run` (pair, side,
+workload, seed, exit code and the last lines of its stderr).  Only the
+standard library is used.
 """
 
 from __future__ import annotations
@@ -42,6 +47,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("dynamics", "folding", "census", "cli-cold")
 PAIRS = 10
+STDERR_LINES = 20
 
 
 def git(*args: str) -> bytes:
@@ -58,22 +64,34 @@ def export(rev: str, into: Path) -> dict:
             "src_tree": git("rev-parse", f"{commit}:src").decode().strip()}
 
 
-def run_once(bench: dict, copy: Path, workload: str, seed: int, scratch: Path) -> dict:
+def run_once(bench: dict, copy: Path, workload: str, seed: int,
+             scratch: Path) -> subprocess.CompletedProcess:
     env = dict(os.environ)
     env["PYTHONPYCACHEPREFIX"] = tempfile.mkdtemp(prefix="pycache-", dir=scratch)
     cmd = bench["command"] + ["--workload", workload, "--seed", str(seed),
                               "--seconds", str(bench["run_seconds"]), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=copy, env=env, capture_output=True, text=True)
     shutil.rmtree(env["PYTHONPYCACHEPREFIX"], ignore_errors=True)
-    if proc.returncode != 0:
-        raise SystemExit(f"{' '.join(cmd)} in {copy} exited with {proc.returncode}:\n"
-                         f"{proc.stderr.strip()[-2000:]}")
-    return json.loads(proc.stdout.strip().splitlines()[-1])
+    return proc
 
 
 def summary(values: list[float]) -> dict:
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"median": median, "q1": q1, "q3": q3, "values": values}
+
+
+def workload_rows(values: dict, better: dict, pairs: int) -> dict:
+    """Per workload and metric, both sides' first `pairs` values summarised."""
+    rows: dict[str, dict] = {}
+    if pairs < 2:  # quartiles need two values
+        return rows
+    for (workload, seed, metric), by_side in sorted(values.items()):
+        base, change = by_side["base"][:pairs], by_side["change"][:pairs]
+        sign = 1 if better[metric] == "higher" else -1
+        rows.setdefault(f"{workload}@{seed}", {})[metric] = {
+            "better": better[metric], "base": summary(base), "change": summary(change),
+            "change_wins": sum(sign * (c - b) > 0 for b, c in zip(base, change))}
+    return rows
 
 
 def main() -> int:
@@ -88,45 +106,56 @@ def main() -> int:
 
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in bench["end_to_end"]}
+    # values[(workload, seed, metric)][side] lists one value per pair
+    values: dict[tuple, dict[str, list[float]]] = {}
+    correct = True
+    failed = None
+
+    def write(pairs: int) -> None:
+        doc = {
+            "host": {"node": platform.node(), "machine": platform.machine(),
+                     "system": platform.platform(), "cpus": os.cpu_count()},
+            "python": platform.python_version(),
+            "base": sides["base"], "change": sides["change"],
+            "seeds": args.seeds, "seconds": bench["run_seconds"], "pairs": pairs,
+            "all_correct": correct,
+            "workloads": workload_rows(values, better, pairs),
+        }
+        if failed is not None:
+            doc["failed_run"] = failed
+        args.out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
+
     scratch = Path(tempfile.mkdtemp(prefix="bench-pairs-"))
     try:
         sides = {name: export(rev, scratch / name)
                  for name, rev in (("base", args.base), ("change", args.change))}
-        # values[(workload, seed, metric)][side] lists one value per pair
-        values: dict[tuple, dict[str, list[float]]] = {}
-        correct = True
         for pair in range(PAIRS):
             order = ("base", "change") if pair % 2 == 0 else ("change", "base")
             for workload in args.workloads:
                 for seed in args.seeds:
                     for side in order:
                         started = time.monotonic()
-                        result = run_once(bench, scratch / side, workload, seed, scratch)
+                        proc = run_once(bench, scratch / side, workload, seed, scratch)
+                        print(f"pair {pair + 1}/{PAIRS} {side:6} {workload} seed {seed}: "
+                              f"{time.monotonic() - started:.0f} s, exit {proc.returncode}",
+                              file=sys.stderr)
+                        if proc.returncode != 0:
+                            failed = {"pair": pair + 1, "side": side, "workload": workload,
+                                      "seed": seed, "exit_code": proc.returncode,
+                                      "stderr_tail":
+                                          proc.stderr.splitlines()[-STDERR_LINES:]}
+                            write(pair)
+                            print(proc.stderr.strip()[-2000:], file=sys.stderr)
+                            return 1
+                        result = json.loads(proc.stdout.strip().splitlines()[-1])
                         correct &= result["correct"] is True and result["failed"] == 0
                         for metric, entry in result["metrics"].items():
                             values.setdefault((workload, seed, metric), {}) \
                                 .setdefault(side, []).append(entry["value"])
-                        print(f"pair {pair + 1}/{PAIRS} {side:6} {workload} seed {seed}: "
-                              f"{time.monotonic() - started:.0f} s", file=sys.stderr)
+            if pair >= 1:
+                write(pair + 1)
     finally:
         shutil.rmtree(scratch, ignore_errors=True)
-
-    rows: dict[str, dict] = {}
-    for (workload, seed, metric), by_side in sorted(values.items()):
-        base, change = by_side["base"], by_side["change"]
-        sign = 1 if better[metric] == "higher" else -1
-        rows.setdefault(f"{workload}@{seed}", {})[metric] = {
-            "better": better[metric], "base": summary(base), "change": summary(change),
-            "change_wins": sum(sign * (c - b) > 0 for b, c in zip(base, change))}
-    args.out.write_text(json.dumps({
-        "host": {"node": platform.node(), "machine": platform.machine(),
-                 "system": platform.platform(), "cpus": os.cpu_count()},
-        "python": platform.python_version(),
-        "base": sides["base"], "change": sides["change"],
-        "seeds": args.seeds, "seconds": bench["run_seconds"], "pairs": PAIRS,
-        "all_correct": correct,
-        "workloads": rows,
-    }, indent=1, sort_keys=True) + "\n")
     return 0 if correct else 1
 
 

@@ -419,6 +419,11 @@ def _letters_text(letters: tuple[int, ...]) -> str:
     return "".join(map(_CHAR.__getitem__, letters))
 
 
+def ordered_letters(rank: int) -> list[int]:
+    """The letters of a rank-`rank` free group in canonical letter order."""
+    return [l for a in range(1, rank + 1) for l in (a, -a)]
+
+
 def letter_key(letter: int) -> tuple[int, int]:
     """Canonical letter order: a < a⁻¹ < b < b⁻¹ < ...  (1, -1, 2, -2, ...)."""
     return (abs(letter), 1 if letter < 0 else 0)
@@ -632,7 +637,7 @@ def _class_representatives(rank: int, n: int) -> Iterator[tuple[int, ...]]:
     rotation of the inverse word.
     """
     k = 2 * rank
-    alphabet = [l for a in range(1, rank + 1) for l in (a, -a)]
+    alphabet = ordered_letters(rank)
     w = [0] * n
     last = n - 1
 
@@ -695,7 +700,7 @@ def enumerate_words(rank: int, max_len: int, mode: str = "reduced") -> Iterator[
             for letters in _class_representatives(rank, n):
                 yield Word(letters, rank)
         return
-    alphabet = [l for a in range(1, rank + 1) for l in (a, -a)]
+    alphabet = ordered_letters(rank)
     layer: list[tuple[int, ...]] = [()]
     yield Word((), rank)
     for _ in range(max_len):

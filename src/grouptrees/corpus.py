@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import random
 
-from .core import Scalar, Word, parse_word
+from .core import Scalar, Word, ordered_letters, parse_word
 from .intervals import Interval, MultiInterval
 from .isometry_systems import PartialIsometry, SoISystem
 from .stallings import (StallingsGraph, build_core, hall_completion,
@@ -178,12 +178,13 @@ def theta_graph() -> MarkedMetricGraph:
 
 def random_words(rng: random.Random, rank: int, count: int, max_len: int) -> list[Word]:
     """Nonempty reduced words, deterministically sampled."""
+    alphabet = ordered_letters(rank)
     out = []
     while len(out) < count:
         length = rng.randint(1, max_len)
         letters = []
         while len(letters) < length:
-            l = rng.choice([s * i for i in range(1, rank + 1) for s in (1, -1)])
+            l = rng.choice(alphabet)
             if letters and letters[-1] == -l:
                 continue
             letters.append(l)

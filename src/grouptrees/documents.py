@@ -22,6 +22,15 @@ def _fail(msg: str) -> None:
     raise ParseError(msg)
 
 
+def _checked(where: str, build, *args):
+    """build(*args); any error it raises becomes a one-line ParseError
+    that names `where`, the part of the input being loaded."""
+    try:
+        return build(*args)
+    except Exception as exc:
+        _fail(f"{where}: {exc}")
+
+
 def parse_json(text: str, where: str | None = None):
     """The JSON value of `text`; malformed or over-deep text is a ParseError."""
     prefix = "" if where is None else f"{where}: "
@@ -46,10 +55,7 @@ def scalar_field(value, where: str) -> Scalar:
               f"as a string such as \"1/2\" or \"3/2-1/2*sqrt5\"")
     if isinstance(value, bool) or not isinstance(value, (int, str)):
         _fail(f"{where}: expected an exact value string")
-    try:
-        return Scalar.of(value)
-    except Exception as exc:
-        _fail(f"{where}: {exc}")
+    return _checked(where, Scalar.of, value)
 
 
 def _int_field(doc: dict, key: str, where: str) -> int:
@@ -59,8 +65,9 @@ def _int_field(doc: dict, key: str, where: str) -> int:
     return value
 
 
-def _check_field(system_d: int, scalar: Scalar, where: str) -> Scalar:
-    if scalar.d not in (1, system_d):
+def _check_field(system_d: int | None, scalar: Scalar, where: str) -> Scalar:
+    """`scalar`, if it lies in Q(sqrt system_d); None declares no field."""
+    if system_d is not None and scalar.d not in (1, system_d):
         _fail(f"{where}: value {scalar} uses sqrt{scalar.d} but the "
               f"document declares D={system_d}")
     return scalar
@@ -81,10 +88,7 @@ def load_subgroup(doc: dict) -> StallingsGraph:
     for g in gens:
         if not isinstance(g, str):
             _fail("subgroup: each generator must be a word string")
-        try:
-            words.append(parse_word(g, rank))
-        except Exception as exc:
-            _fail(f"subgroup generator {g!r}: {exc}")
+        words.append(_checked(f"subgroup generator {g!r}", parse_word, g, rank))
     return build_core(words, rank)
 
 
@@ -146,21 +150,15 @@ def load_marked_graph(doc: dict) -> MarkedMetricGraph:
             _fail(f"graph: marking refers to unknown edge id {eid}")
         if not isinstance(text, str):
             _fail(f"graph: marking for edge {eid} must be a word string")
-        try:
-            marking[id_to_index[eid]] = parse_word(text, rank)
-        except Exception as exc:
-            _fail(f"graph marking for edge {eid}: {exc}")
+        marking[id_to_index[eid]] = _checked(
+            f"graph marking for edge {eid}", parse_word, text, rank)
 
     base = doc.get("base", 0)
     if isinstance(base, bool) or not isinstance(base, int):
         _fail("graph: field 'base' must be an integer vertex")
-    try:
-        return MarkedMetricGraph(
-            rank=rank, nv=nv,
-            edges=tuple((u, v, length) for _, u, v, length in rows),
-            tree=frozenset(tree), marking=marking, base=base)
-    except Exception as exc:
-        _fail(f"graph: {exc}")
+    return _checked("graph", MarkedMetricGraph, rank, nv,
+                    tuple((u, v, length) for _, u, v, length in rows),
+                    frozenset(tree), marking, base)
 
 
 def dump_marked_graph(graph: MarkedMetricGraph) -> dict:
@@ -177,16 +175,15 @@ def dump_marked_graph(graph: MarkedMetricGraph) -> dict:
 
 # -------------------------------------------------------- isometry systems
 
-def _interval_pair(value, d: int, where: str) -> Interval:
+def _interval_pair(value, where: str, d: int | None = None) -> Interval:
+    """[lo, hi] -> Interval.  Only a system document declares a field `d`; an
+    inline pair may use any one, and one mixing two fails in Interval."""
     from .intervals import Interval
     if not isinstance(value, list) or len(value) != 2:
         _fail(f"{where}: expected [lo, hi]")
     lo = _check_field(d, scalar_field(value[0], f"{where} lo"), where)
     hi = _check_field(d, scalar_field(value[1], f"{where} hi"), where)
-    try:
-        return Interval(lo, hi)
-    except Exception as exc:
-        _fail(f"{where}: {exc}")
+    return _checked(where, Interval, lo, hi)
 
 
 def load_system(doc: dict) -> SoISystem:
@@ -202,7 +199,7 @@ def load_system(doc: dict) -> SoISystem:
     raw_forest = doc.get("forest")
     if not isinstance(raw_forest, list) or not raw_forest:
         _fail("system: field 'forest' must be a non-empty list of intervals")
-    forest = MultiInterval([_interval_pair(pair, d, f"system forest[{i}]")
+    forest = MultiInterval([_interval_pair(pair, f"system forest[{i}]", d)
                             for i, pair in enumerate(raw_forest)])
     raw_gens = doc.get("generators")
     if not isinstance(raw_gens, list) or not raw_gens:
@@ -214,7 +211,7 @@ def load_system(doc: dict) -> SoISystem:
         where = f"system generator[{i}]"
         if not isinstance(row, dict):
             _fail(f"{where}: expected an object")
-        dom = _interval_pair(row.get("dom"), d, f"{where} dom")
+        dom = _interval_pair(row.get("dom"), f"{where} dom", d)
         orient = row.get("orient", 1)
         if type(orient) is not int or orient not in (1, -1):
             _fail(f"{where}: field 'orient' must be 1 or -1")
@@ -252,10 +249,7 @@ def load_system(doc: dict) -> SoISystem:
         label_tuple = tuple(labels)
     else:
         label_tuple = None
-    try:
-        return SoISystem(forest, gens, labels=label_tuple)
-    except Exception as exc:
-        _fail(f"system: {exc}")
+    return _checked("system", SoISystem, forest, gens, label_tuple)
 
 
 def dump_system(system: SoISystem) -> dict:
@@ -290,19 +284,8 @@ def load_multi(value, where: str = "interval set") -> MultiInterval:
         value = [value]
     if not isinstance(value, list):
         _fail(f"{where}: expected [[lo, hi], ...]")
-    return MultiInterval([_interval_pair(pair, _any_d(pair), f"{where}[{i}]")
+    return MultiInterval([_interval_pair(pair, f"{where}[{i}]")
                           for i, pair in enumerate(value)])
-
-
-def _any_d(pair) -> int:
-    # interval sets on the command line may use any single field; accept all
-    for v in pair:
-        if isinstance(v, str) and "sqrt" in v:
-            try:
-                return Scalar.of(v).d
-            except Exception:
-                return 1
-    return 1
 
 
 def load_interval(value, where: str = "interval") -> Interval:
@@ -310,7 +293,7 @@ def load_interval(value, where: str = "interval") -> Interval:
         value = parse_json(value, where)
     if not isinstance(value, list) or len(value) != 2:
         _fail(f"{where}: expected [lo, hi]")
-    return _interval_pair(value, _any_d(value), where)
+    return _interval_pair(value, where)
 
 
 # ------------------------------------------------------------------ measures
@@ -330,14 +313,8 @@ def load_measure(doc: dict) -> LengthMeasure:
         lo = scalar_field(row.get("from"), f"{where} from")
         hi = scalar_field(row.get("to"), f"{where} to")
         density = scalar_field(row.get("density"), f"{where} density")
-        try:
-            pieces.append((Interval(lo, hi), density))
-        except Exception as exc:
-            _fail(f"{where}: {exc}")
-    try:
-        return LengthMeasure(pieces)
-    except Exception as exc:
-        _fail(f"measure: {exc}")
+        pieces.append((_checked(where, Interval, lo, hi), density))
+    return _checked("measure", LengthMeasure, pieces)
 
 
 # -------------------------------------------------------------- laminations
@@ -353,12 +330,8 @@ def load_ray(doc: dict, rank: int) -> BoundaryRay:
         _fail("ray: field 'period' must be a non-empty word string")
     if not isinstance(prefix_text, str):
         _fail("ray: field 'prefix' must be a word string")
-    try:
-        prefix = parse_word(prefix_text, rank)
-        period = parse_word(period_text, rank)
-        return BoundaryRay(prefix, period)
-    except Exception as exc:
-        _fail(f"ray: {exc}")
+    return _checked("ray", lambda: BoundaryRay(parse_word(prefix_text, rank),
+                                               parse_word(period_text, rank)))
 
 
 def load_leaf(doc: dict, rank: int) -> RationalLeaf:
@@ -366,9 +339,6 @@ def load_leaf(doc: dict, rank: int) -> RationalLeaf:
     rays = doc.get("rays")
     if not isinstance(rays, list) or len(rays) != 2:
         _fail("leaf: field 'rays' must be a list of two rays")
-    try:
-        return RationalLeaf((load_ray(rays[0], rank), load_ray(rays[1], rank)))
-    except ParseError:
-        raise
-    except Exception as exc:
-        _fail(f"leaf: {exc}")
+    # the rays' own ParseErrors leave unwrapped
+    loaded = (load_ray(rays[0], rank), load_ray(rays[1], rank))
+    return _checked("leaf", RationalLeaf, loaded)

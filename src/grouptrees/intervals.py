@@ -64,7 +64,7 @@ class Interval(_Frozen):
         return f"[{self.lo}, {self.hi}]"
 
 
-class MultiInterval:
+class MultiInterval(_Frozen):
     """A finite union of disjoint closed intervals, kept sorted and merged."""
 
     __slots__ = ("components",)
@@ -81,9 +81,6 @@ class MultiInterval:
             else:
                 merged.append(iv)
         object.__setattr__(self, "components", tuple(merged))
-
-    def __setattr__(self, *_):
-        raise AttributeError("MultiInterval is immutable")
 
     @property
     def measure(self) -> Scalar:
@@ -126,12 +123,6 @@ class MultiInterval:
                 out.append(iv.hi)
         return out
 
-    def __eq__(self, other):
-        return isinstance(other, MultiInterval) and self.components == other.components
-
-    def __hash__(self):
-        return hash(self.components)
-
     def jsonable(self) -> list[list[str]]:
         return [[str(iv.lo), str(iv.hi)] for iv in self.components]
 
@@ -139,6 +130,3 @@ class MultiInterval:
         if not self.components:
             return "(empty)"
         return " ∪ ".join(str(iv) for iv in self.components)
-
-    def __repr__(self):
-        return f"MultiInterval({list(self.components)!r})"

@@ -24,7 +24,7 @@ from fractions import Fraction
 from functools import cmp_to_key
 from math import isqrt
 
-from .core import Scalar, Word, ZERO, _Frozen, _integer_view, _make, _sign, letter_key
+from .core import Scalar, Word, ZERO, _Frozen, _integer_view, _make, _sign, ordered_letters
 from .errors import (
     InvalidSystemError,
     MissingLabelsError,
@@ -110,10 +110,7 @@ class SoISystem:
         return self._inverses[-letter - 1]
 
     def signed_letters(self):
-        out = []
-        for i in range(1, len(self.generators) + 1):
-            out.extend((i, -i))
-        return sorted(out, key=letter_key)
+        return ordered_letters(len(self.generators))
 
     def word_str(self, letters) -> str:
         return str(Word(tuple(letters), max(1, len(self.generators))))
@@ -139,11 +136,9 @@ def domain_sum(system: SoISystem) -> Scalar:
 # -- orbits --------------------------------------------------------------------
 
 
-def _in_support(system: SoISystem, x) -> Scalar:
-    x = Scalar.of(x)
+def _in_support(system: SoISystem, x: Scalar) -> None:
     if not system.forest.contains(x):
         raise OutOfSupportError(f"{x} lies outside the support")
-    return x
 
 
 def _layered_search(start, expand, points, budgets) -> dict:
@@ -204,7 +199,7 @@ def orbit(system: SoISystem, x, budget: int):
     the sorted tuple of distinct points collected (at most budget+ a layer's
     worth when truncated, deterministically).
     """
-    x = _in_support(system, x)
+    _in_support(system, x)
     den, d, maps, start = _compile(system, system.signed_letters(), x)
 
     def expand(p):
@@ -398,8 +393,6 @@ def grow_forest(system: SoISystem, start: MultiInterval, steps: int) -> list[dic
     records m, d and the residual m - d.  The residual sequence is provably
     non-increasing; a violation would be an arithmetic bug, hence RuntimeError.
     """
-    if not isinstance(start, MultiInterval):
-        start = MultiInterval(start)
     if not system.forest.contains_multi(start):
         raise OutOfSupportError("the starting multi-interval leaves the support")
     stages = []
@@ -485,8 +478,6 @@ def ae_support_check(system: SoISystem, f_eps: MultiInterval, target: Interval,
     delta = Scalar.of(delta)
     if delta.sign() <= 0:
         raise InvalidSystemError("delta must be positive")
-    if not isinstance(f_eps, MultiInterval):
-        f_eps = MultiInterval(f_eps)
     if not system.forest.contains_interval(target):
         raise OutOfSupportError("target interval leaves the support")
     if not system.forest.contains_multi(f_eps):
@@ -618,7 +609,7 @@ def subgroup_constrained_orbit(system: SoISystem, graph: StallingsGraph, x,
     return.
     """
     letters = _gen_letter_index(system, graph)
-    x = _in_support(system, x)
+    _in_support(system, x)
     signed = [(s * (i + 1), s * l) for i, l in enumerate(letters) for s in (1, -1)]
     den, d, maps, (xa, xb) = _compile(system, [g for g, _ in signed], x)
     moves = [(m, letter) for m, (_, letter) in zip(maps, signed)]
@@ -713,7 +704,7 @@ def discreteness_report(system: SoISystem, graph: StallingsGraph, samples,
         for b in budgets:
             growth[b].append(len(runs[b][1]))
         status, points = runs[budgets[-1]]
-        rows.append({"sample": Scalar.of(x), "status": status,
+        rows.append({"sample": x, "status": status,
                      "orbit_size": len(points)})
         if status != "closed":
             all_closed = False

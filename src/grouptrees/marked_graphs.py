@@ -243,8 +243,8 @@ class CoverCore:
 
         nv, edges = folding.wedge(graph.word_to_loop(b) for b in basis_of(subgroup))
         _, darts, _ = folding.fold(nv, edges)
-        self.p = p = StallingsGraph(len(graph.edges), [
-            {d: here[d] for d in sorted(here, key=lambda d: (abs(d), d < 0))} for here in darts])
+        # copies, as fold leaves them: trimming the core below edits `darts`
+        self.p = p = StallingsGraph(len(graph.edges), [dict(here) for here in darts])
 
         image: dict[int, int] = {}
         for u, l, v in p.edges:
@@ -374,24 +374,16 @@ def _translate_intersection_prepared(cover: CoverCore, g: Word, radius: int,
                                      base: dict) -> dict:
     """Compare the minimal subtree with its g-translate within `radius` of the basepoint.
 
-    `base` is `_subtree_ball` about the basepoint.  The edges compared are
-    those whose source lies within `radius` of x0 or of g*x0.  Outcomes
-    "whole-tree-coincidence" and "nondegenerate-intersection" are exact
-    certificates; the "-within-radius" outcomes only describe the ball.
-    Each witness is the least of its kind in the order (sheet, vertex, edge).
+    Requires g outside the subgroup and a cover that is not a covering (an
+    infinite-index subgroup), as `transverse_family_report` ensures.  `base`
+    is `_subtree_ball` about the basepoint.  The edges compared are those
+    whose source lies within `radius` of x0 or of g*x0.  The outcome
+    "nondegenerate-intersection" is an exact certificate; the
+    "-within-radius" outcomes only describe the ball.  Each witness is the
+    least of its kind in the order (sheet, vertex, edge).
     """
     graph = cover.graph
-    subgroup = cover.subgroup
     report = {"translate": str(g), "radius": radius}
-    if membership(subgroup, g):
-        report["outcome"] = "whole-tree-coincidence"
-        report["reason"] = "the translating element lies in the subgroup"
-        return report
-    if cover.is_covering:
-        report["outcome"] = "whole-tree-coincidence"
-        report["reason"] = "finite-index subgroup: the minimal subtree is the whole tree"
-        return report
-
     ball_g = _subtree_ball(cover, g, radius)
     ball_gi = _subtree_ball(cover, g.inverse(), radius)
     merged = dict(base)

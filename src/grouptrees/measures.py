@@ -9,12 +9,12 @@ generator of a system of isometries transports the density correctly.
 
 from __future__ import annotations
 
-from .core import Scalar, ZERO
+from .core import Scalar, ZERO, _Frozen
 from .errors import OutOfSupportError, PreconditionError
 from .intervals import Interval, MultiInterval
 
 
-class LengthMeasure:
+class LengthMeasure(_Frozen):
     """Sorted, interior-disjoint pieces (Interval, density >= 0), canonicalized.
 
     Adjacent pieces (sharing an endpoint) with equal density are merged, so
@@ -48,9 +48,6 @@ class LengthMeasure:
             merged.append((piece, density))
         object.__setattr__(self, "pieces", tuple(merged))
 
-    def __setattr__(self, *_):
-        raise AttributeError("LengthMeasure is immutable")
-
     @property
     def support(self) -> MultiInterval:
         return MultiInterval([piece for piece, _ in self.pieces])
@@ -80,16 +77,6 @@ class LengthMeasure:
         return {"pieces": [{"from": str(piece.lo), "to": str(piece.hi),
                             "density": str(density)}
                            for piece, density in self.pieces]}
-
-    def __eq__(self, other):
-        return isinstance(other, LengthMeasure) and self.pieces == other.pieces
-
-    def __hash__(self):
-        return hash(self.pieces)
-
-    def __repr__(self):
-        inner = ", ".join(f"{piece}@{density}" for piece, density in self.pieces)
-        return f"LengthMeasure({inner})"
 
 
 def invariance_check(system, mu: LengthMeasure) -> dict:

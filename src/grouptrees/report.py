@@ -9,7 +9,6 @@ being reported (not a failure), 1 = error or assertion failure.
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 
 from .core import Scalar, Word
 
@@ -27,8 +26,6 @@ def to_jsonable(value):
         return value
     if isinstance(value, Scalar):
         return str(value)
-    if isinstance(value, Fraction):
-        return str(Scalar.of(value))
     if isinstance(value, Word):
         return str(value)
     if isinstance(value, dict):

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from collections import deque
 
-from .core import Word, _Frozen, inverse, product
+from .core import Word, _Frozen, inverse, ordered_letters, product
 from .errors import PreconditionError
 from . import folding
 
@@ -24,10 +24,12 @@ class StallingsGraph:
     """Folded labeled graph with basepoint 0, built from one dart map per vertex.
 
     darts[v] is {±label: target}: +l follows v's outgoing l-edge and -l its
-    incoming one backward; `edges` lists the (u, l, v) edges, sorted.  A
-    subgroup's core graph (from `build_core`) is kept in canonical form, its
-    maps in letter order (1, -1, 2, -2, ...), so equality and hashing, which
-    are structural, hold iff two core graphs represent the same subgroup.
+    incoming one backward; `edges` lists the (u, l, v) edges, sorted.  The
+    maps keep the order they are given in.  Only canonical graphs, those
+    `build_core`, `fiber_product` and `hall_completion` return, have them
+    in letter order (1, -1, 2, -2, ...); for core graphs in canonical form,
+    equality and hashing, which are structural, hold iff two graphs
+    represent the same subgroup.
     """
 
     __slots__ = ("rank", "nv", "edges", "_darts")
@@ -98,7 +100,7 @@ def _canonical(rank: int, darts) -> tuple[StallingsGraph, dict[int, int]]:
     Neighbours are numbered in letter order (1, -1, 2, -2, ...), the order of
     the new maps, which makes structural equality canonical.
     """
-    letters = [s * l for l in range(1, rank + 1) for s in (1, -1)]
+    letters = ordered_letters(rank)
     perm = {0: 0}
     order = [0]
     renumbered = []

@@ -737,3 +737,82 @@ class TestCli:
                                  "--word", "a")
         assert code == 1 and out == ""
         assert err == f"error: graph: marking key {key!r} is not an edge id\n"
+
+
+def _worked_system(**fields):
+    return dict(docs.dump_system(worked_single_map()), **fields)
+
+
+def _theta(**fields):
+    return dict(docs.dump_marked_graph(theta_graph()), **fields)
+
+
+_SUBGROUP_A = {"rank": 2, "generators": ["a"]}
+
+
+class TestLoadErrors:
+    """Each loader wraps an engine's error in one line that names the
+    document part it came from."""
+
+    @pytest.mark.parametrize("argv, files, message", [
+        (["soi", "orbit", "--in", "sys.json", "--point", "1/0"],
+         {"sys.json": _worked_system()},
+         "argument 'point': bad rational '1/0': zero denominator"),
+        (["stallings", "index", "--in", "h.json"],
+         {"h.json": {"rank": 2, "generators": ["ax!"]}},
+         "subgroup generator 'ax!': bad letter 'x' in word 'ax!' (rank 2)"),
+        (["cvn", "len", "--in", "g.json", "--word", "a"],
+         {"g.json": _theta(marking={"0": "z"})},
+         "graph marking for edge 0: bad letter 'z' in word 'z' (rank 2)"),
+        (["cvn", "len", "--in", "g.json", "--word", "a"],
+         {"g.json": _theta(spanning_tree=[])},
+         "graph: spanning tree must have nv-1 edges"),
+        (["soi", "glp", "--in", "sys.json"],
+         {"sys.json": _worked_system(forest=[["1", "0"]])},
+         "system forest[0]: interval endpoints out of order: [1, 0]"),
+        (["soi", "cover", "--in", "sys.json", "--seed-set", '[["0","1/5"]]',
+          "--target", '["1","0"]', "--delta", "1/100"],
+         {"sys.json": _worked_system()},
+         "target: interval endpoints out of order: [1, 0]"),
+        (["soi", "glp", "--in", "sys.json"],
+         {"sys.json": _worked_system(forest=[["0", "1/4"]])},
+         "system: generator domain [0, 3/4] leaves the support"),
+        (["measure", "check", "--in", "sys.json", "--measure", "m.json"],
+         {"sys.json": _worked_system(),
+          "m.json": {"pieces": [{"from": "1", "to": "0", "density": "1"}]}},
+         "measure piece[0]: interval endpoints out of order: [1, 0]"),
+        (["measure", "check", "--in", "sys.json", "--measure", "m.json"],
+         {"sys.json": _worked_system(),
+          "m.json": {"pieces": [{"from": "0", "to": "1", "density": "-1"}]}},
+         "measure: density -1 is negative"),
+        (["lam", "carries", "--in", "h.json", "--leaf", "l.json"],
+         {"h.json": _SUBGROUP_A,
+          "l.json": {"rays": [{"period": "z"}, {"period": "b"}]}},
+         "ray: bad letter 'z' in word 'z' (rank 2)"),
+        (["lam", "carries", "--in", "h.json", "--leaf", "l.json"],
+         {"h.json": _SUBGROUP_A,
+          "l.json": {"rays": [{"period": "aA"}, {"period": "b"}]}},
+         "ray: a boundary ray needs a nonempty period"),
+        (["lam", "carries", "--in", "h.json", "--leaf", "l.json"],
+         {"h.json": _SUBGROUP_A,
+          "l.json": {"rays": [{"period": "a"}, {"period": "a"}]}},
+         "leaf: a leaf needs two distinct boundary points"),
+    ], ids=["scalar", "subgroup-generator", "graph-marking", "graph",
+            "system-interval", "inline-interval", "system", "measure-piece",
+            "measure", "ray-word", "ray", "leaf"])
+    def test_one_line_with_its_prefix(self, capsys, tmp_path, argv, files,
+                                      message):
+        for name, doc in files.items():
+            (tmp_path / name).write_text(json.dumps(doc))
+        argv = [str(tmp_path / a) if a in files else a for a in argv]
+        assert run_cli(capsys, *argv) == (1, "", f"error: {message}\n")
+
+    def test_inline_interval_mixing_two_fields(self, capsys, tmp_path):
+        # an inline pair declares no field, so each end may use any one,
+        # and a pair mixing two fails in the interval's own comparison
+        path = tmp_path / "sys.json"
+        path.write_text(json.dumps(_worked_system()))
+        assert run_cli(capsys, "soi", "grow", "--in", str(path), "--start",
+                       '[["sqrt2","sqrt5"]]') == (
+            1, "", "error: start[0]: cannot mix sqrt5 and sqrt2 values in "
+                   "one computation\n")
