@@ -640,6 +640,11 @@ def _class_representatives(rank: int, n: int) -> Iterator[tuple[int, ...]]:
     alphabet = ordered_letters(rank)
     w = [0] * n
     last = n - 1
+    # the search runs on a stack, not by recursion, so n is not bounded by
+    # the interpreter's recursion limit: lyndon[t] is the length of the
+    # longest Lyndon prefix of w[:t], and after[t] the next letter to try at t
+    lyndon = [1] * n
+    after = [0] * n
 
     def inverse_is_smaller() -> bool:
         # w[0] is the least letter of w and a basis letter, so every letter of
@@ -652,30 +657,57 @@ def _class_representatives(rank: int, n: int) -> Iterator[tuple[int, ...]]:
         inv += inv
         return any(inv[i] == w0 and inv[i:i + n] < w for i in range(n))
 
-    def extend(t: int, p: int) -> Iterator[tuple[int, ...]]:
-        # w[:t] is a reduced prenecklace whose longest Lyndon prefix is w[:p]
-        lo = w[t - p]
-        bar = w[t - 1] ^ 1
-        if t < last:
-            for c in range(lo, k):
-                if c != bar:
-                    w[t] = c
-                    yield from extend(t + 1, p if c == lo else t + 1)
-            return
-        first_bar = w[0] ^ 1
-        for c in range(lo, k):
-            if c == bar or c == first_bar or (c == lo and n % p):
-                continue
-            w[t] = c
-            if not inverse_is_smaller():
-                yield tuple([alphabet[x] for x in w])
-
-    for c in range(0, k, 2):
-        w[0] = c
+    for first in range(0, k, 2):
+        w[0] = first
         if n == 1:
-            yield (alphabet[c],)
-        else:
-            yield from extend(1, 1)
+            yield (alphabet[first],)
+            continue
+        first_bar = first ^ 1
+        t = 1
+        after[1] = first
+        while t:
+            # w[:t] is a reduced prenecklace whose longest Lyndon prefix is w[:p]
+            p = lyndon[t]
+            lo = w[t - p]
+            bar = w[t - 1] ^ 1
+            if t == last:
+                for c in range(lo, k):
+                    if c == bar or c == first_bar or (c == lo and n % p):
+                        continue
+                    w[t] = c
+                    if not inverse_is_smaller():
+                        yield tuple([alphabet[x] for x in w])
+                t -= 1
+                continue
+            c = after[t]
+            if c == bar:
+                c += 1
+            if c == k:
+                t -= 1
+                continue
+            after[t] = c + 1
+            w[t] = c
+            t += 1
+            lyndon[t] = p if c == lo else t
+            after[t] = w[t - lyndon[t]]
+
+
+# A class table is kept while the letters of all reduced words of its length,
+# n * 2r(2r-1)^(n-1), an upper bound on the letters it holds, are at most this.
+_CLASS_TABLE_LETTERS = 2 ** 16
+
+
+@lru_cache(maxsize=32)
+def _class_table(rank: int, n: int) -> tuple[Word, ...]:
+    return tuple([Word(letters, rank) for letters in _class_representatives(rank, n)])
+
+
+def _class_words(rank: int, n: int) -> Iterable[Word]:
+    """The class Words of length n: a shared table while it is small enough,
+    else a stream that is not kept."""
+    if n * 2 * rank * (2 * rank - 1) ** (n - 1) <= _CLASS_TABLE_LETTERS:
+        return _class_table(rank, n)
+    return (Word(letters, rank) for letters in _class_representatives(rank, n))
 
 
 def enumerate_words(rank: int, max_len: int, mode: str = "reduced") -> Iterator[Word]:
@@ -692,13 +724,21 @@ def enumerate_words(rank: int, max_len: int, mode: str = "reduced") -> Iterator[
     under that order.  The representatives are generated directly, length by
     length, as constrained necklaces by a pruned depth-first search over
     prenecklaces (see _class_representatives); no other word is built.
+
+    The class Words of a length n with n * 2r(2r-1)^(n-1) <= 2^16 (the
+    letters of all reduced words of length n) are built once per process:
+    they come from a least-recently-used memo of 32 tables keyed by
+    (rank, n), shared between calls (Words are immutable).  So the memo
+    holds at most 2^21 letters; the largest table, rank 14 and length 3
+    with 3290 words, takes about 0.26 MiB, so the memo stays under 9 MiB.
+    A longer length is streamed and not kept.  Nothing sets the limit or
+    the memo's size.
     """
     if mode not in ("reduced", "conjugacy"):
         raise ValueError(f"unknown enumeration mode {mode!r}")
     if mode == "conjugacy":
         for n in range(1, max_len + 1):
-            for letters in _class_representatives(rank, n):
-                yield Word(letters, rank)
+            yield from _class_words(rank, n)
         return
     alphabet = ordered_letters(rank)
     layer: list[tuple[int, ...]] = [()]

@@ -284,8 +284,8 @@ def load_multi(value, where: str = "interval set") -> MultiInterval:
         value = [value]
     if not isinstance(value, list):
         _fail(f"{where}: expected [[lo, hi], ...]")
-    return MultiInterval([_interval_pair(pair, f"{where}[{i}]")
-                          for i, pair in enumerate(value)])
+    return _checked(where, MultiInterval, [_interval_pair(pair, f"{where}[{i}]")
+                                           for i, pair in enumerate(value)])
 
 
 def load_interval(value, where: str = "interval") -> Interval:

@@ -11,8 +11,8 @@ from _fixtures import lebesgue
 from grouptrees import documents as docs
 from grouptrees.cli import main
 from grouptrees.core import Scalar, Word, parse_word
-from grouptrees.corpus import (golden_system, lopsided_rose, theta_graph,
-                               worked_single_map)
+from grouptrees.corpus import (golden_system, lopsided_rose, rose_graph,
+                               theta_graph, worked_single_map)
 from grouptrees.errors import ParseError, PreconditionError
 from grouptrees.intervals import Interval, MultiInterval
 from grouptrees.report import render_json, render_text, to_jsonable, wrap
@@ -567,6 +567,17 @@ class TestCli:
         body = json.loads(out)
         assert body["result"]["classes"] == ["a", "aa", "aaa", "aaaa"]
 
+    def test_omega_rank1_long_classes(self, capsys, tmp_path):
+        # 1200 letters is above the interpreter's recursion limit
+        path = tmp_path / "rose1.json"
+        path.write_text(json.dumps(docs.dump_marked_graph(rose_graph(1))))
+        code, out, _ = run_cli(capsys, "cvn", "omega", "--in", str(path),
+                               "--epsilon", "5000", "--max-word", "1200",
+                               "--json")
+        assert code == 0
+        classes = json.loads(out)["result"]["classes"]
+        assert classes == ["a" * n for n in range(1, 1201)]
+
     def test_lam_scan_cli(self, capsys, graph_file, tmp_path):
         sub = tmp_path / "sub.json"
         sub.write_text(json.dumps({"rank": 2, "generators": ["baB"]}))
@@ -816,3 +827,13 @@ class TestLoadErrors:
                        '[["sqrt2","sqrt5"]]') == (
             1, "", "error: start[0]: cannot mix sqrt5 and sqrt2 values in "
                    "one computation\n")
+
+    def test_interval_set_mixing_two_fields(self, capsys, tmp_path):
+        # each pair uses one field, and the set's own comparison of the two
+        # pairs fails: the message names the argument
+        path = tmp_path / "sys.json"
+        path.write_text(json.dumps(_worked_system()))
+        assert run_cli(capsys, "soi", "grow", "--in", str(path), "--start",
+                       '[["-1+sqrt2","1/2"],["3-sqrt5","4/5"]]') == (
+            1, "", "error: start: cannot mix sqrt5 and sqrt2 values in one "
+                   "computation\n")

@@ -1,8 +1,11 @@
 """Reduced words: reduction, cyclic reduction, parsing, canonical enumeration."""
 
+from itertools import islice
+
 import pytest
 from hypothesis import given, strategies as st
 
+from grouptrees import core
 from grouptrees.core import (
     Word,
     conjugator_length,
@@ -13,9 +16,10 @@ from grouptrees.core import (
     product,
     word_sort_key,
 )
+from grouptrees.corpus import rose_graph
 from grouptrees.errors import ParseError
 
-from _oracles import filter_conjugacy_classes, reduce_letters
+from _oracles import brute_omega, filter_conjugacy_classes, reduce_letters
 
 
 def W(text: str, rank: int = 2) -> Word:
@@ -284,6 +288,58 @@ class TestNecklaceEnumeration:
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
             list(enumerate_words(2, 2, "necklace"))
+
+    def test_rank1_beyond_the_recursion_limit(self):
+        # the search keeps its own stack, so a length above the interpreter's
+        # recursion limit is one more class, a^n
+        got = [w.letters for w in enumerate_words(1, 1200, "conjugacy")]
+        assert got == [(1,) * n for n in range(1, 1201)]
+
+
+# The longest length whose class table is kept, per rank: the largest n with
+# n * 2r(2r-1)^(n-1) <= 2^16.
+_LONGEST_TABLE = {1: 32768, 2: 7, 3: 5, 4: 4}
+
+
+class TestClassMemo:
+    """The memo of class tables serves the same stream, cold or warm."""
+
+    @pytest.mark.parametrize("rank", [2, 3, 4])
+    def test_stream_around_the_limit_matches_filter_oracle(self, rank):
+        top = _LONGEST_TABLE[rank]
+        want = list(filter_conjugacy_classes(rank, top + 1))
+        core._class_table.cache_clear()
+        for hits in (0, top):   # cold, then warm
+            assert list(enumerate_words(rank, top + 1, "conjugacy")) == want
+            info = core._class_table.cache_info()
+            assert (info.hits, info.currsize) == (hits, top)
+
+    def test_rank1_around_the_limit(self):
+        # the filter oracle is quadratic in the length, and rank 1 has one
+        # class a^n per length n, so the two lengths are checked directly
+        top = _LONGEST_TABLE[1]
+        core._class_table.cache_clear()
+        for hits in (0, 1):
+            for n in (top, top + 1):
+                assert list(core._class_words(1, n)) == [Word((1,) * n, 1)]
+            info = core._class_table.cache_info()
+            assert (info.hits, info.currsize) == (hits, 1)
+
+    def test_long_length_streams_without_a_table(self):
+        shorter = sum(1 for _ in enumerate_words(26, 2, "conjugacy"))
+        before = core._class_table.cache_info().currsize
+        got = islice(enumerate_words(26, 3, "conjugacy"), shorter + 5)
+        assert [str(w) for w in got][shorter:] == ["aaa", "aab", "aaB", "aac", "aaC"]
+        assert core._class_table.cache_info().currsize == before
+
+    def test_omega_cold_and_warm_matches_exhaustion(self):
+        graph = rose_graph("1/3", "1/2", "1")
+        core._class_table.cache_clear()
+        for _ in range(2):   # cold, then warm
+            for epsilon in ("2", "5/2"):
+                got = [w.letters for w in graph.omega_epsilon(epsilon, 5)]
+                want = brute_omega(graph, epsilon, 5)
+                assert got == sorted(want, key=word_sort_key)
 
 
 class TestSortKey:
