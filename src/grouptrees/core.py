@@ -18,7 +18,7 @@ order, enumeration order) are defined in this module and nowhere else.
 from __future__ import annotations
 
 import re
-from fractions import Fraction
+import sys
 from functools import lru_cache
 from math import gcd, isqrt, lcm
 from operator import attrgetter, neg
@@ -69,10 +69,11 @@ def field_problem(d: int) -> str | None:
 _RAT = r"-?\d+(?:/\d+)?"
 # Accepted spellings (whitespace-insensitive):  "3",  "-1/2",  "3/2-1/2*sqrt5",
 # "sqrt5", "-sqrt5", "1/2*sqrt5", "2+sqrt2".  Nothing else — in particular no
-# floating-point literals.
+# floating-point literals.  A rational part must be followed by its sign, so
+# "12*sqrt2" is one coefficient, never 1 + 2*sqrt2, and "2sqrt2" is refused.
 _SCALAR_RE = re.compile(
     rf"(?P<rat>{_RAT})?"
-    rf"(?:(?<=\d)(?P<op>[+-])|(?P<lead>-)?)"
+    rf"(?:(?<=\d)(?P<op>[+-])|(?<!\d)(?P<lead>-)?)"
     rf"(?:(?P<coef>{_RAT})\*)?sqrt(?P<d>\d+)"
 )
 
@@ -88,35 +89,34 @@ class Scalar:
         which field their document declared.
 
     The public view is ``rat + irr*sqrt(d)`` with Fraction ``rat`` and
-    ``irr``; all of ``rat``, ``irr`` and ``d`` are read-only.
+    ``irr``; all of ``rat``, ``irr`` and ``d`` are read-only.  Nothing else
+    builds a Fraction: rendering, hashing and parsing work on the integers.
     """
 
     __slots__ = ("_a", "_b", "_den", "_d", "_hash")
 
     def __init__(self, rat, irr=0, d=1) -> None:
-        rat = rat if isinstance(rat, Fraction) else Fraction(rat)
-        irr = irr if isinstance(irr, Fraction) else Fraction(irr)
+        """rat + irr*sqrt(d) for ints or Fractions rat and irr."""
+        r, i = _coerce(rat), _coerce(irr)
+        if r is None or i is None:
+            bad = rat if r is None else irr
+            raise TypeError(f"cannot make a Scalar from {type(bad).__name__}")
         if not isinstance(d, int) or not _is_square_free(d):
             raise ValueError(f"field tag must be a square-free natural "
                              f"at most 10^15, got {d!r}")
-        if d == 1:
-            rat, irr = rat + irr, Fraction(0)
-        # den = lcm of the two denominators; then gcd(a, b, den) == 1 already
-        p, q = rat.denominator, irr.denominator
-        den = p // gcd(p, q) * q
-        self._a = rat.numerator * (den // p)
-        self._b = irr.numerator * (den // q)
-        self._den = den
-        self._d = d if self._b else 1
+        s = r + i * (_build(0, 1, 1, d) if d != 1 else _build(1, 0, 1, 1))
+        self._a, self._b, self._den, self._d = s._a, s._b, s._den, s._d
 
     # -- read-only view ------------------------------------------------------
 
     @property
-    def rat(self) -> Fraction:
+    def rat(self) -> "Fraction":
+        from fractions import Fraction
         return Fraction(self._a, self._den)
 
     @property
-    def irr(self) -> Fraction:
+    def irr(self) -> "Fraction":
+        from fractions import Fraction
         return Fraction(self._b, self._den)
 
     @property
@@ -151,26 +151,29 @@ class Scalar:
             if not re.fullmatch(_RAT, compact):
                 raise ParseError(f"bad rational {text!r} (integers and p/q only, no floats)")
             try:
-                return Scalar(Fraction(compact))
+                num, den = _ratio(compact)
             except ZeroDivisionError:
                 raise ParseError(f"bad rational {text!r}: zero denominator") from None
+            return _make(num, 0, den, 1)
         m = _SCALAR_RE.fullmatch(compact)
         if m is None:
             raise ParseError(f"bad scalar {text!r}")
         try:
-            rat = Fraction(m.group("rat")) if m.group("rat") else Fraction(0)
-            coef = Fraction(m.group("coef")) if m.group("coef") else Fraction(1)
+            a, p = _ratio(m.group("rat") or "0")
+            b, q = _ratio(m.group("coef") or "1")
         except (ValueError, ZeroDivisionError) as exc:
             raise ParseError(f"bad scalar {text!r}: {exc}") from None
         if m.group("op") == "-" or m.group("lead") == "-":
-            coef = -coef
+            b = -b
         digits = m.group("d").lstrip("0") or "0"
         if len(digits) > 16 or int(digits) > D_MAX:
             raise ParseError("sqrt argument exceeds the bound D <= 10^15")
         d = int(digits)
         if not _is_square_free(d):
             raise ParseError(f"sqrt argument must be square-free, got {d}")
-        return Scalar(rat, coef, d)
+        if d == 1:   # sqrt1 is rational
+            return _make(a * q + b * p, 0, p * q, 1)
+        return _make(a * q, b * p, p * q, d)
 
     # -- arithmetic ------------------------------------------------------------
 
@@ -201,12 +204,6 @@ class Scalar:
         return _make(self._a * oden - o._a * den, self._b * oden - o._b * den,
                      den * oden, d)
 
-    def __rsub__(self, other) -> "Scalar":
-        o = _coerce(other)
-        if o is None:
-            return NotImplemented
-        return o - self
-
     def __mul__(self, other) -> "Scalar":
         o = other if type(other) is Scalar else _coerce(other)
         if o is None:
@@ -217,33 +214,6 @@ class Scalar:
                      self._den * o._den, d)
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other) -> "Scalar":
-        o = other if type(other) is Scalar else _coerce(other)
-        if o is None:
-            return NotImplemented
-        a2, b2 = o._a, o._b
-        if a2 == 0 and b2 == 0:
-            raise ZeroDivisionError("scalar division by zero")
-        d = self._d if self._d == o._d else _join(self._d, o._d)
-        # multiply by the conjugate: 1/(a2+b2√d) = (a2−b2√d)/(a2²−b2²d); the
-        # norm is nonzero because d is square-free
-        a1, b1 = self._a, self._b
-        den = self._den * (a2 * a2 - b2 * b2 * d)
-        a = (a1 * a2 - b1 * b2 * d) * o._den
-        b = (b1 * a2 - a1 * b2) * o._den
-        if den < 0:
-            a, b, den = -a, -b, -den
-        return _make(a, b, den, d)
-
-    def __rtruediv__(self, other) -> "Scalar":
-        o = _coerce(other)
-        if o is None:
-            return NotImplemented
-        return o / self
-
-    def __abs__(self) -> "Scalar":
-        return -self if self.sign() < 0 else self
 
     # -- order -----------------------------------------------------------------
 
@@ -295,28 +265,28 @@ class Scalar:
         if self._den == 1:
             h = hash((self._a, self._b, self._d))
         else:
-            h = hash((self.rat, self.irr, self._d))
+            h = hash((_ratio_hash(self._a, self._den),
+                      _ratio_hash(self._b, self._den), self._d))
         self._hash = h
         return h
 
     # -- rendering ---------------------------------------------------------------
 
     def __str__(self) -> str:
-        rat, irr, d = self.rat, self.irr, self._d
-        if irr == 0:
-            return str(rat)
-        if irr == 1:
+        # the text of rat + irr*sqrt(d) with str(Fraction) for each part
+        a, b, den, d = self._a, self._b, self._den, self._d
+        if not b:
+            return _ratio_text(a, den)
+        tail = _ratio_text(b, den)
+        if tail == "1":
             tail = f"sqrt{d}"
-        elif irr == -1:
+        elif tail == "-1":
             tail = f"-sqrt{d}"
-        elif irr < 0:
-            tail = f"-{-irr}*sqrt{d}"
         else:
-            tail = f"{irr}*sqrt{d}"
-        if rat == 0:
+            tail = f"{tail}*sqrt{d}"
+        if not a:
             return tail
-        sep = "+" if not tail.startswith("-") else ""
-        return f"{rat}{sep}{tail}"
+        return f"{_ratio_text(a, den)}{'+' if b > 0 else ''}{tail}"
 
     def __repr__(self) -> str:
         return f"Scalar({str(self)!r})"
@@ -360,12 +330,44 @@ def _integer_view(values) -> tuple[int, int, list[tuple[int, int]]]:
 
 
 def _coerce(value) -> Scalar | None:
-    """Ints and Fractions as Scalars; None for anything else."""
+    """Ints and Fractions (values with int numerator and positive int
+    denominator) as Scalars; None for anything else."""
     if isinstance(value, int):
         return _build(int(value), 0, 1, 1)
-    if isinstance(value, Fraction):
-        return _build(value.numerator, 0, value.denominator, 1)
+    num, den = getattr(value, "numerator", None), getattr(value, "denominator", None)
+    if isinstance(num, int) and isinstance(den, int) and den > 0:
+        return _make(int(num), 0, int(den), 1)
     return None
+
+
+def _ratio(text: str) -> tuple[int, int]:
+    """(numerator, denominator) of "p" or "p/q", unreduced; the errors are
+    those Fraction(text) raises."""
+    num, _, den = text.partition("/")
+    n, q = int(num), int(den or 1)
+    if q == 0:
+        raise ZeroDivisionError(f"Fraction({n}, 0)")
+    return n, q
+
+
+def _ratio_text(n: int, q: int) -> str:
+    """str(Fraction(n, q)) for q > 0."""
+    g = gcd(n, q)
+    return f"{n // g}" if q == g else f"{n // g}/{q // g}"
+
+
+_MODULUS, _INF = sys.hash_info.modulus, sys.hash_info.inf
+
+
+def _ratio_hash(n: int, q: int) -> int:
+    """hash(Fraction(n, q)) for q > 0, by CPython's rule for rationals."""
+    g = gcd(n, q)
+    n, q = n // g, q // g
+    try:
+        h = hash(hash(abs(n)) * pow(q, -1, _MODULUS))
+    except ValueError:   # q is a multiple of the modulus: no inverse
+        h = _INF
+    return h if n >= 0 else -h if h != 1 else -2   # hash -1 is spelt -2
 
 
 def _join(d1: int, d2: int) -> int:
@@ -396,7 +398,7 @@ def _sign(a: int, b: int, d: int) -> int:
     return (rhs > lhs) - (rhs < lhs)
 
 
-ZERO = Scalar(Fraction(0))
+ZERO = _build(0, 0, 1, 1)
 
 
 # --------------------------------------------------------------------------
@@ -559,10 +561,6 @@ class Word(_Frozen):
     def inverse(self) -> "Word":
         return Word(inverse(self.letters), self.rank)
 
-    def __pow__(self, k: int) -> "Word":
-        base = self.letters if k >= 0 else inverse(self.letters)
-        return Word(product(*[base] * abs(k)), self.rank)
-
     def __len__(self) -> int:
         return len(self.letters)
 
@@ -704,8 +702,9 @@ def _class_table(rank: int, n: int) -> tuple[Word, ...]:
 
 def _class_words(rank: int, n: int) -> Iterable[Word]:
     """The class Words of length n: a shared table while it is small enough,
-    else a stream that is not kept."""
-    if n * 2 * rank * (2 * rank - 1) ** (n - 1) <= _CLASS_TABLE_LETTERS:
+    else a stream that is not kept.  Rank 1 always streams: its one class
+    a^n is built in linear time, and its tables would evict the others."""
+    if rank > 1 and n * 2 * rank * (2 * rank - 1) ** (n - 1) <= _CLASS_TABLE_LETTERS:
         return _class_table(rank, n)
     return (Word(letters, rank) for letters in _class_representatives(rank, n))
 
@@ -725,14 +724,14 @@ def enumerate_words(rank: int, max_len: int, mode: str = "reduced") -> Iterator[
     length, as constrained necklaces by a pruned depth-first search over
     prenecklaces (see _class_representatives); no other word is built.
 
-    The class Words of a length n with n * 2r(2r-1)^(n-1) <= 2^16 (the
-    letters of all reduced words of length n) are built once per process:
-    they come from a least-recently-used memo of 32 tables keyed by
-    (rank, n), shared between calls (Words are immutable).  So the memo
-    holds at most 2^21 letters; the largest table, rank 14 and length 3
-    with 3290 words, takes about 0.26 MiB, so the memo stays under 9 MiB.
-    A longer length is streamed and not kept.  Nothing sets the limit or
-    the memo's size.
+    At rank 2 and above, the class Words of a length n with
+    n * 2r(2r-1)^(n-1) <= 2^16 (the letters of all reduced words of length
+    n) are built once per process: they come from a least-recently-used
+    memo of 32 tables keyed by (rank, n), shared between calls (Words are
+    immutable).  So the memo holds at most 2^21 letters; the largest table,
+    rank 14 and length 3 with 3290 words, takes about 0.26 MiB, so the memo
+    stays under 9 MiB.  A longer length, and every rank-1 length, is
+    streamed and not kept.  Nothing sets the limit or the memo's size.
     """
     if mode not in ("reduced", "conjugacy"):
         raise ValueError(f"unknown enumeration mode {mode!r}")

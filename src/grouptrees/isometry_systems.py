@@ -20,7 +20,6 @@ relation, as does d > m on its own.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cmp_to_key
 from math import isqrt
 
@@ -32,7 +31,7 @@ from .errors import (
 )
 from .intervals import Interval, MultiInterval
 
-_TWENTIETH = Scalar.of(Fraction(1, 20))
+_TWENTIETH = Scalar.parse("1/20")
 
 
 class PartialIsometry(_Frozen):

@@ -138,7 +138,7 @@ def _is_square_free(d: int) -> bool:
 _RAT = r"-?\d+(?:/\d+)?"
 _SCALAR_RE = re.compile(
     rf"(?P<rat>{_RAT})?"
-    rf"(?:(?<=\d)(?P<op>[+-])|(?P<lead>-)?)"
+    rf"(?:(?<=\d)(?P<op>[+-])|(?<!\d)(?P<lead>-)?)"
     rf"(?:(?P<coef>{_RAT})\*)?sqrt(?P<d>\d+)"
 )
 

@@ -521,6 +521,18 @@ class TestCli:
         assert err == ("error: cannot mix sqrt5 and sqrt3 values in one "
                        "computation\n")
 
+    @pytest.mark.parametrize("point,err", [
+        # a multi-digit coefficient is one number, never 1 + 2*sqrt5
+        ("12*sqrt5", "error: 12*sqrt5 lies outside the support\n"),
+        ("2sqrt5", "error: argument 'point': bad scalar '2sqrt5'\n"),
+    ])
+    def test_orbit_point_spelling(self, capsys, tmp_path, point, err):
+        path = tmp_path / "golden.json"
+        path.write_text(json.dumps(docs.dump_system(golden_system())))
+        code, out, got = run_cli(capsys, "soi", "orbit", "--in", str(path),
+                                 "--point", point)
+        assert (code, out, got) == (1, "", err)
+
     def test_discrete_empty_samples_exits_one(self, capsys, tmp_path):
         path = tmp_path / "golden.json"
         path.write_text(json.dumps(docs.dump_system(golden_system())))

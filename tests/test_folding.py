@@ -51,7 +51,7 @@ def conjugate_families(draw):
     u = word(draw(st.lists(letter(rank), min_size=5, max_size=40)), rank)
     gens = [u * word(draw(st.lists(letter(rank), min_size=1, max_size=6)), rank)
             * u.inverse() for _ in range(draw(st.integers(1, 4)))]
-    gens.append(u ** draw(st.integers(0, 3)))
+    gens.append(Word.make(u.letters * draw(st.integers(0, 3)), u.rank))
     return rank, [g.letters for g in gens]
 
 

@@ -307,7 +307,7 @@ class TestTranslationLength:
     @given(words, st.integers(min_value=1, max_value=4))
     def test_power_scaling(self, w, k):
         graph = theta()
-        assert graph.translation_length(w ** k) == graph.translation_length(w) * Scalar.of(k)
+        assert graph.translation_length(Word.make(w.letters * k, w.rank)) == graph.translation_length(w) * Scalar.of(k)
 
 
 def marked_graphs():
@@ -375,12 +375,12 @@ def irrational_graphs():
     return {
         "rose-sqrt2-and-1": rose(SQRT2, 1),
         "rose-sqrt2-both": rose(SQRT2, Scalar.of("3/2-1/2*sqrt2")),
-        "rose-golden-marked": rose((1 + SQRT5) / 2, Fraction(1, 3), marking=("ab", "b")),
+        "rose-golden-marked": rose((1 + SQRT5) * Fraction(1, 2), Fraction(1, 3), marking=("ab", "b")),
         "theta-sqrt2": MarkedMetricGraph(
-            2, 2, [(0, 1, SQRT2 - 1), (0, 1, Fraction(1, 2)), (0, 1, SQRT2 / 3)],
+            2, 2, [(0, 1, SQRT2 - 1), (0, 1, Fraction(1, 2)), (0, 1, SQRT2 * Fraction(1, 3))],
             (0,), {1: W("a"), 2: W("b")}),
         "theta-sqrt5-marked": MarkedMetricGraph(
-            2, 2, [(0, 1, SQRT5 - 2), (0, 1, 3 - SQRT5), (0, 1, 1)],
+            2, 2, [(0, 1, SQRT5 - 2), (0, 1, -SQRT5 + 3), (0, 1, 1)],
             (0,), {1: W("ab"), 2: W("b")}),
     }
 
@@ -601,8 +601,8 @@ def oracle_cases(draw, max_radius):
     if kind == "power":
         w = draw(nonempty.filter(lambda w: 0 < len(w.letters) <= 2))
         k = draw(st.integers(2, 3))
-        subgroup = build_core([w ** k], 2)
-        g = w ** draw(st.integers(1, k - 1))
+        subgroup = build_core([Word.make(w.letters * k, 2)], 2)
+        g = Word.make(w.letters * draw(st.integers(1, k - 1)), 2)
     else:
         gens = draw(st.lists(nonempty, min_size=1, max_size=2))
         if kind == "conjugated":

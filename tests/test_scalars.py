@@ -1,13 +1,15 @@
 """Exact quadratic-field scalars: normalization, order, parsing, arithmetic."""
 
 import operator
+import sys
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
 from _oracles import FractionScalar, _is_square_free as _trial_square_free
-from grouptrees.core import Scalar, ZERO, _is_square_free, field_problem
+from grouptrees.core import Scalar, ZERO, _is_square_free, _ratio_hash, field_problem
 from grouptrees.errors import MixedFieldError, ParseError
 
 
@@ -52,6 +54,21 @@ class TestNormalization:
         with pytest.raises(ValueError):
             Scalar(Fraction(0), Fraction(1), 0)
 
+    @pytest.mark.parametrize("value,name", [
+        (0.5, "float"), (Decimal("0.5"), "Decimal"), ("0.5", "str"), ("1e3", "str")])
+    def test_constructor_takes_ints_and_fractions_only(self, value, name):
+        # floats never enter, through the constructor no more than through
+        # Scalar.of or Scalar.parse
+        message = f"cannot make a Scalar from {name}"
+        with pytest.raises(TypeError, match=message):
+            Scalar(value)
+        with pytest.raises(TypeError, match=message):
+            Scalar(1, value, 2)
+        if name != "str":   # Scalar.of parses strings
+            with pytest.raises(TypeError, match=message):
+                Scalar.of(value)
+        assert Scalar(3, Fraction(1, 2), 2) == S("3+1/2*sqrt2")
+
 
 class TestSign:
     def test_mixed_sign_cross_multiplication(self):
@@ -93,6 +110,26 @@ class TestParsing:
     def test_accepted(self, text, expected):
         assert Scalar.parse(text) == expected
 
+    @pytest.mark.parametrize("text,expected", [
+        ("0/7", "0"), ("-0", "0"), ("007/3", "7/3"), ("-006/4", "-3/2"),
+        ("12*sqrt2", "12*sqrt2"), ("-10*sqrt2", "-10*sqrt2"),
+        ("3/22*sqrt5", "3/22*sqrt5"), ("1+sqrt1", "2"), ("2*sqrt01", "2"),
+    ])
+    def test_spellings(self, text, expected):
+        assert str(Scalar.parse(text)) == expected
+
+    @pytest.mark.parametrize("text,message", [
+        ("1/0", "bad rational '1/0': zero denominator"),
+        ("-7/0+sqrt2", "bad scalar '-7/0+sqrt2': Fraction(-7, 0)"),
+        ("1/0*sqrt2", "bad scalar '1/0*sqrt2': Fraction(1, 0)"),
+        ("2sqrt2", "bad scalar '2sqrt2'"),
+        ("0.5", "bad rational '0.5' (integers and p/q only, no floats)"),
+    ])
+    def test_rejected_with_message(self, text, message):
+        with pytest.raises(ParseError) as info:
+            Scalar.parse(text)
+        assert str(info.value) == message
+
     @pytest.mark.parametrize(
         "text", ["", "0.5", "1e3", "sqrt4", "sqrt-2", "1/0", "x", "3+", "sqrt", "++sqrt2"]
     )
@@ -107,9 +144,11 @@ class TestParsing:
 
 class TestArithmetic:
     def test_division_by_conjugate(self):
+        # Scalars do not divide: nothing in the program divides by a value
         a = S("1+sqrt2")
-        assert a * (ONE / a) == ONE
-        assert (a * a) / a == a
+        for left, right in ((ONE, a), (a * a, a), (a, 2), (2, a), (Fraction(1, 2), a)):
+            with pytest.raises(TypeError):
+                left / right
 
     def test_mixed_field_error(self):
         with pytest.raises(MixedFieldError):
@@ -118,8 +157,14 @@ class TestArithmetic:
         assert S("1/2") + S("sqrt5") == Scalar(Fraction(1, 2), Fraction(1), 5)
 
     def test_int_interop(self):
-        assert S("sqrt2") * 2 == S("2*sqrt2")
-        assert 1 - S("1/2") == S("1/2")
+        assert S("sqrt2") * 2 == 2 * S("sqrt2") == S("2*sqrt2")
+        assert 1 + S("1/2") == S("1/2") + 1 == S("3/2")
+        assert S("1/2") - 1 == -S("1/2") + 0 == S("-1/2")
+        # a Scalar is never subtracted from a number, and has no abs()
+        with pytest.raises(TypeError):
+            1 - S("1/2")
+        with pytest.raises(TypeError):
+            abs(S("-1/2"))
 
     @given(scalars(d=2), scalars(d=2), scalars(d=2))
     def test_ring_axioms(self, a, b, c):
@@ -134,8 +179,8 @@ class TestArithmetic:
 
     @given(scalars(d=5))
     def test_division_inverts(self, a):
-        if not a.is_zero():
-            assert (a / a) == ONE
+        with pytest.raises(TypeError):
+            a / a
 
     @given(scalars(d=2), scalars(d=2))
     def test_order_respects_addition(self, a, b):
@@ -206,8 +251,10 @@ def outcome(fn, *args):
     return value
 
 
-BINARY = [operator.add, operator.sub, operator.mul, operator.truediv,
+BINARY = [operator.add, operator.sub, operator.mul,
           operator.lt, operator.le, operator.gt, operator.ge]
+# the oracle's operations that Scalar does not have
+REMOVED = [operator.truediv]
 
 
 class TestAgainstFractionOracle:
@@ -215,20 +262,29 @@ class TestAgainstFractionOracle:
     def test_binary_operations(self, x, y):
         for op in BINARY:
             assert outcome(op, x[0], y[0]) == outcome(op, x[1], y[1]), op
+        for op in REMOVED:
+            assert outcome(op, x[0], y[0]) == "TypeError", op
         assert (x[0] == y[0]) == (x[1] == y[1])
 
     @given(twins(), st.one_of(st.integers(-3, 3), oracle_parts))
     def test_mixed_with_rationals(self, x, k):
         for op in BINARY:
             assert outcome(op, x[0], k) == outcome(op, x[1], k), op
-            assert outcome(op, k, x[0]) == outcome(op, k, x[1]), op
+        for op in BINARY:
+            if op is not operator.sub:
+                assert outcome(op, k, x[0]) == outcome(op, k, x[1]), op
+        for op in REMOVED:
+            assert outcome(op, x[0], k) == outcome(op, k, x[0]) == "TypeError", op
+        # a number minus a Scalar is refused; the Scalar's negation is kept
+        assert outcome(operator.sub, k, x[0]) == "TypeError"
+        assert outcome(operator.add, -x[0], k) == outcome(operator.sub, k, x[1])
         assert outcome(operator.lt, x[0], "1") == "TypeError"
 
     @given(twins())
     def test_unary_and_rendering(self, x):
         new, old = x
         assert outcome(operator.neg, new) == outcome(operator.neg, old)
-        assert outcome(abs, new) == outcome(abs, old)
+        assert outcome(abs, new) == "TypeError"
         assert new.sign() == old.sign()
         assert new.is_zero() == old.is_zero()
         assert (new.rat, new.irr, new.d) == (old.rat, old.irr, old.d)
@@ -236,3 +292,51 @@ class TestAgainstFractionOracle:
         assert hash(new) == hash(old)
         assert outcome(Scalar.parse, str(new)) == outcome(FractionScalar.parse, str(old))
         assert new != old.rat and new != str(new)
+
+
+# -- rendering and hashing from the integers, beyond small values --------------
+
+P = sys.hash_info.modulus
+
+
+def assert_like_oracle(rat, irr, d):
+    """str, hash and the parsed str agree with the Fraction-backed oracle."""
+    new, old = Scalar(rat, irr, d), FractionScalar(rat, irr, d)
+    assert str(new) == str(old)
+    assert hash(new) == hash(old)
+    assert Scalar.parse(str(new)) == new
+    assert FractionScalar.parse(str(old)) == old
+
+
+class TestWideValues:
+    @pytest.mark.parametrize("den", [P, 2 * P, P * P, 3 * P - 3, P + 1])
+    @pytest.mark.parametrize("num", [1, -1, 5, -(P + 2), P - 1, 10**40 + 1])
+    def test_denominators_near_the_hash_modulus(self, num, den):
+        for rat, irr, d in ((Fraction(num, den), 0, 1), (0, Fraction(num, den), 2),
+                            (Fraction(num, den), Fraction(-num, 3 * den), 5),
+                            (Fraction(1, 3), Fraction(num, den), 7)):
+            assert_like_oracle(rat, irr, d)
+
+    def test_part_whose_hash_would_be_minus_one(self):
+        # hash(P + 2) * (1/2) = 1 mod P, so -(P + 2)/2 hashes to -1 -> -2
+        minus_one = Fraction(-(P + 2), 2)
+        # a tuple hashes an element -1 like -2, so the Scalar hashes below
+        # cannot tell; the part's own hash must be -2, as the Fraction's is
+        assert _ratio_hash(-(P + 2), 2) == hash(minus_one) == -2
+        for rat, irr, d in ((minus_one, 0, 1), (0, minus_one, 3),
+                            (minus_one, minus_one, 2), (-1, minus_one, 5)):
+            assert_like_oracle(rat, irr, d)
+
+    @pytest.mark.parametrize("num", [10**60 + 7, -(10**60 + 7), -(2**200), 7**90])
+    def test_huge_numerators(self, num):
+        for den in (1, 3, 10**30 + 57, P):
+            assert_like_oracle(Fraction(num, den), Fraction(-num, den + 1), 6)
+            assert_like_oracle(0, Fraction(num, den), 13)
+
+    @given(st.integers(-10**40, 10**40),
+           st.one_of(st.integers(1, 10**40), st.sampled_from([P, 2 * P, P * P])),
+           st.integers(-10**40, 10**40),
+           st.one_of(st.integers(1, 10**40), st.sampled_from([P, 3 * P])),
+           oracle_d)
+    def test_wide_integers_match_the_oracle(self, p, q, r, s, d):
+        assert_like_oracle(Fraction(p, q), Fraction(r, s), d)

@@ -74,8 +74,12 @@ class TestReduction:
         repeated = Word.identity(2)
         for _ in range(k):
             repeated = repeated * w
-        assert w ** k == repeated
-        assert w ** -k == (w ** k).inverse()
+        assert Word.make(w.letters * k, 2) == repeated
+        # a power is the reduction of the repeated letters; Word has no **
+        with pytest.raises(TypeError):
+            w ** k
+        with pytest.raises(TypeError):
+            w ** -k
 
 
 def _inverse(letters):
@@ -297,7 +301,8 @@ class TestNecklaceEnumeration:
 
 
 # The longest length whose class table is kept, per rank: the largest n with
-# n * 2r(2r-1)^(n-1) <= 2^16.
+# n * 2r(2r-1)^(n-1) <= 2^16.  Rank 1 keeps none; 32768 is where its bound
+# would fall.
 _LONGEST_TABLE = {1: 32768, 2: 7, 3: 5, 4: 4}
 
 
@@ -319,11 +324,21 @@ class TestClassMemo:
         # class a^n per length n, so the two lengths are checked directly
         top = _LONGEST_TABLE[1]
         core._class_table.cache_clear()
-        for hits in (0, 1):
+        for _ in range(2):
             for n in (top, top + 1):
                 assert list(core._class_words(1, n)) == [Word((1,) * n, 1)]
             info = core._class_table.cache_info()
-            assert (info.hits, info.currsize) == (hits, 1)
+            assert (info.hits, info.misses, info.currsize) == (0, 0, 0)
+
+    def test_rank1_stream_keeps_other_tables(self):
+        # a long rank-1 stream adds no table, so it evicts none
+        core._class_table.cache_clear()
+        want = list(enumerate_words(2, 6, "conjugacy"))
+        assert len(list(enumerate_words(1, 40, "conjugacy"))) == 40
+        before = core._class_table.cache_info()
+        assert list(enumerate_words(2, 6, "conjugacy")) == want
+        after = core._class_table.cache_info()
+        assert (after.hits - before.hits, after.misses - before.misses) == (6, 0)
 
     def test_long_length_streams_without_a_table(self):
         shorter = sum(1 for _ in enumerate_words(26, 2, "conjugacy"))
