@@ -25,10 +25,13 @@ Conventions
 
 from __future__ import annotations
 
-from itertools import chain
+from collections import Counter
+from functools import lru_cache
+from itertools import chain, compress, islice
+from operator import mul
 
-from .core import (Scalar, Word, ZERO, _integer_view, _make, _sign,
-                   conjugator_length, enumerate_words, inverse, product,
+from .core import (Scalar, Word, ZERO, _class_table, _integer_view, _keeps_table, _make,
+                   _sign, conjugator_length, enumerate_words, inverse, product,
                    word_sort_key)
 from .errors import DegenerateSubgroupError, InvalidSystemError
 from .basis_change import invert_basis
@@ -171,14 +174,15 @@ class MarkedMetricGraph:
 
     def _length_view(self, *extra: Scalar):
         """(den, d, a_of, b_of, pairs): dart x is (a_of[x] + b_of[x]*sqrt(d))/den
-        long and extra[i] is (a + b*sqrt(d))/den for (a, b) == pairs[i]; b_of
-        is None over Q.  See core._integer_view."""
+        long, and edge i, then extra[j], is (a + b*sqrt(d))/den for (a, b) ==
+        pairs[i], then pairs[ne + j]; b_of is None over Q.  See
+        core._integer_view."""
         ne = len(self.edges)
         den, d, pairs = _integer_view([l for *_, l in self.edges] + list(extra))
         darts = [x for x in range(-ne, ne + 1) if x]
         a_of = {x: pairs[abs(x) - 1][0] for x in darts}
         b_of = {x: pairs[abs(x) - 1][1] for x in darts} if d != 1 else None
-        return den, d, a_of, b_of, pairs[ne:]
+        return den, d, a_of, b_of, pairs
 
     def _loop_length(self, letters: tuple[int, ...], a_of: dict, b_of) -> tuple[int, int]:
         """(a, b) for the length (a + b*sqrt(d))/den, in a `_length_view`, of
@@ -201,16 +205,43 @@ class MarkedMetricGraph:
         """Conjugacy classes up to max_len with translation length strictly below epsilon.
 
         Each class is decided on integers: its length and epsilon share one
-        denominator, so the test is one exact sign of a + b*sqrt(d).
+        denominator, so the test is one exact sign of a + b*sqrt(d), made once
+        per distinct crossing vector for the classes in `_crossings`' table.
         """
-        _, d, a_of, b_of, ((ea, eb),) = self._length_view(Scalar.of(epsilon))
-        loop_length = self._loop_length
-        out = []
-        for w in enumerate_words(self.rank, max_len, "conjugacy"):
-            a, b = loop_length(w.letters, a_of, b_of)
+        _, d, a_of, b_of, pairs = self._length_view(Scalar.of(epsilon))
+        (ea, eb), (a_len, b_len) = pairs.pop(), zip(*pairs)
+        rank, loops, edges = self.rank, self._letter_loops, range(1, len(self.edges) + 1)
+        # a call that can record nothing takes no table, so it evicts none
+        rows, vectors = (_crossings(len(edges), tuple(map(loops.__getitem__, range(1, rank + 1))))
+                         if max_len > 0 and _keeps_table(rank, 1) else ([], {}))
+        while len(rows) < max_len and _keeps_table(rank, len(rows) + 1):
+            row = []
+            for w in _class_table(rank, len(rows) + 1):
+                loop = product(*map(loops.__getitem__, w.letters))
+                k = conjugator_length(loop)
+                crossed = Counter(map(abs, loop[k:len(loop) - k])).__getitem__
+                row.append(vectors.setdefault(tuple(map(crossed, edges)), len(vectors)))
+            rows.append(tuple(row))
+        short = [_sign(sum(map(mul, v, a_len)) - ea, sum(map(mul, v, b_len)) - eb, d) < 0
+                 for v in vectors]
+        # every class, a tabled one too, is taken from the enumeration
+        words, rows = enumerate_words(rank, max_len, "conjugacy"), rows[:max_len]
+        out = list(compress(islice(words, sum(map(len, rows))),
+                            map(short.__getitem__, chain.from_iterable(rows))))
+        for w in words:
+            a, b = self._loop_length(w.letters, a_of, b_of)
             if _sign(a - ea, b - eb, d) < 0:
                 out.append(w)
         return out
+
+
+@lru_cache(maxsize=32)
+def _crossings(ne: int, letter_loops: tuple) -> tuple[list, dict]:
+    """The crossing table (rows, vectors) of the marking with `ne` edges and
+    these dart loops of a, b, ...: rows[n - 1] holds the vector id of each
+    length-n class in enumeration order, and `vectors` maps each distinct
+    vector to its id.  Only lengths the class memo keeps are recorded."""
+    return [], {}
 
 
 # -- minimal subtrees of subgroups --------------------------------------------

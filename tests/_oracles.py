@@ -28,6 +28,10 @@ degree once per peeled layer.  :func:`edge_list_trim` is the worklist trim
 on a sorted edge list that ``grouptrees.folding.trim``, which deletes from
 dart maps in place, replaced.
 
+:func:`loop_omega` is ``MarkedMetricGraph.omega_epsilon`` before it read
+each class's crossing vector from a table shared per marking: it chains and
+reduces the letter loops of every class on every call.
+
 :func:`filter_conjugacy_classes` is the conjugacy enumerator the necklace
 search in ``grouptrees.core`` replaced: it builds every reduced word, layer
 by layer, and keeps a word when no rotation of it or of its inverse is
@@ -107,7 +111,7 @@ from typing import Iterable, Iterator
 from grouptrees.basis_change import invert_basis
 from grouptrees.core import (Scalar, Word, enumerate_words, inverse, letter_key, product,
                              word_sort_key)
-from grouptrees.core import MAX_RANK, _letters_text
+from grouptrees.core import MAX_RANK, _letters_text, _sign
 from grouptrees.errors import (InvalidSystemError, MixedFieldError, NotABasisError, ParseError,
                                PreconditionError)
 from grouptrees.intervals import Interval
@@ -410,6 +414,20 @@ def brute_omega(graph, epsilon, max_len: int) -> set[tuple[int, ...]]:
         if (net_translation_length(graph, w) - epsilon).sign() < 0:
             reps.add(rep)
     return reps
+
+
+def loop_omega(graph, epsilon, max_len: int) -> list[Word]:
+    """``MarkedMetricGraph.omega_epsilon`` before the crossing table: every
+    class is decided through its own chained and cyclically reduced dart loop,
+    on every call."""
+    _, d, a_of, b_of, pairs = graph._length_view(Scalar.of(epsilon))
+    ea, eb = pairs[-1]
+    out = []
+    for w in enumerate_words(graph.rank, max_len, "conjugacy"):
+        a, b = graph._loop_length(w.letters, a_of, b_of)
+        if _sign(a - ea, b - eb, d) < 0:
+            out.append(w)
+    return out
 
 
 # -- the sweep folders ---------------------------------------------------------

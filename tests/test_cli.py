@@ -533,6 +533,14 @@ class TestCli:
                                  "--point", point)
         assert (code, out, got) == (1, "", err)
 
+    def test_orbit_point_past_the_integer_digit_limit(self, capsys, tmp_path):
+        path = tmp_path / "golden.json"
+        path.write_text(json.dumps(docs.dump_system(golden_system())))
+        code, out, err = run_cli(capsys, "soi", "orbit", "--in", str(path),
+                                 "--point", "1" * 5000)
+        assert (code, out, err.count("\n")) == (1, "", 1)
+        assert err.startswith("error: argument 'point': bad rational '111")
+
     def test_discrete_empty_samples_exits_one(self, capsys, tmp_path):
         path = tmp_path / "golden.json"
         path.write_text(json.dumps(docs.dump_system(golden_system())))

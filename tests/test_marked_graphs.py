@@ -1,5 +1,6 @@
 """Marked metric graphs: lengths, minimal subtrees, translate overlaps."""
 
+import random
 from fractions import Fraction
 from itertools import combinations
 
@@ -7,7 +8,8 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from grouptrees import folding
-from grouptrees.core import Scalar, Word, enumerate_words, parse_word
+from grouptrees import marked_graphs as engine
+from grouptrees.core import Scalar, Word, _class_table, enumerate_words, parse_word
 from grouptrees.basis_change import invert_basis
 from grouptrees.errors import (
     DegenerateSubgroupError,
@@ -20,6 +22,7 @@ from grouptrees.marked_graphs import (
     CoverCore,
     MarkedMetricGraph,
     _subtree_ball,
+    _crossings,
     _translate_intersection_prepared,
     transverse_family_report,
 )
@@ -30,7 +33,7 @@ from grouptrees.stallings import (basis_of, build_core, hall_completion, index,
 from _oracles import (_UnionFind, _lifted_path, adjacency_letter_loops,
                       ball_translate_intersection, ball_transverse_family_report,
                       brute_omega, class_rep, grow_ball, initial_state,
-                      net_translation_length, substitute,
+                      loop_omega, net_translation_length, substitute,
                       vertex_on_subtree, walk)
 
 
@@ -362,6 +365,153 @@ class TestOmegaEpsilon:
     def test_everything_short(self):
         g = rose(Fraction(1, 10), Fraction(1, 10))
         assert g.omega_epsilon(Fraction(1, 2), 3) == list(enumerate_words(2, 3, "conjugacy"))
+
+
+# -- the crossing table against the per-class loop oracle -----------------------
+
+
+def nielsen_basis(rank, moves):
+    """The basis a, b, ... after elementary Nielsen moves (i, j, kind): x_i
+    becomes x_i*x_j, x_i/x_j, x_j*x_i or x_j^-1*x_i, or x_i^-1 when i == j."""
+    basis = [Word((i,), rank) for i in range(1, rank + 1)]
+    for i, j, kind in moves:
+        i, j = i % rank, j % rank
+        x, y = basis[i], basis[j]
+        basis[i] = x.inverse() if i == j else (x * y, x * y.inverse(), y * x, y.inverse() * x)[kind]
+    return basis
+
+
+def marked(shape, basis, lengths):
+    """A rose (rank = len(basis)) or a rank-2 theta with this marking."""
+    if shape == "theta":
+        return MarkedMetricGraph(2, 2, [(0, 1, l) for l in lengths], (0,),
+                                 {1: basis[0], 2: basis[1]})
+    return MarkedMetricGraph(len(basis), 1, [(0, 0, l) for l in lengths], (),
+                             dict(enumerate(basis)))
+
+
+# (shape, rank, longest max_len drawn): rank 2 reaches length 8 and rank 3
+# length 6, one past the longest lengths the class memo keeps, so those streams
+MARKING_SHAPES = [("rose", 1, 9), ("rose", 2, 8), ("theta", 2, 7), ("rose", 3, 6)]
+# up to four moves, drawn from a seed so that a run meets many markings
+nielsen_moves = st.integers(0, 2 ** 16).map(random.Random).map(
+    lambda r: [(r.randrange(3), r.randrange(3), r.randrange(4)) for _ in range(r.randrange(5))])
+
+
+@st.composite
+def positive_lengths(draw, field, count):
+    """Positive edge lengths p/q + r/q*sqrt(field); rational when field is 1."""
+    out = []
+    for _ in range(count):
+        p, q, r = draw(st.integers(1, 12)), draw(st.integers(1, 6)), draw(st.integers(0, 4))
+        value = Scalar.of(Fraction(p, q))
+        out.append(value + Scalar(0, 1, field) * Fraction(r, q) if field != 1 else value)
+    return out
+
+
+# 33 markings, one more than the crossing memo holds: calling them all evicts
+# every other marking's table
+EVICTING = [marked("rose", nielsen_basis(2, [(0, 1, 0)] * m), [1, 1]) for m in range(1, 34)]
+
+
+@st.composite
+def omega_sequences(draw):
+    """Interleaved omega_epsilon calls on one to three markings: each call
+    draws new edge lengths, a new epsilon and a max_len that may rise or fall.
+    A None between calls stands for calls on the EVICTING markings."""
+    markings = [(shape, nielsen_basis(rank, draw(nielsen_moves)), top)
+                for shape, rank, top in (draw(st.sampled_from(MARKING_SHAPES))
+                                         for _ in range(draw(st.integers(1, 3))))]
+    calls = []
+    for _ in range(draw(st.integers(1, 6))):
+        if draw(st.integers(0, 5)) == 0:
+            calls.append(None)
+            continue
+        shape, basis, top = draw(st.sampled_from(markings))
+        field = draw(st.sampled_from([1, 2, 5]))
+        graph = marked(shape, basis, draw(positive_lengths(field, 3 if shape == "theta" else len(basis))))
+        scale = Fraction(draw(st.integers(1, 12)), draw(st.integers(1, 6)))
+        # epsilon: a share of the volume, or a multiple of a class's length,
+        # on which that class is not short
+        base = graph.volume() if draw(st.booleans()) else graph.translation_length(basis[0])
+        calls.append((graph, base * scale, draw(st.integers(0, top))))
+    return calls
+
+
+class TestCrossingTable:
+    """omega_epsilon through the shared crossing tables equals the loop oracle."""
+
+    @given(omega_sequences())
+    @settings(max_examples=100)
+    def test_interleaved_calls_match_loop_oracle(self, calls):
+        for call in calls:
+            for graph, epsilon, max_len in [call] if call else ((g, 2, 2) for g in EVICTING):
+                assert graph.omega_epsilon(epsilon, max_len) == loop_omega(graph, epsilon, max_len)
+
+    def test_evicted_marking_reads_the_same(self):
+        _crossings.cache_clear()
+        graphs = [marked("rose", nielsen_basis(2, [(0, 1, k % 4)] * (k // 4 + 1)), ["1/3", "1/2"])
+                  for k in range(40)]
+        assert len({g._letter_loops[1] + (0,) + g._letter_loops[2] for g in graphs}) == 40
+        first = [g.omega_epsilon("3/2", 5) for g in graphs]
+        info = _crossings.cache_info()
+        assert (info.misses, info.currsize) == (40, 32)
+        for graph, want in zip(graphs, first):   # every table was evicted
+            assert graph.omega_epsilon("3/2", 5) == want == loop_omega(graph, "3/2", 5)
+        assert _crossings.cache_info().misses == 80
+
+    def test_markings_sharing_a_letter_loop_keep_their_own_tables(self):
+        # a's loop is the same on these roses, b's differs
+        graphs = [rose(1, Fraction(1, 4), marking=m) for m in (("a", "b"), ("a", "ba"), ("a", "bA"))]
+        for _ in range(2):
+            for graph in graphs:
+                assert graph.omega_epsilon(3, 6) == loop_omega(graph, 3, 6)
+
+    @pytest.mark.parametrize("graph,max_len", [
+        (rose(Fraction(1, 3), Fraction(1, 2)), 8),      # lengths 1-7 tabled, 8 streamed
+        (theta(), 6),
+        (rose(1, 2, 3, marking=("ab", "b", "cA")), 6),  # lengths 1-5 tabled, 6 streamed
+        (rose(Fraction(1, 10), marking=("a",)), 12),    # rank 1: nothing tabled
+    ])
+    def test_takes_every_class_from_the_enumeration(self, monkeypatch, graph, max_len):
+        # the traced census gate counts the words omega_epsilon takes from
+        # enumerate_words; a warm table must not let it skip any
+        taken = []
+
+        def counting(*args):
+            for w in enumerate_words(*args):
+                taken.append(w)
+                yield w
+
+        monkeypatch.setattr(engine, "enumerate_words", counting)
+        _crossings.cache_clear()
+        want = list(enumerate_words(graph.rank, max_len, "conjugacy"))
+        for _ in range(2):   # cold, then warm
+            taken.clear()
+            graph.omega_epsilon(Fraction(3, 2), max_len)
+            assert taken == want
+
+    def test_table_bound(self):
+        _crossings.cache_clear()
+        graph = rose(Fraction(1, 3), Fraction(1, 2))
+        graph.omega_epsilon(2, 3)
+        rows, vectors = _crossings(2, (graph._letter_loops[1], graph._letter_loops[2]))
+        assert len(rows) == 3
+        # past the longest kept length (7 at rank 2) nothing more is recorded
+        assert graph.omega_epsilon(2, 10) == loop_omega(graph, 2, 10)
+        assert [len(row) for row in rows] == [len(_class_table(2, n)) for n in range(1, 8)]
+        assert list(vectors.values()) == list(range(len(vectors)))
+        assert all(len(v) == 2 for v in vectors)
+        assert {i for row in rows for i in row} == set(vectors.values())
+        # on the identity rose a class's vector counts its letters a and b
+        assert set(vectors) == {(i, n - i) for n in range(1, 8) for i in range(n + 1)}
+        assert _crossings.cache_info().currsize == 1
+        # a rank-1 call adds no table, so it evicts none
+        line = rose(Fraction(1, 10), marking=("A",))
+        assert line.omega_epsilon(5, 40) == loop_omega(line, 5, 40)
+        assert line.omega_epsilon(5, 0) == []
+        assert rose(1, 2, marking=("ab", "b")).omega_epsilon(5, 0) == []
+        assert _crossings.cache_info().currsize == 1
 
 
 # -- irrational lengths against the exhaustive oracles --------------------------

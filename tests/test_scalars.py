@@ -130,6 +130,17 @@ class TestParsing:
             Scalar.parse(text)
         assert str(info.value) == message
 
+    @pytest.mark.skipif(sys.get_int_max_str_digits() == 0, reason="no integer digit limit")
+    @pytest.mark.parametrize("form,kind", [("{}", "rational"), ("-1/{}", "rational"),
+                                           ("{}+sqrt2", "scalar"), ("1/{}*sqrt5", "scalar")])
+    def test_digits_past_the_integer_limit(self, form, kind):
+        # Python refuses int() of a string past its digit limit; both branches
+        # turn that into a ParseError naming the text
+        text = form.format("1" * (sys.get_int_max_str_digits() + 700))
+        with pytest.raises(ParseError) as info:
+            Scalar.parse(text)
+        assert str(info.value).startswith(f"bad {kind} {text!r}: Exceeds the limit")
+
     @pytest.mark.parametrize(
         "text", ["", "0.5", "1e3", "sqrt4", "sqrt-2", "1/0", "x", "3+", "sqrt", "++sqrt2"]
     )
