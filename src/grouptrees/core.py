@@ -612,6 +612,13 @@ def parse_word(text: str, rank: int) -> Word:
 # --------------------------------------------------------------------------
 
 
+def _extensions(letters: tuple[int, ...], alphabet: list[int]) -> Iterator[tuple[int, ...]]:
+    last = letters[-1] if letters else None
+    for l in alphabet:
+        if last is None or l != -last:
+            yield letters + (l,)
+
+
 def _class_representatives(rank: int, n: int) -> Iterator[tuple[int, ...]]:
     """Canonical representatives of the conjugacy-and-inversion classes of
     cyclically reduced words of length n >= 1, in letter-key order.
@@ -695,16 +702,11 @@ def _class_table(rank: int, n: int) -> tuple[Word, ...]:
     return tuple([Word(letters, rank) for letters in _class_representatives(rank, n)])
 
 
-def _keeps_table(rank: int, n: int) -> bool:
-    """Whether the classes of length n are served from a kept table."""
-    return rank > 1 and n * 2 * rank * (2 * rank - 1) ** (n - 1) <= _CLASS_TABLE_LETTERS
-
-
 def _class_words(rank: int, n: int) -> Iterable[Word]:
     """The class Words of length n: a shared table while it is small enough,
     else a stream that is not kept.  Rank 1 always streams: its one class
     a^n is built in linear time, and its tables would evict the others."""
-    if _keeps_table(rank, n):
+    if rank > 1 and n * 2 * rank * (2 * rank - 1) ** (n - 1) <= _CLASS_TABLE_LETTERS:
         return _class_table(rank, n)
     return (Word(letters, rank) for letters in _class_representatives(rank, n))
 
@@ -745,8 +747,7 @@ def enumerate_words(rank: int, max_len: int, mode: str = "reduced") -> Iterator[
     for _ in range(max_len):
         next_layer: list[tuple[int, ...]] = []
         for letters in layer:
-            for l in alphabet:
-                if not letters or l != -letters[-1]:
-                    next_layer.append(ext := letters + (l,))
-                    yield Word(ext, rank)
+            for ext in _extensions(letters, alphabet):
+                next_layer.append(ext)
+                yield Word(ext, rank)
         layer = next_layer

@@ -25,12 +25,11 @@ Conventions
 
 from __future__ import annotations
 
-from collections import Counter
 from functools import lru_cache
-from itertools import chain, compress, islice
+from itertools import chain, compress, count, islice
 from operator import mul
 
-from .core import (Scalar, Word, ZERO, _class_table, _integer_view, _keeps_table, _make,
+from .core import (Scalar, Word, ZERO, _class_table, _class_words, _integer_view, _make,
                    _sign, conjugator_length, enumerate_words, inverse, product,
                    word_sort_key)
 from .errors import DegenerateSubgroupError, InvalidSystemError
@@ -174,29 +173,21 @@ class MarkedMetricGraph:
 
     def _length_view(self, *extra: Scalar):
         """(den, d, a_of, b_of, pairs): dart x is (a_of[x] + b_of[x]*sqrt(d))/den
-        long, and edge i, then extra[j], is (a + b*sqrt(d))/den for (a, b) ==
-        pairs[i], then pairs[ne + j]; b_of is None over Q.  See
-        core._integer_view."""
+        long and extra[i] is (a + b*sqrt(d))/den for (a, b) == pairs[i]; b_of
+        is None over Q.  See core._integer_view."""
         ne = len(self.edges)
         den, d, pairs = _integer_view([l for *_, l in self.edges] + list(extra))
         darts = [x for x in range(-ne, ne + 1) if x]
         a_of = {x: pairs[abs(x) - 1][0] for x in darts}
         b_of = {x: pairs[abs(x) - 1][1] for x in darts} if d != 1 else None
-        return den, d, a_of, b_of, pairs
-
-    def _loop_length(self, letters: tuple[int, ...], a_of: dict, b_of) -> tuple[int, int]:
-        """(a, b) for the length (a + b*sqrt(d))/den, in a `_length_view`, of
-        the word's reduced dart loop with its cyclically cancelling ends cut."""
-        loop = product(*map(self._letter_loops.__getitem__, letters))
-        k = conjugator_length(loop)
-        loop = loop[k:len(loop) - k]
-        a = sum(map(a_of.__getitem__, loop))
-        return a, sum(map(b_of.__getitem__, loop)) if b_of else 0
+        return den, d, a_of, b_of, pairs[ne:]
 
     def translation_length(self, w: Word) -> Scalar:
         """Exact translation length of w on the universal cover (0 if trivial)."""
         den, d, a_of, b_of, _ = self._length_view()
-        return _make(*self._loop_length(w.letters, a_of, b_of), den, d)
+        loop = _cyclic(self.word_to_loop(w))
+        b = sum(map(b_of.__getitem__, loop)) if b_of else 0
+        return _make(sum(map(a_of.__getitem__, loop)), b, den, d)
 
     def volume(self) -> Scalar:
         return sum((length for *_, length in self.edges), ZERO)
@@ -205,43 +196,51 @@ class MarkedMetricGraph:
         """Conjugacy classes up to max_len with translation length strictly below epsilon.
 
         Each class is decided on integers: its length and epsilon share one
-        denominator, so the test is one exact sign of a + b*sqrt(d), made once
-        per distinct crossing vector for the classes in `_crossings`' table.
+        denominator, so the test is one exact sign of a + b*sqrt(d).
         """
-        _, d, a_of, b_of, pairs = self._length_view(Scalar.of(epsilon))
-        (ea, eb), (a_len, b_len) = pairs.pop(), zip(*pairs)
-        rank, loops, edges = self.rank, self._letter_loops, range(1, len(self.edges) + 1)
-        # a call that can record nothing takes no table, so it evicts none
-        rows, vectors = (_crossings(len(edges), tuple(map(loops.__getitem__, range(1, rank + 1))))
-                         if max_len > 0 and _keeps_table(rank, 1) else ([], {}))
-        while len(rows) < max_len and _keeps_table(rank, len(rows) + 1):
-            row = []
-            for w in _class_table(rank, len(rows) + 1):
-                loop = product(*map(loops.__getitem__, w.letters))
-                k = conjugator_length(loop)
-                crossed = Counter(map(abs, loop[k:len(loop) - k])).__getitem__
-                row.append(vectors.setdefault(tuple(map(crossed, edges)), len(vectors)))
-            rows.append(tuple(row))
-        short = [_sign(sum(map(mul, v, a_len)) - ea, sum(map(mul, v, b_len)) - eb, d) < 0
-                 for v in vectors]
-        # every class, a tabled one too, is taken from the enumeration
-        words, rows = enumerate_words(rank, max_len, "conjugacy"), rows[:max_len]
-        out = list(compress(islice(words, sum(map(len, rows))),
-                            map(short.__getitem__, chain.from_iterable(rows))))
+        _, d, a_of, b_of, ((ea, eb),) = self._length_view(Scalar.of(epsilon))
+        loops, out, n, row = self._letter_loops, [], 1, None
+        words = enumerate_words(self.rank, max_len, "conjugacy")
+        if max_len > 0 and self.rank > 1:   # else no memo is taken or evicted
+            calls, rows = _crossings(tuple(loops.items()))
+            row = rows if next(calls) else None   # one call on a marking would not repay rows
+        # one sign per distinct crossing at a kept length; every class is still enumerated
+        while row and n <= max_len and isinstance(_class_words(self.rank, n), tuple):
+            ids, crossings = row(n)
+            short = [_sign(sum(map(mul, map(a_of.__getitem__, e), c)) - ea,
+                           sum(map(mul, map(b_of.__getitem__, e), c)) - eb if b_of else -eb,
+                           d) < 0 for e, c in crossings]
+            out += compress(islice(words, len(ids)), map(short.__getitem__, ids))
+            n += 1
         for w in words:
-            a, b = self._loop_length(w.letters, a_of, b_of)
+            loop = _cyclic(product(*map(loops.__getitem__, w.letters)))
+            a = sum(map(a_of.__getitem__, loop))
+            b = sum(map(b_of.__getitem__, loop)) if b_of else 0
             if _sign(a - ea, b - eb, d) < 0:
                 out.append(w)
         return out
 
 
+def _cyclic(loop: tuple[int, ...]) -> tuple[int, ...]:
+    """The reduced loop with its cyclically cancelling ends cut."""
+    k = conjugator_length(loop)
+    return loop[k:len(loop) - k]
+
+
 @lru_cache(maxsize=32)
-def _crossings(ne: int, letter_loops: tuple) -> tuple[list, dict]:
-    """The crossing table (rows, vectors) of the marking with `ne` edges and
-    these dart loops of a, b, ...: rows[n - 1] holds the vector id of each
-    length-n class in enumeration order, and `vectors` maps each distinct
-    vector to its id.  Only lengths the class memo keeps are recorded."""
-    return [], {}
+def _crossings(marking: tuple) -> tuple:
+    """(calls, row) for a marking of rank >= 2, as (letter, dart loop) pairs: a
+    count of omega_epsilon's calls, and row(n) = (ids, crossings) for a kept n;
+    crossings[ids[i]] = (edges, counts) is what class i's cyclic loop crosses."""
+    @lru_cache(maxsize=None)
+    def row(n: int) -> tuple:
+        loops, seen = dict(marking), {}
+        crossed = (tuple(sorted(map(abs, _cyclic(product(*map(loops.__getitem__, w.letters))))))
+                   for w in _class_table(len(loops) // 2, n))
+        ids = tuple([seen.setdefault(c, len(seen)) for c in crossed])
+        edges = [tuple(dict.fromkeys(c)) for c in seen]   # c is sorted
+        return ids, tuple((e, tuple(map(c.count, e))) for c, e in zip(seen, edges))
+    return count(), row
 
 
 # -- minimal subtrees of subgroups --------------------------------------------

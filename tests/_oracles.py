@@ -29,8 +29,8 @@ on a sorted edge list that ``grouptrees.folding.trim``, which deletes from
 dart maps in place, replaced.
 
 :func:`loop_omega` is ``MarkedMetricGraph.omega_epsilon`` before it read
-each class's crossing vector from a table shared per marking: it chains and
-reduces the letter loops of every class on every call.
+each class's crossings from rows shared per marking: it chains and reduces
+the letter loops of every class on every call.
 
 :func:`filter_conjugacy_classes` is the conjugacy enumerator the necklace
 search in ``grouptrees.core`` replaced: it builds every reduced word, layer
@@ -111,7 +111,7 @@ from typing import Iterable, Iterator
 from grouptrees.basis_change import invert_basis
 from grouptrees.core import (Scalar, Word, enumerate_words, inverse, letter_key, product,
                              word_sort_key)
-from grouptrees.core import MAX_RANK, _letters_text, _sign
+from grouptrees.core import MAX_RANK, _letters_text, _sign, conjugator_length
 from grouptrees.errors import (InvalidSystemError, MixedFieldError, NotABasisError, ParseError,
                                PreconditionError)
 from grouptrees.intervals import Interval
@@ -417,14 +417,17 @@ def brute_omega(graph, epsilon, max_len: int) -> set[tuple[int, ...]]:
 
 
 def loop_omega(graph, epsilon, max_len: int) -> list[Word]:
-    """``MarkedMetricGraph.omega_epsilon`` before the crossing table: every
+    """``MarkedMetricGraph.omega_epsilon`` before the crossing memo: every
     class is decided through its own chained and cyclically reduced dart loop,
     on every call."""
-    _, d, a_of, b_of, pairs = graph._length_view(Scalar.of(epsilon))
-    ea, eb = pairs[-1]
+    _, d, a_of, b_of, ((ea, eb),) = graph._length_view(Scalar.of(epsilon))
     out = []
     for w in enumerate_words(graph.rank, max_len, "conjugacy"):
-        a, b = graph._loop_length(w.letters, a_of, b_of)
+        loop = graph.word_to_loop(w)
+        k = conjugator_length(loop)
+        loop = loop[k:len(loop) - k]
+        a = sum(map(a_of.__getitem__, loop))
+        b = sum(map(b_of.__getitem__, loop)) if b_of else 0
         if _sign(a - ea, b - eb, d) < 0:
             out.append(w)
     return out

@@ -1,6 +1,7 @@
 """Marked metric graphs: lengths, minimal subtrees, translate overlaps."""
 
 import random
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from itertools import combinations
 
@@ -367,7 +368,7 @@ class TestOmegaEpsilon:
         assert g.omega_epsilon(Fraction(1, 2), 3) == list(enumerate_words(2, 3, "conjugacy"))
 
 
-# -- the crossing table against the per-class loop oracle -----------------------
+# -- the crossing memo against the per-class loop oracle ------------------------
 
 
 def nielsen_basis(rank, moves):
@@ -410,7 +411,7 @@ def positive_lengths(draw, field, count):
 
 
 # 33 markings, one more than the crossing memo holds: calling them all evicts
-# every other marking's table
+# every other marking's entry
 EVICTING = [marked("rose", nielsen_basis(2, [(0, 1, 0)] * m), [1, 1]) for m in range(1, 34)]
 
 
@@ -439,31 +440,44 @@ def omega_sequences(draw):
 
 
 class TestCrossingTable:
-    """omega_epsilon through the shared crossing tables equals the loop oracle."""
+    """omega_epsilon through the shared crossing rows equals the loop oracle."""
 
     @given(omega_sequences())
     @settings(max_examples=100)
     def test_interleaved_calls_match_loop_oracle(self, calls):
         for call in calls:
             for graph, epsilon, max_len in [call] if call else ((g, 2, 2) for g in EVICTING):
-                assert graph.omega_epsilon(epsilon, max_len) == loop_omega(graph, epsilon, max_len)
+                want = loop_omega(graph, epsilon, max_len)
+                # a marking's first call streams; from its second on, rows decide
+                assert graph.omega_epsilon(epsilon, max_len) == want
+                assert graph.omega_epsilon(epsilon, max_len) == want
 
     def test_evicted_marking_reads_the_same(self):
         _crossings.cache_clear()
         graphs = [marked("rose", nielsen_basis(2, [(0, 1, k % 4)] * (k // 4 + 1)), ["1/3", "1/2"])
                   for k in range(40)]
         assert len({g._letter_loops[1] + (0,) + g._letter_loops[2] for g in graphs}) == 40
-        first = [g.omega_epsilon("3/2", 5) for g in graphs]
+        first = [[g.omega_epsilon("3/2", 5) for _ in range(3)] for g in graphs]
         info = _crossings.cache_info()
-        assert (info.misses, info.currsize) == (40, 32)
-        for graph, want in zip(graphs, first):   # every table was evicted
-            assert graph.omega_epsilon("3/2", 5) == want == loop_omega(graph, "3/2", 5)
+        assert (info.misses, info.hits, info.currsize) == (40, 80, 32)
+        for graph, want in zip(graphs, first):   # every entry was evicted
+            assert [graph.omega_epsilon("3/2", 5) for _ in range(3)] == want
+            assert want == [loop_omega(graph, "3/2", 5)] * 3
         assert _crossings.cache_info().misses == 80
 
-    def test_markings_sharing_a_letter_loop_keep_their_own_tables(self):
+    def test_concurrent_calls_agree(self):
+        _crossings.cache_clear()
+        graphs = [marked("theta", nielsen_basis(2, [(1, 0, k)]), ["1/2", "1/3", "1/5"])
+                  for k in range(4)]
+        want = [loop_omega(g, "7/5", 6) for g in graphs]
+        with ThreadPoolExecutor(4) as pool:
+            got = list(pool.map(lambda k: graphs[k % 4].omega_epsilon("7/5", 6), range(64)))
+        assert got == want * 16
+
+    def test_markings_sharing_a_letter_loop_keep_their_own_rows(self):
         # a's loop is the same on these roses, b's differs
         graphs = [rose(1, Fraction(1, 4), marking=m) for m in (("a", "b"), ("a", "ba"), ("a", "bA"))]
-        for _ in range(2):
+        for _ in range(3):   # first, building and warm calls
             for graph in graphs:
                 assert graph.omega_epsilon(3, 6) == loop_omega(graph, 3, 6)
 
@@ -475,7 +489,7 @@ class TestCrossingTable:
     ])
     def test_takes_every_class_from_the_enumeration(self, monkeypatch, graph, max_len):
         # the traced census gate counts the words omega_epsilon takes from
-        # enumerate_words; a warm table must not let it skip any
+        # enumerate_words; warm rows must not let it skip any
         taken = []
 
         def counting(*args):
@@ -486,27 +500,38 @@ class TestCrossingTable:
         monkeypatch.setattr(engine, "enumerate_words", counting)
         _crossings.cache_clear()
         want = list(enumerate_words(graph.rank, max_len, "conjugacy"))
-        for _ in range(2):   # cold, then warm
+        for _ in range(3):   # first call, the call that builds the rows, then warm
             taken.clear()
             graph.omega_epsilon(Fraction(3, 2), max_len)
             assert taken == want
 
-    def test_table_bound(self):
+    def test_row_bound(self, monkeypatch):
         _crossings.cache_clear()
         graph = rose(Fraction(1, 3), Fraction(1, 2))
+        calls, row = _crossings(tuple(graph._letter_loops.items()))
         graph.omega_epsilon(2, 3)
-        rows, vectors = _crossings(2, (graph._letter_loops[1], graph._letter_loops[2]))
-        assert len(rows) == 3
+        assert row.cache_info().currsize == 0   # one call on a marking builds no row
+        graph.omega_epsilon(2, 3)
+        assert row.cache_info().currsize == 3
         # past the longest kept length (7 at rank 2) nothing more is recorded
         assert graph.omega_epsilon(2, 10) == loop_omega(graph, 2, 10)
-        assert [len(row) for row in rows] == [len(_class_table(2, n)) for n in range(1, 8)]
-        assert list(vectors.values()) == list(range(len(vectors)))
-        assert all(len(v) == 2 for v in vectors)
-        assert {i for row in rows for i in row} == set(vectors.values())
-        # on the identity rose a class's vector counts its letters a and b
-        assert set(vectors) == {(i, n - i) for n in range(1, 8) for i in range(n + 1)}
-        assert _crossings.cache_info().currsize == 1
-        # a rank-1 call adds no table, so it evicts none
+        info = row.cache_info()
+        assert (info.hits, info.misses, info.currsize, next(calls)) == (3, 7, 7, 3)
+        for n in range(1, 8):
+            ids, crossings = row(n)
+            assert type(ids) is type(crossings) is tuple
+            assert len(ids) == len(_class_table(2, n))
+            assert set(ids) == set(range(len(crossings)))
+            # on the identity rose a class with i a's crosses edge 1 i times, edge 2 n - i
+            assert set(crossings) == {tuple(zip(*[(e, k) for e, k in ((1, i), (2, n - i)) if k]))
+                                      for i in range(n + 1)}
+        # a call decides the distinct crossings of its own lengths only
+        decided = []
+        monkeypatch.setattr(engine, "_sign", lambda *ab_d: decided.append(ab_d) or -1)
+        graph.omega_epsilon(2, 5)
+        assert len(decided) == 2 + 3 + 4 + 5 + 6
+        monkeypatch.undo()
+        # rank-1 and max_len 0 calls take no memo entry, so they evict none
         line = rose(Fraction(1, 10), marking=("A",))
         assert line.omega_epsilon(5, 40) == loop_omega(line, 5, 40)
         assert line.omega_epsilon(5, 0) == []
