@@ -18,7 +18,6 @@ order, enumeration order) are defined in this module and nowhere else.
 from __future__ import annotations
 
 import re
-import sys
 from functools import lru_cache
 from math import gcd, isqrt, lcm
 from operator import attrgetter, neg
@@ -88,12 +87,11 @@ class Scalar:
         rational part, so equal rationals compare and hash equal no matter
         which field their document declared.
 
-    The public view is ``rat + irr*sqrt(d)`` with Fraction ``rat`` and
-    ``irr``; all of ``rat``, ``irr`` and ``d`` are read-only.  Nothing else
-    builds a Fraction: rendering, hashing and parsing work on the integers.
+    The field tag ``d`` is read-only.  Nothing builds a Fraction: rendering,
+    hashing and parsing work on the integers.
     """
 
-    __slots__ = ("_a", "_b", "_den", "_d", "_hash")
+    __slots__ = ("_a", "_b", "_den", "_d")
 
     def __init__(self, rat, irr=0, d=1) -> None:
         """rat + irr*sqrt(d) for ints or Fractions rat and irr."""
@@ -106,18 +104,6 @@ class Scalar:
                              f"at most 10^15, got {d!r}")
         s = r + i * (_build(0, 1, 1, d) if d != 1 else _build(1, 0, 1, 1))
         self._a, self._b, self._den, self._d = s._a, s._b, s._den, s._d
-
-    # -- read-only view ------------------------------------------------------
-
-    @property
-    def rat(self) -> "Fraction":
-        from fractions import Fraction
-        return Fraction(self._a, self._den)
-
-    @property
-    def irr(self) -> "Fraction":
-        from fractions import Fraction
-        return Fraction(self._b, self._den)
 
     @property
     def d(self) -> int:
@@ -249,7 +235,8 @@ class Scalar:
     def __ge__(self, other) -> bool:
         return self._cmp(other) >= 0
 
-    # The normal form is unique, so equality is equality of the integers.
+    # The normal form is unique, so equality, and with it the hash, is that
+    # of the integers.
     def __eq__(self, other) -> bool:
         if type(other) is not Scalar:
             return NotImplemented
@@ -257,20 +244,7 @@ class Scalar:
                 and self._den == other._den and self._d == other._d)
 
     def __hash__(self) -> int:
-        # hash((rat, irr, d)), as for the Fraction-backed dataclass this class
-        # replaces, so set and dict iteration orders (and reports) are kept;
-        # an int hashes like the equal Fraction
-        try:
-            return self._hash
-        except AttributeError:
-            pass
-        if self._den == 1:
-            h = hash((self._a, self._b, self._d))
-        else:
-            h = hash((_ratio_hash(self._a, self._den),
-                      _ratio_hash(self._b, self._den), self._d))
-        self._hash = h
-        return h
+        return hash((self._a, self._b, self._den, self._d))
 
     # -- rendering ---------------------------------------------------------------
 
@@ -356,20 +330,6 @@ def _ratio_text(n: int, q: int) -> str:
     """str(Fraction(n, q)) for q > 0."""
     g = gcd(n, q)
     return f"{n // g}" if q == g else f"{n // g}/{q // g}"
-
-
-_MODULUS, _INF = sys.hash_info.modulus, sys.hash_info.inf
-
-
-def _ratio_hash(n: int, q: int) -> int:
-    """hash(Fraction(n, q)) for q > 0, by CPython's rule for rationals."""
-    g = gcd(n, q)
-    n, q = n // g, q // g
-    try:
-        h = hash(hash(abs(n)) * pow(q, -1, _MODULUS))
-    except ValueError:   # q is a multiple of the modulus: no inverse
-        h = _INF
-    return h if n >= 0 else -h if h != 1 else -2   # hash -1 is spelt -2
 
 
 def _join(d1: int, d2: int) -> int:

@@ -23,7 +23,8 @@ from __future__ import annotations
 from functools import cmp_to_key
 from math import isqrt
 
-from .core import Scalar, Word, ZERO, _Frozen, _integer_view, _make, _sign, ordered_letters
+from .core import (Scalar, ZERO, _Frozen, _integer_view, _letters_text, _make, _sign,
+                   ordered_letters)
 from .errors import (
     InvalidSystemError,
     MissingLabelsError,
@@ -110,9 +111,6 @@ class SoISystem:
 
     def signed_letters(self):
         return ordered_letters(len(self.generators))
-
-    def word_str(self, letters) -> str:
-        return str(Word(tuple(letters), max(1, len(self.generators))))
 
     def label_letters(self) -> tuple[int, ...]:
         if self._letter_of_gen is None:
@@ -304,7 +302,7 @@ def independence_check(system: SoISystem, max_len: int) -> dict:
             layer.append(((l,), (g.orient, g.offset, g.dom)))
     for word, (orient, offset, dom) in layer:
         if orient == 1 and offset.is_zero():
-            return {"status": "violation", "word": system.word_str(word),
+            return {"status": "violation", "word": _letters_text(word),
                     "arc": dom, "word_length": len(word)}
     length = 1
     while length < max_len and layer:
@@ -325,7 +323,7 @@ def independence_check(system: SoISystem, max_len: int) -> dict:
                 new_word = (l,) + word
                 if new_orient == 1 and new_offset.is_zero():
                     return {"status": "violation",
-                            "word": system.word_str(new_word),
+                            "word": _letters_text(new_word),
                             "arc": new_dom, "word_length": len(new_word)}
                 nxt.append((new_word, (new_orient, new_offset, new_dom)))
         layer = nxt
@@ -491,7 +489,7 @@ def ae_support_check(system: SoISystem, f_eps: MultiInterval, target: Interval,
         base = covered.measure
         uncovered = target.length - base
         if delta > uncovered:
-            return {"status": "covered", "words": [system.word_str(w) for w, _ in words],
+            return {"status": "covered", "words": [_letters_text(w) for w, _ in words],
                     "uncovered_measure": uncovered, "delta": delta,
                     "candidates": len(cands), "max_len": max_len}
         best = None
@@ -503,7 +501,7 @@ def ae_support_check(system: SoISystem, f_eps: MultiInterval, target: Interval,
         if best is None:
             return {"status": "budget-exhausted",
                     "uncovered_measure": uncovered, "delta": delta,
-                    "words": [system.word_str(w) for w, _ in words],
+                    "words": [_letters_text(w) for w, _ in words],
                     "candidates": len(cands), "max_len": max_len}
         words.append(best)
         covered = covered.union(best[1])
@@ -550,7 +548,7 @@ def indecomposability_search(system: SoISystem, piece: Interval, target: Interva
         if reach >= target.hi:
             _verify_chain(system, piece, target, chain)
             return {"status": "chain-found",
-                    "chain": [{"word": system.word_str(w), "interval": iv}
+                    "chain": [{"word": _letters_text(w), "interval": iv}
                               for w, iv in chain],
                     "r": len(chain), "r_max": r_max, "max_len": max_len}
     return {"status": "exhausted", "chained": len(chain), "r_max": r_max,

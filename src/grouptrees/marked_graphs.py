@@ -29,9 +29,9 @@ from functools import lru_cache
 from itertools import chain, compress, count, islice
 from operator import mul
 
-from .core import (Scalar, Word, ZERO, _class_table, _class_words, _integer_view, _make,
-                   _sign, conjugator_length, enumerate_words, inverse, product,
-                   word_sort_key)
+from .core import (Scalar, Word, ZERO, _class_table, _class_words, _integer_view,
+                   _letters_text, _make, _sign, conjugator_length, enumerate_words,
+                   inverse, product, word_sort_key)
 from .errors import DegenerateSubgroupError, InvalidSystemError
 from .basis_change import invert_basis
 from . import folding
@@ -393,7 +393,7 @@ def _subtree_ball(cover: CoverCore, h: Word, radius: int) -> dict:
 
 def _edge_report(graph: MarkedMetricGraph, u, v, eid) -> dict:
     return {
-        "sheet": str(Word(u, graph.rank)),
+        "sheet": _letters_text(u),
         "vertex": v,
         "edge": eid,
         "length": str(graph.edges[eid][2]),
@@ -453,7 +453,7 @@ def _translate_intersection_prepared(cover: CoverCore, g: Word, radius: int,
         if shared:
             u, v = first(shared)
             report["outcome"] = "single-point-within-radius"
-            report["witness_vertex"] = {"sheet": str(Word(u, graph.rank)), "vertex": v}
+            report["witness_vertex"] = {"sheet": _letters_text(u), "vertex": v}
         else:
             report["outcome"] = "disjoint-within-radius"
     return report

@@ -147,6 +147,11 @@ _SCALAR_RE = re.compile(
 )
 
 
+def scalar_parts(s: Scalar) -> tuple[Fraction, Fraction, int]:
+    """(rat, irr, d) with s == rat + irr*sqrt(d), read from s's integers."""
+    return Fraction(s._a, s._den), Fraction(s._b, s._den), s._d
+
+
 @dataclass(frozen=True, slots=True)
 class FractionScalar:
     """rat + irr*sqrt(d) with Fraction parts; d == 1 iff irr == 0.
@@ -944,7 +949,7 @@ def rebuilding_ae_support_check(system, f_eps, target, delta, max_len: int) -> d
     while True:
         uncovered = target.length - covered.intersect(target_multi).measure
         if delta > uncovered:
-            return {"status": "covered", "words": [system.word_str(w) for w, _ in words],
+            return {"status": "covered", "words": [_letters_text(w) for w, _ in words],
                     "uncovered_measure": uncovered, "delta": delta,
                     "candidates": len(cands), "max_len": max_len}
         best = None
@@ -957,7 +962,7 @@ def rebuilding_ae_support_check(system, f_eps, target, delta, max_len: int) -> d
         if best is None:
             return {"status": "budget-exhausted",
                     "uncovered_measure": uncovered, "delta": delta,
-                    "words": [system.word_str(w) for w, _ in words],
+                    "words": [_letters_text(w) for w, _ in words],
                     "candidates": len(cands), "max_len": max_len}
         words.append(best)
         covered = covered.union(best[1])

@@ -5,7 +5,9 @@ every non-dunder method of a module-level class, must be named somewhere in
 `src/`, `scripts/` or `perfbench/` outside its own definition.  A name only the
 tests use belongs in the tests.  "Named" means an identifier, an attribute,
 an imported name or an `__all__` entry in the syntax tree; docstrings and
-comments do not count.
+comments do not count.  A method or property is reached only through an
+attribute, an imported name or an `__all__` entry: a bare identifier of the
+same name (a parameter, a local) does not reach it.
 """
 
 from __future__ import annotations
@@ -23,6 +25,9 @@ EXEMPT = {
     "__all__": "read by `from grouptrees import *`, never named in code",
     "cli._Parser.error": "overrides `argparse.ArgumentParser.error`, which "
                          "argparse calls on a usage error",
+    **{f"{cls}.jsonable": "read by `report.to_jsonable` through `getattr`"
+       for cls in ("intervals.Interval", "intervals.MultiInterval",
+                   "measures.LengthMeasure", "stallings.StallingsGraph")},
 }
 
 
@@ -36,37 +41,39 @@ def _span(node: ast.AST) -> tuple[int, int]:
 
 
 def _definitions(path: Path, tree: ast.Module):
-    """(qualified name, bare name, line span) of every checked definition."""
+    """(qualified name, bare name, line span, is a member) of every checked
+    definition."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            yield f"{path.stem}.{node.name}", node.name, _span(node)
+            yield f"{path.stem}.{node.name}", node.name, _span(node), False
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             for target in targets:
                 if isinstance(target, ast.Name):
-                    yield f"{path.stem}.{target.id}", target.id, _span(node)
+                    yield f"{path.stem}.{target.id}", target.id, _span(node), False
         if isinstance(node, ast.ClassDef):
             for item in node.body:
                 if (isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
                         and not _is_dunder(item.name)):
                     yield (f"{path.stem}.{node.name}.{item.name}", item.name,
-                           _span(item))
+                           _span(item), True)
 
 
 def _uses(tree: ast.Module):
-    """(name, line) for every identifier, attribute, imported name and `__all__` entry."""
+    """(name, line, is a bare identifier) for every identifier, attribute,
+    imported name and `__all__` entry."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
-            yield node.id, node.lineno
+            yield node.id, node.lineno, True
         elif isinstance(node, ast.Attribute):
-            yield node.attr, node.lineno
+            yield node.attr, node.lineno, False
         elif isinstance(node, ast.ImportFrom):
             for alias in node.names:
-                yield alias.name, node.lineno
+                yield alias.name, node.lineno, False
         elif (isinstance(node, ast.Assign)
               and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
             for item in node.value.elts:
-                yield item.value, item.lineno
+                yield item.value, item.lineno, False
 
 
 def unreached_names() -> list[str]:
@@ -74,17 +81,18 @@ def unreached_names() -> list[str]:
     for top in SEARCHED:
         for path in sorted(top.rglob("*.py")):
             trees[path] = ast.parse(path.read_text(encoding="utf-8"), str(path))
-    uses: dict[str, list[tuple[Path, int]]] = {}
+    uses: dict[str, list[tuple[Path, int, bool]]] = {}
     for path, tree in trees.items():
-        for name, line in _uses(tree):
-            uses.setdefault(name, []).append((path, line))
+        for name, line, bare in _uses(tree):
+            uses.setdefault(name, []).append((path, line, bare))
     unreached = []
     for path in sorted(PACKAGE.glob("*.py")):
-        for qualified, name, (first, last) in _definitions(path, trees[path]):
+        for qualified, name, (first, last), member in _definitions(path, trees[path]):
             if name in EXEMPT or qualified in EXEMPT:
                 continue
-            outside = [(p, line) for p, line in uses.get(name, ())
-                       if p != path or not first <= line <= last]
+            outside = [(p, line) for p, line, bare in uses.get(name, ())
+                       if (p != path or not first <= line <= last)
+                       and not (member and bare)]
             if not outside:
                 unreached.append(qualified)
     return unreached

@@ -1,15 +1,19 @@
 """Exact quadratic-field scalars: normalization, order, parsing, arithmetic."""
 
+import ast
 import operator
+import os
+import subprocess
 import sys
 from decimal import Decimal
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
-from _oracles import FractionScalar, _is_square_free as _trial_square_free
-from grouptrees.core import Scalar, ZERO, _is_square_free, _ratio_hash, field_problem
+from _oracles import FractionScalar, _is_square_free as _trial_square_free, scalar_parts
+from grouptrees.core import Scalar, ZERO, _is_square_free, field_problem
 from grouptrees.errors import MixedFieldError, ParseError
 
 
@@ -230,7 +234,7 @@ class TestFieldCheck:
 
     def test_immutable(self):
         s = S("1+sqrt2")
-        for attr in ("rat", "irr", "d", "extra"):
+        for attr in ("d", "extra"):
             with pytest.raises(AttributeError):
                 setattr(s, attr, 3)
 
@@ -257,8 +261,10 @@ def outcome(fn, *args):
         return type(exc).__name__, str(exc)
     except TypeError:
         return "TypeError"
-    if isinstance(value, (Scalar, FractionScalar)):
-        return ("scalar", value.rat, value.irr, value.d, str(value), hash(value))
+    if isinstance(value, Scalar):
+        return ("scalar", *scalar_parts(value), str(value))
+    if isinstance(value, FractionScalar):
+        return ("scalar", value.rat, value.irr, value.d, str(value))
     return value
 
 
@@ -298,11 +304,56 @@ class TestAgainstFractionOracle:
         assert outcome(abs, new) == "TypeError"
         assert new.sign() == old.sign()
         assert new.is_zero() == old.is_zero()
-        assert (new.rat, new.irr, new.d) == (old.rat, old.irr, old.d)
+        assert scalar_parts(new) == (old.rat, old.irr, old.d)
         assert str(new) == str(old)
-        assert hash(new) == hash(old)
+        assert_equal_values_hash_equal(new)
         assert outcome(Scalar.parse, str(new)) == outcome(FractionScalar.parse, str(old))
         assert new != old.rat and new != str(new)
+
+
+# -- the hash: equal values hash equal, whatever path built them --------------
+
+
+def equal_values(x: Scalar) -> list[Scalar]:
+    """x rebuilt along several paths: constructor, parse, arithmetic and, for
+    a rational x, Scalar.of of a Fraction and of an int."""
+    rat, irr, d = scalar_parts(x)
+    third = Scalar(Fraction(1, 3))
+    out = [Scalar(rat, irr, d), Scalar(rat) + Scalar(0, irr, d), Scalar.parse(str(x)),
+           (x + third) - third, x * 3 - x * 2, -(-x), x * ONE + ZERO,
+           Scalar(rat, irr, d) * Scalar(Fraction(1, 7)) * 7]
+    if not irr:
+        out += [Scalar.of(rat), Scalar(rat, 0, 5), Scalar.parse(f"{rat}+0*sqrt3")]
+        if rat.denominator == 1:
+            out.append(Scalar.of(rat.numerator))
+    return out
+
+
+def assert_equal_values_hash_equal(x: Scalar) -> None:
+    for y in equal_values(x):
+        assert y == x and hash(y) == hash(x), (str(x), str(y))
+
+
+class TestHash:
+    def test_hash_ignores_the_hash_seed(self):
+        code = ("from grouptrees.core import Scalar\n"
+                "print([hash(Scalar.parse(t)) for t in ('-1/2', '3/2-1/2*sqrt5', '7')])")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(Path(__file__).resolve().parent.parent / "src")]
+            + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+        outs = {subprocess.run([sys.executable, "-c", code], capture_output=True, check=True,
+                               text=True, env={**env, "PYTHONHASHSEED": seed}).stdout
+                for seed in ("1", "4242")}
+        assert len(outs) == 1
+
+    def test_no_module_imports_fractions(self):
+        package = Path(__file__).resolve().parent.parent / "src" / "grouptrees"
+        for path in sorted(package.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                names = ([a.name for a in node.names] if isinstance(node, ast.Import)
+                         else [node.module] if isinstance(node, ast.ImportFrom) else [])
+                assert "fractions" not in names, path.name
 
 
 # -- rendering and hashing from the integers, beyond small values --------------
@@ -311,10 +362,11 @@ P = sys.hash_info.modulus
 
 
 def assert_like_oracle(rat, irr, d):
-    """str, hash and the parsed str agree with the Fraction-backed oracle."""
+    """str and the parsed str agree with the Fraction-backed oracle, and equal
+    values hash equal."""
     new, old = Scalar(rat, irr, d), FractionScalar(rat, irr, d)
     assert str(new) == str(old)
-    assert hash(new) == hash(old)
+    assert_equal_values_hash_equal(new)
     assert Scalar.parse(str(new)) == new
     assert FractionScalar.parse(str(old)) == old
 
@@ -326,16 +378,6 @@ class TestWideValues:
         for rat, irr, d in ((Fraction(num, den), 0, 1), (0, Fraction(num, den), 2),
                             (Fraction(num, den), Fraction(-num, 3 * den), 5),
                             (Fraction(1, 3), Fraction(num, den), 7)):
-            assert_like_oracle(rat, irr, d)
-
-    def test_part_whose_hash_would_be_minus_one(self):
-        # hash(P + 2) * (1/2) = 1 mod P, so -(P + 2)/2 hashes to -1 -> -2
-        minus_one = Fraction(-(P + 2), 2)
-        # a tuple hashes an element -1 like -2, so the Scalar hashes below
-        # cannot tell; the part's own hash must be -2, as the Fraction's is
-        assert _ratio_hash(-(P + 2), 2) == hash(minus_one) == -2
-        for rat, irr, d in ((minus_one, 0, 1), (0, minus_one, 3),
-                            (minus_one, minus_one, 2), (-1, minus_one, 5)):
             assert_like_oracle(rat, irr, d)
 
     @pytest.mark.parametrize("num", [10**60 + 7, -(10**60 + 7), -(2**200), 7**90])
