@@ -321,7 +321,7 @@ def equal_values(x: Scalar) -> list[Scalar]:
     third = Scalar(Fraction(1, 3))
     out = [Scalar(rat, irr, d), Scalar(rat) + Scalar(0, irr, d), Scalar.parse(str(x)),
            (x + third) - third, x * 3 - x * 2, -(-x), x * ONE + ZERO,
-           Scalar(rat, irr, d) * Scalar(Fraction(1, 7)) * 7]
+           x * Scalar(Fraction(1, 7)) * 7]
     if not irr:
         out += [Scalar.of(rat), Scalar(rat, 0, 5), Scalar.parse(f"{rat}+0*sqrt3")]
         if rat.denominator == 1:
