@@ -56,7 +56,7 @@ def _read_document(path: str, what: str) -> dict:
     except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {what} file {path!r}: {exc}")
     from .documents import load_json
-    return load_json(text)
+    return load_json(text, f"{what} file {path!r}")
 
 
 def _inline_points(text: str):

@@ -80,7 +80,8 @@ _SCALAR_RE = re.compile(
 class Scalar:
     """Exact value (a + b*sqrt(d)) / den, held as plain integers.
 
-    Normal form, established by the constructor and kept by every operation:
+    Only :meth:`of` and :meth:`parse` build one (``Scalar(x)`` is a
+    TypeError).  Normal form, established by both and kept by every operation:
       * den > 0 and gcd(a, b, den) == 1;
       * d is a square-free natural no larger than D_MAX;
       * b == 0 forces d == 1, and d == 1 folds the irrational part into the
@@ -92,18 +93,6 @@ class Scalar:
     """
 
     __slots__ = ("_a", "_b", "_den", "_d")
-
-    def __init__(self, rat, irr=0, d=1) -> None:
-        """rat + irr*sqrt(d) for ints or Fractions rat and irr."""
-        r, i = _coerce(rat), _coerce(irr)
-        if r is None or i is None:
-            bad = rat if r is None else irr
-            raise TypeError(f"cannot make a Scalar from {type(bad).__name__}")
-        if not isinstance(d, int) or not _is_square_free(d):
-            raise ValueError(f"field tag must be a square-free natural "
-                             f"at most 10^15, got {d!r}")
-        s = r + i * (_build(0, 1, 1, d) if d != 1 else _build(1, 0, 1, 1))
-        self._a, self._b, self._den, self._d = s._a, s._b, s._den, s._d
 
     @property
     def d(self) -> int:

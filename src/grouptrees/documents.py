@@ -42,10 +42,11 @@ def parse_json(text: str, where: str | None = None):
         _fail(f"{prefix}invalid JSON: nesting too deep")
 
 
-def load_json(text: str) -> dict:
-    doc = parse_json(text)
+def load_json(text: str, where: str) -> dict:
+    """The JSON object of `text`, the document `where` names."""
+    doc = parse_json(text, where)
     if not isinstance(doc, dict):
-        _fail("top-level JSON value must be an object")
+        _fail(f"{where}: top-level JSON value must be an object")
     return doc
 
 
@@ -291,8 +292,6 @@ def load_multi(value, where: str = "interval set") -> MultiInterval:
 def load_interval(value, where: str = "interval") -> Interval:
     if isinstance(value, str):
         value = parse_json(value, where)
-    if not isinstance(value, list) or len(value) != 2:
-        _fail(f"{where}: expected [lo, hi]")
     return _interval_pair(value, where)
 
 

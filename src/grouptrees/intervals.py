@@ -20,7 +20,6 @@ class Interval(_Frozen):
     __slots__ = ("lo", "hi")
 
     def __init__(self, lo: Scalar, hi: Scalar):
-        lo, hi = Scalar.of(lo), Scalar.of(hi)
         if hi < lo:
             raise InvalidSystemError(f"interval endpoints out of order: [{lo}, {hi}]")
         object.__setattr__(self, "lo", lo)
@@ -70,9 +69,7 @@ class MultiInterval(_Frozen):
     __slots__ = ("components",)
 
     def __init__(self, intervals=()):
-        pieces = sorted(
-            (iv if isinstance(iv, Interval) else Interval(*iv) for iv in intervals),
-            key=lambda iv: (iv.lo, iv.hi))
+        pieces = sorted(intervals, key=lambda iv: (iv.lo, iv.hi))
         merged: list[Interval] = []
         for iv in pieces:
             if merged and iv.lo <= merged[-1].hi:
@@ -125,8 +122,3 @@ class MultiInterval(_Frozen):
 
     def jsonable(self) -> list[list[str]]:
         return [[str(iv.lo), str(iv.hi)] for iv in self.components]
-
-    def __str__(self):
-        if not self.components:
-            return "(empty)"
-        return " ∪ ".join(str(iv) for iv in self.components)

@@ -44,9 +44,8 @@ class PartialIsometry(_Frozen):
         if orient not in (1, -1):
             raise InvalidSystemError("orientation must be +1 or -1")
         object.__setattr__(self, "orient", orient)
-        object.__setattr__(self, "offset", Scalar.of(offset))
-        object.__setattr__(self, "dom", dom if isinstance(dom, Interval)
-                           else Interval(*dom))
+        object.__setattr__(self, "offset", offset)
+        object.__setattr__(self, "dom", dom)
 
     @property
     def ran(self) -> Interval:
@@ -69,8 +68,6 @@ class SoISystem:
                  "_inverses")
 
     def __init__(self, forest: MultiInterval, generators, labels=None):
-        if not isinstance(forest, MultiInterval):
-            forest = MultiInterval(forest)
         generators = tuple(generators)
         if not generators:
             raise InvalidSystemError("a system needs at least one generator")
@@ -466,13 +463,12 @@ def _image_candidates(system: SoISystem, seed, max_len: int):
 
 
 def ae_support_check(system: SoISystem, f_eps: MultiInterval, target: Interval,
-                     delta, max_len: int) -> dict:
+                     delta: Scalar, max_len: int) -> dict:
     """Greedily cover the target interval by word-images of f_eps, up to measure delta.
 
     Returns the witness words when the uncovered measure drops below delta,
     or budget-exhausted when no candidate image adds coverage.
     """
-    delta = Scalar.of(delta)
     if delta.sign() <= 0:
         raise InvalidSystemError("delta must be positive")
     if not system.forest.contains_interval(target):

@@ -11,7 +11,7 @@ rays by cycle detection.
 
 from __future__ import annotations
 
-from .core import Word, _Frozen, _letters_text, enumerate_words, word_sort_key
+from .core import Word, _Frozen, _letters_text, enumerate_words, inverse, word_sort_key
 from .errors import DegenerateSubgroupError, PreconditionError
 from .stallings import StallingsGraph, index
 
@@ -160,7 +160,7 @@ _SIMPLICIAL_NOTE = (
     "subgroups only for free actions with dense orbits")
 
 
-def carrier_scan(graph: MarkedMetricGraph, subgroup: StallingsGraph, epsilon,
+def carrier_scan(graph: MarkedMetricGraph, subgroup: StallingsGraph, epsilon: Scalar,
                  max_word: int, max_translate: int) -> dict:
     """Scan the short-leaf stock for leaves the subgroup carries.
 
@@ -171,33 +171,35 @@ def carrier_scan(graph: MarkedMetricGraph, subgroup: StallingsGraph, epsilon,
     without carrying leaf(g) itself.
     """
     short = graph.omega_epsilon(epsilon, max_word)
-    leaves = [periodic_leaf(g) for g in short]
-    carried = [{"generator": str(g), "leaf": str(leaf)}
-               for g, leaf in zip(short, leaves) if carries(subgroup, leaf)]
-    translate_hits = []
+    # w * leaf(g) on letter tuples, in BoundaryRay's and RationalLeaf's forms,
+    # the empty w first; g is cyclically reduced, so leaf(g)'s rays have no
+    # prefix
+    translates = [()]
     if max_translate > 0 and short:
-        # w * leaf(g) on letter tuples, in BoundaryRay's and RationalLeaf's
-        # forms; g is cyclically reduced, so leaf(g)'s rays have no prefix
-        translates = [w.letters for w in enumerate_words(graph.rank, max_translate)
-                      if w.letters]
-        for g, base in zip(short, leaves):
-            generator = str(g)
-            v1, v2 = (r.period.letters for r in base.rays)
-            for w in translates:
-                first, second = _canonical_ray(w, v1), _canonical_ray(w, v2)
-                if _reads_forever(subgroup, *first) and _reads_forever(subgroup, *second):
-                    if _ray_key(second) < _ray_key(first):
-                        first, second = second, first
-                    translate_hits.append({
-                        "generator": generator,
-                        "word": _letters_text(w),
-                        "leaf": f"({_ray_text(*first)}, {_ray_text(*second)})"})
+        translates += [w.letters for w in enumerate_words(graph.rank, max_translate)
+                       if w.letters]
+    carried, translate_hits = [], []
+    for g in short:
+        generator = str(g)
+        period = _primitive_root(g.letters)
+        back = inverse(period)
+        for w in translates:
+            first, second = _canonical_ray(w, back), _canonical_ray(w, period)
+            if _reads_forever(subgroup, *first) and _reads_forever(subgroup, *second):
+                if _ray_key(second) < _ray_key(first):
+                    first, second = second, first
+                leaf = f"({_ray_text(*first)}, {_ray_text(*second)})"
+                if w:
+                    translate_hits.append({"generator": generator,
+                                           "word": _letters_text(w), "leaf": leaf})
+                else:
+                    carried.append({"generator": generator, "leaf": leaf})
     return {
         "status": "carried-leaves-found" if carried else "none-up-to-budget",
         "carried": carried,
         "translate_hits": translate_hits,
         "short_classes": [str(g) for g in short],
-        "epsilon": epsilon if isinstance(epsilon, str) else str(epsilon),
+        "epsilon": str(epsilon),
         "max_word": max_word,
         "max_translate": max_translate,
         "subgroup_index": index(subgroup),

@@ -55,7 +55,6 @@ class MarkedMetricGraph:
         for u, v, length in edges:
             if not (0 <= u < nv and 0 <= v < nv):
                 raise InvalidSystemError("edge endpoint out of range")
-            length = Scalar.of(length)
             if length.sign() <= 0:
                 raise InvalidSystemError("edge lengths must be positive")
             edge_list.append((u, v, length))
@@ -192,13 +191,13 @@ class MarkedMetricGraph:
     def volume(self) -> Scalar:
         return sum((length for *_, length in self.edges), ZERO)
 
-    def omega_epsilon(self, epsilon, max_len: int) -> list[Word]:
+    def omega_epsilon(self, epsilon: Scalar, max_len: int) -> list[Word]:
         """Conjugacy classes up to max_len with translation length strictly below epsilon.
 
         Each class is decided on integers: its length and epsilon share one
         denominator, so the test is one exact sign of a + b*sqrt(d).
         """
-        _, d, a_of, b_of, ((ea, eb),) = self._length_view(Scalar.of(epsilon))
+        _, d, a_of, b_of, ((ea, eb),) = self._length_view(epsilon)
         loops, out, n, row = self._letter_loops, [], 1, None
         words = enumerate_words(self.rank, max_len, "conjugacy")
         if max_len > 0 and self.rank > 1:   # else no memo is taken or evicted

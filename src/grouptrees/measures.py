@@ -26,9 +26,6 @@ class LengthMeasure(_Frozen):
     def __init__(self, pieces):
         raw = []
         for piece, density in pieces:
-            if not isinstance(piece, Interval):
-                piece = Interval(*piece)
-            density = Scalar.of(density)
             if density.sign() < 0:
                 raise PreconditionError(f"density {density} is negative")
             if piece.is_point:
@@ -101,7 +98,7 @@ def invariance_check(system, mu: LengthMeasure) -> dict:
                 cuts.add(p)
             # pull back breakpoints that subdivide the range
             if gen.ran.contains(p):
-                back = (p - gen.offset) * Scalar.of(gen.orient)
+                back = p - gen.offset if gen.orient > 0 else gen.offset - p
                 if gen.dom.contains(back):
                     cuts.add(back)
         pts = sorted(cuts)
@@ -123,9 +120,9 @@ def invariance_check(system, mu: LengthMeasure) -> dict:
     return {"status": "invariant", "generators_checked": len(system.generators)}
 
 
-def combine(c1, mu1: LengthMeasure, c2, mu2: LengthMeasure) -> LengthMeasure:
+def combine(c1: Scalar, mu1: LengthMeasure, c2: Scalar,
+            mu2: LengthMeasure) -> LengthMeasure:
     """c1*mu1 + c2*mu2 on the common refinement (supports must agree)."""
-    c1, c2 = Scalar.of(c1), Scalar.of(c2)
     if c1.sign() < 0 or c2.sign() < 0:
         raise PreconditionError("combination coefficients must be nonnegative")
     if mu1.support != mu2.support:

@@ -147,6 +147,12 @@ _SCALAR_RE = re.compile(
 )
 
 
+def scalar(rat, irr=0, d: int = 1) -> Scalar:
+    """rat + irr*sqrt(d) for ints or Fractions rat and irr, built as the input
+    boundary builds values: by Scalar.of and Scalar.parse."""
+    return Scalar.of(rat) + Scalar.of(irr) * Scalar.parse(f"sqrt{d}")
+
+
 def scalar_parts(s: Scalar) -> tuple[Fraction, Fraction, int]:
     """(rat, irr, d) with s == rat + irr*sqrt(d), read from s's integers."""
     return Fraction(s._a, s._den), Fraction(s._b, s._den), s._d
@@ -1602,11 +1608,9 @@ class DataclassInterval:
     hi: Scalar
 
     def __post_init__(self):
-        lo, hi = Scalar.of(self.lo), Scalar.of(self.hi)
-        if hi < lo:
-            raise InvalidSystemError(f"interval endpoints out of order: [{lo}, {hi}]")
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
+        if self.hi < self.lo:
+            raise InvalidSystemError(
+                f"interval endpoints out of order: [{self.lo}, {self.hi}]")
 
 
 @dataclass(frozen=True)
@@ -1618,9 +1622,6 @@ class DataclassPartialIsometry:
     def __post_init__(self):
         if self.orient not in (1, -1):
             raise InvalidSystemError("orientation must be +1 or -1")
-        object.__setattr__(self, "offset", Scalar.of(self.offset))
-        if not isinstance(self.dom, Interval):
-            object.__setattr__(self, "dom", Interval(*self.dom))
 
 
 @dataclass(frozen=True)

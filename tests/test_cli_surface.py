@@ -388,10 +388,26 @@ DEEP = "[" * 100_000 + "]" * 100_000
 
 
 def test_deeply_nested_document(capsys, tmp_path):
+    # a malformed document's error names the file, as an unreadable one's does
     path = tmp_path / "deep.json"
     path.write_text(DEEP)
     code, out, err = _run(capsys, ["stallings", "core", "--in", str(path)])
-    assert (code, out, err) == (1, "", "error: invalid JSON: nesting too deep\n")
+    assert (code, out, err) == (
+        1, "", f"error: subgroup file {str(path)!r}: invalid JSON: nesting too deep\n")
+
+
+@pytest.mark.parametrize("text,message", [
+    ("{", "invalid JSON: Expecting property name enclosed in double quotes: "
+          "line 1 column 2 (char 1)"),
+    ("[]", "top-level JSON value must be an object"),
+])
+def test_malformed_second_document(capsys, files, tmp_path, text, message):
+    # only --other is bad, and the error names its file
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    code, out, err = _run(capsys, ["measure", "combine", "--measure", files["M1"],
+                                   "--other", str(bad)])
+    assert (code, out, err) == (1, "", f"error: measure file {str(bad)!r}: {message}\n")
 
 
 def test_deeply_nested_samples(capsys, files):

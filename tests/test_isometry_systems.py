@@ -304,7 +304,7 @@ class TestGrowForest:
 class TestAeSupportCover:
     def test_golden_cover_witness(self):
         res = ae_support_check(golden_system(), MultiInterval([iv(0, "1/5")]),
-                               iv(0, 1), Fraction(1, 100), 12)
+                               iv(0, 1), S("1/100"), 12)
         assert res["status"] == "covered"
         assert res["uncovered_measure"].is_zero()
         assert res["words"][0] == ""  # the seed itself is always used first
@@ -312,19 +312,19 @@ class TestAeSupportCover:
 
     def test_small_budget_exhausts(self):
         res = ae_support_check(golden_system(), MultiInterval([iv(0, "1/5")]),
-                               iv(0, 1), Fraction(1, 100), 1)
+                               iv(0, 1), S("1/100"), 1)
         assert res["status"] == "budget-exhausted"
         assert res["uncovered_measure"].sign() > 0
 
     def test_delta_must_be_positive(self):
         with pytest.raises(InvalidSystemError):
             ae_support_check(golden_system(), MultiInterval([iv(0, "1/5")]),
-                             iv(0, 1), 0, 3)
+                             iv(0, 1), S(0), 3)
 
     def test_target_must_sit_in_support(self):
         with pytest.raises(OutOfSupportError):
             ae_support_check(golden_system(), MultiInterval([iv(0, "1/5")]),
-                             iv(0, 2), Fraction(1, 10), 3)
+                             iv(0, 2), S("1/10"), 3)
 
     @given(st.data(), st.integers(0, 5))
     @settings(max_examples=60)
@@ -340,7 +340,7 @@ class TestAeSupportCover:
             st.fractions(0, Fraction(1, 8), max_denominator=40)), min_size=1, max_size=3))
         lo = data.draw(st.fractions(0, Fraction(1, 2), max_denominator=20))
         hi = lo + data.draw(st.fractions(Fraction(1, 4), Fraction(1, 2), max_denominator=20))
-        delta = data.draw(st.fractions(0, Fraction(1, 20), max_denominator=400).filter(bool))
+        delta = S(data.draw(st.fractions(0, Fraction(1, 20), max_denominator=400).filter(bool)))
         args = (sy, MultiInterval([iv(c, c + w) for c, w in seed]), iv(lo, hi), delta, max_len)
         assert ae_support_check(*args) == rebuilding_ae_support_check(*args)
 

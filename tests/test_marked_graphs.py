@@ -38,6 +38,9 @@ from _oracles import (_UnionFind, _lifted_path, adjacency_letter_loops,
                       vertex_on_subtree, walk)
 
 
+S = Scalar.of
+
+
 def W(s, rank=2):
     return parse_word(s, rank)
 
@@ -49,7 +52,7 @@ def core(*gens, rank=2):
 def rose(*lengths, marking=("a", "b")):
     rank = len(lengths)
     return MarkedMetricGraph(
-        rank, 1, [(0, 0, l) for l in lengths], (),
+        rank, 1, [(0, 0, S(l)) for l in lengths], (),
         {i: parse_word(m, rank) for i, m in enumerate(marking)})
 
 
@@ -63,7 +66,7 @@ def translate_intersection(graph, subgroup, g, radius):
 def theta():
     return MarkedMetricGraph(
         2, 2,
-        [(0, 1, Fraction(1, 2)), (0, 1, Fraction(1, 3)), (0, 1, Fraction(1, 5))],
+        [(0, 1, S("1/2")), (0, 1, S("1/3")), (0, 1, S("1/5"))],
         (0,), {1: W("a"), 2: W("b")})
 
 
@@ -147,11 +150,11 @@ class TestInvertBasis:
 class TestValidation:
     def test_valence_one_rejected(self):
         with pytest.raises(InvalidSystemError, match="valence"):
-            MarkedMetricGraph(1, 2, [(0, 0, 1), (0, 1, 1)], (1,), {0: W("a", 1)})
+            MarkedMetricGraph(1, 2, [(0, 0, S(1)), (0, 1, S(1))], (1,), {0: W("a", 1)})
 
     def test_betti_mismatch(self):
         with pytest.raises(InvalidSystemError, match="Betti"):
-            MarkedMetricGraph(2, 1, [(0, 0, 1)], (), {0: W("a")})
+            MarkedMetricGraph(2, 1, [(0, 0, S(1))], (), {0: W("a")})
 
     def test_nonpositive_length(self):
         with pytest.raises(InvalidSystemError, match="positive"):
@@ -161,7 +164,7 @@ class TestValidation:
         with pytest.raises(InvalidSystemError, match="cycle"):
             MarkedMetricGraph(
                 3, 3,
-                [(0, 1, 1), (0, 1, 1), (1, 2, 1), (2, 0, 1), (2, 2, 1)],
+                [(0, 1, S(1)), (0, 1, S(1)), (1, 2, S(1)), (2, 0, S(1)), (2, 2, S(1))],
                 (0, 1),
                 {2: W("a", 3), 3: W("b", 3), 4: W("c", 3)})
 
@@ -181,7 +184,7 @@ class TestValidation:
             marking = {eid: Word((i,), rank) for i, eid in enumerate(
                 (e for e in range(len(edges)) if e not in tree), start=1)}
             for base in range(nv):
-                args = (rank, nv, [(u, v, 1) for u, v in edges], tree, marking, base)
+                args = (rank, nv, [(u, v, S(1)) for u, v in edges], tree, marking, base)
                 if cyclic:
                     with pytest.raises(InvalidSystemError, match="cycle"):
                         MarkedMetricGraph(*args)
@@ -194,7 +197,7 @@ class TestValidation:
         with pytest.raises(InvalidSystemError,
                            match=r"^edge lengths mix sqrt2 and sqrt3; "
                                  r"a marked graph's lengths lie in one field$"):
-            rose(*map(Scalar.of, lengths), marking="abc"[:len(lengths)])
+            rose(*lengths, marking="abc"[:len(lengths)])
 
     def test_marking_must_be_basis(self):
         with pytest.raises(NotABasisError):
@@ -202,7 +205,7 @@ class TestValidation:
 
     def test_disconnected(self):
         with pytest.raises(InvalidSystemError, match="connected"):
-            MarkedMetricGraph(2, 2, [(0, 0, 1), (1, 1, 1), (1, 1, 1)], (),
+            MarkedMetricGraph(2, 2, [(0, 0, S(1)), (1, 1, S(1)), (1, 1, S(1))], (),
                               {0: W("a"), 1: W("b")})
 
 
@@ -214,7 +217,7 @@ def multigraph_cases(draw):
     nv = draw(st.integers(1, 4))
     ne = draw(st.integers(nv - 1, nv + 3))
     end = st.integers(0, nv - 1)
-    edges = [(draw(end), draw(end), draw(st.sampled_from([1, Fraction(1, 2), 3])))
+    edges = [(draw(end), draw(end), draw(st.sampled_from([S(1), S("1/2"), S(3)])))
              for _ in range(ne)]
     rank = max(ne - nv + 1, 1)
     tree = draw(st.lists(st.integers(0, ne - 1), min_size=min(nv - 1, ne),
@@ -235,8 +238,8 @@ def outcome(build):
 class TestDartMaps:
     @given(multigraph_cases())
     @settings(max_examples=300)
-    @example((2, 2, [(0, 1, 1), (0, 1, 2), (1, 0, 3)], [0], {1: W("a"), 2: W("b")}, 1))
-    @example((2, 3, [(0, 1, 1), (1, 2, 1), (2, 0, 1), (1, 1, 3)], [2, 0],
+    @example((2, 2, [(0, 1, S(1)), (0, 1, S(2)), (1, 0, S(3))], [0], {1: W("a"), 2: W("b")}, 1))
+    @example((2, 3, [(0, 1, S(1)), (1, 2, S(1)), (2, 0, S(1)), (1, 1, S(3))], [2, 0],
               {1: W("b"), 3: W("a")}, 0))
     def test_checks_and_loops_match_adjacency_lists(self, case):
         expected = outcome(lambda: adjacency_letter_loops(*case))
@@ -323,7 +326,7 @@ def marked_graphs():
         rose(1, 1, marking=("aba", "ab")),
         theta(),
         MarkedMetricGraph(
-            2, 2, [(0, 1, 1), (0, 1, 2), (1, 0, Fraction(1, 3))],
+            2, 2, [(0, 1, S(1)), (0, 1, S(2)), (1, 0, S("1/3"))],
             (0,), {1: W("ab"), 2: W("aab")}),
     ]
 
@@ -356,16 +359,16 @@ class TestWordToLoop:
 class TestOmegaEpsilon:
     def test_short_loop_rose(self):
         g = rose(Fraction(1, 10), 1)
-        assert [str(w) for w in g.omega_epsilon(Fraction(1, 2), 4)] == \
+        assert [str(w) for w in g.omega_epsilon(S(Fraction(1, 2)), 4)] == \
             ["a", "aa", "aaa", "aaaa"]
 
     def test_strictness(self):
         g = rose(Fraction(1, 10), 1)
-        assert g.omega_epsilon(Fraction(1, 10), 4) == []
+        assert g.omega_epsilon(S(Fraction(1, 10)), 4) == []
 
     def test_everything_short(self):
         g = rose(Fraction(1, 10), Fraction(1, 10))
-        assert g.omega_epsilon(Fraction(1, 2), 3) == list(enumerate_words(2, 3, "conjugacy"))
+        assert g.omega_epsilon(S(Fraction(1, 2)), 3) == list(enumerate_words(2, 3, "conjugacy"))
 
 
 # -- the crossing memo against the per-class loop oracle ------------------------
@@ -385,9 +388,9 @@ def nielsen_basis(rank, moves):
 def marked(shape, basis, lengths):
     """A rose (rank = len(basis)) or a rank-2 theta with this marking."""
     if shape == "theta":
-        return MarkedMetricGraph(2, 2, [(0, 1, l) for l in lengths], (0,),
+        return MarkedMetricGraph(2, 2, [(0, 1, S(l)) for l in lengths], (0,),
                                  {1: basis[0], 2: basis[1]})
-    return MarkedMetricGraph(len(basis), 1, [(0, 0, l) for l in lengths], (),
+    return MarkedMetricGraph(len(basis), 1, [(0, 0, S(l)) for l in lengths], (),
                              dict(enumerate(basis)))
 
 
@@ -406,7 +409,8 @@ def positive_lengths(draw, field, count):
     for _ in range(count):
         p, q, r = draw(st.integers(1, 12)), draw(st.integers(1, 6)), draw(st.integers(0, 4))
         value = Scalar.of(Fraction(p, q))
-        out.append(value + Scalar(0, 1, field) * Fraction(r, q) if field != 1 else value)
+        out.append(value + Scalar.parse(f"sqrt{field}") * Fraction(r, q) if field != 1
+                   else value)
     return out
 
 
@@ -446,7 +450,7 @@ class TestCrossingTable:
     @settings(max_examples=100)
     def test_interleaved_calls_match_loop_oracle(self, calls):
         for call in calls:
-            for graph, epsilon, max_len in [call] if call else ((g, 2, 2) for g in EVICTING):
+            for graph, epsilon, max_len in [call] if call else ((g, S(2), 2) for g in EVICTING):
                 want = loop_omega(graph, epsilon, max_len)
                 # a marking's first call streams; from its second on, rows decide
                 assert graph.omega_epsilon(epsilon, max_len) == want
@@ -457,11 +461,11 @@ class TestCrossingTable:
         graphs = [marked("rose", nielsen_basis(2, [(0, 1, k % 4)] * (k // 4 + 1)), ["1/3", "1/2"])
                   for k in range(40)]
         assert len({g._letter_loops[1] + (0,) + g._letter_loops[2] for g in graphs}) == 40
-        first = [[g.omega_epsilon("3/2", 5) for _ in range(3)] for g in graphs]
+        first = [[g.omega_epsilon(S("3/2"), 5) for _ in range(3)] for g in graphs]
         info = _crossings.cache_info()
         assert (info.misses, info.hits, info.currsize) == (40, 80, 32)
         for graph, want in zip(graphs, first):   # every entry was evicted
-            assert [graph.omega_epsilon("3/2", 5) for _ in range(3)] == want
+            assert [graph.omega_epsilon(S("3/2"), 5) for _ in range(3)] == want
             assert want == [loop_omega(graph, "3/2", 5)] * 3
         assert _crossings.cache_info().misses == 80
 
@@ -471,7 +475,7 @@ class TestCrossingTable:
                   for k in range(4)]
         want = [loop_omega(g, "7/5", 6) for g in graphs]
         with ThreadPoolExecutor(4) as pool:
-            got = list(pool.map(lambda k: graphs[k % 4].omega_epsilon("7/5", 6), range(64)))
+            got = list(pool.map(lambda k: graphs[k % 4].omega_epsilon(S("7/5"), 6), range(64)))
         assert got == want * 16
 
     def test_markings_sharing_a_letter_loop_keep_their_own_rows(self):
@@ -479,7 +483,7 @@ class TestCrossingTable:
         graphs = [rose(1, Fraction(1, 4), marking=m) for m in (("a", "b"), ("a", "ba"), ("a", "bA"))]
         for _ in range(3):   # first, building and warm calls
             for graph in graphs:
-                assert graph.omega_epsilon(3, 6) == loop_omega(graph, 3, 6)
+                assert graph.omega_epsilon(S(3), 6) == loop_omega(graph, 3, 6)
 
     @pytest.mark.parametrize("graph,max_len", [
         (rose(Fraction(1, 3), Fraction(1, 2)), 8),      # lengths 1-7 tabled, 8 streamed
@@ -502,19 +506,19 @@ class TestCrossingTable:
         want = list(enumerate_words(graph.rank, max_len, "conjugacy"))
         for _ in range(3):   # first call, the call that builds the rows, then warm
             taken.clear()
-            graph.omega_epsilon(Fraction(3, 2), max_len)
+            graph.omega_epsilon(S(Fraction(3, 2)), max_len)
             assert taken == want
 
     def test_row_bound(self, monkeypatch):
         _crossings.cache_clear()
         graph = rose(Fraction(1, 3), Fraction(1, 2))
         calls, row = _crossings(tuple(graph._letter_loops.items()))
-        graph.omega_epsilon(2, 3)
+        graph.omega_epsilon(S(2), 3)
         assert row.cache_info().currsize == 0   # one call on a marking builds no row
-        graph.omega_epsilon(2, 3)
+        graph.omega_epsilon(S(2), 3)
         assert row.cache_info().currsize == 3
         # past the longest kept length (7 at rank 2) nothing more is recorded
-        assert graph.omega_epsilon(2, 10) == loop_omega(graph, 2, 10)
+        assert graph.omega_epsilon(S(2), 10) == loop_omega(graph, 2, 10)
         info = row.cache_info()
         assert (info.hits, info.misses, info.currsize, next(calls)) == (3, 7, 7, 3)
         for n in range(1, 8):
@@ -528,14 +532,14 @@ class TestCrossingTable:
         # a call decides the distinct crossings of its own lengths only
         decided = []
         monkeypatch.setattr(engine, "_sign", lambda *ab_d: decided.append(ab_d) or -1)
-        graph.omega_epsilon(2, 5)
+        graph.omega_epsilon(S(2), 5)
         assert len(decided) == 2 + 3 + 4 + 5 + 6
         monkeypatch.undo()
         # rank-1 and max_len 0 calls take no memo entry, so they evict none
         line = rose(Fraction(1, 10), marking=("A",))
-        assert line.omega_epsilon(5, 40) == loop_omega(line, 5, 40)
-        assert line.omega_epsilon(5, 0) == []
-        assert rose(1, 2, marking=("ab", "b")).omega_epsilon(5, 0) == []
+        assert line.omega_epsilon(S(5), 40) == loop_omega(line, 5, 40)
+        assert line.omega_epsilon(S(5), 0) == []
+        assert rose(1, 2, marking=("ab", "b")).omega_epsilon(S(5), 0) == []
         assert _crossings.cache_info().currsize == 1
 
 
@@ -552,10 +556,10 @@ def irrational_graphs():
         "rose-sqrt2-both": rose(SQRT2, Scalar.of("3/2-1/2*sqrt2")),
         "rose-golden-marked": rose((1 + SQRT5) * Fraction(1, 2), Fraction(1, 3), marking=("ab", "b")),
         "theta-sqrt2": MarkedMetricGraph(
-            2, 2, [(0, 1, SQRT2 - 1), (0, 1, Fraction(1, 2)), (0, 1, SQRT2 * Fraction(1, 3))],
+            2, 2, [(0, 1, SQRT2 - 1), (0, 1, S("1/2")), (0, 1, SQRT2 * Fraction(1, 3))],
             (0,), {1: W("a"), 2: W("b")}),
         "theta-sqrt5-marked": MarkedMetricGraph(
-            2, 2, [(0, 1, SQRT5 - 2), (0, 1, -SQRT5 + 3), (0, 1, 1)],
+            2, 2, [(0, 1, SQRT5 - 2), (0, 1, -SQRT5 + 3), (0, 1, S(1))],
             (0,), {1: W("ab"), 2: W("b")}),
     }
 
@@ -571,7 +575,7 @@ class TestIrrationalLengths:
     def test_omega_matches_exhaustion(self, name, eps_word, scale):
         graph = irrational_graphs()[name]
         if scale == "sqrt":
-            scale = Scalar(0, 1, max(length.d for _, _, length in graph.edges))
+            scale = Scalar.parse(f"sqrt{max(length.d for _, _, length in graph.edges)}")
         epsilon = net_translation_length(graph, W(eps_word)) * scale
         engine = graph.omega_epsilon(epsilon, 5)
         reps = {class_rep(w.letters) for w in engine}
@@ -757,7 +761,7 @@ def oracle_graphs():
     # the last graph lists an edge leaving vertex 1 before those leaving
     # vertex 0, so ordering witnesses by edge id before vertex shows
     return [rose(1, 1), theta()] + marked_graphs() + [MarkedMetricGraph(
-        2, 2, [(1, 0, 1), (0, 1, 2), (0, 1, Fraction(1, 3))],
+        2, 2, [(1, 0, S(1)), (0, 1, S(2)), (0, 1, S("1/3"))],
         (0,), {1: W("a"), 2: W("b")})]
 
 

@@ -19,25 +19,25 @@ def iv(lo, hi) -> Interval:
 
 def step_measure():
     """Density 2 on [0,1/2], 1 on [1/2,1]."""
-    return LengthMeasure([(iv(0, "1/2"), 2), (iv("1/2", 1), 1)])
+    return LengthMeasure([(iv(0, "1/2"), S(2)), (iv("1/2", 1), S(1))])
 
 
 class TestLengthMeasure:
     def test_negative_density_rejected(self):
         with pytest.raises(PreconditionError):
-            LengthMeasure([(iv(0, 1), -1)])
+            LengthMeasure([(iv(0, 1), S(-1))])
 
     def test_overlapping_pieces_rejected(self):
         with pytest.raises(PreconditionError):
-            LengthMeasure([(iv(0, "3/4"), 1), (iv("1/2", 1), 2)])
+            LengthMeasure([(iv(0, "3/4"), S(1)), (iv("1/2", 1), S(2))])
 
     def test_equal_density_pieces_merge(self):
-        a = LengthMeasure([(iv(0, "1/2"), 1), (iv("1/2", 1), 1)])
+        a = LengthMeasure([(iv(0, "1/2"), S(1)), (iv("1/2", 1), S(1))])
         assert a == lebesgue(MultiInterval([iv(0, 1)]))
         assert len(a.pieces) == 1
 
     def test_point_pieces_dropped(self):
-        a = LengthMeasure([(iv(0, 1), 1), (iv(2, 2), 5)])
+        a = LengthMeasure([(iv(0, 1), S(1)), (iv(2, 2), S(5))])
         assert len(a.pieces) == 1
 
     def test_support_and_total(self):
@@ -74,10 +74,10 @@ class TestInvarianceCheck:
         # x -> 1-x on [0,1/2]: symmetric step density IS invariant for it
         sy = SoISystem(MultiInterval([iv(0, 1)]),
                        [PartialIsometry(iv(0, "1/2"), -1, S(1))])
-        symmetric = LengthMeasure([(iv(0, "1/4"), 3), (iv("1/4", "3/4"), 1),
-                                   (iv("3/4", 1), 3)])
+        symmetric = LengthMeasure([(iv(0, "1/4"), S(3)), (iv("1/4", "3/4"), S(1)),
+                                   (iv("3/4", 1), S(3))])
         assert invariance_check(sy, symmetric)["status"] == "invariant"
-        lopsided = LengthMeasure([(iv(0, "1/4"), 3), (iv("1/4", 1), 1)])
+        lopsided = LengthMeasure([(iv(0, "1/4"), S(3)), (iv("1/4", 1), S(1))])
         assert invariance_check(sy, lopsided)["status"] == "violation"
 
     def test_support_mismatch_rejected(self):
@@ -90,7 +90,7 @@ class TestCombine:
     def test_identity_coefficients(self):
         mu = step_measure()
         leb = lebesgue(mu.support)
-        assert combine(1, mu, 0, leb) == mu
+        assert combine(S(1), mu, S(0), leb) == mu
 
     def test_half_half_lebesgue(self):
         leb = lebesgue(MultiInterval([iv(0, 1)]))
@@ -98,8 +98,8 @@ class TestCombine:
 
     def test_refinement_sum(self):
         mu = step_measure()
-        other = LengthMeasure([(iv(0, "1/4"), 1), (iv("1/4", 1), 3)])
-        out = combine(1, mu, 1, other)
+        other = LengthMeasure([(iv(0, "1/4"), S(1)), (iv("1/4", 1), S(3))])
+        out = combine(S(1), mu, S(1), other)
         assert out.density_at(S("1/8")) == S(3)
         assert out.density_at(S("3/8")) == S(5)
         assert out.density_at(S("3/4")) == S(4)
@@ -108,18 +108,18 @@ class TestCombine:
     def test_negative_coefficient_rejected(self):
         leb = lebesgue(MultiInterval([iv(0, 1)]))
         with pytest.raises(PreconditionError):
-            combine(-1, leb, 1, leb)
+            combine(S(-1), leb, S(1), leb)
 
     def test_support_mismatch_rejected(self):
         with pytest.raises(PreconditionError):
-            combine(1, lebesgue(MultiInterval([iv(0, 1)])),
-                    1, lebesgue(MultiInterval([iv(0, 2)])))
+            combine(S(1), lebesgue(MultiInterval([iv(0, 1)])),
+                    S(1), lebesgue(MultiInterval([iv(0, 2)])))
 
     @pytest.mark.parametrize("name,sy,_e", balanced_corpus()[:5],
                              ids=[n for n, _, _ in balanced_corpus()[:5]])
     def test_convex_combination_of_invariants_is_invariant(self, name, sy, _e):
         leb = lebesgue(sy.forest)
-        doubled = combine(2, leb, 0, leb)
+        doubled = combine(S(2), leb, S(0), leb)
         assert invariance_check(sy, doubled)["status"] == "invariant"
         mix = combine(S("1/3"), leb, S("2/3"), doubled)
         assert invariance_check(sy, mix)["status"] == "invariant"

@@ -8,6 +8,11 @@ an imported name or an `__all__` entry in the syntax tree; docstrings and
 comments do not count.  A method or property is reached only through an
 attribute, an imported name or an `__all__` entry: a bare identifier of the
 same name (a parameter, a local) does not reach it.
+
+Every module-level class of `src/grouptrees` that defines `__init__` must
+also be called by name in those trees outside its own body: a call whose
+target is the class's name, or an attribute of that name.  A constructor that
+only the tests call is a second way in, past the input boundary.
 """
 
 from __future__ import annotations
@@ -76,11 +81,16 @@ def _uses(tree: ast.Module):
                 yield item.value, item.lineno, False
 
 
-def unreached_names() -> list[str]:
+def _searched_trees() -> dict[Path, ast.Module]:
     trees = {}
     for top in SEARCHED:
         for path in sorted(top.rglob("*.py")):
             trees[path] = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    return trees
+
+
+def unreached_names() -> list[str]:
+    trees = _searched_trees()
     uses: dict[str, list[tuple[Path, int, bool]]] = {}
     for path, tree in trees.items():
         for name, line, bare in _uses(tree):
@@ -98,5 +108,36 @@ def unreached_names() -> list[str]:
     return unreached
 
 
+def uncalled_constructors() -> list[str]:
+    """Module-level classes of the package that define `__init__` and that
+    nothing in the searched trees calls outside the class's own body."""
+    trees = _searched_trees()
+    calls: dict[str, list[tuple[Path, int]]] = {}
+    for path, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                target = node.func
+                name = (target.id if isinstance(target, ast.Name)
+                        else target.attr if isinstance(target, ast.Attribute) else None)
+                if name is not None:
+                    calls.setdefault(name, []).append((path, node.lineno))
+    uncalled = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in trees[path].body:
+            if not (isinstance(node, ast.ClassDef)
+                    and any(isinstance(item, ast.FunctionDef) and item.name == "__init__"
+                            for item in node.body)):
+                continue
+            first, last = _span(node)
+            if not any(p != path or not first <= line <= last
+                       for p, line in calls.get(node.name, ())):
+                uncalled.append(f"{path.stem}.{node.name}")
+    return uncalled
+
+
 def test_every_package_name_is_reached():
     assert unreached_names() == []
+
+
+def test_every_constructor_is_called():
+    assert uncalled_constructors() == []
