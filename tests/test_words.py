@@ -351,7 +351,7 @@ class TestClassMemo:
         graph = rose_graph("1/3", "1/2", "1")
         core._class_table.cache_clear()
         for _ in range(2):   # cold, then warm
-            for epsilon in (core.Scalar.of(2), core.Scalar.parse("5/2")):
+            for epsilon in map(core.Scalar.parse, ("2", "5/2")):
                 got = [w.letters for w in graph.omega_epsilon(epsilon, 5)]
                 want = brute_omega(graph, epsilon, 5)
                 assert got == sorted(want, key=word_sort_key)
