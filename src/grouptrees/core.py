@@ -521,14 +521,6 @@ class Word(_Frozen):
     def is_cyclically_reduced(self) -> bool:
         return len(self.letters) < 2 or self.letters[0] != -self.letters[-1]
 
-    def cyclic_reduce(self) -> tuple["Word", "Word"]:
-        """Split as (conjugator, core): self = conjugator * core * conjugator⁻¹,
-        with the core cyclically reduced (strip matching ends to a fixed point)."""
-        letters = self.letters
-        k = conjugator_length(letters)
-        return (Word(letters[:k], self.rank),
-                Word(letters[k:len(letters) - k], self.rank))
-
     def sort_key(self) -> tuple:
         return word_sort_key(self.letters)
 

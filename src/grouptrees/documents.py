@@ -318,9 +318,10 @@ def load_measure(doc: dict) -> LengthMeasure:
 
 # -------------------------------------------------------------- laminations
 
-def load_ray(doc: dict, rank: int) -> BoundaryRay:
-    """{"prefix": "ba", "period": "a"} -> eventually periodic ray."""
-    from .laminations import BoundaryRay
+def load_ray(doc: dict, rank: int) -> tuple:
+    """{"prefix": "ba", "period": "a"} -> the canonical (prefix, period)
+    letter tuples of an eventually periodic ray."""
+    from .laminations import _canonical_ray, _primitive_root
     if not isinstance(doc, dict):
         _fail("ray: expected an object with 'prefix' and 'period'")
     prefix_text = doc.get("prefix", "")
@@ -329,15 +330,20 @@ def load_ray(doc: dict, rank: int) -> BoundaryRay:
         _fail("ray: field 'period' must be a non-empty word string")
     if not isinstance(prefix_text, str):
         _fail("ray: field 'prefix' must be a word string")
-    return _checked("ray", lambda: BoundaryRay(parse_word(prefix_text, rank),
-                                               parse_word(period_text, rank)))
+    prefix = _checked("ray", parse_word, prefix_text, rank)
+    period = _checked("ray", parse_word, period_text, rank)
+    if not period:
+        _fail("ray: a boundary ray needs a nonempty period")
+    if not period.is_cyclically_reduced():
+        _fail(f"ray: period {period} is not cyclically reduced")
+    return _canonical_ray(prefix.letters, _primitive_root(period.letters))
 
 
-def load_leaf(doc: dict, rank: int) -> RationalLeaf:
-    from .laminations import RationalLeaf
+def load_leaf(doc: dict, rank: int) -> tuple:
+    """{"rays": [ray, ray]} -> the two canonical rays, sorted."""
+    from .laminations import _leaf
     rays = doc.get("rays")
     if not isinstance(rays, list) or len(rays) != 2:
         _fail("leaf: field 'rays' must be a list of two rays")
     # the rays' own ParseErrors leave unwrapped
-    loaded = (load_ray(rays[0], rank), load_ray(rays[1], rank))
-    return _checked("leaf", RationalLeaf, loaded)
+    return _checked("leaf", _leaf, load_ray(rays[0], rank), load_ray(rays[1], rank))

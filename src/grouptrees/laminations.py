@@ -1,8 +1,9 @@
 """Rational leaves of algebraic laminations and the leaf-carrying test.
 
-A boundary ray is an eventually periodic infinite reduced word, stored in
-canonical form as prefix + primitive cyclically reduced period.  A rational
-leaf is an unordered pair of distinct rays — the archetype is the pair
+A boundary ray, the eventually periodic infinite reduced word
+prefix * period^infinity, is the canonical pair (prefix, period) of letter
+tuples that `_canonical_ray` returns.  A rational leaf is a tuple of two
+distinct rays sorted by `_ray_key`; the archetype is the pair
 (g^-infinity, g^+infinity) attached to a group element g.  A subgroup, given
 by its core graph, carries a leaf exactly when both rays can be read forever
 from the basepoint without leaving the graph; that is decidable for rational
@@ -11,7 +12,7 @@ rays by cycle detection.
 
 from __future__ import annotations
 
-from .core import Word, _Frozen, _letters_text, enumerate_words, inverse, word_sort_key
+from .core import _letters_text, conjugator_length, enumerate_words, inverse, word_sort_key
 from .errors import DegenerateSubgroupError, PreconditionError
 from .stallings import StallingsGraph, index
 
@@ -26,10 +27,15 @@ def _primitive_root(letters: tuple[int, ...]) -> tuple[int, ...]:
 
 def _canonical_ray(prefix: tuple[int, ...], period: tuple[int, ...]) -> tuple:
     """The canonical (prefix, period) of the ray prefix * period^infinity,
-    for a reduced prefix and a primitive cyclically reduced period (see
-    BoundaryRay).  A last prefix letter that cancels into the period head
-    rotates the period left; one equal to the period's last letter rolls
-    into it, rotating it right.  Rotations keep the period primitive."""
+    for a reduced prefix and a primitive cyclically reduced period.
+
+    In canonical form the period is nonempty, cyclically reduced and
+    primitive, and the prefix ends neither in the period's last letter
+    (such a letter rolls into the period, rotating it right) nor in the
+    inverse of its first (such a letter cancels into the periodic tail,
+    rotating it left), so prefix * period is reduced.  Rotations keep the
+    period primitive.  Two eventually periodic rays are equal as infinite
+    words iff their canonical forms coincide."""
     n = len(prefix)
     while n:
         if prefix[n - 1] == -period[0]:
@@ -51,87 +57,40 @@ def _ray_text(prefix: tuple[int, ...], period: tuple[int, ...]) -> str:
     return f"{u + '·' if u else ''}({_letters_text(period)})^∞"
 
 
-class BoundaryRay(_Frozen):
-    """The infinite reduced word prefix * period * period * ...
-
-    Canonical invariants (enforced on construction):
-      * the period is nonempty, cyclically reduced, and primitive;
-      * the prefix does not end in the period's last letter (such a letter is
-        rolled into the period by rotating it) nor in the inverse of the
-        period's first letter (such a letter cancels into the periodic tail);
-      * prefix * period is reduced.
-    Two eventually periodic rays are equal as infinite words iff their
-    canonical forms coincide.
-    """
-
-    __slots__ = ("prefix", "period")
-
-    def __init__(self, prefix: Word, period: Word):
-        u, v = prefix, period
-        if not v.letters:
-            raise PreconditionError("a boundary ray needs a nonempty period")
-        if u.rank != v.rank:
-            raise PreconditionError("prefix and period rank mismatch")
-        if not v.is_cyclically_reduced():
-            raise PreconditionError(f"period {v} is not cyclically reduced")
-        prefix, period = _canonical_ray(u.letters, _primitive_root(v.letters))
-        object.__setattr__(self, "prefix", Word(prefix, u.rank))
-        object.__setattr__(self, "period", Word(period, v.rank))
-
-    @property
-    def rank(self) -> int:
-        return self.period.rank
-
-    def sort_key(self):
-        return _ray_key((self.prefix.letters, self.period.letters))
-
-    def __str__(self):
-        return _ray_text(self.prefix.letters, self.period.letters)
+def _leaf(first: tuple, second: tuple) -> tuple:
+    """The leaf of two canonical rays: the pair sorted by `_ray_key`."""
+    if first == second:
+        raise PreconditionError("a leaf needs two distinct boundary points")
+    if _ray_key(second) < _ray_key(first):
+        first, second = second, first
+    return first, second
 
 
-class RationalLeaf(_Frozen):
-    """Unordered pair of distinct boundary rays (stored sorted)."""
-
-    __slots__ = ("rays",)
-
-    def __init__(self, rays: tuple[BoundaryRay, BoundaryRay]):
-        a, b = rays
-        if a.rank != b.rank:
-            raise PreconditionError("leaf rays must share a rank")
-        if a == b:
-            raise PreconditionError("a leaf needs two distinct boundary points")
-        if b.sort_key() < a.sort_key():
-            a, b = b, a
-        object.__setattr__(self, "rays", (a, b))
-
-    def __str__(self):
-        return f"({self.rays[0]}, {self.rays[1]})"
+def _leaf_text(leaf: tuple) -> str:
+    return f"({_ray_text(*leaf[0])}, {_ray_text(*leaf[1])})"
 
 
-def periodic_leaf(g: Word) -> RationalLeaf:
-    """The leaf (g^-infinity, g^+infinity); g is cyclically reduced first."""
-    conj, core = g.cyclic_reduce()
-    if not core.letters:
+def periodic_leaf(g: tuple[int, ...]) -> tuple:
+    """The leaf (g^-infinity, g^+infinity) of the reduced letter tuple g."""
+    k = conjugator_length(g)
+    period = _primitive_root(g[k:len(g) - k])
+    if not period:
         raise DegenerateSubgroupError("the identity has no periodic leaf")
-    return RationalLeaf((BoundaryRay(conj, core.inverse()),
-                         BoundaryRay(conj, core)))
+    conj = g[:k]
+    return _leaf(_canonical_ray(conj, inverse(period)), _canonical_ray(conj, period))
 
 
 # -- membership -----------------------------------------------------------------
 
 
-def boundary_membership(graph: StallingsGraph, ray: BoundaryRay) -> bool:
-    """True iff the infinite word is readable from the basepoint forever.
+def _reads_forever(graph: StallingsGraph, prefix: tuple[int, ...],
+                   period: tuple[int, ...]) -> bool:
+    """True iff the ray prefix * period^infinity reads from the basepoint forever.
 
     Read the prefix, then the period repeatedly; the state after each period
     is a single vertex, so a repeat proves an infinite readable tail, and a
     stuck read refutes it.  Terminates within (number of vertices) periods.
     """
-    return _reads_forever(graph, ray.prefix.letters, ray.period.letters)
-
-
-def _reads_forever(graph: StallingsGraph, prefix: tuple[int, ...],
-                   period: tuple[int, ...]) -> bool:
     v = graph.trace(graph.base, prefix)
     if v is None:
         return False
@@ -144,10 +103,9 @@ def _reads_forever(graph: StallingsGraph, prefix: tuple[int, ...],
     return True
 
 
-def carries(graph: StallingsGraph, leaf: RationalLeaf) -> bool:
+def carries(graph: StallingsGraph, leaf: tuple) -> bool:
     """Literal two-ray membership — no translation is applied."""
-    return (boundary_membership(graph, leaf.rays[0])
-            and boundary_membership(graph, leaf.rays[1]))
+    return _reads_forever(graph, *leaf[0]) and _reads_forever(graph, *leaf[1])
 
 
 # -- leaf generation from a marked metric graph -----------------------------------
@@ -171,9 +129,9 @@ def carrier_scan(graph: MarkedMetricGraph, subgroup: StallingsGraph, epsilon: Sc
     without carrying leaf(g) itself.
     """
     short = graph.omega_epsilon(epsilon, max_word)
-    # w * leaf(g) on letter tuples, in BoundaryRay's and RationalLeaf's forms,
-    # the empty w first; g is cyclically reduced, so leaf(g)'s rays have no
-    # prefix
+    # the rays of w * leaf(g), the empty w first; g is cyclically reduced, so
+    # leaf(g)'s rays have no prefix.  Both rays are tested before the pair is
+    # sorted, so only a carried leaf pays for `_leaf`
     translates = [()]
     if max_translate > 0 and short:
         translates += [w.letters for w in enumerate_words(graph.rank, max_translate)
@@ -186,9 +144,7 @@ def carrier_scan(graph: MarkedMetricGraph, subgroup: StallingsGraph, epsilon: Sc
         for w in translates:
             first, second = _canonical_ray(w, back), _canonical_ray(w, period)
             if _reads_forever(subgroup, *first) and _reads_forever(subgroup, *second):
-                if _ray_key(second) < _ray_key(first):
-                    first, second = second, first
-                leaf = f"({_ray_text(*first)}, {_ray_text(*second)})"
+                leaf = _leaf_text(_leaf(first, second))
                 if w:
                     translate_hits.append({"generator": generator,
                                            "word": _letters_text(w), "leaf": leaf})

@@ -367,12 +367,12 @@ def op_measure_combine(args: dict):
 # ------------------------------------------------------------------- lam ops
 
 def op_lam_carries(args: dict):
-    from .laminations import carries, periodic_leaf
+    from .laminations import _leaf_text, carries, periodic_leaf
     from .stallings import index
     subgroup, leaf = args["subgroup"], args["leaf"]
     if leaf is None:
-        leaf = periodic_leaf(args["word"])
-    return {"leaf": str(leaf), "carries": carries(subgroup, leaf),
+        leaf = periodic_leaf(args["word"].letters)
+    return {"leaf": _leaf_text(leaf), "carries": carries(subgroup, leaf),
             "subgroup_index": index(subgroup)}, PROVEN
 
 

@@ -71,17 +71,24 @@ that edge lies in the minimal subtree.  :func:`filter_subgroup_elements` is
 ``grouptrees.stallings.subgroup_elements`` before it walked the core graph:
 it tests every reduced word for membership.
 
-:func:`object_carrier_scan` is ``grouptrees.laminations.carrier_scan`` before
-its translate loop worked on letter tuples: it builds a ``Word``, two
-``BoundaryRay``s and a ``RationalLeaf`` per translate, through
-:func:`translate_ray` and :func:`translate_leaf`, and tests them with
-``carries``.  :func:`popping_canonical_ray` is the list-popping loop
-``BoundaryRay`` canonicalised with before that loop became a function on
-letter tuples.
+:class:`DataclassBoundaryRay` and :class:`DataclassRationalLeaf` are the
+object form of rays and leaves that ``grouptrees.laminations`` kept before
+it stored both as canonical letter tuples: a ray of two ``Word``s, checked
+and canonicalised on construction, and a leaf of two rays, stored sorted.
+The ray canonicalises with :func:`popping_canonical_ray`, the list-popping
+loop of that time, and both print their own text.
+:func:`object_periodic_leaf` splits off the conjugator with
+:func:`cyclic_reduce`, the ``Word`` method of that time.
+:func:`object_boundary_membership` reads the prefix and as many periods as
+the graph has vertices, where the engine looks for a repeated vertex,
+and :func:`object_carries` tests both rays with it.
+:func:`object_carrier_scan` is ``grouptrees.laminations.carrier_scan``
+before its translate loop worked on letter tuples: it builds a ``Word``,
+two rays and a leaf per translate, through :func:`translate_ray` and
+:func:`translate_leaf`, and tests them with :func:`object_carries`.
 
 :class:`DataclassWord`, :class:`DataclassInterval`,
-:class:`DataclassPartialIsometry`, :class:`DataclassBoundaryRay`,
-:class:`DataclassRationalLeaf`, :class:`DataclassScenario` and
+:class:`DataclassPartialIsometry`, :class:`DataclassScenario` and
 :class:`DataclassHallWitness` are the frozen dataclasses that the engine's
 value classes were before they became plain ``__slots__`` classes: the
 same fields, defaults and ``__post_init__`` validation, with the dataclass
@@ -112,11 +119,10 @@ from grouptrees.basis_change import invert_basis
 from grouptrees.core import (Scalar, Word, enumerate_words, inverse, letter_key, product,
                              word_sort_key)
 from grouptrees.core import MAX_RANK, _letters_text, _sign, conjugator_length
-from grouptrees.errors import (InvalidSystemError, MixedFieldError, NotABasisError, ParseError,
-                               PreconditionError)
+from grouptrees.errors import (DegenerateSubgroupError, InvalidSystemError, MixedFieldError,
+                               NotABasisError, ParseError, PreconditionError)
 from grouptrees.intervals import Interval
-from grouptrees.laminations import (_SIMPLICIAL_NOTE, BoundaryRay, RationalLeaf,
-                                    _canonical_ray, _primitive_root, carries, periodic_leaf)
+from grouptrees.laminations import _SIMPLICIAL_NOTE
 from grouptrees.marked_graphs import CoverCore
 from grouptrees.stallings import StallingsGraph, index, membership
 
@@ -1281,10 +1287,10 @@ def ball_transverse_family_report(graph, subgroup, max_len: int, radius: int) ->
 
 
 def popping_canonical_ray(prefix: tuple[int, ...], period: tuple[int, ...]):
-    """``BoundaryRay``'s canonical (prefix, period) as its constructor
-    computed it on a list, before the tuple canonicaliser: the period is
-    made primitive, then the prefix's last letter is popped while it cancels
-    into or rolls into the period."""
+    """The canonical (prefix, period) as the ray constructor computed it on a
+    list, before the tuple canonicaliser: the period is made primitive, then
+    the prefix's last letter is popped while it cancels into or rolls into
+    the period."""
     n = len(period)
     vl = next(period[:d] for d in range(1, n + 1)
               if n % d == 0 and period[:d] * (n // d) == period)
@@ -1303,15 +1309,100 @@ def popping_canonical_ray(prefix: tuple[int, ...], period: tuple[int, ...]):
     return tuple(ul), vl
 
 
-def translate_ray(w: Word, ray: BoundaryRay) -> BoundaryRay:
+def cyclic_reduce(w: Word) -> tuple[Word, Word]:
+    """Split as (conjugator, core): w = conjugator * core * conjugator⁻¹,
+    with the core cyclically reduced (strip matching ends to a fixed point)."""
+    letters = w.letters
+    k = conjugator_length(letters)
+    return (Word(letters[:k], w.rank), Word(letters[k:len(letters) - k], w.rank))
+
+
+@dataclass(frozen=True)
+class DataclassBoundaryRay:
+    """The infinite reduced word prefix * period * period * ..., in canonical
+    form: a primitive cyclically reduced period, and a prefix that ends
+    neither in the period's last letter nor in the inverse of its first."""
+
+    prefix: Word
+    period: Word
+
+    def __post_init__(self):
+        u, v = self.prefix, self.period
+        if not v.letters:
+            raise PreconditionError("a boundary ray needs a nonempty period")
+        if u.rank != v.rank:
+            raise PreconditionError("prefix and period rank mismatch")
+        if not v.is_cyclically_reduced():
+            raise PreconditionError(f"period {v} is not cyclically reduced")
+        prefix, period = popping_canonical_ray(u.letters, v.letters)
+        object.__setattr__(self, "prefix", Word(prefix, u.rank))
+        object.__setattr__(self, "period", Word(period, v.rank))
+
+    @property
+    def rank(self) -> int:
+        return self.period.rank
+
+    def sort_key(self):
+        return (self.prefix.sort_key(), self.period.sort_key())
+
+    def __str__(self):
+        head = f"{self.prefix}·" if self.prefix.letters else ""
+        return f"{head}({self.period})^∞"
+
+
+@dataclass(frozen=True)
+class DataclassRationalLeaf:
+    """Unordered pair of distinct boundary rays (stored sorted)."""
+
+    rays: tuple[DataclassBoundaryRay, DataclassBoundaryRay]
+
+    def __post_init__(self):
+        a, b = self.rays
+        if a.rank != b.rank:
+            raise PreconditionError("leaf rays must share a rank")
+        if a == b:
+            raise PreconditionError("a leaf needs two distinct boundary points")
+        if b.sort_key() < a.sort_key():
+            a, b = b, a
+        object.__setattr__(self, "rays", (a, b))
+
+    def __str__(self):
+        return f"({self.rays[0]}, {self.rays[1]})"
+
+
+def object_periodic_leaf(g: Word) -> DataclassRationalLeaf:
+    """The leaf (g^-infinity, g^+infinity); g is cyclically reduced first."""
+    conj, core = cyclic_reduce(g)
+    if not core.letters:
+        raise DegenerateSubgroupError("the identity has no periodic leaf")
+    return DataclassRationalLeaf((DataclassBoundaryRay(conj, core.inverse()),
+                                  DataclassBoundaryRay(conj, core)))
+
+
+def object_boundary_membership(graph: StallingsGraph, ray: DataclassBoundaryRay) -> bool:
+    """True iff the infinite word is readable from the basepoint forever.
+    The nv + 1 vertices reached after the prefix and after each of nv
+    periods cannot all differ, and reading is deterministic, so a head that
+    long reads iff the whole ray does."""
+    head = ray.prefix.letters + ray.period.letters * graph.nv
+    return graph.trace(graph.base, head) is not None
+
+
+def object_carries(graph: StallingsGraph, leaf: DataclassRationalLeaf) -> bool:
+    """Literal two-ray membership — no translation is applied."""
+    return (object_boundary_membership(graph, leaf.rays[0])
+            and object_boundary_membership(graph, leaf.rays[1]))
+
+
+def translate_ray(w: Word, ray: DataclassBoundaryRay) -> DataclassBoundaryRay:
     """The ray w * prefix * period^infinity (left action of the group)."""
     merged = w * ray.prefix  # Word multiplication reduces the seam
-    return BoundaryRay(merged, ray.period)
+    return DataclassBoundaryRay(merged, ray.period)
 
 
-def translate_leaf(w: Word, leaf: RationalLeaf) -> RationalLeaf:
-    return RationalLeaf((translate_ray(w, leaf.rays[0]),
-                         translate_ray(w, leaf.rays[1])))
+def translate_leaf(w: Word, leaf: DataclassRationalLeaf) -> DataclassRationalLeaf:
+    return DataclassRationalLeaf((translate_ray(w, leaf.rays[0]),
+                                  translate_ray(w, leaf.rays[1])))
 
 
 def object_carrier_scan(graph, subgroup, epsilon, max_word: int,
@@ -1325,10 +1416,10 @@ def object_carrier_scan(graph, subgroup, epsilon, max_word: int,
     without carrying leaf(g) itself.
     """
     short = graph.omega_epsilon(epsilon, max_word)
-    leaves = [periodic_leaf(g) for g in short]
+    leaves = [object_periodic_leaf(g) for g in short]
     carried = []
     for g, leaf in zip(short, leaves):
-        if carries(subgroup, leaf):
+        if object_carries(subgroup, leaf):
             carried.append({"generator": str(g), "leaf": str(leaf)})
     translate_hits = []
     if max_translate > 0 and short:
@@ -1336,7 +1427,7 @@ def object_carrier_scan(graph, subgroup, epsilon, max_word: int,
         for g, base in zip(short, leaves):
             for w in translates:
                 moved = translate_leaf(w, base)
-                if carries(subgroup, moved):
+                if object_carries(subgroup, moved):
                     translate_hits.append({"generator": str(g),
                                            "word": str(w),
                                            "leaf": str(moved)})
@@ -1622,39 +1713,6 @@ class DataclassPartialIsometry:
     def __post_init__(self):
         if self.orient not in (1, -1):
             raise InvalidSystemError("orientation must be +1 or -1")
-
-
-@dataclass(frozen=True)
-class DataclassBoundaryRay:
-    prefix: Word
-    period: Word
-
-    def __post_init__(self):
-        u, v = self.prefix, self.period
-        if not v.letters:
-            raise PreconditionError("a boundary ray needs a nonempty period")
-        if u.rank != v.rank:
-            raise PreconditionError("prefix and period rank mismatch")
-        if not v.is_cyclically_reduced():
-            raise PreconditionError(f"period {v} is not cyclically reduced")
-        prefix, period = _canonical_ray(u.letters, _primitive_root(v.letters))
-        object.__setattr__(self, "prefix", Word(prefix, u.rank))
-        object.__setattr__(self, "period", Word(period, v.rank))
-
-
-@dataclass(frozen=True)
-class DataclassRationalLeaf:
-    rays: tuple[BoundaryRay, BoundaryRay]
-
-    def __post_init__(self):
-        a, b = self.rays
-        if a.rank != b.rank:
-            raise PreconditionError("leaf rays must share a rank")
-        if a == b:
-            raise PreconditionError("a leaf needs two distinct boundary points")
-        if b.sort_key() < a.sort_key():
-            a, b = b, a
-        object.__setattr__(self, "rays", (a, b))
 
 
 @dataclass(frozen=True)

@@ -128,7 +128,7 @@ class TestDocuments:
         leaf = docs.load_leaf(
             {"rays": [{"prefix": "", "period": "a"},
                       {"prefix": "", "period": "A"}]}, 2)
-        assert [(str(r.prefix), str(r.period)) for r in leaf.rays] == [("", "a"), ("", "A")]
+        assert leaf == (((), (1,)), ((), (-1,)))
 
     def test_interval_helpers_accept_strings(self):
         assert docs.load_interval('["0", "1/2"]').hi == S("1/2")
@@ -828,9 +828,28 @@ class TestLoadErrors:
          {"h.json": _SUBGROUP_A,
           "l.json": {"rays": [{"period": "a"}, {"period": "a"}]}},
          "leaf: a leaf needs two distinct boundary points"),
+        (["lam", "carries", "--in", "h.json", "--leaf", "l.json"],
+         {"h.json": _SUBGROUP_A,
+          "l.json": {"rays": [{"period": "ab"}, {"period": "abA"}]}},
+         "ray: period abA is not cyclically reduced"),
+        (["lam", "carries", "--in", "h.json", "--leaf", "l.json"],
+         {"h.json": _SUBGROUP_A, "l.json": {"rays": [[], {"period": "a"}]}},
+         "ray: expected an object with 'prefix' and 'period'"),
+        (["lam", "carries", "--in", "h.json", "--leaf", "l.json"],
+         {"h.json": _SUBGROUP_A,
+          "l.json": {"rays": [{"period": "a", "prefix": 5}, {"period": "a"}]}},
+         "ray: field 'prefix' must be a word string"),
+        (["lam", "carries", "--in", "h.json", "--leaf", "l.json"],
+         {"h.json": _SUBGROUP_A,
+          "l.json": {"rays": [{"period": "a"}, {"period": "b"}, {"period": "ab"}]}},
+         "leaf: field 'rays' must be a list of two rays"),
+        (["lam", "carries", "--in", "h.json", "--word", "aA"],
+         {"h.json": _SUBGROUP_A},
+         "the identity has no periodic leaf"),
     ], ids=["scalar", "subgroup-generator", "graph-marking", "graph",
             "system-interval", "inline-interval", "system", "measure-piece",
-            "measure", "ray-word", "ray", "leaf"])
+            "measure", "ray-word", "ray", "leaf", "ray-period-not-cyclic",
+            "ray-not-object", "ray-prefix-type", "leaf-three-rays", "identity-word"])
     def test_one_line_with_its_prefix(self, capsys, tmp_path, argv, files,
                                       message):
         for name, doc in files.items():

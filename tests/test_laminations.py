@@ -1,18 +1,26 @@
-"""Boundary rays, rational leaves, membership, and carrier scans."""
+"""Boundary rays, rational leaves, membership, and carrier scans.
+
+Rays and leaves are canonical letter tuples; the object oracle in
+`tests/_oracles.py` (`DataclassBoundaryRay`, `DataclassRationalLeaf` and
+the functions on them) cross-checks the loaders, `periodic_leaf`,
+`carries` and the leaf text.
+"""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from grouptrees.core import Scalar, Word, parse_word
+from grouptrees import documents as docs
+from grouptrees.core import Scalar, Word, _letters_text, parse_word, product
 from _fixtures import unit_rose
 from grouptrees.corpus import lopsided_rose
-from grouptrees.errors import DegenerateSubgroupError, PreconditionError
+from grouptrees.errors import DegenerateSubgroupError, ParseError, PreconditionError
 from grouptrees.laminations import (
-    BoundaryRay,
-    RationalLeaf,
     _canonical_ray,
+    _leaf,
+    _leaf_text,
     _primitive_root,
-    boundary_membership,
+    _ray_text,
+    _reads_forever,
     carrier_scan,
     carries,
     periodic_leaf,
@@ -20,8 +28,9 @@ from grouptrees.laminations import (
 from grouptrees.marked_graphs import MarkedMetricGraph
 from grouptrees.stallings import build_core, hall_completion, index
 
-from _oracles import (object_carrier_scan, popping_canonical_ray,
-                      translate_leaf, translate_ray)
+from _oracles import (DataclassBoundaryRay, DataclassRationalLeaf, cyclic_reduce,
+                      object_boundary_membership, object_carrier_scan, object_carries,
+                      object_periodic_leaf, popping_canonical_ray, translate_leaf)
 
 S = Scalar.of
 
@@ -31,15 +40,36 @@ def W(text, rank=2):
 
 
 def ray(prefix, period, rank=2):
-    return BoundaryRay(W(prefix, rank), W(period, rank))
+    """The ray of a ray document, as `lam carries --leaf` loads it."""
+    return docs.load_ray({"prefix": prefix, "period": period}, rank)
 
 
-def ray_head(r: BoundaryRay, count: int) -> Word:
+def ray_of(prefix: Word, period: Word) -> tuple:
+    """The canonical ray prefix * period^infinity of a cyclically reduced
+    period."""
+    return _canonical_ray(prefix.letters, _primitive_root(period.letters))
+
+
+def ray_head(r: tuple, count: int) -> tuple:
     """The first `count` letters of the infinite word."""
-    letters = list(r.prefix.letters)
+    prefix, period = r
+    letters = prefix
     while len(letters) < count:
-        letters.extend(r.period.letters)
-    return Word(tuple(letters[:count]), r.rank)
+        letters += period
+    return letters[:count]
+
+
+def moved(w: Word, r: tuple) -> tuple:
+    """The ray w * r (left action of the group): w reduces into the prefix."""
+    return _canonical_ray(product(w.letters, r[0]), r[1])
+
+
+def moved_leaf(w: Word, leaf: tuple) -> tuple:
+    return _leaf(moved(w, leaf[0]), moved(w, leaf[1]))
+
+
+def as_tuples(leaf: DataclassRationalLeaf) -> tuple:
+    return tuple((r.prefix.letters, r.period.letters) for r in leaf.rays)
 
 
 letters2 = st.sampled_from([1, -1, 2, -2])
@@ -53,11 +83,13 @@ def words(draw, min_size=0, max_size=6):
 
 class TestBoundaryRay:
     def test_empty_period_rejected(self):
-        with pytest.raises(PreconditionError):
+        with pytest.raises(ParseError, match="^ray: field 'period' must be a non-empty"):
             ray("a", "")
+        with pytest.raises(ParseError, match="^ray: a boundary ray needs a nonempty period$"):
+            ray("a", "aA")
 
     def test_non_cyclically_reduced_period_rejected(self):
-        with pytest.raises(PreconditionError):
+        with pytest.raises(ParseError, match="^ray: period abA is not cyclically reduced$"):
             ray("", "abA")
 
     def test_rotation_absorbed_into_prefix(self):
@@ -68,17 +100,17 @@ class TestBoundaryRay:
         assert ray("A", "ab") == ray("", "ba")
 
     def test_period_made_primitive(self):
-        assert ray("", "abab").period == W("ab")
+        assert ray("", "abab")[1] == W("ab").letters
 
     def test_deep_prefix_cancellation(self):
         # b^-1 a^-1 * a (ba)^inf = b^-1 (ab)^inf... = (ab)^inf shifted twice
-        r = BoundaryRay(W("BA"), W("ab"))
-        assert ray_head(r, 6) == ray_head(BoundaryRay(W("BA"), W("ab")), 6)
+        r = ray("BA", "ab")
+        assert ray_head(r, 6) == ray_head(ray_of(W("BA"), W("ab")), 6)
         assert r == ray("B", "ba")
 
     def test_head_expands_infinite_word(self):
-        assert ray_head(ray("", "ab"), 5) == W("ababa")
-        assert ray_head(ray("b", "a"), 3) == W("baa")
+        assert ray_head(ray("", "ab"), 5) == W("ababa").letters
+        assert ray_head(ray("b", "a"), 3) == W("baa").letters
 
     def test_distinct_phases_differ(self):
         assert ray("", "ab") != ray("", "ba")
@@ -87,21 +119,21 @@ class TestBoundaryRay:
     def test_head_prefix_consistency(self, v):
         # any (prefix, period) built from a cyclically reduced core satisfies:
         # head(k) is a prefix of head(k+1)
-        conj, core = v.cyclic_reduce()
+        conj, core = cyclic_reduce(v)
         if not core.letters:
             return
-        r = BoundaryRay(conj, core)
+        r = ray_of(conj, core)
         for k in range(1, 8):
-            assert ray_head(r, k + 1).letters[:k] == ray_head(r, k).letters
+            assert ray_head(r, k + 1)[:k] == ray_head(r, k)
 
     @given(words(max_size=5), words(min_size=1, max_size=4),
            st.integers(1, 3), st.integers(0, 11))
     def test_canonical_form_on_tuples(self, u, v, power, shift):
-        """The tuple canonicaliser, the constructor and the list-popping
-        loop agree, and give one form for every way of writing the ray:
+        """The tuple canonicaliser, the loader and the list-popping loop
+        agree, and give one form for every way of writing the ray:
         u * p^infinity is also (u * p[:j]) * (p[j:] + p[:j])^infinity and
         u * (p^k)^infinity."""
-        period = v.cyclic_reduce()[1].letters * power
+        period = cyclic_reduce(v)[1].letters * power
         if not period:
             return
         j = shift % len(period)
@@ -111,126 +143,123 @@ class TestBoundaryRay:
                                  period[j:] + period[:j])):
             assert popping_canonical_ray(prefix, rotated) == want
             assert _canonical_ray(prefix, _primitive_root(rotated)) == want
-            r = BoundaryRay(Word(prefix, 2), Word(rotated, 2))
-            assert (r.prefix.letters, r.period.letters) == want
+            assert ray(_letters_text(prefix), _letters_text(rotated)) == want
 
 
 class TestRationalLeaf:
     def test_rays_sorted_and_distinct(self):
-        leaf = RationalLeaf((ray("", "b"), ray("", "a")))
-        assert [str(r) for r in leaf.rays] == ["(a)^∞", "(b)^∞"]
+        leaf = _leaf(ray("", "b"), ray("", "a"))
+        assert [_ray_text(*r) for r in leaf] == ["(a)^∞", "(b)^∞"]
         with pytest.raises(PreconditionError):
-            RationalLeaf((ray("", "a"), ray("", "a")))
+            _leaf(ray("", "a"), ray("", "a"))
 
     def test_periodic_leaf_of_letter(self):
-        leaf = periodic_leaf(W("a"))
-        assert str(leaf) == "((a)^∞, (A)^∞)"
+        leaf = periodic_leaf(W("a").letters)
+        assert _leaf_text(leaf) == "((a)^∞, (A)^∞)"
 
     def test_periodic_leaf_normalizes_conjugate(self):
-        assert periodic_leaf(W("abA")) == translate_leaf(W("a"),
-                                                         periodic_leaf(W("b")))
+        assert periodic_leaf(W("abA").letters) == moved_leaf(W("a"),
+                                                             periodic_leaf(W("b").letters))
 
     def test_identity_rejected(self):
         with pytest.raises(DegenerateSubgroupError):
-            periodic_leaf(Word.identity(2))
+            periodic_leaf(())
 
     def test_powers_share_the_leaf(self):
-        assert periodic_leaf(W("ababab")) == periodic_leaf(W("ab"))
+        assert periodic_leaf(W("ababab").letters) == periodic_leaf(W("ab").letters)
 
     @given(words(min_size=1, max_size=4), words(max_size=3))
     def test_conjugation_is_translation(self, g, w):
-        conj, core = g.cyclic_reduce()
+        conj, core = cyclic_reduce(g)
         if not core.letters:
             return
-        assert periodic_leaf(w * g * w.inverse()) == \
-            translate_leaf(w, periodic_leaf(g))
+        assert periodic_leaf((w * g * w.inverse()).letters) == \
+            moved_leaf(w, periodic_leaf(g.letters)) == \
+            as_tuples(translate_leaf(w, object_periodic_leaf(g)))
 
     @given(words(max_size=3), words(max_size=3), words(min_size=1, max_size=3))
     def test_translation_is_a_left_action(self, w1, w2, v):
-        conj, core = v.cyclic_reduce()
+        conj, core = cyclic_reduce(v)
         if not core.letters:
             return
-        r = BoundaryRay(conj, core)
-        assert translate_ray(w1, translate_ray(w2, r)) == \
-            translate_ray(w1 * w2, r)
+        r = ray_of(conj, core)
+        assert moved(w1, moved(w2, r)) == moved(w1 * w2, r)
 
 
-def _stuck_tail(graph, word: Word) -> int:
-    """Letters of `word` left unread when tracing from the basepoint sticks."""
+def _stuck_tail(graph, letters: tuple) -> int:
+    """Letters of `letters` left unread when tracing from the basepoint sticks."""
     v = graph.base
-    for i, l in enumerate(word.letters):
+    for i, l in enumerate(letters):
         v = graph.step(v, l)
         if v is None:
-            return len(word.letters) - i
+            return len(letters) - i
     return 0
 
 
 class TestBoundaryMembership:
     def test_cyclic_subgroup(self):
         Ha = build_core([W("a")], 2)
-        assert boundary_membership(Ha, ray("", "a"))
-        assert boundary_membership(Ha, ray("", "A"))
-        assert not boundary_membership(Ha, ray("b", "a"))
-        assert not boundary_membership(Ha, ray("", "ab"))
+        assert _reads_forever(Ha, *ray("", "a"))
+        assert _reads_forever(Ha, *ray("", "A"))
+        assert not _reads_forever(Ha, *ray("b", "a"))
+        assert not _reads_forever(Ha, *ray("", "ab"))
 
     def test_two_vertex_core_alternates_forever(self):
         H2 = build_core([W("aa"), W("b")], 2)
-        assert boundary_membership(H2, ray("", "a"))
+        assert _reads_forever(H2, *ray("", "a"))
         # the b-loop lives only at the basepoint: a·b^inf is NOT readable,
         # but it becomes readable in the completed index-2 cover
-        assert not boundary_membership(H2, ray("a", "b"))
+        assert not _reads_forever(H2, *ray("a", "b"))
         cover = hall_completion(H2, W("a")).cover
-        assert boundary_membership(cover, ray("a", "b"))
-        assert not boundary_membership(H2, ray("", "ab"))
-        assert boundary_membership(H2, ray("", "aab"))
+        assert _reads_forever(cover, *ray("a", "b"))
+        assert not _reads_forever(H2, *ray("", "ab"))
+        assert _reads_forever(H2, *ray("", "aab"))
 
     def test_whole_group_reads_everything(self):
         F2 = build_core([W("a"), W("b")], 2)
         for r in (ray("", "a"), ray("ab", "ba"), ray("B", "aab")):
-            assert boundary_membership(F2, r)
+            assert _reads_forever(F2, *r)
 
     @given(words(max_size=3), words(min_size=1, max_size=3))
     def test_agrees_with_long_head_tracing(self, u, v):
-        """Readable-forever iff a 20-period head traces with no stuck tail."""
-        conj, core = v.cyclic_reduce()
+        """Readable-forever iff a 20-period head traces with no stuck tail,
+        and iff the object oracle reads the ray."""
+        conj, core = cyclic_reduce(v)
         if not core.letters:
             return
-        try:
-            r = BoundaryRay(u * conj, core)
-        except PreconditionError:
-            return
+        r = ray_of(u * conj, core)
+        oracle = DataclassBoundaryRay(u * conj, core)
         for graph in (build_core([W("a")], 2),
                       build_core([W("aa"), W("b")], 2),
                       build_core([W("ab")], 2)):
-            head = r.prefix
-            for _ in range(20):
-                head = head * r.period
-            assert boundary_membership(graph, r) == (_stuck_tail(graph, head) == 0)
+            head = product(r[0], *[r[1]] * 20)
+            assert _reads_forever(graph, *r) == (_stuck_tail(graph, head) == 0)
+            assert _reads_forever(graph, *r) == object_boundary_membership(graph, oracle)
 
 
 class TestCarries:
     def test_swap_invariant_by_construction(self):
         Ha = build_core([W("a")], 2)
-        leaf = periodic_leaf(W("a"))
-        swapped = RationalLeaf((leaf.rays[1], leaf.rays[0]))
+        leaf = periodic_leaf(W("a").letters)
+        swapped = _leaf(leaf[1], leaf[0])
         assert carries(Ha, leaf) == carries(Ha, swapped) is True
 
     def test_cyclic_subgroup_carries_only_its_letter(self):
         Ha = build_core([W("a")], 2)
-        assert carries(Ha, periodic_leaf(W("a")))
-        assert not carries(Ha, periodic_leaf(W("b")))
-        assert not carries(Ha, periodic_leaf(W("ab")))
+        assert carries(Ha, periodic_leaf(W("a").letters))
+        assert not carries(Ha, periodic_leaf(W("b").letters))
+        assert not carries(Ha, periodic_leaf(W("ab").letters))
 
     def test_finite_index_carries_every_rational_leaf(self):
         cover = hall_completion(build_core([W("aa"), W("b")], 2), W("a")).cover
         assert index(cover) == 2
         for g in (W("a"), W("b"), W("ab"), W("aBab")):
-            assert carries(cover, periodic_leaf(g))
+            assert carries(cover, periodic_leaf(g.letters))
 
     def test_conjugate_subgroup_carries_translated_leaf(self):
         Hb = build_core([W("baB")], 2)
-        assert not carries(Hb, periodic_leaf(W("a")))
-        assert carries(Hb, translate_leaf(W("b"), periodic_leaf(W("a"))))
+        assert not carries(Hb, periodic_leaf(W("a").letters))
+        assert carries(Hb, moved_leaf(W("b"), periodic_leaf(W("a").letters)))
 
 
 class TestCarrierScan:
@@ -298,3 +327,131 @@ class TestCarrierScanMatchesObjectScan:
     def test_lopsided_rose(self, gens):
         case = (lopsided_rose(), build_core([W(g) for g in gens], 2), S("3/2"), 4, 3)
         assert carrier_scan(*case) == object_carrier_scan(*case)
+
+
+# -- the tuple form against the object oracle -------------------------------------
+
+
+def _outcome(build, *args):
+    """(value, None), or (None, (error type, message))."""
+    try:
+        return build(*args), None
+    except Exception as exc:
+        return None, (type(exc), str(exc))
+
+
+def _graphs(rank):
+    """Subgroup graphs of finite and infinite index, conjugated or not."""
+    if rank == 2:
+        gens = [["a"], ["aa", "b"], ["baB"], ["ab", "bA"]]
+    else:
+        gens = [["a"], ["ab", "cA"], ["cc", "ba", "B"], ["bcB"]]
+    graphs = [build_core([W(g, rank) for g in row], rank) for row in gens]
+    return graphs + [hall_completion(graphs[1]).cover]
+
+
+GRAPHS = {rank: _graphs(rank) for rank in (2, 3)}
+
+
+@st.composite
+def ray_docs(draw, rank):
+    """A ray document in letter notation, now and then with a letter outside
+    the rank, a period that reduces away or is not cyclically reduced."""
+    text = st.text(st.sampled_from("aAbBcC"[:2 * rank]), max_size=4)
+    doc = {"prefix": draw(text), "period": draw(text.filter(bool))}
+    if draw(st.sampled_from([False] * 9 + [True])):
+        doc[draw(st.sampled_from(["prefix", "period"]))] += "cd"[rank - 2]
+    return doc
+
+
+@st.composite
+def leaf_cases(draw):
+    """(rank, [ray doc, ray doc]); the second ray is now and then the first
+    one again, or the first written with one period more in its prefix."""
+    rank = draw(st.sampled_from([2, 3]))
+    first = draw(ray_docs(rank))
+    second = draw(ray_docs(rank).filter(lambda doc: doc != first))
+    kind = draw(st.sampled_from(["drawn"] * 4 + ["same", "unrolled"]))
+    if kind == "same":
+        second = first
+    elif kind == "unrolled":
+        second = {"prefix": first["prefix"] + first["period"], "period": first["period"]}
+    return rank, [first, second]
+
+
+@st.composite
+def rank_words(draw):
+    rank = draw(st.sampled_from([2, 3]))
+    raw = draw(st.lists(st.sampled_from([l for a in range(1, rank + 1) for l in (a, -a)]),
+                        max_size=8))
+    return rank, Word.make(raw, rank)
+
+
+def object_ray(doc, rank):
+    return DataclassBoundaryRay(parse_word(doc["prefix"], rank),
+                                parse_word(doc["period"], rank))
+
+
+def object_leaf(doc, rank):
+    """The oracle's leaf of a leaf document, failing as the loaders do: a
+    ray's error names the ray, the pair's error names the leaf."""
+    rays = []
+    for ray_doc in doc["rays"]:
+        ray, error = _outcome(object_ray, ray_doc, rank)
+        if error is not None:
+            raise ParseError(f"ray: {error[1]}")
+        rays.append(ray)
+    leaf, error = _outcome(DataclassRationalLeaf, tuple(rays))
+    if error is not None:
+        raise ParseError(f"leaf: {error[1]}")
+    return leaf
+
+
+class TestTupleFormMatchesObjectOracle:
+    """`load_ray`, `load_leaf`, `periodic_leaf`, `carries` and `_leaf_text`
+    agree with the object oracle on the tuples, the text, the verdict, and
+    the error type and message."""
+
+    def check_leaf(self, rank, got, want):
+        assert got == as_tuples(want)
+        assert _leaf_text(got) == str(want)
+        assert [_ray_text(*r) for r in got] == [str(r) for r in want.rays]
+        for graph in GRAPHS[rank]:
+            assert carries(graph, got) == object_carries(graph, want)
+
+    @given(st.sampled_from([2, 3]).flatmap(lambda rank: st.tuples(st.just(rank),
+                                                                   ray_docs(rank))))
+    @settings(max_examples=150)
+    def test_load_ray(self, case):
+        rank, doc = case
+        got, got_error = _outcome(docs.load_ray, doc, rank)
+        want, want_error = _outcome(object_ray, doc, rank)
+        if want_error is not None:
+            assert want_error[0] in (ParseError, PreconditionError)
+            assert got_error == (ParseError, f"ray: {want_error[1]}")
+            return
+        assert got_error is None
+        assert got == (want.prefix.letters, want.period.letters)
+        assert _ray_text(*got) == str(want)
+        for graph in GRAPHS[rank]:
+            assert _reads_forever(graph, *got) == object_boundary_membership(graph, want)
+
+    @given(leaf_cases())
+    @settings(max_examples=150)
+    def test_load_leaf(self, case):
+        rank, rays = case
+        got, got_error = _outcome(docs.load_leaf, {"rays": rays}, rank)
+        want, want_error = _outcome(object_leaf, {"rays": rays}, rank)
+        assert got_error == want_error
+        if want_error is None:
+            self.check_leaf(rank, got, want)
+
+    @given(rank_words())
+    @settings(max_examples=150)
+    def test_periodic_leaf(self, case):
+        rank, g = case
+        got, got_error = _outcome(periodic_leaf, g.letters)
+        want, want_error = _outcome(object_periodic_leaf, g)
+        assert got_error == want_error
+        if want_error is None:
+            self.check_leaf(rank, got, want)

@@ -33,7 +33,7 @@ from grouptrees.stallings import (basis_of, build_core, hall_completion, index,
 
 from _oracles import (_UnionFind, _lifted_path, adjacency_letter_loops,
                       ball_translate_intersection, ball_transverse_family_report,
-                      brute_omega, class_rep, grow_ball, initial_state,
+                      brute_omega, class_rep, cyclic_reduce, grow_ball, initial_state,
                       loop_omega, net_translation_length, substitute,
                       vertex_on_subtree, walk)
 
@@ -582,7 +582,7 @@ class TestIrrationalLengths:
         assert len(reps) == len(engine)
         assert reps == brute_omega(graph, epsilon, 5)
         if scale == 1:
-            assert class_rep(W(eps_word).cyclic_reduce()[1].letters) not in reps
+            assert class_rep(cyclic_reduce(W(eps_word))[1].letters) not in reps
 
     @pytest.mark.parametrize("name", sorted(irrational_graphs()))
     def test_translation_length_matches_net_minimum(self, name):

@@ -1,11 +1,10 @@
 """The value classes against the frozen dataclasses they replaced.
 
-`Word`, `Interval`, `PartialIsometry`, `BoundaryRay`, `RationalLeaf`,
-`Scenario` and `HallWitness` are plain ``__slots__`` classes; the oracles in
-`tests/_oracles.py` are their old ``@dataclass(frozen=True)`` definitions.
-On the same arguments both must build equal-looking values or fail with
-the same error type and message, and agree on ``==``, ``hash`` and
-``repr``.  The hash matters beyond equality: a tuple of ints hashes the
+`Word`, `Interval`, `PartialIsometry`, `Scenario` and `HallWitness` are
+plain ``__slots__`` classes; the oracles in `tests/_oracles.py` are their
+old ``@dataclass(frozen=True)`` definitions.  On the same arguments both
+must build equal-looking values or fail with the same error type and
+message, and agree on ``==``, ``hash`` and ``repr``.  The hash matters beyond equality: a tuple of ints hashes the
 same under every ``PYTHONHASHSEED``, so a changed hash would reorder sets of
 words without the hash-seed runs noticing.  The repr matters because
 `report.to_jsonable` sorts sets by it.
@@ -18,13 +17,11 @@ from hypothesis import strategies as st
 from grouptrees.core import Scalar, Word, parse_word
 from grouptrees.intervals import Interval
 from grouptrees.isometry_systems import PartialIsometry
-from grouptrees.laminations import BoundaryRay, RationalLeaf
 from grouptrees.scenarios import Scenario
 from grouptrees.stallings import HallWitness, build_core, hall_completion
 
-from _oracles import (DataclassBoundaryRay, DataclassHallWitness, DataclassInterval,
-                      DataclassPartialIsometry, DataclassRationalLeaf, DataclassScenario,
-                      DataclassWord)
+from _oracles import (DataclassHallWitness, DataclassInterval, DataclassPartialIsometry,
+                      DataclassScenario, DataclassWord)
 
 
 def _build(cls, args):
@@ -111,37 +108,6 @@ ISOMETRY_ARGS = st.tuples(
 @given(ISOMETRY_ARGS, ISOMETRY_ARGS)
 def test_partial_isometry(args, other):
     check_pair(PartialIsometry, DataclassPartialIsometry, args, other)
-
-
-def _words(rank):
-    return st.lists(st.sampled_from([1, -1, 2, -2]), max_size=5).map(
-        lambda letters: Word.make(letters, rank))
-
-
-RAY_ARGS = st.one_of(st.tuples(_words(2), _words(2)), st.tuples(_words(2), _words(3)))
-
-
-@given(RAY_ARGS, RAY_ARGS)
-def test_boundary_ray(args, other):
-    check_pair(BoundaryRay, DataclassBoundaryRay, args, other)
-
-
-def _ray(args):
-    prefix, period = args
-    try:
-        return BoundaryRay(prefix, period)
-    except Exception:
-        return BoundaryRay(prefix, Word((prefix.rank,), prefix.rank))
-
-
-RAYS = RAY_ARGS.map(_ray)
-LEAF_ARGS = st.one_of(st.tuples(st.tuples(RAYS, RAYS)),
-                      RAYS.map(lambda ray: ((ray, ray),)))
-
-
-@given(LEAF_ARGS, LEAF_ARGS)
-def test_rational_leaf(args, other):
-    check_pair(RationalLeaf, DataclassRationalLeaf, args, other)
 
 
 SCENARIO_ARGS = st.tuples(
