@@ -15,7 +15,7 @@ proper subgroup) raises NotABasisError.
 from __future__ import annotations
 
 from . import folding
-from .core import Word, inverse, product
+from .core import Word, _word, inverse, product
 from .errors import NotABasisError
 
 
@@ -46,4 +46,4 @@ def invert_basis(words: list[Word], rank: int) -> list[Word]:
     for i, dec in enumerate(loops, start=1):
         if product(*(images[s] for s in dec)) != (i,):
             raise RuntimeError("basis inversion self-check failed")
-    return [Word(dec, rank) for dec in loops]
+    return [_word(dec, rank) for dec in loops]

@@ -20,7 +20,7 @@ from __future__ import annotations
 import re
 from functools import lru_cache
 from math import gcd, isqrt, lcm
-from operator import attrgetter, neg
+from operator import add, attrgetter, neg
 from typing import Iterable, Iterator
 
 from .errors import MixedFieldError, ParseError
@@ -80,8 +80,8 @@ _SCALAR_RE = re.compile(
 class Scalar:
     """Exact value (a + b*sqrt(d)) / den, held as plain integers.
 
-    Only :meth:`of` and :meth:`parse` build one (``Scalar(x)`` is a
-    TypeError).  Normal form, established by both and kept by every operation:
+    Only :meth:`of` and :meth:`parse` build one (``Scalar(x)``, like
+    ``Scalar()``, is a TypeError).  Normal form, kept by every operation:
       * den > 0 and gcd(a, b, den) == 1;
       * d is a square-free natural no larger than D_MAX;
       * b == 0 forces d == 1, and d == 1 folds the irrational part into the
@@ -93,6 +93,9 @@ class Scalar:
     """
 
     __slots__ = ("_a", "_b", "_den", "_d")
+
+    def __new__(cls, *args, **kwargs):
+        raise TypeError("Scalar() takes no arguments: use Scalar.of or Scalar.parse")
 
     @property
     def d(self) -> int:
@@ -474,8 +477,8 @@ class _Frozen:
 class Word(_Frozen):
     """A reduced word over {±1..±n}; the identity is the empty word.
 
-    Construction validates reducedness and letter range; use :meth:`make` to
-    build from a raw (possibly unreduced) letter sequence.
+    ``Word(letters, rank)`` validates reducedness and letter range, and
+    :meth:`make` reduces raw letters first; engines build with `_word`.
     """
 
     __slots__ = ("letters", "rank")
@@ -507,10 +510,10 @@ class Word(_Frozen):
     def __mul__(self, other: "Word") -> "Word":
         if self.rank != other.rank:
             raise ValueError("rank mismatch in word multiplication")
-        return Word(product(self.letters, other.letters), self.rank)
+        return _word(product(self.letters, other.letters), self.rank)
 
     def inverse(self) -> "Word":
-        return Word(inverse(self.letters), self.rank)
+        return _word(inverse(self.letters), self.rank)
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -533,31 +536,35 @@ class Word(_Frozen):
         return f"Word({str(self)!r}, rank={self.rank})"
 
 
+def _word(letters: tuple[int, ...], rank: int) -> Word:
+    """A Word from letters reduced and in range by construction, unchecked."""
+    w = _new(Word)
+    object.__setattr__(w, "letters", letters)
+    object.__setattr__(w, "rank", rank)
+    return w
+
+
 def parse_word(text: str, rank: int) -> Word:
     """Read a word in letter notation: a–z are basis letters, A–Z inverses.
 
     The input is freely reduced (so "aA" is accepted and means the identity);
-    anything but ASCII letters within the rank is rejected.
+    anything but ASCII letters within the rank is rejected.  One pass maps
+    the characters; `product` runs only when two adjacent letters cancel.
     """
-    letters = []
-    for ch in text.strip():
-        l = _LETTER.get(ch, 0)
-        if not 0 < abs(l) <= rank:
-            raise ParseError(f"bad letter {ch!r} in word {text!r} (rank {rank})")
-        letters.append(l)
-    return Word.make(letters, rank)
+    chars = text.strip()
+    letters = tuple(map(_LETTER.get, chars))
+    if letters and (None in letters or min(letters) < -rank or max(letters) > rank):
+        ch = next(ch for ch in chars if not 0 < abs(_LETTER.get(ch, 0)) <= rank)
+        raise ParseError(f"bad letter {ch!r} in word {text!r} (rank {rank})")
+    if rank > MAX_RANK:
+        raise ValueError(f"rank {rank} is above {MAX_RANK}: words are written in a-z")
+    return _word(product(*zip(letters)) if 0 in map(add, letters, letters[1:])
+                 else letters, rank)
 
 
 # --------------------------------------------------------------------------
 # enumeration
 # --------------------------------------------------------------------------
-
-
-def _extensions(letters: tuple[int, ...], alphabet: list[int]) -> Iterator[tuple[int, ...]]:
-    last = letters[-1] if letters else None
-    for l in alphabet:
-        if last is None or l != -last:
-            yield letters + (l,)
 
 
 def _class_representatives(rank: int, n: int) -> Iterator[tuple[int, ...]]:
@@ -684,11 +691,9 @@ def enumerate_words(rank: int, max_len: int, mode: str = "reduced") -> Iterator[
         return
     alphabet = ordered_letters(rank)
     layer: list[tuple[int, ...]] = [()]
-    yield Word((), rank)
+    yield Word((), rank)   # the one check of the rank: every extension is in range
     for _ in range(max_len):
-        next_layer: list[tuple[int, ...]] = []
+        layer = [letters + (l,) for letters in layer for l in alphabet
+                 if not letters or l != -letters[-1]]
         for letters in layer:
-            for ext in _extensions(letters, alphabet):
-                next_layer.append(ext)
-                yield Word(ext, rank)
-        layer = next_layer
+            yield _word(letters, rank)

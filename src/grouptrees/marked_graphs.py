@@ -35,7 +35,8 @@ from .core import (Scalar, Word, ZERO, _class_table, _class_words, _integer_view
 from .errors import DegenerateSubgroupError, InvalidSystemError
 from .basis_change import invert_basis
 from . import folding
-from .stallings import StallingsGraph, basis_of, index, membership, rank_of, subgroup_elements
+from .stallings import (StallingsGraph, _checked_graph, basis_of, index, membership, rank_of,
+                        subgroup_elements)
 
 
 class MarkedMetricGraph:
@@ -273,7 +274,7 @@ class CoverCore:
         nv, edges = folding.wedge(graph.word_to_loop(b) for b in basis_of(subgroup))
         _, darts, _ = folding.fold(nv, edges)
         # copies, as fold leaves them: trimming the core below edits `darts`
-        self.p = p = StallingsGraph(len(graph.edges), [dict(here) for here in darts])
+        self.p = p = _checked_graph(len(graph.edges), [dict(here) for here in darts])
 
         image: dict[int, int] = {}
         for u, l, v in p.edges:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from collections import deque
 
-from .core import Word, _Frozen, inverse, ordered_letters, product
+from .core import Word, _Frozen, _word, inverse, ordered_letters, product
 from .errors import PreconditionError
 from . import folding
 
@@ -25,6 +25,7 @@ class StallingsGraph:
 
     darts[v] is {±label: target}: +l follows v's outgoing l-edge and -l its
     incoming one backward; `edges` lists the (u, l, v) edges, sorted.  The
+    constructor stores what `_canonical` or `_checked_graph` checked.  The
     maps keep the order they are given in.  Only canonical graphs, those
     `build_core`, `fiber_product` and `hall_completion` return, have them
     in letter order (1, -1, 2, -2, ...); for core graphs in canonical form,
@@ -34,27 +35,14 @@ class StallingsGraph:
 
     __slots__ = ("rank", "nv", "edges", "_darts")
 
-    def __init__(self, rank: int, darts: list[dict[int, int]]):
-        for u, here in enumerate(darts):
-            for l, v in here.items():
-                if darts[v].get(-l) != u:
-                    raise RuntimeError(f"dart {l} from {u} to {v} has no reverse")
+    def __init__(self, rank: int, darts: list[dict[int, int]],
+                 edges: tuple[tuple[int, int, int], ...]):
         self.rank = rank
         self.nv = len(darts)
-        self.edges = tuple(sorted((u, l, v) for u, here in enumerate(darts)
-                                  for l, v in here.items() if l > 0))
+        self.edges = edges
         self._darts = darts
 
     base = 0  # the basepoint of every graph
-
-    # -- construction ---------------------------------------------------------
-
-    @staticmethod
-    def _from_raw(nv: int, edges, rank: int) -> "StallingsGraph":
-        """Fold, core-trim (keeping the basepoint), and canonicalize."""
-        _, darts, _ = folding.fold(nv, edges)
-        folding.trim(darts, protect=0)
-        return _canonical(rank, darts)[0]
 
     def __eq__(self, other) -> bool:
         return (
@@ -93,33 +81,53 @@ class StallingsGraph:
         return self._darts[v]
 
 
+def _checked_graph(rank: int, darts: list[dict[int, int]]) -> StallingsGraph:
+    """A graph on dart maps not from `_canonical`: checks every dart's reverse, sorts the edges."""
+    for u, here in enumerate(darts):
+        for l, v in here.items():
+            if darts[v].get(-l) != u:
+                raise RuntimeError(f"dart {l} from {u} to {v} has no reverse")
+    return StallingsGraph(rank, darts, tuple(sorted(
+        (u, l, v) for u, here in enumerate(darts) for l, v in here.items() if l > 0)))
+
+
 def _canonical(rank: int, darts) -> tuple[StallingsGraph, dict[int, int]]:
     """Renumber dart maps by BFS from the basepoint; returns (graph, vertex_map).
 
     Maps that are None are deleted vertices; all others must be reachable.
     Neighbours are numbered in letter order (1, -1, 2, -2, ...), the order of
-    the new maps, which makes structural equality canonical.
+    the new maps, which makes structural equality canonical.  The same walk
+    checks every dart's reverse (named in the input's numbering) and lists
+    the edges, sorted: vertices come in new order, letters in letter order.
     """
     letters = ordered_letters(rank)
     perm = {0: 0}
     order = [0]
     renumbered = []
-    for v in order:
-        here = darts[v]
-        for l in letters:
-            if l in here and here[l] not in perm:
-                perm[here[l]] = len(order)
-                order.append(here[l])
-        renumbered.append({l: perm[here[l]] for l in letters if l in here})
+    edges = []
+    for u, v in enumerate(order):
+        here, new = darts[v], {}
+        for l in filter(here.__contains__, letters):
+            w = here[l]
+            if darts[w].get(-l) != v:
+                raise RuntimeError(f"dart {l} from {v} to {w} has no reverse")
+            if w not in perm:
+                perm[w] = len(order)
+                order.append(w)
+            new[l] = x = perm[w]
+            if l > 0:
+                edges.append((u, l, x))
+        renumbered.append(new)
     if len(order) != sum(here is not None for here in darts):
         raise RuntimeError("canonical form requires a connected graph")
-    return StallingsGraph(rank, renumbered), perm
+    return StallingsGraph(rank, renumbered, tuple(edges)), perm
 
 
 def build_core(generators, rank: int) -> StallingsGraph:
     """Fold the wedge of generator loops into the core graph of <generators>, a list of Words."""
-    nv, edges = folding.wedge(gen.letters for gen in generators)
-    return StallingsGraph._from_raw(nv, edges, rank)
+    _, darts, _ = folding.fold(*folding.wedge(gen.letters for gen in generators))
+    folding.trim(darts, protect=0)
+    return _canonical(rank, darts)[0]
 
 
 def membership(graph: StallingsGraph, word: Word) -> bool:
@@ -206,7 +214,7 @@ def spanning_tree_paths(graph: StallingsGraph, inside=frozenset()) -> tuple[dict
 def _loop_word(path_to: dict, edge: tuple[int, int, int], rank: int) -> Word:
     """The basepoint loop that crosses `edge` and otherwise follows tree paths."""
     u, l, v = edge
-    return Word(product(path_to[u], (l,), inverse(path_to[v])), rank)
+    return _word(product(path_to[u], (l,), inverse(path_to[v])), rank)
 
 
 def basis_of(graph: StallingsGraph) -> list[Word]:

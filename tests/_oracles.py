@@ -104,6 +104,17 @@ dicts per vertex, walked label by label; the Hall completion on private
 copies of that pair; the fiber product probing all 2n letters at each
 vertex; and ``MarkedMetricGraph``'s checks on adjacency lists, a valence
 array and a tree adjacency.
+
+:func:`two_walk_canonical` is ``grouptrees.stallings._canonical`` before its
+breadth-first walk checked every dart's reverse and listed the edges: it
+renumbers the dart maps, then hands them to :func:`two_walk_graph`,
+``StallingsGraph``'s constructor of that time, which walks every dart once
+for its reverse and once more for the sorted edge tuple.
+:func:`fold_to_core` folds, trims and canonicalises a raw graph with it, as
+``StallingsGraph._from_raw`` did.  :func:`three_pass_parse_word` is
+``grouptrees.core.parse_word`` before it mapped the characters in one pass:
+it checks each character in a loop, reduces the one-letter pieces with
+``product`` and builds the word with the checking ``Word`` constructor.
 """
 
 from __future__ import annotations
@@ -115,10 +126,12 @@ from fractions import Fraction
 from itertools import chain
 from typing import Iterable, Iterator
 
+from grouptrees import folding
 from grouptrees.basis_change import invert_basis
 from grouptrees.core import (Scalar, Word, enumerate_words, inverse, letter_key, product,
                              word_sort_key)
-from grouptrees.core import MAX_RANK, _letters_text, _sign, conjugator_length
+from grouptrees.core import (MAX_RANK, _LETTER, _letters_text, _sign, conjugator_length,
+                             ordered_letters)
 from grouptrees.errors import (DegenerateSubgroupError, InvalidSystemError, MixedFieldError,
                                NotABasisError, ParseError, PreconditionError)
 from grouptrees.intervals import Interval
@@ -1570,7 +1583,7 @@ def probe_fiber_product(g1, g2):
                     edges.append((ids[state], l, ids[nxt]))
                 else:
                     edges.append((ids[nxt], l, ids[state]))
-    return StallingsGraph._from_raw(len(ids), sorted(set(edges)), g1.rank)
+    return fold_to_core(len(ids), sorted(set(edges)), g1.rank)
 
 
 def adjacency_letter_loops(rank, nv, edges, tree, marking, base=0) -> dict:
@@ -1731,3 +1744,55 @@ class DataclassHallWitness:
     h_basis: tuple[Word, ...]
     complement_basis: tuple[Word, ...]
     excluded: Word | None = None
+
+
+# -- construction stages that walked their data twice ------------------------
+
+
+def two_walk_graph(rank: int, darts: list[dict[int, int]]) -> StallingsGraph:
+    """``StallingsGraph(rank, darts)`` when the constructor checked its maps:
+    one walk over every dart for its reverse, a second for the sorted edges."""
+    for u, here in enumerate(darts):
+        for l, v in here.items():
+            if darts[v].get(-l) != u:
+                raise RuntimeError(f"dart {l} from {u} to {v} has no reverse")
+    return StallingsGraph(rank, darts, tuple(sorted(
+        (u, l, v) for u, here in enumerate(darts) for l, v in here.items() if l > 0)))
+
+
+def two_walk_canonical(rank: int, darts) -> tuple[StallingsGraph, dict[int, int]]:
+    """``stallings._canonical`` when it only renumbered, and left the checks
+    and the edges to the constructor."""
+    letters = ordered_letters(rank)
+    perm = {0: 0}
+    order = [0]
+    renumbered = []
+    for v in order:
+        here = darts[v]
+        for l in letters:
+            if l in here and here[l] not in perm:
+                perm[here[l]] = len(order)
+                order.append(here[l])
+        renumbered.append({l: perm[here[l]] for l in letters if l in here})
+    if len(order) != sum(here is not None for here in darts):
+        raise RuntimeError("canonical form requires a connected graph")
+    return two_walk_graph(rank, renumbered), perm
+
+
+def fold_to_core(nv: int, edges, rank: int) -> StallingsGraph:
+    """Fold, core-trim (keeping the basepoint), and canonicalise a raw graph."""
+    _, darts, _ = folding.fold(nv, edges)
+    folding.trim(darts, protect=0)
+    return two_walk_canonical(rank, darts)[0]
+
+
+def three_pass_parse_word(text: str, rank: int) -> Word:
+    """``parse_word`` with a checking loop, a reduction of one-letter pieces
+    and the checking ``Word`` constructor, one pass each."""
+    letters = []
+    for ch in text.strip():
+        l = _LETTER.get(ch, 0)
+        if not 0 < abs(l) <= rank:
+            raise ParseError(f"bad letter {ch!r} in word {text!r} (rank {rank})")
+        letters.append(l)
+    return Word.make(letters, rank)

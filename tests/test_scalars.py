@@ -19,6 +19,7 @@ from grouptrees.errors import MixedFieldError, ParseError
 
 
 ONE = Scalar.of(1)
+NOTHING = object()   # a parameter that stands for no argument at all
 
 
 def S(text: str) -> Scalar:
@@ -58,16 +59,17 @@ class TestNormalization:
                 Scalar.parse(f"sqrt{d}")
 
     @pytest.mark.parametrize("value,name", [
-        (0.5, "float"), (Decimal("0.5"), "Decimal"), ("0.5", "str"), ("1e3", "str")])
+        (0.5, "float"), (Decimal("0.5"), "Decimal"), ("0.5", "str"), ("1e3", "str"),
+        (NOTHING, "nothing")])
     def test_constructor_takes_ints_and_fractions_only(self, value, name):
         # floats never enter: Scalar.of and Scalar.parse are the only ways
-        # in, and Scalar itself takes no value
+        # in, and Scalar itself takes no value, nor builds a hollow one
         with pytest.raises(TypeError, match="takes no arguments"):
-            Scalar(value)
+            Scalar() if value is NOTHING else Scalar(value)
         if name == "str":   # Scalar.of parses strings
             with pytest.raises(ParseError, match="no floats"):
                 Scalar.of(value)
-        else:
+        elif name != "nothing":
             with pytest.raises(TypeError, match=f"cannot make a Scalar from {name}"):
                 Scalar.of(value)
         assert scalar(3, Fraction(1, 2), 2) == S("3+1/2*sqrt2")

@@ -5,10 +5,10 @@ import random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from _oracles import (filter_subgroup_elements, full_spanning_tree_paths,
+from _oracles import (filter_subgroup_elements, fold_to_core, full_spanning_tree_paths,
                       out_inc_darts, pair_hall_completion, probe_fiber_product,
-                      two_phase_hall_bases)
-from grouptrees import stallings
+                      two_phase_hall_bases, two_walk_canonical, two_walk_graph)
+from grouptrees import folding, stallings
 from grouptrees.core import Word, enumerate_words, parse_word
 from grouptrees.corpus import random_hall_instances
 from grouptrees.errors import PreconditionError
@@ -306,6 +306,13 @@ def assert_darts_match_pairs(graph):
             found.get(l) for l in range(-graph.rank, graph.rank + 1) if l]
 
 
+def assert_same_graph(got, want):
+    """Same vertex count, edge tuple and dart maps, each in the same order."""
+    assert (got.rank, got.nv, got.edges) == (want.rank, want.nv, want.edges)
+    assert [list(got.darts_at(v).items()) for v in range(got.nv)] == [
+        list(want.darts_at(v).items()) for v in range(want.nv)]
+
+
 raw_generators = st.lists(st.lists(st.integers(1, 4).flatmap(
     lambda a: st.sampled_from([a, -a])), min_size=1, max_size=8), max_size=5)
 
@@ -332,8 +339,19 @@ class TestDartMaps:
         ([{2: 1, -2: 2}, {-2: 0, 2: 2}, {2: 0, -2: 0}], "dart 2 from 1 to 2"),
     ], ids=["missing", "taken", "elsewhere"])
     def test_dart_without_reverse_is_named(self, darts, named):
-        with pytest.raises(RuntimeError, match=rf"^{named} has no reverse$"):
-            StallingsGraph(2, darts)
+        for build in (stallings._checked_graph, two_walk_graph):
+            with pytest.raises(RuntimeError, match=rf"^{named} has no reverse$"):
+                build(2, darts)
+
+    def test_canonical_names_dart_without_reverse(self):
+        # the reverse dart leads elsewhere: _canonical's walk finds it in
+        # the input's numbering, which here is also the BFS numbering
+        darts = [{2: 1, -2: 2}, {-2: 0, 2: 2}, {2: 0, -2: 0}]
+        with pytest.raises(RuntimeError, match=r"^dart 2 from 1 to 2 has no reverse$"):
+            stallings._canonical(2, darts)
+        # a dart from a vertex numbered late is named by its input number
+        with pytest.raises(RuntimeError, match=r"^dart -1 from 2 to 0 has no reverse$"):
+            stallings._canonical(1, [{-1: 2}, {}, {1: 0, -1: 0}])
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_hall_matches_out_inc_completion(self, seed):
@@ -383,6 +401,29 @@ class TestCanonical:
         darts = [graph.darts_at(v) for v in range(graph.nv)]
         assert stallings._canonical(graph.rank, darts) == (
             graph, {v: v for v in range(graph.nv)})
+
+    @given(st.integers(1, 4).flatmap(lambda rank: st.tuples(
+        st.just(rank),
+        st.lists(st.lists(st.integers(1, rank).flatmap(lambda a: st.sampled_from([a, -a])),
+                          min_size=1, max_size=8), max_size=5),
+        st.lists(st.integers(1, rank).flatmap(lambda a: st.sampled_from([a, -a])),
+                 max_size=4))))
+    @example((2, [[1, -1, 2], [2, 1, -1, -2]], [1]))
+    @example((3, [[3, 3, -3, 1], [2, -2]], []))
+    def test_one_walk_matches_two_walk_oracle(self, case):
+        # raw loops are folded as they come, and as the Words they reduce
+        # to, conjugated by the same word: one family per draw
+        rank, raws, conj = case
+        _, darts, _ = folding.fold(*folding.wedge(raws))
+        folding.trim(darts, protect=0)
+        got, perm = stallings._canonical(rank, darts)
+        want, want_perm = two_walk_canonical(rank, darts)
+        assert list(perm.items()) == list(want_perm.items())
+        assert_same_graph(got, want)
+        g = Word.make(conj, rank)
+        gens = [g * Word.make(r, rank) * g.inverse() for r in raws]
+        assert_same_graph(build_core(gens, rank),
+                          fold_to_core(*folding.wedge(h.letters for h in gens), rank))
 
     def test_disconnected_graph_is_an_error(self):
         with pytest.raises(RuntimeError, match="connected"):

@@ -3,9 +3,10 @@
 from itertools import islice
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from grouptrees import core
+from grouptrees.basis_change import invert_basis
 from grouptrees.core import (
     Word,
     conjugator_length,
@@ -16,10 +17,12 @@ from grouptrees.core import (
     product,
     word_sort_key,
 )
-from grouptrees.corpus import rose_graph
+from grouptrees.corpus import random_hall_instances, rose_graph
 from grouptrees.errors import ParseError
+from grouptrees.stallings import basis_of, build_core, conjugate, hall_completion
 
-from _oracles import brute_omega, cyclic_reduce, filter_conjugacy_classes, reduce_letters
+from _oracles import (brute_omega, cyclic_reduce, filter_conjugacy_classes, reduce_letters,
+                      three_pass_parse_word)
 
 
 def W(text: str, rank: int = 2) -> Word:
@@ -52,6 +55,11 @@ class TestReduction:
         assert str(Word((26, -1), 26)) == "zA"
         with pytest.raises(ValueError, match="above 26"):
             Word((27, 1), 27)
+        # the engines check the rank once, then build words unchecked
+        with pytest.raises(ValueError, match="above 26"):
+            next(enumerate_words(27, 2))
+        with pytest.raises(ValueError, match="above 26"):
+            parse_word("za", 27)
 
     @given(raw_words)
     def test_reduce_idempotent(self, raw):
@@ -219,6 +227,77 @@ class TestWordIO:
             parse_word(ch, 26)
 
 
+def outcome(fn, *args):
+    """What fn returns, or the type and message of what it raises."""
+    try:
+        return fn(*args)
+    except Exception as exc:   # the comparison is the test
+        return type(exc), str(exc)
+
+
+word_texts = st.text(st.one_of(
+    st.sampled_from("abcdeABCDE"), st.sampled_from("xyzXYZ \t\n!1\u212a\u00e0"),
+    st.characters()), max_size=24)
+
+
+class TestParseMatchesThreePassOracle:
+    @given(word_texts, st.integers(1, 27))
+    @example("aAbB", 2)
+    @example("abBAc", 3)
+    @example("  aAb\n", 2)
+    @example("a b", 2)
+    @example("ab!", 1)
+    @example("", 27)
+    @example("!", 27)
+    @example("z", 27)
+    @example("zZ", 26)
+    def test_same_word_or_same_error(self, text, rank):
+        assert outcome(parse_word, text, rank) == outcome(three_pass_parse_word, text, rank)
+
+
+def assert_checked(words):
+    """Each Word passes the checking constructor and equals what it builds."""
+    for w in words:
+        assert Word(w.letters, w.rank) == w
+
+
+def signed(rank):
+    return st.integers(1, rank).flatmap(lambda a: st.sampled_from([a, -a]))
+
+
+class TestEngineBuiltWords:
+    @given(st.integers(1, 4).flatmap(lambda rank: st.tuples(
+        st.just(rank),
+        st.lists(st.lists(signed(rank), max_size=10), min_size=1, max_size=4),
+        st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3), st.booleans()),
+                 max_size=12))))
+    def test_engine_words_pass_the_checking_constructor(self, case):
+        rank, raws, moves = case
+        words = [parse_word(core._letters_text(r), rank) for r in raws]
+        assert_checked(words)
+        assert_checked([u * v for u in words for v in words] + [w.inverse() for w in words])
+        graph = build_core(words, rank)
+        assert_checked(basis_of(graph))
+        assert_checked(basis_of(conjugate(graph, words[0])))
+        witness = hall_completion(graph)
+        assert_checked(witness.h_basis + witness.complement_basis)
+        # a Nielsen-moved basis, and its inverse read off the decorated fold
+        basis = [Word((i,), rank) for i in range(1, rank + 1)]
+        for i, j, invert in moves:
+            i, j = i % rank, j % rank
+            if i != j:
+                basis[i] = basis[i] * (basis[j].inverse() if invert else basis[j])
+        assert_checked(basis)
+        assert_checked(invert_basis(basis, rank))
+        assert_checked(enumerate_words(rank, 3))
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_hall_bases_with_an_excluded_word(self, seed):
+        for graph, g, _ in random_hall_instances(seed, 40):
+            witness = hall_completion(graph, g)
+            assert_checked(witness.h_basis + witness.complement_basis)
+
+
 class TestEnumeration:
     def test_reduced_rank2_len1(self):
         words = [str(w) for w in enumerate_words(2, 1, "reduced")]
@@ -378,7 +457,9 @@ def _conjugacy_class_words(w: Word) -> list[Word]:
 @given(st.integers(1, 3), st.integers(0, 4))
 def test_enumeration_words_are_reduced_and_unique(n, L):
     seen = set()
-    for w in enumerate_words(n, L, "reduced"):
-        assert w.letters == reduce_letters(w.letters)
-        assert w.letters not in seen
-        seen.add(w.letters)
+    stream = [w.letters for w in enumerate_words(n, L, "reduced")]
+    for letters in stream:
+        assert letters == reduce_letters(letters)
+        assert letters not in seen
+        seen.add(letters)
+    assert stream == sorted(stream, key=word_sort_key)
