@@ -107,9 +107,10 @@ array and a tree adjacency.
 
 :func:`two_walk_canonical` is ``grouptrees.stallings._canonical`` before its
 breadth-first walk checked every dart's reverse and listed the edges: it
-renumbers the dart maps, then hands them to :func:`two_walk_graph`,
-``StallingsGraph``'s constructor of that time, which walks every dart once
-for its reverse and once more for the sorted edge tuple.
+renumbers the dart maps, then hands them to ``StallingsGraph``'s constructor
+of that time, which walked every dart once for its reverse and once more for
+the sorted edge tuple, and which ``grouptrees.stallings._checked_graph``
+keeps for the one graph not in canonical form.
 :func:`fold_to_core` folds, trims and canonicalises a raw graph with it, as
 ``StallingsGraph._from_raw`` did.  :func:`three_pass_parse_word` is
 ``grouptrees.core.parse_word`` before it mapped the characters in one pass:
@@ -137,7 +138,7 @@ from grouptrees.errors import (DegenerateSubgroupError, InvalidSystemError, Mixe
 from grouptrees.intervals import Interval
 from grouptrees.laminations import _SIMPLICIAL_NOTE
 from grouptrees.marked_graphs import CoverCore
-from grouptrees.stallings import StallingsGraph, index, membership
+from grouptrees.stallings import StallingsGraph, _checked_graph, index, membership
 
 ZERO = Scalar.of(0)
 
@@ -1749,20 +1750,10 @@ class DataclassHallWitness:
 # -- construction stages that walked their data twice ------------------------
 
 
-def two_walk_graph(rank: int, darts: list[dict[int, int]]) -> StallingsGraph:
-    """``StallingsGraph(rank, darts)`` when the constructor checked its maps:
-    one walk over every dart for its reverse, a second for the sorted edges."""
-    for u, here in enumerate(darts):
-        for l, v in here.items():
-            if darts[v].get(-l) != u:
-                raise RuntimeError(f"dart {l} from {u} to {v} has no reverse")
-    return StallingsGraph(rank, darts, tuple(sorted(
-        (u, l, v) for u, here in enumerate(darts) for l, v in here.items() if l > 0)))
-
-
 def two_walk_canonical(rank: int, darts) -> tuple[StallingsGraph, dict[int, int]]:
     """``stallings._canonical`` when it only renumbered, and left the checks
-    and the edges to the constructor."""
+    and the edges to the constructor, whose two walks ``_checked_graph``
+    keeps."""
     letters = ordered_letters(rank)
     perm = {0: 0}
     order = [0]
@@ -1776,7 +1767,7 @@ def two_walk_canonical(rank: int, darts) -> tuple[StallingsGraph, dict[int, int]
         renumbered.append({l: perm[here[l]] for l in letters if l in here})
     if len(order) != sum(here is not None for here in darts):
         raise RuntimeError("canonical form requires a connected graph")
-    return two_walk_graph(rank, renumbered), perm
+    return _checked_graph(rank, renumbered), perm
 
 
 def fold_to_core(nv: int, edges, rank: int) -> StallingsGraph:
