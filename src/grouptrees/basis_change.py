@@ -15,12 +15,12 @@ proper subgroup) raises NotABasisError.
 from __future__ import annotations
 
 from . import folding
-from .core import Word, _word, inverse, product
+from .core import Word, inverse, product
 from .errors import NotABasisError
 
 
-def invert_basis(words: list[Word], rank: int) -> list[Word]:
-    """Return d_1..d_rank over symbols 1..rank with d_i(words) = letter i.
+def invert_basis(words: list[Word], rank: int) -> list[tuple[int, ...]]:
+    """Return d_1..d_rank, letter tuples over symbols 1..rank with d_i(words) = letter i.
 
     Raises NotABasisError unless `words` is a free basis of the whole rank-n
     free group.  The result is verified by substitution before returning.
@@ -46,4 +46,4 @@ def invert_basis(words: list[Word], rank: int) -> list[Word]:
     for i, dec in enumerate(loops, start=1):
         if product(*(images[s] for s in dec)) != (i,):
             raise RuntimeError("basis inversion self-check failed")
-    return [_word(dec, rank) for dec in loops]
+    return loops

@@ -386,8 +386,8 @@ def letter_key(letter: int) -> tuple[int, int]:
 
 
 def word_sort_key(letters: tuple[int, ...]) -> tuple:
-    """The canonical word order (length, then letter keys) of a reduced
-    letter tuple; what Word.sort_key returns, without building a Word."""
+    """The canonical word order of a reduced letter tuple: length, then
+    letter keys."""
     return (len(letters), tuple(map(letter_key, letters)))
 
 
@@ -501,10 +501,6 @@ class Word(_Frozen):
         # raw letters are the product of their one-letter pieces, zip's 1-tuples
         return Word(product(*zip(letters)), rank)
 
-    @staticmethod
-    def identity(rank: int) -> "Word":
-        return Word((), rank)
-
     # -- group operations -------------------------------------------------------
 
     def __mul__(self, other: "Word") -> "Word":
@@ -523,9 +519,6 @@ class Word(_Frozen):
 
     def is_cyclically_reduced(self) -> bool:
         return len(self.letters) < 2 or self.letters[0] != -self.letters[-1]
-
-    def sort_key(self) -> tuple:
-        return word_sort_key(self.letters)
 
     # -- I/O ----------------------------------------------------------------------
 
@@ -646,24 +639,24 @@ _CLASS_TABLE_LETTERS = 2 ** 16
 
 
 @lru_cache(maxsize=32)
-def _class_table(rank: int, n: int) -> tuple[Word, ...]:
-    return tuple([Word(letters, rank) for letters in _class_representatives(rank, n)])
+def _class_table(rank: int, n: int) -> tuple[tuple[int, ...], ...]:
+    return tuple(_class_representatives(rank, n))
 
 
-def _class_words(rank: int, n: int) -> Iterable[Word]:
-    """The class Words of length n: a shared table while it is small enough,
+def _class_words(rank: int, n: int) -> Iterable[tuple[int, ...]]:
+    """The class tuples of length n: a shared table while it is small enough,
     else a stream that is not kept.  Rank 1 always streams: its one class
     a^n is built in linear time, and its tables would evict the others."""
     if rank > 1 and n * 2 * rank * (2 * rank - 1) ** (n - 1) <= _CLASS_TABLE_LETTERS:
         return _class_table(rank, n)
-    return (Word(letters, rank) for letters in _class_representatives(rank, n))
+    return _class_representatives(rank, n)
 
 
-def enumerate_words(rank: int, max_len: int, mode: str = "reduced") -> Iterator[Word]:
-    """Canonical deterministic stream of words of length ≤ max_len.
+def enumerate_words(rank: int, max_len: int, mode: str = "reduced") -> Iterator[tuple[int, ...]]:
+    """Canonical deterministic stream of reduced letter tuples of length <= max_len.
 
     Order invariant, shared by both modes: by length, then lexicographically
-    in the letter order a < a⁻¹ < b < b⁻¹ ... (the order of Word.sort_key).
+    in the letter order a < a⁻¹ < b < b⁻¹ ... (the order of word_sort_key).
 
     mode="reduced": all reduced words including the identity, by a
     breadth-first extension of the previous length.
@@ -674,26 +667,27 @@ def enumerate_words(rank: int, max_len: int, mode: str = "reduced") -> Iterator[
     length, as constrained necklaces by a pruned depth-first search over
     prenecklaces (see _class_representatives); no other word is built.
 
-    At rank 2 and above, the class Words of a length n with
+    At rank 2 and above, the class tuples of a length n with
     n * 2r(2r-1)^(n-1) <= 2^16 (the letters of all reduced words of length
     n) are built once per process: they come from a least-recently-used
-    memo of 32 tables keyed by (rank, n), shared between calls (Words are
+    memo of 32 tables keyed by (rank, n), shared between calls (tuples are
     immutable).  So the memo holds at most 2^21 letters; the largest table,
-    rank 14 and length 3 with 3290 words, takes about 0.26 MiB, so the memo
-    stays under 9 MiB.  A longer length, and every rank-1 length, is
+    rank 14 and length 3 with 3290 words, takes about 0.23 MiB, so the memo
+    stays under 7.5 MiB.  A longer length, and every rank-1 length, is
     streamed and not kept.  Nothing sets the limit or the memo's size.
     """
     if mode not in ("reduced", "conjugacy"):
         raise ValueError(f"unknown enumeration mode {mode!r}")
+    if rank > MAX_RANK:
+        raise ValueError(f"rank {rank} is above {MAX_RANK}: words are written in a-z")
     if mode == "conjugacy":
         for n in range(1, max_len + 1):
             yield from _class_words(rank, n)
         return
     alphabet = ordered_letters(rank)
     layer: list[tuple[int, ...]] = [()]
-    yield Word((), rank)   # the one check of the rank: every extension is in range
+    yield ()
     for _ in range(max_len):
         layer = [letters + (l,) for letters in layer for l in alphabet
                  if not letters or l != -letters[-1]]
-        for letters in layer:
-            yield _word(letters, rank)
+        yield from layer

@@ -206,7 +206,7 @@ def random_hall_instances(seed: int, count: int):
             continue
         g = None
         for candidate in random_words(rng, rank, 8, 6):
-            if not membership(graph, candidate):
+            if not membership(graph, candidate.letters):
                 g = candidate
                 break
         if g is None:

@@ -643,10 +643,10 @@ def subgroup_saturation(system: SoISystem, graph: StallingsGraph,
     translates = []
     rejected = 0
     for h in subgroup_elements(graph, max_len):
-        if any(abs(l) not in letter_to_gen for l in h.letters):
+        if any(abs(l) not in letter_to_gen for l in h):
             rejected += 1
             continue
-        gen_word = [letter_to_gen[l] if l > 0 else -letter_to_gen[-l] for l in h.letters]
+        gen_word = [letter_to_gen[l] if l > 0 else -letter_to_gen[-l] for l in h]
         img = _word_image(system, gen_word, piece)
         if img is None or img.is_point:
             continue
@@ -669,7 +669,7 @@ def subgroup_saturation(system: SoISystem, graph: StallingsGraph,
         used += 1
         for h, img in additions:
             support = support.union(img)
-            added_words.append(str(h))
+            added_words.append(_letters_text(h))
     return {"support": support, "saturated": saturated, "steps_used": used,
             "translates_added": added_words, "rejected_words": rejected,
             "max_len": max_len}

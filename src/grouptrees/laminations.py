@@ -129,17 +129,16 @@ def carrier_scan(graph: MarkedMetricGraph, subgroup: StallingsGraph, epsilon: Sc
     without carrying leaf(g) itself.
     """
     short = graph.omega_epsilon(epsilon, max_word)
-    # the rays of w * leaf(g), the empty w first; g is cyclically reduced, so
-    # leaf(g)'s rays have no prefix.  Both rays are tested before the pair is
-    # sorted, so only a carried leaf pays for `_leaf`
-    translates = [()]
-    if max_translate > 0 and short:
-        translates += [w.letters for w in enumerate_words(graph.rank, max_translate)
-                       if w.letters]
+    # the rays of w * leaf(g), the empty w first, as enumerate_words yields
+    # it; g is cyclically reduced, so leaf(g)'s rays have no prefix.  Both
+    # rays are tested before the pair is sorted, so only a carried leaf pays
+    # for `_leaf`
+    translates = (list(enumerate_words(graph.rank, max_translate))
+                  if max_translate > 0 and short else [()])
     carried, translate_hits = [], []
     for g in short:
-        generator = str(g)
-        period = _primitive_root(g.letters)
+        generator = _letters_text(g)
+        period = _primitive_root(g)
         back = inverse(period)
         for w in translates:
             first, second = _canonical_ray(w, back), _canonical_ray(w, period)
@@ -154,7 +153,7 @@ def carrier_scan(graph: MarkedMetricGraph, subgroup: StallingsGraph, epsilon: Sc
         "status": "carried-leaves-found" if carried else "none-up-to-budget",
         "carried": carried,
         "translate_hits": translate_hits,
-        "short_classes": [str(g) for g in short],
+        "short_classes": [_letters_text(g) for g in short],
         "epsilon": str(epsilon),
         "max_word": max_word,
         "max_translate": max_translate,

@@ -134,16 +134,17 @@ class MarkedMetricGraph:
 
         self._darts_at = darts
 
-        # the dart loop of marking symbol ±j, the j-th non-tree edge's loop
+        # the dart loop of marking symbol ±j, the j-th non-tree edge's loop;
+        # its tree and non-tree darts are different edges, so nothing cancels
         nt_loops = {}
         for j, eid in enumerate(non_tree, 1):
             u, v, _ = self.edges[eid]
-            nt_loops[j] = product(path_to[u], (eid + 1,), inverse(path_to[v]))
+            nt_loops[j] = path_to[u] + (eid + 1,) + inverse(path_to[v])
             nt_loops[-j] = inverse(nt_loops[j])
 
         self._letter_loops = {}
         for a, expr in enumerate(self._letter_exprs, 1):
-            loop = product(*map(nt_loops.__getitem__, expr.letters))
+            loop = product(*map(nt_loops.__getitem__, expr))
             self._letter_loops[a], self._letter_loops[-a] = loop, inverse(loop)
 
     # -- darts ---------------------------------------------------------------
@@ -167,9 +168,9 @@ class MarkedMetricGraph:
 
     # -- loops and lengths ----------------------------------------------------
 
-    def word_to_loop(self, w: Word) -> tuple[int, ...]:
-        """Dart loop at the basepoint whose marking image is w."""
-        return product(*map(self._letter_loops.__getitem__, w.letters))
+    def word_to_loop(self, letters: tuple[int, ...]) -> tuple[int, ...]:
+        """Dart loop at the basepoint whose marking image is the reduced letter tuple."""
+        return product(*map(self._letter_loops.__getitem__, letters))
 
     def _length_view(self, *extra: Scalar):
         """(den, d, a_of, b_of, pairs): dart x is (a_of[x] + b_of[x]*sqrt(d))/den
@@ -185,15 +186,15 @@ class MarkedMetricGraph:
     def translation_length(self, w: Word) -> Scalar:
         """Exact translation length of w on the universal cover (0 if trivial)."""
         den, d, a_of, b_of, _ = self._length_view()
-        loop = _cyclic(self.word_to_loop(w))
+        loop = _cyclic(self.word_to_loop(w.letters))
         b = sum(map(b_of.__getitem__, loop)) if b_of else 0
         return _make(sum(map(a_of.__getitem__, loop)), b, den, d)
 
     def volume(self) -> Scalar:
         return sum((length for *_, length in self.edges), ZERO)
 
-    def omega_epsilon(self, epsilon: Scalar, max_len: int) -> list[Word]:
-        """Conjugacy classes up to max_len with translation length strictly below epsilon.
+    def omega_epsilon(self, epsilon: Scalar, max_len: int) -> list[tuple[int, ...]]:
+        """Conjugacy class tuples up to max_len with translation length strictly below epsilon.
 
         Each class is decided on integers: its length and epsilon share one
         denominator, so the test is one exact sign of a + b*sqrt(d).
@@ -213,7 +214,7 @@ class MarkedMetricGraph:
             out += compress(islice(words, len(ids)), map(short.__getitem__, ids))
             n += 1
         for w in words:
-            loop = _cyclic(product(*map(loops.__getitem__, w.letters)))
+            loop = _cyclic(product(*map(loops.__getitem__, w)))
             a = sum(map(a_of.__getitem__, loop))
             b = sum(map(b_of.__getitem__, loop)) if b_of else 0
             if _sign(a - ea, b - eb, d) < 0:
@@ -235,7 +236,7 @@ def _crossings(marking: tuple) -> tuple:
     @lru_cache(maxsize=None)
     def row(n: int) -> tuple:
         loops, seen = dict(marking), {}
-        crossed = (tuple(sorted(map(abs, _cyclic(product(*map(loops.__getitem__, w.letters))))))
+        crossed = (tuple(sorted(map(abs, _cyclic(product(*map(loops.__getitem__, w))))))
                    for w in _class_table(len(loops) // 2, n))
         ids = tuple([seen.setdefault(c, len(seen)) for c in crossed])
         edges = [tuple(dict.fromkeys(c)) for c in seen]   # c is sorted
@@ -271,7 +272,7 @@ class CoverCore:
         self.graph = graph
         self.subgroup = subgroup
 
-        nv, edges = folding.wedge(graph.word_to_loop(b) for b in basis_of(subgroup))
+        nv, edges = folding.wedge(graph.word_to_loop(b.letters) for b in basis_of(subgroup))
         _, darts, _ = folding.fold(nv, edges)
         # copies, as fold leaves them: trimming the core below edits `darts`
         self.p = p = _checked_graph(len(graph.edges), [dict(here) for here in darts])
@@ -349,7 +350,7 @@ class CoverCore:
 # The deck transformation of a group element g sends (u, v) to (g*u, v).
 
 
-def _subtree_ball(cover: CoverCore, h: Word, radius: int) -> dict:
+def _subtree_ball(cover: CoverCore, h: tuple[int, ...], radius: int) -> dict:
     """T_H within `radius` edges of h*x0, as label -> P-vertex.
 
     h's loop is read in P up to its first missing edge; a reduced loop that
@@ -373,7 +374,7 @@ def _subtree_ball(cover: CoverCore, h: Word, radius: int) -> dict:
         path.append(dart)
     if len(path) > radius:
         return {}
-    u = product(h.letters, *map(graph.dart_marking_letters, path))
+    u = product(h, *map(graph.dart_marking_letters, path))
     ball = {(u, cover.vertex_image[p]): p}
     frontier = [(u, p)]
     for _ in range(radius - len(path)):
@@ -400,7 +401,7 @@ def _edge_report(graph: MarkedMetricGraph, u, v, eid) -> dict:
     }
 
 
-def _translate_intersection_prepared(cover: CoverCore, g: Word, radius: int,
+def _translate_intersection_prepared(cover: CoverCore, g: tuple[int, ...], radius: int,
                                      base: dict) -> dict:
     """Compare the minimal subtree with its g-translate within `radius` of the basepoint.
 
@@ -413,9 +414,9 @@ def _translate_intersection_prepared(cover: CoverCore, g: Word, radius: int,
     least of its kind in the order (sheet, vertex, edge).
     """
     graph = cover.graph
-    report = {"translate": str(g), "radius": radius}
+    report = {"translate": _letters_text(g), "radius": radius}
     ball_g = _subtree_ball(cover, g, radius)
-    ball_gi = _subtree_ball(cover, g.inverse(), radius)
+    ball_gi = _subtree_ball(cover, inverse(g), radius)
     merged = dict(base)
     for extra in (ball_g, ball_gi):
         for key, p in extra.items():
@@ -429,7 +430,7 @@ def _translate_intersection_prepared(cover: CoverCore, g: Word, radius: int,
 
     # T_H's edges from B(x0) u B(g*x0), and g times T_H's from B(1/g*x0) u B(x0)
     sub = edges(base) | edges(ball_g)
-    translate = edges(ball_gi, g.letters) | edges(base, g.letters)
+    translate = edges(ball_gi, g) | edges(base, g)
     common = sub & translate
 
     def first(items):
@@ -449,7 +450,7 @@ def _translate_intersection_prepared(cover: CoverCore, g: Word, radius: int,
         report["witness_common"] = _edge_report(graph, *first(common))
     else:
         shared = (base.keys() | ball_g.keys()) & {
-            (product(g.letters, u), v) for u, v in base.keys() | ball_gi.keys()}
+            (product(g, u), v) for u, v in base.keys() | ball_gi.keys()}
         if shared:
             u, v = first(shared)
             report["outcome"] = "single-point-within-radius"
@@ -484,7 +485,7 @@ def transverse_family_report(graph: MarkedMetricGraph, subgroup: StallingsGraph,
         report["violations"] = []
         return report
 
-    ball = [w.letters for w in subgroup_elements(subgroup, max_len)][:64]
+    ball = subgroup_elements(subgroup, max_len)[:64]
     # A product h1*w*h2 can come out below w (shortlex) only if h1 cancels
     # into w or h2 does.  If just one side cancels and does not swallow all
     # of w, the product is that side's product with w, extended by the other
@@ -497,24 +498,23 @@ def transverse_family_report(graph: MarkedMetricGraph, subgroup: StallingsGraph,
             ending.setdefault(h[-1], []).append(h)
             starting.setdefault(h[0], []).append(h)
 
-    base = _subtree_ball(cover, Word.identity(graph.rank), radius)
+    base = _subtree_ball(cover, (), radius)
     rows = []
     violations = []
     for w in enumerate_words(graph.rank, max_len):
         if membership(subgroup, w):
             continue
-        letters, w_inv, key = w.letters, inverse(w.letters), w.sort_key()
-        n = len(letters)
-        lefts = [()] + ending.get(-letters[0], [])
-        rights = [()] + starting.get(-letters[-1], [])
+        w_inv, key, n = inverse(w), word_sort_key(w), len(w)
+        lefts = [()] + ending.get(-w[0], [])
+        rights = [()] + starting.get(-w[-1], [])
         pairs = chain(((h1, h2) for h1 in lefts for h2 in rights),
                       ((h1, h2) for h1 in lefts if h1[-n:] == w_inv for h2 in ball),
                       ((h1, h2) for h1 in ball for h2 in rights if h2[:n] == w_inv))
         if any(len(r) < n or len(r) == n and word_sort_key(r) < key
-               for r in (product(h1, letters, h2) for h1, h2 in pairs)):
+               for r in (product(h1, w, h2) for h1, h2 in pairs)):
             continue
         result = _translate_intersection_prepared(cover, w, radius, base)
-        rows.append({"word": str(w), "outcome": result["outcome"]})
+        rows.append({"word": _letters_text(w), "outcome": result["outcome"]})
         if result["outcome"] == "nondegenerate-intersection":
             violations.append(result)
 

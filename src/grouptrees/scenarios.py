@@ -23,7 +23,7 @@ from collections.abc import Callable
 from typing import NamedTuple
 
 from . import documents as docs
-from .core import Scalar, Word, _Frozen, parse_word
+from .core import Scalar, Word, _Frozen, _letters_text, parse_word
 from .errors import ParseError, PreconditionError
 from .report import to_jsonable
 
@@ -182,7 +182,7 @@ def op_stallings_core(args: dict):
 def op_stallings_member(args: dict):
     from .stallings import membership
     w = args["word"]
-    return {"word": w, "member": membership(args["subgroup"], w)}, PROVEN
+    return {"word": w, "member": membership(args["subgroup"], w.letters)}, PROVEN
 
 
 def op_stallings_index(args: dict):
@@ -257,7 +257,7 @@ def op_cvn_omega(args: dict):
     epsilon, max_word = args["epsilon"], args["max_word"]
     classes = args["graph"].omega_epsilon(epsilon, max_word)
     return {"epsilon": epsilon, "max_word": max_word,
-            "classes": [str(w) for w in classes]}, PROVEN
+            "classes": [_letters_text(w) for w in classes]}, PROVEN
 
 
 def op_cvn_transverse(args: dict):
@@ -407,7 +407,7 @@ OPERATIONS = {
                           Arg("word", None, kind="word",
                               help="word to keep outside the extension"))),
     "stallings.hall_random_batch": Op(op_stallings_hall_random_batch, None,
-                                      (Arg("count", 200, integer=True),
+                                      (Arg("count", 200, integer=True, budget=True),
                                        Arg("seed", 0, integer=True))),
     "cvn.len": Op(op_cvn_len, "translation length of a word",
                   (_document_in("graph"), _WORD)),

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from collections import deque
 
-from .core import Word, _Frozen, _word, inverse, ordered_letters, product
+from .core import Word, _Frozen, _word, inverse, ordered_letters
 from .errors import PreconditionError
 from . import folding
 
@@ -130,9 +130,9 @@ def build_core(generators, rank: int) -> StallingsGraph:
     return _canonical(rank, darts)[0]
 
 
-def membership(graph: StallingsGraph, word: Word) -> bool:
-    """True iff the word labels a closed path at the basepoint."""
-    return graph.trace(graph.base, word.letters) == graph.base
+def membership(graph: StallingsGraph, letters: tuple[int, ...]) -> bool:
+    """True iff the reduced letter tuple labels a closed path at the basepoint."""
+    return graph.trace(graph.base, letters) == graph.base
 
 
 def index(graph: StallingsGraph) -> int | None:
@@ -212,9 +212,10 @@ def spanning_tree_paths(graph: StallingsGraph, inside=frozenset()) -> tuple[dict
 
 
 def _loop_word(path_to: dict, edge: tuple[int, int, int], rank: int) -> Word:
-    """The basepoint loop that crosses `edge` and otherwise follows tree paths."""
+    """The basepoint loop that crosses `edge` and otherwise follows tree paths;
+    nothing cancels at a seam, as a letter that did would make `edge` a tree edge."""
     u, l, v = edge
-    return _word(product(path_to[u], (l,), inverse(path_to[v])), rank)
+    return _word(path_to[u] + (l,) + inverse(path_to[v]), rank)
 
 
 def basis_of(graph: StallingsGraph) -> list[Word]:
@@ -229,22 +230,21 @@ def conjugate(graph: StallingsGraph, g: Word) -> StallingsGraph:
     return build_core([g * h * ginv for h in basis_of(graph)], graph.rank)
 
 
-def subgroup_elements(graph: StallingsGraph, max_len: int) -> list[Word]:
-    """All subgroup elements of word length <= max_len, in canonical order.
+def subgroup_elements(graph: StallingsGraph, max_len: int) -> list[tuple[int, ...]]:
+    """All subgroup elements of length <= max_len: letter tuples in canonical order.
 
     The reduced paths from the basepoint grow one letter at a time, in the
     letter order of `enumerate_words`.  A folded graph reads a reduced word
     along at most one path, so the paths that close at the basepoint are the
     elements, in that order.
     """
-    elements = [Word((), graph.rank)]
+    elements = [()]
     layer = [((), graph.base)]
     for _ in range(max_len):
         layer = [(letters + (l,), w) for letters, v in layer
                  for l, w in graph.darts_at(v).items()
                  if not letters or l != -letters[-1]]
-        elements.extend(Word(letters, graph.rank)
-                        for letters, v in layer if v == graph.base)
+        elements.extend(letters for letters, v in layer if v == graph.base)
     return elements
 
 
@@ -300,7 +300,7 @@ class HallWitness(_Frozen):
         checks["subgroup_embeds"] = emb_ok
         checks["euler_rank_formula"] = len(self.h_basis) + len(self.complement_basis) == 1 + self.cover.nv * (n - 1)
         if self.excluded is not None:
-            checks["excluded_stays_out"] = not membership(self.cover, self.excluded)
+            checks["excluded_stays_out"] = not membership(self.cover, self.excluded.letters)
         checks["basis_rebuilds_cover"] = (
             build_core(list(self.h_basis) + list(self.complement_basis), n) == self.cover
         )
@@ -319,7 +319,7 @@ def hall_completion(graph: StallingsGraph, g: Word | None = None) -> HallWitness
     missing-outgoing list with the sorted missing-incoming list per label.
     """
     n = graph.rank
-    if g is not None and membership(graph, g):
+    if g is not None and membership(graph, g.letters):
         raise PreconditionError("excluded element already belongs to the subgroup")
 
     darts = [dict(graph.darts_at(v)) for v in range(graph.nv)]

@@ -55,6 +55,9 @@ candidate's union with the covered set and intersects it with the target.
 ``spanning_tree_paths`` with ``basis_of``.  :func:`full_spanning_tree_paths`
 is that shared search before it kept parent darts: it stores the letter path
 of every vertex, so it is quadratic on deep graphs.
+:func:`product_loop_letters` is ``grouptrees.stallings._loop_word`` before it
+concatenated its three pieces: it reduces the tree path, the non-tree letter
+and the inverse tree path with ``product``.
 
 :func:`grow_ball`, :func:`ball_translate_intersection` and
 :func:`ball_transverse_family_report` compare translates of a minimal subtree
@@ -103,7 +106,8 @@ kept one dart map per vertex: a ``StallingsGraph`` as an out/inc pair of
 dicts per vertex, walked label by label; the Hall completion on private
 copies of that pair; the fiber product probing all 2n letters at each
 vertex; and ``MarkedMetricGraph``'s checks on adjacency lists, a valence
-array and a tree adjacency.
+array and a tree adjacency.  :func:`adjacency_letter_loops` also reduces
+each non-tree edge's loop across both seams, where the engine concatenates.
 
 :func:`two_walk_canonical` is ``grouptrees.stallings._canonical`` before its
 breadth-first walk checked every dart's reverse and listed the edges: it
@@ -377,7 +381,7 @@ def _lifted_path(graph, w: Word):
     """Dart path of the tightened basepoint loop reading w, built locally."""
     darts: tuple[int, ...] = ()
     for letter in w.letters:
-        darts = reduce_letters(darts + graph.word_to_loop(Word((letter,), w.rank)))
+        darts = reduce_letters(darts + graph.word_to_loop((letter,)))
     return darts
 
 
@@ -447,7 +451,7 @@ def brute_omega(graph, epsilon, max_len: int) -> set[tuple[int, ...]]:
     return reps
 
 
-def loop_omega(graph, epsilon, max_len: int) -> list[Word]:
+def loop_omega(graph, epsilon, max_len: int) -> list[tuple[int, ...]]:
     """``MarkedMetricGraph.omega_epsilon`` before the crossing memo: every
     class is decided through its own chained and cyclically reduced dart loop,
     on every call."""
@@ -728,14 +732,14 @@ def sweep_invert_basis(words: list[Word], rank: int) -> list[Word]:
     return result
 
 
-def substitute(expr: Word, values: list[Word]) -> Word:
-    """Apply the substitution x_j -> values[j-1] to a word in x-symbols."""
-    if not expr.letters:
+def substitute(expr: tuple[int, ...], values: list[Word]) -> Word:
+    """Apply the substitution x_j -> values[j-1] to a letter tuple in x-symbols."""
+    if not expr:
         if not values:
             raise ValueError("cannot infer rank for empty substitution")
-        return Word.identity(values[0].rank)
+        return Word((), values[0].rank)
     letters: tuple[int, ...] = ()
-    for s in expr.letters:
+    for s in expr:
         v = values[abs(s) - 1]
         letters = _mul(letters, v.letters if s > 0 else _inv(v.letters))
     return Word(letters, values[0].rank)
@@ -1076,6 +1080,13 @@ def full_spanning_tree_paths(graph, inside=frozenset()) -> tuple[dict, list]:
     return path_to, non_tree
 
 
+def product_loop_letters(path_to: dict, edge: tuple[int, int, int]) -> tuple[int, ...]:
+    """The letters of the basepoint loop through a non-tree edge, reduced by
+    ``product`` across both seams."""
+    u, l, v = edge
+    return product(path_to[u], (l,), inverse(path_to[v]))
+
+
 # -- translate overlaps from whole radius balls --------------------------------
 
 
@@ -1115,7 +1126,7 @@ def vertex_on_subtree(cover, state) -> bool:
     return not stack and p in cover.core_vertices
 
 
-def filter_subgroup_elements(graph, max_len: int) -> list[Word]:
+def filter_subgroup_elements(graph, max_len: int) -> list[tuple[int, ...]]:
     """The subgroup elements of length <= max_len: every reduced word, kept
     when it is a member."""
     return [w for w in enumerate_words(graph.rank, max_len) if membership(graph, w)]
@@ -1164,7 +1175,7 @@ def ball_translate_intersection(cover, g: Word, radius: int,
     graph = cover.graph
     subgroup = cover.subgroup
     report = {"translate": str(g), "radius": radius}
-    if membership(subgroup, g):
+    if membership(subgroup, g.letters):
         report["outcome"] = "whole-tree-coincidence"
         report["reason"] = "the translating element lies in the subgroup"
         return report
@@ -1175,8 +1186,8 @@ def ball_translate_intersection(cover, g: Word, radius: int,
 
     init = initial_state(cover)
     g_inv = g.inverse()
-    state_g = walk(cover, init, graph.word_to_loop(g))
-    state_gi = walk(cover, init, graph.word_to_loop(g_inv))
+    state_g = walk(cover, init, graph.word_to_loop(g.letters))
+    state_gi = walk(cover, init, graph.word_to_loop(g_inv.letters))
 
     ball_g = grow_ball(cover, g.letters, state_g, radius)
     ball_gi = grow_ball(cover, g_inv.letters, state_gi, radius)
@@ -1255,7 +1266,7 @@ def ball_transverse_family_report(graph, subgroup, max_len: int, radius: int) ->
         report["violations"] = []
         return report
 
-    ball = [w.letters for w in filter_subgroup_elements(subgroup, max_len)]
+    ball = filter_subgroup_elements(subgroup, max_len)
     if () not in ball:
         ball.append(())
     ball = ball[:64]
@@ -1263,14 +1274,14 @@ def ball_transverse_family_report(graph, subgroup, max_len: int, radius: int) ->
     base_ball = grow_ball(cover, (), initial_state(cover), radius)
     rows = []
     violations = []
-    for w in enumerate_words(graph.rank, max_len):
-        if membership(subgroup, w):
+    for letters in enumerate_words(graph.rank, max_len):
+        if membership(subgroup, letters):
             continue
-        key = w.sort_key()
+        key = word_sort_key(letters)
         minimal = True
         for h1 in ball:
             for h2 in ball:
-                r = reduce_letters(h1 + w.letters + h2)
+                r = reduce_letters(h1 + letters + h2)
                 if not r or word_sort_key(r) < key:
                     minimal = False
                     break
@@ -1278,6 +1289,7 @@ def ball_transverse_family_report(graph, subgroup, max_len: int, radius: int) ->
                 break
         if not minimal:
             continue
+        w = Word(letters, graph.rank)
         result = ball_translate_intersection(cover, w, radius, base_ball)
         rows.append({"word": str(w), "outcome": result["outcome"]})
         if result["outcome"] == "nondegenerate-intersection":
@@ -1357,7 +1369,7 @@ class DataclassBoundaryRay:
         return self.period.rank
 
     def sort_key(self):
-        return (self.prefix.sort_key(), self.period.sort_key())
+        return (word_sort_key(self.prefix.letters), word_sort_key(self.period.letters))
 
     def __str__(self):
         head = f"{self.prefix}·" if self.prefix.letters else ""
@@ -1429,7 +1441,7 @@ def object_carrier_scan(graph, subgroup, epsilon, max_word: int,
     subgroup containing some w*g*w^-1 carries the translated leaf w*leaf(g)
     without carrying leaf(g) itself.
     """
-    short = graph.omega_epsilon(epsilon, max_word)
+    short = [Word(t, graph.rank) for t in graph.omega_epsilon(epsilon, max_word)]
     leaves = [object_periodic_leaf(g) for g in short]
     carried = []
     for g, leaf in zip(short, leaves):
@@ -1437,7 +1449,8 @@ def object_carrier_scan(graph, subgroup, epsilon, max_word: int,
             carried.append({"generator": str(g), "leaf": str(leaf)})
     translate_hits = []
     if max_translate > 0 and short:
-        translates = [w for w in enumerate_words(graph.rank, max_translate) if w.letters]
+        translates = [Word(t, graph.rank) for t in enumerate_words(graph.rank, max_translate)
+                      if t]
         for g, base in zip(short, leaves):
             for w in translates:
                 moved = translate_leaf(w, base)
@@ -1679,7 +1692,7 @@ def adjacency_letter_loops(rank, nv, edges, tree, marking, base=0) -> dict:
         nt_loops[-j] = _inv(nt_loops[j])
     loops = {}
     for a, expr in enumerate(exprs, 1):
-        loop = _mul(*(nt_loops[x] for x in expr.letters))
+        loop = _mul(*(nt_loops[x] for x in expr))
         loops[a], loops[-a] = loop, _inv(loop)
     return loops
 

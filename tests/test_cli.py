@@ -283,6 +283,9 @@ class TestOps:
          "budget must be nonnegative, not -5"),
         ("soi.glp", {"system": worked_single_map, "max_word": -2},
          "max_word must be nonnegative, not -2"),
+        # a scenario-only operation: no command line checks its count first
+        ("stallings.hall_random_batch", {"count": -5, "seed": 1},
+         "count must be nonnegative, not -5"),
     ])
     def test_negative_budgets_rejected(self, op, args, message):
         dump = {"graph": docs.dump_marked_graph, "system": docs.dump_system}

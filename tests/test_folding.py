@@ -267,7 +267,7 @@ class TestInvertBasisMatchesSweep:
     def test_nielsen_bases(self, rank, moves):
         basis = nielsen_basis(rank, moves)
         got = invert_basis(basis, rank)
-        assert got == sweep_invert_basis(basis, rank)
+        assert got == [w.letters for w in sweep_invert_basis(basis, rank)]
         for i, expr in enumerate(got, start=1):
             assert substitute(expr, basis).letters == (i,)
 
@@ -280,7 +280,7 @@ class TestInvertBasisMatchesSweep:
             basis[i] = basis[i] * basis[1 - i]
             i = 1 - i
         got = invert_basis(basis, 2)
-        assert got == sweep_invert_basis(basis, 2)
+        assert got == [w.letters for w in sweep_invert_basis(basis, 2)]
         assert [substitute(expr, basis).letters for expr in got] == [(1,), (2,)]
 
     @pytest.mark.parametrize("texts", [
@@ -313,7 +313,7 @@ class TestInvertBasisMatchesSweep:
                 invert_basis(words, rank)
             assert str(got.value) == str(exc)
         else:
-            assert invert_basis(words, rank) == expected
+            assert invert_basis(words, rank) == [w.letters for w in expected]
 
 
 @st.composite

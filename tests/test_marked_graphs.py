@@ -10,7 +10,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from grouptrees import folding
 from grouptrees import marked_graphs as engine
-from grouptrees.core import Scalar, Word, _class_table, enumerate_words, parse_word
+from grouptrees.core import Scalar, Word, _class_table, _letters_text, enumerate_words, parse_word
 from grouptrees.basis_change import invert_basis
 from grouptrees.errors import (
     DegenerateSubgroupError,
@@ -59,8 +59,8 @@ def rose(*lengths, marking=("a", "b")):
 def translate_intersection(graph, subgroup, g, radius):
     """Compare the minimal subtree with its g-translate in the radius ball."""
     cover = CoverCore(graph, subgroup)
-    base = _subtree_ball(cover, Word.identity(graph.rank), radius)
-    return _translate_intersection_prepared(cover, g, radius, base)
+    base = _subtree_ball(cover, (), radius)
+    return _translate_intersection_prepared(cover, g.letters, radius, base)
 
 
 def theta():
@@ -75,7 +75,7 @@ raw_words = st.lists(letters, max_size=8)
 
 
 def mk_word(raw):
-    w = Word.identity(2)
+    w = Word((), 2)
     for l in raw:
         w = w * Word((l,), 2)
     return w
@@ -86,11 +86,11 @@ words = raw_words.map(mk_word)
 
 class TestInvertBasis:
     def test_standard_basis(self):
-        assert [str(d) for d in invert_basis([W("a"), W("b")], 2)] == ["a", "b"]
+        assert [_letters_text(d) for d in invert_basis([W("a"), W("b")], 2)] == ["a", "b"]
 
     def test_shear(self):
-        assert [str(d) for d in invert_basis([W("ab"), W("b")], 2)] == ["aB", "b"]
-        assert [str(d) for d in invert_basis([W("a"), W("ab")], 2)] == ["a", "Ab"]
+        assert [_letters_text(d) for d in invert_basis([W("ab"), W("b")], 2)] == ["aB", "b"]
+        assert [_letters_text(d) for d in invert_basis([W("a"), W("ab")], 2)] == ["a", "Ab"]
 
     def test_conjugated_basis(self):
         exprs = invert_basis([W("abA"), W("aabA")], 2)
@@ -270,7 +270,7 @@ class TestDartMaps:
         assume(rank_of(subgroup) > 0)
         p = CoverCore(graph, subgroup).p
         _, darts, _ = folding.fold(*folding.wedge(
-            graph.word_to_loop(b) for b in basis_of(subgroup)))
+            graph.word_to_loop(b.letters) for b in basis_of(subgroup)))
         assert [list(p.darts_at(v).items()) for v in range(p.nv)] == \
             [list(here.items()) for here in darts]
 
@@ -336,13 +336,13 @@ class TestWordToLoop:
     def test_matches_letter_by_letter_reduction(self, which, raw):
         graph = marked_graphs()[which]
         w = mk_word(raw)
-        assert graph.word_to_loop(w) == tuple(_lifted_path(graph, w))
+        assert graph.word_to_loop(w.letters) == tuple(_lifted_path(graph, w))
 
     @pytest.mark.parametrize("which", range(5))
     def test_letter_loops_read_their_letter(self, which):
         graph = marked_graphs()[which]
         for letter in (1, -1, 2, -2):
-            loop = graph.word_to_loop(Word((letter,), 2))
+            loop = graph.word_to_loop((letter,))
             # a dart starts where its reverse ends
             assert graph.dart_target(-loop[0]) == graph.dart_target(loop[-1]) == graph.base
             read = [l for d in loop for l in graph.dart_marking_letters(d)]
@@ -359,7 +359,7 @@ class TestWordToLoop:
 class TestOmegaEpsilon:
     def test_short_loop_rose(self):
         g = rose(Fraction(1, 10), 1)
-        assert [str(w) for w in g.omega_epsilon(S(Fraction(1, 2)), 4)] == \
+        assert [_letters_text(w) for w in g.omega_epsilon(S(Fraction(1, 2)), 4)] == \
             ["a", "aa", "aaa", "aaaa"]
 
     def test_strictness(self):
@@ -578,7 +578,7 @@ class TestIrrationalLengths:
             scale = Scalar.parse(f"sqrt{max(length.d for _, _, length in graph.edges)}")
         epsilon = net_translation_length(graph, W(eps_word)) * scale
         engine = graph.omega_epsilon(epsilon, 5)
-        reps = {class_rep(w.letters) for w in engine}
+        reps = {class_rep(w) for w in engine}
         assert len(reps) == len(engine)
         assert reps == brute_omega(graph, epsilon, 5)
         if scale == 1:
@@ -587,7 +587,7 @@ class TestIrrationalLengths:
     @pytest.mark.parametrize("name", sorted(irrational_graphs()))
     def test_translation_length_matches_net_minimum(self, name):
         graph = irrational_graphs()[name]
-        for w in enumerate_words(2, 3):
+        for w in (Word(t, 2) for t in enumerate_words(2, 3)):
             assert graph.translation_length(w) == net_translation_length(graph, w), str(w)
 
     def test_foreign_epsilon_field(self):
@@ -597,7 +597,7 @@ class TestIrrationalLengths:
                                match="^cannot mix sqrt2 and sqrt5 values in one computation$"):
                 graph.omega_epsilon(SQRT5, max_len)
         # a rational graph takes an epsilon from any field
-        assert [str(w) for w in rose(1, 2).omega_epsilon(SQRT5, 3)] == ["a", "b", "aa"]
+        assert [_letters_text(w) for w in rose(1, 2).omega_epsilon(SQRT5, 3)] == ["a", "b", "aa"]
 
 
 class TestMinimalSubtree:
@@ -681,7 +681,7 @@ def crosses_subtree(graph, subgroup, base_path, dart) -> bool:
     subtree?  It does iff base_path*x0 lies on it (its radius-0 subtree ball
     is not empty) and `dart` is a core dart at that vertex's P-vertex."""
     cover = CoverCore(graph, subgroup)
-    return any(dart == d for p in _subtree_ball(cover, base_path, 0).values()
+    return any(dart == d for p in _subtree_ball(cover, base_path.letters, 0).values()
                for d, *_ in cover.core_darts[p])
 
 
@@ -803,19 +803,19 @@ class TestSubtreeWalkMatchesBallOracle:
         cover = CoverCore(graph, subgroup)
         # the engine's precondition: the transverse report tests only
         # translates outside H, and only on a core that is not a covering
-        assume(not membership(subgroup, g) and not cover.is_covering)
-        base = _subtree_ball(cover, Word.identity(2), radius)
+        assume(not membership(subgroup, g.letters) and not cover.is_covering)
+        base = _subtree_ball(cover, (), radius)
         base_ball = grow_ball(cover, (), initial_state(cover), radius)
-        assert _translate_intersection_prepared(cover, g, radius, base) == \
+        assert _translate_intersection_prepared(cover, g.letters, radius, base) == \
             ball_translate_intersection(cover, g, radius, base_ball)
 
     @given(oracle_cases(5))
     def test_subtree_ball_is_the_ball_restricted_to_the_subtree(self, case):
         graph, subgroup, g, radius = case
         cover = CoverCore(graph, subgroup)
-        state = walk(cover, initial_state(cover), graph.word_to_loop(g))
+        state = walk(cover, initial_state(cover), graph.word_to_loop(g.letters))
         whole = grow_ball(cover, g.letters, state, radius)
-        assert _subtree_ball(cover, g, radius) == {
+        assert _subtree_ball(cover, g.letters, radius) == {
             key: st[0] for key, st in whole.items() if vertex_on_subtree(cover, st)}
 
     @given(oracle_cases(4), st.integers(0, 3))

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from _oracles import (filter_subgroup_elements, fold_to_core, full_spanning_tree_paths,
                       out_inc_darts, pair_hall_completion, probe_fiber_product,
-                      two_phase_hall_bases, two_walk_canonical)
+                      product_loop_letters, two_phase_hall_bases, two_walk_canonical)
 from grouptrees import folding, stallings
 from grouptrees.core import Word, enumerate_words, parse_word
 from grouptrees.corpus import random_hall_instances
@@ -61,21 +61,21 @@ class TestBuildCore:
 
     def test_conjugate_core_keeps_basepoint_tail(self):
         g = core(["bab"])  # not closed under cyclic reduction: tail survives
-        assert membership(g, W("bab"))
-        assert not membership(g, W("a"))
+        assert membership(g, W("bab").letters)
+        assert not membership(g, W("a").letters)
 
 
 class TestMembership:
     def test_powers(self):
         g = core(["a"])
-        assert membership(g, W("aaa"))
-        assert not membership(g, W("b"))
+        assert membership(g, W("aaa").letters)
+        assert not membership(g, W("b").letters)
 
     def test_parity_blocks(self):
         g = core(["aa", "b"])
-        assert membership(g, W("aabaa"))
-        assert not membership(g, W("aba"))
-        assert not membership(g, W("a"))
+        assert membership(g, W("aabaa").letters)
+        assert not membership(g, W("aba").letters)
+        assert not membership(g, W("a").letters)
 
     @given(st.lists(st.sampled_from([1, -1, 2, -2]), max_size=10))
     def test_membership_matches_generated_set(self, raw):
@@ -95,7 +95,7 @@ class TestMembership:
                     ok = False
                     break
         ok = ok and running % 2 == 0
-        assert membership(g, w) == ok
+        assert membership(g, w.letters) == ok
 
 
 class TestIndex:
@@ -125,7 +125,7 @@ class TestFiberProduct:
         meet = fiber_product(core(["a"]), core(["aa"]))
         assert meet == core(["aa"])
         for k in range(1, 5):
-            assert membership(meet, W("a" * k)) == (k % 2 == 0)
+            assert membership(meet, W("a" * k).letters) == (k % 2 == 0)
 
     def test_membership_conjunction_on_random_words(self):
         rng = random.Random(7)
@@ -134,7 +134,8 @@ class TestFiberProduct:
         for _ in range(500):
             raw = [rng.choice([1, -1, 2, -2]) for _ in range(rng.randrange(0, 9))]
             w = Word.make(raw, 2)
-            assert membership(meet, w) == (membership(g1, w) and membership(g2, w))
+            assert membership(meet, w.letters) == (membership(g1, w.letters)
+                                                    and membership(g2, w.letters))
 
 
 class TestConjugate:
@@ -146,8 +147,8 @@ class TestConjugate:
         g = conjugate(core(["a"]), W("b"))
         assert g == core(["baB"])
         assert g.nv == 2
-        assert membership(g, W("baB"))
-        assert not membership(g, W("a"))
+        assert membership(g, W("baB").letters)
+        assert not membership(g, W("a").letters)
 
     def test_normal_subgroup_invariant(self):
         g = core(["aa", "b", "abA"])  # index-2, label-full: normal here
@@ -173,12 +174,16 @@ class TestBasis:
 
 def assert_tree_matches_full_paths(graph, inside=frozenset()):
     """spanning_tree_paths gives the parent search's tree: the same non-tree
-    edges in the same order, and the same path to each of their endpoints."""
+    edges in the same order, and the same path to each of their endpoints.
+    Each basis loop joins its pieces as they are: nothing cancels at a seam."""
     path_to, non_tree = spanning_tree_paths(graph, inside)
     full_path_to, full_non_tree = full_spanning_tree_paths(graph, inside)
     assert non_tree == full_non_tree
     ends = {x for u, _, v in non_tree for x in (u, v)}
     assert path_to == {x: full_path_to[x] for x in ends}
+    for edge in non_tree:
+        assert (stallings._loop_word(path_to, edge, graph.rank).letters
+                == product_loop_letters(path_to, edge))
 
 
 class TestSpanningTree:
@@ -191,14 +196,19 @@ class TestSpanningTree:
             assert_tree_matches_full_paths(wit.cover, original)
             assert_tree_matches_full_paths(graph)
 
-    @given(st.integers(2, 3),
-           st.lists(st.lists(st.integers(1, 3).flatmap(
+    @given(st.integers(1, 4),
+           st.lists(st.lists(st.integers(1, 4).flatmap(
                lambda a: st.sampled_from([a, -a])), min_size=1, max_size=9),
                min_size=1, max_size=4))
     @settings(max_examples=50)
     def test_random_cores_match_full_path_oracle(self, rank, raws):
         gens = [Word.make([l for l in r if abs(l) <= rank], rank) for r in raws]
-        assert_tree_matches_full_paths(build_core(gens, rank))
+        graph = build_core(gens, rank)
+        assert_tree_matches_full_paths(graph)
+        wit = hall_completion(graph)
+        perm = wit.embedding
+        assert_tree_matches_full_paths(wit.cover, {(perm[u], l, perm[v])
+                                                   for u, l, v in graph.edges})
 
     def test_deep_cycle(self):
         # the core of a^k b is one cycle of length k + 1 through the basepoint
@@ -209,7 +219,7 @@ class TestSpanningTree:
 
 class TestSubgroupElements:
     def test_elements_of_cyclic(self):
-        got = [str(w) for w in subgroup_elements(core(["a"]), 3)]
+        got = [str(Word(t, 2)) for t in subgroup_elements(core(["a"]), 3)]
         assert got == ["", "a", "A", "aa", "AA", "aaa", "AAA"]
 
     @given(st.integers(1, 3),
@@ -233,7 +243,7 @@ class TestHall:
         assert wit.cover_index == 2
         assert len(wit.h_basis) == 1 and wit.h_basis[0] == W("a")
         assert len(wit.complement_basis) == 2
-        assert not membership(wit.cover, W("b"))
+        assert not membership(wit.cover, W("b").letters)
 
     def test_conjugate_generator_excluding_a(self):
         h = core(["baB"])
@@ -241,7 +251,7 @@ class TestHall:
         checks = wit.verify()
         assert checks["ok"], checks
         assert len(wit.h_basis) + len(wit.complement_basis) == 1 + wit.cover_index * (2 - 1)
-        assert not membership(wit.cover, W("a"))
+        assert not membership(wit.cover, W("a").letters)
 
     def test_identity_completion_when_already_full(self):
         h = core(["aa", "b", "abA"])
@@ -269,7 +279,7 @@ class TestHall:
         wit = hall_completion(core(["aa", "b"]))
         assert wit.verify()["ok"]
         assert wit.cover_index == 2
-        assert membership(wit.cover, W("aba"))  # the completion adds a·b·a⁻¹
+        assert membership(wit.cover, W("aba").letters)  # the completion adds a·b·a⁻¹
 
     def test_seeded_random_instances_verify(self):
         rng = random.Random(1234)
@@ -287,7 +297,7 @@ class TestHall:
             g = None
             for cand in enumerate_words(n, 4):
                 if len(cand) and not membership(h, cand):
-                    g = cand
+                    g = Word(cand, n)
                     break
             if g is None:
                 continue
@@ -437,8 +447,8 @@ class TestGraphInvariants:
         gens = [Word.make(r, 2) for r in raws]
         g = build_core(gens, 2)
         for x in gens:
-            assert membership(g, x)
-        assert membership(g, gens[0] * gens[-1].inverse())
+            assert membership(g, x.letters)
+        assert membership(g, (gens[0] * gens[-1].inverse()).letters)
 
     @given(st.lists(st.lists(st.sampled_from([1, -1, 2, -2]), min_size=1, max_size=5),
                     min_size=1, max_size=3))
@@ -447,7 +457,7 @@ class TestGraphInvariants:
         g = build_core([Word.make(r, 2) for r in raws], 2)
         basis = basis_of(g)
         for w in basis:
-            assert membership(g, w)
+            assert membership(g, w.letters)
         assert build_core(basis, 2) == g
 
     def test_index_multiplicativity_spot(self):

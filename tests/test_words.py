@@ -19,7 +19,9 @@ from grouptrees.core import (
 )
 from grouptrees.corpus import random_hall_instances, rose_graph
 from grouptrees.errors import ParseError
-from grouptrees.stallings import basis_of, build_core, conjugate, hall_completion
+from grouptrees.marked_graphs import MarkedMetricGraph
+from grouptrees.stallings import (basis_of, build_core, conjugate, hall_completion,
+                                  subgroup_elements)
 
 from _oracles import (brute_omega, cyclic_reduce, filter_conjugacy_classes, reduce_letters,
                       three_pass_parse_word)
@@ -59,6 +61,8 @@ class TestReduction:
         with pytest.raises(ValueError, match="above 26"):
             next(enumerate_words(27, 2))
         with pytest.raises(ValueError, match="above 26"):
+            next(enumerate_words(27, 2, "conjugacy"))
+        with pytest.raises(ValueError, match="above 26"):
             parse_word("za", 27)
 
     @given(raw_words)
@@ -79,7 +83,7 @@ class TestReduction:
     @given(raw_words, st.integers(0, 6))
     def test_power_matches_repeated_multiplication(self, raw, k):
         w = Word.make(raw, 2)
-        repeated = Word.identity(2)
+        repeated = Word((), 2)
         for _ in range(k):
             repeated = repeated * w
         assert Word.make(w.letters * k, 2) == repeated
@@ -207,7 +211,7 @@ class TestWordIO:
         assert str(W("")) == ""
 
     def test_parse_reduces(self):
-        assert W("aA") == Word.identity(2)
+        assert W("aA") == Word((), 2)
 
     def test_parse_rejects_junk(self):
         with pytest.raises(ParseError):
@@ -261,6 +265,12 @@ def assert_checked(words):
         assert Word(w.letters, w.rank) == w
 
 
+def assert_checked_letters(tuples, rank):
+    """Each letter tuple passes the checking constructor unchanged."""
+    for t in tuples:
+        assert Word(t, rank).letters == t
+
+
 def signed(rank):
     return st.integers(1, rank).flatmap(lambda a: st.sampled_from([a, -a]))
 
@@ -288,8 +298,13 @@ class TestEngineBuiltWords:
             if i != j:
                 basis[i] = basis[i] * (basis[j].inverse() if invert else basis[j])
         assert_checked(basis)
-        assert_checked(invert_basis(basis, rank))
-        assert_checked(enumerate_words(rank, 3))
+        assert_checked_letters(invert_basis(basis, rank), rank)
+        assert_checked_letters(enumerate_words(rank, 3), rank)
+        assert_checked_letters(enumerate_words(rank, 4, "conjugacy"), rank)
+        assert_checked_letters(subgroup_elements(graph, 4), rank)
+        marked = MarkedMetricGraph(rank, 1, [(0, 0, core.Scalar.of(i)) for i in range(1, rank + 1)],
+                                   (), dict(enumerate(basis)))
+        assert_checked_letters(marked.omega_epsilon(core.Scalar.of(rank + 2), 3), rank)
 
     @pytest.mark.parametrize("seed", [1, 2])
     def test_hall_bases_with_an_excluded_word(self, seed):
@@ -300,7 +315,7 @@ class TestEngineBuiltWords:
 
 class TestEnumeration:
     def test_reduced_rank2_len1(self):
-        words = [str(w) for w in enumerate_words(2, 1, "reduced")]
+        words = [str(Word(t, 2)) for t in enumerate_words(2, 1, "reduced")]
         assert words == ["", "a", "A", "b", "B"]
 
     def test_reduced_counts_match_closed_form(self):
@@ -314,16 +329,16 @@ class TestEnumeration:
         assert sum(1 for _ in enumerate_words(2, 2, "reduced")) == 17
 
     def test_conjugacy_rank2_len2(self):
-        words = [str(w) for w in enumerate_words(2, 2, "conjugacy")]
+        words = [str(Word(t, 2)) for t in enumerate_words(2, 2, "conjugacy")]
         assert words == ["a", "b", "aa", "ab", "aB", "bb"]
 
     def test_conjugacy_reps_are_cyclically_reduced_and_minimal(self):
-        reps = list(enumerate_words(2, 4, "conjugacy"))
+        reps = [Word(t, 2) for t in enumerate_words(2, 4, "conjugacy")]
         seen = set()
         for w in reps:
             assert w.is_cyclically_reduced() and len(w) >= 1
             cls = _conjugacy_class_words(w)
-            assert min(cls, key=lambda v: v.sort_key()) == w
+            assert min(cls, key=lambda v: word_sort_key(v.letters)) == w
             key = frozenset(v.letters for v in cls)
             assert key not in seen
             seen.add(key)
@@ -331,15 +346,15 @@ class TestEnumeration:
     def test_conjugacy_covers_all_classes(self):
         # every nontrivial cyclically reduced word of length ≤ 3 has exactly one
         # representative in the stream
-        reps = {w.letters for w in enumerate_words(2, 3, "conjugacy")}
-        for w in enumerate_words(2, 3, "reduced"):
+        reps = set(enumerate_words(2, 3, "conjugacy"))
+        for w in (Word(t, 2) for t in enumerate_words(2, 3, "reduced")):
             if len(w) and w.is_cyclically_reduced():
                 cls = {v.letters for v in _conjugacy_class_words(w)}
                 assert len(cls & reps) == 1
 
     def test_deterministic_order(self):
-        a = [w.letters for w in enumerate_words(3, 4, "conjugacy")]
-        b = [w.letters for w in enumerate_words(3, 4, "conjugacy")]
+        a = list(enumerate_words(3, 4, "conjugacy"))
+        b = list(enumerate_words(3, 4, "conjugacy"))
         assert a == b
         lengths = [len(x) for x in a]
         assert lengths == sorted(lengths)
@@ -357,17 +372,17 @@ class TestNecklaceEnumeration:
         st.just(rank), st.integers(0, _ORACLE_MAX_LEN[rank]))))
     def test_stream_matches_filter_oracle(self, case):
         rank, max_len = case
-        got = [(w.letters, w.rank) for w in enumerate_words(rank, max_len, "conjugacy")]
-        want = [(w.letters, w.rank) for w in filter_conjugacy_classes(rank, max_len)]
+        got = [Word(t, rank) for t in enumerate_words(rank, max_len, "conjugacy")]
+        want = list(filter_conjugacy_classes(rank, max_len))
         assert got == want
 
     def test_rank2_len10_count(self):
-        got = [w.letters for w in enumerate_words(2, 10, "conjugacy")]
+        got = list(enumerate_words(2, 10, "conjugacy"))
         assert len(got) == 4759
         assert got == [w.letters for w in filter_conjugacy_classes(2, 10)]
 
     def test_rank5_short_stream(self):
-        got = [w.letters for w in enumerate_words(5, 3, "conjugacy")]
+        got = list(enumerate_words(5, 3, "conjugacy"))
         assert got == [w.letters for w in filter_conjugacy_classes(5, 3)]
 
     def test_unknown_mode(self):
@@ -377,7 +392,7 @@ class TestNecklaceEnumeration:
     def test_rank1_beyond_the_recursion_limit(self):
         # the search keeps its own stack, so a length above the interpreter's
         # recursion limit is one more class, a^n
-        got = [w.letters for w in enumerate_words(1, 1200, "conjugacy")]
+        got = list(enumerate_words(1, 1200, "conjugacy"))
         assert got == [(1,) * n for n in range(1, 1201)]
 
 
@@ -393,7 +408,7 @@ class TestClassMemo:
     @pytest.mark.parametrize("rank", [2, 3, 4])
     def test_stream_around_the_limit_matches_filter_oracle(self, rank):
         top = _LONGEST_TABLE[rank]
-        want = list(filter_conjugacy_classes(rank, top + 1))
+        want = [w.letters for w in filter_conjugacy_classes(rank, top + 1)]
         core._class_table.cache_clear()
         for hits in (0, top):   # cold, then warm
             assert list(enumerate_words(rank, top + 1, "conjugacy")) == want
@@ -407,7 +422,7 @@ class TestClassMemo:
         core._class_table.cache_clear()
         for _ in range(2):
             for n in (top, top + 1):
-                assert list(core._class_words(1, n)) == [Word((1,) * n, 1)]
+                assert list(core._class_words(1, n)) == [(1,) * n]
             info = core._class_table.cache_info()
             assert (info.hits, info.misses, info.currsize) == (0, 0, 0)
 
@@ -425,7 +440,8 @@ class TestClassMemo:
         shorter = sum(1 for _ in enumerate_words(26, 2, "conjugacy"))
         before = core._class_table.cache_info().currsize
         got = islice(enumerate_words(26, 3, "conjugacy"), shorter + 5)
-        assert [str(w) for w in got][shorter:] == ["aaa", "aab", "aaB", "aac", "aaC"]
+        assert [core._letters_text(t) for t in got][shorter:] == [
+            "aaa", "aab", "aaB", "aac", "aaC"]
         assert core._class_table.cache_info().currsize == before
 
     def test_omega_cold_and_warm_matches_exhaustion(self):
@@ -433,7 +449,7 @@ class TestClassMemo:
         core._class_table.cache_clear()
         for _ in range(2):   # cold, then warm
             for epsilon in map(core.Scalar.parse, ("2", "5/2")):
-                got = [w.letters for w in graph.omega_epsilon(epsilon, 5)]
+                got = graph.omega_epsilon(epsilon, 5)
                 want = brute_omega(graph, epsilon, 5)
                 assert got == sorted(want, key=word_sort_key)
 
@@ -443,7 +459,7 @@ class TestSortKey:
     def test_word_sort_key_matches_letter_keys(self, raw):
         w = Word.make(raw, 2)
         expected = (len(w.letters), tuple(letter_key(l) for l in w.letters))
-        assert word_sort_key(w.letters) == w.sort_key() == expected
+        assert word_sort_key(w.letters) == expected
 
 
 def _conjugacy_class_words(w: Word) -> list[Word]:
@@ -457,7 +473,7 @@ def _conjugacy_class_words(w: Word) -> list[Word]:
 @given(st.integers(1, 3), st.integers(0, 4))
 def test_enumeration_words_are_reduced_and_unique(n, L):
     seen = set()
-    stream = [w.letters for w in enumerate_words(n, L, "reduced")]
+    stream = list(enumerate_words(n, L, "reduced"))
     for letters in stream:
         assert letters == reduce_letters(letters)
         assert letters not in seen
