@@ -23,8 +23,8 @@ from __future__ import annotations
 from functools import cmp_to_key
 from math import isqrt
 
-from .core import (Scalar, ZERO, _Frozen, _integer_view, _letters_text, _make, _sign,
-                   ordered_letters)
+from .core import (Scalar, ZERO, _LETTER, _Frozen, _integer_view, _letters_text, _make,
+                   _sign, ordered_letters)
 from .errors import (
     InvalidSystemError,
     MissingLabelsError,
@@ -81,14 +81,12 @@ class SoISystem:
             labels = tuple(labels)
             if len(labels) != len(generators):
                 raise InvalidSystemError("one label per generator")
+            for lab in labels:
+                if not (isinstance(lab, str) and _LETTER.get(lab, 0) > 0):
+                    raise InvalidSystemError(f"label {lab!r} is not a basis letter")
             if len(set(labels)) != len(labels):
                 raise InvalidSystemError("labels must be distinct")
-            letter_of_gen = []
-            for lab in labels:
-                if not (isinstance(lab, str) and len(lab) == 1 and "a" <= lab <= "z"):
-                    raise InvalidSystemError(f"label {lab!r} is not a basis letter")
-                letter_of_gen.append(ord(lab) - ord("a") + 1)
-            letter_of_gen = tuple(letter_of_gen)
+            letter_of_gen = tuple(map(_LETTER.get, labels))
         object.__setattr__(self, "forest", forest)
         object.__setattr__(self, "generators", generators)
         object.__setattr__(self, "labels", labels)
@@ -284,6 +282,32 @@ def finite_orbit_families(system: SoISystem, budget: int) -> dict:
 # -- independence and the balance identity --------------------------------------
 
 
+def _left_words(system: SoISystem, start, step, max_len: int):
+    """(word, state) for the reduced words of length 1 to max_len, by length
+    and then in letter order from the left.
+
+    A letter is added on the left, since it acts last: a word's state is
+    step(g, state) for its first letter's map g and the state of the rest,
+    the empty word's state being start.  A word whose step returns None is
+    dropped, with every word that extends it.
+    """
+    maps = [(l, system.letter_map(l)) for l in system.signed_letters()]
+    layer = [((), start)]
+    for _ in range(max_len):
+        nxt = []
+        for l, g in maps:
+            for word, state in layer:
+                if word and word[0] == -l:
+                    continue
+                new = step(g, state)
+                if new is not None:
+                    nxt.append(((l,) + word, new))
+                    yield nxt[-1]
+        if not nxt:
+            return
+        layer = nxt
+
+
 def independence_check(system: SoISystem, max_len: int) -> dict:
     """Search reduced words up to max_len for one acting as the identity on an arc.
 
@@ -291,40 +315,21 @@ def independence_check(system: SoISystem, max_len: int) -> dict:
     degenerate to a point (or vanish) are pruned, since no extension can
     recover a nondegenerate fixed arc.
     """
-    letters = system.signed_letters()
-    layer: list[tuple[tuple[int, ...], tuple[int, Scalar, Interval]]] = []
-    for l in letters:
-        g = system.letter_map(l)
-        if not g.dom.is_point:
-            layer.append(((l,), (g.orient, g.offset, g.dom)))
-    for word, (orient, offset, dom) in layer:
+    def compose(g, state):
+        # g o old: the domain pulled back through the old map
+        orient, offset, dom = state
+        dom = dom.intersect(g.dom.shifted_image(orient,
+                                                -offset if orient > 0 else offset))
+        if dom is None or dom.is_point:
+            return None
+        return g.orient * orient, (offset if g.orient > 0 else -offset) + g.offset, dom
+
+    parts = system.forest.components
+    identity = (1, ZERO, Interval(parts[0].lo, parts[-1].hi))
+    for word, (orient, offset, dom) in _left_words(system, identity, compose, max_len):
         if orient == 1 and offset.is_zero():
             return {"status": "violation", "word": _letters_text(word),
                     "arc": dom, "word_length": len(word)}
-    length = 1
-    while length < max_len and layer:
-        nxt = []
-        for l in letters:
-            g = system.letter_map(l)
-            for word, (orient, offset, dom) in layer:
-                if word[0] == -l:
-                    continue
-                # new = g o old: domain pulled back through the old map
-                pre = g.dom.shifted_image(orient,
-                                          -offset if orient > 0 else offset)
-                new_dom = dom.intersect(pre)
-                if new_dom is None or new_dom.is_point:
-                    continue
-                new_orient = g.orient * orient
-                new_offset = (offset if g.orient > 0 else -offset) + g.offset
-                new_word = (l,) + word
-                if new_orient == 1 and new_offset.is_zero():
-                    return {"status": "violation",
-                            "word": _letters_text(new_word),
-                            "arc": new_dom, "word_length": len(new_word)}
-                nxt.append((new_word, (new_orient, new_offset, new_dom)))
-        layer = nxt
-        length += 1
     return {"status": "ok-up-to-budget", "max_len": max_len}
 
 
@@ -429,37 +434,25 @@ def _image_candidates(system: SoISystem, seed, max_len: int):
     pruning empty or measure-zero images; a repeated image keeps only its
     first (shortest, earliest) word.
     """
-    letters = system.signed_letters()
     interval_only = isinstance(seed, Interval)
-    cands = [((), seed)]
     seen = {seed}
-    layer = [((), seed)]
-    for _ in range(max_len):
-        nxt = []
-        for l in letters:
-            g = system.letter_map(l)
-            for word, img in layer:
-                if word and word[0] == -l:
-                    continue
-                if interval_only:
-                    clipped = img.intersect(g.dom)
-                    if clipped is None or clipped.is_point:
-                        continue
-                    img2 = clipped.shifted_image(g.orient, g.offset)
-                else:
-                    img2 = img.intersect(g.dom).shifted_image(g.orient, g.offset)
-                    if img2.measure.sign() <= 0:
-                        continue
-                if img2 in seen:
-                    continue
-                seen.add(img2)
-                entry = ((l,) + word, img2)
-                nxt.append(entry)
-                cands.append(entry)
-        layer = nxt
-        if not layer:
-            break
-    return cands
+
+    def image(g, img):
+        if interval_only:
+            img = img.intersect(g.dom)
+            if img is None or img.is_point:
+                return None
+            img = img.shifted_image(g.orient, g.offset)
+        else:
+            img = img.intersect(g.dom).shifted_image(g.orient, g.offset)
+            if img.measure.sign() <= 0:
+                return None
+        if img in seen:
+            return None
+        seen.add(img)
+        return img
+
+    return [((), seed), *_left_words(system, seed, image, max_len)]
 
 
 def ae_support_check(system: SoISystem, f_eps: MultiInterval, target: Interval,
@@ -516,7 +509,7 @@ def indecomposability_search(system: SoISystem, piece: Interval, target: Interva
             raise InvalidSystemError("piece and target must be nondegenerate")
         if not system.forest.contains_interval(iv):
             raise OutOfSupportError(f"{iv} leaves the support")
-    if piece.contains_interval(target):
+    if r_max >= 1 and piece.contains_interval(target):
         chain = [{"word": "", "interval": piece}]
         return {"status": "chain-found", "chain": chain, "r": 1,
                 "r_max": r_max, "max_len": max_len}

@@ -44,7 +44,7 @@ class MarkedMetricGraph:
 
     __slots__ = (
         "rank", "nv", "edges", "tree", "marking", "base",
-        "_letter_exprs", "_letter_loops", "_darts_at",
+        "_letter_loops", "_darts_at",
     )
 
     def __init__(self, rank, nv, edges, tree, marking, base=0):
@@ -130,7 +130,7 @@ class MarkedMetricGraph:
         self.marking = marking
         self.base = base
         # NotABasisError propagates if the marking words do not form a basis.
-        self._letter_exprs = invert_basis(words, rank)
+        letter_exprs = invert_basis(words, rank)
 
         self._darts_at = darts
 
@@ -143,7 +143,7 @@ class MarkedMetricGraph:
             nt_loops[-j] = inverse(nt_loops[j])
 
         self._letter_loops = {}
-        for a, expr in enumerate(self._letter_exprs, 1):
+        for a, expr in enumerate(letter_exprs, 1):
             loop = product(*map(nt_loops.__getitem__, expr))
             self._letter_loops[a], self._letter_loops[-a] = loop, inverse(loop)
 

@@ -50,6 +50,12 @@ from scratch at budgets b/4, b/2 and b.
 clipped every candidate image to the target once: each round rebuilds every
 candidate's union with the covered set and intersects it with the target.
 
+:func:`layered_independence_check` and :func:`layered_image_candidates` are
+``grouptrees.isometry_systems.independence_check`` and ``_image_candidates``
+before they shared one walk over reduced words: each writes out its own
+layer loop, and the first writes out its first layer twice, so that it
+searches the words of length 1 even at budget 0.
+
 :func:`two_phase_hall_bases` is the private two-phase spanning-tree search
 ``grouptrees.stallings.hall_completion`` ran before it shared
 ``spanning_tree_paths`` with ``basis_of``.  :func:`full_spanning_tree_paths`
@@ -996,6 +1002,94 @@ def rebuilding_ae_support_check(system, f_eps, target, delta, max_len: int) -> d
                     "candidates": len(cands), "max_len": max_len}
         words.append(best)
         covered = covered.union(best[1])
+
+
+# -- the word searches, one layer loop each -----------------------------------
+
+
+def layered_independence_check(system, max_len: int) -> dict:
+    """Search reduced words up to max_len for one acting as the identity on an arc.
+
+    Compositions are tracked as exact partial maps; branches whose domains
+    degenerate to a point (or vanish) are pruned, since no extension can
+    recover a nondegenerate fixed arc.
+    """
+    letters = system.signed_letters()
+    layer: list[tuple[tuple[int, ...], tuple[int, Scalar, Interval]]] = []
+    for l in letters:
+        g = system.letter_map(l)
+        if not g.dom.is_point:
+            layer.append(((l,), (g.orient, g.offset, g.dom)))
+    for word, (orient, offset, dom) in layer:
+        if orient == 1 and offset.is_zero():
+            return {"status": "violation", "word": _letters_text(word),
+                    "arc": dom, "word_length": len(word)}
+    length = 1
+    while length < max_len and layer:
+        nxt = []
+        for l in letters:
+            g = system.letter_map(l)
+            for word, (orient, offset, dom) in layer:
+                if word[0] == -l:
+                    continue
+                # new = g o old: domain pulled back through the old map
+                pre = g.dom.shifted_image(orient,
+                                          -offset if orient > 0 else offset)
+                new_dom = dom.intersect(pre)
+                if new_dom is None or new_dom.is_point:
+                    continue
+                new_orient = g.orient * orient
+                new_offset = (offset if g.orient > 0 else -offset) + g.offset
+                new_word = (l,) + word
+                if new_orient == 1 and new_offset.is_zero():
+                    return {"status": "violation",
+                            "word": _letters_text(new_word),
+                            "arc": new_dom, "word_length": len(new_word)}
+                nxt.append((new_word, (new_orient, new_offset, new_dom)))
+        layer = nxt
+        length += 1
+    return {"status": "ok-up-to-budget", "max_len": max_len}
+
+
+def layered_image_candidates(system, seed, max_len: int):
+    """(word, image) pairs for reduced words up to max_len, deduplicated by image.
+
+    The seed is an Interval or a MultiInterval, and its images are of the
+    same type.  Images are grown by composing on the left (new = g o old),
+    pruning empty or measure-zero images; a repeated image keeps only its
+    first (shortest, earliest) word.
+    """
+    letters = system.signed_letters()
+    interval_only = isinstance(seed, Interval)
+    cands = [((), seed)]
+    seen = {seed}
+    layer = [((), seed)]
+    for _ in range(max_len):
+        nxt = []
+        for l in letters:
+            g = system.letter_map(l)
+            for word, img in layer:
+                if word and word[0] == -l:
+                    continue
+                if interval_only:
+                    clipped = img.intersect(g.dom)
+                    if clipped is None or clipped.is_point:
+                        continue
+                    img2 = clipped.shifted_image(g.orient, g.offset)
+                else:
+                    img2 = img.intersect(g.dom).shifted_image(g.orient, g.offset)
+                    if img2.measure.sign() <= 0:
+                        continue
+                if img2 in seen:
+                    continue
+                seen.add(img2)
+                entry = ((l,) + word, img2)
+                nxt.append(entry)
+                cands.append(entry)
+        layer = nxt
+        if not layer:
+            break
+    return cands
 
 
 # -- the two-phase spanning tree of the Hall completion ------------------------

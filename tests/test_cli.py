@@ -507,6 +507,33 @@ class TestCli:
         body = json.loads(out)
         assert body["budgets"] == {"budget": 500, "max_word": 6}
 
+    @pytest.mark.parametrize("chain_max, code, result", [
+        # the piece covers the target: a chain of one image, but not of none
+        ("0", 2, {"candidates": 42, "chained": 0, "max_len": 8, "r_max": 0,
+                  "status": "exhausted"}),
+        ("1", 0, {"chain": [{"interval": ["0", "1/2"], "word": ""}],
+                  "max_len": 8, "r": 1, "r_max": 1, "status": "chain-found"})])
+    def test_indecomp_chain_budget(self, capsys, tmp_path, chain_max, code, result):
+        path = tmp_path / "golden.json"
+        path.write_text(json.dumps(docs.dump_system(golden_system())))
+        got, out, _ = run_cli(capsys, "soi", "indecomp", "--in", str(path),
+                              "--piece", '["0","1/2"]', "--target", '["1/10","1/5"]',
+                              "--chain-max", chain_max, "--json")
+        assert (got, json.loads(out)["result"]) == (code, result)
+
+    @pytest.mark.parametrize("max_word, independence", [
+        ("0", {"max_len": 0, "status": "ok-up-to-budget"}),
+        ("1", {"arc": ["0", "1/2"], "status": "violation", "word": "a",
+               "word_length": 1})])
+    def test_glp_word_budget(self, capsys, tmp_path, max_word, independence):
+        # a is the identity on [0, 1/2]: the relation a = 1 has length 1
+        path = tmp_path / "identity.json"
+        path.write_text('{"D":1,"forest":[["0","1"]],'
+                        '"generators":[{"dom":["0","1/2"],"offset":"0"}]}')
+        code, out, _ = run_cli(capsys, "soi", "glp", "--in", str(path),
+                               "--max-word", max_word, "--json")
+        assert (code, json.loads(out)["result"]["independence"]) == (0, independence)
+
     def test_orbit_truncated_exits_two(self, capsys, tmp_path):
         path = tmp_path / "golden.json"
         path.write_text(json.dumps(docs.dump_system(golden_system())))

@@ -26,6 +26,7 @@ from grouptrees.errors import (
 from grouptrees.intervals import Interval, MultiInterval
 from grouptrees.isometry_systems import (
     PartialIsometry,
+    _image_candidates,
     _scalars,
     _verify_chain,
     SoISystem,
@@ -46,7 +47,8 @@ from grouptrees.isometry_systems import (
 from grouptrees.stallings import build_core
 
 from _fixtures import dependent_corpus
-from _oracles import (rebuilding_ae_support_check, single_budget_orbit,
+from _oracles import (layered_image_candidates, layered_independence_check,
+                      rebuilding_ae_support_check, single_budget_orbit,
                       sorted_frontier_orbit, three_run_discreteness_report)
 
 S = Scalar.of
@@ -119,6 +121,17 @@ class TestSystemValidation:
                    labels=("a", "a"))
         with pytest.raises(InvalidSystemError):
             system([(0, 1)], [(0, "1/2", 1, "1/2")], labels=("A",))
+
+    @pytest.mark.parametrize("label", ["A", "ab", "", "1", "{", "\u212a", 1, None, ["a"]])
+    def test_label_outside_a_to_z_is_named(self, label):
+        with pytest.raises(InvalidSystemError,
+                           match=re.escape(f"label {label!r} is not a basis letter")):
+            system([(0, 1)], [(0, "1/2", 1, "1/2")], labels=(label,))
+
+    def test_labels_name_basis_letters(self):
+        sy = system([(0, 1)], [(0, "1/2", 1, "1/2"), ("1/2", 1, 1, "-1/2")],
+                    labels=("z", "b"))
+        assert sy.label_letters() == (26, 2)
 
     def test_measures(self):
         g = golden_system()
@@ -233,6 +246,49 @@ class TestIndependence:
         # the flip restricted to [0, 1/2] cannot square on a nondegenerate arc
         res = independence_check(system([(0, 1)], [(0, "1/2", -1, 1)]), 6)
         assert res["status"] == "ok-up-to-budget"
+
+    def test_budget_zero_searches_no_word(self):
+        # the identity on [0, 1/2] is the relation a = 1, a word of length 1
+        sy = system([(0, 1)], [(0, "1/2", 1, 0)])
+        assert independence_check(sy, 0) == {"status": "ok-up-to-budget",
+                                             "max_len": 0}
+        assert independence_check(sy, 1) == {"status": "violation", "word": "a",
+                                             "arc": iv(0, "1/2"), "word_length": 1}
+
+
+def random_system(data) -> SoISystem:
+    """One to three generators on [0, 1], endpoints and offsets in twelfths."""
+    maps = []
+    for _ in range(data.draw(st.integers(1, 3))):
+        lo = data.draw(st.integers(0, 12))
+        hi = data.draw(st.integers(lo, 12))
+        orient = data.draw(st.sampled_from([1, -1]))
+        # the range [lo + t, hi + t] or [t - hi, t - lo] stays in [0, 12]
+        t = data.draw(st.integers(-lo, 12 - hi) if orient > 0 else st.integers(hi, 12 + lo))
+        maps.append((Fraction(lo, 12), Fraction(hi, 12), orient, Fraction(t, 12)))
+    return system([(0, 1)], maps)
+
+
+class TestOneWordWalk:
+    """The independence search and the image candidates against the layer
+    loops each of them wrote out before they shared one walk."""
+
+    @given(st.data(), st.integers(1, 5))
+    @settings(max_examples=150)
+    def test_independence_matches_layered_search(self, data, max_len):
+        sy = random_system(data)
+        assert independence_check(sy, max_len) == layered_independence_check(sy, max_len)
+
+    @given(st.data(), st.integers(0, 5), st.booleans())
+    @settings(max_examples=150)
+    def test_candidates_match_layered_search(self, data, max_len, multi):
+        sy = random_system(data)
+        arcs = data.draw(st.lists(st.tuples(st.integers(0, 11), st.integers(1, 12)),
+                                  min_size=1, max_size=3 if multi else 1))
+        arcs = [iv(Fraction(lo, 12), Fraction(min(lo + w, 12), 12)) for lo, w in arcs]
+        seed = MultiInterval(arcs) if multi else arcs[0]
+        assert _image_candidates(sy, seed, max_len) == \
+            layered_image_candidates(sy, seed, max_len)
 
 
 class TestBalanceReport:
