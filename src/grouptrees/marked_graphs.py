@@ -350,18 +350,15 @@ class CoverCore:
 # The deck transformation of a group element g sends (u, v) to (g*u, v).
 
 
-def _subtree_ball(cover: CoverCore, h: tuple[int, ...], radius: int) -> dict:
-    """T_H within `radius` edges of h*x0, as label -> P-vertex.
+def _to_subtree(cover: CoverCore, loop: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
+    """(path, p): the darts from the end y of `loop`, lifted at x0, to the gate
+    of y, its projection onto T_H, and the core vertex p of P there.
 
-    h's loop is read in P up to its first missing edge; a reduced loop that
-    leaves the folded graph P never comes back.  The gate, the projection of
-    h*x0 onto T_H, is reached by undoing the rest of the loop and then
-    following P's hair to the core.  T_H is convex, so every vertex of it
-    lies beyond the gate: the rest is a breadth-first search through core
-    edges, to the radius left over.
+    The loop is read in P up to its first missing edge; a reduced loop that
+    leaves the folded graph P never comes back, so the rest hangs off P at the
+    vertex reached.  The gate is reached by undoing that rest and then
+    following P's hair to the core.
     """
-    graph = cover.graph
-    loop = graph.word_to_loop(h)
     p, k = cover.p.base, 0
     for d in loop:
         q = cover.p.step(p, d)
@@ -369,9 +366,36 @@ def _subtree_ball(cover: CoverCore, h: tuple[int, ...], radius: int) -> dict:
             break
         p, k = q, k + 1
     path = list(inverse(loop[k:]))
-    while p not in cover.core_vertices and len(path) <= radius:
+    while p not in cover.core_vertices:
         dart, p = cover.toward_core[p]
         path.append(dart)
+    return tuple(path), p
+
+
+def _meets_translate(cover: CoverCore, g: tuple[int, ...], hair: tuple[int, ...]) -> bool:
+    """Whether T_H and g*T_H share a vertex; `hair` is the path from x0 to
+    its gate x1, `_to_subtree` of the empty loop.
+
+    Two subtrees meet iff the projection onto one of a point of the other
+    lies in both.  The projection of x1 onto g*T_H is g times the gate of
+    g^-1*x1: one loop read in P gives the path rho from x0 to that gate, and
+    the path from x0 to g times rho's end must read in P to a core vertex.
+    """
+    loop = cover.graph.word_to_loop(g)
+    back = product(inverse(loop), hair)
+    rho = _to_subtree(cover, back)[0]
+    return cover.p.trace(cover.p.base, product(loop, back, rho)) in cover.core_vertices
+
+
+def _subtree_ball(cover: CoverCore, h: tuple[int, ...], radius: int) -> dict:
+    """T_H within `radius` edges of h*x0, as label -> P-vertex.
+
+    `_to_subtree` finds the gate, the projection of h*x0 onto T_H.  T_H is
+    convex, so every vertex of it lies beyond the gate: the rest is a
+    breadth-first search through core edges, to the radius left over.
+    """
+    graph = cover.graph
+    path, p = _to_subtree(cover, graph.word_to_loop(h))
     if len(path) > radius:
         return {}
     u = product(h, *map(graph.dart_marking_letters, path))
@@ -498,7 +522,7 @@ def transverse_family_report(graph: MarkedMetricGraph, subgroup: StallingsGraph,
             ending.setdefault(h[-1], []).append(h)
             starting.setdefault(h[0], []).append(h)
 
-    base = _subtree_ball(cover, (), radius)
+    hair, base = _to_subtree(cover, ())[0], None
     rows = []
     violations = []
     for w in enumerate_words(graph.rank, max_len):
@@ -513,6 +537,11 @@ def transverse_family_report(graph: MarkedMetricGraph, subgroup: StallingsGraph,
         if any(len(r) < n or len(r) == n and word_sort_key(r) < key
                for r in (product(h1, w, h2) for h1, h2 in pairs)):
             continue
+        if not _meets_translate(cover, w, hair):
+            rows.append({"word": _letters_text(w), "outcome": "disjoint-within-radius"})
+            continue
+        if base is None:   # built only once a translate meets T_H
+            base = _subtree_ball(cover, (), radius)
         result = _translate_intersection_prepared(cover, w, radius, base)
         rows.append({"word": _letters_text(w), "outcome": result["outcome"]})
         if result["outcome"] == "nondegenerate-intersection":

@@ -80,6 +80,12 @@ that edge lies in the minimal subtree.  :func:`filter_subgroup_elements` is
 ``grouptrees.stallings.subgroup_elements`` before it walked the core graph:
 it tests every reduced word for membership.
 
+:func:`every_translate_family_report` is
+``grouptrees.marked_graphs.transverse_family_report`` before it decided
+which translates meet the minimal subtree: it runs the engine's radius-ball
+comparison on every translate that passes the double-coset filter, and
+builds the basepoint's ball before its loop.
+
 :class:`DataclassBoundaryRay` and :class:`DataclassRationalLeaf` are the
 object form of rays and leaves that ``grouptrees.laminations`` kept before
 it stored both as canonical letter tuples: a ray of two ``Word``s, checked
@@ -147,8 +153,9 @@ from grouptrees.errors import (DegenerateSubgroupError, InvalidSystemError, Mixe
                                NotABasisError, ParseError, PreconditionError)
 from grouptrees.intervals import Interval
 from grouptrees.laminations import _SIMPLICIAL_NOTE
-from grouptrees.marked_graphs import CoverCore
-from grouptrees.stallings import StallingsGraph, _checked_graph, index, membership
+from grouptrees.marked_graphs import CoverCore, _subtree_ball, _translate_intersection_prepared
+from grouptrees.stallings import (StallingsGraph, _checked_graph, index, membership,
+                                  subgroup_elements)
 
 ZERO = Scalar.of(0)
 
@@ -1402,6 +1409,63 @@ def ball_transverse_family_report(graph, subgroup, max_len: int, radius: int) ->
                              "an edge with the minimal subtree")
     return report
 
+
+
+def every_translate_family_report(graph, subgroup, max_len: int, radius: int) -> dict:
+    """The transverse report with the ball comparison run on every translate."""
+    cover = CoverCore(graph, subgroup)
+    report = {"max_len": max_len, "radius": radius}
+    if cover.is_covering:
+        report["verdict"] = "degenerate-family-whole-tree"
+        if index(subgroup) == 1:
+            report["message"] = ("the subgroup is the whole group, so the family "
+                                 "is the single tree itself")
+        else:
+            report["message"] = ("finite-index subgroup: every translate is the "
+                                 "whole tree, so the family is degenerate")
+        report["rows"] = []
+        report["violations"] = []
+        return report
+
+    ball = subgroup_elements(subgroup, max_len)[:64]
+    ending, starting = {}, {}
+    for h in ball:
+        if h:
+            ending.setdefault(h[-1], []).append(h)
+            starting.setdefault(h[0], []).append(h)
+
+    base = _subtree_ball(cover, (), radius)
+    rows = []
+    violations = []
+    for w in enumerate_words(graph.rank, max_len):
+        if membership(subgroup, w):
+            continue
+        w_inv, key, n = inverse(w), word_sort_key(w), len(w)
+        lefts = [()] + ending.get(-w[0], [])
+        rights = [()] + starting.get(-w[-1], [])
+        pairs = chain(((h1, h2) for h1 in lefts for h2 in rights),
+                      ((h1, h2) for h1 in lefts if h1[-n:] == w_inv for h2 in ball),
+                      ((h1, h2) for h1 in ball for h2 in rights if h2[:n] == w_inv))
+        if any(len(r) < n or len(r) == n and word_sort_key(r) < key
+               for r in (product(h1, w, h2) for h1, h2 in pairs)):
+            continue
+        result = _translate_intersection_prepared(cover, w, radius, base)
+        rows.append({"word": _letters_text(w), "outcome": result["outcome"]})
+        if result["outcome"] == "nondegenerate-intersection":
+            violations.append(result)
+
+    report["translates_tested"] = len(rows)
+    report["rows"] = rows
+    report["violations"] = violations
+    if violations:
+        report["verdict"] = "violations-found"
+        report["message"] = (f"{len(violations)} translate(s) share an edge with the "
+                             "minimal subtree: the translate family is not transverse")
+    else:
+        report["verdict"] = "transverse-up-to-budget"
+        report["message"] = ("no translate within the word and radius budget shares "
+                             "an edge with the minimal subtree")
+    return report
 
 # -- the object-based carrier scan ---------------------------------------------
 

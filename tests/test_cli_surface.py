@@ -14,7 +14,8 @@ as exact text; usage errors (undeclared or abbreviated flags, bad integers,
 unknown or missing subcommands) by exit code, one line and the flag or
 choices they name, since argparse's wording varies across Python versions.
 `test_transverse_defaults_end` pins the report of a `cvn transverse` call at
-its default budgets, and its wall time.
+its default budgets, and its wall time; `test_transverse_disjoint_rows` pins
+one whose every row misses the minimal subtree.
 
 `test_startup_imports` runs commands in fresh interpreters and pins which
 grouptrees modules each one loads: a command imports only the engines it
@@ -36,9 +37,10 @@ import pytest
 import grouptrees
 from grouptrees import documents as docs
 from grouptrees.cli import build_parser, main
-from grouptrees.corpus import (golden_system, lopsided_rose, theta_graph,
+from grouptrees.corpus import (golden_system, lopsided_rose, rose_graph, theta_graph,
                                worked_single_map)
-from grouptrees.scenarios import OPERATIONS
+from grouptrees.report import render_json, wrap
+from grouptrees.scenarios import OPERATIONS, run_op
 
 
 def _sha256(text: str) -> str:
@@ -192,6 +194,8 @@ DOCUMENTS = {
     "A": {"rank": 2, "generators": ["a"]},
     "BAB": {"rank": 2, "generators": ["baB"]},
     "ROSE": lambda: docs.dump_marked_graph(lopsided_rose()),
+    "ROSE3": lambda: docs.dump_marked_graph(rose_graph(1, 1, 1)),
+    "A3": {"rank": 3, "generators": ["a"]},
     "THETA": lambda: docs.dump_marked_graph(theta_graph()),
     "WORKED": lambda: docs.dump_system(worked_single_map()),
     "GOLDEN": lambda: docs.dump_system(golden_system()),
@@ -449,6 +453,25 @@ def test_transverse_defaults_end(capsys, files):
     assert out.startswith('{"budgets":{"max_word":8,"radius":6},')
     assert (code, _sha256(out + "\0" + err)) == (2, DEFAULTS_DIGEST)
     assert elapsed < 10
+
+
+
+# Every one of the 10416 rows is disjoint-within-radius; both digests were
+# recorded when the ball code still ran on every translate.
+DISJOINT_DIGEST = "de6ca8f46fa9653de3f9ddf82d19da947667f7b175a25ef797fa2809df9fc2d4"
+DISJOINT_ENVELOPE_DIGEST = "3bb38d631e62da3435e5bfe95c844517988c0b1866c8185f43e1d3ed0ebe4116"
+
+
+def test_transverse_disjoint_rows(capsys, files):
+    code, out, err = _run(capsys, ["cvn", "transverse", "--in", files["ROSE3"],
+                                   "--sub", files["A3"], "--max-word", "6",
+                                   "--radius", "6", "--json"])
+    assert (code, _sha256(out + "\0" + err)) == (2, DISJOINT_DIGEST)
+    result, kind = run_op("cvn.transverse", {"graph": DOCUMENTS["ROSE3"](),
+                                             "subgroup": DOCUMENTS["A3"],
+                                             "max_word": 6, "radius": 6})
+    envelope = dict(wrap("cvn.transverse", result), status=kind)
+    assert _sha256(render_json(envelope)) == DISJOINT_ENVELOPE_DIGEST
 
 
 # ----------------------------------------------------------------- start-up

@@ -24,6 +24,8 @@ from grouptrees.marked_graphs import (
     MarkedMetricGraph,
     _subtree_ball,
     _crossings,
+    _meets_translate,
+    _to_subtree,
     _translate_intersection_prepared,
     transverse_family_report,
 )
@@ -33,9 +35,9 @@ from grouptrees.stallings import (basis_of, build_core, hall_completion, index,
 
 from _oracles import (_UnionFind, _lifted_path, adjacency_letter_loops,
                       ball_translate_intersection, ball_transverse_family_report,
-                      brute_omega, class_rep, cyclic_reduce, grow_ball, initial_state,
-                      loop_omega, net_translation_length, substitute,
-                      vertex_on_subtree, walk)
+                      brute_omega, class_rep, cyclic_reduce, every_translate_family_report,
+                      grow_ball, initial_state, loop_omega, net_translation_length,
+                      substitute, vertex_on_subtree, walk)
 
 
 S = Scalar.of
@@ -838,3 +840,77 @@ class TestSubtreeWalkMatchesBallOracle:
         graph, subgroup = lopsided_rose(), core(*gens)
         assert transverse_family_report(graph, subgroup, max_len, radius) == \
             ball_transverse_family_report(graph, subgroup, max_len, radius)
+
+
+# -- the exact meeting test against the ball code -----------------------------
+
+
+def distance_to_subtree(cover, cap: int):
+    """d(x0, T_H) from the oracle's whole balls about x0, or None past `cap`."""
+    for r in range(cap + 1):
+        if any(vertex_on_subtree(cover, st)
+               for st in grow_ball(cover, (), initial_state(cover), r).values()):
+            return r
+    return None
+
+
+class TestTranslatesMeetingTheSubtree:
+    @given(oracle_cases(5), st.integers(0, 3))
+    @settings(max_examples=100)
+    def test_report_matches_every_translate_oracle(self, case, max_len):
+        graph, subgroup, _, radius = case
+        assert transverse_family_report(graph, subgroup, max_len, radius) == \
+            every_translate_family_report(graph, subgroup, max_len, radius)
+
+    @given(oracle_cases(0))
+    @settings(max_examples=150)
+    @example((rose(1, 1), core("a"), W("b"), 0))
+    @example((rose(1, 1), core("aa"), W("a"), 0))
+    def test_meeting_matches_ball_oracle(self, case):
+        graph, subgroup, g, _ = case
+        cover = CoverCore(graph, subgroup)
+        assume(not membership(subgroup, g.letters) and not cover.is_covering)
+        meets = _meets_translate(cover, g.letters, _to_subtree(cover, ())[0])
+        if meets:
+            # The vertex the engine finds in both is the projection of the
+            # gate x1 of x0 onto g*T_H, the end of the second loop it reads.
+            # It is d(x1, g*T_H) <= d(x1, g*x1) <= 2*d0 + |loop(g)| from x1,
+            # so within |loop(g)| + 3*d0 of x0, where d0 = d(x0, T_H): the
+            # ball code sees it at that radius.
+            d0 = distance_to_subtree(cover, 2)
+            assume(d0 is not None and len(graph.word_to_loop(g.letters)) + 3 * d0 <= 6)
+            radii = [len(graph.word_to_loop(g.letters)) + 3 * d0]
+        else:
+            radii = range(7)
+        for radius in radii:
+            base_ball = grow_ball(cover, (), initial_state(cover), radius)
+            outcome = ball_translate_intersection(cover, g, radius, base_ball)["outcome"]
+            assert (outcome != "disjoint-within-radius") == meets, (radius, outcome)
+
+    def test_both_answers_occur(self):
+        cover = CoverCore(rose(1, 1), core("a", "bbabb"))
+        hair = _to_subtree(cover, ())[0]
+        answers = {w: _meets_translate(cover, w, hair)
+                   for w in enumerate_words(2, 3) if not membership(cover.subgroup, w)}
+        assert answers[(2,)] and answers[(2, 2)] and not answers[(2, 1, 2)]
+
+    def _no_ball(self, monkeypatch):
+        def raising(*args):
+            raise AssertionError("the basepoint's ball was built")
+        monkeypatch.setattr(engine, "_subtree_ball", raising)
+
+    def test_no_ball_without_translates(self, monkeypatch):
+        self._no_ball(monkeypatch)
+        rep = transverse_family_report(rose(1, 1), core("ab", "ba"), 0, 40)
+        assert rep["rows"] == [] and rep["verdict"] == "transverse-up-to-budget"
+
+    def test_no_ball_when_every_translate_misses(self, monkeypatch):
+        self._no_ball(monkeypatch)
+        rep = transverse_family_report(rose(1, 1), core("a"), 3, 40)
+        assert rep == {
+            "max_len": 3, "radius": 40, "translates_tested": 14,
+            "rows": [{"word": w, "outcome": "disjoint-within-radius"}
+                     for w in ("b B bb BB bab baB bAb bAB bbb Bab BaB BAb BAB BBB".split())],
+            "violations": [], "verdict": "transverse-up-to-budget",
+            "message": "no translate within the word and radius budget shares "
+                       "an edge with the minimal subtree"}
