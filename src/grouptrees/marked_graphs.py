@@ -372,19 +372,18 @@ def _to_subtree(cover: CoverCore, loop: tuple[int, ...]) -> tuple[tuple[int, ...
     return tuple(path), p
 
 
-def _meets_translate(cover: CoverCore, g: tuple[int, ...], hair: tuple[int, ...]) -> bool:
-    """Whether T_H and g*T_H share a vertex; `hair` is the path from x0 to
-    its gate x1, `_to_subtree` of the empty loop.
+def _meets_translate(cover: CoverCore, g: tuple[int, ...], x1: tuple) -> bool:
+    """Whether T_H and g*T_H share a vertex; `x1` is `_to_subtree` of the
+    empty loop: the path from x0 to its gate x1, and x1's vertex in P.
 
     Two subtrees meet iff the projection onto one of a point of the other
     lies in both.  The projection of x1 onto g*T_H is g times the gate of
-    g^-1*x1: one loop read in P gives the path rho from x0 to that gate, and
-    the path from x0 to g times rho's end must read in P to a core vertex.
+    g^-1*x1, so the path from x1 to it has the darts of the path from
+    g^-1*x1 to its gate.  T_H is convex: it meets g*T_H iff that path reads
+    in P from x1 to a core vertex.
     """
-    loop = cover.graph.word_to_loop(g)
-    back = product(inverse(loop), hair)
-    rho = _to_subtree(cover, back)[0]
-    return cover.p.trace(cover.p.base, product(loop, back, rho)) in cover.core_vertices
+    back = product(inverse(cover.graph.word_to_loop(g)), x1[0])
+    return cover.p.trace(x1[1], _to_subtree(cover, back)[0]) in cover.core_vertices
 
 
 def _subtree_ball(cover: CoverCore, h: tuple[int, ...], radius: int) -> dict:
@@ -522,7 +521,7 @@ def transverse_family_report(graph: MarkedMetricGraph, subgroup: StallingsGraph,
             ending.setdefault(h[-1], []).append(h)
             starting.setdefault(h[0], []).append(h)
 
-    hair, base = _to_subtree(cover, ())[0], None
+    x1, base = _to_subtree(cover, ()), None
     rows = []
     violations = []
     for w in enumerate_words(graph.rank, max_len):
@@ -537,7 +536,7 @@ def transverse_family_report(graph: MarkedMetricGraph, subgroup: StallingsGraph,
         if any(len(r) < n or len(r) == n and word_sort_key(r) < key
                for r in (product(h1, w, h2) for h1, h2 in pairs)):
             continue
-        if not _meets_translate(cover, w, hair):
+        if not _meets_translate(cover, w, x1):
             rows.append({"word": _letters_text(w), "outcome": "disjoint-within-radius"})
             continue
         if base is None:   # built only once a translate meets T_H

@@ -870,13 +870,13 @@ class TestTranslatesMeetingTheSubtree:
         graph, subgroup, g, _ = case
         cover = CoverCore(graph, subgroup)
         assume(not membership(subgroup, g.letters) and not cover.is_covering)
-        meets = _meets_translate(cover, g.letters, _to_subtree(cover, ())[0])
+        meets = _meets_translate(cover, g.letters, _to_subtree(cover, ()))
         if meets:
             # The vertex the engine finds in both is the projection of the
-            # gate x1 of x0 onto g*T_H, the end of the second loop it reads.
-            # It is d(x1, g*T_H) <= d(x1, g*x1) <= 2*d0 + |loop(g)| from x1,
-            # so within |loop(g)| + 3*d0 of x0, where d0 = d(x0, T_H): the
-            # ball code sees it at that radius.
+            # gate x1 of x0 onto g*T_H, at the end of the path it reads from
+            # x1.  It is d(x1, g*T_H) <= d(x1, g*x1) <= 2*d0 + |loop(g)| from
+            # x1, so within |loop(g)| + 3*d0 of x0, where d0 = d(x0, T_H):
+            # the ball code sees it at that radius.
             d0 = distance_to_subtree(cover, 2)
             assume(d0 is not None and len(graph.word_to_loop(g.letters)) + 3 * d0 <= 6)
             radii = [len(graph.word_to_loop(g.letters)) + 3 * d0]
@@ -889,8 +889,8 @@ class TestTranslatesMeetingTheSubtree:
 
     def test_both_answers_occur(self):
         cover = CoverCore(rose(1, 1), core("a", "bbabb"))
-        hair = _to_subtree(cover, ())[0]
-        answers = {w: _meets_translate(cover, w, hair)
+        x1 = _to_subtree(cover, ())
+        answers = {w: _meets_translate(cover, w, x1)
                    for w in enumerate_words(2, 3) if not membership(cover.subgroup, w)}
         assert answers[(2,)] and answers[(2, 2)] and not answers[(2, 1, 2)]
 
