@@ -492,7 +492,10 @@ def transverse_family_report(graph: MarkedMetricGraph, subgroup: StallingsGraph,
     violation.  A translate w is skipped when h1*w*h2 is shorter or
     shortlex-smaller for some h1, h2 among the first 64 subgroup elements
     (of length <= max_len), so double cosets HgH are merged only as far as
-    those elements show.
+    those elements show.  A kept w whose subtree misses T_H, as
+    `_meets_translate` decides exactly, shares no vertex with it anywhere
+    and gets its disjoint-within-radius row at once; only the others run the
+    ball comparison, and the basepoint's ball is built for the first of them.
     """
     cover = CoverCore(graph, subgroup)
     report = {"max_len": max_len, "radius": radius}
@@ -539,7 +542,7 @@ def transverse_family_report(graph: MarkedMetricGraph, subgroup: StallingsGraph,
         if not _meets_translate(cover, w, x1):
             rows.append({"word": _letters_text(w), "outcome": "disjoint-within-radius"})
             continue
-        if base is None:   # built only once a translate meets T_H
+        if base is None:
             base = _subtree_ball(cover, (), radius)
         result = _translate_intersection_prepared(cover, w, radius, base)
         rows.append({"word": _letters_text(w), "outcome": result["outcome"]})
