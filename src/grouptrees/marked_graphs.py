@@ -374,7 +374,7 @@ def _to_subtree(cover: CoverCore, loop: tuple[int, ...]) -> tuple[tuple[int, ...
 
 def _meets_translate(cover: CoverCore, g: tuple[int, ...], x1: tuple) -> bool:
     """Whether T_H and g*T_H share a vertex; `x1` is `_to_subtree` of the
-    empty loop: the path from x0 to its gate x1, and x1's vertex in P.
+    empty loop: the path from x0 to its gate x1, and x1's core vertex in P.
 
     Two subtrees meet iff the projection onto one of a point of the other
     lies in both.  The projection of x1 onto g*T_H is g times the gate of
@@ -492,7 +492,7 @@ def transverse_family_report(graph: MarkedMetricGraph, subgroup: StallingsGraph,
     violation.  A translate w is skipped when h1*w*h2 is shorter or
     shortlex-smaller for some h1, h2 among the first 64 subgroup elements
     (of length <= max_len), so double cosets HgH are merged only as far as
-    those elements show.  A kept w whose subtree misses T_H, as
+    those elements show.  A kept w for which w*T_H misses T_H, as
     `_meets_translate` decides exactly, shares no vertex with it anywhere
     and gets its disjoint-within-radius row at once; only the others run the
     ball comparison, and the basepoint's ball is built for the first of them.
