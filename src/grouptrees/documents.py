@@ -32,7 +32,8 @@ def _checked(where: str, build, *args):
 
 
 def parse_json(text: str, where: str | None = None):
-    """The JSON value of `text`; malformed or over-deep text is a ParseError."""
+    """The JSON value of `text`; malformed or over-deep text, or an integer
+    past the interpreter's digit limit, is a ParseError."""
     prefix = "" if where is None else f"{where}: "
     try:
         return json.loads(text)
@@ -40,6 +41,30 @@ def parse_json(text: str, where: str | None = None):
         _fail(f"{prefix}invalid JSON: {exc}")
     except RecursionError:
         _fail(f"{prefix}invalid JSON: nesting too deep")
+    except ValueError:  # an integer too long to convert: name its field
+        def fields(pairs):
+            for key, value in pairs:
+                if problem := _too_long(value):
+                    _fail(f"{prefix}field {key!r}: {problem}")
+            return dict(pairs)
+        _fail(prefix + _too_long(json.loads(text, object_pairs_hook=fields,
+                                            parse_int=_int_or_bytes)))
+
+
+def _int_or_bytes(text: str):
+    """int(text), or its bytes (which JSON never yields) if too long to convert."""
+    try:
+        return int(text)
+    except ValueError:
+        return text.encode()
+
+
+def _too_long(value) -> str | None:
+    """What is wrong with the first over-long integer in `value` or its lists."""
+    if isinstance(value, list):
+        return next(filter(None, map(_too_long, value)), None)
+    if isinstance(value, bytes):
+        return f"an integer of {len(value.lstrip(b'-'))} digits is too long"
 
 
 def load_json(text: str, where: str) -> dict:

@@ -4,11 +4,16 @@ All endpoints are Scalars, all comparisons exact.  MultiInterval keeps its
 components sorted and merged (overlapping or touching closed components are
 coalesced), so structural equality is set equality.  Degenerate (single-point)
 components are permitted; measure counts them as zero.
+
+The support engines run on an integer kernel instead: a tuple of components
+((lo_a, lo_b), (hi_a, hi_b)) on one denominator `den` and field tag `d`, each
+end standing for (a + b*sqrt(d))/den, sorted and merged as MultiInterval
+keeps them; `_multi` turns one into a MultiInterval for a report.
 """
 
 from __future__ import annotations
 
-from .core import Scalar, ZERO, _Frozen
+from .core import Scalar, ZERO, _Frozen, _make, _sign
 from .errors import InvalidSystemError
 
 HALF = Scalar.of("1/2")
@@ -81,10 +86,7 @@ class MultiInterval(_Frozen):
 
     @property
     def measure(self) -> Scalar:
-        total = ZERO
-        for iv in self.components:
-            total = total + iv.length
-        return total
+        return sum((iv.length for iv in self.components), ZERO)
 
     def contains(self, x: Scalar) -> bool:
         return any(iv.contains(x) for iv in self.components)
@@ -95,30 +97,78 @@ class MultiInterval(_Frozen):
     def contains_multi(self, other: "MultiInterval") -> bool:
         return all(self.contains_interval(iv) for iv in other.components)
 
-    def intersect(self, other: "MultiInterval | Interval") -> "MultiInterval":
-        others = other.components if isinstance(other, MultiInterval) else (other,)
-        out = []
-        for a in self.components:
-            for b in others:
-                c = a.intersect(b)
-                if c is not None:
-                    out.append(c)
-        return MultiInterval(out)
-
-    def union(self, other: "MultiInterval | Interval") -> "MultiInterval":
-        others = other.components if isinstance(other, MultiInterval) else (other,)
-        return MultiInterval(self.components + tuple(others))
-
-    def shifted_image(self, orient: int, offset: Scalar) -> "MultiInterval":
-        return MultiInterval(iv.shifted_image(orient, offset) for iv in self.components)
-
     def endpoints(self) -> list[Scalar]:
-        out = []
-        for iv in self.components:
-            out.append(iv.lo)
-            if not iv.is_point:
-                out.append(iv.hi)
-        return out
+        return [e for iv in self.components
+                for e in ((iv.lo,) if iv.is_point else (iv.lo, iv.hi))]
 
     def jsonable(self) -> list[list[str]]:
         return [[str(iv.lo), str(iv.hi)] for iv in self.components]
+
+
+# -- the integer kernel -----------------------------------------------------------
+
+
+def _intersect(xs, ys, d: int) -> tuple:
+    """xs n ys, by a two-pointer sweep; a touching end is a point component."""
+    out = []
+    i = j = 0
+    nx, ny = len(xs), len(ys)
+    while i < nx and j < ny:
+        (alo, ahi), (blo, bhi) = xs[i], ys[j]
+        lo = alo if _sign(alo[0] - blo[0], alo[1] - blo[1], d) >= 0 else blo
+        if _sign(bhi[0] - ahi[0], bhi[1] - ahi[1], d) >= 0:
+            hi, i = ahi, i + 1
+        else:
+            hi, j = bhi, j + 1
+        if _sign(hi[0] - lo[0], hi[1] - lo[1], d) >= 0:
+            out.append((lo, hi))
+    return tuple(out)
+
+
+def _union(xs, ys, d: int) -> tuple:
+    """xs u ys: a merge on lower ends, coalescing what overlaps or touches."""
+    out = []
+    i = j = 0
+    while i < len(xs) or j < len(ys):
+        if j == len(ys) or (i < len(xs) and _sign(
+                ys[j][0][0] - xs[i][0][0], ys[j][0][1] - xs[i][0][1], d) >= 0):
+            (lo, hi), i = xs[i], i + 1
+        else:
+            (lo, hi), j = ys[j], j + 1
+        if out and _sign(out[-1][1][0] - lo[0], out[-1][1][1] - lo[1], d) >= 0:
+            if _sign(hi[0] - out[-1][1][0], hi[1] - out[-1][1][1], d) > 0:
+                out[-1] = (out[-1][0], hi)
+        else:
+            out.append((lo, hi))
+    return tuple(out)
+
+
+def _shifted(xs, orient: int, offset) -> tuple:
+    """The image of xs under x -> orient*x + offset; -1 reverses the order."""
+    oa, ob = offset
+    if orient > 0:
+        return tuple(((la + oa, lb + ob), (ha + oa, hb + ob))
+                     for (la, lb), (ha, hb) in xs)
+    return tuple(((oa - ha, ob - hb), (oa - la, ob - lb))
+                 for (la, lb), (ha, hb) in reversed(xs))
+
+
+def _measure(xs) -> tuple[int, int]:
+    """The total length of xs's components, disjoint or not, as a pair over
+    the kernel's denominator."""
+    a = b = 0
+    for (la, lb), (ha, hb) in xs:
+        a, b = a + ha - la, b + hb - lb
+    return a, b
+
+
+def _interval(component, den: int, d: int) -> Interval:
+    (la, lb), (ha, hb) = component
+    return Interval(_make(la, lb, den, d), _make(ha, hb, den, d))
+
+
+def _multi(xs, den: int, d: int) -> MultiInterval:
+    """The MultiInterval of the kernel multi-interval xs, already merged."""
+    out = object.__new__(MultiInterval)
+    object.__setattr__(out, "components", tuple(_interval(c, den, d) for c in xs))
+    return out

@@ -30,7 +30,8 @@ from .errors import (
     MissingLabelsError,
     OutOfSupportError,
 )
-from .intervals import Interval, MultiInterval
+from .intervals import (Interval, MultiInterval, _interval, _intersect, _measure,
+                        _multi, _shifted, _union)
 
 _TWENTIETH = Scalar.parse("1/20")
 
@@ -119,10 +120,7 @@ def total_measure(system: SoISystem) -> Scalar:
 
 
 def domain_sum(system: SoISystem) -> Scalar:
-    total = ZERO
-    for g in system.generators:
-        total = total + g.dom.length
-    return total
+    return sum((g.dom.length for g in system.generators), ZERO)
 
 
 # -- orbits --------------------------------------------------------------------
@@ -161,15 +159,30 @@ def _layered_search(start, expand, points, budgets) -> dict:
     return results
 
 
-def _compile(system: SoISystem, letters, x):
-    """(den, d, maps, x) over int pairs (a, b) standing for (a + b*sqrt(d))/den;
-    each letter's map becomes (orient, oa, ob, lo_a, lo_b, hi_a, hi_b).  The
-    maps' values are joined first, so a point of another field is what fails."""
+def _compile(system: SoISystem, letters, values):
+    """(den, d, maps, pairs) over int pairs (a, b) standing for (a + b*sqrt(d))/den;
+    each letter's map becomes (orient, oa, ob, lo_a, lo_b, hi_a, hi_b), and
+    pairs[i] is values[i].  The maps' values are joined first, so a value of
+    another field fails naming the system's field first."""
     maps = [system.letter_map(l) for l in letters]
+    k = 3 * len(maps)
     den, d, pairs = _integer_view(
-        [v for g in maps for v in (g.offset, g.dom.lo, g.dom.hi)] + [x])
+        [v for g in maps for v in (g.offset, g.dom.lo, g.dom.hi)] + list(values))
     return den, d, [(g.orient, *off, *lo, *hi) for g, off, lo, hi in
-                    zip(maps, pairs[0::3], pairs[1::3], pairs[2::3])], pairs[-1]
+                    zip(maps, pairs[0:k:3], pairs[1:k:3], pairs[2:k:3])], pairs[k:]
+
+
+def _compile_sets(system: SoISystem, sets):
+    """_compile over the signed letters for Intervals and MultiIntervals: (den, d,
+    maps, kernel sets), maps[i] = (letter, (orient, offset, dom)), dom one arc."""
+    parts = [s.components if isinstance(s, MultiInterval) else (s,) for s in sets]
+    letters = system.signed_letters()
+    den, d, maps, pairs = _compile(
+        system, letters, [e for p in parts for iv in p for e in (iv.lo, iv.hi)])
+    ends = zip(pairs[0::2], pairs[1::2])
+    return den, d, [(l, (o, (oa, ob), (((la, lb), (ha, hb)),)))
+                    for l, (o, oa, ob, la, lb, ha, hb) in zip(letters, maps)], \
+        [tuple(next(ends) for _ in p) for p in parts]
 
 
 def _scalars(pairs, den: int, d: int) -> tuple[Scalar, ...]:
@@ -192,7 +205,7 @@ def orbit(system: SoISystem, x, budget: int):
     worth when truncated, deterministically).
     """
     _in_support(system, x)
-    den, d, maps, start = _compile(system, system.signed_letters(), x)
+    den, d, maps, (start,) = _compile(system, system.signed_letters(), (x,))
 
     def expand(p):
         a, b = p
@@ -268,10 +281,8 @@ def finite_orbit_families(system: SoISystem, budget: int) -> dict:
         families.append({"interval": members[0], "measure": gap.length,
                          "cardinality": len(pts), "status": "complete"})
 
-    e_lower = ZERO
-    for fam in families:
-        if fam["status"] == "complete":
-            e_lower = e_lower + fam["measure"]
+    e_lower = sum((fam["measure"] for fam in families
+                   if fam["status"] == "complete"), ZERO)
     report["families"] = families
     report["status"] = "complete" if complete else "partial"
     report["e"] = e_lower if complete else None
@@ -282,16 +293,15 @@ def finite_orbit_families(system: SoISystem, budget: int) -> dict:
 # -- independence and the balance identity --------------------------------------
 
 
-def _left_words(system: SoISystem, start, step, max_len: int):
+def _left_words(maps, start, step, max_len: int):
     """(word, state) for the reduced words of length 1 to max_len, by length
-    and then in letter order from the left.
+    and then in letter order from the left (`maps` pairs the letters with maps).
 
     A letter is added on the left, since it acts last: a word's state is
     step(g, state) for its first letter's map g and the state of the rest,
     the empty word's state being start.  A word whose step returns None is
     dropped, with every word that extends it.
     """
-    maps = [(l, system.letter_map(l)) for l in system.signed_letters()]
     layer = [((), start)]
     for _ in range(max_len):
         nxt = []
@@ -326,7 +336,8 @@ def independence_check(system: SoISystem, max_len: int) -> dict:
 
     parts = system.forest.components
     identity = (1, ZERO, Interval(parts[0].lo, parts[-1].hi))
-    for word, (orient, offset, dom) in _left_words(system, identity, compose, max_len):
+    maps = [(l, system.letter_map(l)) for l in system.signed_letters()]
+    for word, (orient, offset, dom) in _left_words(maps, identity, compose, max_len):
         if orient == 1 and offset.is_zero():
             return {"status": "violation", "word": _letters_text(word),
                     "arc": dom, "word_length": len(word)}
@@ -394,65 +405,51 @@ def grow_forest(system: SoISystem, start: MultiInterval, steps: int) -> list[dic
     """
     if not system.forest.contains_multi(start):
         raise OutOfSupportError("the starting multi-interval leaves the support")
-    stages = []
-    support = start
-    prev = None
+    den, d, maps, (support,) = _compile_sets(system, (start,))
+    stages, prev = [], None
     for step in range(steps + 1):
-        m = support.measure
-        d = ZERO
-        for g in system.generators:
-            clipped = support.intersect(g.dom)
-            image_back = clipped.shifted_image(g.orient, g.offset).intersect(support)
-            d = d + image_back.measure
-        residual = m - d
-        if prev is not None and residual > prev:
+        images = [(l, _shifted(_intersect(support, dom, d), orient, offset))
+                  for l, (orient, offset, dom) in maps]
+        m = _measure(support)
+        dm = _measure([c for l, img in images if l > 0
+                       for c in _intersect(img, support, d)])
+        residual = (m[0] - dm[0], m[1] - dm[1])
+        if prev is not None and _sign(residual[0] - prev[0], residual[1] - prev[1], d) > 0:
             raise RuntimeError(
                 "support-iteration residual increased; this contradicts the "
                 "new-point injection argument and indicates an arithmetic bug")
-        stages.append({"step": step, "support": support, "m": m, "d": d,
-                       "residual": residual})
         prev = residual
-        if step == steps:
-            break
-        grown = support
-        for i in range(1, len(system.generators) + 1):
-            for iso in (system.letter_map(i), system.letter_map(-i)):
-                grown = grown.union(
-                    support.intersect(iso.dom).shifted_image(iso.orient, iso.offset))
-        support = grown
+        stages.append({"step": step, "support": _multi(support, den, d),
+                       "m": _make(*m, den, d), "d": _make(*dm, den, d),
+                       "residual": _make(*residual, den, d)})
+        if step < steps:
+            for _, img in images:
+                support = _union(support, img, d)
     return stages
 
 
 # -- support covers and chain covers ---------------------------------------------
 
 
-def _image_candidates(system: SoISystem, seed, max_len: int):
+def _image_candidates(maps, seed, d: int, max_len: int):
     """(word, image) pairs for reduced words up to max_len, deduplicated by image.
 
-    The seed is an Interval or a MultiInterval, and its images are of the
-    same type.  Images are grown by composing on the left (new = g o old),
-    pruning empty or measure-zero images; a repeated image keeps only its
-    first (shortest, earliest) word.
+    Kernel sets over _compile_sets' maps, grown by composing on the left (new =
+    g o old), pruning images of measure zero (empty, or points only); a
+    repeated image keeps only its first (shortest, earliest) word.
     """
-    interval_only = isinstance(seed, Interval)
     seen = {seed}
 
     def image(g, img):
-        if interval_only:
-            img = img.intersect(g.dom)
-            if img is None or img.is_point:
-                return None
-            img = img.shifted_image(g.orient, g.offset)
-        else:
-            img = img.intersect(g.dom).shifted_image(g.orient, g.offset)
-            if img.measure.sign() <= 0:
-                return None
-        if img in seen:
-            return None
-        seen.add(img)
-        return img
+        orient, offset, dom = g
+        img = _intersect(img, dom, d)
+        if _sign(*_measure(img), d) > 0:
+            img = _shifted(img, orient, offset)
+            if img not in seen:
+                seen.add(img)
+                return img
 
-    return [((), seed), *_left_words(system, seed, image, max_len)]
+    return [((), seed), *_left_words(maps, seed, image, max_len)]
 
 
 def ae_support_check(system: SoISystem, f_eps: MultiInterval, target: Interval,
@@ -469,31 +466,36 @@ def ae_support_check(system: SoISystem, f_eps: MultiInterval, target: Interval,
     if not system.forest.contains_multi(f_eps):
         raise OutOfSupportError("the covering seed leaves the support")
 
-    cands = _image_candidates(system, f_eps, max_len)
+    den, d, maps, (seed, aim) = _compile_sets(system, (f_eps, target))
+    cands = _image_candidates(maps, seed, d, max_len)
     # (A u B) n T = (A n T) u (B n T): clip every image to the target once
-    clipped = [(word, img.intersect(target)) for word, img in cands]
-    covered = MultiInterval()
-    words = []
+    clipped = [(word, c, _measure(c)) for word, img in cands
+               for c in (_intersect(img, aim, d),)]
+    covered, words = (), []
     while True:
-        base = covered.measure
-        uncovered = target.length - base
+        uncovered = target.length - _make(*_measure(covered), den, d)
         if delta > uncovered:
-            return {"status": "covered", "words": [_letters_text(w) for w, _ in words],
+            return {"status": "covered", "words": [_letters_text(w) for w in words],
                     "uncovered_measure": uncovered, "delta": delta,
                     "candidates": len(cands), "max_len": max_len}
-        best = None
-        best_gain = ZERO
-        for word, img in clipped:
-            gain = covered.union(img).measure - base
-            if gain > best_gain:
-                best, best_gain = (word, img), gain
+        # an image adds its measure less that of its meet with the covered
+        # set; one that adds nothing now never will, and is dropped
+        best, gain, live = None, (0, 0), []
+        for entry in clipped:
+            word, img, (ia, ib) = entry
+            ma, mb = _measure(_intersect(covered, img, d))
+            if _sign(ia - ma, ib - mb, d) > 0:
+                live.append(entry)
+                if _sign(ia - ma - gain[0], ib - mb - gain[1], d) > 0:
+                    best, gain = (word, img), (ia - ma, ib - mb)
+        clipped = live
         if best is None:
             return {"status": "budget-exhausted",
                     "uncovered_measure": uncovered, "delta": delta,
-                    "words": [_letters_text(w) for w, _ in words],
+                    "words": [_letters_text(w) for w in words],
                     "candidates": len(cands), "max_len": max_len}
-        words.append(best)
-        covered = covered.union(best[1])
+        words.append(best[0])
+        covered = _union(covered, best[1], d)
 
 
 def indecomposability_search(system: SoISystem, piece: Interval, target: Interval,
@@ -502,39 +504,41 @@ def indecomposability_search(system: SoISystem, piece: Interval, target: Interva
 
     Searches for g_1..g_r (r <= r_max, each |g_i| <= max_len) such that the
     images g_i(piece) cover `target` and consecutive images overlap in a
-    nondegenerate arc.  The found chain is re-verified exactly.
+    nondegenerate arc.  The found chain is re-verified exactly; r_max 0 builds no image.
     """
     for iv in (piece, target):
         if iv.is_point:
             raise InvalidSystemError("piece and target must be nondegenerate")
         if not system.forest.contains_interval(iv):
             raise OutOfSupportError(f"{iv} leaves the support")
-    if r_max >= 1 and piece.contains_interval(target):
+    if r_max < 1:
+        return {"status": "exhausted", "chained": 0, "r_max": r_max,
+                "max_len": max_len, "candidates": 0}
+    if piece.contains_interval(target):
         chain = [{"word": "", "interval": piece}]
         return {"status": "chain-found", "chain": chain, "r": 1,
                 "r_max": r_max, "max_len": max_len}
 
-    cands = _image_candidates(system, piece, max_len)
-    chain = []
-    reach = None
+    den, d, maps, (seed, ((t_lo, t_hi),)) = _compile_sets(system, (piece, target))
+    cands = [(w, img[0]) for w, img in _image_candidates(maps, seed, d, max_len)]
+
+    def below(p, q):  # p < q
+        return _sign(q[0] - p[0], q[1] - p[1], d) > 0
+
+    chain, reach = [], None
     while len(chain) < r_max:
-        if chain:
-            eligible = [(w, iv) for w, iv in cands if iv.lo < reach]
-        else:
-            eligible = [(w, iv) for w, iv in cands
-                        if iv.lo <= target.lo
-                        and iv.hi > target.lo]
         best = None
-        for w, iv in eligible:
-            if best is None or iv.hi > best[1].hi:
-                best = (w, iv)
-        if best is None or (chain and best[1].hi <= reach):
-            return {"status": "exhausted", "chained": len(chain),
-                    "r_max": r_max, "max_len": max_len,
-                    "candidates": len(cands)}
+        for w, (lo, hi) in cands:
+            if ((below(lo, reach) if chain else
+                 not below(t_lo, lo) and below(t_lo, hi))
+                    and (best is None or below(best[1][1], hi))):
+                best = (w, (lo, hi))
+        if best is None or (chain and not below(reach, best[1][1])):
+            break
         chain.append(best)
-        reach = best[1].hi
-        if reach >= target.hi:
+        reach = best[1][1]
+        if not below(reach, t_hi):
+            chain = [(w, _interval(c, den, d)) for w, c in chain]
             _verify_chain(system, piece, target, chain)
             return {"status": "chain-found",
                     "chain": [{"word": _letters_text(w), "interval": iv}
@@ -597,7 +601,7 @@ def subgroup_constrained_orbit(system: SoISystem, graph: StallingsGraph, x,
     letters = _gen_letter_index(system, graph)
     _in_support(system, x)
     signed = [(s * (i + 1), s * l) for i, l in enumerate(letters) for s in (1, -1)]
-    den, d, maps, (xa, xb) = _compile(system, [g for g, _ in signed], x)
+    den, d, maps, ((xa, xb),) = _compile(system, [g for g, _ in signed], (x,))
     moves = [(m, letter) for m, (_, letter) in zip(maps, signed)]
 
     def expand(state):
@@ -631,39 +635,42 @@ def subgroup_saturation(system: SoISystem, graph: StallingsGraph,
     letters = _gen_letter_index(system, graph)
     if not system.forest.contains_interval(piece):
         raise OutOfSupportError("the starting interval leaves the support")
-    letter_to_gen = {letter: gi + 1 for gi, letter in enumerate(letters)}
+    den, d, maps, (seed,) = _compile_sets(system, (piece,))
+    map_of = {s * letter: maps[2 * gi + (s < 0)][1]
+              for gi, letter in enumerate(letters) for s in (1, -1)}
 
-    translates = []
-    rejected = 0
+    translates, rejected = [], 0
     for h in subgroup_elements(graph, max_len):
-        if any(abs(l) not in letter_to_gen for l in h):
+        if any(l not in map_of for l in h):
             rejected += 1
             continue
-        gen_word = [letter_to_gen[l] if l > 0 else -letter_to_gen[-l] for l in h]
-        img = _word_image(system, gen_word, piece)
-        if img is None or img.is_point:
-            continue
-        translates.append((h, img))
+        img = seed
+        for l in reversed(h):
+            orient, offset, dom = map_of[l]
+            img = _shifted(_intersect(img, dom, d), orient, offset)
+        if _sign(*_measure(img), d) > 0:
+            translates.append((h, img))
 
-    support = MultiInterval([piece])
+    support = seed
     saturated = False
     used = 0
     added_words = []
     for _ in range(steps):
         additions = []
         for h, img in translates:
-            if support.contains_interval(img):
-                continue
-            if support.intersect(img).measure.sign() > 0:
+            # img is one arc: it lies in the support or meets it in less
+            meet = _intersect(support, img, d)
+            if meet != img and _sign(*_measure(meet), d) > 0:
                 additions.append((h, img))
         if not additions:
             saturated = True
             break
         used += 1
         for h, img in additions:
-            support = support.union(img)
+            support = _union(support, img, d)
             added_words.append(_letters_text(h))
-    return {"support": support, "saturated": saturated, "steps_used": used,
+    return {"support": _multi(support, den, d), "saturated": saturated,
+            "steps_used": used,
             "translates_added": added_words, "rejected_words": rejected,
             "max_len": max_len}
 
@@ -682,7 +689,6 @@ def discreteness_report(system: SoISystem, graph: StallingsGraph, samples,
     rows = []
     growth = {b: [] for b in budgets}
     all_closed = True
-    any_truncated = False
     min_gap = None
     for x in samples:
         runs = subgroup_constrained_orbit(system, graph, x, budgets[-1],
@@ -694,7 +700,6 @@ def discreteness_report(system: SoISystem, graph: StallingsGraph, samples,
                      "orbit_size": len(points)})
         if status != "closed":
             all_closed = False
-            any_truncated = True
         for a, bpt in zip(points, points[1:]):
             gap = bpt - a
             if gap.sign() > 0 and (min_gap is None or gap < min_gap):
@@ -702,7 +707,7 @@ def discreteness_report(system: SoISystem, graph: StallingsGraph, samples,
     threshold = total_measure(system) * _TWENTIETH
     if all_closed:
         verdict = "suggests-discrete"
-    elif any_truncated and min_gap is not None and min_gap < threshold:
+    elif min_gap is not None and min_gap < threshold:  # some orbit truncated
         verdict = "suggests-dense"
     else:
         verdict = "inconclusive"

@@ -511,7 +511,7 @@ def transverse_family_report(graph: MarkedMetricGraph, subgroup: StallingsGraph,
         report["violations"] = []
         return report
 
-    ball = subgroup_elements(subgroup, max_len)[:64]
+    ball = list(islice(subgroup_elements(subgroup, max_len), 64))
     # A product h1*w*h2 can come out below w (shortlex) only if h1 cancels
     # into w or h2 does.  If just one side cancels and does not swallow all
     # of w, the product is that side's product with w, extended by the other

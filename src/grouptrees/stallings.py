@@ -14,6 +14,7 @@ subgroup avoiding any designated outside element.
 from __future__ import annotations
 
 from collections import deque
+from typing import Iterator
 
 from .core import Word, _Frozen, _word, inverse, ordered_letters
 from .errors import PreconditionError
@@ -230,22 +231,22 @@ def conjugate(graph: StallingsGraph, g: Word) -> StallingsGraph:
     return build_core([g * h * ginv for h in basis_of(graph)], graph.rank)
 
 
-def subgroup_elements(graph: StallingsGraph, max_len: int) -> list[tuple[int, ...]]:
-    """All subgroup elements of length <= max_len: letter tuples in canonical order.
+def subgroup_elements(graph: StallingsGraph, max_len: int) -> Iterator[tuple[int, ...]]:
+    """The subgroup elements of length <= max_len: letter tuples in canonical
+    order, a layer at a time, so a caller that stops early builds no more.
 
     The reduced paths from the basepoint grow one letter at a time, in the
     letter order of `enumerate_words`.  A folded graph reads a reduced word
     along at most one path, so the paths that close at the basepoint are the
     elements, in that order.
     """
-    elements = [()]
+    yield ()
     layer = [((), graph.base)]
     for _ in range(max_len):
         layer = [(letters + (l,), w) for letters, v in layer
                  for l, w in graph.darts_at(v).items()
                  if not letters or l != -letters[-1]]
-        elements.extend(letters for letters, v in layer if v == graph.base)
-    return elements
+        yield from (letters for letters, v in layer if v == graph.base)
 
 
 # --------------------------------------------------------------------------

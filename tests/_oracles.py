@@ -49,6 +49,17 @@ from scratch at budgets b/4, b/2 and b.
 :func:`rebuilding_ae_support_check` is ``soi cover``'s greedy before it
 clipped every candidate image to the target once: each round rebuilds every
 candidate's union with the covered set and intersects it with the target.
+:func:`multi_intersect`, :func:`multi_union` and :func:`multi_shifted_image`
+are the ``MultiInterval`` methods the support engines used before they ran
+on the integer kernel of ``grouptrees.intervals``: each builds its answer
+from ``Interval``s of ``Scalar``s and sorts and merges it in
+``MultiInterval``'s constructor.  :func:`scalar_image_candidates`,
+:func:`scalar_ae_support_check`, :func:`scalar_grow_forest`,
+:func:`scalar_indecomposability_search` and
+:func:`scalar_subgroup_saturation` are the engines of that time, built on
+them: ``_image_candidates`` had one branch for an ``Interval`` seed and one
+for a ``MultiInterval`` seed, and ``--chain-max 0`` still built every
+candidate image.
 
 :func:`layered_independence_check` and :func:`layered_image_candidates` are
 ``grouptrees.isometry_systems.independence_check`` and ``_image_candidates``
@@ -151,7 +162,7 @@ from grouptrees.core import (MAX_RANK, _LETTER, _letters_text, _sign, conjugator
                              ordered_letters)
 from grouptrees.errors import (DegenerateSubgroupError, InvalidSystemError, MixedFieldError,
                                NotABasisError, ParseError, PreconditionError)
-from grouptrees.intervals import Interval
+from grouptrees.intervals import Interval, MultiInterval
 from grouptrees.laminations import _SIMPLICIAL_NOTE
 from grouptrees.marked_graphs import CoverCore, _subtree_ball, _translate_intersection_prepared
 from grouptrees.stallings import (StallingsGraph, _checked_graph, index, membership,
@@ -972,8 +983,6 @@ def rebuilding_ae_support_check(system, f_eps, target, delta, max_len: int) -> d
     or budget-exhausted when no candidate image adds coverage.
     """
     from grouptrees.errors import InvalidSystemError, OutOfSupportError
-    from grouptrees.intervals import MultiInterval
-    from grouptrees.isometry_systems import _image_candidates
 
     delta = Scalar.of(delta)
     if delta.sign() <= 0:
@@ -985,21 +994,21 @@ def rebuilding_ae_support_check(system, f_eps, target, delta, max_len: int) -> d
     if not system.forest.contains_multi(f_eps):
         raise OutOfSupportError("the covering seed leaves the support")
 
-    cands = _image_candidates(system, f_eps, max_len)
+    cands = scalar_image_candidates(system, f_eps, max_len)
     target_multi = MultiInterval([target])
     covered = MultiInterval()
     words = []
     while True:
-        uncovered = target.length - covered.intersect(target_multi).measure
+        uncovered = target.length - multi_intersect(covered, target_multi).measure
         if delta > uncovered:
             return {"status": "covered", "words": [_letters_text(w) for w, _ in words],
                     "uncovered_measure": uncovered, "delta": delta,
                     "candidates": len(cands), "max_len": max_len}
         best = None
         best_gain = ZERO
-        base = covered.intersect(target_multi).measure
+        base = multi_intersect(covered, target_multi).measure
         for word, img in cands:
-            gain = covered.union(img).intersect(target_multi).measure - base
+            gain = multi_intersect(multi_union(covered, img), target_multi).measure - base
             if gain > best_gain:
                 best, best_gain = (word, img), gain
         if best is None:
@@ -1008,7 +1017,7 @@ def rebuilding_ae_support_check(system, f_eps, target, delta, max_len: int) -> d
                     "words": [_letters_text(w) for w, _ in words],
                     "candidates": len(cands), "max_len": max_len}
         words.append(best)
-        covered = covered.union(best[1])
+        covered = multi_union(covered, best[1])
 
 
 # -- the word searches, one layer loop each -----------------------------------
@@ -1084,7 +1093,8 @@ def layered_image_candidates(system, seed, max_len: int):
                         continue
                     img2 = clipped.shifted_image(g.orient, g.offset)
                 else:
-                    img2 = img.intersect(g.dom).shifted_image(g.orient, g.offset)
+                    img2 = multi_shifted_image(multi_intersect(img, g.dom),
+                                               g.orient, g.offset)
                     if img2.measure.sign() <= 0:
                         continue
                 if img2 in seen:
@@ -1097,6 +1107,223 @@ def layered_image_candidates(system, seed, max_len: int):
         if not layer:
             break
     return cands
+
+
+# -- the support engines on Scalar multi-intervals ----------------------------
+
+
+def _components(other) -> tuple:
+    return other.components if isinstance(other, MultiInterval) else (other,)
+
+
+def multi_intersect(a: MultiInterval, other) -> MultiInterval:
+    out = []
+    for x in a.components:
+        for y in _components(other):
+            c = x.intersect(y)
+            if c is not None:
+                out.append(c)
+    return MultiInterval(out)
+
+
+def multi_union(a: MultiInterval, other) -> MultiInterval:
+    return MultiInterval(a.components + tuple(_components(other)))
+
+
+def multi_shifted_image(a: MultiInterval, orient: int, offset: Scalar) -> MultiInterval:
+    return MultiInterval(iv.shifted_image(orient, offset) for iv in a.components)
+
+
+def scalar_image_candidates(system, seed, max_len: int):
+    """(word, image) pairs for reduced words up to max_len, deduplicated by image.
+
+    The seed is an Interval or a MultiInterval, and its images are of the
+    same type.  Images are grown by composing on the left (new = g o old),
+    pruning empty or measure-zero images; a repeated image keeps only its
+    first (shortest, earliest) word.
+    """
+    from grouptrees.isometry_systems import _left_words
+
+    interval_only = isinstance(seed, Interval)
+    seen = {seed}
+
+    def image(g, img):
+        if interval_only:
+            img = img.intersect(g.dom)
+            if img is None or img.is_point:
+                return None
+            img = img.shifted_image(g.orient, g.offset)
+        else:
+            img = multi_shifted_image(multi_intersect(img, g.dom), g.orient, g.offset)
+            if img.measure.sign() <= 0:
+                return None
+        if img in seen:
+            return None
+        seen.add(img)
+        return img
+
+    maps = [(l, system.letter_map(l)) for l in system.signed_letters()]
+    return [((), seed), *_left_words(maps, seed, image, max_len)]
+
+
+def scalar_ae_support_check(system, f_eps, target, delta, max_len: int) -> dict:
+    from grouptrees.errors import InvalidSystemError, OutOfSupportError
+
+    if delta.sign() <= 0:
+        raise InvalidSystemError("delta must be positive")
+    if not system.forest.contains_interval(target):
+        raise OutOfSupportError("target interval leaves the support")
+    if not system.forest.contains_multi(f_eps):
+        raise OutOfSupportError("the covering seed leaves the support")
+
+    cands = scalar_image_candidates(system, f_eps, max_len)
+    # (A u B) n T = (A n T) u (B n T): clip every image to the target once
+    clipped = [(word, multi_intersect(img, target)) for word, img in cands]
+    covered = MultiInterval()
+    words = []
+    while True:
+        base = covered.measure
+        uncovered = target.length - base
+        if delta > uncovered:
+            return {"status": "covered", "words": [_letters_text(w) for w, _ in words],
+                    "uncovered_measure": uncovered, "delta": delta,
+                    "candidates": len(cands), "max_len": max_len}
+        best = None
+        best_gain = ZERO
+        for word, img in clipped:
+            gain = multi_union(covered, img).measure - base
+            if gain > best_gain:
+                best, best_gain = (word, img), gain
+        if best is None:
+            return {"status": "budget-exhausted",
+                    "uncovered_measure": uncovered, "delta": delta,
+                    "words": [_letters_text(w) for w, _ in words],
+                    "candidates": len(cands), "max_len": max_len}
+        words.append(best)
+        covered = multi_union(covered, best[1])
+
+
+def scalar_grow_forest(system, start, steps: int) -> list[dict]:
+    from grouptrees.errors import OutOfSupportError
+
+    if not system.forest.contains_multi(start):
+        raise OutOfSupportError("the starting multi-interval leaves the support")
+    stages = []
+    support = start
+    prev = None
+    for step in range(steps + 1):
+        m = support.measure
+        d = ZERO
+        for g in system.generators:
+            clipped = multi_intersect(support, g.dom)
+            image_back = multi_intersect(
+                multi_shifted_image(clipped, g.orient, g.offset), support)
+            d = d + image_back.measure
+        residual = m - d
+        if prev is not None and residual > prev:
+            raise RuntimeError(
+                "support-iteration residual increased; this contradicts the "
+                "new-point injection argument and indicates an arithmetic bug")
+        stages.append({"step": step, "support": support, "m": m, "d": d,
+                       "residual": residual})
+        prev = residual
+        if step == steps:
+            break
+        grown = support
+        for i in range(1, len(system.generators) + 1):
+            for iso in (system.letter_map(i), system.letter_map(-i)):
+                grown = multi_union(grown, multi_shifted_image(
+                    multi_intersect(support, iso.dom), iso.orient, iso.offset))
+        support = grown
+    return stages
+
+
+def scalar_indecomposability_search(system, piece, target, r_max: int,
+                                    max_len: int) -> dict:
+    from grouptrees.errors import InvalidSystemError, OutOfSupportError
+    from grouptrees.isometry_systems import _verify_chain
+
+    for iv in (piece, target):
+        if iv.is_point:
+            raise InvalidSystemError("piece and target must be nondegenerate")
+        if not system.forest.contains_interval(iv):
+            raise OutOfSupportError(f"{iv} leaves the support")
+    if r_max >= 1 and piece.contains_interval(target):
+        chain = [{"word": "", "interval": piece}]
+        return {"status": "chain-found", "chain": chain, "r": 1,
+                "r_max": r_max, "max_len": max_len}
+
+    cands = scalar_image_candidates(system, piece, max_len)
+    chain = []
+    reach = None
+    while len(chain) < r_max:
+        if chain:
+            eligible = [(w, iv) for w, iv in cands if iv.lo < reach]
+        else:
+            eligible = [(w, iv) for w, iv in cands
+                        if iv.lo <= target.lo and iv.hi > target.lo]
+        best = None
+        for w, iv in eligible:
+            if best is None or iv.hi > best[1].hi:
+                best = (w, iv)
+        if best is None or (chain and best[1].hi <= reach):
+            return {"status": "exhausted", "chained": len(chain),
+                    "r_max": r_max, "max_len": max_len,
+                    "candidates": len(cands)}
+        chain.append(best)
+        reach = best[1].hi
+        if reach >= target.hi:
+            _verify_chain(system, piece, target, chain)
+            return {"status": "chain-found",
+                    "chain": [{"word": _letters_text(w), "interval": iv}
+                              for w, iv in chain],
+                    "r": len(chain), "r_max": r_max, "max_len": max_len}
+    return {"status": "exhausted", "chained": len(chain), "r_max": r_max,
+            "max_len": max_len, "candidates": len(cands)}
+
+
+def scalar_subgroup_saturation(system, graph, piece, max_len: int, steps: int) -> dict:
+    from grouptrees.errors import OutOfSupportError
+    from grouptrees.isometry_systems import _gen_letter_index, _word_image
+
+    letters = _gen_letter_index(system, graph)
+    if not system.forest.contains_interval(piece):
+        raise OutOfSupportError("the starting interval leaves the support")
+    letter_to_gen = {letter: gi + 1 for gi, letter in enumerate(letters)}
+
+    translates = []
+    rejected = 0
+    for h in subgroup_elements(graph, max_len):
+        if any(abs(l) not in letter_to_gen for l in h):
+            rejected += 1
+            continue
+        gen_word = [letter_to_gen[l] if l > 0 else -letter_to_gen[-l] for l in h]
+        img = _word_image(system, gen_word, piece)
+        if img is None or img.is_point:
+            continue
+        translates.append((h, img))
+
+    support = MultiInterval([piece])
+    saturated = False
+    used = 0
+    added_words = []
+    for _ in range(steps):
+        additions = []
+        for h, img in translates:
+            if support.contains_interval(img):
+                continue
+            if multi_intersect(support, img).measure.sign() > 0:
+                additions.append((h, img))
+        if not additions:
+            saturated = True
+            break
+        used += 1
+        for h, img in additions:
+            support = multi_union(support, img)
+            added_words.append(_letters_text(h))
+    return {"support": support, "saturated": saturated, "steps_used": used,
+            "translates_added": added_words, "rejected_words": rejected,
+            "max_len": max_len}
 
 
 # -- the two-phase spanning tree of the Hall completion ------------------------
@@ -1427,7 +1654,7 @@ def every_translate_family_report(graph, subgroup, max_len: int, radius: int) ->
         report["violations"] = []
         return report
 
-    ball = subgroup_elements(subgroup, max_len)[:64]
+    ball = list(subgroup_elements(subgroup, max_len))[:64]
     ending, starting = {}, {}
     for h in ball:
         if h:

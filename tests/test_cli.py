@@ -508,8 +508,9 @@ class TestCli:
         assert body["budgets"] == {"budget": 500, "max_word": 6}
 
     @pytest.mark.parametrize("chain_max, code, result", [
-        # the piece covers the target: a chain of one image, but not of none
-        ("0", 2, {"candidates": 42, "chained": 0, "max_len": 8, "r_max": 0,
+        # the piece covers the target: a chain of one image, but not of none,
+        # and with no chain allowed no candidate image is built
+        ("0", 2, {"candidates": 0, "chained": 0, "max_len": 8, "r_max": 0,
                   "status": "exhausted"}),
         ("1", 0, {"chain": [{"interval": ["0", "1/2"], "word": ""}],
                   "max_len": 8, "r": 1, "r_max": 1, "status": "chain-found"})])
@@ -886,6 +887,20 @@ class TestLoadErrors:
             (tmp_path / name).write_text(json.dumps(doc))
         argv = [str(tmp_path / a) if a in files else a for a in argv]
         assert run_cli(capsys, *argv) == (1, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("text,field,digits", [
+        ('{"rank": %s, "generators": ["a"]}' % ("1" * 5000), "rank", 5000),
+        # inside a list, the field that holds the list is named
+        ('{"rank": 2, "generators": ["a"], "spare": [[1, -%s]]}' % ("2" * 4400),
+         "spare", 4400)])
+    def test_integer_past_the_digit_limit(self, capsys, tmp_path, text, field, digits):
+        # Python refuses to convert an integer of over 4300 digits; the
+        # error names the file and the field, like every document error
+        path = tmp_path / "sub.json"
+        path.write_text(text)
+        assert run_cli(capsys, "stallings", "index", "--in", str(path)) == (
+            1, "", f"error: subgroup file {str(path)!r}: field '{field}': an "
+                   f"integer of {digits} digits is too long\n")
 
     def test_inline_interval_mixing_two_fields(self, capsys, tmp_path):
         # an inline pair declares no field, so each end may use any one,

@@ -3,11 +3,14 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from grouptrees.core import Scalar
+from grouptrees.core import Scalar, _integer_view, _make
 from grouptrees.errors import InvalidSystemError
-from grouptrees.intervals import Interval, MultiInterval
+from grouptrees.intervals import (Interval, MultiInterval, _intersect, _measure, _multi,
+                                  _shifted, _union)
+
+from _oracles import multi_intersect, multi_shifted_image, multi_union
 
 S = Scalar.of
 
@@ -91,12 +94,12 @@ class TestMultiInterval:
         assert not big.contains_multi(mi((1, 2),))
 
     def test_intersect(self):
-        assert mi((0, 1), (2, 3)).intersect(mi(("1/2", "5/2"))) == \
+        assert multi_intersect(mi((0, 1), (2, 3)), mi(("1/2", "5/2"))) == \
             mi(("1/2", 1), (2, "5/2"))
-        assert not mi((0, 1)).intersect(iv(2, 3)).components
+        assert not multi_intersect(mi((0, 1)), iv(2, 3)).components
 
     def test_union_coerces_interval(self):
-        assert mi((0, 1)).union(iv(1, 2)) == mi((0, 2))
+        assert multi_union(mi((0, 1)), iv(1, 2)) == mi((0, 2))
 
     def test_endpoints_skip_point_duplicates(self):
         m = MultiInterval([iv(0, 1), iv(2, 2)])
@@ -104,24 +107,75 @@ class TestMultiInterval:
 
     @given(multis(), multis())
     def test_intersection_measure_bounded(self, a, b):
-        inter = a.intersect(b)
+        inter = multi_intersect(a, b)
         assert (inter.measure - a.measure).sign() <= 0
         assert (inter.measure - b.measure).sign() <= 0
         assert a.contains_multi(inter) and b.contains_multi(inter)
 
     @given(multis(), multis())
     def test_union_inclusion_exclusion_inequalities(self, a, b):
-        u = a.union(b)
+        u = multi_union(a, b)
         assert u.contains_multi(a) and u.contains_multi(b)
         # |a ∪ b| + |a ∩ b| = |a| + |b| holds exactly for interval unions
-        lhs = u.measure + a.intersect(b).measure
+        lhs = u.measure + multi_intersect(a, b).measure
         assert lhs == a.measure + b.measure
 
     @given(multis(), st.sampled_from([1, -1]), fracs)
     def test_shift_preserves_measure(self, a, orient, off):
-        img = a.shifted_image(orient, S(off))
+        img = multi_shifted_image(a, orient, S(off))
         assert img.measure == a.measure
 
     @given(multis())
     def test_double_reversal_is_identity(self, a):
-        assert a.shifted_image(-1, S(0)).shifted_image(-1, S(0)) == a
+        assert multi_shifted_image(multi_shifted_image(a, -1, S(0)), -1, S(0)) == a
+
+
+# ends on a coarse grid of Q or Q(sqrt5), so that drawn components often
+# touch, overlap exactly at an end or shrink to a point
+grid_ends = st.builds(lambda a, b: S(Fraction(a, 4)) + S(Fraction(b, 4)) * S("sqrt5"),
+                      st.integers(-8, 8), st.integers(-2, 2))
+rational_ends = st.integers(-8, 8).map(lambda a: S(Fraction(a, 4)))
+
+
+@st.composite
+def grid_multis(draw, ends):
+    pieces = []
+    for _ in range(draw(st.integers(0, 5))):
+        lo, hi = sorted((draw(ends), draw(ends)))
+        pieces.append(Interval(lo, lo) if draw(st.booleans()) and draw(st.booleans())
+                      else Interval(lo, hi))
+    return MultiInterval(pieces)
+
+
+def to_kernel(sets, extra=()):
+    """(den, d, kernel sets, extra pairs) on one denominator and field."""
+    den, d, pairs = _integer_view([e for m in sets for iv in m.components
+                                   for e in (iv.lo, iv.hi)] + list(extra))
+    ends = iter(zip(pairs[0::2], pairs[1::2]))
+    kernel = [tuple(next(ends) for _ in m.components) for m in sets]
+    return den, d, kernel, pairs[len(pairs) - len(extra):]
+
+
+class TestIntegerKernel:
+    """The kernel's intersect, union, shift and measure against the
+    MultiInterval operations they replaced, over Q and Q(sqrt5)."""
+
+    @given(st.sampled_from([rational_ends, grid_ends]).flatmap(
+        lambda ends: st.tuples(grid_multis(ends), grid_multis(ends))))
+    @settings(max_examples=300)
+    def test_intersect_and_union(self, pair):
+        a, b = pair
+        den, d, (ka, kb), _ = to_kernel((a, b))
+        assert _multi(_intersect(ka, kb, d), den, d) == multi_intersect(a, b)
+        assert _multi(_union(ka, kb, d), den, d) == multi_union(a, b)
+        assert _multi(ka, den, d) == a
+
+    @given(st.sampled_from([rational_ends, grid_ends]).flatmap(
+        lambda ends: st.tuples(grid_multis(ends), ends)), st.sampled_from([1, -1]))
+    @settings(max_examples=200)
+    def test_shift_and_measure(self, drawn, orient):
+        a, offset = drawn
+        den, d, (ka,), (off,) = to_kernel((a,), (offset,))
+        assert _multi(_shifted(ka, orient, off), den, d) == \
+            multi_shifted_image(a, orient, offset)
+        assert _make(*_measure(ka), den, d) == a.measure

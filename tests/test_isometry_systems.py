@@ -23,9 +23,10 @@ from grouptrees.errors import (
     MixedFieldError,
     OutOfSupportError,
 )
-from grouptrees.intervals import Interval, MultiInterval
+from grouptrees.intervals import Interval, MultiInterval, _interval, _multi
 from grouptrees.isometry_systems import (
     PartialIsometry,
+    _compile_sets,
     _image_candidates,
     _scalars,
     _verify_chain,
@@ -269,6 +270,16 @@ def random_system(data) -> SoISystem:
     return system([(0, 1)], maps)
 
 
+def kernel_candidates(sy, seed, max_len):
+    """_image_candidates with each image as the seed's type: Interval or
+    MultiInterval."""
+    den, d, maps, (kernel_seed,) = _compile_sets(sy, (seed,))
+    as_seed = ((lambda img: _interval(img[0], den, d)) if isinstance(seed, Interval)
+               else (lambda img: _multi(img, den, d)))
+    return [(w, as_seed(img))
+            for w, img in _image_candidates(maps, kernel_seed, d, max_len)]
+
+
 class TestOneWordWalk:
     """The independence search and the image candidates against the layer
     loops each of them wrote out before they shared one walk."""
@@ -287,7 +298,7 @@ class TestOneWordWalk:
                                   min_size=1, max_size=3 if multi else 1))
         arcs = [iv(Fraction(lo, 12), Fraction(min(lo + w, 12), 12)) for lo, w in arcs]
         seed = MultiInterval(arcs) if multi else arcs[0]
-        assert _image_candidates(sy, seed, max_len) == \
+        assert kernel_candidates(sy, seed, max_len) == \
             layered_image_candidates(sy, seed, max_len)
 
 

@@ -1,6 +1,7 @@
 """Subgroup graphs: folding, membership, index, meet, conjugation, covers."""
 
 import random
+from itertools import islice
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -230,8 +231,22 @@ class TestSubgroupElements:
     def test_matches_membership_filter(self, rank, raws, max_len):
         gens = [Word.make([l for l in r if abs(l) <= rank], rank) for r in raws]
         graph = build_core(gens, rank)
-        assert (subgroup_elements(graph, max_len)
+        assert (list(subgroup_elements(graph, max_len))
                 == filter_subgroup_elements(graph, max_len))
+
+    @given(st.integers(2, 3),
+           st.lists(st.lists(st.integers(1, 3).flatmap(
+               lambda a: st.sampled_from([a, -a])), min_size=1, max_size=3),
+               min_size=1, max_size=4),
+           st.integers(3, 5))
+    @settings(max_examples=40)
+    def test_first_64_are_the_whole_list_cut(self, rank, raws, max_len):
+        # transverse_family_report takes the first 64 elements of the
+        # stream; they are the first 64 of the whole list, in its order
+        gens = [Word.make([l for l in r if abs(l) <= rank], rank) for r in raws]
+        graph = build_core(gens, rank)
+        assert (list(islice(subgroup_elements(graph, max_len), 64))
+                == filter_subgroup_elements(graph, max_len)[:64])
 
 
 class TestHall:
