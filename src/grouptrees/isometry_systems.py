@@ -179,10 +179,10 @@ def _compile_sets(system: SoISystem, sets):
     letters = system.signed_letters()
     den, d, maps, pairs = _compile(
         system, letters, [e for p in parts for iv in p for e in (iv.lo, iv.hi)])
+    maps = [(l, (o, (oa, ob), (((la, lb), (ha, hb)),)))
+            for l, (o, oa, ob, la, lb, ha, hb) in zip(letters, maps)]
     ends = zip(pairs[0::2], pairs[1::2])
-    return den, d, [(l, (o, (oa, ob), (((la, lb), (ha, hb)),)))
-                    for l, (o, oa, ob, la, lb, ha, hb) in zip(letters, maps)], \
-        [tuple(next(ends) for _ in p) for p in parts]
+    return den, d, maps, [tuple(next(ends) for _ in p) for p in parts]
 
 
 def _scalars(pairs, den: int, d: int) -> tuple[Scalar, ...]:
