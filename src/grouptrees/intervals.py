@@ -97,10 +97,6 @@ class MultiInterval(_Frozen):
     def contains_multi(self, other: "MultiInterval") -> bool:
         return all(self.contains_interval(iv) for iv in other.components)
 
-    def endpoints(self) -> list[Scalar]:
-        return [e for iv in self.components
-                for e in ((iv.lo,) if iv.is_point else (iv.lo, iv.hi))]
-
     def jsonable(self) -> list[list[str]]:
         return [[str(iv.lo), str(iv.hi)] for iv in self.components]
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from functools import cmp_to_key
 from math import isqrt
+from operator import itemgetter
 
 from .core import (Scalar, ZERO, _LETTER, _Frozen, _integer_view, _letters_text, _make,
                    _sign, ordered_letters)
@@ -131,15 +132,16 @@ def _in_support(system: SoISystem, x: Scalar) -> None:
         raise OutOfSupportError(f"{x} lies outside the support")
 
 
-def _layered_search(start, expand, points, budgets) -> dict:
+def _layered_search(start, expand, key, points, budgets) -> dict:
     """Breadth-first search from `start`: {budget: (status, points(visited))}.
 
-    `expand(state)` yields a state's neighbours.  A budget is "truncated" once
-    more than that many states are visited before a layer is expanded, and
-    "closed" if the frontier empties first.  Budgets are checked between
-    layers only, so no answer depends on the order a layer was visited in.
+    `visited` maps each state to its order key, key(state), computed once;
+    `expand(state, k)` yields the neighbours of a state of key k.  A budget is
+    "truncated" once more than that many states are visited before a layer is
+    expanded, and "closed" if the frontier empties first.  Budgets are checked
+    between layers only, so no answer depends on the order a layer was visited in.
     """
-    visited = {start}
+    visited = {start: key(start)}
     frontier = [start]
     pending = sorted(set(budgets))
     results = {}
@@ -150,79 +152,90 @@ def _layered_search(start, expand, points, budgets) -> dict:
             return results
         nxt = []
         for state in frontier:
-            for new in expand(state):
+            for new in expand(state, visited[state]):
                 if new not in visited:
-                    visited.add(new)
+                    visited[new] = key(new)
                     nxt.append(new)
         frontier = nxt
     results.update(dict.fromkeys(pending, ("closed", points(visited))))
     return results
 
 
-def _compile(system: SoISystem, letters, values):
-    """(den, d, maps, pairs) over int pairs (a, b) standing for (a + b*sqrt(d))/den;
-    each letter's map becomes (orient, oa, ob, lo_a, lo_b, hi_a, hi_b), and
-    pairs[i] is values[i].  The maps' values are joined first, so a value of
-    another field fails naming the system's field first."""
-    maps = [system.letter_map(l) for l in letters]
+def _keyer(d: int):
+    """The order key of a state (a, b, ...): floor(2^64 * (a + b*sqrt(d))), or a
+    itself when d == 1.  Keys are monotone: a smaller key is a smaller value,
+    and only states of equal keys need `_sign`."""
+    return itemgetter(0) if d == 1 else lambda s: (s[0] << 64) + (
+        isqrt(s[1] * s[1] * d << 128) if s[1] >= 0 else ~isqrt(s[1] * s[1] * d << 128))
+
+
+def _compile(system: SoISystem, values, scale: int = 1):
+    """((den, d, key, maps), pairs) over int pairs (a, b) standing for (a +
+    b*sqrt(d))/den, key = _keyer(d): the map of the i-th signed letter becomes
+    (orient, oa, ob, lo_a, lo_b, hi_a, hi_b, key(lo), key(hi)), pairs[i] is
+    values[i], and `scale` multiplies den and every pair.  The maps' values are
+    joined first, so a value of another field fails naming the system's field."""
+    maps = [system.letter_map(l) for l in system.signed_letters()]
     k = 3 * len(maps)
     den, d, pairs = _integer_view(
         [v for g in maps for v in (g.offset, g.dom.lo, g.dom.hi)] + list(values))
-    return den, d, [(g.orient, *off, *lo, *hi) for g, off, lo, hi in
-                    zip(maps, pairs[0:k:3], pairs[1:k:3], pairs[2:k:3])], pairs[k:]
+    pairs, key = [(a * scale, b * scale) for a, b in pairs], _keyer(d)
+    maps = [(g.orient, *off, *lo, *hi, key(lo), key(hi)) for g, off, lo, hi
+            in zip(maps, pairs[0:k:3], pairs[1:k:3], pairs[2:k:3])]
+    return (den * scale, d, key, maps), pairs[k:]
 
 
 def _compile_sets(system: SoISystem, sets):
-    """_compile over the signed letters for Intervals and MultiIntervals: (den, d,
-    maps, kernel sets), maps[i] = (letter, (orient, offset, dom)), dom one arc."""
+    """_compile for Intervals and MultiIntervals: (den, d, maps, kernel sets),
+    maps[i] = (letter, (orient, offset, dom)), dom one arc."""
     parts = [s.components if isinstance(s, MultiInterval) else (s,) for s in sets]
-    letters = system.signed_letters()
-    den, d, maps, pairs = _compile(
-        system, letters, [e for p in parts for iv in p for e in (iv.lo, iv.hi)])
+    (den, d, _, maps), pairs = _compile(
+        system, [e for p in parts for iv in p for e in (iv.lo, iv.hi)])
     maps = [(l, (o, (oa, ob), (((la, lb), (ha, hb)),)))
-            for l, (o, oa, ob, la, lb, ha, hb) in zip(letters, maps)]
+            for l, (o, oa, ob, la, lb, ha, hb, *_) in zip(system.signed_letters(), maps)]
     ends = zip(pairs[0::2], pairs[1::2])
     return den, d, maps, [tuple(next(ends) for _ in p) for p in parts]
 
 
-def _scalars(pairs, den: int, d: int) -> tuple[Scalar, ...]:
-    """Int `pairs` as Scalars sorted exactly: irrational ones by the monotone
-    floor(2^64 * (a + b*sqrt(d))) first, so the sign test after is near-linear."""
-    if d > 1:
-        root = lambda b: isqrt(b * b * d << 128)
-        pairs = sorted(pairs, key=lambda p: (p[0] << 64) + (
-            root(p[1]) if p[1] >= 0 else ~root(p[1])))
-    pairs = sorted(pairs, key=None if d == 1 else cmp_to_key(
-        lambda p, q: _sign(p[0] - q[0], p[1] - q[1], d)))
-    return tuple(_make(a, b, den, d) for a, b in pairs)
+def _between(a: int, b: int, la: int, lb: int, ha: int, hb: int, d: int) -> bool:
+    """lo <= p <= hi, exactly: the domain tests' fallback when a key ties an end's."""
+    return _sign(a - la, b - lb, d) >= 0 and _sign(ha - a, hb - b, d) >= 0
 
 
-def orbit(system: SoISystem, x, budget: int):
+def _ordered(keyed: dict, d: int) -> list:
+    """The pairs of `keyed` (pair -> order key) in increasing order: one sort by
+    key, exact by `_sign` only between pairs of equal keys."""
+    exact = cmp_to_key(lambda p, q: keyed[p] - keyed[q] or _sign(p[0] - q[0], p[1] - q[1], d))
+    return sorted(keyed, key=keyed.get if len(set(keyed.values())) == len(keyed) else exact)
+
+
+def _scalars(keyed: dict, den: int, d: int) -> tuple[Scalar, ...]:
+    return tuple(_make(a, b, den, d) for a, b in _ordered(keyed, d))
+
+
+def orbit(system: SoISystem, x, budget: int, view=None):
     """BFS closure of {x} under all generators and inverses.
 
     Returns (status, points) with status "closed" or "truncated"; points is
     the sorted tuple of distinct points collected (at most budget+ a layer's
-    worth when truncated, deterministically).
+    worth when truncated, deterministically).  Given `view`, from `_compile`,
+    x is an int pair and points a dict from int pair to order key instead.
+    A domain test compares keys, and calls `_sign` only on a tie.
     """
-    _in_support(system, x)
-    den, d, maps, (start,) = _compile(system, system.signed_letters(), (x,))
+    ints = view is not None
+    if not ints:
+        _in_support(system, x)
+        view, (x,) = _compile(system, (x,))
+    den, d, key, maps = view
 
-    def expand(p):
+    def expand(p, k):
         a, b = p
-        for orient, oa, ob, la, lb, ha, hb in maps:
-            if _sign(a - la, b - lb, d) >= 0 and _sign(ha - a, hb - b, d) >= 0:
+        for orient, oa, ob, la, lb, ha, hb, klo, khi in maps:
+            if klo < k < khi or klo <= k <= khi and _between(a, b, la, lb, ha, hb, d):
                 yield (a + oa, b + ob) if orient > 0 else (oa - a, ob - b)
 
-    return _layered_search(start, expand, lambda v: _scalars(v, den, d),
-                           (budget,))[budget]
-
-
-def singular_points(system: SoISystem) -> tuple[Scalar, ...]:
-    """Endpoints of generator domains and ranges plus support components, sorted."""
-    pts = set(system.forest.endpoints())
-    for g in system.generators:
-        pts.update((g.dom.lo, g.dom.hi, g.ran.lo, g.ran.hi))
-    return tuple(sorted(pts))
+    status, keyed = _layered_search(x, expand, key, dict, (budget,))[budget]
+    return status, keyed if ints else _scalars(keyed, den, d)
 
 
 def finite_orbit_families(system: SoISystem, budget: int) -> dict:
@@ -233,60 +246,54 @@ def finite_orbit_families(system: SoISystem, budget: int) -> dict:
     measure is the (common) interval length and whose cardinality is the orbit
     size.  status is "complete" only when every orbit involved closed within
     the budget; otherwise e is unknown and e_lower_bound sums the resolved
-    families.
+    families.  The orbits run on one view in doubled coordinates, where every
+    singular point, hence every orbit point and every midpoint, is an int pair.
     """
-    report = {"budget": budget}
-    union: set[Scalar] = set()
-    singular_complete = True
-    for p in singular_points(system):
-        if p in union:
-            continue
-        status, pts = orbit(system, p, budget)
-        union.update(pts)
-        if status == "truncated":
-            singular_complete = False
-    report["singular_complete"] = singular_complete
-    if not singular_complete:
+    view, ends = _compile(system, [e for c in system.forest.components
+                                   for e in (c.lo, c.hi)], 2)
+    den, d, key, maps = view
+    # the singular points: the support's ends and every letter's domain ends
+    singular = {p: key(p) for p in ends + [e for m in maps for e in (m[3:5], m[5:7])]}
+    union, complete = {}, True
+    for p in _ordered(singular, d):
+        if p not in union:
+            status, pts = orbit(system, p, budget, view)
+            union.update(pts)
+            complete = complete and status == "closed"
+    report = {"budget": budget, "singular_complete": complete}
+    if not complete:
         report.update(status="partial", families=[], e=None, e_lower_bound=ZERO)
         return report
 
-    gaps: list[Interval] = []
-    for comp in system.forest.components:
-        pts = sorted(q for q in union if comp.contains(q))
-        for a, b in zip(pts, pts[1:]):
-            if a != b:
-                gaps.append(Interval(a, b))
-
-    midpoints = [g.midpoint for g in gaps]
-    all_midpoints = set(midpoints)
-    families = []
-    assigned: set[Scalar] = set()
-    complete = True
-    for gap, mid in zip(gaps, midpoints):
+    # the support's ends are singular: neighbours in the sorted union bound a
+    # gap unless the lower one ends a component
+    his, pts = set(ends[1::2]), _ordered(union, d)
+    gaps = [(p, q) for p, q in zip(pts, pts[1:]) if p not in his]
+    mids = [((p[0] + q[0]) // 2, (p[1] + q[1]) // 2) for p, q in gaps]
+    all_mids, families, assigned, e = set(mids), [], set(), (0, 0)
+    for (p, q), mid in zip(gaps, mids):
         if mid in assigned:
             continue
-        status, pts = orbit(system, mid, budget)
+        status, pts = orbit(system, mid, budget, view)
         assigned.update(pts)
         if status == "truncated":
-            families.append({"interval": gap, "status": "truncated",
-                             "observed": len(pts)})
+            families.append({"interval": _interval((p, q), den, d),
+                             "status": "truncated", "observed": len(pts)})
             complete = False
             continue
-        orbit_points = set(pts)
-        if not orbit_points <= all_midpoints:
+        if not pts.keys() <= all_mids:
             raise RuntimeError("a finite-orbit family escaped the singular decomposition")
-        members = [g for g, m in zip(gaps, midpoints) if m in orbit_points]
-        if any(g.length != gap.length for g in members):
+        members = [g for g, m in zip(gaps, mids) if m in pts]
+        length = (q[0] - p[0], q[1] - p[1])
+        if any((hi[0] - lo[0], hi[1] - lo[1]) != length for lo, hi in members):
             raise RuntimeError("a finite-orbit family mixes gaps of different lengths")
-        families.append({"interval": members[0], "measure": gap.length,
+        e = (e[0] + length[0], e[1] + length[1])
+        families.append({"interval": _interval(members[0], den, d),
+                         "measure": _make(*length, den, d),
                          "cardinality": len(pts), "status": "complete"})
-
-    e_lower = sum((fam["measure"] for fam in families
-                   if fam["status"] == "complete"), ZERO)
-    report["families"] = families
-    report["status"] = "complete" if complete else "partial"
-    report["e"] = e_lower if complete else None
-    report["e_lower_bound"] = e_lower
+    e = _make(*e, den, d)
+    report.update(families=families, status="complete" if complete else "partial",
+                  e=e if complete else None, e_lower_bound=e)
     return report
 
 
@@ -584,7 +591,7 @@ def _gen_letter_index(system: SoISystem, graph: StallingsGraph):
 
 
 def subgroup_constrained_orbit(system: SoISystem, graph: StallingsGraph, x,
-                               budget: int, snapshots=None):
+                               budget: int, snapshots=None, ints: bool = False):
     """Orbit of x under subgroup words only, tracked through the subgroup graph.
 
     States are (point, graph vertex); a generator moves the point while its
@@ -596,28 +603,28 @@ def subgroup_constrained_orbit(system: SoISystem, graph: StallingsGraph, x,
     Given a list of `snapshots`, one breadth-first search answers several
     budgets: the call returns a dict from `budget` and each budget in
     `snapshots` to the (status, points) a call with that budget alone would
-    return.
+    return.  With `ints`, each points is a dict from int pair to order key.
     """
     letters = _gen_letter_index(system, graph)
     _in_support(system, x)
-    signed = [(s * (i + 1), s * l) for i, l in enumerate(letters) for s in (1, -1)]
-    den, d, maps, ((xa, xb),) = _compile(system, [g for g, _ in signed], (x,))
-    moves = [(m, letter) for m, (_, letter) in zip(maps, signed)]
+    (den, d, key, maps), (x,) = _compile(system, (x,))
+    moves = list(zip(maps, [s * l for l in letters for s in (1, -1)]))
 
-    def expand(state):
+    def expand(state, k):
         a, b, vertex = state
-        for (orient, oa, ob, la, lb, ha, hb), letter in moves:
-            if _sign(a - la, b - lb, d) >= 0 and _sign(ha - a, hb - b, d) >= 0:
-                w = graph.step(vertex, letter)
+        darts = graph.darts_at(vertex)
+        for (orient, oa, ob, la, lb, ha, hb, klo, khi), letter in moves:
+            if klo < k < khi or klo <= k <= khi and _between(a, b, la, lb, ha, hb, d):
+                w = darts.get(letter)
                 if w is not None:
                     yield ((a + oa, b + ob, w) if orient > 0
                            else (oa - a, ob - b, w))
 
     def at_base(visited):
-        return _scalars({(a, b) for a, b, v in visited if v == graph.base},
-                        den, d)
+        keyed = {(a, b): k for (a, b, v), k in visited.items() if v == graph.base}
+        return keyed if ints else _scalars(keyed, den, d)
 
-    results = _layered_search((xa, xb, graph.base), expand, at_base,
+    results = _layered_search((*x, graph.base), expand, key, at_base,
                               (budget, *(snapshots or ())))
     return results[budget] if snapshots is None else results
 
@@ -686,26 +693,24 @@ def discreteness_report(system: SoISystem, graph: StallingsGraph, samples,
     heuristic: finite budgets cannot prove density.
     """
     budgets = sorted({min(max(budget // k, 1), budget) for k in (4, 2, 1)})
-    rows = []
-    growth = {b: [] for b in budgets}
-    all_closed = True
-    min_gap = None
+    rows, growth, min_gap = [], {b: [] for b in budgets}, None
     for x in samples:
         runs = subgroup_constrained_orbit(system, graph, x, budgets[-1],
-                                          budgets[:-1])
+                                          budgets[:-1], True)
         for b in budgets:
             growth[b].append(len(runs[b][1]))
-        status, points = runs[budgets[-1]]
-        rows.append({"sample": x, "status": status,
-                     "orbit_size": len(points)})
-        if status != "closed":
-            all_closed = False
-        for a, bpt in zip(points, points[1:]):
-            gap = bpt - a
-            if gap.sign() > 0 and (min_gap is None or gap < min_gap):
+        status, keyed = runs[budgets[-1]]
+        rows.append({"sample": x, "status": status, "orbit_size": len(keyed)})
+        # the sample's least gap between neighbours, as one Scalar
+        (den, d, key, _), _ = _compile(system, (x,))
+        points = _ordered(keyed, d)
+        gaps = {(qa - pa, qb - pb) for (pa, pb), (qa, qb) in zip(points, points[1:])}
+        if gaps:
+            gap = _make(*_ordered({g: key(g) for g in gaps}, d)[0], den, d)
+            if min_gap is None or gap < min_gap:
                 min_gap = gap
     threshold = total_measure(system) * _TWENTIETH
-    if all_closed:
+    if all(row["status"] == "closed" for row in rows):
         verdict = "suggests-discrete"
     elif min_gap is not None and min_gap < threshold:  # some orbit truncated
         verdict = "suggests-dense"

@@ -69,3 +69,18 @@ def random_subgroups(seed: int, count: int, rank: int = 2,
         if graph.edges:
             graphs.append(graph)
     return graphs
+
+
+def scaled_system(sy: SoISystem, q: Scalar) -> SoISystem:
+    """The system with every point x moved to q*x, for q > 0."""
+    return SoISystem(scaled(sy.forest, q),
+                     [PartialIsometry(scaled(g.dom, q), g.orient, g.offset * q)
+                      for g in sy.generators], sy.labels)
+
+
+def scaled(value, q: Scalar):
+    if isinstance(value, MultiInterval):
+        return MultiInterval(scaled(c, q) for c in value.components)
+    if isinstance(value, Interval):
+        return Interval(value.lo * q, value.hi * q)
+    return value * q

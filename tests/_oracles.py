@@ -46,6 +46,15 @@ the subgroup-constrained orbit and the discreteness report before one
 breadth-first search answered several budgets: the report ran the search
 from scratch at budgets b/4, b/2 and b.
 
+:func:`scalar_finite_orbit_families` and :func:`scalar_discreteness_report`
+are ``soi families`` and ``soi discrete`` before they ran on int pairs with
+order keys: the families take the sorted :func:`singular_points` (which read
+the support's ends with :func:`multi_endpoints`, once
+``MultiInterval.endpoints``) and run one orbit per point and per gap
+midpoint on ``Scalar``s, each orbit here by :func:`sorted_frontier_orbit`;
+the report builds and sorts ``Scalar`` points at every snapshot and takes
+one ``Scalar`` difference per pair of neighbours for its minimum gap.
+
 :func:`rebuilding_ae_support_check` is ``soi cover``'s greedy before it
 clipped every candidate image to the target once: each round rebuilds every
 candidate's union with the covered set and intersects it with the target.
@@ -959,6 +968,120 @@ def three_run_discreteness_report(system, graph, samples, budget: int) -> dict:
     if all_closed:
         verdict = "suggests-discrete"
     elif any_truncated and min_gap is not None and min_gap < threshold:
+        verdict = "suggests-dense"
+    else:
+        verdict = "inconclusive"
+    return {
+        "verdict": verdict,
+        "heuristic": True,
+        "min_gap": min_gap,
+        "gap_threshold": threshold,
+        "samples": rows,
+        "growth": [{"budget": b, "orbit_sizes": growth[b]} for b in budgets],
+        "budget": budget,
+    }
+
+
+# -- finite-orbit families and discreteness on Scalars ----------------------------
+
+
+def multi_endpoints(m: MultiInterval) -> list[Scalar]:
+    return [e for iv in m.components
+            for e in ((iv.lo,) if iv.is_point else (iv.lo, iv.hi))]
+
+
+def singular_points(system) -> tuple[Scalar, ...]:
+    """Endpoints of generator domains and ranges plus support components, sorted."""
+    pts = set(multi_endpoints(system.forest))
+    for g in system.generators:
+        pts.update((g.dom.lo, g.dom.hi, g.ran.lo, g.ran.hi))
+    return tuple(sorted(pts))
+
+
+def scalar_finite_orbit_families(system, budget: int) -> dict:
+    from grouptrees.core import ZERO
+
+    report = {"budget": budget}
+    union: set[Scalar] = set()
+    singular_complete = True
+    for p in singular_points(system):
+        if p in union:
+            continue
+        status, pts = sorted_frontier_orbit(system, p, budget)
+        union.update(pts)
+        if status == "truncated":
+            singular_complete = False
+    report["singular_complete"] = singular_complete
+    if not singular_complete:
+        report.update(status="partial", families=[], e=None, e_lower_bound=ZERO)
+        return report
+
+    gaps: list[Interval] = []
+    for comp in system.forest.components:
+        pts = sorted(q for q in union if comp.contains(q))
+        for a, b in zip(pts, pts[1:]):
+            if a != b:
+                gaps.append(Interval(a, b))
+
+    midpoints = [g.midpoint for g in gaps]
+    all_midpoints = set(midpoints)
+    families = []
+    assigned: set[Scalar] = set()
+    complete = True
+    for gap, mid in zip(gaps, midpoints):
+        if mid in assigned:
+            continue
+        status, pts = sorted_frontier_orbit(system, mid, budget)
+        assigned.update(pts)
+        if status == "truncated":
+            families.append({"interval": gap, "status": "truncated",
+                             "observed": len(pts)})
+            complete = False
+            continue
+        orbit_points = set(pts)
+        if not orbit_points <= all_midpoints:
+            raise RuntimeError("a finite-orbit family escaped the singular decomposition")
+        members = [g for g, m in zip(gaps, midpoints) if m in orbit_points]
+        if any(g.length != gap.length for g in members):
+            raise RuntimeError("a finite-orbit family mixes gaps of different lengths")
+        families.append({"interval": members[0], "measure": gap.length,
+                         "cardinality": len(pts), "status": "complete"})
+
+    e_lower = sum((fam["measure"] for fam in families
+                   if fam["status"] == "complete"), ZERO)
+    report["families"] = families
+    report["status"] = "complete" if complete else "partial"
+    report["e"] = e_lower if complete else None
+    report["e_lower_bound"] = e_lower
+    return report
+
+
+def scalar_discreteness_report(system, graph, samples, budget: int) -> dict:
+    from grouptrees.isometry_systems import subgroup_constrained_orbit, total_measure
+
+    budgets = sorted({min(max(budget // k, 1), budget) for k in (4, 2, 1)})
+    rows = []
+    growth = {b: [] for b in budgets}
+    all_closed = True
+    min_gap = None
+    for x in samples:
+        runs = subgroup_constrained_orbit(system, graph, x, budgets[-1],
+                                          budgets[:-1])
+        for b in budgets:
+            growth[b].append(len(runs[b][1]))
+        status, points = runs[budgets[-1]]
+        rows.append({"sample": x, "status": status,
+                     "orbit_size": len(points)})
+        if status != "closed":
+            all_closed = False
+        for a, bpt in zip(points, points[1:]):
+            gap = bpt - a
+            if gap.sign() > 0 and (min_gap is None or gap < min_gap):
+                min_gap = gap
+    threshold = total_measure(system) * Scalar.of(Fraction(1, 20))
+    if all_closed:
+        verdict = "suggests-discrete"
+    elif min_gap is not None and min_gap < threshold:  # some orbit truncated
         verdict = "suggests-dense"
     else:
         verdict = "inconclusive"

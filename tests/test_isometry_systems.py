@@ -28,6 +28,7 @@ from grouptrees.isometry_systems import (
     PartialIsometry,
     _compile_sets,
     _image_candidates,
+    _keyer,
     _scalars,
     _verify_chain,
     SoISystem,
@@ -40,7 +41,6 @@ from grouptrees.isometry_systems import (
     independence_check,
     indecomposability_search,
     orbit,
-    singular_points,
     subgroup_constrained_orbit,
     subgroup_saturation,
     total_measure,
@@ -49,7 +49,7 @@ from grouptrees.stallings import build_core
 
 from _fixtures import dependent_corpus
 from _oracles import (layered_image_candidates, layered_independence_check,
-                      rebuilding_ae_support_check, single_budget_orbit,
+                      rebuilding_ae_support_check, single_budget_orbit, singular_points,
                       sorted_frontier_orbit, three_run_discreteness_report)
 
 S = Scalar.of
@@ -186,7 +186,9 @@ class TestOrbit:
             e = e * (S("sqrt2") - 1)
         values = [e, S(0), -e, S("1/3") + e, S("1/3")]
         den, d, pairs = _integer_view(values)
-        assert _scalars(pairs, den, d) == tuple(sorted(values))
+        key = _keyer(d)
+        assert key(pairs[0]) == key(pairs[1]) and key(pairs[3]) == key(pairs[4])
+        assert _scalars({p: key(p) for p in pairs}, den, d) == tuple(sorted(values))
 
 
 class TestSingularPointsAndFamilies:

@@ -16,6 +16,7 @@ from grouptrees.isometry_systems import (PartialIsometry, SoISystem, _word_image
                                          indecomposability_search, subgroup_saturation)
 from grouptrees.stallings import build_core
 
+from _fixtures import scaled, scaled_system
 from _oracles import (scalar_ae_support_check, scalar_grow_forest,
                       scalar_indecomposability_search, scalar_subgroup_saturation)
 
@@ -152,20 +153,6 @@ def word_images(sy: SoISystem, words, seed: MultiInterval) -> MultiInterval:
             if img is not None:
                 out.append(img)
     return MultiInterval(out)
-
-
-def scaled_system(sy: SoISystem, q: Scalar) -> SoISystem:
-    return SoISystem(scaled(sy.forest, q),
-                     [PartialIsometry(scaled(g.dom, q), g.orient, g.offset * q)
-                      for g in sy.generators], sy.labels)
-
-
-def scaled(value, q: Scalar):
-    if isinstance(value, MultiInterval):
-        return MultiInterval(scaled(c, q) for c in value.components)
-    if isinstance(value, Interval):
-        return Interval(value.lo * q, value.hi * q)
-    return value * q
 
 
 scales = st.fractions(Fraction(1, 7), 5, max_denominator=9).map(S)
