@@ -701,12 +701,13 @@ def discreteness_report(system: SoISystem, graph: StallingsGraph, samples,
             growth[b].append(len(runs[b][1]))
         status, keyed = runs[budgets[-1]]
         rows.append({"sample": x, "status": status, "orbit_size": len(keyed)})
-        # the sample's least gap between neighbours, as one Scalar
         (den, d, key, _), _ = _compile(system, (x,))
         points = _ordered(keyed, d)
-        gaps = {(qa - pa, qb - pb) for (pa, pb), (qa, qb) in zip(points, points[1:])}
-        if gaps:
-            gap = _make(*_ordered({g: key(g) for g in gaps}, d)[0], den, d)
+        gaps = [(qa - pa, qb - pb) for (pa, pb), (qa, qb) in zip(points, points[1:])]
+        if gaps and (min_gap is None or min_gap.d in (1, d)):
+            gaps = _ordered({g: key(g) for g in gaps}, d)[:1]  # the least gap alone
+        for g in gaps:  # after a gap of another field, each in turn: the same ones fail
+            gap = _make(*g, den, d)
             if min_gap is None or gap < min_gap:
                 min_gap = gap
     threshold = total_measure(system) * _TWENTIETH

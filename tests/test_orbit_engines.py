@@ -158,6 +158,34 @@ class TestReportsMatchScalarEngines:
             scalar_discreteness_report(golden_system(), graph, xs, 400)
 
 
+class TestSamplesOfTwoFields:
+    """Samples of two fields on a rational system: a comparison of gaps across
+    the fields fails as it did on Scalars, gap by gap in point order, and
+    the report is the one the Scalar engine gave whenever that succeeded."""
+
+    SYSTEM = SoISystem(MultiInterval([iv(0, 1)]),
+                       [PartialIsometry(iv(0, "6/7"), 1, S("1/7")),
+                        PartialIsometry(iv(0, "1/7"), 1, S("6/7")),
+                        PartialIsometry(iv(0, "1/2"), -1, S("1/2"))], ["a", "b", "c"])
+
+    @staticmethod
+    def outcome(engine, *args):
+        try:
+            return engine(*args)
+        except Exception as exc:  # the outcome is the exception, compared by text
+            return f"{type(exc).__name__}: {exc}"
+
+    @pytest.mark.parametrize("gens", [("a", "c"), ("c", "ab"), ("a", "b", "c")])
+    @pytest.mark.parametrize("xs", [("1/3*sqrt2", "1/2*sqrt3"), ("1/2*sqrt3", "1/3*sqrt2"),
+                                    ("1/5", "1/9*sqrt2", "1/7*sqrt3", "1/7*sqrt5")])
+    @pytest.mark.parametrize("budget", [5, 40, 400])
+    def test_outcome_matches_scalar_engine(self, gens, xs, budget):
+        graph = build_core([parse_word(g, 3) for g in gens], 3)
+        args = (self.SYSTEM, graph, [S(x) for x in xs], budget)
+        assert self.outcome(discreteness_report, *args) == \
+            self.outcome(scalar_discreteness_report, *args)
+
+
 # -- the order key --------------------------------------------------------------
 
 
