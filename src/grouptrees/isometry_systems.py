@@ -267,8 +267,8 @@ def finite_orbit_families(system: SoISystem, budget: int) -> dict:
 
     # the support's ends are singular: neighbours in the sorted union bound a
     # gap unless the lower one ends a component
-    his, pts = set(ends[1::2]), _ordered(union, d)
-    gaps = [(p, q) for p, q in zip(pts, pts[1:]) if p not in his]
+    his, points = set(ends[1::2]), _ordered(union, d)
+    gaps = [(p, q) for p, q in zip(points, points[1:]) if p not in his]
     mids = [((p[0] + q[0]) // 2, (p[1] + q[1]) // 2) for p, q in gaps]
     all_mids, families, assigned, e = set(mids), [], set(), (0, 0)
     for (p, q), mid in zip(gaps, mids):
