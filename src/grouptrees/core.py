@@ -241,26 +241,21 @@ class Scalar:
     # -- rendering ---------------------------------------------------------------
 
     def __str__(self) -> str:
-        # the text of rat + irr*sqrt(d) with str(Fraction) for each part
+        # the text of rat + irr*sqrt(d) with str(Fraction) for each part; a
+        # rational value is in lowest terms already, by the normal form
         a, b, den, d = self._a, self._b, self._den, self._d
         if not b:
-            return _ratio_text(a, den)
+            return str(a) if den == 1 else f"{a}/{den}"
         tail = _ratio_text(b, den)
-        if tail == "1":
-            tail = f"sqrt{d}"
-        elif tail == "-1":
-            tail = f"-sqrt{d}"
-        else:
-            tail = f"{tail}*sqrt{d}"
-        if not a:
-            return tail
-        return f"{_ratio_text(a, den)}{'+' if b > 0 else ''}{tail}"
+        tail = f"{_UNIT_SIGN.get(tail, tail + '*')}sqrt{d}"
+        return f"{_ratio_text(a, den)}{'+' if b > 0 else ''}{tail}" if a else tail
 
     def __repr__(self) -> str:
         return f"Scalar({str(self)!r})"
 
 
 _new = object.__new__
+_UNIT_SIGN = {"1": "", "-1": "-"}  # the coefficient text of sqrt(d) and -sqrt(d)
 
 
 def _build(a: int, b: int, den: int, d: int) -> Scalar:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from .core import _letters_text, conjugator_length, enumerate_words, inverse, word_sort_key
 from .errors import DegenerateSubgroupError, PreconditionError
-from .stallings import StallingsGraph, index
+from .stallings import StallingsGraph, _read, index
 
 
 def _primitive_root(letters: tuple[int, ...]) -> tuple[int, ...]:
@@ -83,29 +83,35 @@ def periodic_leaf(g: tuple[int, ...]) -> tuple:
 # -- membership -----------------------------------------------------------------
 
 
-def _reads_forever(graph: StallingsGraph, prefix: tuple[int, ...],
-                   period: tuple[int, ...]) -> bool:
+def _reads(graph: StallingsGraph, tails: dict, prefix: tuple[int, ...],
+           period: tuple[int, ...]) -> bool:
     """True iff the ray prefix * period^infinity reads from the basepoint forever.
 
     Read the prefix, then the period repeatedly; the state after each period
     is a single vertex, so a repeat proves an infinite readable tail, and a
-    stuck read refutes it.  Terminates within (number of vertices) periods.
+    stuck read refutes it.  `tails` maps the vertices that walks of this
+    period visited to whether period^infinity reads forever from there.
     """
-    v = graph.trace(graph.base, prefix)
-    if v is None:
+    k, v = _read(graph, graph.base, prefix)
+    if k < len(prefix):
         return False
-    seen = set()
-    while v not in seen:
-        seen.add(v)
-        v = graph.trace(v, period)
-        if v is None:
-            return False
-    return True
+    walk = []
+    while v not in tails:
+        tails[v] = None  # on this walk: meeting it again closes a cycle
+        walk.append(v)
+        k, v = _read(graph, v, period)
+        if k < len(period):
+            verdict = False
+            break
+    else:
+        verdict = tails[v] is not False
+    tails.update(dict.fromkeys(walk, verdict))
+    return verdict
 
 
 def carries(graph: StallingsGraph, leaf: tuple) -> bool:
     """Literal two-ray membership — no translation is applied."""
-    return _reads_forever(graph, *leaf[0]) and _reads_forever(graph, *leaf[1])
+    return _reads(graph, {}, *leaf[0]) and _reads(graph, {}, *leaf[1])
 
 
 # -- leaf generation from a marked metric graph -----------------------------------
@@ -136,13 +142,15 @@ def carrier_scan(graph: MarkedMetricGraph, subgroup: StallingsGraph, epsilon: Sc
     translates = (list(enumerate_words(graph.rank, max_translate))
                   if max_translate > 0 and short else [()])
     carried, translate_hits = [], []
+    tails = {}  # period -> `_reads`' verdicts, shared by every ray of the scan
     for g in short:
         generator = _letters_text(g)
         period = _primitive_root(g)
         back = inverse(period)
         for w in translates:
             first, second = _canonical_ray(w, back), _canonical_ray(w, period)
-            if _reads_forever(subgroup, *first) and _reads_forever(subgroup, *second):
+            if (_reads(subgroup, tails.setdefault(first[1], {}), *first)
+                    and _reads(subgroup, tails.setdefault(second[1], {}), *second)):
                 leaf = _leaf_text(_leaf(first, second))
                 if w:
                     translate_hits.append({"generator": generator,

@@ -35,8 +35,8 @@ from .core import (Scalar, Word, ZERO, _class_table, _class_words, _integer_view
 from .errors import DegenerateSubgroupError, InvalidSystemError
 from .basis_change import invert_basis
 from . import folding
-from .stallings import (StallingsGraph, _checked_graph, basis_of, index, membership, rank_of,
-                        subgroup_elements)
+from .stallings import (StallingsGraph, _checked_graph, _read, basis_of, index, membership,
+                        rank_of, subgroup_elements)
 
 
 class MarkedMetricGraph:
@@ -359,12 +359,7 @@ def _to_subtree(cover: CoverCore, loop: tuple[int, ...]) -> tuple[tuple[int, ...
     vertex reached.  The gate is reached by undoing that rest and then
     following P's hair to the core.
     """
-    p, k = cover.p.base, 0
-    for d in loop:
-        q = cover.p.step(p, d)
-        if q is None:
-            break
-        p, k = q, k + 1
+    k, p = _read(cover.p, cover.p.base, loop)
     path = list(inverse(loop[k:]))
     while p not in cover.core_vertices:
         dart, p = cover.toward_core[p]
@@ -382,8 +377,9 @@ def _meets_translate(cover: CoverCore, g: tuple[int, ...], x1: tuple) -> bool:
     g^-1*x1 to its gate.  T_H is convex: it meets g*T_H iff that path reads
     in P from x1 to a core vertex.
     """
-    back = product(inverse(cover.graph.word_to_loop(g)), x1[0])
-    return cover.p.trace(x1[1], _to_subtree(cover, back)[0]) in cover.core_vertices
+    path = _to_subtree(cover, product(inverse(cover.graph.word_to_loop(g)), x1[0]))[0]
+    k, p = _read(cover.p, x1[1], path)
+    return k == len(path) and p in cover.core_vertices
 
 
 def _subtree_ball(cover: CoverCore, h: tuple[int, ...], radius: int) -> dict:

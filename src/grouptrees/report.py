@@ -19,67 +19,73 @@ EXIT_ERROR = 1
 EXIT_BUDGET = 2
 
 
-def to_jsonable(value):
-    """Recursively convert engine values to JSON-serializable structures; an
-    engine value with a report form of its own gives it by `jsonable()`."""
-    if value is None or isinstance(value, (bool, int, str)):
-        return value
-    if isinstance(value, Scalar):
+def _default(value):
+    """The JSON form of an engine value: the text of a Scalar or a Word, a set
+    as a list sorted by repr, or what its `jsonable()` gives."""
+    if isinstance(value, (Scalar, Word)):
         return str(value)
-    if isinstance(value, Word):
-        return str(value)
-    if isinstance(value, dict):
-        return {str(k): to_jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple, set, frozenset)):
-        items = list(value)
-        if isinstance(value, (set, frozenset)):
-            items = sorted(items, key=repr)
-        return [to_jsonable(v) for v in items]
+    if isinstance(value, (set, frozenset)):
+        return sorted(value, key=repr)
     jsonable = getattr(value, "jsonable", None)
-    if jsonable is not None:
-        return jsonable()
-    if hasattr(value, "__dict__") or hasattr(value, "__slots__"):
+    if jsonable is None:
         raise TypeError(f"no JSON form for {type(value).__name__}")
-    return value
+    return jsonable()
+
+
+_LEAVES = frozenset({str, int, bool, type(None)})
+
+
+def _check_keys(values) -> None:
+    """Refuse a dict key, at any depth of `values`, that is not a str: keys are
+    sorted before they become text, so 2 would come before 10, not after."""
+    for v in values:
+        if type(v) in _LEAVES:
+            continue
+        if isinstance(v, dict):
+            for k in v:
+                if not isinstance(k, str):
+                    raise TypeError(f"report key {k!r} is not a str")
+            _check_keys(v.values())
+        elif isinstance(v, (list, tuple)):
+            _check_keys(v)
+
+
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), ensure_ascii=False,
+                            default=_default)
+_IN_ORDER = json.JSONEncoder(ensure_ascii=False, default=_default)
+
+
+def to_jsonable(value):
+    """The value as plain JSON data in insertion order, for `render_text` and the scenarios."""
+    _check_keys((value,))
+    return json.loads(_IN_ORDER.encode(value))
 
 
 def render_json(report: dict) -> str:
-    body = to_jsonable(report)
-    return json.dumps(body, sort_keys=True, separators=(",", ":"),
-                      ensure_ascii=False) + "\n"
+    """The canonical text of a report, in one pass of the encoder."""
+    _check_keys((report,))
+    return _ENCODER.encode(report) + "\n"
 
 
 def _text_lines(value, indent: int):
     pad = "  " * indent
     if isinstance(value, dict):
-        for k in value:
-            v = value[k]
-            if isinstance(v, (dict, list)) and v:
-                yield f"{pad}{k}:"
-                yield from _text_lines(v, indent + 1)
-            else:
-                yield f"{pad}{k}: {_scalar_text(v)}"
+        items = ((f"{k}:", v) for k, v in value.items())
     elif isinstance(value, list):
-        for v in value:
-            if isinstance(v, (dict, list)) and v:
-                yield f"{pad}-"
-                yield from _text_lines(v, indent + 1)
-            else:
-                yield f"{pad}- {_scalar_text(v)}"
+        items = (("-", v) for v in value)
     else:
         yield f"{pad}{_scalar_text(value)}"
+        return
+    for head, v in items:
+        if isinstance(v, (dict, list)) and v:
+            yield f"{pad}{head}"
+            yield from _text_lines(v, indent + 1)
+        else:
+            yield f"{pad}{head} {_scalar_text(v)}"
 
 
 def _scalar_text(v) -> str:
-    if v is None:
-        return "null"
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, list) and not v:
-        return "[]"
-    if isinstance(v, dict) and not v:
-        return "{}"
-    return str(v)
+    return v if isinstance(v, str) else json.dumps(v)
 
 
 def render_text(report: dict) -> str:

@@ -64,19 +64,6 @@ class StallingsGraph:
                 "edges": [[u, l, v] for u, l, v in self.edges],
                 "basis": [str(w) for w in basis_of(self)], "index": index(self)}
 
-    # -- path tracing -----------------------------------------------------------
-
-    def step(self, v: int, letter: int) -> int | None:
-        """Follow one letter from vertex v; None when the edge is absent."""
-        return self._darts[v].get(letter)
-
-    def trace(self, v: int, letters) -> int | None:
-        for l in letters:
-            v = self.step(v, l)
-            if v is None:
-                return None
-        return v
-
     def darts_at(self, v: int) -> dict[int, int]:
         """The dart map {letter: target} at v; shared with the graph, so read it only."""
         return self._darts[v]
@@ -131,9 +118,20 @@ def build_core(generators, rank: int) -> StallingsGraph:
     return _canonical(rank, darts)[0]
 
 
+def _read(graph: StallingsGraph, v: int, letters: tuple[int, ...]) -> tuple[int, int]:
+    """(k, u): the longest prefix of `letters` that reads from v, k letters long, ends at u."""
+    darts = graph._darts
+    for k, l in enumerate(letters):
+        u = darts[v].get(l)
+        if u is None:
+            return k, v
+        v = u
+    return len(letters), v
+
+
 def membership(graph: StallingsGraph, letters: tuple[int, ...]) -> bool:
     """True iff the reduced letter tuple labels a closed path at the basepoint."""
-    return graph.trace(graph.base, letters) == graph.base
+    return _read(graph, graph.base, letters) == (len(letters), graph.base)
 
 
 def index(graph: StallingsGraph) -> int | None:
@@ -157,7 +155,7 @@ def fiber_product(g1: StallingsGraph, g2: StallingsGraph) -> StallingsGraph:
     for v1, v2 in states:
         here = {}
         for l, w1 in g1.darts_at(v1).items():
-            w2 = g2.step(v2, l)
+            w2 = g2.darts_at(v2).get(l)
             if w2 is None:
                 continue
             if (w1, w2) not in ids:
@@ -295,7 +293,7 @@ class HallWitness(_Frozen):
         emb_ok = self.embedding.get(self.subgroup.base) == self.cover.base
         for u, l, v in self.subgroup.edges:
             eu, ev = self.embedding.get(u), self.embedding.get(v)
-            if eu is None or ev is None or self.cover.step(eu, l) != ev:
+            if eu is None or ev is None or self.cover.darts_at(eu).get(l) != ev:
                 emb_ok = False
                 break
         checks["subgroup_embeds"] = emb_ok
@@ -325,14 +323,11 @@ def hall_completion(graph: StallingsGraph, g: Word | None = None) -> HallWitness
 
     darts = [dict(graph.darts_at(v)) for v in range(graph.nv)]
     if g is not None:
-        v = graph.base
-        for letter in g.letters:
-            nxt = darts[v].get(letter)
-            if nxt is None:
-                nxt = len(darts)
-                darts[v][letter] = nxt
-                darts.append({-letter: v})
-            v = nxt
+        k, v = _read(graph, graph.base, g.letters)
+        for letter in g.letters[k:]:
+            darts[v][letter] = len(darts)
+            darts.append({-letter: v})
+            v = len(darts) - 1
         if v == graph.base:
             raise RuntimeError("g traced back to the basepoint despite g not in H")
 

@@ -152,15 +152,32 @@ keeps for the one graph not in canonical form.
 ``grouptrees.core.parse_word`` before it mapped the characters in one pass:
 it checks each character in a loop, reduces the one-letter pieces with
 ``product`` and builds the word with the checking ``Word`` constructor.
+
+:func:`trace` is ``StallingsGraph.trace`` before ``grouptrees.stallings._read``
+replaced it: one dart-map read per letter, None where the word sticks.
+:func:`reads_forever` is ``grouptrees.laminations._reads_forever``, which
+the per-period memo of ``_reads`` replaced: every ray walks its periodic
+tail again, with a set of the vertices seen after each period.
+
+:func:`gcd_scalar_text` is ``Scalar.__str__`` before it printed a rational
+value's parts as they are: it takes the gcd of each part with the
+denominator again.  :func:`copying_to_jsonable`,
+:func:`copying_render_json` and :func:`copying_render_text` are
+``grouptrees.report.to_jsonable``, ``render_json`` and ``render_text``
+before rendering took one encoder pass: the report is copied into plain
+JSON data, with every key turned into text, and ``json.dumps`` or the text
+walk, with one branch for dicts and one for lists, reads the copy.
 """
 
 from __future__ import annotations
 
+import json
 import re
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
+from math import gcd
 from typing import Iterable, Iterator
 
 from grouptrees import folding
@@ -929,7 +946,7 @@ def single_budget_orbit(system, graph, x, budget: int):
                     y = system.letter_map(sign * (gi + 1)).apply(point)
                     if y is None:
                         continue
-                    w = graph.step(vertex, sign * letter)
+                    w = graph.darts_at(vertex).get(sign * letter)
                     if w is None:
                         continue
                     state = (y, w)
@@ -1468,11 +1485,11 @@ def two_phase_hall_bases(witness) -> tuple[tuple[Word, ...], tuple[Word, ...]]:
     while queue:
         v = queue.popleft()
         for letter in cover.darts_at(v):
-            edge = (v, letter, cover.step(v, letter)) if letter > 0 else (
-                cover.step(v, letter), -letter, v)
+            edge = (v, letter, cover.darts_at(v)[letter]) if letter > 0 else (
+                cover.darts_at(v)[letter], -letter, v)
             if edge not in original:
                 continue
-            w = cover.step(v, letter)
+            w = cover.darts_at(v)[letter]
             if w not in path_to:
                 path_to[w] = path_to[v] + (letter,)
                 tree.add(edge)
@@ -1482,7 +1499,7 @@ def two_phase_hall_bases(witness) -> tuple[tuple[Word, ...], tuple[Word, ...]]:
     while queue:
         v = queue.popleft()
         for letter in cover.darts_at(v):
-            w = cover.step(v, letter)
+            w = cover.darts_at(v)[letter]
             if w not in path_to:
                 path_to[w] = path_to[v] + (letter,)
                 tree.add((v, letter, w) if letter > 0 else (w, -letter, v))
@@ -1517,7 +1534,7 @@ def full_spanning_tree_paths(graph, inside=frozenset()) -> tuple[dict, list]:
         while queue:
             v = queue.popleft()
             for letter in graph.darts_at(v):
-                w = graph.step(v, letter)
+                w = graph.darts_at(v)[letter]
                 if w in path_to:
                     continue
                 edge = (v, letter, w) if letter > 0 else (w, -letter, v)
@@ -1560,7 +1577,7 @@ def step(cover, state, dart: int):
         if stack[-1] == -dart:
             return (p, stack[:-1]), False
         return (p, stack + (dart,)), False
-    target = cover.p.step(p, dart)
+    target = cover.p.darts_at(p).get(dart)
     if target is None:
         return (p, (dart,)), False
     return (target, ()), p in cover.core_vertices and target in cover.core_vertices
@@ -1913,13 +1930,43 @@ def object_periodic_leaf(g: Word) -> DataclassRationalLeaf:
                                   DataclassBoundaryRay(conj, core)))
 
 
+def trace(graph: StallingsGraph, v: int, letters) -> int | None:
+    """The end of `letters` read from v, one dart-map read per letter; None
+    where the word leaves the graph."""
+    for l in letters:
+        v = graph.darts_at(v).get(l)
+        if v is None:
+            return None
+    return v
+
+
+def reads_forever(graph: StallingsGraph, prefix: tuple[int, ...],
+                  period: tuple[int, ...]) -> bool:
+    """True iff the ray prefix * period^infinity reads from the basepoint forever.
+
+    Read the prefix, then the period repeatedly; the state after each period
+    is a single vertex, so a repeat proves an infinite readable tail, and a
+    stuck read refutes it.  Terminates within (number of vertices) periods.
+    """
+    v = trace(graph, graph.base, prefix)
+    if v is None:
+        return False
+    seen = set()
+    while v not in seen:
+        seen.add(v)
+        v = trace(graph, v, period)
+        if v is None:
+            return False
+    return True
+
+
 def object_boundary_membership(graph: StallingsGraph, ray: DataclassBoundaryRay) -> bool:
     """True iff the infinite word is readable from the basepoint forever.
     The nv + 1 vertices reached after the prefix and after each of nv
     periods cannot all differ, and reading is deterministic, so a head that
     long reads iff the whole ray does."""
     head = ray.prefix.letters + ray.period.letters * graph.nv
-    return graph.trace(graph.base, head) is not None
+    return trace(graph, graph.base, head) is not None
 
 
 def object_carries(graph: StallingsGraph, leaf: DataclassRationalLeaf) -> bool:
@@ -2308,3 +2355,96 @@ def three_pass_parse_word(text: str, rank: int) -> Word:
             raise ParseError(f"bad letter {ch!r} in word {text!r} (rank {rank})")
         letters.append(l)
     return Word.make(letters, rank)
+
+
+# -- scalar text and report rendering before one encoder pass --------------------
+
+
+def _ratio_text(n: int, q: int) -> str:
+    """str(Fraction(n, q)) for q > 0."""
+    g = gcd(n, q)
+    return f"{n // g}" if q == g else f"{n // g}/{q // g}"
+
+
+def gcd_scalar_text(s: Scalar) -> str:
+    """The text of rat + irr*sqrt(d) with str(Fraction) for each part."""
+    a, b, den, d = s._a, s._b, s._den, s._d
+    if not b:
+        return _ratio_text(a, den)
+    tail = _ratio_text(b, den)
+    if tail == "1":
+        tail = f"sqrt{d}"
+    elif tail == "-1":
+        tail = f"-sqrt{d}"
+    else:
+        tail = f"{tail}*sqrt{d}"
+    if not a:
+        return tail
+    return f"{_ratio_text(a, den)}{'+' if b > 0 else ''}{tail}"
+
+
+def copying_to_jsonable(value):
+    """Recursively convert engine values to JSON-serializable structures; an
+    engine value with a report form of its own gives it by `jsonable()`."""
+    if value is None or isinstance(value, (bool, int, str)):
+        return value
+    if isinstance(value, Scalar):
+        return str(value)
+    if isinstance(value, Word):
+        return str(value)
+    if isinstance(value, dict):
+        return {str(k): copying_to_jsonable(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple, set, frozenset)):
+        items = list(value)
+        if isinstance(value, (set, frozenset)):
+            items = sorted(items, key=repr)
+        return [copying_to_jsonable(v) for v in items]
+    jsonable = getattr(value, "jsonable", None)
+    if jsonable is not None:
+        return jsonable()
+    if hasattr(value, "__dict__") or hasattr(value, "__slots__"):
+        raise TypeError(f"no JSON form for {type(value).__name__}")
+    return value
+
+
+def copying_render_json(report: dict) -> str:
+    body = copying_to_jsonable(report)
+    return json.dumps(body, sort_keys=True, separators=(",", ":"),
+                      ensure_ascii=False) + "\n"
+
+
+def _copying_text_lines(value, indent: int):
+    pad = "  " * indent
+    if isinstance(value, dict):
+        for k in value:
+            v = value[k]
+            if isinstance(v, (dict, list)) and v:
+                yield f"{pad}{k}:"
+                yield from _copying_text_lines(v, indent + 1)
+            else:
+                yield f"{pad}{k}: {_copying_scalar_text(v)}"
+    elif isinstance(value, list):
+        for v in value:
+            if isinstance(v, (dict, list)) and v:
+                yield f"{pad}-"
+                yield from _copying_text_lines(v, indent + 1)
+            else:
+                yield f"{pad}- {_copying_scalar_text(v)}"
+    else:
+        yield f"{pad}{_copying_scalar_text(value)}"
+
+
+def _copying_scalar_text(v) -> str:
+    if v is None:
+        return "null"
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    if isinstance(v, list) and not v:
+        return "[]"
+    if isinstance(v, dict) and not v:
+        return "{}"
+    return str(v)
+
+
+def copying_render_text(report: dict) -> str:
+    return "\n".join(_copying_text_lines(copying_to_jsonable(report), 0)) + "\n"

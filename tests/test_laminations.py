@@ -20,7 +20,7 @@ from grouptrees.laminations import (
     _leaf_text,
     _primitive_root,
     _ray_text,
-    _reads_forever,
+    _reads,
     carrier_scan,
     carries,
     periodic_leaf,
@@ -30,7 +30,8 @@ from grouptrees.stallings import build_core, hall_completion, index
 
 from _oracles import (DataclassBoundaryRay, DataclassRationalLeaf, cyclic_reduce,
                       object_boundary_membership, object_carrier_scan, object_carries,
-                      object_periodic_leaf, popping_canonical_ray, translate_leaf)
+                      object_periodic_leaf, popping_canonical_ray, reads_forever, trace,
+                      translate_leaf)
 
 S = Scalar.of
 
@@ -186,11 +187,16 @@ class TestRationalLeaf:
         assert moved(w1, moved(w2, r)) == moved(w1 * w2, r)
 
 
+def reads(graph, ray: tuple) -> bool:
+    """Whether one ray reads from the basepoint forever, with a memo of its own."""
+    return _reads(graph, {}, *ray)
+
+
 def _stuck_tail(graph, letters: tuple) -> int:
     """Letters of `letters` left unread when tracing from the basepoint sticks."""
     v = graph.base
     for i, l in enumerate(letters):
-        v = graph.step(v, l)
+        v = graph.darts_at(v).get(l)
         if v is None:
             return len(letters) - i
     return 0
@@ -199,26 +205,26 @@ def _stuck_tail(graph, letters: tuple) -> int:
 class TestBoundaryMembership:
     def test_cyclic_subgroup(self):
         Ha = build_core([W("a")], 2)
-        assert _reads_forever(Ha, *ray("", "a"))
-        assert _reads_forever(Ha, *ray("", "A"))
-        assert not _reads_forever(Ha, *ray("b", "a"))
-        assert not _reads_forever(Ha, *ray("", "ab"))
+        assert reads(Ha, ray("", "a"))
+        assert reads(Ha, ray("", "A"))
+        assert not reads(Ha, ray("b", "a"))
+        assert not reads(Ha, ray("", "ab"))
 
     def test_two_vertex_core_alternates_forever(self):
         H2 = build_core([W("aa"), W("b")], 2)
-        assert _reads_forever(H2, *ray("", "a"))
+        assert reads(H2, ray("", "a"))
         # the b-loop lives only at the basepoint: a·b^inf is NOT readable,
         # but it becomes readable in the completed index-2 cover
-        assert not _reads_forever(H2, *ray("a", "b"))
+        assert not reads(H2, ray("a", "b"))
         cover = hall_completion(H2, W("a")).cover
-        assert _reads_forever(cover, *ray("a", "b"))
-        assert not _reads_forever(H2, *ray("", "ab"))
-        assert _reads_forever(H2, *ray("", "aab"))
+        assert reads(cover, ray("a", "b"))
+        assert not reads(H2, ray("", "ab"))
+        assert reads(H2, ray("", "aab"))
 
     def test_whole_group_reads_everything(self):
         F2 = build_core([W("a"), W("b")], 2)
         for r in (ray("", "a"), ray("ab", "ba"), ray("B", "aab")):
-            assert _reads_forever(F2, *r)
+            assert reads(F2, r)
 
     @given(words(max_size=3), words(min_size=1, max_size=3))
     def test_agrees_with_long_head_tracing(self, u, v):
@@ -233,8 +239,86 @@ class TestBoundaryMembership:
                       build_core([W("aa"), W("b")], 2),
                       build_core([W("ab")], 2)):
             head = product(r[0], *[r[1]] * 20)
-            assert _reads_forever(graph, *r) == (_stuck_tail(graph, head) == 0)
-            assert _reads_forever(graph, *r) == object_boundary_membership(graph, oracle)
+            assert reads(graph, r) == (_stuck_tail(graph, head) == 0)
+            assert reads(graph, r) == object_boundary_membership(graph, oracle)
+
+
+@st.composite
+def memo_cases(draw):
+    """(graph, rays): a random core graph, or the finite cover of a Hall
+    completion of it, and rays whose periods come from a few short words, so
+    that several rays share a period as the rays of a carrier scan do."""
+    graph = build_core(draw(st.lists(words(min_size=1, max_size=4),
+                                     min_size=1, max_size=3)), 2)
+    if draw(st.booleans()):
+        graph = hall_completion(graph).cover
+    cores = [core for _, core in map(cyclic_reduce, draw(st.lists(
+        words(min_size=1, max_size=4), min_size=1, max_size=3))) if core.letters]
+    if not cores:
+        cores = [W("ab")]
+    rays = []
+    for _ in range(draw(st.integers(1, 16))):
+        period = draw(st.sampled_from(cores))
+        if draw(st.booleans()):
+            period = period.inverse()
+        rays.append(ray_of(draw(words(max_size=4)), period))
+    return graph, rays
+
+
+def tail_walk(graph, ray: tuple) -> tuple[set, bool]:
+    """The vertices at which a period read of `ray` starts, and the verdict,
+    by the oracle's `trace`."""
+    v, seen = trace(graph, graph.base, ray[0]), set()
+    while v is not None and v not in seen:
+        seen.add(v)
+        v = trace(graph, v, ray[1])
+    return seen, v is not None
+
+
+def path_to(graph, v) -> tuple:
+    """The letters of a path from the basepoint to v."""
+    paths, queue = {graph.base: ()}, [graph.base]
+    for u in queue:
+        for l, w in graph.darts_at(u).items():
+            if w not in paths:
+                paths[w] = paths[u] + (l,)
+                queue.append(w)
+    return paths[v]
+
+
+class TestTailMemoMatchesOracle:
+    """`_reads` with one memo per period, shared across rays as
+    `carrier_scan` shares it, against the walk it replaced."""
+
+    @given(memo_cases())
+    @settings(max_examples=150)
+    def test_shared_memo(self, case):
+        graph, rays = case
+        tails = {}
+        for r in rays:
+            assert _reads(graph, tails.setdefault(r[1], {}), *r) == reads_forever(graph, *r)
+        # every recorded verdict is that of the tail read from its vertex
+        for period, verdicts in tails.items():
+            for v, verdict in verdicts.items():
+                assert verdict == reads_forever(graph, path_to(graph, v), period)
+
+    @given(memo_cases())
+    def test_one_walk_records_only_its_vertices(self, case):
+        graph, rays = case
+        for r in rays:
+            tails = {}
+            seen, verdict = tail_walk(graph, r)
+            assert _reads(graph, tails, *r) == verdict
+            assert set(tails) == seen
+
+    def test_large_cover_one_walk(self):
+        # a finite cover reads every ray; one call records one cycle of the
+        # period, not every vertex of the cover
+        cover = hall_completion(build_core([W("aabAbb")], 2), W("ab")).cover
+        tails = {}
+        assert _reads(cover, tails, (), (1,))
+        assert 1 <= len(tails) < cover.nv
+        assert all(tails.values())
 
 
 class TestCarries:
@@ -327,6 +411,17 @@ class TestCarrierScanMatchesObjectScan:
     def test_lopsided_rose(self, gens):
         case = (lopsided_rose(), build_core([W(g) for g in gens], 2), S("3/2"), 4, 3)
         assert carrier_scan(*case) == object_carrier_scan(*case)
+
+    @pytest.mark.parametrize("gens", [["a"], ["baB"], ["aa", "b"], ["abAB"]])
+    def test_finite_index_covers_at_three_letter_translates(self, gens):
+        # a cover reads every ray, so every translate of every short class
+        # (4 + 12 + 36 nonempty words) is a hit, and later rays of a period
+        # meet vertices the memo holds
+        cover = hall_completion(build_core([W(g) for g in gens], 2)).cover
+        case = (lopsided_rose(), cover, S("3/2"), 4, 3)
+        report = carrier_scan(*case)
+        assert report == object_carrier_scan(*case)
+        assert len(report["translate_hits"]) == len(report["short_classes"]) * 52
 
 
 # -- the tuple form against the object oracle -------------------------------------
@@ -434,7 +529,7 @@ class TestTupleFormMatchesObjectOracle:
         assert got == (want.prefix.letters, want.period.letters)
         assert _ray_text(*got) == str(want)
         for graph in GRAPHS[rank]:
-            assert _reads_forever(graph, *got) == object_boundary_membership(graph, want)
+            assert reads(graph, got) == object_boundary_membership(graph, want)
 
     @given(leaf_cases())
     @settings(max_examples=150)

@@ -30,7 +30,7 @@ EXEMPT = {
     "__all__": "read by `from grouptrees import *`, never named in code",
     "cli._Parser.error": "overrides `argparse.ArgumentParser.error`, which "
                          "argparse calls on a usage error",
-    **{f"{cls}.jsonable": "read by `report.to_jsonable` through `getattr`"
+    **{f"{cls}.jsonable": "read by `report._default` through `getattr`"
        for cls in ("intervals.Interval", "intervals.MultiInterval",
                    "measures.LengthMeasure", "stallings.StallingsGraph")},
 }

@@ -10,10 +10,10 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
-from _oracles import (FractionScalar, _is_square_free as _trial_square_free, scalar,
-                      scalar_parts)
+from _oracles import (FractionScalar, _is_square_free as _trial_square_free,
+                      gcd_scalar_text, scalar, scalar_parts)
 from grouptrees.core import Scalar, ZERO, _is_square_free, field_problem
 from grouptrees.errors import MixedFieldError, ParseError
 
@@ -308,6 +308,25 @@ class TestAgainstFractionOracle:
         assert_equal_values_hash_equal(new)
         assert outcome(Scalar.parse, str(new)) == outcome(FractionScalar.parse, str(old))
         assert new != old.rat and new != str(new)
+
+
+class TestTextWithoutASecondGcd:
+    """A rational Scalar is in lowest terms, so its text is printed as it is;
+    the text is str(Fraction), and the parts' gcd text of the parent."""
+
+    @given(st.integers(-10**30, 10**30), st.integers(1, 10**30))
+    def test_rationals_print_as_fractions(self, p, q):
+        x = Scalar.of(Fraction(p, q))
+        assert str(x) == str(Fraction(p, q)) == gcd_scalar_text(x)
+        for y in (x + Scalar.of(Fraction(q, p or 1)), x * x, x - ONE, -x):
+            assert str(y) == str(scalar_parts(y)[0]) == gcd_scalar_text(y)
+
+    @given(small_d.flatmap(lambda d: st.tuples(scalars(d=d), scalars(d=d))))
+    @example((S("-sqrt2"), S("1/2+sqrt2")))
+    def test_field_values_print_as_before(self, pair):
+        x, y = pair
+        for z in (x, y, x + y, x - y, x * y, -x):
+            assert str(z) == gcd_scalar_text(z)
 
 
 # -- the hash: equal values hash equal, whatever path built them --------------

@@ -16,6 +16,7 @@ from grouptrees.errors import PreconditionError
 from grouptrees.stallings import (
     HallWitness,
     StallingsGraph,
+    _read,
     basis_of,
     build_core,
     conjugate,
@@ -327,7 +328,7 @@ def assert_darts_match_pairs(graph):
     assert [list(graph.darts_at(v).items()) for v in range(graph.nv)] == pairs
     for v, darts in enumerate(pairs):
         found = dict(darts)
-        assert [graph.step(v, l) for l in range(-graph.rank, graph.rank + 1) if l] == [
+        assert [graph.darts_at(v).get(l) for l in range(-graph.rank, graph.rank + 1) if l] == [
             found.get(l) for l in range(-graph.rank, graph.rank + 1) if l]
 
 
@@ -483,3 +484,46 @@ class TestGraphInvariants:
         i2, i4 = index(h2), index(h4)
         if i4 is not None:
             assert i4 % i2 == 0
+
+
+def dart_walk(graph, v, letters):
+    """(k, u) of `_read`, by one `darts_at` read per letter."""
+    for k, l in enumerate(letters):
+        if l not in graph.darts_at(v):
+            return k, v
+        v = graph.darts_at(v)[l]
+    return len(letters), v
+
+
+class TestReader:
+    """`_read(graph, v, letters)` reads as far as the graph goes: (k, u)."""
+
+    def test_empty_word(self):
+        g = core(["aa", "b"])
+        assert [_read(g, v, ()) for v in range(g.nv)] == [(0, 0), (0, 1)]
+
+    def test_stuck_at_the_first_letter(self):
+        g = core(["aa", "b"])   # b loops at the basepoint only
+        assert _read(g, 1, W("ba").letters) == (0, 1) == dart_walk(g, 1, W("ba").letters)
+
+    def test_stuck_mid_word(self):
+        g = core(["aa", "b"])
+        letters = W("baBab").letters   # b a B reads 0 -> 0 -> 1, then B is missing at 1
+        assert _read(g, 0, letters) == (2, 1) == dart_walk(g, 0, letters)
+
+    def test_full_read(self):
+        g = core(["aa", "b"])
+        letters = W("aabAAb").letters
+        assert _read(g, 0, letters) == (6, 0) == dart_walk(g, 0, letters)
+        assert _read(g, 1, W("a").letters) == (1, 0)
+
+    @given(relabelled_cores(), st.data())
+    @settings(max_examples=150)
+    def test_matches_a_dart_walk(self, case, data):
+        graph = case[0]
+        rank = graph.rank
+        letter = st.integers(1, rank).flatmap(lambda a: st.sampled_from([a, -a]))
+        raw = data.draw(st.lists(letter, max_size=12))
+        v = data.draw(st.integers(0, graph.nv - 1))
+        letters = Word.make(raw, rank).letters
+        assert _read(graph, v, letters) == dart_walk(graph, v, letters)
