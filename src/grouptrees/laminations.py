@@ -3,7 +3,7 @@
 A boundary ray, the eventually periodic infinite reduced word
 prefix * period^infinity, is the canonical pair (prefix, period) of letter
 tuples that `_canonical_ray` returns.  A rational leaf is a tuple of two
-distinct rays sorted by `_ray_key`; the archetype is the pair
+distinct rays sorted by prefix, then period; the archetype is the pair
 (g^-infinity, g^+infinity) attached to a group element g.  A subgroup, given
 by its core graph, carries a leaf exactly when both rays can be read forever
 from the basepoint without leaving the graph; that is decidable for rational
@@ -48,20 +48,18 @@ def _canonical_ray(prefix: tuple[int, ...], period: tuple[int, ...]) -> tuple:
     return prefix[:n], period
 
 
-def _ray_key(ray: tuple) -> tuple:
-    return (word_sort_key(ray[0]), word_sort_key(ray[1]))
-
-
 def _ray_text(prefix: tuple[int, ...], period: tuple[int, ...]) -> str:
     u = _letters_text(prefix)
     return f"{u + '·' if u else ''}({_letters_text(period)})^∞"
 
 
 def _leaf(first: tuple, second: tuple) -> tuple:
-    """The leaf of two canonical rays: the pair sorted by `_ray_key`."""
+    """The leaf of two canonical rays: the pair sorted by prefix, then period,
+    each in `word_sort_key` order; only the first part that differs is keyed."""
     if first == second:
         raise PreconditionError("a leaf needs two distinct boundary points")
-    if _ray_key(second) < _ray_key(first):
+    i = 1 if first[0] == second[0] else 0
+    if word_sort_key(second[i]) < word_sort_key(first[i]):
         first, second = second, first
     return first, second
 
