@@ -54,8 +54,7 @@ def _ray_text(prefix: tuple[int, ...], period: tuple[int, ...]) -> str:
 
 
 def _leaf(first: tuple, second: tuple) -> tuple:
-    """The leaf of two canonical rays: the pair sorted by prefix, then period,
-    each in `word_sort_key` order; only the first part that differs is keyed."""
+    """Two canonical rays sorted by prefix, then period, in `word_sort_key` order."""
     if first == second:
         raise PreconditionError("a leaf needs two distinct boundary points")
     i = 1 if first[0] == second[0] else 0
@@ -134,22 +133,25 @@ def carrier_scan(graph: MarkedMetricGraph, subgroup: StallingsGraph, epsilon: Sc
     """
     short = graph.omega_epsilon(epsilon, max_word)
     # the rays of w * leaf(g), the empty w first, as enumerate_words yields
-    # it; g is cyclically reduced, so leaf(g)'s rays have no prefix.  Both
-    # rays are tested before the pair is sorted, so only a carried leaf pays
-    # for `_leaf`
+    # it; g is cyclically reduced, so leaf(g)'s rays have no prefix.  Those of
+    # w * leaf(g) share a canonical prefix u and have inverse periods p^-1, p;
+    # one decides both, as a folded graph reads each letter injectively: from
+    # a vertex, p^infinity reads forever iff the vertex lies on a p-cycle
     translates = (list(enumerate_words(graph.rank, max_translate))
                   if max_translate > 0 and short else [()])
     carried, translate_hits = [], []
-    tails = {}  # period -> `_reads`' verdicts, shared by every ray of the scan
+    tails, pairs = {}, {}  # per period: `_reads`' verdicts; the pair in leaf order
     for g in short:
         generator = _letters_text(g)
         period = _primitive_root(g)
-        back = inverse(period)
         for w in translates:
-            first, second = _canonical_ray(w, back), _canonical_ray(w, period)
-            if (_reads(subgroup, tails.setdefault(first[1], {}), *first)
-                    and _reads(subgroup, tails.setdefault(second[1], {}), *second)):
-                leaf = _leaf_text(_leaf(first, second))
+            u, p = _canonical_ray(w, period)
+            if p not in pairs:
+                (_, a), (_, b) = _leaf(((), inverse(p)), ((), p))
+                pairs[p] = a, b, tails.setdefault(a, {})
+            a, b, memo = pairs[p]
+            if _reads(subgroup, memo, u, a):
+                leaf = _leaf_text(((u, a), (u, b)))
                 if w:
                     translate_hits.append({"generator": generator,
                                            "word": _letters_text(w), "leaf": leaf})

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from grouptrees import documents as docs
-from grouptrees.core import Scalar, Word, _letters_text, parse_word, product
+from grouptrees.core import Scalar, Word, _letters_text, inverse, parse_word, product
 from _fixtures import unit_rose
 from grouptrees.corpus import lopsided_rose
 from grouptrees.errors import DegenerateSubgroupError, ParseError, PreconditionError
@@ -186,6 +186,17 @@ class TestRationalLeaf:
         r = ray_of(conj, core)
         assert moved(w1, moved(w2, r)) == moved(w1 * w2, r)
 
+    @given(words(max_size=5), words(min_size=1, max_size=5))
+    def test_translated_rays_share_their_prefix(self, w, g):
+        # carrier_scan reads one prefix and orders one pair of periods per
+        # period: the rays of w*leaf(g) have one canonical prefix and
+        # inverse periods
+        period = _primitive_root(cyclic_reduce(g)[1].letters)
+        if not period:
+            return
+        u, p = _canonical_ray(w.letters, period)
+        assert _canonical_ray(w.letters, inverse(period)) == (u, inverse(p))
+
 
 def reads(graph, ray: tuple) -> bool:
     """Whether one ray reads from the basepoint forever, with a memo of its own."""
@@ -310,6 +321,17 @@ class TestTailMemoMatchesOracle:
             seen, verdict = tail_walk(graph, r)
             assert _reads(graph, tails, *r) == verdict
             assert set(tails) == seen
+
+    @given(memo_cases())
+    def test_a_period_and_its_inverse_agree_at_every_vertex(self, case):
+        # a folded graph reads each letter injectively, so p^infinity reads
+        # forever from v iff v lies on a p-cycle, iff (p^-1)^infinity does;
+        # carrier_scan tests one ray of a translated leaf for that reason
+        graph, rays = case
+        for _, period in rays:
+            for v in range(graph.nv):
+                assert (reads_forever(graph, path_to(graph, v), period)
+                        == reads_forever(graph, path_to(graph, v), inverse(period)))
 
     def test_large_cover_one_walk(self):
         # a finite cover reads every ray; one call records one cycle of the
