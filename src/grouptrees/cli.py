@@ -22,7 +22,7 @@ import argparse
 import sys
 
 from .errors import GroupTreesError, ParseError
-from .report import (EXIT_BUDGET, EXIT_ERROR, EXIT_OK, render, wrap)
+from .report import EXIT_BUDGET, EXIT_ERROR, EXIT_OK, render_json, render_text, wrap
 from .scenarios import (BUDGET, DOCUMENTS, FAILED, OPERATIONS, REQUIRED,
                         bundled_scenarios, run_op, run_scenario,
                         scenario_from_doc)
@@ -159,7 +159,7 @@ def main(argv=None) -> int:
     budgets = {arg.key: args[arg.key] for arg in spec.args if arg.budget}
     report = wrap(command, result, budgets=budgets)
     report["status"] = kind
-    sys.stdout.write(render(report, ns.as_json))
+    sys.stdout.write((render_json if ns.as_json else render_text)(report))
     return _KIND_EXIT[kind]
 
 
@@ -170,7 +170,7 @@ def _run_scenario_command(ns: argparse.Namespace) -> int:
                  "description": sc.description}
                 for sc in bundled.values()]
         report = wrap("scenario list", {"scenarios": rows})
-        sys.stdout.write(render(report, ns.as_json))
+        sys.stdout.write((render_json if ns.as_json else render_text)(report))
         return EXIT_OK
 
     if ns.name in bundled:
@@ -182,7 +182,7 @@ def _run_scenario_command(ns: argparse.Namespace) -> int:
     report = wrap("scenario run", result)
     report["status"] = {0: "proven", 2: BUDGET}.get(result["exit_code"],
                                                     FAILED)
-    sys.stdout.write(render(report, ns.as_json))
+    sys.stdout.write((render_json if ns.as_json else render_text)(report))
     return result["exit_code"]
 
 

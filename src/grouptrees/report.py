@@ -33,6 +33,7 @@ def _default(value):
 
 
 _LEAVES = frozenset({str, int, bool, type(None)})
+_PLAIN = (dict, list, tuple, str, int, float, type(None))  # what needs no `_default`
 
 
 def _check_keys(values) -> None:
@@ -56,8 +57,7 @@ _IN_ORDER = json.JSONEncoder(ensure_ascii=False, default=_default)
 
 
 def to_jsonable(value):
-    """The value as plain JSON data in insertion order, for `render_text` and the scenarios."""
-    _check_keys((value,))
+    """The value as plain JSON data in insertion order, keys as text, for the scenarios."""
     return json.loads(_IN_ORDER.encode(value))
 
 
@@ -71,13 +71,15 @@ def _text_lines(value, indent: int):
     pad = "  " * indent
     if isinstance(value, dict):
         items = ((f"{k}:", v) for k, v in value.items())
-    elif isinstance(value, list):
+    elif isinstance(value, (list, tuple)):
         items = (("-", v) for v in value)
     else:
         yield f"{pad}{_scalar_text(value)}"
         return
     for head, v in items:
-        if isinstance(v, (dict, list)) and v:
+        if not isinstance(v, _PLAIN):
+            v = _default(v)
+        if isinstance(v, (dict, list, tuple)) and v:
             yield f"{pad}{head}"
             yield from _text_lines(v, indent + 1)
         else:
@@ -89,11 +91,9 @@ def _scalar_text(v) -> str:
 
 
 def render_text(report: dict) -> str:
-    return "\n".join(_text_lines(to_jsonable(report), 0)) + "\n"
-
-
-def render(report: dict, as_json: bool) -> str:
-    return render_json(report) if as_json else render_text(report)
+    """The text of a report: one walk in insertion order, no copy."""
+    _check_keys((report,))
+    return "\n".join(_text_lines(report, 0)) + "\n"
 
 
 def wrap(command: str, result: dict, budgets: dict | None = None) -> dict:

@@ -358,8 +358,8 @@ def test_run_output(capsys, files, case, mode):
 def test_run_output_of_the_copying_renderer(capsys, files, monkeypatch, case, mode):
     # the renderer that copied each report before encoding it gives the same
     # bytes, for every registry operation
-    monkeypatch.setattr(cli, "render", lambda report, as_json: (
-        copying_render_json if as_json else copying_render_text)(report))
+    monkeypatch.setattr(cli, "render_json", copying_render_json)
+    monkeypatch.setattr(cli, "render_text", copying_render_text)
     code, out, err = _run(capsys, _argv(case, files) + [f"--{mode}"])
     assert (code, _sha256(out + "\0" + err)) == RUN_DIGESTS[f"{case} --{mode}"]
 
