@@ -32,7 +32,7 @@ def _default(value):
     return jsonable()
 
 
-_LEAVES = frozenset({str, int, bool, type(None)})
+_LEAVES = frozenset({str, int, bool, type(None), Scalar, Word})  # hold no dict
 _PLAIN = (dict, list, tuple, str, int, float, type(None))  # what needs no `_default`
 
 
@@ -51,8 +51,9 @@ def _check_keys(values) -> None:
             _check_keys(v)
 
 
+# `_check_keys` meets every container first, and a cycle ends it in RecursionError
 _ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), ensure_ascii=False,
-                            default=_default)
+                            default=_default, check_circular=False)
 _IN_ORDER = json.JSONEncoder(ensure_ascii=False, default=_default)
 
 
@@ -91,7 +92,6 @@ def _scalar_text(v) -> str:
 
 
 def render_text(report: dict) -> str:
-    """The text of a report: one walk in insertion order, no copy."""
     _check_keys((report,))
     return "\n".join(_text_lines(report, 0)) + "\n"
 

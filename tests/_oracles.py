@@ -1485,11 +1485,11 @@ def two_phase_hall_bases(witness) -> tuple[tuple[Word, ...], tuple[Word, ...]]:
     while queue:
         v = queue.popleft()
         for letter in cover.darts_at(v):
-            edge = (v, letter, cover.darts_at(v)[letter]) if letter > 0 else (
-                cover.darts_at(v)[letter], -letter, v)
+            edge = (v, letter, cover.darts_at(v).get(letter)) if letter > 0 else (
+                cover.darts_at(v).get(letter), -letter, v)
             if edge not in original:
                 continue
-            w = cover.darts_at(v)[letter]
+            w = cover.darts_at(v).get(letter)
             if w not in path_to:
                 path_to[w] = path_to[v] + (letter,)
                 tree.add(edge)
@@ -1499,7 +1499,7 @@ def two_phase_hall_bases(witness) -> tuple[tuple[Word, ...], tuple[Word, ...]]:
     while queue:
         v = queue.popleft()
         for letter in cover.darts_at(v):
-            w = cover.darts_at(v)[letter]
+            w = cover.darts_at(v).get(letter)
             if w not in path_to:
                 path_to[w] = path_to[v] + (letter,)
                 tree.add((v, letter, w) if letter > 0 else (w, -letter, v))
@@ -1534,7 +1534,7 @@ def full_spanning_tree_paths(graph, inside=frozenset()) -> tuple[dict, list]:
         while queue:
             v = queue.popleft()
             for letter in graph.darts_at(v):
-                w = graph.darts_at(v)[letter]
+                w = graph.darts_at(v).get(letter)
                 if w in path_to:
                     continue
                 edge = (v, letter, w) if letter > 0 else (w, -letter, v)

@@ -135,3 +135,12 @@ def test_why_int_keys_are_refused():
     # them first: the two orders differ
     assert copying_render_json({2: "x", 10: "y"}) == '{"10":"y","2":"x"}\n'
     assert json.dumps({2: "x", 10: "y"}, sort_keys=True) == '{"2": "x", "10": "y"}'
+
+
+def test_a_cycle_ends_in_recursion_error_as_before():
+    # the encoder looks for no cycles: the key walk meets one first
+    report = {"rows": []}
+    report["rows"].append(report)
+    for render in (render_json, copying_render_json, render_text, copying_render_text):
+        with pytest.raises(RecursionError):
+            render(report)
