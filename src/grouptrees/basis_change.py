@@ -38,10 +38,10 @@ def invert_basis(words: list[Word], rank: int) -> list[tuple[int, ...]]:
         decorations += [(j if w.letters[0] > 0 else -j,)] + [()] * (len(w.letters) - 1)
         images[j], images[-j] = w.letters, inverse(w.letters)
     nv, edges = folding.wedge(w.letters for w in words)
-    nv, darts, decs = folding.fold(nv, edges, decorations)
-    if nv != 1 or len(darts[0]) != 2 * rank:
+    live, darts, decs = folding.fold(nv, edges, decorations)
+    if live != 1 or len(darts[0]) != 2 * rank:
         raise NotABasisError("words generate a proper subgroup, not the whole free group")
-    loops = [decs[0][i] for i in range(1, rank + 1)]
+    loops = [decs[0, i] for i in range(1, rank + 1)]
 
     for i, dec in enumerate(loops, start=1):
         if product(*(images[s] for s in dec)) != (i,):

@@ -9,8 +9,8 @@ is `stallings._canonical`.
 
 Folding identifies vertices until no vertex has two equally-labeled outgoing
 or two equally-labeled incoming edges; the result is the unique folded
-quotient, independent of merge order, and its vertices are numbered in the
-order of their least original vertex, so the numbering is too.
+quotient, independent of merge order; each class keeps the id of its least
+original vertex, so the ids are too, and `_canonical` renumbers them.
 
 :func:`fold` folds online (Stallings, "Topology of finite graphs", Invent.
 Math. 1983; Kapovich-Myasnikov, J. Algebra 2002, section 3): the graph is
@@ -66,16 +66,16 @@ def wedge(loops: Iterable[tuple[int, ...]]) -> tuple[int, list[tuple[int, int, i
 
 def fold(nv: int, edges: Iterable[tuple[int, int, int]],
          decorations: Iterable[tuple[int, ...]] | None = None):
-    """Fold the graph; returns (new_nv, darts, dart_decorations).
+    """Fold the graph; returns (live, darts, dart_decorations).
 
-    New vertex ids are compact and keep vertex 0, the basepoint, at 0;
-    darts[x] is the dart map {±label: target} of new vertex x, in the order
-    its darts were attached.  `decorations`, if given, holds one reduced
-    letter tuple per edge; dart_decorations[x] then maps each of x's darts to
-    its folded decoration (a dart read backward has the inverse one), and is
-    None without decorations.  Raises NotABasisError when two edges become
-    parallel with different decorations: the decorations then satisfy a
-    relation.
+    darts[x] is the dart map {±label: target} of surviving id x, in the
+    order its darts were attached, and None for an id merged away; `live`
+    counts the survivors, the basepoint 0 among them.  `decorations`, if
+    given, holds one reduced letter tuple per edge; dart_decorations[x, ±l]
+    is then the folded decoration of each live dart (its reverse has the
+    inverse one; other keys are stale), and None without them.  Raises
+    NotABasisError when two edges become parallel with different
+    decorations: the decorations then satisfy a relation.
     """
     decorated = decorations is not None
     darts: list[dict[int, int] | None] = [{} for _ in range(nv)]
@@ -148,16 +148,13 @@ def fold(nv: int, edges: Iterable[tuple[int, int, int]],
                     d = product(inverse(c), d) if c else d
                 attach(z, k, t, d)
 
-    number = {x: i for i, x in enumerate(x for x in range(nv) if alias[x] == x)}
-    folded = [{k: number[t] for k, t in darts[x].items()} for x in number]
-    return len(number), folded, ([{k: dart_decs[x, k] for k in darts[x]} for x in number]
-                                 if decorated else None)
+    return nv - darts.count(None), darts, dart_decs if decorated else None
 
 
 def trim(darts: list[dict[int, int] | None], protect: int | None) -> None:
     """Repeatedly delete valence-<=1 vertices (never `protect`), in place.
 
-    `darts` holds one dart map per vertex, as `fold` returns them, so a
+    `darts` holds one dart map per vertex, none of them None, so a
     vertex's valence is the size of its map (a loop counts twice).  A deleted
     vertex's map becomes None and its darts leave its neighbours' maps.  With
     protect=None what is left is the maximal subgraph with all valences >= 2

@@ -273,8 +273,11 @@ class CoverCore:
         self.subgroup = subgroup
 
         nv, edges = folding.wedge(graph.word_to_loop(b.letters) for b in basis_of(subgroup))
-        _, darts, _ = folding.fold(nv, edges)
-        # copies, as fold leaves them: trimming the core below edits `darts`
+        _, folded, _ = folding.fold(nv, edges)
+        # live ids in increasing order, so each class is numbered by its least
+        # original vertex; P keeps copies, as trimming the core edits `darts`
+        number = {x: i for i, x in enumerate(x for x, here in enumerate(folded) if here)}
+        darts = [{k: number[t] for k, t in folded[x].items()} for x in number]
         self.p = p = _checked_graph(len(graph.edges), [dict(here) for here in darts])
 
         image: dict[int, int] = {}

@@ -114,8 +114,7 @@ def _canonical(rank: int, darts) -> tuple[StallingsGraph, dict[int, int]]:
 def build_core(generators, rank: int) -> StallingsGraph:
     """Fold the wedge of generator loops into the core graph of <generators>, a list of Words."""
     _, darts, _ = folding.fold(*folding.wedge(gen.letters for gen in generators))
-    folding.trim(darts, protect=0)
-    return _canonical(rank, darts)[0]
+    return _canonical(rank, darts)[0]  # reduced petals fold to a core: no trim
 
 
 def _read(graph: StallingsGraph, v: int, letters: tuple[int, ...]) -> tuple[int, int]:

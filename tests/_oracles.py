@@ -14,10 +14,14 @@ scalar that the integer-backed ``grouptrees.core.Scalar`` must agree with.
 ``grouptrees.core.product`` replaced: it pushes every letter of the
 concatenation, where ``product`` cancels only at the seams of reduced pieces.
 
+:func:`compacting_fold` is ``grouptrees.folding.fold`` when it numbered its
+survivors compactly, by least original vertex, and returned one decoration
+map per vertex; :func:`compact` turns the folder's result into that form.
 :func:`sweep_fold` and :func:`sweep_invert_basis` are the two quadratic
 folders the worklist engine replaced: the first re-sweeps every edge until
-nothing changes, the second rescans all edges per collision and rewrites all
-edges per merge.  :func:`unionfind_fold` is that worklist engine, which the
+nothing changes (:func:`sweep_classes` names each vertex's class by its least
+vertex), the second rescans all edges per collision and rewrites all edges
+per merge.  :func:`unionfind_fold` is that worklist engine, which the
 online folder in ``grouptrees.folding`` replaced: a queue of edges over a
 union-find of vertex classes with one slot per signed label, carrying
 decorations as gauge words relative to union-find parents, and keeping the
@@ -147,8 +151,8 @@ renumbers the dart maps, then hands them to ``StallingsGraph``'s constructor
 of that time, which walked every dart once for its reverse and once more for
 the sorted edge tuple, and which ``grouptrees.stallings._checked_graph``
 keeps for the one graph not in canonical form.
-:func:`fold_to_core` folds, trims and canonicalises a raw graph with it, as
-``StallingsGraph._from_raw`` did.  :func:`three_pass_parse_word` is
+:func:`fold_to_core` folds (compacting), trims and canonicalises a raw
+graph with it, as ``StallingsGraph._from_raw`` did.  :func:`three_pass_parse_word` is
 ``grouptrees.core.parse_word`` before it mapped the characters in one pass:
 it checks each character in a loop, reduces the one-letter pieces with
 ``product`` and builds the word with the checking ``Word`` constructor.
@@ -543,8 +547,28 @@ class _UnionFind:
         return True
 
 
-def sweep_fold(nv: int, edges: Iterable[tuple[int, int, int]]):
-    """Fold the graph; returns (new_nv, new_edges), classes numbered by least vertex."""
+def compact(folded):
+    """``folding.fold``'s result in the form it had when it renumbered:
+    (nv, darts, dart_decorations) with the live ids numbered in increasing
+    order, so each class by its least original vertex, and one decoration map
+    {±l: decoration} per vertex, or None without decorations."""
+    _, darts, decs = folded
+    number = {x: i for i, x in enumerate(x for x, here in enumerate(darts) if here is not None)}
+    maps = [{k: number[t] for k, t in darts[x].items()} for x in number]
+    return len(number), maps, (None if decs is None else
+                               [{k: decs[x, k] for k in darts[x]} for x in number])
+
+
+def compacting_fold(nv: int, edges: Iterable[tuple[int, int, int]],
+                    decorations: Iterable[tuple[int, ...]] | None = None):
+    """``folding.fold`` when it numbered its survivors compactly and returned
+    one decoration map per vertex; ``trim`` takes its maps."""
+    return compact(folding.fold(nv, edges, decorations))
+
+
+def sweep_classes(nv: int, edges: Iterable[tuple[int, int, int]]) -> list[int]:
+    """The least vertex of each vertex's class in the folded graph, by
+    re-sweeping every edge until nothing changes."""
     uf = _UnionFind(nv)
     edge_list = list(edges)
     changed = True
@@ -564,16 +588,21 @@ def sweep_fold(nv: int, edges: Iterable[tuple[int, int, int]]):
                 in_rep[(fv, label)] = u
             elif uf.union(prev, u):
                 changed = True
-    roots = sorted({uf.find(v) for v in range(nv)})
-    compact = {root: i for i, root in enumerate(roots)}
-    vertex_map = {v: compact[uf.find(v)] for v in range(nv)}
-    new_edges = sorted({(vertex_map[u], l, vertex_map[v]) for u, l, v in edge_list})
-    return len(roots), new_edges
+    return [uf.find(v) for v in range(nv)]
+
+
+def sweep_fold(nv: int, edges: Iterable[tuple[int, int, int]]):
+    """Fold the graph; returns (new_nv, new_edges), classes numbered by least vertex."""
+    edge_list = list(edges)
+    least = sweep_classes(nv, edge_list)
+    number = {root: i for i, root in enumerate(sorted(set(least)))}
+    new_edges = sorted({(number[least[u]], l, number[least[v]]) for u, l, v in edge_list})
+    return len(number), new_edges
 
 
 def unionfind_fold(nv: int, edges: Iterable[tuple[int, int, int]],
                    decorations: Iterable[tuple[int, ...]] | None = None):
-    """Fold the graph; returns (new_nv, new_edges, new_decorations), as ``folding.fold``.
+    """Fold the graph; returns (new_nv, new_edges, new_decorations), as :func:`compacting_fold`.
 
     A worklist of edges over a union-find of vertex classes (Touikan, "A fast
     algorithm for Stallings' folding process", IJAC 2006).  Every class root
@@ -2340,7 +2369,7 @@ def two_walk_canonical(rank: int, darts) -> tuple[StallingsGraph, dict[int, int]
 
 def fold_to_core(nv: int, edges, rank: int) -> StallingsGraph:
     """Fold, core-trim (keeping the basepoint), and canonicalise a raw graph."""
-    _, darts, _ = folding.fold(nv, edges)
+    _, darts, _ = compacting_fold(nv, edges)
     folding.trim(darts, protect=0)
     return two_walk_canonical(rank, darts)[0]
 

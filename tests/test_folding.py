@@ -1,4 +1,5 @@
-"""The online folder against the union-find and sweep folders it replaced."""
+"""The online folder against the union-find and sweep folders it replaced,
+and against its own contract: merged ids keep no map, and nothing is renumbered."""
 
 import pytest
 from hypothesis import given, strategies as st
@@ -8,8 +9,9 @@ from grouptrees.basis_change import invert_basis
 from grouptrees.core import Word, parse_word
 from grouptrees.errors import NotABasisError
 
-from _oracles import (edge_list_trim, layered_trim, reduce_letters, substitute, sweep_fold,
-                      sweep_invert_basis, unionfind_fold)
+from _oracles import (compact, compacting_fold, edge_list_trim, layered_trim, reduce_letters,
+                      substitute, sweep_classes, sweep_fold, sweep_invert_basis,
+                      unionfind_fold)
 
 
 def petal_wedge(words):
@@ -100,10 +102,10 @@ def decorations_for(n):
 
 
 def edge_form(folded):
-    """(nv, sorted edges, per-edge decorations) of fold's dart maps, the form
-    of ``unionfind_fold``; every dart must come with its reverse, decorated
-    by the inverse."""
-    nv, darts, decs = folded
+    """(nv, sorted edges, per-edge decorations) of fold's dart maps, compacted,
+    the form of ``unionfind_fold``; every dart must come with its reverse,
+    decorated by the inverse."""
+    nv, darts, decs = compact(folded)
     assert len(darts) == nv
     edges = sorted((u, l, v) for u, here in enumerate(darts) for l, v in here.items() if l > 0)
     for u, here in enumerate(darts):
@@ -182,8 +184,9 @@ class TestFoldMatchesSweep:
 
     def test_classes_numbered_by_least_vertex(self):
         # 3 and 1 fold together, then 2 and 0: class of 0 first, then of 1
-        nv, edges, _ = edge_form(folding.fold(
-            4, [(2, 1, 3), (2, 1, 1), (0, 2, 3), (2, 2, 1)]))
+        folded = folding.fold(4, [(2, 1, 3), (2, 1, 1), (0, 2, 3), (2, 2, 1)])
+        assert folded[:2] == (2, [{2: 1, 1: 1}, {-1: 0, -2: 0}, None, None])
+        nv, edges, _ = edge_form(folded)
         assert nv == 2
         assert edges == [(0, 1, 1), (0, 2, 1)]
 
@@ -234,8 +237,9 @@ class TestDecoratedFold:
         # petals x1 = a*b and x2 = a: the folded rose reads a = x2, b = x2^-1 x1
         nv, darts, decs = folding.fold(
             2, [(0, 1, 1), (1, 2, 0), (0, 1, 0)], [(1,), (), (2,)])
-        assert (nv, darts) == (1, [{1: 0, -1: 0, 2: 0, -2: 0}])
-        assert decs == [{1: (2,), -1: (-2,), 2: (-2, 1), -2: (-1, 2)}]
+        assert (nv, darts) == (1, [{1: 0, -1: 0, 2: 0, -2: 0}, None])
+        assert {k: decs[0, k] for k in darts[0]} == {1: (2,), -1: (-2,), 2: (-2, 1), -2: (-1, 2)}
+        assert compact((nv, darts, decs))[2] == [{1: (2,), -1: (-2,), 2: (-2, 1), -2: (-1, 2)}]
 
     def test_parallel_edges_disagree(self):
         with pytest.raises(NotABasisError, match="parallel edges disagree"):
@@ -245,6 +249,45 @@ class TestDecoratedFold:
         for decs in ([(1,)], [(1,), (2,), (3,)]):
             with pytest.raises(ValueError):
                 folding.fold(1, [(0, 1, 0), (0, 2, 0)], decs)
+
+
+def assert_fold_contract(nv, edges, decs=None):
+    """Merged ids keep no map, every live dart targets a live id and has its
+    reverse (decorated by the inverse), and the first result counts the live
+    ids, the least vertex of each class."""
+    try:
+        live, darts, dart_decs = folding.fold(nv, edges, decs)
+    except NotABasisError:
+        return
+    least = sweep_classes(nv, edges)
+    assert [x for x, here in enumerate(darts) if here is not None] == sorted(set(least))
+    assert live == len(set(least))
+    for u, here in enumerate(darts):
+        for l, v in (here or {}).items():
+            assert darts[v] is not None and darts[v][-l] == u
+            if decs is not None:
+                assert dart_decs[v, -l] == inverted(dart_decs[u, l])
+
+
+class TestFoldContract:
+    @given(multigraphs())
+    def test_multigraphs(self, case):
+        assert_fold_contract(*case)
+
+    @given(raw_graphs())
+    def test_raw_graphs(self, case):
+        assert_fold_contract(*case)
+
+    @given(shared_end_wedges().flatmap(
+        lambda g: st.tuples(st.just(g), decorations_for(len(g[1])))))
+    def test_decorated_wedges(self, case):
+        (nv, edges), decs = case
+        assert_fold_contract(nv, edges, decs)
+
+    def test_isolated_vertices_survive(self):
+        # 3 folds into 1; 2 and 4 touch no edge and keep their empty maps
+        assert folding.fold(5, [(0, 1, 1), (0, 1, 3)]) == (
+            4, [{1: 1}, {-1: 0}, {}, None, {}], None)
 
 
 def nielsen_basis(rank, moves):
@@ -336,7 +379,7 @@ def hairy_graphs(draw):
 def assert_same_trim(nv, edges, protect, oracles=(edge_list_trim, layered_trim)):
     """Trim the folded graph's dart maps in place; the kept vertices and
     edges are those of the edge-list trims."""
-    nv, darts, _ = folding.fold(nv, edges)
+    nv, darts, _ = compacting_fold(nv, edges)
     _, edges, _ = edge_form((nv, darts, None))
     if protect is not None:
         protect %= nv

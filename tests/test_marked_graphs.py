@@ -35,7 +35,8 @@ from grouptrees.stallings import (basis_of, build_core, hall_completion, index,
 
 from _oracles import (_UnionFind, _lifted_path, adjacency_letter_loops,
                       ball_translate_intersection, ball_transverse_family_report,
-                      brute_omega, class_rep, cyclic_reduce, every_translate_family_report,
+                      brute_omega, class_rep, compacting_fold, cyclic_reduce,
+                      every_translate_family_report,
                       grow_ball, initial_state, loop_omega, net_translation_length,
                       substitute, vertex_on_subtree, walk)
 
@@ -124,8 +125,7 @@ class TestInvertBasis:
 
         def misdecorated(nv, edges, decorations=None):
             nv, darts, decorations = real_fold(nv, edges, decorations)
-            loops = decorations[0]
-            loops[1], loops[2] = loops[2], loops[1]
+            decorations[0, 1], decorations[0, 2] = decorations[0, 2], decorations[0, 1]
             return nv, darts, decorations
 
         monkeypatch.setattr(folding, "fold", misdecorated)
@@ -263,7 +263,7 @@ class TestDartMaps:
                min_size=1, max_size=3))
     @example("theta", [[1], [2, 1, -2]])
     def test_cover_darts_are_folds_maps(self, which, raws):
-        # P keeps fold's maps as they are, in fold's order
+        # P keeps fold's maps, compacted, in fold's order
         graph = {"rose2": rose(1, 2), "rose3": rose(1, 2, 3, marking="abc"),
                  "theta": theta()}[which]
         gens = [Word.make([l for l in r if abs(l) <= graph.rank], graph.rank)
@@ -271,7 +271,7 @@ class TestDartMaps:
         subgroup = build_core(gens, graph.rank)
         assume(rank_of(subgroup) > 0)
         p = CoverCore(graph, subgroup).p
-        _, darts, _ = folding.fold(*folding.wedge(
+        _, darts, _ = compacting_fold(*folding.wedge(
             graph.word_to_loop(b.letters) for b in basis_of(subgroup)))
         assert [list(p.darts_at(v).items()) for v in range(p.nv)] == \
             [list(here.items()) for here in darts]

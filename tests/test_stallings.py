@@ -6,9 +6,10 @@ from itertools import islice
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from _oracles import (filter_subgroup_elements, fold_to_core, full_spanning_tree_paths,
-                      out_inc_darts, pair_hall_completion, probe_fiber_product,
-                      product_loop_letters, two_phase_hall_bases, two_walk_canonical)
+from _oracles import (compacting_fold, filter_subgroup_elements, fold_to_core,
+                      full_spanning_tree_paths, out_inc_darts, pair_hall_completion,
+                      probe_fiber_product, product_loop_letters, two_phase_hall_bases,
+                      two_walk_canonical)
 from grouptrees import folding, stallings
 from grouptrees.core import Word, enumerate_words, parse_word
 from grouptrees.corpus import random_hall_instances
@@ -439,7 +440,7 @@ class TestCanonical:
         # raw loops are folded as they come, and as the Words they reduce
         # to, conjugated by the same word: one family per draw
         rank, raws, conj = case
-        _, darts, _ = folding.fold(*folding.wedge(raws))
+        _, darts, _ = compacting_fold(*folding.wedge(raws))
         folding.trim(darts, protect=0)
         got, perm = stallings._canonical(rank, darts)
         want, want_perm = two_walk_canonical(rank, darts)
@@ -453,6 +454,37 @@ class TestCanonical:
     def test_disconnected_graph_is_an_error(self):
         with pytest.raises(RuntimeError, match="connected"):
             stallings._canonical(1, [{1: 0, -1: 0}, {1: 1, -1: 1}])
+
+
+@st.composite
+def generator_words(draw, min_rank=1, max_rank=4):
+    """(rank, Words): identity words, reduced words, and conjugates u·w·u⁻¹,
+    which are not cyclically reduced."""
+    rank = draw(st.integers(min_rank, max_rank))
+    letter = st.integers(1, rank).flatmap(lambda a: st.sampled_from([a, -a]))
+    piece = st.lists(letter, max_size=7).map(lambda raw: Word.make(raw, rank))
+    kinds = st.one_of(st.just(Word.make((), rank)), piece,
+                      st.tuples(piece, piece).map(lambda uw: uw[0] * uw[1] * uw[0].inverse()))
+    return rank, draw(st.lists(kinds, max_size=5))
+
+
+class TestBuildCoreNeedsNoTrim:
+    """A wedge of reduced petals folds to a core at the basepoint, so
+    `build_core` canonicalises fold's maps without trimming them."""
+
+    @given(generator_words())
+    @settings(max_examples=300)
+    @example((1, [Word.make((), 1)]))
+    @example((2, [W("abA"), W(""), W("bbaBB")]))
+    @example((3, [parse_word("cabC", 3), parse_word("cC", 3), parse_word("c", 3)]))
+    def test_trim_removes_nothing(self, case):
+        rank, gens = case
+        nv, darts, _ = compacting_fold(*folding.wedge(g.letters for g in gens))
+        maps = [dict(here) for here in darts]
+        folding.trim(darts, protect=0)
+        assert darts == maps
+        # the fold → compact → trim → _canonical pipeline build_core replaced
+        assert_same_graph(build_core(gens, rank), stallings._canonical(rank, darts)[0])
 
 
 class TestGraphInvariants:
@@ -527,3 +559,42 @@ class TestReader:
         v = data.draw(st.integers(0, graph.nv - 1))
         letters = Word.make(raw, rank).letters
         assert _read(graph, v, letters) == dart_walk(graph, v, letters)
+
+
+# -- metamorphic properties ------------------------------------------------------
+
+
+class TestSubgroupProperties:
+    """Properties of meets, conjugates and members that need no old code."""
+
+    @given(st.integers(1, 3).flatmap(
+        lambda rank: st.tuples(generator_words(rank, rank), generator_words(rank, rank))))
+    @settings(max_examples=80)
+    @example(((2, [W("aa"), W("b")]), (2, [W("aaa"), W("bab")])))
+    def test_meet_is_commutative(self, case):
+        (rank, gens1), (_, gens2) = case
+        h, k = build_core(gens1, rank), build_core(gens2, rank)
+        assert_same_graph(fiber_product(h, k), fiber_product(k, h))
+
+    @given(generator_words().flatmap(lambda case: st.tuples(
+        st.just(case), st.lists(st.integers(1, case[0]).flatmap(
+            lambda a: st.sampled_from([a, -a])), max_size=8))))
+    @settings(max_examples=80)
+    @example(((2, [W("ab"), W("aab")]), [2, -1]))
+    def test_conjugation_is_undone_by_the_inverse(self, case):
+        (rank, gens), raw = case
+        h, g = build_core(gens, rank), Word.make(raw, rank)
+        assert_same_graph(conjugate(conjugate(h, g), g.inverse()), h)
+
+    @given(generator_words(), st.data())
+    @settings(max_examples=80)
+    def test_product_of_members_is_a_member(self, case, data):
+        rank, gens = case
+        h = build_core(gens, rank)
+        gens = [g for g in gens if g.letters] or [Word.make((), rank)]
+        member = st.lists(st.tuples(st.sampled_from(gens), st.booleans()), max_size=4).map(
+            lambda picks: Word.make(sum(((g.inverse() if inv else g).letters
+                                         for g, inv in picks), ()), rank))
+        x, y = data.draw(member), data.draw(member)
+        for w in (x, y, x * y, x * y.inverse()):
+            assert membership(h, w.letters)
