@@ -6,9 +6,10 @@ paths (positive letter = edge forward, negative = backward); H is exactly the
 set of words labeling closed paths at the basepoint.
 
 The module covers membership, index, intersections (fiber product),
-conjugation, free bases read off a spanning tree, and completion of the core
-graph to a finite cover witnessing that H is a free factor of a finite-index
-subgroup avoiding any designated outside element.
+conjugation, free bases read off the spanning tree that the canonical
+numbering walk records, and completion of the core graph to a finite cover
+witnessing that H is a free factor of a finite-index subgroup avoiding any
+designated outside element.
 """
 
 from __future__ import annotations
@@ -31,17 +32,20 @@ class StallingsGraph:
     `build_core`, `fiber_product` and `hall_completion` return, have them
     in letter order (1, -1, 2, -2, ...); for core graphs in canonical form,
     equality and hashing, which are structural, hold iff two graphs
-    represent the same subgroup.
+    represent the same subgroup.  `_parent` is the spanning tree that
+    `_canonical`'s walk records, {x: (u, l)} for each vertex x other than
+    the basepoint, and None for a graph from `_checked_graph`.
     """
 
-    __slots__ = ("rank", "nv", "edges", "_darts")
+    __slots__ = ("rank", "nv", "edges", "_darts", "_parent")
 
     def __init__(self, rank: int, darts: list[dict[int, int]],
-                 edges: tuple[tuple[int, int, int], ...]):
+                 edges: tuple[tuple[int, int, int], ...], parent: dict | None = None):
         self.rank = rank
         self.nv = len(darts)
         self.edges = edges
         self._darts = darts
+        self._parent = parent
 
     base = 0  # the basepoint of every graph
 
@@ -85,14 +89,17 @@ def _canonical(rank: int, darts) -> tuple[StallingsGraph, dict[int, int]]:
     Maps that are None are deleted vertices; all others must be reachable.
     Neighbours are numbered in letter order (1, -1, 2, -2, ...), the order of
     the new maps, which makes structural equality canonical.  The same walk
-    checks every dart's reverse (named in the input's numbering) and lists
-    the edges, sorted: vertices come in new order, letters in letter order.
+    checks every dart's reverse (named in the input's numbering), lists the
+    edges, sorted: vertices come in new order, letters in letter order, and
+    keeps as the graph's spanning tree the dart (u, l) that numbered each
+    vertex x, the first dart into x in that order.
     """
     letters = ordered_letters(rank)
     perm = {0: 0}
     order = [0]
     renumbered = []
     edges = []
+    parent = {}
     for u, v in enumerate(order):
         here, new = darts[v], {}
         for l in filter(here.__contains__, letters):
@@ -100,6 +107,7 @@ def _canonical(rank: int, darts) -> tuple[StallingsGraph, dict[int, int]]:
             if darts[w].get(-l) != v:
                 raise RuntimeError(f"dart {l} from {v} to {w} has no reverse")
             if w not in perm:
+                parent[len(order)] = (u, l)
                 perm[w] = len(order)
                 order.append(w)
             new[l] = x = perm[w]
@@ -108,7 +116,7 @@ def _canonical(rank: int, darts) -> tuple[StallingsGraph, dict[int, int]]:
         renumbered.append(new)
     if len(order) != sum(here is not None for here in darts):
         raise RuntimeError("canonical form requires a connected graph")
-    return StallingsGraph(rank, renumbered, tuple(edges)), perm
+    return StallingsGraph(rank, renumbered, tuple(edges), parent), perm
 
 
 def build_core(generators, rank: int) -> StallingsGraph:
@@ -166,60 +174,41 @@ def fiber_product(g1: StallingsGraph, g2: StallingsGraph) -> StallingsGraph:
     return _canonical(g1.rank, darts)[0]
 
 
-def spanning_tree_paths(graph: StallingsGraph, inside=frozenset()) -> tuple[dict, list]:
-    """BFS spanning tree from the basepoint, grown through `inside` edges first.
+def _tree_loops(graph: StallingsGraph, parent: dict) -> list[tuple[tuple, Word]]:
+    """(edge, loop) for each edge off the spanning tree `parent` gives, in
+    canonical (sorted) edge order: the basepoint loop crosses the edge and
+    otherwise follows tree paths.  Nothing cancels at a seam, as a letter
+    that did would make the edge a tree edge.
 
-    A first pass reaches what it can through edges of `inside` only; a
-    second continues from those vertices, in the order reached, through all
-    edges.  The tree restricted to a connected `inside` subgraph at the
-    basepoint is then a spanning tree of that subgraph.  Returns (path_to,
-    non_tree_edges): non_tree_edges lists the (u, label, v) edges outside the
-    tree in canonical (sorted) order, and path_to[v] is the letter sequence
-    of the tree path basepoint -> v for each endpoint v of those edges.  The
-    search keeps one parent dart per vertex, so it is linear in the graph
-    plus the length of the paths returned.
+    parent maps each vertex but the basepoint to its tree dart (u, l); if
+    some vertex has none, a BFS from the basepoint and then parent's
+    vertices, in that order, gives it one, and `parent` grows in place.
+    Linear in the graph plus the length of the loops returned.
     """
-    parent = {graph.base: None}
-    tree: set[tuple[int, int, int]] = set()
-    order = [graph.base]
-    for only_inside in (True, False) if inside else (False,):
-        queue = deque(order)
+    if len(parent) < graph.nv - 1:
+        queue = deque([graph.base, *parent])
         while queue:
             v = queue.popleft()
             for letter, w in graph.darts_at(v).items():
-                if w in parent:
-                    continue
-                edge = (v, letter, w) if letter > 0 else (w, -letter, v)
-                if only_inside and edge not in inside:
-                    continue
-                parent[w] = (v, letter)
-                tree.add(edge)
-                order.append(w)
-                queue.append(w)
-    non_tree = [e for e in graph.edges if e not in tree]
-    path_to = {}
-    for end in (x for u, _, v in non_tree for x in (u, v)):
-        if end not in path_to:
-            letters = []
-            x = end
-            while parent[x] is not None:
-                x, letter = parent[x]
-                letters.append(letter)
-            path_to[end] = tuple(reversed(letters))
-    return path_to, non_tree
+                if w not in parent and w != graph.base:
+                    parent[w] = (v, letter)
+                    queue.append(w)
+    tree = {(u, l, x) if l > 0 else (x, -l, u) for x, (u, l) in parent.items()}
 
+    def path_to(x: int) -> tuple[int, ...]:
+        letters = []
+        while x in parent:
+            x, letter = parent[x]
+            letters.append(letter)
+        return tuple(reversed(letters))
 
-def _loop_word(path_to: dict, edge: tuple[int, int, int], rank: int) -> Word:
-    """The basepoint loop that crosses `edge` and otherwise follows tree paths;
-    nothing cancels at a seam, as a letter that did would make `edge` a tree edge."""
-    u, l, v = edge
-    return _word(path_to[u] + (l,) + inverse(path_to[v]), rank)
+    return [((u, l, v), _word(path_to(u) + (l,) + inverse(path_to(v)), graph.rank))
+            for u, l, v in graph.edges if (u, l, v) not in tree]
 
 
 def basis_of(graph: StallingsGraph) -> list[Word]:
-    """Free basis of the subgroup, one word per non-tree edge (deterministic)."""
-    path_to, non_tree = spanning_tree_paths(graph)
-    return [_loop_word(path_to, e, graph.rank) for e in non_tree]
+    """Free basis of the subgroup, one word per edge off the tree `_canonical` recorded."""
+    return [loop for _, loop in _tree_loops(graph, graph._parent)]
 
 
 def conjugate(graph: StallingsGraph, g: Word) -> StallingsGraph:
@@ -260,7 +249,7 @@ class HallWitness(_Frozen):
       subgroup: the input core graph of H;
       cover: label-full folded graph (every vertex carries all 2n labels);
       embedding: vertex map realizing subgroup -> cover label-preservingly;
-      h_basis: free basis of H read off the cover's spanning tree;
+      h_basis: free basis of H read off H's own tree, carried into the cover;
       complement_basis: basis of the complementary free factor K;
       excluded: the word kept outside F', or None.
     """
@@ -341,13 +330,14 @@ def hall_completion(graph: StallingsGraph, g: Word | None = None) -> HallWitness
     original = {(perm[u], l, perm[v]) for u, l, v in graph.edges}
     embedding = {v: perm[v] for v in range(graph.nv)}
 
-    # the tree grows inside the image of H's core graph first, so the
-    # non-tree edges split cleanly into an H-basis and a complement basis
-    path_to, non_tree = spanning_tree_paths(cover, original)
+    # H's own tree, carried into the cover, spans H's image; grown on from
+    # H's vertices in H's order, the non-tree edges split cleanly into an
+    # H-basis and a complement basis
     h_basis: list[Word] = []
     complement: list[Word] = []
-    for edge in non_tree:
-        (h_basis if edge in original else complement).append(_loop_word(path_to, edge, n))
+    for edge, loop in _tree_loops(cover, {perm[x]: (perm[u], l)
+                                          for x, (u, l) in graph._parent.items()}):
+        (h_basis if edge in original else complement).append(loop)
 
     return HallWitness(
         subgroup=graph,

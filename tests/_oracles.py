@@ -84,10 +84,13 @@ searches the words of length 1 even at budget 0.
 ``grouptrees.stallings.hall_completion`` ran before it shared
 ``spanning_tree_paths`` with ``basis_of``.  :func:`full_spanning_tree_paths`
 is that shared search before it kept parent darts: it stores the letter path
-of every vertex, so it is quadratic on deep graphs.
-:func:`product_loop_letters` is ``grouptrees.stallings._loop_word`` before it
-concatenated its three pieces: it reduces the tree path, the non-tree letter
-and the inverse tree path with ``product``.
+of every vertex, so it is quadratic on deep graphs.  Both search the graph
+again, where the package now reads its tree off the walk of
+``grouptrees.stallings._canonical``, and grows a Hall cover's tree from the
+subgroup's own.  :func:`product_loop_letters` is the loop of
+``grouptrees.stallings._tree_loops`` before it concatenated its three
+pieces: it reduces the tree path, the non-tree letter and the inverse tree
+path with ``product``.
 
 :func:`grow_ball`, :func:`ball_translate_intersection` and
 :func:`ball_transverse_family_report` compare translates of a minimal subtree

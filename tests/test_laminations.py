@@ -7,7 +7,7 @@ the functions on them) cross-checks the loaders, `periodic_leaf`,
 """
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from grouptrees import documents as docs
 from grouptrees.core import Scalar, Word, _letters_text, inverse, parse_word, product
@@ -26,7 +26,8 @@ from grouptrees.laminations import (
     periodic_leaf,
 )
 from grouptrees.marked_graphs import MarkedMetricGraph
-from grouptrees.stallings import build_core, hall_completion, index
+from grouptrees.stallings import (basis_of, build_core, conjugate, hall_completion, index,
+                                  membership)
 
 from _oracles import (DataclassBoundaryRay, DataclassRationalLeaf, cyclic_reduce,
                       object_boundary_membership, object_carrier_scan, object_carries,
@@ -572,3 +573,53 @@ class TestTupleFormMatchesObjectOracle:
         assert got_error == want_error
         if want_error is None:
             self.check_leaf(rank, got, want)
+
+
+# -- metamorphic properties ------------------------------------------------------
+
+
+@st.composite
+def leaf_property_cases(draw):
+    """(H, w, g): a subgroup of F_1..F_3 from up to three words, a word w and
+    a nontrivial word g.  Half the time g is w⁻¹·h·w for a nontrivial
+    product h of H's basis, so that H carries the leaf of w·g·w⁻¹."""
+    rank = draw(st.integers(1, 3))
+    letter = st.integers(1, rank).flatmap(lambda a: st.sampled_from([a, -a]))
+    word = st.lists(letter, max_size=6).map(lambda raw: Word.make(raw, rank))
+    h, w = build_core(draw(st.lists(word, max_size=3)), rank), draw(word)
+    basis = basis_of(h)
+    if basis and draw(st.booleans()):
+        picks = draw(st.lists(st.tuples(st.sampled_from(basis), st.booleans()),
+                              min_size=1, max_size=3))
+        member = Word.make(sum(((b.inverse() if inv else b).letters
+                                for b, inv in picks), ()), rank)
+        g = w.inverse() * member * w
+    else:
+        g = draw(word)
+    assume(g.letters)
+    return h, w, g
+
+
+class TestLeafProperties:
+    """Properties of carried leaves that need no old code."""
+
+    @given(leaf_property_cases())
+    @settings(max_examples=150)
+    @example((build_core([W("a")], 2), W("b"), W("ab")))
+    def test_hall_covers_carry_every_leaf(self, case):
+        # a cover of finite index has every point of the boundary in its limit set
+        h, w, g = case
+        covers = [hall_completion(h).cover]
+        if not membership(h, w.letters):
+            covers.append(hall_completion(h, w).cover)
+        for cover in covers:
+            assert carries(cover, periodic_leaf(g.letters))
+
+    @given(leaf_property_cases())
+    @settings(max_examples=300)
+    @example((build_core([W("ab")], 2), W("b"), W("Bab")))
+    def test_translated_leaf_is_carried_by_the_conjugate(self, case):
+        # H carries w·leaf(g), the leaf of w·g·w⁻¹, iff w⁻¹Hw carries leaf(g)
+        h, w, g = case
+        assert (carries(h, periodic_leaf((w * g * w.inverse()).letters))
+                == carries(conjugate(h, w.inverse()), periodic_leaf(g.letters)))

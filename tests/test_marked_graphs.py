@@ -903,3 +903,41 @@ class TestTranslatesMeetingTheSubtree:
             "violations": [], "verdict": "transverse-up-to-budget",
             "message": "no translate within the word and radius budget shares "
                        "an edge with the minimal subtree"}
+
+
+# -- metamorphic properties ------------------------------------------------------
+
+
+@st.composite
+def meeting_cases(draw):
+    """(graph, H, g, h1, h2): a rose or theta graph, a nontrivial subgroup,
+    random or conjugated so that its core misses the basepoint, a nonempty
+    word g and two members h1, h2 of H, products of its basis."""
+    graph = oracle_graphs()[draw(st.integers(0, 7))]
+    gens = draw(st.lists(nonempty, min_size=1, max_size=2))
+    if draw(st.booleans()):
+        u = draw(nonempty)
+        gens = [u * w * u.inverse() for w in gens]
+    subgroup = build_core(gens, 2)
+    if rank_of(subgroup) == 0:
+        subgroup = core("a")
+    basis = basis_of(subgroup)
+    member = st.lists(st.tuples(st.sampled_from(basis), st.booleans()), max_size=3).map(
+        lambda picks: Word.make(sum(((b.inverse() if inv else b).letters
+                                     for b, inv in picks), ()), 2))
+    return graph, subgroup, draw(nonempty), draw(member), draw(member)
+
+
+class TestMeetingProperties:
+    """Whether T_H meets g*T_H depends only on the double coset H g^±1 H."""
+
+    @given(meeting_cases())
+    @settings(max_examples=200)
+    @example((rose(1, 1), core("bab"), W("a"), W("bab"), W("BAB")))
+    def test_meeting_is_a_property_of_the_double_coset(self, case):
+        graph, subgroup, g, h1, h2 = case
+        cover = CoverCore(graph, subgroup)
+        x1 = _to_subtree(cover, ())
+        meets = _meets_translate(cover, g.letters, x1)
+        assert _meets_translate(cover, g.inverse().letters, x1) == meets
+        assert _meets_translate(cover, (h1 * g * h2).letters, x1) == meets

@@ -11,7 +11,7 @@ from _oracles import (compacting_fold, filter_subgroup_elements, fold_to_core,
                       probe_fiber_product, product_loop_letters, two_phase_hall_bases,
                       two_walk_canonical)
 from grouptrees import folding, stallings
-from grouptrees.core import Word, enumerate_words, parse_word
+from grouptrees.core import Word, enumerate_words, ordered_letters, parse_word
 from grouptrees.corpus import random_hall_instances
 from grouptrees.errors import PreconditionError
 from grouptrees.stallings import (
@@ -26,7 +26,6 @@ from grouptrees.stallings import (
     index,
     membership,
     rank_of,
-    spanning_tree_paths,
     subgroup_elements,
 )
 
@@ -175,29 +174,38 @@ class TestBasis:
 
 
 
-def assert_tree_matches_full_paths(graph, inside=frozenset()):
-    """spanning_tree_paths gives the parent search's tree: the same non-tree
-    edges in the same order, and the same path to each of their endpoints.
-    Each basis loop joins its pieces as they are: nothing cancels at a seam."""
-    path_to, non_tree = spanning_tree_paths(graph, inside)
-    full_path_to, full_non_tree = full_spanning_tree_paths(graph, inside)
-    assert non_tree == full_non_tree
-    ends = {x for u, _, v in non_tree for x in (u, v)}
-    assert path_to == {x: full_path_to[x] for x in ends}
-    for edge in non_tree:
-        assert (stallings._loop_word(path_to, edge, graph.rank).letters
-                == product_loop_letters(path_to, edge))
+def oracle_loops(graph, inside=frozenset()):
+    """(edge, letters) for each non-tree edge of the parent search's tree,
+    in edge order, the loop reduced by `product` across both seams."""
+    path_to, non_tree = full_spanning_tree_paths(graph, inside)
+    return [(edge, product_loop_letters(path_to, edge)) for edge in non_tree]
+
+
+def assert_basis_matches_full_paths(graph):
+    """basis_of reads the parent search's tree off `_canonical`'s walk: the
+    same loops in the same order.  Each loop joins its pieces as they are,
+    so equal letters also show that nothing cancels at a seam."""
+    assert [w.letters for w in basis_of(graph)] == [x for _, x in oracle_loops(graph)]
+
+
+def assert_hall_matches_full_paths(graph, g=None):
+    """The Hall split reads the parent search's tree grown inside H's image
+    first: H-edges give h_basis, the others complement_basis."""
+    wit = hall_completion(graph, g)
+    perm = wit.embedding
+    original = {(perm[u], l, perm[v]) for u, l, v in graph.edges}
+    loops = oracle_loops(wit.cover, original)
+    assert [w.letters for w in wit.h_basis] == [x for e, x in loops if e in original]
+    assert [w.letters for w in wit.complement_basis] == [
+        x for e, x in loops if e not in original]
 
 
 class TestSpanningTree:
     @pytest.mark.parametrize("seed", [1, 2, 3, 4])
     def test_hall_trees_match_full_path_oracle(self, seed):
         for graph, g, _ in random_hall_instances(seed, 300):
-            wit = hall_completion(graph, g)
-            perm = wit.embedding
-            original = {(perm[u], l, perm[v]) for u, l, v in graph.edges}
-            assert_tree_matches_full_paths(wit.cover, original)
-            assert_tree_matches_full_paths(graph)
+            assert_hall_matches_full_paths(graph, g)
+            assert_basis_matches_full_paths(graph)
 
     @given(st.integers(1, 4),
            st.lists(st.lists(st.integers(1, 4).flatmap(
@@ -207,16 +215,14 @@ class TestSpanningTree:
     def test_random_cores_match_full_path_oracle(self, rank, raws):
         gens = [Word.make([l for l in r if abs(l) <= rank], rank) for r in raws]
         graph = build_core(gens, rank)
-        assert_tree_matches_full_paths(graph)
-        wit = hall_completion(graph)
-        perm = wit.embedding
-        assert_tree_matches_full_paths(wit.cover, {(perm[u], l, perm[v])
-                                                   for u, l, v in graph.edges})
+        assert_basis_matches_full_paths(graph)
+        assert_hall_matches_full_paths(graph)
 
     def test_deep_cycle(self):
         # the core of a^k b is one cycle of length k + 1 through the basepoint
         g = core(["a" * 3000 + "b"])
-        assert_tree_matches_full_paths(g)
+        assert_basis_matches_full_paths(g)
+        assert_hall_matches_full_paths(g, W("b"))
         assert [str(w) for w in basis_of(g)] == ["a" * 3000 + "b"]
 
 
@@ -598,3 +604,38 @@ class TestSubgroupProperties:
         x, y = data.draw(member), data.draw(member)
         for w in (x, y, x * y, x * y.inverse()):
             assert membership(h, w.letters)
+
+
+def assert_tree_is_first_darts(graph):
+    """The tree `_canonical` records: for each vertex x but the basepoint,
+    the dart (u, l) that numbered x, with u's map sending l to x and u < x,
+    and no dart earlier in (vertex, letter) order reaching x."""
+    first = {}
+    for u in range(graph.nv):
+        for l in ordered_letters(graph.rank):
+            x = graph.darts_at(u).get(l)
+            if x is not None and x != graph.base:
+                first.setdefault(x, (u, l))
+    assert graph._parent == first
+    assert sorted(first) == list(range(1, graph.nv))
+    for x, (u, l) in graph._parent.items():
+        assert graph.darts_at(u)[l] == x and u < x
+
+
+class TestRecordedTree:
+    """Every graph `_canonical` returns keeps the darts that numbered it."""
+
+    @given(st.integers(1, 4).flatmap(lambda rank: st.tuples(
+        generator_words(rank, rank), generator_words(rank, rank), st.lists(
+            st.integers(1, rank).flatmap(lambda a: st.sampled_from([a, -a])), max_size=6))))
+    @settings(max_examples=150)
+    @example(((2, [W("ab"), W("aab")]), (2, [W("aa"), W("b")]), [2, -1]))
+    def test_every_canonical_graph_records_first_darts(self, case):
+        (rank, gens), (_, other), raw = case
+        h, w = build_core(gens, rank), Word.make(raw, rank)
+        graphs = [h, fiber_product(h, build_core(other, rank)), conjugate(h, w),
+                  hall_completion(h).cover]
+        if not membership(h, w.letters):
+            graphs.append(hall_completion(h, w).cover)
+        for graph in graphs:
+            assert_tree_is_first_darts(graph)
