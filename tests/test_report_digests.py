@@ -1,12 +1,16 @@
-"""Byte-identity gate: the bundled scenario reports and the golden script.
+"""Byte-identity gate: the bundled scenario reports, the golden script and
+every report of the in-process benchmark workloads at seeds 1-3.
 
 The digests are sha256 sums of ``render_json(run_scenario(s))`` for each
-bundled scenario and of the stdout of ``scripts/golden_dynamics.py`` with its
-default arguments.  A change that alters any report by one byte fails here;
-re-record a digest only for a deliberate change of report contents.
+bundled scenario, of the stdout of ``scripts/golden_dynamics.py`` with its
+default arguments, and, in ``scripts/report_digests.json``, of both
+renderings of every dynamics, folding and census request at seeds 1-3.  A
+change that alters any report by one byte fails here; re-record a digest
+only for a deliberate change of report contents.
 """
 
 import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -34,6 +38,14 @@ def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def _script(name: str, *args: str) -> subprocess.CompletedProcess:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    return subprocess.run([sys.executable, str(ROOT / "scripts" / name), *args],
+                          capture_output=True, env=env, cwd=ROOT)
+
+
 def test_every_bundled_scenario_is_pinned():
     assert sorted(bundled_scenarios()) == sorted(SCENARIO_DIGESTS)
 
@@ -58,9 +70,20 @@ def test_scenario_report_bytes_under_another_hash(name, monkeypatch):
 
 
 def test_golden_dynamics_output_bytes():
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    out = subprocess.run([sys.executable, str(ROOT / "scripts" / "golden_dynamics.py")],
-                         capture_output=True, check=True, env=env, cwd=ROOT).stdout
-    assert _sha256(out) == GOLDEN_DYNAMICS_DIGEST
+    proc = _script("golden_dynamics.py")
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert _sha256(proc.stdout) == GOLDEN_DYNAMICS_DIGEST
+
+
+def test_workload_reports_match_recorded_digests():
+    # every dynamics, folding and census report at seeds 1-3, JSON and text
+    proc = _script("report_digests.py", "--compare", "scripts/report_digests.json")
+    assert proc.returncode == 0, proc.stderr.decode()
+
+
+def test_recorded_json_digests_agree_with_the_benchmark_reference():
+    # the benchmark records the same JSON digests at seed 1, from its worker
+    recorded = json.loads((ROOT / "scripts" / "report_digests.json").read_text())
+    reference = json.loads((ROOT / "perfbench" / "reference.json").read_text())
+    for workload in ("dynamics", "folding", "census"):
+        assert recorded[workload]["1"]["json"] == reference[workload]["digests"]
