@@ -241,14 +241,7 @@ class Scalar:
     # -- rendering ---------------------------------------------------------------
 
     def __str__(self) -> str:
-        # the text of rat + irr*sqrt(d) with str(Fraction) for each part; a
-        # rational value is in lowest terms already, by the normal form
-        a, b, den, d = self._a, self._b, self._den, self._d
-        if not b:
-            return str(a) if den == 1 else f"{a}/{den}"
-        tail = _ratio_text(b, den)
-        tail = f"{_UNIT_SIGN.get(tail, tail + '*')}sqrt{d}"
-        return f"{_ratio_text(a, den)}{'+' if b > 0 else ''}{tail}" if a else tail
+        return _text(self._a, self._b, self._den, self._d)
 
     def __repr__(self) -> str:
         return f"Scalar({str(self)!r})"
@@ -317,6 +310,16 @@ def _ratio_text(n: int, q: int) -> str:
     """str(Fraction(n, q)) for q > 0."""
     g = gcd(n, q)
     return f"{n // g}" if q == g else f"{n // g}/{q // g}"
+
+
+def _text(a: int, b: int, den: int, d: int) -> str:
+    """The text of (a + b*sqrt(d)) / den for den > 0, normalised or not: that of
+    rat + irr*sqrt(d) with str(Fraction) for each part, so no Scalar is needed."""
+    if not b:
+        return _ratio_text(a, den)
+    tail = _ratio_text(b, den)
+    tail = f"{_UNIT_SIGN.get(tail, tail + '*')}sqrt{d}"
+    return f"{_ratio_text(a, den)}{'+' if b > 0 else ''}{tail}" if a else tail
 
 
 def _join(d1: int, d2: int) -> int:

@@ -25,7 +25,7 @@ from math import isqrt
 from operator import itemgetter
 
 from .core import (Scalar, ZERO, _LETTER, _Frozen, _integer_view, _letters_text, _make,
-                   _sign, ordered_letters)
+                   _sign, _text, ordered_letters)
 from .errors import (
     InvalidSystemError,
     MissingLabelsError,
@@ -209,16 +209,18 @@ def _ordered(keyed: dict, d: int) -> list:
     return sorted(keyed, key=keyed.get if len(set(keyed.values())) == len(keyed) else exact)
 
 
-def _scalars(keyed: dict, den: int, d: int) -> tuple[Scalar, ...]:
-    return tuple(_make(a, b, den, d) for a, b in _ordered(keyed, d))
+def _texts(keyed: dict, den: int, d: int) -> tuple[str, ...]:
+    """The texts of the points (a + b*sqrt(d))/den of `keyed`, in increasing order."""
+    return tuple(_text(a, b, den, d) for a, b in _ordered(keyed, d))
 
 
 def orbit(system: SoISystem, x, budget: int, view=None):
     """BFS closure of {x} under all generators and inverses.
 
     Returns (status, points) with status "closed" or "truncated"; points is
-    the sorted tuple of distinct points collected (at most budget+ a layer's
-    worth when truncated, deterministically).  Given `view`, from `_compile`,
+    the tuple of the texts of the distinct points collected, in increasing
+    order (at most budget+ a layer's worth when truncated, deterministically);
+    each text is that of the point's Scalar.  Given `view`, from `_compile`,
     x is an int pair and points a dict from int pair to order key instead.
     A domain test compares keys, and calls `_sign` only on a tie.
     """
@@ -235,7 +237,7 @@ def orbit(system: SoISystem, x, budget: int, view=None):
                 yield (a + oa, b + ob) if orient > 0 else (oa - a, ob - b)
 
     status, keyed = _layered_search(x, expand, key, dict, (budget,))[budget]
-    return status, keyed if ints else _scalars(keyed, den, d)
+    return status, keyed if ints else _texts(keyed, den, d)
 
 
 def finite_orbit_families(system: SoISystem, budget: int) -> dict:
@@ -596,8 +598,8 @@ def subgroup_constrained_orbit(system: SoISystem, graph: StallingsGraph, x,
 
     States are (point, graph vertex); a generator moves the point while its
     label letter moves along the graph.  Returns (status, points) where the
-    points are those whose state sits at the graph basepoint — the orbit under
-    the subgroup's elements.  The search stops, truncated, before expanding a
+    points are the texts, in increasing order, of those whose state sits at
+    the graph basepoint — the orbit under the subgroup's elements.  The search stops, truncated, before expanding a
     layer once more than `budget` states are visited.
 
     Given a list of `snapshots`, one breadth-first search answers several
@@ -622,7 +624,7 @@ def subgroup_constrained_orbit(system: SoISystem, graph: StallingsGraph, x,
 
     def at_base(visited):
         keyed = {(a, b): k for (a, b, v), k in visited.items() if v == graph.base}
-        return keyed if ints else _scalars(keyed, den, d)
+        return keyed if ints else _texts(keyed, den, d)
 
     results = _layered_search((*x, graph.base), expand, key, at_base,
                               (budget, *(snapshots or ())))

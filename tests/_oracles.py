@@ -50,6 +50,15 @@ the subgroup-constrained orbit and the discreteness report before one
 breadth-first search answered several budgets: the report ran the search
 from scratch at budgets b/4, b/2 and b.
 
+:func:`scalars` is ``isometry_systems._scalars``, through which the orbit
+searches returned their points before they printed each point's text
+straight from its int pair: one normalised ``Scalar`` per point, in order,
+whose ``str`` the report then took.  :func:`scalar_orbit` and
+:func:`scalar_sub_orbit` are ``orbit`` and ``subgroup_constrained_orbit``
+on that route, and :func:`scalar_orbit_result` is the ``soi orbit`` or ``soi
+sub-orbit`` result it gave, ``Scalar`` points and all; :func:`point_texts`
+turns an oracle's ``(status, Scalars)`` into ``(status, texts)``.
+
 :func:`scalar_finite_orbit_families` and :func:`scalar_discreteness_report`
 are ``soi families`` and ``soi discrete`` before they ran on int pairs with
 order keys: the families take the sorted :func:`singular_points` (which read
@@ -1105,8 +1114,56 @@ def scalar_finite_orbit_families(system, budget: int) -> dict:
     return report
 
 
+def scalars(keyed: dict, den: int, d: int) -> tuple:
+    from grouptrees.core import _make
+    from grouptrees.isometry_systems import _ordered
+
+    return tuple(_make(a, b, den, d) for a, b in _ordered(keyed, d))
+
+
+def point_texts(run) -> tuple:
+    status, points = run
+    return status, tuple(map(str, points))
+
+
+def _compiled_start(system, x):
+    from grouptrees.isometry_systems import _compile, _in_support
+
+    _in_support(system, x)
+    return _compile(system, (x,))
+
+
+def scalar_orbit(system, x, budget: int):
+    from grouptrees.isometry_systems import orbit
+
+    view, (start,) = _compiled_start(system, x)
+    status, keyed = orbit(system, start, budget, view)
+    return status, scalars(keyed, view[0], view[1])
+
+
+def scalar_sub_orbit(system, graph, x, budget: int, snapshots=None):
+    from grouptrees.isometry_systems import _compile, subgroup_constrained_orbit
+
+    runs = subgroup_constrained_orbit(system, graph, x, budget, snapshots, True)
+    (den, d, _, _), _ = _compile(system, (x,))
+    if snapshots is None:
+        return runs[0], scalars(runs[1], den, d)
+    return {b: (status, scalars(keyed, den, d)) for b, (status, keyed) in runs.items()}
+
+
+def scalar_orbit_result(args: dict) -> dict:
+    """The soi orbit result, or with a "subgroup" the soi sub-orbit result."""
+    if "subgroup" in args:
+        status, points = scalar_sub_orbit(args["system"], args["subgroup"],
+                                          args["point"], args["budget"])
+    else:
+        status, points = scalar_orbit(args["system"], args["point"], args["budget"])
+    return {"status": status, "point": args["point"], "count": len(points),
+            "points": points, "budget": args["budget"]}
+
+
 def scalar_discreteness_report(system, graph, samples, budget: int) -> dict:
-    from grouptrees.isometry_systems import subgroup_constrained_orbit, total_measure
+    from grouptrees.isometry_systems import total_measure
 
     budgets = sorted({min(max(budget // k, 1), budget) for k in (4, 2, 1)})
     rows = []
@@ -1114,8 +1171,7 @@ def scalar_discreteness_report(system, graph, samples, budget: int) -> dict:
     all_closed = True
     min_gap = None
     for x in samples:
-        runs = subgroup_constrained_orbit(system, graph, x, budgets[-1],
-                                          budgets[:-1])
+        runs = scalar_sub_orbit(system, graph, x, budgets[-1], budgets[:-1])
         for b in budgets:
             growth[b].append(len(runs[b][1]))
         status, points = runs[budgets[-1]]

@@ -1,6 +1,7 @@
 """The orbit engines on int states with order keys: soi families and soi
-discrete against the Scalar engines they replaced, the order key at
-near-ties, and metamorphic properties that need no old code."""
+discrete against the Scalar engines they replaced, soi orbit and soi
+sub-orbit reports against the Scalar points they printed before, the order
+key at near-ties, and metamorphic properties that need no old code."""
 
 from fractions import Fraction
 
@@ -11,14 +12,16 @@ from grouptrees import isometry_systems
 from grouptrees.core import Scalar, _integer_view, _sign, parse_word
 from grouptrees.corpus import balanced_corpus, golden_system, index_two_cover_graph
 from grouptrees.intervals import Interval, MultiInterval
-from grouptrees.isometry_systems import (PartialIsometry, SoISystem, _keyer, _scalars,
+from grouptrees.report import render_json, render_text, wrap
+from grouptrees.scenarios import op_soi_orbit, op_soi_sub_orbit
+from grouptrees.isometry_systems import (PartialIsometry, SoISystem, _keyer, _texts,
                                          discreteness_report, finite_orbit_families,
                                          orbit, subgroup_constrained_orbit)
 from grouptrees.stallings import build_core
 
 from _fixtures import scaled, scaled_system
-from _oracles import (scalar_discreteness_report, scalar_finite_orbit_families,
-                      singular_points, sorted_frontier_orbit)
+from _oracles import (point_texts, scalar_discreteness_report, scalar_finite_orbit_families,
+                      scalar_orbit_result, singular_points, sorted_frontier_orbit)
 
 S = Scalar.of
 LABELS = "abcd"
@@ -107,6 +110,56 @@ def subgroups(sy: SoISystem):
     return st.sampled_from(SUBGROUPS).map(
         lambda gens: build_core([parse_word(g, rank) for g in gens], rank)) | st.just(
         whole_group(sy))
+
+
+def rotation(p: int, q: int) -> SoISystem:
+    theta = S(Fraction(p, q))
+    return SoISystem(MultiInterval([iv(0, 1)]),
+                     [PartialIsometry(Interval(S(0), S(1) - theta), 1, theta),
+                      PartialIsometry(Interval(S(0), theta), 1, S(1) - theta)], ["a", "b"])
+
+
+class TestOrbitReportsMatchScalarPoints:
+    """soi orbit and soi sub-orbit print each point straight from its int pair;
+    under both renderers their reports are those that printed the str of each
+    point's normalised Scalar."""
+
+    @staticmethod
+    def check(args: dict) -> None:
+        op = op_soi_sub_orbit if "subgroup" in args else op_soi_orbit
+        result, _ = op(args)
+        old = scalar_orbit_result(args)
+        assert result["points"] == tuple(map(str, old["points"]))
+        for render in (render_json, render_text):
+            assert render(wrap("soi orbit", result)) == render(wrap("soi orbit", old))
+
+    @pytest.mark.parametrize("x", ["0", "1/2", "1/3", "-1/2+1/3*sqrt5", "3/2-3/5*sqrt5"])
+    @pytest.mark.parametrize("budget", [0, 1, 7, 200])
+    def test_golden_system(self, x, budget):
+        sy = golden_system()
+        self.check({"system": sy, "point": S(x), "budget": budget})
+        for gens in SUBGROUPS:
+            graph = build_core([parse_word(g, 2) for g in gens], 2)
+            self.check({"system": sy, "subgroup": graph, "point": S(x), "budget": budget})
+
+    @given(st.integers(2, 40), st.data())
+    def test_rational_rotations(self, q, data):
+        p = data.draw(st.integers(1, q - 1))
+        sy = rotation(p, q)
+        x = S(data.draw(st.fractions(0, 1, max_denominator=120)))
+        budget = data.draw(st.integers(0, q + 2))
+        self.check({"system": sy, "point": x, "budget": budget})
+        self.check({"system": sy, "subgroup": data.draw(subgroups(sy)), "point": x,
+                    "budget": budget})
+
+    @given(systems(), st.data())
+    @settings(max_examples=60)
+    def test_drawn_systems(self, sy, data):
+        x = data.draw(samples(sy))[0]
+        budget = data.draw(st.integers(0, 150))
+        self.check({"system": sy, "point": x, "budget": budget})
+        self.check({"system": sy, "subgroup": data.draw(subgroups(sy)), "point": x,
+                    "budget": budget})
 
 
 class TestReportsMatchScalarEngines:
@@ -236,7 +289,7 @@ class TestOrderKey:
         e = E if d == 2 else S(Fraction(1, 2 ** 80))
         values = list({S(r) + S(k) * e for r, k in parts})
         den, d, keyed = keys(values)
-        assert _scalars(keyed, den, d) == tuple(sorted(values))
+        assert _texts(keyed, den, d) == tuple(map(str, sorted(values)))
 
     @given(st.integers(-2 ** 80, 2 ** 80), st.integers(-2 ** 40, 2 ** 40),
            st.integers(-2 ** 80, 2 ** 80), st.integers(-2 ** 40, 2 ** 40),
@@ -254,20 +307,20 @@ class TestOrderKey:
         # with 0's, and e + 1/2's with 1/2's
         sy = SoISystem(MultiInterval([iv(-1, 1)]), [PartialIsometry(iv(0, "1/2"), 1, S("1/2"))])
         for x in (E, -E):
-            assert orbit(sy, x, 10) == sorted_frontier_orbit(sy, x, 10)
-        assert orbit(sy, E, 10)[1] == (E, E + S("1/2"))
-        assert orbit(sy, -E, 10)[1] == (-E,)
+            assert orbit(sy, x, 10) == point_texts(sorted_frontier_orbit(sy, x, 10))
+        assert orbit(sy, E, 10)[1] == (str(E), str(E + S("1/2")))
+        assert orbit(sy, -E, 10)[1] == (str(-E),)
         assert between_calls
 
     def test_domain_end_at_a_tie(self, between_calls):
         # the domain [e, 1/2]: 0 shares e's key and lies outside
         sy = SoISystem(MultiInterval([iv(-1, 1)]), [PartialIsometry(Interval(E, S("1/2")), 1,
                                                                     S("1/2"))], ["a"])
-        assert orbit(sy, S(0), 10) == ("closed", (S(0),))
-        assert orbit(sy, E + E, 10)[1] == (E + E, E + E + S("1/2"))
+        assert orbit(sy, S(0), 10) == ("closed", ("0",))
+        assert orbit(sy, E + E, 10)[1] == (str(E + E), str(E + E + S("1/2")))
         calls = len(between_calls)
         graph = build_core([parse_word("a", 1)], 1)
-        assert subgroup_constrained_orbit(sy, graph, S(0), 10) == ("closed", (S(0),))
+        assert subgroup_constrained_orbit(sy, graph, S(0), 10) == ("closed", ("0",))
         assert len(between_calls) > calls
 
     @pytest.mark.parametrize("budget", [0, 1, 5, 40])
@@ -278,7 +331,7 @@ class TestOrderKey:
                        [PartialIsometry(iv("-1/2", "1/2"), 1, E),
                         PartialIsometry(iv(0, "1/3"), 1, S("1/3"))], ["a", "b"])
         run = orbit(sy, S(0), budget)
-        assert run == sorted_frontier_orbit(sy, S(0), budget)
+        assert run == point_texts(sorted_frontier_orbit(sy, S(0), budget))
         graph = whole_group(sy)
         assert subgroup_constrained_orbit(sy, graph, S(0), budget) == run
         assert discreteness_report(sy, graph, [S(0), E], budget) == \
@@ -297,7 +350,7 @@ class TestRestart:
         run = orbit(sy, points(sy, data.draw), 150)
         assume(run[0] == "closed")
         for p in run[1]:
-            assert orbit(sy, p, 150) == run
+            assert orbit(sy, S(p), 150) == run
 
     @given(systems(), st.data())
     @settings(max_examples=60)
@@ -306,7 +359,7 @@ class TestRestart:
         run = subgroup_constrained_orbit(sy, graph, points(sy, data.draw), 150)
         assume(run[0] == "closed")
         for p in run[1]:
-            assert subgroup_constrained_orbit(sy, graph, p, 150) == run
+            assert subgroup_constrained_orbit(sy, graph, S(p), 150) == run
 
 
 class TestRationalRotation:
@@ -323,7 +376,7 @@ class TestRationalRotation:
             lambda x: (x * q).denominator != 1))
         status, pts = orbit(sy, S(x), q)
         assert status == "closed"
-        assert pts == tuple(sorted(S((x + Fraction(k, q)) % 1) for k in range(q)))
+        assert pts == tuple(map(str, sorted(S((x + Fraction(k, q)) % 1) for k in range(q))))
         assert orbit(sy, S(x), q - 1)[0] == "truncated"
 
 

@@ -14,7 +14,7 @@ from hypothesis import example, given, strategies as st
 
 from _oracles import (FractionScalar, _is_square_free as _trial_square_free,
                       gcd_scalar_text, scalar, scalar_parts)
-from grouptrees.core import Scalar, ZERO, _is_square_free, field_problem
+from grouptrees.core import Scalar, ZERO, _is_square_free, _make, _text, field_problem
 from grouptrees.errors import MixedFieldError, ParseError
 
 
@@ -327,6 +327,40 @@ class TestTextWithoutASecondGcd:
         x, y = pair
         for z in (x, y, x + y, x - y, x * y, -x):
             assert str(z) == gcd_scalar_text(z)
+
+
+@st.composite
+def point_ints(draw):
+    """(a, b, den, d) as an orbit's int view holds a point: not normalised.  A
+    zero rational part, a sqrt coefficient of 0 or +-1, negative values, d == 1
+    (where b is 0) and values that reduce by a common factor are all drawn."""
+    d = draw(st.sampled_from([1, 2, 3, 5, 7]))
+    den = draw(st.integers(1, 60))
+    a = draw(st.just(0) | st.integers(-10**6, 10**6))
+    b = 0 if d == 1 else draw(st.sampled_from([0, den, -den]) | st.integers(-10**6, 10**6))
+    k = draw(st.sampled_from([1, 2, 6, 35]))
+    return a * k, b * k, den * k, d
+
+
+class TestPointText:
+    """_text prints the orbit reports' points from their int pairs: it must give
+    the str of the normalised Scalar, which the reports printed before."""
+
+    @given(point_ints())
+    @example((0, 0, 1, 1))
+    @example((6, 0, 3, 1))
+    @example((-2, 0, 4, 3))
+    @example((0, 4, 4, 5))
+    @example((0, -6, 6, 2))
+    @example((3, 3, 6, 5))
+    @example((-4, -2, 2, 3))
+    @example((10, 4, 6, 7))
+    def test_text_is_str_of_the_scalar(self, ints):
+        assert _text(*ints) == str(_make(*ints))
+
+    @given(point_ints())
+    def test_text_parses_back(self, ints):
+        assert Scalar.parse(_text(*ints)) == _make(*ints)
 
 
 # -- the hash: equal values hash equal, whatever path built them --------------
