@@ -66,6 +66,7 @@ def field_problem(d: int) -> str | None:
 
 
 _RAT = r"-?\d+(?:/\d+)?"
+_RAT_RE = re.compile(_RAT)
 # Accepted spellings (whitespace-insensitive):  "3",  "-1/2",  "3/2-1/2*sqrt5",
 # "sqrt5", "-sqrt5", "1/2*sqrt5", "2+sqrt2".  Nothing else — in particular no
 # floating-point literals.  A rational part must be followed by its sign, so
@@ -126,7 +127,7 @@ class Scalar:
         if not compact:
             raise ParseError("empty scalar string")
         if "sqrt" not in compact:
-            if not re.fullmatch(_RAT, compact):
+            if not _RAT_RE.fullmatch(compact):
                 raise ParseError(f"bad rational {text!r} (integers and p/q only, no floats)")
             try:
                 num, den = _ratio(compact)

@@ -81,7 +81,7 @@ def scalar_field(value, where: str) -> Scalar:
               f"as a string such as \"1/2\" or \"3/2-1/2*sqrt5\"")
     if isinstance(value, bool) or not isinstance(value, (int, str)):
         _fail(f"{where}: expected an exact value string")
-    return _checked(where, Scalar.of, value)
+    return _checked(where, Scalar.parse if isinstance(value, str) else Scalar.of, value)
 
 
 def _int_field(doc: dict, key: str, where: str) -> int:

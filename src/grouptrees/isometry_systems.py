@@ -73,10 +73,12 @@ class SoISystem:
         generators = tuple(generators)
         if not generators:
             raise InvalidSystemError("a system needs at least one generator")
+        inverses = []
         for g in generators:
             if not forest.contains_interval(g.dom):
                 raise InvalidSystemError(f"generator domain {g.dom} leaves the support")
-            if not forest.contains_interval(g.ran):
+            inverses.append(g.inverse())  # its domain is g's range
+            if not forest.contains_interval(inverses[-1].dom):
                 raise InvalidSystemError(f"generator range {g.ran} leaves the support")
         letter_of_gen = None
         if labels is not None:
@@ -93,8 +95,7 @@ class SoISystem:
         object.__setattr__(self, "generators", generators)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "_letter_of_gen", letter_of_gen)
-        object.__setattr__(self, "_inverses",
-                           tuple(g.inverse() for g in generators))
+        object.__setattr__(self, "_inverses", tuple(inverses))
 
     def __setattr__(self, *_):
         raise AttributeError("SoISystem is immutable")
@@ -599,13 +600,16 @@ def subgroup_constrained_orbit(system: SoISystem, graph: StallingsGraph, x,
     States are (point, graph vertex); a generator moves the point while its
     label letter moves along the graph.  Returns (status, points) where the
     points are the texts, in increasing order, of those whose state sits at
-    the graph basepoint — the orbit under the subgroup's elements.  The search stops, truncated, before expanding a
-    layer once more than `budget` states are visited.
+    the graph basepoint — the orbit under the subgroup's elements.  The
+    search stops, truncated, before expanding a layer once more than `budget`
+    states are visited.
 
     Given a list of `snapshots`, one breadth-first search answers several
     budgets: the call returns a dict from `budget` and each budget in
     `snapshots` to the (status, points) a call with that budget alone would
-    return.  With `ints`, each points is a dict from int pair to order key.
+    return.  With `ints`, each points is a dict from int pair (a, b) to order
+    key, and the call returns ((den, d, key), that answer): each pair stands
+    for (a + b*sqrt(d))/den, and key is the search's order key.
     """
     letters = _gen_letter_index(system, graph)
     _in_support(system, x)
@@ -628,7 +632,8 @@ def subgroup_constrained_orbit(system: SoISystem, graph: StallingsGraph, x,
 
     results = _layered_search((*x, graph.base), expand, key, at_base,
                               (budget, *(snapshots or ())))
-    return results[budget] if snapshots is None else results
+    results = results[budget] if snapshots is None else results
+    return ((den, d, key), results) if ints else results
 
 
 def subgroup_saturation(system: SoISystem, graph: StallingsGraph,
@@ -697,13 +702,12 @@ def discreteness_report(system: SoISystem, graph: StallingsGraph, samples,
     budgets = sorted({min(max(budget // k, 1), budget) for k in (4, 2, 1)})
     rows, growth, min_gap = [], {b: [] for b in budgets}, None
     for x in samples:
-        runs = subgroup_constrained_orbit(system, graph, x, budgets[-1],
-                                          budgets[:-1], True)
+        (den, d, key), runs = subgroup_constrained_orbit(system, graph, x, budgets[-1],
+                                                         budgets[:-1], True)
         for b in budgets:
             growth[b].append(len(runs[b][1]))
         status, keyed = runs[budgets[-1]]
         rows.append({"sample": x, "status": status, "orbit_size": len(keyed)})
-        (den, d, key, _), _ = _compile(system, (x,))
         points = _ordered(keyed, d)
         gaps = [(qa - pa, qb - pb) for (pa, pb), (qa, qb) in zip(points, points[1:])]
         if gaps and (min_gap is None or min_gap.d in (1, d)):

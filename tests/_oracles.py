@@ -1142,10 +1142,9 @@ def scalar_orbit(system, x, budget: int):
 
 
 def scalar_sub_orbit(system, graph, x, budget: int, snapshots=None):
-    from grouptrees.isometry_systems import _compile, subgroup_constrained_orbit
+    from grouptrees.isometry_systems import subgroup_constrained_orbit
 
-    runs = subgroup_constrained_orbit(system, graph, x, budget, snapshots, True)
-    (den, d, _, _), _ = _compile(system, (x,))
+    (den, d, _), runs = subgroup_constrained_orbit(system, graph, x, budget, snapshots, True)
     if snapshots is None:
         return runs[0], scalars(runs[1], den, d)
     return {b: (status, scalars(keyed, den, d)) for b, (status, keyed) in runs.items()}
