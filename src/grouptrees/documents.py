@@ -246,19 +246,13 @@ def load_system(doc: dict) -> SoISystem:
         if offset is None and to is None:
             _fail(f"{where}: give 'offset' or 'to' (left endpoint of the "
                   f"image interval)")
-        if offset is not None:
-            off = _check_field(d, scalar_field(offset, f"{where} offset"),
-                               where)
-        else:
-            off = None
+        off = (None if offset is None
+               else _check_field(d, scalar_field(offset, f"{where} offset"), where))
         if to is not None:
             to_val = _check_field(d, scalar_field(to, f"{where} to"), where)
             # image of dom under (orient, offset): orient==1 -> [lo+off, hi+off];
             # orient==-1 -> [-hi+off, -lo+off].  'to' names the image's left end.
-            if orient == 1:
-                derived = to_val - dom.lo
-            else:
-                derived = to_val + dom.hi
+            derived = to_val - dom.lo if orient == 1 else to_val + dom.hi
             if off is None:
                 off = derived
             elif off != derived:

@@ -211,7 +211,6 @@ def _ordered(keyed: dict, d: int) -> list:
 
 
 def _texts(keyed: dict, den: int, d: int) -> tuple[str, ...]:
-    """The texts of the points (a + b*sqrt(d))/den of `keyed`, in increasing order."""
     return tuple(_text(a, b, den, d) for a, b in _ordered(keyed, d))
 
 
@@ -219,10 +218,9 @@ def orbit(system: SoISystem, x, budget: int, view=None):
     """BFS closure of {x} under all generators and inverses.
 
     Returns (status, points) with status "closed" or "truncated"; points is
-    the tuple of the texts of the distinct points collected, in increasing
-    order (at most budget+ a layer's worth when truncated, deterministically);
-    each text is that of the point's Scalar.  Given `view`, from `_compile`,
-    x is an int pair and points a dict from int pair to order key instead.
+    the texts of the distinct points collected, in increasing order (at most
+    budget+ a layer's worth when truncated, deterministically).  Given `view`,
+    from `_compile`, x is an int pair and points a dict from pair to key instead.
     A domain test compares keys, and calls `_sign` only on a tie.
     """
     ints = view is not None
@@ -600,16 +598,14 @@ def subgroup_constrained_orbit(system: SoISystem, graph: StallingsGraph, x,
     States are (point, graph vertex); a generator moves the point while its
     label letter moves along the graph.  Returns (status, points) where the
     points are the texts, in increasing order, of those whose state sits at
-    the graph basepoint — the orbit under the subgroup's elements.  The
-    search stops, truncated, before expanding a layer once more than `budget`
-    states are visited.
+    the graph basepoint — the orbit under the subgroup's elements.  The search
+    stops, truncated, before expanding a layer once more than `budget` states are visited.
 
     Given a list of `snapshots`, one breadth-first search answers several
     budgets: the call returns a dict from `budget` and each budget in
     `snapshots` to the (status, points) a call with that budget alone would
-    return.  With `ints`, each points is a dict from int pair (a, b) to order
-    key, and the call returns ((den, d, key), that answer): each pair stands
-    for (a + b*sqrt(d))/den, and key is the search's order key.
+    return.  With `ints`, each points is a dict from int pair to order key, and
+    the call returns ((den, d, key), that answer), as `_compile` gives them.
     """
     letters = _gen_letter_index(system, graph)
     _in_support(system, x)

@@ -77,38 +77,39 @@ class MarkedMetricGraph:
         for eid, (u, v, _) in enumerate(self.edges):
             darts[u][eid + 1] = v
             darts[v][-(eid + 1)] = u
-        seen = {0}
-        stack = [0]
-        while stack:
-            for w in darts[stack.pop()].values():
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        if len(seen) != nv:
-            raise InvalidSystemError("graph must be connected")
+        def refuse(error: Exception):  # a disconnected graph is named first
+            seen, stack = {0}, [0]
+            while stack:
+                for w in darts[stack.pop()].values():
+                    if w not in seen:
+                        seen.add(w)
+                        stack.append(w)
+            raise error if len(seen) == nv else InvalidSystemError("graph must be connected")
         bad = [v for v in range(nv) if len(darts[v]) <= 1]
         if bad:
-            raise InvalidSystemError(
+            refuse(InvalidSystemError(
                 f"vertex {bad[0]} has valence {len(darts[bad[0]])}; "
-                "a minimal graph has no valence-one vertices")
-
-        tree = frozenset(tree)
+                "a minimal graph has no valence-one vertices"))
+        try:
+            tree = frozenset(tree)
+        except TypeError as exc:
+            refuse(exc)
         if not all(isinstance(t, int) and 0 <= t < ne for t in tree):
-            raise InvalidSystemError("spanning tree refers to unknown edges")
+            refuse(InvalidSystemError("spanning tree refers to unknown edges"))
         if len(tree) != nv - 1:
-            raise InvalidSystemError("spanning tree must have nv-1 edges")
-        # darts of the tree path from the basepoint to each vertex; nv-1
-        # edges are acyclic iff they reach every vertex
-        path_to = {base: ()}
+            refuse(InvalidSystemError("spanning tree must have nv-1 edges"))
+        # the tree dart into each vertex (0 at the basepoint); nv-1 edges are
+        # acyclic iff they reach every vertex, which shows the graph connected
+        parent = {base: 0}
         stack = [base]
         while stack:
             x = stack.pop()
             for dart, y in darts[x].items():
-                if y not in path_to and abs(dart) - 1 in tree:
-                    path_to[y] = path_to[x] + (dart,)
+                if y not in parent and abs(dart) - 1 in tree:
+                    parent[y] = dart
                     stack.append(y)
-        if len(path_to) != nv:
-            raise InvalidSystemError("spanning tree contains a cycle")
+        if len(parent) != nv:
+            refuse(InvalidSystemError("spanning tree contains a cycle"))
 
         non_tree = tuple(sorted(set(range(ne)) - tree))
         marking = dict(marking)
@@ -136,10 +137,17 @@ class MarkedMetricGraph:
 
         # the dart loop of marking symbol ±j, the j-th non-tree edge's loop;
         # its tree and non-tree darts are different edges, so nothing cancels
+        def path_to(v: int) -> tuple[int, ...]:
+            path = []
+            while v != base:
+                path.append(parent[v])
+                v = self.dart_target(-parent[v])
+            return tuple(reversed(path))
+
         nt_loops = {}
         for j, eid in enumerate(non_tree, 1):
             u, v, _ = self.edges[eid]
-            nt_loops[j] = path_to[u] + (eid + 1,) + inverse(path_to[v])
+            nt_loops[j] = path_to(u) + (eid + 1,) + inverse(path_to(v))
             nt_loops[-j] = inverse(nt_loops[j])
 
         self._letter_loops = {}

@@ -1,6 +1,8 @@
 """Marked metric graphs: lengths, minimal subtrees, translate overlaps."""
 
+import json
 import random
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from itertools import combinations
@@ -8,7 +10,7 @@ from itertools import combinations
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from grouptrees import folding
+from grouptrees import folding, report, scenarios
 from grouptrees import marked_graphs as engine
 from grouptrees.core import Scalar, Word, _class_table, _letters_text, enumerate_words, parse_word
 from grouptrees.basis_change import invert_basis
@@ -275,6 +277,40 @@ class TestDartMaps:
             graph.word_to_loop(b.letters) for b in basis_of(subgroup)))
         assert [list(p.darts_at(v).items()) for v in range(p.nv)] == \
             [list(here.items()) for here in darts]
+
+
+def cut_rose(n: int) -> dict:
+    """The rank-2 rose whose petal a is cut into n unit edges, as a document."""
+    edges = [{"id": i, "ends": [i, (i + 1) % n], "len": "1"} for i in range(n)]
+    edges.append({"id": n, "ends": [0, 0], "len": "1/2"})
+    return {"rank": 2, "vertices": n, "edges": edges, "spanning_tree": list(range(n - 1)),
+            "marking": {str(n - 1): "a", str(n): "b"}}
+
+
+class TestMemoryInProportion:
+    """A marked graph's load, a request and its report peak (tracemalloc) within
+    a fixed multiple of the document's bytes plus the report's, at n and 4n: a
+    tree path per vertex, quadratic in n, peaked at about 100x at n = 2000."""
+
+    MULTIPLE = 32
+
+    @staticmethod
+    def peak(op: str, args: dict) -> tuple[int, str]:
+        tracemalloc.start()
+        try:
+            result, _ = scenarios.run_op(op, args)
+            text = report.render_json(report.wrap(op, result))
+            return tracemalloc.get_traced_memory()[1], text
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize("op,extra", [("cvn.vol", {}), ("cvn.len", {"word": "aBab"})])
+    def test_cut_rose(self, op, extra):
+        self.peak(op, dict(extra, graph=cut_rose(3)))  # engines imported before measuring
+        for n in (500, 2000):
+            doc = cut_rose(n)
+            peak, text = self.peak(op, dict(extra, graph=json.loads(json.dumps(doc))))
+            assert peak <= self.MULTIPLE * (len(json.dumps(doc)) + len(text)), (n, peak)
 
 
 class TestTranslationLength:
