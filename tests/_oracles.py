@@ -1126,17 +1126,11 @@ def point_texts(run) -> tuple:
     return status, tuple(map(str, points))
 
 
-def _compiled_start(system, x):
-    from grouptrees.isometry_systems import _compile, _in_support
+def scalar_orbit(system, x, budget: int):
+    from grouptrees.isometry_systems import _compile, _in_support, orbit
 
     _in_support(system, x)
-    return _compile(system, (x,))
-
-
-def scalar_orbit(system, x, budget: int):
-    from grouptrees.isometry_systems import orbit
-
-    view, (start,) = _compiled_start(system, x)
+    view, (start,) = _compile(system, (x,))
     status, keyed = orbit(system, start, budget, view)
     return status, scalars(keyed, view[0], view[1])
 

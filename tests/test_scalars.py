@@ -311,8 +311,8 @@ class TestAgainstFractionOracle:
 
 
 class TestTextWithoutASecondGcd:
-    """A rational Scalar is in lowest terms, so its text is printed as it is;
-    the text is str(Fraction), and the parts' gcd text of the parent."""
+    """A rational Scalar's text is str(Fraction), and every Scalar's is the
+    parts' gcd text of the parent."""
 
     @given(st.integers(-10**30, 10**30), st.integers(1, 10**30))
     def test_rationals_print_as_fractions(self, p, q):
