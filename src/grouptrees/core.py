@@ -175,15 +175,8 @@ class Scalar:
         return _build(-self._a, -self._b, self._den, self._d)
 
     def __sub__(self, other) -> "Scalar":
-        o = other if type(other) is Scalar else _coerce(other)
-        if o is None:
-            return NotImplemented
-        d = self._d if self._d == o._d else _join(self._d, o._d)
-        den, oden = self._den, o._den
-        if den == oden:
-            return _make(self._a - o._a, self._b - o._b, den, d)
-        return _make(self._a * oden - o._a * den, self._b * oden - o._b * den,
-                     den * oden, d)
+        o = other if type(other) is Scalar else _coerce(other)  # -o keeps its field
+        return NotImplemented if o is None else self + -o
 
     def __mul__(self, other) -> "Scalar":
         o = other if type(other) is Scalar else _coerce(other)

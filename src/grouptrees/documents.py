@@ -32,11 +32,22 @@ def _checked(where: str, build, *args):
 
 
 def parse_json(text: str, where: str | None = None):
-    """The JSON value of `text`; malformed or over-deep text, or an integer
-    past the interpreter's digit limit, is a ParseError."""
+    """The JSON value of `text`; malformed or over-deep text, a repeated key,
+    NaN or Infinity, or an integer past the digit limit, is a ParseError."""
     prefix = "" if where is None else f"{where}: "
+
+    def unique(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                _fail(f"{prefix}invalid JSON: key {key!r} repeated in one object")
+            seen.add(key)
+        return dict(pairs)
+
+    def constant(name):
+        _fail(f"{prefix}invalid JSON: {name} is not a JSON value")
     try:
-        return json.loads(text)
+        return json.loads(text, object_pairs_hook=unique, parse_constant=constant)
     except json.JSONDecodeError as exc:
         _fail(f"{prefix}invalid JSON: {exc}")
     except RecursionError:

@@ -329,26 +329,23 @@ def _left_words(maps, start, step, max_len: int):
 def independence_check(system: SoISystem, max_len: int) -> dict:
     """Search reduced words up to max_len for one acting as the identity on an arc.
 
-    Compositions are tracked as exact partial maps; branches whose domains
-    degenerate to a point (or vanish) are pruned, since no extension can
-    recover a nondegenerate fixed arc.
+    Compositions are tracked as exact partial maps on the integer kernel;
+    branches whose domains degenerate to a point (or vanish) are pruned, since
+    no extension can recover a nondegenerate fixed arc.
     """
     def compose(g, state):
         # g o old: the domain pulled back through the old map
-        orient, offset, dom = state
-        dom = dom.intersect(g.dom.shifted_image(orient,
-                                                -offset if orient > 0 else offset))
-        if dom is None or dom.is_point:
-            return None
-        return g.orient * orient, (offset if g.orient > 0 else -offset) + g.offset, dom
+        (orient, (a, b), arc), (g_orient, (ga, gb), g_dom) = state, g
+        arc = _intersect(arc, _shifted(g_dom, orient, (-a, -b) if orient > 0 else (a, b)), d)
+        if _sign(*_measure(arc), d) > 0:
+            return g_orient * orient, (a + ga, b + gb) if g_orient > 0 else (ga - a, gb - b), arc
 
     parts = system.forest.components
-    identity = (1, ZERO, Interval(parts[0].lo, parts[-1].hi))
-    maps = [(l, system.letter_map(l)) for l in system.signed_letters()]
-    for word, (orient, offset, dom) in _left_words(maps, identity, compose, max_len):
-        if orient == 1 and offset.is_zero():
+    den, d, maps, (hull,) = _compile_sets(system, (Interval(parts[0].lo, parts[-1].hi),))
+    for word, (orient, offset, arc) in _left_words(maps, (1, (0, 0), hull), compose, max_len):
+        if orient == 1 and offset == (0, 0):
             return {"status": "violation", "word": _letters_text(word),
-                    "arc": dom, "word_length": len(word)}
+                    "arc": _interval(arc[0], den, d), "word_length": len(word)}
     return {"status": "ok-up-to-budget", "max_len": max_len}
 
 
@@ -592,7 +589,7 @@ def _gen_letter_index(system: SoISystem, graph: StallingsGraph):
 
 
 def subgroup_constrained_orbit(system: SoISystem, graph: StallingsGraph, x,
-                               budget: int, snapshots=None, ints: bool = False):
+                               budget: int, snapshots=None):
     """Orbit of x under subgroup words only, tracked through the subgroup graph.
 
     States are (point, graph vertex); a generator moves the point while its
@@ -601,11 +598,10 @@ def subgroup_constrained_orbit(system: SoISystem, graph: StallingsGraph, x,
     the graph basepoint — the orbit under the subgroup's elements.  The search
     stops, truncated, before expanding a layer once more than `budget` states are visited.
 
-    Given a list of `snapshots`, one breadth-first search answers several
-    budgets: the call returns a dict from `budget` and each budget in
-    `snapshots` to the (status, points) a call with that budget alone would
-    return.  With `ints`, each points is a dict from int pair to order key, and
-    the call returns ((den, d, key), that answer), as `_compile` gives them.
+    Given `snapshots` (a list, possibly empty), one search answers several
+    budgets: the call returns ((den, d, key), runs), as `_compile` gives them,
+    runs mapping `budget` and each snapshot to the (status, points) a call with
+    that budget alone would find, but with points a dict from int pair to key.
     """
     letters = _gen_letter_index(system, graph)
     _in_support(system, x)
@@ -624,12 +620,11 @@ def subgroup_constrained_orbit(system: SoISystem, graph: StallingsGraph, x,
 
     def at_base(visited):
         keyed = {(a, b): k for (a, b, v), k in visited.items() if v == graph.base}
-        return keyed if ints else _texts(keyed, den, d)
+        return _texts(keyed, den, d) if snapshots is None else keyed
 
     results = _layered_search((*x, graph.base), expand, key, at_base,
                               (budget, *(snapshots or ())))
-    results = results[budget] if snapshots is None else results
-    return ((den, d, key), results) if ints else results
+    return results[budget] if snapshots is None else ((den, d, key), results)
 
 
 def subgroup_saturation(system: SoISystem, graph: StallingsGraph,
@@ -699,7 +694,7 @@ def discreteness_report(system: SoISystem, graph: StallingsGraph, samples,
     rows, growth, min_gap = [], {b: [] for b in budgets}, None
     for x in samples:
         (den, d, key), runs = subgroup_constrained_orbit(system, graph, x, budgets[-1],
-                                                         budgets[:-1], True)
+                                                         budgets[:-1])
         for b in budgets:
             growth[b].append(len(runs[b][1]))
         status, keyed = runs[budgets[-1]]

@@ -35,8 +35,8 @@ from .core import (Scalar, Word, ZERO, _class_table, _class_words, _integer_view
 from .errors import DegenerateSubgroupError, InvalidSystemError
 from .basis_change import invert_basis
 from . import folding
-from .stallings import (StallingsGraph, _checked_graph, _read, basis_of, index, membership,
-                        rank_of, subgroup_elements)
+from .stallings import (StallingsGraph, _checked_graph, _read, _tree_path, basis_of, index,
+                        membership, rank_of, subgroup_elements)
 
 
 class MarkedMetricGraph:
@@ -98,17 +98,17 @@ class MarkedMetricGraph:
             refuse(InvalidSystemError("spanning tree refers to unknown edges"))
         if len(tree) != nv - 1:
             refuse(InvalidSystemError("spanning tree must have nv-1 edges"))
-        # the tree dart into each vertex (0 at the basepoint); nv-1 edges are
-        # acyclic iff they reach every vertex, which shows the graph connected
-        parent = {base: 0}
+        # the tree dart (x, dart) into each vertex but the basepoint; nv-1 edges
+        # are acyclic iff they reach every vertex, which shows the graph connected
+        parent = {}
         stack = [base]
         while stack:
             x = stack.pop()
             for dart, y in darts[x].items():
-                if y not in parent and abs(dart) - 1 in tree:
-                    parent[y] = dart
+                if y not in parent and y != base and abs(dart) - 1 in tree:
+                    parent[y] = (x, dart)
                     stack.append(y)
-        if len(parent) != nv:
+        if len(parent) != nv - 1:
             refuse(InvalidSystemError("spanning tree contains a cycle"))
 
         non_tree = tuple(sorted(set(range(ne)) - tree))
@@ -137,17 +137,10 @@ class MarkedMetricGraph:
 
         # the dart loop of marking symbol ±j, the j-th non-tree edge's loop;
         # its tree and non-tree darts are different edges, so nothing cancels
-        def path_to(v: int) -> tuple[int, ...]:
-            path = []
-            while v != base:
-                path.append(parent[v])
-                v = self.dart_target(-parent[v])
-            return tuple(reversed(path))
-
         nt_loops = {}
         for j, eid in enumerate(non_tree, 1):
             u, v, _ = self.edges[eid]
-            nt_loops[j] = path_to(u) + (eid + 1,) + inverse(path_to(v))
+            nt_loops[j] = _tree_path(parent, u) + (eid + 1,) + inverse(_tree_path(parent, v))
             nt_loops[-j] = inverse(nt_loops[j])
 
         self._letter_loops = {}

@@ -93,14 +93,12 @@ def invariance_check(system, mu: LengthMeasure) -> dict:
         if gen.dom.is_point:
             continue
         cuts = {gen.dom.lo, gen.dom.hi}
+        inv = gen.inverse()  # its domain is gen's range
         for p in breakpoints:
             if gen.dom.contains(p):
                 cuts.add(p)
-            # pull back breakpoints that subdivide the range
-            if gen.ran.contains(p):
-                back = p - gen.offset if gen.orient > 0 else gen.offset - p
-                if gen.dom.contains(back):
-                    cuts.add(back)
+            if inv.dom.contains(p):  # pull back breakpoints that subdivide the range
+                cuts.add(inv.apply(p))
         pts = sorted(cuts)
         for lo, hi in zip(pts, pts[1:]):
             if lo == hi:

@@ -194,16 +194,18 @@ def _tree_loops(graph: StallingsGraph, parent: dict) -> list[tuple[tuple, Word]]
                     parent[w] = (v, letter)
                     queue.append(w)
     tree = {(u, l, x) if l > 0 else (x, -l, u) for x, (u, l) in parent.items()}
-
-    def path_to(x: int) -> tuple[int, ...]:
-        letters = []
-        while x in parent:
-            x, letter = parent[x]
-            letters.append(letter)
-        return tuple(reversed(letters))
-
-    return [((u, l, v), _word(path_to(u) + (l,) + inverse(path_to(v)), graph.rank))
+    return [((u, l, v), _word(_tree_path(parent, u) + (l,) + inverse(_tree_path(parent, v)),
+                              graph.rank))
             for u, l, v in graph.edges if (u, l, v) not in tree]
+
+
+def _tree_path(parent: dict, x: int) -> tuple[int, ...]:
+    """The letters of the tree path from the basepoint to x; `parent` as in _tree_loops."""
+    letters = []
+    while x in parent:
+        x, letter = parent[x]
+        letters.append(letter)
+    return tuple(reversed(letters))
 
 
 def basis_of(graph: StallingsGraph) -> list[Word]:

@@ -183,6 +183,19 @@ denominator again.  :func:`copying_to_jsonable`,
 before rendering took one encoder pass: the report is copied into plain
 JSON data, with every key turned into text, and ``json.dumps`` or the text
 walk, with one branch for dicts and one for lists, reads the copy.
+
+:func:`scalar_independence_check`, :func:`parent_dart_letter_loops`,
+:func:`common_denominator_sub` and :func:`inline_invariance_check` are the
+second copies of a job that the package now does once: ``soi glp``'s
+independence search composing ``Interval``s of ``Scalar``s where the
+support engines compose on the integer kernel; ``MarkedMetricGraph``'s own
+parent walk, one dart per vertex and 0 at the basepoint, and its own
+speller, which walks back through ``dart_target``, where it now records
+``(vertex, dart)`` pairs and spells with ``grouptrees.stallings._tree_path``;
+``Scalar.__sub__`` with its own common-denominator code, where it now adds
+the negation; and ``grouptrees.measures.invariance_check`` pulling each
+breakpoint back by an inline formula, then testing that it lands in the
+domain, where it now applies the generator's inverse.
 """
 
 from __future__ import annotations
@@ -1138,9 +1151,10 @@ def scalar_orbit(system, x, budget: int):
 def scalar_sub_orbit(system, graph, x, budget: int, snapshots=None):
     from grouptrees.isometry_systems import subgroup_constrained_orbit
 
-    (den, d, _), runs = subgroup_constrained_orbit(system, graph, x, budget, snapshots, True)
+    (den, d, _), runs = subgroup_constrained_orbit(system, graph, x, budget, snapshots or ())
     if snapshots is None:
-        return runs[0], scalars(runs[1], den, d)
+        status, keyed = runs[budget]
+        return status, scalars(keyed, den, d)
     return {b: (status, scalars(keyed, den, d)) for b, (status, keyed) in runs.items()}
 
 
@@ -2529,3 +2543,113 @@ def _copying_scalar_text(v) -> str:
 
 def copying_render_text(report: dict) -> str:
     return "\n".join(_copying_text_lines(copying_to_jsonable(report), 0)) + "\n"
+
+
+# -- second copies of a job the package does once --------------------------------
+
+
+def scalar_independence_check(system, max_len: int) -> dict:
+    """independence_check composing Intervals of Scalars along the shared walk."""
+    from grouptrees.isometry_systems import _left_words
+
+    def compose(g, state):
+        # g o old: the domain pulled back through the old map
+        orient, offset, dom = state
+        dom = dom.intersect(g.dom.shifted_image(orient,
+                                                -offset if orient > 0 else offset))
+        if dom is None or dom.is_point:
+            return None
+        return g.orient * orient, (offset if g.orient > 0 else -offset) + g.offset, dom
+
+    parts = system.forest.components
+    identity = (1, ZERO, Interval(parts[0].lo, parts[-1].hi))
+    maps = [(l, system.letter_map(l)) for l in system.signed_letters()]
+    for word, (orient, offset, dom) in _left_words(maps, identity, compose, max_len):
+        if orient == 1 and offset.is_zero():
+            return {"status": "violation", "word": _letters_text(word),
+                    "arc": dom, "word_length": len(word)}
+    return {"status": "ok-up-to-budget", "max_len": max_len}
+
+
+def parent_dart_letter_loops(graph) -> dict:
+    """The letter loops of a MarkedMetricGraph, spelled as its constructor did
+    with its own walk (the tree dart into each vertex, 0 at the basepoint) and
+    its own speller (back to the basepoint through dart_target)."""
+    base = graph.base
+    parent, stack = {base: 0}, [base]
+    while stack:
+        x = stack.pop()
+        for dart, y in graph.darts_at(x).items():
+            if y not in parent and abs(dart) - 1 in graph.tree:
+                parent[y] = dart
+                stack.append(y)
+    if len(parent) != graph.nv:
+        raise InvalidSystemError("spanning tree contains a cycle")
+
+    def path_to(v: int) -> tuple[int, ...]:
+        path = []
+        while v != base:
+            path.append(parent[v])
+            v = graph.dart_target(-parent[v])
+        return tuple(reversed(path))
+
+    non_tree = sorted(set(range(len(graph.edges))) - graph.tree)
+    nt_loops = {}
+    for j, eid in enumerate(non_tree, 1):
+        u, v, _ = graph.edges[eid]
+        nt_loops[j] = path_to(u) + (eid + 1,) + inverse(path_to(v))
+        nt_loops[-j] = inverse(nt_loops[j])
+    loops = {}
+    exprs = invert_basis([graph.marking[eid] for eid in non_tree], graph.rank)
+    for a, expr in enumerate(exprs, 1):
+        loop = product(*map(nt_loops.__getitem__, expr))
+        loops[a], loops[-a] = loop, inverse(loop)
+    return loops
+
+
+def common_denominator_sub(x: Scalar, other):
+    """x - other as Scalar.__sub__ computed it with its own common denominator;
+    NotImplemented for an operand that is no int, Fraction or Scalar."""
+    from grouptrees.core import _coerce, _join, _make
+
+    o = other if type(other) is Scalar else _coerce(other)
+    if o is None:
+        return NotImplemented
+    d = x._d if x._d == o._d else _join(x._d, o._d)
+    den, oden = x._den, o._den
+    if den == oden:
+        return _make(x._a - o._a, x._b - o._b, den, d)
+    return _make(x._a * oden - o._a * den, x._b * oden - o._b * den, den * oden, d)
+
+
+def inline_invariance_check(system, mu) -> dict:
+    """invariance_check pulling breakpoints back by an inline formula, each then
+    tested against the domain."""
+    if mu.support != system.forest:
+        raise PreconditionError(
+            "the measure must be supported on exactly the system's multi-interval")
+    breakpoints = mu.breakpoints()
+    for gi, gen in enumerate(system.generators):
+        if gen.dom.is_point:
+            continue
+        cuts = {gen.dom.lo, gen.dom.hi}
+        for p in breakpoints:
+            if gen.dom.contains(p):
+                cuts.add(p)
+            if gen.ran.contains(p):
+                back = p - gen.offset if gen.orient > 0 else gen.offset - p
+                if gen.dom.contains(back):
+                    cuts.add(back)
+        pts = sorted(cuts)
+        for lo, hi in zip(pts, pts[1:]):
+            if lo == hi:
+                continue
+            mid = Interval(lo, hi).midpoint
+            here = mu.density_at(mid)
+            there = mu.density_at(gen.apply(mid))
+            if here != there:
+                label = system.labels[gi] if system.labels else str(gi)
+                return {"status": "violation", "generator": label,
+                        "piece": Interval(lo, hi), "density_here": here,
+                        "density_there": there}
+    return {"status": "invariant", "generators_checked": len(system.generators)}

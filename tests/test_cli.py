@@ -902,6 +902,25 @@ class TestLoadErrors:
             1, "", f"error: subgroup file {str(path)!r}: field '{field}': an "
                    f"integer of {digits} digits is too long\n")
 
+    @pytest.mark.parametrize("text,problem", [
+        # the last value of a repeated key would win, answering for rank 3
+        ('{"rank":2,"rank":3,"generators":["a"]}', "key 'rank' repeated in one object"),
+        ('{"rank":2,"generators":["a"],"spare":{"x":1,"y":2,"x":1}}',
+         "key 'x' repeated in one object"),
+        # Python's non-standard constants, even in a field the loader ignores
+        ('{"rank":2,"generators":["a"],"x":Infinity}', "Infinity is not a JSON value"),
+        ('{"rank":2,"generators":["a"],"x":[-Infinity]}', "-Infinity is not a JSON value"),
+        ('{"rank":2,"generators":["a"],"x":NaN}', "NaN is not a JSON value")])
+    @pytest.mark.parametrize("source", ["file", "stdin"])
+    def test_repeated_key_or_constant_refused(self, capsys, monkeypatch, tmp_path,
+                                              text, problem, source):
+        path = tmp_path / "sub.json"
+        path.write_text(text)
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(text.encode())))
+        name = str(path) if source == "file" else "-"
+        assert run_cli(capsys, "stallings", "index", "--in", name) == (
+            1, "", f"error: subgroup file {name!r}: invalid JSON: {problem}\n")
+
     def test_inline_interval_mixing_two_fields(self, capsys, tmp_path):
         # an inline pair declares no field, so each end may use any one,
         # and a pair mixing two fails in the interval's own comparison

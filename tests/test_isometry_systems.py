@@ -4,9 +4,9 @@ import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
-from grouptrees.core import Scalar, _integer_view, parse_word
+from grouptrees.core import Scalar, ZERO, _integer_view, parse_word
 from grouptrees.corpus import (
     ALPHA,
     balanced_corpus,
@@ -49,8 +49,9 @@ from grouptrees.stallings import build_core
 
 from _fixtures import dependent_corpus
 from _oracles import (layered_image_candidates, layered_independence_check, point_texts,
-                      rebuilding_ae_support_check, single_budget_orbit, singular_points,
-                      sorted_frontier_orbit, three_run_discreteness_report)
+                      rebuilding_ae_support_check, scalar_independence_check, scalars,
+                      single_budget_orbit, singular_points, sorted_frontier_orbit,
+                      three_run_discreteness_report)
 
 S = Scalar.of
 
@@ -304,6 +305,67 @@ class TestOneWordWalk:
             layered_image_candidates(sy, seed, max_len)
 
 
+def field_points(d: int) -> list[Scalar]:
+    """The values p/12 + q/12*sqrt(d) in [0, 1], with q = 0 over Q."""
+    root = Scalar.parse(f"sqrt{d}") if d != 1 else ZERO
+    return sorted({v for p in range(13) for q in range(-4, 5)
+                   for v in (S(Fraction(p, 12)) + root * Fraction(q, 12),) if S(0) <= v <= S(1)})
+
+
+FIELD_POINTS = {d: field_points(d) for d in (1, 2, 5)}
+
+
+@st.composite
+def field_systems(draw) -> SoISystem:
+    """One to three generators on [0, 1], or on [0, 1] and [2, 3], with ends
+    and offsets in Q, Q(sqrt2) or Q(sqrt5); some reverse, and some repeat an
+    earlier generator or its inverse, which is a relation."""
+    points = FIELD_POINTS[draw(st.sampled_from(sorted(FIELD_POINTS)))]
+    shifts = [S(0), S(2)] if draw(st.booleans()) else [S(0)]
+    gens = []
+    for _ in range(draw(st.integers(1, 3))):
+        if gens and draw(st.integers(0, 4)) == 0:
+            g = draw(st.sampled_from(gens))
+            gens.append(g if draw(st.booleans()) else g.inverse())
+            continue
+        lo, hi = sorted((draw(st.sampled_from(points)), draw(st.sampled_from(points))))
+        # the image's left end, on the same component or the other
+        to = draw(st.sampled_from([p for p in points if p + (hi - lo) <= S(1)]))
+        shift = draw(st.sampled_from(shifts))
+        lo, hi, to = lo + shift, hi + shift, to + draw(st.sampled_from(shifts))
+        orient = draw(st.sampled_from([1, -1]))
+        gens.append(PartialIsometry(Interval(lo, hi), orient,
+                                    to - lo if orient > 0 else to + hi))
+    return SoISystem(MultiInterval([Interval(s, s + S(1)) for s in shifts]), gens)
+
+
+class TestIndependenceOnTheKernel:
+    """independence_check composes on the integer kernel; the Scalar
+    composition it replaced must give the same status, word and arc."""
+
+    @staticmethod
+    def check(sy, max_len):
+        new = independence_check(sy, max_len)
+        assert new == scalar_independence_check(sy, max_len)
+        if "arc" in new:
+            assert str(new["arc"]) == str(scalar_independence_check(sy, max_len)["arc"])
+
+    @given(field_systems(), st.integers(0, 5))
+    @settings(max_examples=200)
+    # b o a meets only at the point 1/4, where it is the identity: no relation
+    @example(system([(0, 1)], [(0, "1/4", 1, "1/2"), ("3/4", 1, 1, "-1/2")]), 2)
+    # two flips between the components: b o a is the identity on [0, 1/2]
+    @example(system([(0, 1), (2, 3)], [(0, "1/2", -1, 3), ("5/2", 3, -1, 3)]), 2)
+    def test_matches_scalar_composition(self, sy, max_len):
+        self.check(sy, max_len)
+
+    def test_corpus_systems(self):
+        systems = ([sy for _, sy, _ in balanced_corpus()] + [sy for _, sy in dependent_corpus()]
+                   + [golden_system(), rotation_pair(), worked_single_map(), FLIP_SQRT3])
+        for sy in systems:
+            self.check(sy, 6)
+
+
 class TestBalanceReport:
     @pytest.mark.parametrize("name,sy,e", balanced_corpus(),
                              ids=[n for n, _, _ in balanced_corpus()])
@@ -519,13 +581,18 @@ class TestOneSearchManyBudgets:
         for gens in self.SUBGROUPS:
             graph = build_core([W(g) for g in gens], 2)
             for x in self.SAMPLES:
-                runs = subgroup_constrained_orbit(system, graph, S(x), 120,
-                                                  self.BUDGETS)
+                (den, d, _), runs = subgroup_constrained_orbit(system, graph, S(x), 120,
+                                                               self.BUDGETS)
                 assert sorted(runs) == sorted(set(self.BUDGETS) | {120})
-                for b, run in runs.items():
+                texts = {b: point_texts((status, scalars(keyed, den, d)))
+                         for b, (status, keyed) in runs.items()}
+                for b, run in texts.items():
                     assert run == point_texts(single_budget_orbit(system, graph, S(x), b))
                 assert subgroup_constrained_orbit(system, graph, S(x), 120) \
-                    == runs[120]
+                    == texts[120]
+                # no snapshots but the budget itself: the same int answer
+                assert subgroup_constrained_orbit(system, graph, S(x), 120, ())[1] \
+                    == {120: runs[120]}
 
 
 # Flips, irrational offsets and endpoints, and two components, with

@@ -40,7 +40,7 @@ from _oracles import (_UnionFind, _lifted_path, adjacency_letter_loops,
                       brute_omega, class_rep, compacting_fold, cyclic_reduce,
                       every_translate_family_report,
                       grow_ball, initial_state, loop_omega, net_translation_length,
-                      substitute, vertex_on_subtree, walk)
+                      parent_dart_letter_loops, substitute, vertex_on_subtree, walk)
 
 
 S = Scalar.of
@@ -977,3 +977,138 @@ class TestMeetingProperties:
         meets = _meets_translate(cover, g.letters, x1)
         assert _meets_translate(cover, g.inverse().letters, x1) == meets
         assert _meets_translate(cover, (h1 * g * h2).letters, x1) == meets
+
+
+# -- deep spanning trees, and lengths that need no old code ---------------------
+
+
+@st.composite
+def deep_tree_cases(draw, field=1):
+    """MarkedMetricGraph arguments on a random spanning tree of two to six
+    vertices, often a path, so tree paths run deeper than one edge: each
+    leaf of the tree gets a non-tree edge (a loop, or an edge to another
+    vertex) and one more may be drawn.  Edges come in shuffled order and
+    directions, the basepoint is drawn, and the marking is a Nielsen-moved
+    basis; lengths are positive, in Q or Q(sqrt field)."""
+    nv = draw(st.integers(2, 6))
+    chain = draw(st.booleans())
+    tree_edges = [(v - 1 if chain else draw(st.integers(0, v - 1)), v) for v in range(1, nv)]
+    ends = [x for e in tree_edges for x in e]
+    vertex = st.integers(0, nv - 1)
+    others = [(v, draw(vertex)) for v in range(nv) if ends.count(v) == 1]
+    others += [(draw(vertex), draw(vertex)) for _ in range(draw(st.integers(0, 1)))]
+    rank = len(others)
+    ends = [(u, v) if draw(st.booleans()) else (v, u) for u, v in tree_edges + others]
+    order = draw(st.permutations(range(len(ends))))
+    lengths = draw(positive_lengths(field, len(ends)))
+    edges = [(*ends[i], length) for i, length in zip(order, lengths)]
+    tree = [k for k, i in enumerate(order) if i < len(tree_edges)]
+    basis = nielsen_basis(rank, draw(nielsen_moves))
+    marking = dict(zip((k for k in range(len(ends)) if k not in tree), basis))
+    return rank, nv, edges, tree, marking, draw(vertex)
+
+
+class TestDeepTreeLetterLoops:
+    """Letter loops spelled by stallings._tree_path on trees deeper than one
+    edge, against the adjacency-list oracle and the constructor's own walk
+    and speller of before."""
+
+    @given(deep_tree_cases())
+    @settings(max_examples=150)
+    def test_letter_loops_match_both_oracles(self, case):
+        graph = MarkedMetricGraph(*case)
+        assert graph._letter_loops == adjacency_letter_loops(*case) \
+            == parent_dart_letter_loops(graph)
+
+    def test_cut_rose_path(self):
+        doc = cut_rose(6)  # petal a cut into six edges, the tree a path of five
+        graph = MarkedMetricGraph(2, 6, [(*e["ends"], S(e["len"])) for e in doc["edges"]],
+                                  doc["spanning_tree"], {5: W("a"), 6: W("b")})
+        assert graph.word_to_loop((1,)) == (1, 2, 3, 4, 5, 6)
+        assert graph._letter_loops == parent_dart_letter_loops(graph)
+
+
+@st.composite
+def length_graphs(draw):
+    """A rose, a theta or a deep-tree graph with a Nielsen-moved marking and
+    lengths in Q, Q(sqrt2) or Q(sqrt5)."""
+    field = draw(st.sampled_from([1, 1, 2, 5]))
+    shape = draw(st.sampled_from(["rose", "theta", "deep"]))
+    if shape == "deep":
+        graph = MarkedMetricGraph(*draw(deep_tree_cases(field)))
+    else:
+        rank = 2 if shape == "theta" else draw(st.integers(1, 3))
+        basis = nielsen_basis(rank, draw(nielsen_moves))
+        graph = marked(shape, basis, draw(positive_lengths(field, 3 if shape == "theta" else rank)))
+    return graph
+
+
+def rank_words(rank, max_size=6):
+    return st.lists(st.integers(1, rank).flatmap(lambda a: st.sampled_from([a, -a])),
+                    max_size=max_size).map(lambda raw: Word.make(raw, rank))
+
+
+def remarked(graph, marking):
+    return MarkedMetricGraph(graph.rank, graph.nv, graph.edges, graph.tree, marking, graph.base)
+
+
+class TestLengthProperties:
+    """Translation lengths and short classes against the mathematics alone:
+    each property holds for every marked graph, whatever the engine does."""
+
+    @given(length_graphs(), st.data())
+    @settings(max_examples=100)
+    def test_inverse_and_conjugate(self, graph, data):
+        g, u = data.draw(rank_words(graph.rank)), data.draw(rank_words(graph.rank))
+        length = graph.translation_length(g)
+        assert graph.translation_length(g.inverse()) == length
+        assert graph.translation_length(u * g * u.inverse()) == length
+
+    @given(length_graphs(), st.data(), st.integers(1, 4))
+    @settings(max_examples=100)
+    def test_powers(self, graph, data, k):
+        g = data.draw(rank_words(graph.rank))
+        assert graph.translation_length(Word.make(g.letters * k, graph.rank)) \
+            == graph.translation_length(g) * k
+
+    @given(length_graphs(), st.data())
+    @settings(max_examples=100)
+    def test_nielsen_remarking_permutes_lengths(self, graph, data):
+        # Re-marking by phi sends each marking word m to phi(m), so the new
+        # marking is phi after the old: the loop it marks phi(g) is the loop
+        # the old one marks g.  So |phi(g)|' = |g|, and |g|' = |phi^-1(g)|.
+        images = nielsen_basis(graph.rank, data.draw(nielsen_moves))
+        new = remarked(graph, {e: substitute(w.letters, images)
+                               for e, w in graph.marking.items()})
+        for g in data.draw(st.lists(rank_words(graph.rank), min_size=1, max_size=4)):
+            assert new.translation_length(substitute(g.letters, images)) \
+                == graph.translation_length(g)
+
+    def test_remarking_goes_the_derived_way(self):
+        # phi: a -> ab on the rose of petals 1 and 2: |ab|' = |phi^-1(ab)| = |a| = 1,
+        # where |phi(ab)| = |abb| = 5
+        graph = rose(1, 2)
+        new = remarked(graph, {0: W("ab"), 1: W("b")})
+        assert new.translation_length(W("ab")) == graph.translation_length(W("a")) == S(1)
+        assert graph.translation_length(W("abb")) == S(5)
+
+    @given(length_graphs(), st.integers(0, 4), st.lists(
+        st.fractions(min_value=0, max_value=6, max_denominator=8), min_size=2, max_size=4))
+    @settings(max_examples=100)
+    def test_omega_is_monotone_in_epsilon(self, graph, max_len, scales):
+        volume = graph.volume()
+        runs = [graph.omega_epsilon(volume * q, max_len) for q in sorted(scales)]
+        for short, longer in zip(runs, runs[1:]):
+            kept = set(short)
+            assert kept <= set(longer)
+            assert [w for w in longer if w in kept] == short
+
+    @given(length_graphs(), st.integers(0, 4),
+           st.fractions(min_value=0, max_value=6, max_denominator=8),
+           st.fractions(min_value=Fraction(1, 7), max_value=7, max_denominator=7))
+    @settings(max_examples=100)
+    def test_scaling_lengths_and_epsilon_lists_the_same_classes(self, graph, max_len, q, c):
+        epsilon = graph.volume() * q
+        scaled = MarkedMetricGraph(graph.rank, graph.nv, [(u, v, l * c) for u, v, l in graph.edges],
+                                   graph.tree, graph.marking, graph.base)
+        assert scaled.omega_epsilon(epsilon * c, max_len) == graph.omega_epsilon(epsilon, max_len)

@@ -1,6 +1,9 @@
 """Piecewise-constant length measures: exact measures, invariance, convexity."""
 
+from fractions import Fraction
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from _fixtures import lebesgue
 from grouptrees.core import Scalar
@@ -9,6 +12,7 @@ from grouptrees.errors import PreconditionError
 from grouptrees.intervals import Interval, MultiInterval
 from grouptrees.isometry_systems import PartialIsometry, SoISystem
 from grouptrees.measures import LengthMeasure, combine, invariance_check
+from _oracles import inline_invariance_check
 
 S = Scalar.of
 
@@ -84,6 +88,60 @@ class TestInvarianceCheck:
         g = golden_system()
         with pytest.raises(PreconditionError):
             invariance_check(g, lebesgue(MultiInterval([iv(0, "1/2")])))
+
+
+TWELFTHS = [Fraction(k, 12) for k in range(13)]
+
+
+@st.composite
+def measured_systems(draw):
+    """A system on [0, 1], or on [0, 1] and [2, 3], of one to three
+    generators between twelfths, some reversing, and a measure on its support
+    whose breakpoints are twelfths, often the generators' range ends."""
+    shifts = [0, 2] if draw(st.booleans()) else [0]
+    gens = []
+    for _ in range(draw(st.integers(1, 3))):
+        lo, hi = sorted((draw(st.sampled_from(TWELFTHS)), draw(st.sampled_from(TWELFTHS))))
+        to = draw(st.sampled_from([t for t in TWELFTHS if t + hi - lo <= 1]))
+        shift = draw(st.sampled_from(shifts))
+        lo, hi, to = lo + shift, hi + shift, to + draw(st.sampled_from(shifts))
+        orient = draw(st.sampled_from([1, -1]))
+        gens.append(PartialIsometry(iv(lo, hi), orient, S(to - lo if orient > 0 else to + hi)))
+    sy = SoISystem(MultiInterval([iv(s, s + 1) for s in shifts]), gens)
+    ends = [e for g in gens for e in (g.ran.lo, g.ran.hi)]
+    densities = st.sampled_from([0, 1, 2, Fraction(1, 2)])
+    if draw(st.booleans()):  # one density throughout, an invariant measure
+        densities = st.just(draw(densities.filter(bool)))
+    pieces = []
+    for s in shifts:
+        cuts = {S(s), S(s + 1)} | {S(t + s) for t in draw(st.lists(st.sampled_from(TWELFTHS)))}
+        if draw(st.booleans()):  # the range ends on this component
+            cuts |= {e for e in ends if S(s) <= e <= S(s + 1)}
+        cuts = sorted(cuts)
+        pieces += [(Interval(lo, hi), S(draw(densities))) for lo, hi in zip(cuts, cuts[1:])]
+    return sy, LengthMeasure(pieces)
+
+
+class TestPullBackThroughTheInverse:
+    """invariance_check pulls range breakpoints back through the generator's
+    inverse; the inline formula it replaced, followed by a domain test, must
+    give the same report."""
+
+    @given(measured_systems())
+    @settings(max_examples=200)
+    def test_matches_inline_pull_back(self, case):
+        sy, mu = case
+        assert invariance_check(sy, mu) == inline_invariance_check(sy, mu)
+
+    def test_breakpoints_at_a_reversed_range_and_inside_it(self):
+        # x -> 1 - x on [0, 1/4] has range [3/4, 1]: its ends 3/4 and 1 pull
+        # back to the domain's ends, and 7/8 to 1/8, which cuts [0, 1/8] off
+        sy = SoISystem(MultiInterval([iv(0, 1)]), [PartialIsometry(iv(0, "1/4"), -1, S(1))])
+        mu = LengthMeasure([(iv(0, "3/4"), S(1)), (iv("3/4", "7/8"), S(2)),
+                            (iv("7/8", 1), S(3))])
+        assert invariance_check(sy, mu) == inline_invariance_check(sy, mu) == {
+            "status": "violation", "generator": "0", "piece": iv(0, "1/8"),
+            "density_here": S(1), "density_there": S(3)}
 
 
 class TestCombine:

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from _oracles import (FractionScalar, _is_square_free as _trial_square_free,
-                      gcd_scalar_text, scalar, scalar_parts)
+                      common_denominator_sub, gcd_scalar_text, scalar, scalar_parts)
 from grouptrees.core import Scalar, ZERO, _is_square_free, _make, _text, field_problem
 from grouptrees.errors import MixedFieldError, ParseError
 
@@ -308,6 +308,36 @@ class TestAgainstFractionOracle:
         assert_equal_values_hash_equal(new)
         assert outcome(Scalar.parse, str(new)) == outcome(FractionScalar.parse, str(old))
         assert new != old.rat and new != str(new)
+
+
+class TestSubtractionByAddition:
+    """a - b adds the negation of b: the common-denominator code it replaced
+    and the Fraction oracle give the same value, or the same error."""
+
+    @given(twins(), st.one_of(twins(), st.integers(-5, 5), oracle_parts))
+    def test_matches_common_denominator_and_fractions(self, x, y):
+        new, old = x
+        y_new, y_old = y if isinstance(y, tuple) else (y, y)
+        assert outcome(operator.sub, new, y_new) \
+            == outcome(common_denominator_sub, new, y_new) \
+            == outcome(operator.sub, old, y_old)
+
+    @pytest.mark.parametrize("a,b", [("sqrt2", "sqrt5"), ("1+sqrt5", "1/2-1/3*sqrt2"),
+                                     ("-1/7*sqrt3", "2/3+sqrt7")])
+    def test_mixed_fields_name_the_left_field_first(self, a, b):
+        for left, right in ((S(a), S(b)), (S(b), S(a))):
+            with pytest.raises(MixedFieldError) as new:
+                left - right
+            with pytest.raises(MixedFieldError) as old:
+                common_denominator_sub(left, right)
+            assert str(new.value) == str(old.value) == (
+                f"cannot mix sqrt{left.d} and sqrt{right.d} values in one computation")
+
+    def test_text_is_no_operand(self):
+        for other in ("1", "sqrt2", 0.5):
+            with pytest.raises(TypeError):
+                S("1+sqrt2") - other
+            assert common_denominator_sub(S("1+sqrt2"), other) is NotImplemented
 
 
 class TestTextWithoutASecondGcd:
