@@ -24,8 +24,8 @@ from functools import cmp_to_key
 from math import isqrt
 from operator import itemgetter
 
-from .core import (Scalar, ZERO, _LETTER, _Frozen, _integer_view, _letters_text, _make,
-                   _sign, _text, ordered_letters)
+from .core import (Scalar, ZERO, _LETTER, _Frozen, _integer_view, _join, _letters_text,
+                   _make, _sign, _text, ordered_letters)
 from .errors import (
     InvalidSystemError,
     MissingLabelsError,
@@ -73,8 +73,10 @@ class SoISystem:
         generators = tuple(generators)
         if not generators:
             raise InvalidSystemError("a system needs at least one generator")
-        inverses = []
+        d, inverses = 1, []
         for g in generators:
+            for value in (g.offset, g.dom.lo, g.dom.hi):  # fields in _compile's order
+                d = d if value._d in (1, d) else _join(d, value._d)
             if not forest.contains_interval(g.dom):
                 raise InvalidSystemError(f"generator domain {g.dom} leaves the support")
             inverses.append(g.inverse())  # its domain is g's range

@@ -80,18 +80,14 @@ def periodic_leaf(g: tuple[int, ...]) -> tuple:
 # -- membership -----------------------------------------------------------------
 
 
-def _reads(graph: StallingsGraph, tails: dict, prefix: tuple[int, ...],
-           period: tuple[int, ...]) -> bool:
-    """True iff the ray prefix * period^infinity reads from the basepoint forever.
+def _reads(graph: StallingsGraph, tails: dict, v: int, period: tuple[int, ...]) -> bool:
+    """True iff period^infinity reads forever from the vertex v.
 
-    Read the prefix, then the period repeatedly; the state after each period
-    is a single vertex, so a repeat proves an infinite readable tail, and a
-    stuck read refutes it.  `tails` maps the vertices that walks of this
-    period visited to whether period^infinity reads forever from there.
+    Read the period repeatedly; the state after each period is a single
+    vertex, so a repeat proves an infinite readable tail, and a stuck read
+    refutes it.  `tails` maps the vertices that walks of this period visited
+    to whether period^infinity reads forever from there.
     """
-    k, v = _read(graph, graph.base, prefix)
-    if k < len(prefix):
-        return False
     walk = []
     while v not in tails:
         tails[v] = None  # on this walk: meeting it again closes a cycle
@@ -108,7 +104,11 @@ def _reads(graph: StallingsGraph, tails: dict, prefix: tuple[int, ...],
 
 def carries(graph: StallingsGraph, leaf: tuple) -> bool:
     """Literal two-ray membership — no translation is applied."""
-    return _reads(graph, {}, *leaf[0]) and _reads(graph, {}, *leaf[1])
+    for prefix, period in leaf:
+        k, v = _read(graph, graph.base, prefix)
+        if k < len(prefix) or not _reads(graph, {}, v, period):
+            return False
+    return True
 
 
 # -- leaf generation from a marked metric graph -----------------------------------
@@ -139,8 +139,14 @@ def carrier_scan(graph: MarkedMetricGraph, subgroup: StallingsGraph, epsilon: Sc
     # a vertex, p^infinity reads forever iff the vertex lies on a p-cycle
     translates = (list(enumerate_words(graph.rank, max_translate))
                   if max_translate > 0 and short else [()])
+    # per translate w, after its prefix: the vertex w reads to (None if stuck),
+    # its text and a leaf's prefix text; w's canonical prefix u is one of them
+    reached = {(): (subgroup.base, "", "")}
+    for w in translates[1:]:
+        v, text = reached[w[:-1]][0], _letters_text(w)
+        reached[w] = None if v is None else subgroup.darts_at(v).get(w[-1]), text, text + "·"
     carried, translate_hits = [], []
-    tails, pairs = {}, {}  # per period: `_reads`' verdicts; the pair in leaf order
+    tails, pairs = {}, {}  # `_reads`' memos; per period p: the pair's first, memo, texts
     for g in short:
         generator = _letters_text(g)
         period = _primitive_root(g)
@@ -148,13 +154,14 @@ def carrier_scan(graph: MarkedMetricGraph, subgroup: StallingsGraph, epsilon: Sc
             u, p = _canonical_ray(w, period)
             if p not in pairs:
                 (_, a), (_, b) = _leaf(((), inverse(p)), ((), p))
-                pairs[p] = a, b, tails.setdefault(a, {})
-            a, b, memo = pairs[p]
-            if _reads(subgroup, memo, u, a):
-                leaf = _leaf_text(((u, a), (u, b)))
+                pairs[p] = a, tails.setdefault(a, {}), _ray_text((), a), _ray_text((), b)
+            a, memo, a_text, b_text = pairs[p]
+            v, _, at = reached[u]
+            if v is not None and _reads(subgroup, memo, v, a):
+                leaf = f"({at}{a_text}, {at}{b_text})"
                 if w:
                     translate_hits.append({"generator": generator,
-                                           "word": _letters_text(w), "leaf": leaf})
+                                           "word": reached[w][1], "leaf": leaf})
                 else:
                     carried.append({"generator": generator, "leaf": leaf})
     return {

@@ -174,6 +174,12 @@ replaced it: one dart-map read per letter, None where the word sticks.
 :func:`reads_forever` is ``grouptrees.laminations._reads_forever``, which
 the per-period memo of ``_reads`` replaced: every ray walks its periodic
 tail again, with a set of the vertices seen after each period.
+:func:`per_hit_carrier_scan` is ``grouptrees.laminations.carrier_scan``
+before it built its tables once per scan: every translate reads its
+canonical prefix from the basepoint with ``_read``, and every hit builds its
+leaf text with ``_leaf_text`` and its word text with ``_letters_text``,
+where the scan now looks up the vertex and text of each translate and the
+two period texts of each period in tables built once.
 
 :func:`gcd_scalar_text` is ``Scalar.__str__`` before it printed a rational
 value's parts as they are: it takes the gcd of each part with the
@@ -218,9 +224,10 @@ from grouptrees.core import (MAX_RANK, _LETTER, _letters_text, _sign, conjugator
 from grouptrees.errors import (DegenerateSubgroupError, InvalidSystemError, MixedFieldError,
                                NotABasisError, ParseError, PreconditionError)
 from grouptrees.intervals import Interval, MultiInterval
-from grouptrees.laminations import _SIMPLICIAL_NOTE
+from grouptrees.laminations import (_SIMPLICIAL_NOTE, _canonical_ray, _leaf, _leaf_text,
+                                    _primitive_root, _reads)
 from grouptrees.marked_graphs import CoverCore, _subtree_ball, _translate_intersection_prepared
-from grouptrees.stallings import (StallingsGraph, _checked_graph, index, membership,
+from grouptrees.stallings import (StallingsGraph, _checked_graph, _read, index, membership,
                                   subgroup_elements)
 
 ZERO = Scalar.of(0)
@@ -2118,6 +2125,51 @@ def object_carrier_scan(graph, subgroup, epsilon, max_word: int,
         "max_word": max_word,
         "max_translate": max_translate,
         "subgroup_index": sub_index,
+        "note": _SIMPLICIAL_NOTE,
+    }
+
+
+def per_hit_carrier_scan(graph, subgroup, epsilon, max_word: int,
+                         max_translate: int) -> dict:
+    """The carrier scan with a prefix read per ray and a leaf text per hit.
+
+    The rays of w * leaf(g) share a canonical prefix u and have inverse
+    periods; each period is paired once with its inverse, in leaf order, and
+    shares one tail memo with it.  Each translate reads u from the basepoint,
+    then the pair's first period from there; a hit spells its leaf with
+    `_leaf_text` and its word with `_letters_text`.
+    """
+    short = graph.omega_epsilon(epsilon, max_word)
+    translates = (list(enumerate_words(graph.rank, max_translate))
+                  if max_translate > 0 and short else [()])
+    carried, translate_hits = [], []
+    tails, pairs = {}, {}
+    for g in short:
+        generator = _letters_text(g)
+        period = _primitive_root(g)
+        for w in translates:
+            u, p = _canonical_ray(w, period)
+            if p not in pairs:
+                (_, a), (_, b) = _leaf(((), inverse(p)), ((), p))
+                pairs[p] = a, b, tails.setdefault(a, {})
+            a, b, memo = pairs[p]
+            k, v = _read(subgroup, subgroup.base, u)
+            if k == len(u) and _reads(subgroup, memo, v, a):
+                leaf = _leaf_text(((u, a), (u, b)))
+                if w:
+                    translate_hits.append({"generator": generator,
+                                           "word": _letters_text(w), "leaf": leaf})
+                else:
+                    carried.append({"generator": generator, "leaf": leaf})
+    return {
+        "status": "carried-leaves-found" if carried else "none-up-to-budget",
+        "carried": carried,
+        "translate_hits": translate_hits,
+        "short_classes": [_letters_text(g) for g in short],
+        "epsilon": str(epsilon),
+        "max_word": max_word,
+        "max_translate": max_translate,
+        "subgroup_index": index(subgroup),
         "note": _SIMPLICIAL_NOTE,
     }
 

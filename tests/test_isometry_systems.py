@@ -130,6 +130,17 @@ class TestSystemValidation:
                            match=re.escape(f"label {label!r} is not a basis letter")):
             system([(0, 1)], [(0, "1/2", 1, "1/2")], labels=(label,))
 
+    @pytest.mark.parametrize("maps,fields", [
+        ([(0, "1/2", 1, "1/10*sqrt2"), (0, "1/2", 1, "1/10*sqrt3")], ("sqrt2", "sqrt3")),
+        ([(0, "1/2", 1, "1/10*sqrt3"), (0, "1/2", 1, "1/10*sqrt2")], ("sqrt3", "sqrt2")),
+        # a generator's offset is met before its domain, as the engines meet them
+        ([(0, "1/10*sqrt3", 1, "1/10*sqrt2")], ("sqrt2", "sqrt3"))])
+    def test_values_of_two_fields_are_refused(self, maps, fields):
+        # every compiled engine would refuse the system; the constructor does
+        message = f"cannot mix {fields[0]} and {fields[1]} values in one computation"
+        with pytest.raises(MixedFieldError, match=f"^{re.escape(message)}$"):
+            system([(0, 1)], maps)
+
     def test_labels_name_basis_letters(self):
         sy = system([(0, 1)], [(0, "1/2", 1, "1/2"), ("1/2", 1, 1, "-1/2")],
                     labels=("z", "b"))

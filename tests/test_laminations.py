@@ -26,13 +26,14 @@ from grouptrees.laminations import (
     periodic_leaf,
 )
 from grouptrees.marked_graphs import MarkedMetricGraph
-from grouptrees.stallings import (basis_of, build_core, conjugate, hall_completion, index,
-                                  membership)
+from grouptrees.report import render_json, render_text, wrap
+from grouptrees.stallings import (_read, basis_of, build_core, conjugate, hall_completion,
+                                  index, membership)
 
 from _oracles import (DataclassBoundaryRay, DataclassRationalLeaf, cyclic_reduce,
                       object_boundary_membership, object_carrier_scan, object_carries,
-                      object_periodic_leaf, popping_canonical_ray, reads_forever, trace,
-                      translate_leaf)
+                      object_periodic_leaf, per_hit_carrier_scan, popping_canonical_ray,
+                      reads_forever, trace, translate_leaf)
 
 S = Scalar.of
 
@@ -199,9 +200,16 @@ class TestRationalLeaf:
         assert _canonical_ray(w.letters, inverse(period)) == (u, inverse(p))
 
 
+def read_ray(graph, tails: dict, ray: tuple) -> bool:
+    """Whether one ray reads from the basepoint forever, as `carries` reads
+    it: its prefix with `_read`, then its period with `_reads` and `tails`."""
+    k, v = _read(graph, graph.base, ray[0])
+    return k == len(ray[0]) and _reads(graph, tails, v, ray[1])
+
+
 def reads(graph, ray: tuple) -> bool:
     """Whether one ray reads from the basepoint forever, with a memo of its own."""
-    return _reads(graph, {}, *ray)
+    return read_ray(graph, {}, ray)
 
 
 def _stuck_tail(graph, letters: tuple) -> int:
@@ -308,7 +316,7 @@ class TestTailMemoMatchesOracle:
         graph, rays = case
         tails = {}
         for r in rays:
-            assert _reads(graph, tails.setdefault(r[1], {}), *r) == reads_forever(graph, *r)
+            assert read_ray(graph, tails.setdefault(r[1], {}), r) == reads_forever(graph, *r)
         # every recorded verdict is that of the tail read from its vertex
         for period, verdicts in tails.items():
             for v, verdict in verdicts.items():
@@ -320,7 +328,7 @@ class TestTailMemoMatchesOracle:
         for r in rays:
             tails = {}
             seen, verdict = tail_walk(graph, r)
-            assert _reads(graph, tails, *r) == verdict
+            assert read_ray(graph, tails, r) == verdict
             assert set(tails) == seen
 
     @given(memo_cases())
@@ -339,7 +347,7 @@ class TestTailMemoMatchesOracle:
         # period, not every vertex of the cover
         cover = hall_completion(build_core([W("aabAbb")], 2), W("ab")).cover
         tails = {}
-        assert _reads(cover, tails, (), (1,))
+        assert _reads(cover, tails, cover.base, (1,))
         assert 1 <= len(tails) < cover.nv
         assert all(tails.values())
 
@@ -445,6 +453,63 @@ class TestCarrierScanMatchesObjectScan:
         report = carrier_scan(*case)
         assert report == object_carrier_scan(*case)
         assert len(report["translate_hits"]) == len(report["short_classes"]) * 52
+
+
+def rendered(report: dict) -> tuple[str, str]:
+    """A `lam scan` report as the command prints it, as JSON and as text."""
+    envelope = wrap("lam scan", report)
+    return render_json(envelope), render_text(envelope)
+
+
+def _prefix_shorter_than_word(report) -> bool:
+    # the leaf of a hit starts with its canonical prefix, not with the word
+    return any(not h["leaf"].startswith(f"({h['word']}·") for h in report["translate_hits"])
+
+
+def _every_translate_hits(report) -> bool:
+    short = len(report["short_classes"])
+    return len(report["carried"]) == short and len(report["translate_hits"]) == short * 52
+
+
+# each named case, with what it shows: its report must show it too
+SCAN_TABLE_CASES = {
+    # w = a, aa, ... roll into the period a (u empty); w = ba rolls to u = b
+    "translates-roll-into-the-period": (
+        (lopsided_rose(), build_core([W("a"), W("baB")], 2), S("3/2"), 4, 3),
+        _prefix_shorter_than_word),
+    # a finite cover reads every ray: all 52 nonempty translates are hits
+    "hall-cover": (
+        (lopsided_rose(), hall_completion(build_core([W("aa"), W("b")], 2), W("a")).cover,
+         S("3/2"), 4, 3),
+        _every_translate_hits),
+    # b * leaf(ab) has period ba, first in leaf order as its inverse AB,
+    # whose memo no earlier period made
+    "period-walked-by-its-inverse": (
+        (lopsided_rose(), build_core([W("ba")], 2), S("3/2"), 4, 1),
+        lambda report: {"generator": "ab", "word": "b", "leaf": "((AB)^∞, (ba)^∞)"}
+        in report["translate_hits"] and report["carried"] == []),
+}
+
+
+class TestScanTablesMatchPerHitScan:
+    """`carrier_scan` reads each translate and spells each period once per
+    scan; whole reports, rendered as JSON and as text, against the per-hit
+    scan it replaced and the object scan."""
+
+    @given(scan_cases())
+    @settings(max_examples=80)
+    def test_rendered_reports(self, case):
+        got = rendered(carrier_scan(*case))
+        assert got == rendered(per_hit_carrier_scan(*case))
+        assert got == rendered(object_carrier_scan(*case))
+
+    @pytest.mark.parametrize("name", sorted(SCAN_TABLE_CASES))
+    def test_named_cases(self, name):
+        case, shows = SCAN_TABLE_CASES[name]
+        report = carrier_scan(*case)
+        assert shows(report)
+        assert rendered(report) == rendered(per_hit_carrier_scan(*case))
+        assert rendered(report) == rendered(object_carrier_scan(*case))
 
 
 # -- the tuple form against the object oracle -------------------------------------
